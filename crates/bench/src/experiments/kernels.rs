@@ -11,7 +11,9 @@
 //!   portable chunked loops vs scalar scans,
 //! * AMAC interleaved batched hash probes against one-at-a-time lookups,
 //!   under a symmetric output contract (both sides materialize
-//!   `Option<u64>` results into the same reused buffer).
+//!   `Option<u64>` results into the same reused buffer),
+//! * the prefix tree's level-synchronous prefetched batch descent against
+//!   the scalar lookup loop, under the same contract.
 //!
 //! Results land in `BENCH_kernels.json`.  When `ERIS_BENCH_BASELINE`
 //! names a baseline file (CI commits one under `ci/`), the run's
@@ -26,7 +28,7 @@ use crate::{fmt_rate, TextTable};
 use eris_column::{
     simd, Aggregate, Column, CompiledPredicate, Predicate, ScanKernel, SharedScan, SimdLevel,
 };
-use eris_index::HashTable;
+use eris_index::{HashTable, PrefixTree};
 use eris_numa::NodeId;
 use std::time::Instant;
 
@@ -42,6 +44,7 @@ const GATED: &[&str] = &[
     "chunked_count_speedup",
     "chunked_sum_speedup",
     "batched_probe_speedup",
+    "tree_batched_probe_speedup",
 ];
 
 /// Ratio metrics gated only when explicit SIMD dispatch is active.
@@ -123,6 +126,42 @@ fn time_pair(min_ms: u64, mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64
     }
     std::hint::black_box(sink);
     (ta, tb)
+}
+
+/// Keys per probe call of the batched-vs-scalar index pairs.
+const BATCH: usize = 4096;
+
+/// [`time_pair`] of a batched index probe against the scalar lookup loop,
+/// seconds per [`BATCH`] keys each.  Both sides rotate through `keys` in
+/// windows (re-probing one small batch would run out of cache and measure
+/// nothing) and materialize their `Option<u64>` results into a reused
+/// buffer of their own before folding them identically — one contract.
+fn probe_pair(
+    ms: u64,
+    keys: &[u64],
+    batched: impl Fn(&[u64], &mut Vec<Option<u64>>),
+    scalar: impl Fn(u64) -> Option<u64>,
+) -> (f64, f64) {
+    let windows = keys.len() / BATCH;
+    let window = |w: &mut usize| {
+        let batch = &keys[*w * BATCH..(*w + 1) * BATCH];
+        *w = (*w + 1) % windows;
+        batch
+    };
+    let (mut out_b, mut out_s) = (Vec::new(), Vec::new());
+    let (mut wb, mut ws) = (0usize, 0usize);
+    time_pair(
+        ms,
+        || {
+            batched(window(&mut wb), &mut out_b);
+            out_b.iter().flatten().sum()
+        },
+        || {
+            out_s.clear();
+            out_s.extend(window(&mut ws).iter().map(|&k| scalar(k)));
+            out_s.iter().flatten().sum()
+        },
+    )
 }
 
 fn fused_sweep(col: &Column, ps: &[Predicate], k: ScanKernel) -> u64 {
@@ -269,33 +308,18 @@ fn measure(quick: bool) -> (Metrics, u64) {
     // Rotate through a key set as large as the table so every iteration
     // probes cold buckets — re-probing one small batch would let both
     // sides run out of cache and measure nothing.
-    const BATCH: usize = 4096;
     let all_keys: Vec<u64> = (0..keys_n)
         .map(|i| (i * 37 % (2 * keys_n)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
     let windows = all_keys.len() / BATCH;
-    // One reused output buffer per side (identical contract); interleaved
-    // passes keep the gated ratio honest on a noisy machine.
-    let mut out_b: Vec<Option<u64>> = Vec::new();
-    let mut out_s: Vec<Option<u64>> = Vec::new();
-    let mut wb = 0usize;
-    let mut ws = 0usize;
-    let (t_batched, t_scalar_probe) = time_pair(
+    let (t_batched, t_scalar_probe) = probe_pair(
         ms,
-        || {
-            let batch = &all_keys[wb * BATCH..(wb + 1) * BATCH];
-            wb = (wb + 1) % windows;
-            out_b.clear();
-            h.lookup_batch(batch, &mut out_b);
-            out_b.iter().flatten().sum()
+        &all_keys,
+        |batch, out| {
+            out.clear();
+            h.lookup_batch(batch, out)
         },
-        || {
-            let batch = &all_keys[ws * BATCH..(ws + 1) * BATCH];
-            ws = (ws + 1) % windows;
-            out_s.clear();
-            out_s.extend(batch.iter().map(|&k| h.lookup(k)));
-            out_s.iter().flatten().sum()
-        },
+        |k| h.lookup(k),
     );
     let mut w = 0usize;
     let t_scalar_fold = time(ms, || {
@@ -311,6 +335,34 @@ fn measure(quick: bool) -> (Metrics, u64) {
     );
     m.put("batched_probe_speedup", t_scalar_probe / t_batched);
     m.put("batched_vs_fold_speedup", t_scalar_fold / t_batched);
+
+    // Batched tree probes: the level-synchronous group descent of
+    // `PrefixTree::lookup_batch` against the scalar lookup loop, on the
+    // sparse shape (stride-64 keys: 4 per leaf, ranked blocks), probed in
+    // scrambled rank order so neither side walks neighbouring leaves.
+    // Same symmetric contract and interleaved passes as the hash pair.
+    const STRIDE: u64 = 64;
+    let pairs: Vec<(u64, u64)> = (0..keys_n).map(|r| (r * STRIDE, r)).collect();
+    let tree = PrefixTree::build_from_sorted(Default::default(), 0, &pairs);
+    let rank_bits = keys_n.trailing_zeros();
+    let tree_keys: Vec<u64> = (0..keys_n)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - rank_bits)) * STRIDE)
+        .collect();
+    let (t_tree_batched, t_tree_scalar) = probe_pair(
+        ms,
+        &tree_keys,
+        |batch, out| tree.lookup_batch(batch, out),
+        |k| tree.lookup(k),
+    );
+    m.put(
+        "tree_batched_probe_keys_per_sec",
+        BATCH as f64 / t_tree_batched,
+    );
+    m.put(
+        "tree_scalar_probe_keys_per_sec",
+        BATCH as f64 / t_tree_scalar,
+    );
+    m.put("tree_batched_probe_speedup", t_tree_scalar / t_tree_batched);
 
     (m, rows)
 }
@@ -363,6 +415,11 @@ pub fn run(quick: bool) {
         "batched hash probe (AMAC)".into(),
         fmt_rate(m.get("batched_probe_keys_per_sec")),
         format!("{:.2}x vs scalar", m.get("batched_probe_speedup")),
+    ]);
+    t.row(vec![
+        "batched tree probe (group descent)".into(),
+        fmt_rate(m.get("tree_batched_probe_keys_per_sec")),
+        format!("{:.2}x vs scalar", m.get("tree_batched_probe_speedup")),
     ]);
     t.print();
 

@@ -21,6 +21,7 @@ use eris_numa::{CoreId, Flow, NodeId};
 use eris_obs::{
     now_ns, LatencyRecord, LatencyTable, Phase, Stamped, TraceEvent, TraceStamp, NUM_PHASES,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 // ordering: Relaxed is the only ordering this module imports — every
 // atomic here is a monotonic telemetry counter that carries no payload;
@@ -42,6 +43,22 @@ const SEGMENT_VALUES: usize = 64 * 1024;
 #[inline]
 fn range_contains(lo: u64, hi: u64, k: u64) -> bool {
     k >= lo && (k < hi || hi == u64::MAX)
+}
+
+/// Split a point command's items into those whose key the validity range
+/// `[lo, hi)` contains and the strays.  Outside a migration every item is
+/// mine: the decoded slice is handed on as it is and nothing is allocated.
+fn split_strays<T: Copy>(
+    items: &[T],
+    (lo, hi): (u64, u64),
+    key: impl Fn(T) -> u64,
+) -> (Cow<'_, [T]>, Vec<T>) {
+    let mine = |item: T| range_contains(lo, hi, key(item));
+    if items.iter().all(|&item| mine(item)) {
+        return (Cow::Borrowed(items), Vec::new());
+    }
+    let (kept, stray) = items.iter().partition(|&&item| mine(item));
+    (Cow::Owned(kept), stray)
 }
 
 /// Why [`Aeu::absorb_rows`] refused a batch.
@@ -554,9 +571,7 @@ impl Aeu {
             .expect("point partition exists");
         match &mut p.data {
             PartitionData::Index(tree) => {
-                for &(k, v) in pairs {
-                    tree.upsert(k, v);
-                }
+                tree.upsert_batch(pairs);
             }
             PartitionData::Hash(h) => {
                 for &(k, v) in pairs {
@@ -999,8 +1014,8 @@ impl Aeu {
             };
             // Validity check: keys outside the updated range are forwarded
             // to the AEU now responsible (Section 3.3.2).
-            let (mine, stray): (Vec<u64>, Vec<u64>) =
-                keys.iter().partition(|&&k| range_contains(lo, hi, k));
+            let (mine, stray) = split_strays(keys, (lo, hi), |k| k);
+            let mine: &[u64] = &mine;
             // A stamp is recorded where work happens: here if any keys
             // are local, otherwise it rides on with the strays.
             // ALLOC-OK: trace bookkeeping for the sampled minority, and the
@@ -1027,13 +1042,13 @@ impl Aeu {
             let data = &self.partitions[&object].data;
             let values = &mut self.scratch_values;
             match data {
-                PartitionData::Index(tree) => tree.lookup_batch(&mine, values),
+                PartitionData::Index(tree) => tree.lookup_batch(mine, values),
                 PartitionData::Hash(h) => {
                     values.clear();
                     // Batched probe: AMAC interleaved state machine —
                     // every in-flight probe's next bucket is prefetched
                     // while the others execute, results in input order.
-                    h.lookup_batch(&mine, values);
+                    h.lookup_batch(mine, values);
                     self.tel
                         .counters
                         .batched_probe_keys
@@ -1042,7 +1057,7 @@ impl Aeu {
                 // BOUNDS: restates the column routing debug_assert at fn entry.
                 PartitionData::Column(_) => unreachable!(),
             }
-            self.results.lookup_batch(c.ticket, &mine, values);
+            self.results.lookup_batch(c.ticket, mine, values);
             let n = mine.len() as u64;
             total += n;
             // Result reply path: the callback owner receives the values.
@@ -1133,8 +1148,8 @@ impl Aeu {
                     let Payload::Upsert { pairs } = &c.payload else {
                         unreachable!()
                     };
-                    let (mine, stray): (Pairs, Pairs) =
-                        pairs.iter().partition(|&&(k, _)| range_contains(lo, hi, k));
+                    let (mine, stray) = split_strays(pairs, (lo, hi), |(k, _)| k);
+                    let mine: &[(u64, u64)] = &mine;
                     let fully_stray = mine.is_empty() && !stray.is_empty();
                     // ALLOC-OK: trace bookkeeping for the sampled minority; the
                     // pending vector drains every epoch.  The stray push hands the
@@ -1159,17 +1174,15 @@ impl Aeu {
                     };
                     match &mut p.data {
                         PartitionData::Index(tree) => {
-                            for &(k, v) in &mine {
-                                if tree.upsert(k, v).is_none() {
-                                    fresh += 1;
-                                }
-                            }
+                            // Batched upsert: read-only prefetched group
+                            // descent, input-order application.
+                            fresh += tree.upsert_batch(mine);
                         }
                         PartitionData::Hash(h) => {
                             // Batched upsert: one single-rehash reserve,
                             // group-prefetched home buckets, input-order
                             // application.
-                            fresh += h.upsert_batch(&mine);
+                            fresh += h.upsert_batch(mine);
                             self.tel
                                 .counters
                                 .batched_probe_keys
@@ -1181,7 +1194,7 @@ impl Aeu {
                     if !mine.is_empty() {
                         self.journal(RedoOp::UpsertPairs {
                             object,
-                            pairs: &mine,
+                            pairs: mine,
                         });
                     }
                     let n = mine.len() as u64;

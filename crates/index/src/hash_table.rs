@@ -289,19 +289,9 @@ impl HashTable {
     /// Hint the cache hierarchy that bucket `idx` is about to be probed.
     #[inline]
     fn prefetch_slot(&self, idx: usize) {
-        // Miri has no model for the prefetch intrinsic (and flags the
-        // raw pointer arithmetic as a spurious provenance escape), so
-        // interpret the probe sequence scalar-for-scalar under it: the
-        // 16-ahead prefetch is a pure cache hint with no semantics.
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: `idx` is a bucket index (`bucket_of` masks into range);
-        // prefetch has no architectural effect beyond the cache.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.slots.as_ptr().add(idx) as *const i8, _MM_HINT_T0);
+        if let Some(slot) = self.slots.get(idx) {
+            crate::prefetch::prefetch_read(slot);
         }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        let _ = idx;
     }
 
     /// Pre-size the bucket array for `extra` further keys, so a following

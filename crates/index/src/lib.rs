@@ -26,6 +26,7 @@
 pub mod codec;
 pub mod csb_tree;
 pub mod hash_table;
+mod prefetch;
 pub mod prefix_tree;
 pub mod shared_tree;
 

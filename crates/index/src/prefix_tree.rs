@@ -1,21 +1,42 @@
-//! The generalized prefix tree (Böhm et al., BTW'11).
+//! The generalized prefix tree (Böhm et al., BTW'11), with cache-conscious
+//! leaves.
 //!
 //! Keys are unsigned 64-bit integers split into fixed-width digits of
 //! `prefix_bits` bits, consumed from the most significant digit down, which
 //! makes the structure order-preserving (unlike a hash table) and gives it
 //! O(key_bits / prefix_bits) point-operation cost independent of size
-//! (unlike a B+-tree).  Inner nodes are child-pointer arrays; the last level
-//! holds the values.
+//! (unlike a B+-tree).  Inner nodes are dense child-pointer arrays.
 //!
-//! Nodes live in flat arenas indexed by `u32`, so the whole tree is three
-//! contiguous allocations — cache friendly and trivially relocatable, which
-//! matters for the load balancer: a partition *copy* transfer flattens the
-//! tree into a sorted stream ([`PrefixTree::flatten_range`]) and rebuilds it
-//! on the target AEU ([`PrefixTree::build_from_sorted`]).
+//! **Compact leaves.**  A leaf is a presence bitmap plus a block of the
+//! value arena sized by capacity class (4 → 16 → 64 → `fanout`).  Below
+//! `fanout` capacity the values sit densely in digit order and a digit is
+//! addressed by its rank, `popcount(present & below(digit))`; a block that
+//! has reached `fanout` capacity is addressed by the digit directly, so a
+//! dense leaf costs what a dense value array costs.  The leaf's own
+//! occupancy makes the choice; freed blocks are recycled per class.
 //!
-//! Every node has a synthetic address (base vaddr + arena offset) so the
-//! engine can feed lookup paths into the L3 cache simulator
+//! **Root skip.**  The levels on which the smallest and the largest key
+//! ever inserted agree are a single-child chain; every descent starts at
+//! the node below that chain, and a key outside the shared prefix is
+//! absent without a single node read.
+//!
+//! **Batch descent.**  [`PrefixTree::lookup_batch`] and
+//! [`PrefixTree::upsert_batch`] walk groups of [`GROUP`] keys one level at
+//! a time, prefetching every key's next line before any of them is read —
+//! Section 3.1's "batches to hide memory latency".  All descents have the
+//! same depth, so the group needs no per-key state machine.
+//!
+//! Nodes live in flat arenas indexed by `u32` — cache friendly and
+//! trivially relocatable, which matters for the load balancer: a partition
+//! *copy* transfer flattens the tree into a sorted stream
+//! ([`PrefixTree::flatten_range`]) and rebuilds it on the target AEU
+//! ([`PrefixTree::build_from_sorted`]).
+//!
+//! Every arena slot has a synthetic address (base vaddr + arena offset) so
+//! the engine can feed lookup paths into the L3 cache simulator
 //! ([`PrefixTree::trace_path`]).
+
+use crate::prefetch::prefetch_read;
 
 /// Configuration of a [`PrefixTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +87,35 @@ impl PrefixTreeConfig {
         1usize << self.prefix_bits
     }
 
+    /// Presence-bitmap words per leaf.
+    #[inline]
+    fn leaf_words(&self) -> usize {
+        self.fanout().div_ceil(64)
+    }
+
+    /// Words of one leaf header: the block descriptor, then the bitmap.
+    #[inline]
+    fn header_words(&self) -> usize {
+        1 + self.leaf_words()
+    }
+
+    /// Bits below the digit of `level`: `key >> shift(level)` is the key's
+    /// top `level + 1` digits.
+    #[inline]
+    fn shift(&self, level: u32) -> u32 {
+        self.key_bits - (level + 1) * self.prefix_bits
+    }
+
     #[inline]
     fn digit(&self, key: u64, level: u32) -> usize {
-        let shift = self.key_bits - (level + 1) * self.prefix_bits;
-        ((key >> shift) & ((1u64 << self.prefix_bits) - 1)) as usize
+        (key >> self.shift(level)) as usize & (self.fanout() - 1)
+    }
+
+    /// Leading levels on which two keys of the domain have equal digits,
+    /// at most `levels - 1`: the leaf level is never skipped.
+    fn shared_levels(&self, a: u64, b: u64) -> u32 {
+        let shared_bits = (a ^ b).leading_zeros() - (64 - self.key_bits);
+        (shared_bits / self.prefix_bits).min(self.levels() - 1)
     }
 
     fn check_key(&self, key: u64) {
@@ -88,16 +134,77 @@ impl PrefixTreeConfig {
 
 const NULL: u32 = u32::MAX;
 
+/// Keys the batch entry points walk together, one level at a time.  Every
+/// key of a group has one line in flight per level; 32 covers a DRAM miss
+/// with the group's other loads while the group state (keys, nodes, value
+/// slots) stays a few hundred bytes of stack.
+const GROUP: usize = 32;
+
+/// Leaf block capacities below `fanout`, in value slots.  A leaf outgrowing
+/// the last one is promoted to a direct-indexed block of `fanout` slots.
+const BLOCK_CLASSES: [u32; 3] = [4, 16, 64];
+
+/// Where a leaf's values live: `cap` slots of the value arena from `block`.
+/// `cap == fanout` means direct-indexed by digit, anything smaller ranked;
+/// `cap == 0` is an empty leaf that owns no block.
+#[derive(Clone, Copy)]
+struct LeafHead {
+    block: u32,
+    cap: u32,
+}
+
+const NO_BLOCK: LeafHead = LeafHead { block: 0, cap: 0 };
+
+impl LeafHead {
+    /// The descriptor as the first word of a leaf header.
+    fn pack(self) -> u64 {
+        u64::from(self.cap) << 32 | u64::from(self.block)
+    }
+
+    fn unpack(word: u64) -> Self {
+        LeafHead {
+            block: word as u32,
+            cap: (word >> 32) as u32,
+        }
+    }
+}
+
+/// The set bit positions of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
 /// An order-preserving trie from `u64` keys to `u64` values.
 pub struct PrefixTree {
     cfg: PrefixTreeConfig,
     /// Inner child arrays: node `i` occupies `i*fanout .. (i+1)*fanout`.
     inner: Vec<u32>,
-    /// Leaf value slots: leaf `j` occupies `j*fanout .. (j+1)*fanout`.
+    /// Leaf headers: leaf `j` occupies `header_words` words from
+    /// `j*header_words` — its packed [`LeafHead`], then its presence
+    /// bitmap, so that a lookup finds both on one line more often than not.
+    leaves: Vec<u64>,
+    /// The value arena the leaf blocks are carved from.
     values: Vec<u64>,
-    /// Presence bitmap: `fanout/64` words per leaf.
-    present: Vec<u64>,
+    /// Recycled blocks, one list per capacity class (`fanout` last).
+    free: [Vec<u32>; BLOCK_CLASSES.len() + 1],
+    /// Value slots held by live blocks.
+    live_slots: usize,
     len: usize,
+    /// Smallest and largest key ever inserted (`MAX`/`0` while there was
+    /// none).  Removals never narrow them, so every stored key shares
+    /// their common prefix.
+    min_key: u64,
+    max_key: u64,
+    /// Root skip: `min_key` and `max_key` agree on the first `skip_levels`
+    /// levels, and `skip_node` is the node their shared digits lead to.
+    skip_levels: u32,
+    skip_node: u32,
     /// Synthetic base address for cache simulation.
     base_vaddr: u64,
 }
@@ -113,9 +220,15 @@ impl PrefixTree {
         let mut t = PrefixTree {
             cfg,
             inner: Vec::new(),
+            leaves: Vec::new(),
             values: Vec::new(),
-            present: Vec::new(),
+            free: Default::default(),
+            live_slots: 0,
             len: 0,
+            min_key: u64::MAX,
+            max_key: 0,
+            skip_levels: 0,
+            skip_node: 0,
             base_vaddr,
         };
         if cfg.levels() == 1 {
@@ -143,9 +256,11 @@ impl PrefixTree {
         self.len == 0
     }
 
-    /// Approximate resident bytes (arena sizes).
+    /// Resident bytes: inner nodes, leaf headers (presence bitmap and block
+    /// descriptor) and the live value blocks.  Blocks waiting on a free
+    /// list are not counted — they are what a shrunk partition gave back.
     pub fn memory_bytes(&self) -> u64 {
-        (self.inner.len() * 4 + self.values.len() * 8 + self.present.len() * 8) as u64
+        (self.inner.len() * 4 + self.leaves.len() * 8 + self.live_slots * 8) as u64
     }
 
     /// Relocate the synthetic address base (after a partition transfer).
@@ -163,33 +278,182 @@ impl PrefixTree {
     }
 
     fn new_leaf(&mut self) -> u32 {
-        // ALLOC-OK: leaf allocation (values + present bitmap) is the tree
-        // growing — amortized over the keys that land in the fresh leaf.
-        let id = (self.values.len() / self.cfg.fanout()) as u32;
-        self.values.resize(self.values.len() + self.cfg.fanout(), 0);
-        self.present
-            .resize(self.present.len() + self.cfg.fanout().div_ceil(64), 0);
+        // ALLOC-OK: leaf allocation (block descriptor + presence bitmap) is
+        // the tree growing — amortized over the keys that land in the leaf.
+        let id = (self.leaves.len() / self.cfg.header_words()) as u32;
+        // An all-zero header is NO_BLOCK and an empty bitmap.
+        self.leaves
+            .resize(self.leaves.len() + self.cfg.header_words(), 0);
         id
     }
 
-    #[inline]
-    fn present_word(&self, leaf: u32, digit: usize) -> (usize, u64) {
-        let words_per_leaf = self.cfg.fanout().div_ceil(64);
-        (
-            leaf as usize * words_per_leaf + digit / 64,
-            1u64 << (digit % 64),
-        )
+    /// The smallest block capacity that holds `n` values.
+    fn capacity_for(&self, n: usize) -> u32 {
+        let fanout = self.cfg.fanout();
+        BLOCK_CLASSES
+            .into_iter()
+            .find(|&c| c as usize >= n && (c as usize) < fanout)
+            .unwrap_or(fanout as u32)
     }
 
-    /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn upsert(&mut self, key: u64, value: u64) -> Option<u64> {
-        self.cfg.check_key(key);
+    /// The free list a block of `cap` slots belongs to.
+    fn class_of(cap: u32) -> usize {
+        BLOCK_CLASSES
+            .iter()
+            .position(|&c| c == cap)
+            .unwrap_or(BLOCK_CLASSES.len())
+    }
+
+    /// A block of `cap` value slots: recycled if the class has one, else
+    /// carved from the end of the arena.  Recycled slots hold stale values;
+    /// the presence bitmap says which slots mean anything.
+    // ALLOC-OK(fn): block allocation is the tree growing — one arena
+    // extension per leaf capacity class, amortized over the leaf's keys.
+    fn alloc_block(&mut self, cap: u32) -> u32 {
+        self.live_slots += cap as usize;
+        // BOUNDS: class_of returns an index below free.len() by construction.
+        if let Some(block) = self.free[Self::class_of(cap)].pop() {
+            return block;
+        }
+        // BOUNDS: a tree holding 2^32 value slots (32 GiB) in one
+        // partition is outside the engine's design envelope; failing loudly
+        // beats wrapping a block offset.
+        let block = u32::try_from(self.values.len())
+            .ok()
+            .filter(|b| b.checked_add(cap).is_some())
+            .expect("value arena outgrew its 32-bit block offsets");
+        self.values.resize(self.values.len() + cap as usize, 0);
+        block
+    }
+
+    /// Give a leaf's block back to its class's free list.
+    fn free_block(&mut self, head: LeafHead) {
+        if head.cap > 0 {
+            self.live_slots -= head.cap as usize;
+            // BOUNDS: class_of returns an index below free.len().
+            // ALLOC-OK: the free list grows by one entry per recycled
+            // block — bounded by the blocks ever allocated.
+            self.free[Self::class_of(head.cap)].push(head.block);
+        }
+    }
+
+    /// Index of the first header word of `leaf`.
+    #[inline]
+    fn header(&self, leaf: u32) -> usize {
+        leaf as usize * self.cfg.header_words()
+    }
+
+    #[inline]
+    fn head(&self, leaf: u32) -> LeafHead {
+        // BOUNDS: a live leaf owns `header_words` words from `header(leaf)`.
+        LeafHead::unpack(self.leaves[self.header(leaf)])
+    }
+
+    #[inline]
+    fn set_head(&mut self, leaf: u32, head: LeafHead) {
+        let at = self.header(leaf);
+        // BOUNDS: a live leaf owns `header_words` words from `header(leaf)`.
+        self.leaves[at] = head.pack();
+    }
+
+    /// The presence bitmap of `leaf`.
+    #[inline]
+    fn presence(&self, leaf: u32) -> &[u64] {
+        let first = self.header(leaf) + 1;
+        // BOUNDS: a live leaf owns `header_words` words from `header(leaf)`.
+        &self.leaves[first..first + self.cfg.leaf_words()]
+    }
+
+    /// The header word and the bit that say whether `digit` is occupied.
+    #[inline]
+    fn present_word(&self, leaf: u32, digit: usize) -> (usize, u64) {
+        (self.header(leaf) + 1 + digit / 64, 1u64 << (digit % 64))
+    }
+
+    /// Keys stored in `leaf`.
+    fn leaf_len(&self, leaf: u32) -> usize {
+        self.presence(leaf)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Occupied digits of `leaf` below `digit` (`digit < fanout`): the
+    /// position of `digit`'s value in a ranked block.
+    #[inline]
+    fn rank(&self, leaf: u32, digit: usize) -> usize {
+        let presence = self.presence(leaf);
+        // BOUNDS: `digit < fanout` keeps `digit / 64` inside the bitmap.
+        let below: usize = presence[..digit / 64]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        below + (presence[digit / 64] & ((1u64 << (digit % 64)) - 1)).count_ones() as usize
+    }
+
+    /// The value-arena slot of `digit` in `leaf`, if the digit is occupied.
+    #[inline]
+    fn value_slot(&self, leaf: u32, digit: usize) -> Option<usize> {
+        let (word, bit) = self.present_word(leaf, digit);
+        // BOUNDS: `leaf` is a live leaf id and `digit` is masked to fanout;
+        // the header was sized for the leaf at new_leaf time.
+        if self.leaves[word] & bit == 0 {
+            return None;
+        }
+        let head = self.head(leaf);
+        let offset = if head.cap as usize == self.cfg.fanout() {
+            digit
+        } else {
+            self.rank(leaf, digit)
+        };
+        Some(head.block as usize + offset)
+    }
+
+    /// Does `key` carry the prefix every stored key shares?
+    #[inline]
+    fn in_skip(&self, key: u64) -> bool {
+        self.skip_levels == 0 || (key ^ self.min_key) >> self.cfg.shift(self.skip_levels - 1) == 0
+    }
+
+    /// Widen the key bounds for a key that was just inserted, and move the
+    /// root skip up when the wider bounds share fewer levels.  Widening only
+    /// ever shortens the shared prefix (or, for the first key, creates it),
+    /// and an unchanged level count means an unchanged prefix, so the chain
+    /// is walked only when the count moves.
+    fn note_bounds(&mut self, key: u64) {
+        if (self.min_key..=self.max_key).contains(&key) {
+            return;
+        }
+        self.min_key = self.min_key.min(key);
+        self.max_key = self.max_key.max(key);
+        let shared = self.cfg.shared_levels(self.min_key, self.max_key);
+        if shared != self.skip_levels {
+            let fanout = self.cfg.fanout();
+            let mut node = 0u32;
+            for level in 0..shared {
+                // BOUNDS: min_key was inserted and inner nodes are never
+                // unlinked, so its path exists; digits are masked to fanout.
+                node = self.inner[node as usize * fanout + self.cfg.digit(self.min_key, level)];
+            }
+            debug_assert_ne!(node, NULL, "the path of min_key exists");
+            self.skip_levels = shared;
+            self.skip_node = node;
+        }
+    }
+
+    /// Descend to the leaf of `key`, creating the missing part of its path.
+    fn ensure_leaf(&mut self, key: u64) -> u32 {
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        let mut node = 0u32; // root (inner, or leaf when levels == 1)
-        for level in 0..levels.saturating_sub(1) {
-            let digit = self.cfg.digit(key, level);
-            let slot = node as usize * fanout + digit;
+        // A key outside the shared prefix leaves the skipped chain at some
+        // level above the skip node: walk it from the root.
+        let (mut node, start) = if self.in_skip(key) {
+            (self.skip_node, self.skip_levels)
+        } else {
+            (0, 0)
+        };
+        for level in start..levels - 1 {
+            let slot = node as usize * fanout + self.cfg.digit(key, level);
             // BOUNDS: `node` names a live inner node and `digit` is masked to
             // fanout by `digit()`, so slot < inner.len().
             let child = self.inner[slot];
@@ -200,26 +464,206 @@ impl PrefixTree {
                     self.new_inner()
                 };
                 // BOUNDS: same slot as the load above.
-                self.inner[node as usize * fanout + digit] = fresh;
+                self.inner[slot] = fresh;
                 fresh
             } else {
                 child
             };
         }
-        let digit = self.cfg.digit(key, levels - 1);
-        let (word, bit) = self.present_word(node, digit);
-        // BOUNDS: `node` is a live leaf id; `digit` is masked to fanout;
-        // present/values were sized for the leaf at new_leaf time.
-        let slot = node as usize * fanout + digit;
-        if self.present[word] & bit != 0 {
-            let old = self.values[slot];
-            self.values[slot] = value;
-            Some(old)
+        node
+    }
+
+    /// Move `leaf` into a block that holds `need` values.
+    fn grow_leaf(&mut self, leaf: u32, need: usize) -> LeafHead {
+        // BOUNDS: `leaf` is a live leaf id; both blocks lie inside the value
+        // arena (alloc_block sized it), the old one holding `old.cap`
+        // ranked values and the new one at least as many slots.
+        let old = self.head(leaf);
+        let cap = self.capacity_for(need);
+        let new = LeafHead {
+            block: self.alloc_block(cap),
+            cap,
+        };
+        let (from, to) = (old.block as usize, new.block as usize);
+        if cap as usize == self.cfg.fanout() {
+            // Promotion to direct indexing: scatter the ranked values to
+            // their digits.
+            let first = self.header(leaf) + 1;
+            let mut rank = 0;
+            for w in 0..self.cfg.leaf_words() {
+                // BOUNDS: as above — `w` stays inside the leaf's presence
+                // words, every digit is below fanout = cap, and `rank`
+                // counts the leaf's values, all inside the old block.
+                for bit in set_bits(self.leaves[first + w]) {
+                    self.values[to + w * 64 + bit] = self.values[from + rank];
+                    rank += 1;
+                }
+            }
         } else {
-            self.present[word] |= bit;
-            self.values[slot] = value;
-            self.len += 1;
-            None
+            self.values.copy_within(from..from + old.cap as usize, to);
+        }
+        self.free_block(old);
+        self.set_head(leaf, new);
+        new
+    }
+
+    /// Insert or overwrite `key` in its (existing) leaf.
+    fn put(&mut self, leaf: u32, key: u64, value: u64) -> Option<u64> {
+        let fanout = self.cfg.fanout();
+        let digit = key as usize & (fanout - 1);
+        if let Some(slot) = self.value_slot(leaf, digit) {
+            // BOUNDS: value_slot returns slots inside the leaf's block.
+            return Some(std::mem::replace(&mut self.values[slot], value));
+        }
+        // BOUNDS: `leaf` is a live leaf id; `digit` is masked to fanout, so
+        // a direct block (fanout slots) holds it, and a ranked block has
+        // room for one more value after the grow check.
+        let mut head = self.head(leaf);
+        if head.cap as usize != fanout && self.leaf_len(leaf) == head.cap as usize {
+            head = self.grow_leaf(leaf, head.cap as usize + 1);
+        }
+        let block = head.block as usize;
+        if head.cap as usize == fanout {
+            self.values[block + digit] = value;
+        } else {
+            let (rank, n) = (self.rank(leaf, digit), self.leaf_len(leaf));
+            self.values
+                .copy_within(block + rank..block + n, block + rank + 1);
+            // BOUNDS: rank <= n < cap after the grow check above.
+            self.values[block + rank] = value;
+        }
+        let (word, bit) = self.present_word(leaf, digit);
+        // BOUNDS: present_word of a live leaf and a masked digit.
+        self.leaves[word] |= bit;
+        self.len += 1;
+        self.note_bounds(key);
+        None
+    }
+
+    /// Insert or overwrite; returns the previous value if the key existed.
+    pub fn upsert(&mut self, key: u64, value: u64) -> Option<u64> {
+        self.cfg.check_key(key);
+        let leaf = self.ensure_leaf(key);
+        self.put(leaf, key, value)
+    }
+
+    /// Apply a strictly increasing run of pairs that share one leaf;
+    /// returns how many keys were fresh.  An empty leaf takes the run in
+    /// one step: its block is sized once and the values land in rank order.
+    fn upsert_run(&mut self, run: &[(u64, u64)]) -> u64 {
+        // BOUNDS: callers pass a non-empty run.
+        let (first, last) = (run[0].0, run[run.len() - 1].0);
+        let leaf = self.ensure_leaf(first);
+        if self.head(leaf).cap != 0 {
+            let mut fresh = 0;
+            for &(k, v) in run {
+                fresh += self.put(leaf, k, v).is_none() as u64;
+            }
+            return fresh;
+        }
+        let fanout = self.cfg.fanout();
+        let cap = self.capacity_for(run.len());
+        let block = self.alloc_block(cap) as usize;
+        for (rank, &(k, v)) in run.iter().enumerate() {
+            let digit = k as usize & (fanout - 1);
+            let (word, bit) = self.present_word(leaf, digit);
+            // BOUNDS: present_word of a live leaf and a masked digit; the
+            // fresh block holds `cap >= run.len()` slots, `fanout` of them
+            // when it is addressed by digit.
+            self.leaves[word] |= bit;
+            self.values[block + if cap as usize == fanout { digit } else { rank }] = v;
+        }
+        self.set_head(
+            leaf,
+            LeafHead {
+                block: block as u32,
+                cap,
+            },
+        );
+        self.len += run.len();
+        self.note_bounds(first);
+        self.note_bounds(last);
+        run.len() as u64
+    }
+
+    /// Length of the longest strictly increasing prefix of `pairs` whose
+    /// keys fall into one leaf (at least 1 for a non-empty slice).
+    fn leaf_run_len(&self, pairs: &[(u64, u64)]) -> usize {
+        let same_leaf = |a: u64, b: u64| (a ^ b) >> self.cfg.prefix_bits == 0;
+        1 + pairs
+            .windows(2)
+            // BOUNDS: windows(2) yields two-element slices.
+            .take_while(|w| w[0].0 < w[1].0 && same_leaf(w[0].0, w[1].0))
+            .count()
+    }
+
+    /// Read-only level-synchronous descent of one group: `leaf[i]` becomes
+    /// the leaf on the path of `keys[i]`, or [`NULL`] where the path does
+    /// not exist.  At each level every key's child slot is read — it was
+    /// prefetched while the level above was walked — and the line the next
+    /// level needs is prefetched before the walk moves on to the next key:
+    /// the child slot one level down or, below the last inner level, the
+    /// leaf's block descriptor and presence word.
+    #[inline]
+    fn descend_group(&self, keys: &[u64], leaf: &mut [u32]) {
+        let levels = self.cfg.levels();
+        let fanout = self.cfg.fanout();
+        for (node, &key) in leaf.iter_mut().zip(keys) {
+            self.cfg.check_key(key);
+            *node = if self.in_skip(key) {
+                self.skip_node
+            } else {
+                NULL
+            };
+        }
+        for level in self.skip_levels..levels - 1 {
+            for (node, &key) in leaf.iter_mut().zip(keys) {
+                if *node == NULL {
+                    continue;
+                }
+                // BOUNDS: `node` names a live inner node and `digit` is
+                // masked to fanout by `digit()`.
+                let child = self.inner[*node as usize * fanout + self.cfg.digit(key, level)];
+                *node = child;
+                if child == NULL {
+                    continue;
+                }
+                if level + 2 < levels {
+                    let next = child as usize * fanout + self.cfg.digit(key, level + 1);
+                    if let Some(slot) = self.inner.get(next) {
+                        prefetch_read(slot);
+                    }
+                } else {
+                    let (word, _) = self.present_word(child, key as usize & (fanout - 1));
+                    if let (Some(h), Some(w)) =
+                        (self.leaves.get(self.header(child)), self.leaves.get(word))
+                    {
+                        prefetch_read(h);
+                        prefetch_read(w);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The leaf stage of a group: for every key whose leaf exists and holds
+    /// it, the value slot — prefetched — else [`NULL`].
+    #[inline]
+    fn locate_group(&self, keys: &[u64], leaf: &[u32], slot: &mut [u32]) {
+        let mask = self.cfg.fanout() - 1;
+        for ((slot, &leaf), &key) in slot.iter_mut().zip(leaf).zip(keys) {
+            *slot = NULL;
+            if leaf == NULL {
+                continue;
+            }
+            if let Some(at) = self.value_slot(leaf, key as usize & mask) {
+                if let Some(v) = self.values.get(at) {
+                    prefetch_read(v);
+                }
+                // Block offsets fit `u32` (alloc_block checks), and NULL is
+                // no slot: the arena never reaches `u32::MAX` values.
+                *slot = at as u32;
+            }
         }
     }
 
@@ -227,77 +671,168 @@ impl PrefixTree {
     /// (leaf node, leaf digit) if the path exists.
     #[inline]
     fn descend(&self, key: u64) -> Option<(u32, usize)> {
+        if !self.in_skip(key) {
+            return None;
+        }
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        let mut node = 0u32;
-        for level in 0..levels - 1 {
-            let digit = self.cfg.digit(key, level);
+        let mut node = self.skip_node;
+        for level in self.skip_levels..levels - 1 {
             // BOUNDS: `node` names a live inner node and `digit` is masked to
             // fanout by `digit()`.
-            node = self.inner[node as usize * fanout + digit];
+            node = self.inner[node as usize * fanout + self.cfg.digit(key, level)];
             if node == NULL {
                 return None;
             }
         }
-        Some((node, self.cfg.digit(key, levels - 1)))
+        Some((node, key as usize & (fanout - 1)))
     }
 
     /// Point lookup.
     pub fn lookup(&self, key: u64) -> Option<u64> {
         self.cfg.check_key(key);
         let (leaf, digit) = self.descend(key)?;
-        let (word, bit) = self.present_word(leaf, digit);
-        // BOUNDS: descend returned a live leaf; word/bit come from
-        // present_word over that leaf and digit is masked to fanout.
-        (self.present[word] & bit != 0)
-            .then(|| self.values[leaf as usize * self.cfg.fanout() + digit])
+        // BOUNDS: value_slot returns slots inside the leaf's block.
+        self.value_slot(leaf, digit).map(|slot| self.values[slot])
     }
 
     /// Batched lookup: the per-AEU command grouping of Section 3.1 executes
-    /// many lookups in one pass to hide memory latency.
+    /// many lookups in one pass to hide memory latency.  Replaces the
+    /// contents of `out` with one result per key, in input order — the
+    /// same results as a loop of [`PrefixTree::lookup`].
     pub fn lookup_batch(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         // ALLOC-OK: pre-sizes the caller's reusable output vector once
         // per batch; the pushes below stay within that reservation.
         out.reserve(keys.len());
-        for &k in keys {
-            out.push(self.lookup(k));
+        // A group of one has no second descent to overlap its misses with:
+        // a 1-key command takes the scalar descent, without the group state.
+        if let &[key] = keys {
+            // ALLOC-OK: within the reservation above.
+            out.push(self.lookup(key));
+            return;
+        }
+        let mut leaf = [NULL; GROUP];
+        let mut slot = [NULL; GROUP];
+        for group in keys.chunks(GROUP) {
+            // BOUNDS: chunks(GROUP) yields at most GROUP keys.
+            let (leaf, slot) = (&mut leaf[..group.len()], &mut slot[..group.len()]);
+            self.descend_group(group, leaf);
+            self.locate_group(group, leaf, slot);
+            // BOUNDS: locate_group stores slots inside the value arena.
+            // ALLOC-OK: within the reservation above.
+            out.extend(
+                slot.iter()
+                    .map(|&s| (s != NULL).then(|| self.values[s as usize])),
+            );
         }
     }
 
-    /// Remove a key; returns the old value.
+    /// Insert or overwrite a whole batch; returns how many keys were fresh
+    /// inserts.  Pairs apply in input order (later duplicates win), so the
+    /// result is that of a loop of [`PrefixTree::upsert`].  Each group is
+    /// first descended read-only with the lookup path's prefetching, then
+    /// applied: a key whose leaf holds keys goes straight to it, and where
+    /// the leaf is missing or empty the strictly increasing run that shares
+    /// it (sorted input: bulk load, a copy transfer's rebuild, recovery) is
+    /// inserted in one step, sizing the leaf's block once.
+    pub fn upsert_batch(&mut self, pairs: &[(u64, u64)]) -> u64 {
+        // As in `lookup_batch`: one pair is a plain upsert.
+        if let &[(key, value)] = pairs {
+            return self.upsert(key, value).is_none() as u64;
+        }
+        let mut fresh = 0u64;
+        let mut keys = [0u64; GROUP];
+        let mut leaf = [NULL; GROUP];
+        let mut slot = [NULL; GROUP];
+        let mut at = 0;
+        while at < pairs.len() {
+            // BOUNDS: `at < pairs.len()`, and the group is at most GROUP
+            // pairs, the size of the stack arrays.
+            let group = &pairs[at..pairs.len().min(at + GROUP)];
+            let n = group.len();
+            for (key, pair) in keys.iter_mut().zip(group) {
+                *key = pair.0;
+            }
+            self.descend_group(&keys[..n], &mut leaf[..n]);
+            // Overwrites write the slot a lookup would read: warm it.
+            self.locate_group(&keys[..n], &leaf[..n], &mut slot[..n]);
+            let mut i = 0;
+            while i < n {
+                // BOUNDS: `i < n <= GROUP`, `at + i < pairs.len()`, and a
+                // non-NULL `leaf[i]` is a live leaf id.
+                let (key, value) = group[i];
+                if leaf[i] != NULL && self.head(leaf[i]).cap != 0 {
+                    fresh += self.put(leaf[i], key, value).is_none() as u64;
+                    i += 1;
+                } else {
+                    // The leaf is missing (it was when the group was
+                    // descended) or empty.  A run may reach past the group;
+                    // the next group starts where it ends.
+                    // BOUNDS: `at + i < pairs.len()`, and a run is a prefix
+                    // of the slice it was measured on.
+                    let rest = &pairs[at + i..];
+                    let run = self.leaf_run_len(rest);
+                    fresh += self.upsert_run(&rest[..run]);
+                    i += run;
+                }
+            }
+            at += i;
+        }
+        fresh
+    }
+
+    /// Remove a key; returns the old value.  Values above it in a ranked
+    /// block close the gap; a leaf that becomes empty gives its block back.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         self.cfg.check_key(key);
         let (leaf, digit) = self.descend(key)?;
-        let (word, bit) = self.present_word(leaf, digit);
-        if self.present[word] & bit == 0 {
-            return None;
+        let slot = self.value_slot(leaf, digit)?;
+        let old = self.values[slot];
+        let head = self.head(leaf);
+        let n = self.leaf_len(leaf);
+        if head.cap as usize != self.cfg.fanout() {
+            self.values
+                .copy_within(slot + 1..head.block as usize + n, slot);
         }
-        self.present[word] &= !bit;
+        let (word, bit) = self.present_word(leaf, digit);
+        self.leaves[word] &= !bit;
         self.len -= 1;
-        Some(self.values[leaf as usize * self.cfg.fanout() + digit])
+        if n == 1 {
+            self.free_block(head);
+            self.set_head(leaf, NO_BLOCK);
+        }
+        Some(old)
     }
 
-    /// Synthetic addresses of the nodes visited by a lookup of `key`,
-    /// appended to `out` — the input for the L3 cache simulator.
+    /// Synthetic addresses of the arena slots a lookup of `key` reads,
+    /// appended to `out` — the input for the L3 cache simulator: one child
+    /// slot per inner level below the root skip, then the leaf's presence
+    /// word and, for a stored key, its block descriptor and value slot.
     /// The trace stops at the first missing node.
     pub fn trace_path(&self, key: u64, out: &mut Vec<u64>) {
+        if !self.in_skip(key) {
+            return;
+        }
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        let inner_bytes = self.inner.len() as u64 * 4;
-        let mut node = 0u32;
-        for level in 0..levels - 1 {
-            let digit = self.cfg.digit(key, level);
-            // Address of the child slot actually read, so the cache
-            // simulator sees the node's true line footprint.
-            out.push(self.base_vaddr + (node as u64 * fanout as u64 + digit as u64) * 4);
-            node = self.inner[node as usize * fanout + digit];
+        let leaves_base = self.base_vaddr + self.inner.len() as u64 * 4;
+        let values_base = leaves_base + self.leaves.len() as u64 * 8;
+        let mut node = self.skip_node;
+        for level in self.skip_levels..levels - 1 {
+            let slot = node as usize * fanout + self.cfg.digit(key, level);
+            out.push(self.base_vaddr + slot as u64 * 4);
+            node = self.inner[slot];
             if node == NULL {
                 return;
             }
         }
-        let digit = self.cfg.digit(key, levels - 1);
-        out.push(self.base_vaddr + inner_bytes + (node as u64 * fanout as u64 + digit as u64) * 8);
+        let digit = key as usize & (fanout - 1);
+        out.push(leaves_base + self.present_word(node, digit).0 as u64 * 8);
+        if let Some(slot) = self.value_slot(node, digit) {
+            out.push(leaves_base + self.header(node) as u64 * 8);
+            out.push(values_base + slot as u64 * 8);
+        }
     }
 
     /// In-order visit of all `(key, value)` pairs in `[lo, hi)`.
@@ -306,7 +841,15 @@ impl PrefixTree {
             return;
         }
         self.cfg.check_key(lo);
-        self.scan_node(0, 0, 0, lo, hi, &mut f);
+        // Every stored key lies below the skip node.
+        let prefix = match self.skip_levels {
+            0 => 0,
+            s => {
+                let shift = self.cfg.shift(s - 1);
+                self.min_key >> shift << shift
+            }
+        };
+        self.scan_node(self.skip_node, self.skip_levels, prefix, lo, hi, &mut f);
     }
 
     fn scan_node(
@@ -320,24 +863,12 @@ impl PrefixTree {
     ) {
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        let shift = self.cfg.key_bits - (level + 1) * self.cfg.prefix_bits;
-        let span = 1u64 << shift; // key range covered per child
         if level == levels - 1 {
-            for digit in 0..fanout {
-                let key = prefix | digit as u64;
-                if key >= hi {
-                    break;
-                }
-                if key < lo {
-                    continue;
-                }
-                let (word, bit) = self.present_word(node, digit);
-                if self.present[word] & bit != 0 {
-                    f(key, self.values[node as usize * fanout + digit]);
-                }
-            }
+            self.scan_leaf(node, prefix, lo, hi, f);
             return;
         }
+        let shift = self.cfg.shift(level);
+        let span = 1u64 << shift; // key range covered per child
         for digit in 0..fanout {
             let child_lo = prefix | (digit as u64) << shift;
             if child_lo >= hi {
@@ -351,6 +882,39 @@ impl PrefixTree {
             let child = self.inner[node as usize * fanout + digit];
             if child != NULL {
                 self.scan_node(child, level + 1, child_lo, lo, hi, f);
+            }
+        }
+    }
+
+    /// Visit the keys of `leaf` (whose keys are `prefix | digit`) that lie
+    /// in `[lo, hi)`, walking the set bits of its presence words.
+    fn scan_leaf(&self, leaf: u32, prefix: u64, lo: u64, hi: u64, f: &mut impl FnMut(u64, u64)) {
+        let fanout = self.cfg.fanout();
+        let from = lo.saturating_sub(prefix).min(fanout as u64) as usize;
+        let to = hi.saturating_sub(prefix).min(fanout as u64) as usize;
+        if from >= to {
+            return;
+        }
+        let head = self.head(leaf);
+        let direct = head.cap as usize == fanout;
+        let mut rank = self.rank(leaf, from);
+        let words = self.presence(leaf).iter().enumerate();
+        for (w, &word) in words.take((to - 1) / 64 + 1).skip(from / 64) {
+            let mut bits = word;
+            if w == from / 64 {
+                bits &= !0u64 << (from % 64);
+            }
+            if w == to / 64 {
+                bits &= (1u64 << (to % 64)) - 1;
+            }
+            for bit in set_bits(bits) {
+                let digit = w * 64 + bit;
+                let offset = if direct { digit } else { rank };
+                f(
+                    prefix | digit as u64,
+                    self.values[head.block as usize + offset],
+                );
+                rank += 1;
             }
         }
     }
@@ -412,9 +976,7 @@ impl PrefixTree {
     /// Rebuild a tree from a sorted stream (target side of a copy transfer).
     pub fn build_from_sorted(cfg: PrefixTreeConfig, base_vaddr: u64, pairs: &[(u64, u64)]) -> Self {
         let mut t = Self::with_config(cfg, base_vaddr);
-        for &(k, v) in pairs {
-            t.upsert(k, v);
-        }
+        t.upsert_batch(pairs);
         t
     }
 
@@ -431,14 +993,12 @@ impl PrefixTree {
     /// Refill the tree from a [`PrefixTree::serialize_into`] payload,
     /// upserting into whatever is already stored (recovery starts from an
     /// empty partition).  Returns `false` on malformed input, leaving the
-    /// tree with a prefix of the pairs applied.
+    /// tree untouched.
     pub fn restore(&mut self, payload: &[u8]) -> bool {
         let Some(pairs) = crate::codec::decode_pairs(payload) else {
             return false;
         };
-        for (k, v) in pairs {
-            self.upsert(k, v);
-        }
+        self.upsert_batch(&pairs);
         true
     }
 
@@ -457,9 +1017,7 @@ impl PrefixTree {
     /// charges it near-zero virtual time, see the engine's balancer).
     pub fn merge_from(&mut self, other: PrefixTree) {
         assert_eq!(self.cfg, other.cfg, "cannot merge trees of different shape");
-        other.scan_range(0, u64::MAX, |k, v| {
-            self.upsert(k, v);
-        });
+        self.upsert_batch(&other.flatten());
     }
 }
 
@@ -472,6 +1030,7 @@ impl Default for PrefixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn small() -> PrefixTree {
         PrefixTree::with_config(PrefixTreeConfig::new(4, 16), 0)
@@ -659,17 +1218,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_path_has_one_address_per_level() {
+    fn trace_path_reports_the_slots_a_lookup_reads() {
         let mut t = PrefixTree::with_config(PrefixTreeConfig::new(8, 32), 1 << 20);
         t.upsert(0xAABBCCDD, 1);
+        // One key: the root skip reaches down to its leaf, so a lookup reads
+        // the presence word, the block descriptor and the value.
         let mut trace = Vec::new();
         t.trace_path(0xAABBCCDD, &mut trace);
-        assert_eq!(trace.len(), 4, "32-bit key / 8-bit digits = 4 levels");
+        assert_eq!(trace.len(), 3);
+        // A key outside the shared prefix is answered without a read.
+        let mut outside = Vec::new();
+        t.trace_path(0x11223344, &mut outside);
+        assert!(outside.is_empty());
+        // Two keys that differ in the top digit: no level is skipped, and
+        // the three inner levels each add the child slot read.
+        t.upsert(0x11223344, 2);
+        trace.clear();
+        t.trace_path(0xAABBCCDD, &mut trace);
+        assert_eq!(trace.len(), 3 + 3, "3 inner levels + the leaf's 3 reads");
         assert!(trace.iter().all(|a| *a >= 1 << 20));
+        assert!(trace.windows(2).all(|w| w[0] != w[1]));
         // A missing key stops early at the first absent node.
         let mut missing = Vec::new();
-        t.trace_path(0x11223344, &mut missing);
-        assert!(missing.len() < 4);
+        t.trace_path(0xAA000000, &mut missing);
+        assert_eq!(missing.len(), 2, "root slot, then a NULL child slot");
     }
 
     #[test]
@@ -693,18 +1265,271 @@ mod tests {
         assert!(t.memory_bytes() > empty);
     }
 
+    /// Configurations the batch tests run over: a 16-slot leaf (classes
+    /// 4 and direct), the engine tests' 32-bit tree and the default.
+    const CONFIGS: [(u32, u32); 3] = [(4, 16), (8, 32), (8, 64)];
+
+    /// Apply `pairs` through `upsert_batch` to one tree and through the
+    /// scalar loop to another, checking both against the map.
+    fn upsert_all(
+        batch: &mut PrefixTree,
+        scalar: &mut PrefixTree,
+        map: &mut BTreeMap<u64, u64>,
+        pairs: &[(u64, u64)],
+    ) {
+        let mut fresh = 0;
+        for &(k, v) in pairs {
+            let old = map.insert(k, v);
+            assert_eq!(scalar.upsert(k, v), old, "scalar upsert of {k}");
+            fresh += old.is_none() as u64;
+        }
+        assert_eq!(batch.upsert_batch(pairs), fresh, "fresh count");
+        assert_eq!(batch.len(), map.len());
+    }
+
+    /// `lookup_batch` == scalar loop == map, on both trees.
+    fn lookup_all(batch: &PrefixTree, scalar: &PrefixTree, map: &BTreeMap<u64, u64>, keys: &[u64]) {
+        let expect: Vec<Option<u64>> = keys.iter().map(|k| map.get(k).copied()).collect();
+        let mut out = vec![Some(7)]; // stale contents are replaced
+        batch.lookup_batch(keys, &mut out);
+        assert_eq!(out, expect, "lookup_batch on the batch-built tree");
+        scalar.lookup_batch(keys, &mut out);
+        assert_eq!(out, expect, "lookup_batch on the scalar-built tree");
+        let looped: Vec<Option<u64>> = keys.iter().map(|&k| batch.lookup(k)).collect();
+        assert_eq!(looped, expect, "scalar lookups on the batch-built tree");
+    }
+
+    fn same_contents(batch: &PrefixTree, scalar: &PrefixTree, map: &BTreeMap<u64, u64>) {
+        let expect: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(batch.flatten(), expect);
+        assert_eq!(scalar.flatten(), expect);
+        assert_eq!(batch.len(), map.len());
+        // Both trees went through the same occupancies, so they hold the
+        // same blocks whichever entry point built them.
+        assert_eq!(batch.memory_bytes(), scalar.memory_bytes());
+    }
+
+    fn trees(cfg: (u32, u32)) -> (PrefixTree, PrefixTree, BTreeMap<u64, u64>) {
+        let cfg = PrefixTreeConfig::new(cfg.0, cfg.1);
+        (
+            PrefixTree::with_config(cfg, 0),
+            PrefixTree::with_config(cfg, 0),
+            BTreeMap::new(),
+        )
+    }
+
     #[test]
-    fn batch_lookup_matches_point_lookups() {
-        let mut t = small();
-        for k in (0..200u64).step_by(3) {
-            t.upsert(k, k);
+    fn capacity_class_brinks_and_promotion() {
+        for cfg in CONFIGS {
+            let (mut b, mut s, mut m) = trees(cfg);
+            let fanout = b.config().fanout() as u64;
+            // One leaf, filled by descending digits: every insert lands at
+            // rank 0 and shifts the block; every class brink (3→4→5,
+            // 15→16→17, 63→64→65) and the promotion to the direct-indexed
+            // block is crossed one key at a time.
+            let base = 5 * fanout;
+            let all: Vec<u64> = (base..base + fanout).collect();
+            for (n, d) in (0..fanout).rev().enumerate() {
+                upsert_all(&mut b, &mut s, &mut m, &[(base + d, d * 3)]);
+                if [3, 4, 5, 15, 16, 17, 63, 64, 65].contains(&(n + 1)) {
+                    lookup_all(&b, &s, &m, &all);
+                } else {
+                    lookup_all(&b, &s, &m, &[base + d, base + (d + 1) % fanout]);
+                }
+            }
+            lookup_all(&b, &s, &m, &all);
+            same_contents(&b, &s, &m);
+            // Removals after the promotion: the direct block keeps digits in
+            // place, and the last removal gives the block back.
+            let full = b.memory_bytes();
+            for d in (0..fanout).step_by(3).chain(0..fanout) {
+                assert_eq!(b.remove(base + d), m.remove(&(base + d)));
+                s.remove(base + d);
+                lookup_all(&b, &s, &m, &[base + d, base + (d + 1) % fanout]);
+            }
+            assert!(b.is_empty());
+            assert_eq!(b.memory_bytes(), full - fanout * 8);
+            // A ranked leaf filled again to each brink, then shrunk from the
+            // middle: values above the removed rank close the gap.
+            for n in [3u64, 4, 5, 15, 16, 17, 63, 64, 65] {
+                let n = n.min(fanout);
+                let pairs: Vec<(u64, u64)> = (0..n).map(|d| (base + d, d + n)).collect();
+                upsert_all(&mut b, &mut s, &mut m, &pairs);
+                for d in [n / 2, 0, n - 1] {
+                    assert_eq!(b.remove(base + d), m.remove(&(base + d)));
+                    s.remove(base + d);
+                }
+                lookup_all(&b, &s, &m, &all);
+                same_contents(&b, &s, &m);
+            }
         }
-        let keys: Vec<u64> = (0..200).collect();
-        let mut out = Vec::new();
-        t.lookup_batch(&keys, &mut out);
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(out[i], t.lookup(*k));
+    }
+
+    #[test]
+    fn root_skip_follows_the_key_bounds() {
+        for cfg in CONFIGS {
+            let (mut b, mut s, mut m) = trees(cfg);
+            let top = if cfg.1 == 64 {
+                u64::MAX
+            } else {
+                (1u64 << cfg.1) - 1
+            };
+            let mid = top / 2 + 1;
+            // Empty tree: nothing is skipped, nothing is found.
+            lookup_all(&b, &s, &m, &[0, mid, top]);
+            assert_eq!(b.skip_levels, 0);
+            // One key: the skip reaches its leaf; keys off the prefix miss.
+            upsert_all(&mut b, &mut s, &mut m, &[(mid + 9, 1)]);
+            assert_eq!(b.skip_levels, b.config().levels() - 1);
+            lookup_all(&b, &s, &m, &[mid + 9, mid + 8, mid - 1, 0, top]);
+            // Widen above max within the leaf, then below min and above max
+            // across the whole domain, through both entry points.
+            upsert_all(&mut b, &mut s, &mut m, &[(mid + 11, 2)]);
+            assert_eq!(b.skip_levels, b.config().levels() - 1);
+            upsert_all(&mut b, &mut s, &mut m, &[(mid - 1, 3)]);
+            lookup_all(&b, &s, &m, &[mid + 9, mid + 11, mid - 1, mid, 0, top]);
+            upsert_all(&mut b, &mut s, &mut m, &[(top, 4), (0, 5)]);
+            assert_eq!(b.skip_levels, 0);
+            assert_eq!(s.skip_levels, 0);
+            lookup_all(&b, &s, &m, &[0, 1, mid - 1, mid + 9, mid + 11, top]);
+            // Removing min and max never narrows the skip; lookups of the
+            // removed keys miss, re-inserting them hits again.
+            for k in [0, top] {
+                assert_eq!(b.remove(k), m.remove(&k));
+                s.remove(k);
+            }
+            lookup_all(&b, &s, &m, &[0, top, mid - 1, mid + 9]);
+            upsert_all(&mut b, &mut s, &mut m, &[(0, 6), (top, 7)]);
+            lookup_all(&b, &s, &m, &[0, top, mid - 1, mid + 9]);
+            same_contents(&b, &s, &m);
         }
+    }
+
+    #[test]
+    fn single_level_tree_batches() {
+        let (mut b, mut s, mut m) = trees((8, 8));
+        let pairs: Vec<(u64, u64)> = (0..256u64).rev().map(|k| (k, k * 2)).collect();
+        upsert_all(&mut b, &mut s, &mut m, &pairs[..100]);
+        upsert_all(&mut b, &mut s, &mut m, &pairs);
+        let all: Vec<u64> = (0..256).collect();
+        lookup_all(&b, &s, &m, &all);
+        same_contents(&b, &s, &m);
+    }
+
+    #[test]
+    fn one_key_batches_take_the_scalar_descent() {
+        for cfg in CONFIGS {
+            let (mut b, mut s, mut m) = trees(cfg);
+            // Empty tree, fresh insert, overwrite, a key off the root skip.
+            lookup_all(&b, &s, &m, &[9]);
+            upsert_all(&mut b, &mut s, &mut m, &[(9, 1)]);
+            upsert_all(&mut b, &mut s, &mut m, &[(9, 2)]);
+            upsert_all(&mut b, &mut s, &mut m, &[(11, 3)]);
+            for key in [9, 10, 11, u64::MAX >> (64 - cfg.1)] {
+                lookup_all(&b, &s, &m, &[key]);
+            }
+            same_contents(&b, &s, &m);
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_in_one_batch_count_once_and_the_last_wins() {
+        for cfg in CONFIGS {
+            let (mut b, mut s, mut m) = trees(cfg);
+            // Duplicates next to each other, across a group boundary, and
+            // breaking up an otherwise sorted run into a missing leaf.
+            let mut pairs: Vec<(u64, u64)> = (0..70u64).map(|i| (i / 2 * 3, i)).collect();
+            pairs.extend([(1000, 1), (1001, 2), (1001, 3), (1002, 4), (1000, 5)]);
+            upsert_all(&mut b, &mut s, &mut m, &pairs);
+            assert_eq!(b.lookup(1001), Some(3));
+            assert_eq!(b.lookup(1000), Some(5));
+            upsert_all(&mut b, &mut s, &mut m, &pairs);
+            same_contents(&b, &s, &m);
+        }
+    }
+
+    #[test]
+    fn sorted_runs_size_a_leaf_once_and_shuffled_input_matches() {
+        for cfg in CONFIGS {
+            let (mut b, mut s, mut m) = trees(cfg);
+            let fanout = b.config().fanout() as u64;
+            // Sorted: runs of every class, a dense leaf, and a run that is
+            // longer than the group, into leaves that do not exist yet.
+            let mut pairs = Vec::new();
+            for (leaf, n) in [
+                (1u64, 3),
+                (2, 4),
+                (3, 5),
+                (4, 16),
+                (5, 17),
+                (6, 65),
+                (7, 999),
+            ] {
+                pairs.extend((0..fanout.min(n)).map(|d| (leaf * fanout + d, leaf ^ d)));
+            }
+            upsert_all(&mut b, &mut s, &mut m, &pairs);
+            same_contents(&b, &s, &m);
+            let bytes = b.memory_bytes();
+            // The same keys shuffled into fresh trees: same contents, same
+            // blocks (shorter and longer than one group).
+            let (mut b2, mut s2, mut m2) = trees(cfg);
+            let mut shuffled = pairs.clone();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            upsert_all(&mut b2, &mut s2, &mut m2, &shuffled[..GROUP - 1]);
+            upsert_all(&mut b2, &mut s2, &mut m2, &shuffled[GROUP - 1..]);
+            same_contents(&b2, &s2, &m2);
+            assert_eq!(b2.flatten(), b.flatten());
+            assert_eq!(b2.memory_bytes(), bytes);
+            let keys: Vec<u64> = (0..9 * fanout).collect();
+            lookup_all(&b2, &s2, &m2, &keys);
+            lookup_all(&b2, &s2, &m2, &keys[..GROUP + 1]);
+            lookup_all(&b2, &s2, &m2, &keys[..3]);
+            lookup_all(&b2, &s2, &m2, &[]);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "layout arithmetic over 2^16 keys; no unsafe to check")]
+    fn bytes_per_key_sparse_and_dense() {
+        let n = 1u64 << 16;
+        let sparse: Vec<(u64, u64)> = (0..n).map(|r| (r * 64, r)).collect();
+        let t = PrefixTree::build_from_sorted(PrefixTreeConfig::new(8, 64), 0, &sparse);
+        let per_key = t.memory_bytes() as f64 / n as f64;
+        assert!(per_key <= 48.0, "stride-64 keys cost {per_key} B/key");
+        // Built key by key, the leaves end in the same blocks.
+        let mut scalar = PrefixTree::new();
+        for &(k, v) in &sparse {
+            scalar.upsert(k, v);
+        }
+        assert_eq!(scalar.memory_bytes(), t.memory_bytes());
+        let dense: Vec<(u64, u64)> = (0..n).map(|r| (r, r)).collect();
+        let t = PrefixTree::build_from_sorted(PrefixTreeConfig::new(8, 64), 0, &dense);
+        let per_key = t.memory_bytes() as f64 / n as f64;
+        assert!(per_key <= 10.0, "dense keys cost {per_key} B/key");
+    }
+
+    #[test]
+    fn a_shrunk_partition_gives_its_blocks_back() {
+        let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 16, r)).collect();
+        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::new(8, 32), 0, &pairs);
+        let (loaded, arena) = (t.memory_bytes(), t.values.len());
+        let upper = t.split_off(pairs[pairs.len() / 2].0);
+        let shrunk = t.memory_bytes();
+        assert!(
+            shrunk < loaded * 3 / 4,
+            "half the keys left, bytes went {loaded} -> {shrunk}"
+        );
+        assert_eq!(upper.len(), pairs.len() / 2);
+        // Moving the keys back recycles the freed blocks.
+        t.upsert_batch(&upper.flatten());
+        assert_eq!(t.len(), pairs.len());
+        assert!(t.memory_bytes() <= loaded);
+        assert_eq!(t.values.len(), arena, "the arena did not grow");
+        assert_eq!(t.flatten(), pairs);
     }
 
     mod properties {
@@ -773,6 +1598,57 @@ mod tests {
                     .map(|&k| (k, k ^ 0xFF))
                     .collect();
                 prop_assert_eq!(got, expect);
+            }
+        }
+
+        proptest! {
+            // Miri interprets the suite in CI: a few cases there, the full
+            // count natively.
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
+
+            /// The batch family: `upsert_batch` / `lookup_batch` on one
+            /// tree, the scalar loop on a second, a `BTreeMap` as the truth.
+            /// Keys crowd a few leaves at the bottom, middle and top of the
+            /// domain (class brinks, promotions, root-skip moves) with a
+            /// tail of arbitrary keys; batches are shorter and longer than
+            /// the group, sorted and shuffled, with duplicates.
+            #[test]
+            fn batch_matches_scalar_matches_btreemap(ops in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec((0u8..8, any::<u64>(), 0u64..1000), 0..90)),
+                1..24))
+            {
+                for cfg in CONFIGS {
+                    let (mut b, mut s, mut m) = trees(cfg);
+                    let top = u64::MAX >> (64 - cfg.1);
+                    let fanout = b.config().fanout() as u64;
+                    let key_of = |sel: u8, r: u64| match sel {
+                        0 => r % (2 * fanout),
+                        1 => top - r % (2 * fanout),
+                        2..=5 => top / 2 + r % (3 * fanout),
+                        _ => r & top,
+                    };
+                    for (kind, draws) in &ops {
+                        let mut pairs: Vec<(u64, u64)> =
+                            draws.iter().map(|&(sel, r, v)| (key_of(sel, r), v)).collect();
+                        let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+                        match kind {
+                            0 | 1 => upsert_all(&mut b, &mut s, &mut m, &pairs),
+                            2 => {
+                                pairs.sort_unstable();
+                                upsert_all(&mut b, &mut s, &mut m, &pairs);
+                            }
+                            3 => {
+                                for k in keys.iter().step_by(2) {
+                                    prop_assert_eq!(b.remove(*k), m.remove(k));
+                                    s.remove(*k);
+                                }
+                            }
+                            _ => {}
+                        }
+                        lookup_all(&b, &s, &m, &keys);
+                    }
+                    same_contents(&b, &s, &m);
+                }
             }
         }
     }

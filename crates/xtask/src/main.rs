@@ -82,6 +82,8 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/column/src/simd.rs",
     "crates/core/src/routing/incoming.rs",
     "crates/index/src/hash_table.rs",
+    // The crate's one prefetch hint (hash probe + prefix-tree descent).
+    "crates/index/src/prefetch.rs",
     "crates/index/src/shared_tree.rs",
     "crates/numa/src/affinity.rs",
     "crates/obs/src/exemplar.rs",

@@ -80,6 +80,120 @@ fn randomized_ops_match_btreemap() {
 }
 
 #[test]
+fn index_batches_stranded_by_a_rebalance_match_the_scalar_oracle() {
+    // Multi-key index commands are split by the routing table at submit
+    // time; a balancer cycle before the epoch that executes them moves the
+    // ranges underneath.  Sub-commands whose keys all stayed with their
+    // owner take the AEU's all-mine path (decoded slice straight into the
+    // tree's batch entry points), the others are partitioned into mine and
+    // stray and the strays forwarded.  Both must answer like a BTreeMap
+    // driven one key at a time.
+    let mut rng = StdRng::seed_from_u64(0xBA7C);
+    let domain: u64 = 1 << 16;
+    let mut e = engine(2, 2);
+    let idx = e.create_index("t", domain);
+    let mut oracle: BTreeMap<u64, u64> = (0..domain).step_by(3).map(|k| (k, k ^ 0xABCD)).collect();
+    e.bulk_load_index(idx, oracle.iter().map(|(&k, &v)| (k, v)));
+    let mut ticket = 0u64;
+    let mut submit = |e: &mut Engine, payload: Payload| {
+        ticket += 1;
+        let cmd = DataCommand {
+            object: idx,
+            ticket,
+            payload,
+        };
+        e.submit(AeuId((ticket % 4) as u32), cmd).unwrap();
+        ticket
+    };
+
+    let mut stranded = [0, 0]; // rounds whose [lookups, upserts] met moved ranges
+    for round in 0..6u64 {
+        // Skew: every access of this window lands in one eighth of the
+        // domain, so the next balancer cycle has boundaries to move.
+        let hot = (round % 4) * domain / 4;
+        for _ in 0..8 {
+            let keys = (0..256)
+                .map(|_| hot + rng.gen_range(0..domain / 8))
+                .collect();
+            submit(&mut e, Payload::Lookup { keys });
+        }
+        e.run_until_drained();
+        e.results().take_lookup_values();
+
+        // Whole-domain batches, routed by the ranges as they are now...
+        let upserts = round % 2 == 0;
+        let mut expect: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for _ in 0..8 {
+            let keys: Vec<u64> = (0..300).map(|_| rng.gen_range(0..domain)).collect();
+            if upserts {
+                // One value per key and round: the order in which stranded
+                // sub-commands of two commands apply cannot matter.
+                let pairs: Vec<(u64, u64)> =
+                    keys.iter().map(|&k| (k, (round + 1) << 32 | k)).collect();
+                oracle.extend(pairs.iter().copied());
+                submit(&mut e, Payload::Upsert { pairs });
+            } else {
+                let t = submit(&mut e, Payload::Lookup { keys: keys.clone() });
+                expect.insert(t, keys);
+            }
+        }
+        // ...then stranded: the ranges move before the commands execute.
+        let before = e.telemetry().totals.forwarded;
+        e.run_balancer();
+        e.run_until_drained();
+        // (Not every cycle moves boundaries: the balancer backs off after
+        // a costly one.)
+        if e.telemetry().totals.forwarded > before {
+            stranded[upserts as usize] += 1;
+        }
+        let mut got: BTreeMap<u64, Vec<(u64, Option<u64>)>> = BTreeMap::new();
+        for (t, k, v) in e.results().take_lookup_values() {
+            got.entry(t).or_default().push((k, v));
+        }
+        for (t, keys) in expect {
+            let mut want: Vec<_> = keys.iter().map(|k| (*k, oracle.get(k).copied())).collect();
+            let mut answers = got.remove(&t).unwrap_or_default();
+            want.sort_unstable();
+            answers.sort_unstable();
+            assert_eq!(answers, want, "round {round}, ticket {t}");
+        }
+    }
+
+    assert!(
+        stranded[0] > 0 && stranded[1] > 0,
+        "lookups and upserts both had strays to forward: {stranded:?}"
+    );
+
+    // Settled: every key through the all-mine path, and the partitions
+    // hold exactly the oracle.
+    let all: Vec<u64> = (0..domain).collect();
+    for chunk in all.chunks(1 << 12) {
+        let t = submit(
+            &mut e,
+            Payload::Lookup {
+                keys: chunk.to_vec(),
+            },
+        );
+        e.run_until_drained();
+        let before = e.telemetry().totals.forwarded;
+        let mut got = e.results().take_lookup_values();
+        got.sort_unstable();
+        let want: Vec<_> = chunk
+            .iter()
+            .map(|k| (t, *k, oracle.get(k).copied()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(e.telemetry().totals.forwarded, before);
+    }
+    let total: usize = e
+        .aeu_ids()
+        .iter()
+        .map(|a| e.aeu(*a).partition(idx).map_or(0, |p| p.data.len()))
+        .sum();
+    assert_eq!(total, oracle.len());
+}
+
+#[test]
 fn scans_match_oracle_aggregates() {
     let mut rng = StdRng::seed_from_u64(7);
     let domain: u64 = 1 << 16;
