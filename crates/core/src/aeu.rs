@@ -574,9 +574,12 @@ impl Aeu {
                 tree.upsert_batch(pairs);
             }
             PartitionData::Hash(h) => {
-                for &(k, v) in pairs {
-                    h.upsert(k, v);
-                }
+                // A transfer arrives in the donor's bucket order, which is
+                // this table's too (the seeds only rotate it): growing
+                // part-way through would first pile the batch's head onto
+                // one stretch of the old array.  Size for all of it first.
+                h.reserve(pairs.len());
+                h.upsert_batch(pairs);
             }
             PartitionData::Column(_) => panic!("absorb_pairs on a column partition"),
         }
@@ -1179,9 +1182,9 @@ impl Aeu {
                             fresh += tree.upsert_batch(mine);
                         }
                         PartitionData::Hash(h) => {
-                            // Batched upsert: one single-rehash reserve,
-                            // group-prefetched home buckets, input-order
-                            // application.
+                            // Batched upsert: group-prefetched home
+                            // buckets, input-order application; only a
+                            // fresh key can grow the table.
                             fresh += h.upsert_batch(mine);
                             self.tel
                                 .counters

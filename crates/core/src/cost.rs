@@ -8,7 +8,7 @@
 //! tree are hot and cache-resident, the bottom levels miss — the exact
 //! effect Figures 8 and 10 of the paper attribute the ERIS/shared gap to.
 
-use eris_index::PrefixTreeConfig;
+use eris_index::{HashTable, PrefixTreeConfig};
 
 /// Calibration constants of the virtual-time model.
 ///
@@ -137,16 +137,21 @@ pub fn expected_tree_misses(keys: u64, cfg: PrefixTreeConfig, cache_bytes: f64) 
     misses
 }
 
+/// Bytes a hash partition spends per key: one bucket at the table's load
+/// limit.  Taken from the structure's own constants, and checked against a
+/// built table below, so model and table cannot drift apart.
+pub const HASH_BYTES_PER_KEY: f64 =
+    HashTable::SLOT_BYTES as f64 * 100.0 / HashTable::MAX_LOAD_PERCENT as f64;
+
 /// Expected LLC misses per point access of a per-partition hash table of
 /// `keys` entries against `cache_bytes` of effective cache.
 ///
-/// The bucket array (~24 B per slot at 85% load) is accessed uniformly, so
+/// The bucket array ([`HASH_BYTES_PER_KEY`]) is accessed uniformly, so
 /// the resident fraction is simply cache/array; a Robin-Hood probe touches
-/// ~1.3 buckets on average.
+/// ~1.3 lines of it on average.
 pub fn expected_hash_misses(keys: u64, cache_bytes: f64) -> f64 {
-    const BYTES_PER_KEY: f64 = 24.0 / 0.85;
     const AVG_PROBES: f64 = 1.3;
-    let array_bytes = keys as f64 * BYTES_PER_KEY;
+    let array_bytes = keys as f64 * HASH_BYTES_PER_KEY;
     let resident = (cache_bytes / array_bytes).clamp(0.0, 1.0);
     AVG_PROBES * (1.0 - resident)
 }
@@ -240,6 +245,22 @@ mod tests {
         // Hash point access beats a deep tree when both are uncached.
         let tree = expected_tree_misses(1 << 30, cfg(), cache);
         assert!(big < tree + 0.5, "hash {big} vs tree {tree}");
+    }
+
+    #[test]
+    fn hash_bytes_per_key_match_a_built_table() {
+        // A power of two (where a power-of-two array would sit half empty)
+        // and an odd size, bulk-loaded as the engine loads a partition.
+        for n in [1u64 << 16, 100_003] {
+            let mut t = HashTable::new(7, 0);
+            t.upsert_batch(&(0..n).map(|k| (k, k)).collect::<Vec<_>>());
+            let built = t.memory_bytes() as f64 / t.len() as f64;
+            let off = (built / HASH_BYTES_PER_KEY - 1.0).abs();
+            assert!(
+                off < 0.05,
+                "{n} keys: built {built} B/key, model {HASH_BYTES_PER_KEY}"
+            );
+        }
     }
 
     #[test]

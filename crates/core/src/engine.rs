@@ -21,7 +21,7 @@ use eris_mem::{MemoryManager, ThreadCache};
 use eris_numa::{CoreId, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
 use eris_obs::{now_ns, Stamped, TraceEvent, TraceStamp};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Engine configuration.
 #[derive(Clone)]
@@ -683,6 +683,10 @@ impl Engine {
         for f in &flows {
             self.counters.record(&self.topo, f.src, f.home, f.bytes);
         }
+        // Read once per process: the environment is a lock and a scan.
+        static DEBUG_EPOCH: OnceLock<bool> = OnceLock::new();
+        let debug_epoch =
+            *DEBUG_EPOCH.get_or_init(|| std::env::var_os("ERIS_DEBUG_EPOCH").is_some());
         let mut duration: f64 = 0.0;
         for (s, span) in summaries.iter().zip(spans) {
             // Streaming (serial) flows add up; posted (overlapped) flows
@@ -710,7 +714,7 @@ impl Engine {
             let bw_ns = serial_ns + overlapped_ns;
             let cpu_ns = s.cpu_ns / self.cfg.params.frequency_scale;
             let t = cpu_ns + s.latency_ns.max(bw_ns);
-            if std::env::var_os("ERIS_DEBUG_EPOCH").is_some() && t > duration {
+            if debug_epoch && t > duration {
                 eprintln!(
                     "  max-AEU so far: cpu={:.1}us lat={:.1}us serial_bw={:.1}us overl_bw={:.1}us",
                     cpu_ns / 1e3,
@@ -783,11 +787,7 @@ impl Engine {
     /// admission control (exact at epoch boundaries, approximate while
     /// AEUs are stepping).
     pub fn in_flight_commands(&self) -> u64 {
-        self.telemetry()
-            .objects
-            .iter()
-            .map(|o| o.enqueued.saturating_sub(o.executed))
-            .sum()
+        self.shared.telemetry().in_flight_commands()
     }
 
     /// Typed graceful shutdown: detach every command generator, run

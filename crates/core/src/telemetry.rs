@@ -415,6 +415,22 @@ impl Telemetry {
         Arc::clone(&objects[id.0 as usize])
     }
 
+    /// `enqueued − executed` summed over the object ledgers: what a full
+    /// [`TelemetrySnapshot`] reports, without building one (the serving
+    /// pump reads this every cycle).
+    pub fn in_flight_commands(&self) -> u64 {
+        let objects = self.objects.read();
+        objects
+            .iter()
+            .map(|c| {
+                // `executed` first: it trails `enqueued`, so while AEUs
+                // step the difference errs high, never below zero.
+                let executed = c.executed.load(Relaxed);
+                c.enqueued.load(Relaxed).saturating_sub(executed)
+            })
+            .sum()
+    }
+
     /// Reset every per-AEU shard and the balancer counters.  The
     /// per-object conservation ledgers are deliberately left alone:
     /// commands in flight at reset time would permanently unbalance
@@ -1308,6 +1324,23 @@ mod tests {
         let t = Telemetry::new(2);
         let totals = t.totals_with(|i, c| c.incoming_writes = (i as u64 + 1) * 10);
         assert_eq!(totals.incoming_writes, 30);
+    }
+
+    #[test]
+    fn in_flight_commands_is_the_snapshot_figure_without_the_snapshot() {
+        let t = Telemetry::new(1);
+        for (object, enqueued, executed) in [(0, 9, 4), (1, 3, 3), (2, 7, 0)] {
+            t.object(DataObjectId(object))
+                .enqueued
+                .fetch_add(enqueued, Relaxed);
+            t.object(DataObjectId(object))
+                .executed
+                .fetch_add(executed, Relaxed);
+        }
+        let snap = t.snapshot_with(&[NodeId(0)], |_, _| {});
+        let from_snapshot: u64 = snap.objects.iter().map(ObjectFlow::in_flight).sum();
+        assert_eq!(t.in_flight_commands(), from_snapshot);
+        assert_eq!(from_snapshot, 12);
     }
 
     #[test]

@@ -5,41 +5,103 @@
 //! per-partition level."*  Routing still happens by key range; *within* a
 //! partition the AEU may store its keys in a hash table instead of a prefix
 //! tree — O(1) point access at the price of losing order (no range scans).
+//! Robin-Hood linear probing with a per-instance multiplicative hash seed,
+//! so identical keys probe different sequences on different partitions.
 //!
-//! The table uses Robin-Hood linear probing over power-of-two buckets and a
-//! per-instance multiplicative hash seed (the paper's "different hash
-//! functions per partition"), so identical keys land in different probe
-//! sequences on different partitions — no cross-partition hot buckets.
+//! **Layout.**  Buckets live in 64-lane [`Block`]s: 64 one-byte
+//! probe-sequence lengths (PSLs), then 64 16 B key/value pairs — 17 B per
+//! bucket.  A resident can only be the probed key when its PSL equals the
+//! probe's distance from home, so a probe filters on the PSL bytes and
+//! reads a pair only on such a match: a hit costs one PSL line plus one
+//! pair line, both prefetched when the batched probe is fed.
+//!
+//! **Sizing.**  The bucket count is any multiple of 64: the home bucket is
+//! `(hash32 * buckets) >> 32` and probes wrap by compare, so a table sized
+//! for *n* keys sits at the full [`HashTable::MAX_LOAD_PERCENT`].  The
+//! reduction is monotone, so bucket order is hash order at every size.  A
+//! fresh key past the load limit grows the table by half (or to fit the
+//! rest of its batch), overwrites never grow it, and a sweep that leaves
+//! it under a quarter full rebuilds it smaller.
+//!
+//! **Allocation.**  The array is a list of 1 MiB chunks, each allocated by
+//! the first write into it (an absent chunk reads as empty buckets).  A
+//! rehash frees the old chunks front to back while it fills the new ones
+//! front to back, so it holds about the larger array, not the sum; and as
+//! all chunks are one size, with no alignment beyond the allocator's own,
+//! what a shrinking partition frees is what a growing one is handed.
 
-/// Load factor threshold (percent) that triggers growth.
-const MAX_LOAD_PERCENT: usize = 85;
+use crate::prefetch::prefetch_read;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    key: u64,
-    value: u64,
-    /// Probe-sequence length + 1; 0 = empty.
-    psl: u32,
+/// Buckets per [`Block`].
+const LANES: usize = 64;
+/// Blocks per chunk: 64 Ki buckets, 1.06 MiB.
+const CHUNK_BLOCKS: usize = 1024;
+const CHUNK_BUCKETS: usize = CHUNK_BLOCKS * LANES;
+/// Stored PSLs saturate here; the true value is then recomputed from the
+/// resident's key ([`HashTable::true_psl`]).  Random hashing stays under
+/// ~60 at 85 % load, so only adversarial key sets ever reach it.
+const PSL_SAT: u8 = u8::MAX;
+/// A sweep that leaves fewer than `buckets / SPARSE_DIVISOR` keys shrinks.
+const SPARSE_DIVISOR: usize = 4;
+/// Probes kept in flight by the batch lookup, one pending cache line each:
+/// 12 cover a DRAM miss (~60-80 ns) at a few ns per bucket inspection.
+const AMAC_GROUP: usize = 12;
+
+/// 64 buckets: PSL + 1 per lane (0 = empty), then the `(key, value)` pairs.
+#[derive(Clone)]
+#[repr(C)]
+struct Block {
+    psl: [u8; LANES],
+    pairs: [(u64, u64); LANES],
 }
 
-const EMPTY: Slot = Slot {
-    key: 0,
-    value: 0,
-    psl: 0,
-};
+const _: () = assert!(std::mem::size_of::<Block>() == LANES * HashTable::SLOT_BYTES);
 
-/// Probes kept in flight by the AMAC interleaved batch-lookup path.  Each
-/// in-flight probe owns one pending cache line; 12 is enough to cover a
-/// DRAM miss (~60-80 ns) with useful work at ~5 ns per bucket inspection,
-/// while keeping the state array well inside one L1 set's worth of lines.
-pub const AMAC_GROUP: usize = 12;
+type Chunk = Option<Box<[Block]>>;
 
-/// One in-flight probe of the AMAC state machine: where it is in its
-/// Robin-Hood displacement chain and where its answer goes.
-#[derive(Clone, Copy)]
-struct ProbeState {
+/// A bucket index with its block resolved: a probe pays the chunk lookup
+/// once per block it walks, not once per bucket.  No block = empty buckets.
+#[derive(Clone, Copy, Default)]
+struct Cursor<'a> {
     idx: usize,
-    psl: u32,
+    block: Option<&'a Block>,
+}
+
+impl Cursor<'_> {
+    #[inline]
+    fn pair(self) -> (u64, u64) {
+        // BOUNDS: the lane is reduced modulo the array length.
+        self.block.map_or((0, 0), |b| b.pairs[self.idx % LANES])
+    }
+
+    /// Hint the cache hierarchy that this bucket is about to be probed.
+    #[inline]
+    fn prefetch(self) {
+        if let Some(b) = self.block {
+            // BOUNDS: as in `pair`.
+            prefetch_read(&b.psl[self.idx % LANES]);
+            prefetch_read(&b.pairs[self.idx % LANES]);
+        }
+    }
+
+    /// Whether this bucket's pair is the first of a cache line (the
+    /// allocator aligns chunks to 16 bytes, so a pair never straddles one).
+    #[inline]
+    fn starts_line(self) -> bool {
+        // BOUNDS: as in `pair`.
+        let pair = self
+            .block
+            .map(|b| std::ptr::from_ref(&b.pairs[self.idx % LANES]));
+        pair.is_none_or(|p| p.addr() % 64 == 0)
+    }
+}
+
+/// One in-flight probe of [`HashTable::lookup_batch`]: where it stands in
+/// its displacement chain and where its answer goes.
+#[derive(Clone, Copy, Default)]
+struct Probe<'a> {
+    at: Cursor<'a>,
+    dist: usize,
     key: u64,
     out: usize,
 }
@@ -47,55 +109,58 @@ struct ProbeState {
 /// An open-addressing hash table from `u64` keys to `u64` values with a
 /// per-instance hash function.
 pub struct HashTable {
-    slots: Vec<Slot>,
-    mask: usize,
+    /// In chunks of [`CHUNK_BLOCKS`] blocks, `None` until first written.
+    chunks: Vec<Chunk>,
+    /// A multiple of [`LANES`], below 2^32.
+    buckets: usize,
     len: usize,
     seed: u64,
-    base_vaddr: u64,
     rehashes: u64,
 }
 
 impl HashTable {
-    /// An empty table using hash function `seed` (one per partition).
-    pub fn new(seed: u64, base_vaddr: u64) -> Self {
-        Self::with_capacity(seed, base_vaddr, 16)
+    /// Fill (percent of buckets) a table never exceeds.
+    pub const MAX_LOAD_PERCENT: usize = 85;
+    /// Bytes per bucket: a 16 B pair and its PSL byte.
+    pub const SLOT_BYTES: usize = 17;
+
+    /// An empty table using hash function `seed` (one per partition).  The
+    /// partition's synthetic address base is accepted and ignored.
+    pub fn new(seed: u64, _base_vaddr: u64) -> Self {
+        Self::with_capacity(seed, _base_vaddr, 0)
     }
 
-    /// An empty table pre-sized for `capacity` keys.
-    pub fn with_capacity(seed: u64, base_vaddr: u64, capacity: usize) -> Self {
-        let buckets = (capacity * 100 / MAX_LOAD_PERCENT + 1)
-            .next_power_of_two()
-            .max(16);
-        HashTable {
-            slots: vec![EMPTY; buckets],
-            mask: buckets - 1,
+    /// An empty table sized for `capacity` keys.
+    pub fn with_capacity(seed: u64, _base_vaddr: u64, capacity: usize) -> Self {
+        let mut table = HashTable {
+            chunks: Vec::new(),
+            buckets: 0,
             len: 0,
             seed: seed | 1,
-            base_vaddr,
             rehashes: 0,
-        }
+        };
+        table.replace_blocks(Self::blocks_for(capacity));
+        table
     }
 
-    /// How many times the bucket array has been reallocated and every
-    /// resident key rehashed (growth or an explicit [`HashTable::reserve`]).
+    /// How many times the bucket array has been resized and every resident
+    /// key rehashed (growth, shrink or [`HashTable::reserve`]).
     pub fn rehashes(&self) -> u64 {
         self.rehashes
     }
 
     /// Number of keys.
-    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Resident bytes (bucket array).
+    /// Bytes of the bucket array, every chunk counted as allocated.
     pub fn memory_bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<Slot>()) as u64
+        (self.buckets * Self::SLOT_BYTES) as u64
     }
 
     /// The per-partition hash seed.
@@ -103,345 +168,358 @@ impl HashTable {
         self.seed
     }
 
-    /// Relocate the synthetic address base (after a partition transfer).
-    pub fn set_base_vaddr(&mut self, base: u64) {
-        self.base_vaddr = base;
+    /// Blocks that hold `keys` keys at the load limit.
+    fn blocks_for(keys: usize) -> usize {
+        let buckets = (keys * 100).div_ceil(Self::MAX_LOAD_PERCENT);
+        buckets.div_ceil(LANES).max(1)
     }
 
+    /// Keys the current bucket array holds before it must grow.
+    fn max_len(&self) -> usize {
+        self.buckets * Self::MAX_LOAD_PERCENT / 100
+    }
+
+    /// Swap in an empty array of `blocks` blocks; returns the old chunks.
+    fn replace_blocks(&mut self, blocks: usize) -> Vec<Chunk> {
+        // BOUNDS: the range reduction in `bucket_of` needs the bucket count
+        // to fit 32 bits; a table past that (68 GiB) is a caller bug.
+        assert!(blocks * LANES <= u32::MAX as usize, "hash table too large");
+        self.buckets = blocks * LANES;
+        self.len = 0;
+        // ALLOC-OK: one pointer per chunk; reached only from growth, shrink
+        // and construction, all amortized over the keys moved.
+        let chunks = (0..blocks.div_ceil(CHUNK_BLOCKS)).map(|_| None).collect();
+        std::mem::replace(&mut self.chunks, chunks)
+    }
+
+    /// Resize to `blocks` blocks and reinsert every resident in bucket
+    /// order, freeing each old chunk as soon as it is emptied.
+    fn rehash(&mut self, blocks: usize) {
+        self.rehashes += 1;
+        for chunk in self.replace_blocks(blocks) {
+            for b in chunk.as_deref().unwrap_or_default() {
+                for (psl, &(k, v)) in b.psl.iter().zip(&b.pairs) {
+                    if *psl != 0 {
+                        self.upsert(k, v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Home bucket: seeded multiplicative (Fibonacci) hash, then its top
+    /// 32 bits scaled onto `0..buckets`.
     #[inline]
     fn bucket_of(&self, key: u64) -> usize {
-        // Multiplicative (Fibonacci) hashing, seeded per partition.
-        (key.wrapping_add(self.seed)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            >> 32) as usize
-            & self.mask
+        let hash = key
+            .wrapping_add(self.seed)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (((hash >> 32) * self.buckets as u64) >> 32) as usize
     }
 
-    /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn upsert(&mut self, key: u64, value: u64) -> Option<u64> {
-        if (self.len + 1) * 100 > self.slots.len() * MAX_LOAD_PERCENT {
-            self.grow();
-        }
-        let mut idx = self.bucket_of(key);
-        let mut cur = Slot { key, value, psl: 1 };
-        // Once the probe displaces an entry, `cur` carries a pre-existing
-        // element, and the Robin-Hood invariant guarantees the original key
-        // cannot appear further along — so duplicate detection only applies
-        // while the original is still being carried.
-        let mut carrying_original = true;
-        loop {
-            // BOUNDS: `idx` starts at bucket_of (masked) and every advance
-            // re-masks, so it always lands inside the power-of-two array.
-            let s = &mut self.slots[idx];
-            if s.psl == 0 {
-                *s = cur;
-                self.len += 1;
-                return None;
-            }
-            if carrying_original && s.key == key {
-                let old = s.value;
-                s.value = value;
-                return Some(old);
-            }
-            // Robin Hood: steal the slot from richer entries.
-            if cur.psl > s.psl {
-                std::mem::swap(s, &mut cur);
-                carrying_original = false;
-            }
-            cur.psl += 1;
-            idx = (idx + 1) & self.mask;
-        }
-    }
-
-    /// Probe for `key` starting at `idx` (its home bucket).
     #[inline]
-    fn probe(&self, mut idx: usize, key: u64) -> Option<u64> {
-        let mut psl = 1u32;
+    fn cursor(&self, idx: usize) -> Cursor<'_> {
+        // BOUNDS: bucket indexes come from `bucket_of` or `next`, both
+        // below `buckets`, which `chunks` (and `block_mut`) are sized for.
+        let chunk = self.chunks[idx / CHUNK_BUCKETS].as_ref();
+        let block = chunk.map(|c| &c[idx / LANES % CHUNK_BLOCKS]);
+        Cursor { idx, block }
+    }
+
+    #[inline]
+    fn next(&self, idx: usize) -> usize {
+        if idx + 1 == self.buckets {
+            0
+        } else {
+            idx + 1
+        }
+    }
+
+    /// Move `at` one bucket on, wrapping past the last.
+    #[inline]
+    fn advance<'a>(&'a self, at: &mut Cursor<'a>) {
+        at.idx = self.next(at.idx);
+        if at.idx.is_multiple_of(LANES) {
+            *at = self.cursor(at.idx);
+        }
+    }
+
+    /// PSL + 1 of the resident of the bucket at `at`; 0 = empty.
+    #[inline]
+    fn psl_at(&self, at: Cursor<'_>) -> usize {
+        // BOUNDS: the lane is reduced modulo the array length.
+        match at.block.map_or(0, |b| b.psl[at.idx % LANES]) {
+            PSL_SAT => self.true_psl(at),
+            stored => stored as usize,
+        }
+    }
+
+    /// A saturated PSL, recomputed as the resident's distance from home.
+    #[cold]
+    fn true_psl(&self, at: Cursor<'_>) -> usize {
+        let home = self.bucket_of(at.pair().0);
+        1 + (at.idx + self.buckets - home) % self.buckets
+    }
+
+    /// The block of bucket `idx`, allocating its chunk on first use.
+    #[inline]
+    fn block_mut(&mut self, idx: usize) -> &mut Block {
+        let (chunk, blocks) = (idx / CHUNK_BUCKETS, self.buckets / LANES);
+        // ALLOC-OK: a chunk of the bucket array, once per 64 Ki buckets.
+        // BOUNDS: as in `cursor`.
+        let chunk = self.chunks[chunk].get_or_insert_with(|| {
+            let empty = Block {
+                psl: [0; LANES],
+                pairs: [(0, 0); LANES],
+            };
+            vec![empty; (blocks - chunk * CHUNK_BLOCKS).min(CHUNK_BLOCKS)].into()
+        });
+        &mut chunk[idx / LANES % CHUNK_BLOCKS]
+    }
+
+    fn set(&mut self, idx: usize, pair: (u64, u64), psl: usize) {
+        // BOUNDS: the lane is reduced modulo the array length.
+        let b = self.block_mut(idx);
+        b.pairs[idx % LANES] = pair;
+        b.psl[idx % LANES] = psl.min(PSL_SAT as usize) as u8;
+    }
+
+    /// Walk `key`'s probe sequence: `Ok` at the bucket holding it, or
+    /// `Err((bucket, psl))` where an insert of it starts.  The table is
+    /// never full, so the walk ends at an empty bucket at the latest.
+    #[inline]
+    fn find(&self, key: u64) -> Result<Cursor<'_>, (usize, usize)> {
+        let mut at = self.cursor(self.bucket_of(key));
+        let mut dist = 1;
         loop {
-            // BOUNDS: the caller passes a masked home bucket and the advance
-            // below re-masks.
-            let s = &self.slots[idx];
-            if s.psl == 0 || s.psl < psl {
-                return None; // Robin Hood invariant: key would be here
+            let psl = self.psl_at(at);
+            if psl < dist {
+                return Err((at.idx, dist)); // Robin Hood: key would be here
             }
-            if s.key == key {
-                return Some(s.value);
+            if psl == dist && at.pair().0 == key {
+                return Ok(at);
             }
-            psl += 1;
-            idx = (idx + 1) & self.mask;
+            dist += 1;
+            self.advance(&mut at);
         }
     }
 
     /// Point lookup.
     pub fn lookup(&self, key: u64) -> Option<u64> {
-        self.probe(self.bucket_of(key), key)
+        self.find(key).ok().map(|at| at.pair().1)
+    }
+
+    /// Insert or overwrite; returns the previous value if the key existed.
+    pub fn upsert(&mut self, key: u64, value: u64) -> Option<u64> {
+        self.upsert_sized(key, value, 1)
+    }
+
+    /// [`HashTable::upsert`]; if the key is fresh and the table at its
+    /// load limit, grow for `upcoming >= 1` keys (this one included).
+    fn upsert_sized(&mut self, key: u64, value: u64, upcoming: usize) -> Option<u64> {
+        let (mut idx, mut dist) = match self.find(key).map(|at| at.idx) {
+            Ok(idx) => {
+                // BOUNDS: the lane is reduced modulo the array length.
+                let slot = &mut self.block_mut(idx).pairs[idx % LANES].1;
+                return Some(std::mem::replace(slot, value));
+            }
+            Err(at) => at,
+        };
+        if self.len >= self.max_len() {
+            // ALLOC-OK: growth, amortized over the keys that filled the
+            // table; overwrites never reach it.
+            self.reserve(upcoming);
+            return self.upsert_sized(key, value, upcoming);
+        }
+        // Robin Hood: take the bucket from the first richer resident and
+        // carry the displaced entry on until an empty bucket takes it.
+        let mut carry = (key, value);
+        loop {
+            let at = self.cursor(idx);
+            let (psl, displaced) = (self.psl_at(at), at.pair());
+            if psl < dist {
+                self.set(idx, carry, dist);
+                if psl == 0 {
+                    break;
+                }
+                carry = displaced;
+                dist = psl;
+            }
+            dist += 1;
+            idx = self.next(idx);
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Make room for `extra` further keys in one resize, to fit exactly or
+    /// to half again the current array, whichever is larger (growth stays
+    /// geometric, so repeated small reserves stay amortized).
+    pub fn reserve(&mut self, extra: usize) {
+        if self.len + extra > self.max_len() {
+            let grown = (self.buckets / LANES * 3).div_ceil(2);
+            self.rehash(Self::blocks_for(self.len + extra).max(grown));
+        }
     }
 
     /// Batched point lookups: appends one result per key to `out`, in
-    /// input order.  Large batches run through an AMAC-style interleaved
-    /// probe state machine ([`HashTable::lookup_batch_grouped`] with the
-    /// default [`AMAC_GROUP`]): every in-flight probe's next cache line
-    /// is prefetched while the other probes execute, so misses overlap
-    /// *by construction* even on long Robin-Hood displacement chains —
-    /// the coalesced lookup path hands whole command batches here.
-    /// Results are identical to a loop of [`HashTable::lookup`].
+    /// input order, identical to a loop of [`HashTable::lookup`].
+    ///
+    /// AMAC (asynchronous memory access chaining): up to [`AMAC_GROUP`]
+    /// probes are live in a stack array.  A round-robin step runs one probe
+    /// to the end of its pair line; if the chain goes on it prefetches the
+    /// next line and yields, so a line is requested a full rotation before
+    /// it is read.  Finished probes are refilled from the pending keys.
     pub fn lookup_batch(&self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        self.lookup_batch_grouped(keys, out, AMAC_GROUP);
-    }
-
-    /// [`HashTable::lookup_batch`] with a tunable number of in-flight
-    /// probes.  `group` trades miss overlap (more probes in flight)
-    /// against prefetch-to-use distance growing past the cache's ability
-    /// to hold the lines; 8-16 is the useful range on current cores.
-    pub fn lookup_batch_grouped(&self, keys: &[u64], out: &mut Vec<Option<u64>>, group: usize) {
-        // Interleaving only pays once the batch outgrows a few cache
-        // lines; short batches probe straight through.
-        const BATCH_THRESHOLD: usize = 8;
-        if keys.len() < BATCH_THRESHOLD {
-            // ALLOC-OK: results append to the caller's reusable output
-            // vector (batch API contract).
-            out.extend(keys.iter().map(|&k| self.lookup(k)));
-            return;
-        }
-        // AMAC (asynchronous memory access chaining): `group` probes are
-        // live at once, each holding its own (bucket, psl, key, out-slot)
-        // state.  A round-robin step advances one probe by exactly one
-        // bucket inspection — the line it inspects was prefetched a full
-        // rotation ago, and the line it will need next is prefetched
-        // before moving on.  Unlike the previous fixed 16-ahead prefetch
-        // stream (which only covered each probe's *first* bucket and
-        // merely duplicated the out-of-order window's overlap), chained
-        // probes past the home bucket also get their misses overlapped.
-        // Finished probes are refilled from the pending keys so the
-        // machine stays `group` wide until the tail drains; output order
-        // stays input order because each probe carries its result slot.
         let base = out.len();
         // ALLOC-OK: pre-sizes the caller's reusable output vector once
         // per batch.
-        // ALLOC-OK: the probe-state ring below is bounded by `group`
-        // (8-16 entries) and lives for one batch.
         out.resize(base + keys.len(), None);
-        let group = group.clamp(2, keys.len());
-        let mut states: Vec<ProbeState> = Vec::with_capacity(group);
-        let mut next = 0usize;
-        let feed = |states: &mut Vec<ProbeState>, at: usize, next: &mut usize| {
-            // BOUNDS: feed is only invoked while `*next < keys.len()`.
-            let key = keys[*next];
-            let idx = self.bucket_of(key);
-            self.prefetch_slot(idx);
-            let st = ProbeState {
-                idx,
-                psl: 1,
-                key,
-                out: base + *next,
-            };
-            *next += 1;
-            if at == states.len() {
-                // ALLOC-OK: `at == states.len()` appends within the
-                // reserved `group` capacity.
-                // BOUNDS: otherwise `at` indexes a live slot.
-                states.push(st);
-            } else {
-                states[at] = st;
-            }
+        let mut pending = keys.iter().zip(base..);
+        let feed = |(&key, out): (&u64, usize)| {
+            let (at, dist) = (self.cursor(self.bucket_of(key)), 1);
+            at.prefetch();
+            Probe { at, dist, key, out }
         };
-        while states.len() < group && next < keys.len() {
-            let at = states.len();
-            feed(&mut states, at, &mut next);
+        let mut probes = [Probe::default(); AMAC_GROUP];
+        let mut live = 0;
+        for (slot, key) in probes.iter_mut().zip(&mut pending) {
+            *slot = feed(key);
+            live += 1;
         }
-        let mut i = 0usize;
-        while !states.is_empty() {
-            if i >= states.len() {
+        let mut i = 0;
+        while live > 0 {
+            if i >= live {
                 i = 0;
             }
-            // BOUNDS: `i` was just wrapped to `< states.len()`, and states is
-            // non-empty inside the loop.
-            let st = &mut states[i];
-            // SAFETY: `st.idx` is always masked into range — `bucket_of`
-            // masks at feed time and the advance below re-masks — and
-            // `slots` is never resized while `&self` probes are live.
-            let s = unsafe { self.slots.get_unchecked(st.idx) };
-            if s.psl != 0 && s.psl >= st.psl && s.key != st.key {
-                // Not resolved yet: advance one bucket, prefetch it, and
-                // hand the core to the next in-flight probe.
-                st.psl += 1;
-                st.idx = (st.idx + 1) & self.mask;
-                self.prefetch_slot(st.idx);
+            // BOUNDS: `i < live <= AMAC_GROUP` after the wrap above.
+            let p = &mut probes[i];
+            let result = loop {
+                let psl = self.psl_at(p.at);
+                if psl < p.dist {
+                    break Some(None); // Robin Hood: key would be here
+                }
+                if psl == p.dist && p.at.pair().0 == p.key {
+                    break Some(Some(p.at.pair().1));
+                }
+                p.dist += 1;
+                self.advance(&mut p.at);
+                if p.at.starts_line() {
+                    p.at.prefetch();
+                    break None;
+                }
+            };
+            let Some(result) = result else {
                 i += 1;
                 continue;
-            }
-            // Resolved: a hit writes its slot; a miss (empty bucket or
-            // Robin-Hood invariant break) leaves the pre-set `None`.
-            if s.key == st.key && s.psl != 0 {
-                // BOUNDS: `st.out = base + key-index < out.len()` after the
-                // resize above.
-                out[st.out] = Some(s.value);
-            }
-            if next < keys.len() {
-                feed(&mut states, i, &mut next);
+            };
+            // BOUNDS: `p.out = base + key index < out.len()` after the
+            // resize above; `live - 1 < AMAC_GROUP`.
+            out[p.out] = result;
+            if let Some(key) = pending.next() {
+                *p = feed(key);
                 i += 1; // let the refill's prefetch age a full rotation
             } else {
-                states.swap_remove(i);
+                live -= 1;
+                probes[i] = probes[live];
             }
-        }
-    }
-
-    /// Hint the cache hierarchy that bucket `idx` is about to be probed.
-    #[inline]
-    fn prefetch_slot(&self, idx: usize) {
-        if let Some(slot) = self.slots.get(idx) {
-            crate::prefetch::prefetch_read(slot);
-        }
-    }
-
-    /// Pre-size the bucket array for `extra` further keys, so a following
-    /// batch of upserts never rehashes mid-loop.  The array is sized
-    /// directly to the final power of two and every resident key is
-    /// rehashed exactly once — not once per doubling.
-    pub fn reserve(&mut self, extra: usize) {
-        let needed = self.len + extra;
-        if (needed + 1) * 100 > self.slots.len() * MAX_LOAD_PERCENT {
-            let buckets = ((needed + 1) * 100 / MAX_LOAD_PERCENT + 1)
-                .next_power_of_two()
-                .max(16);
-            self.resize_to(buckets);
         }
     }
 
     /// Insert or overwrite a whole batch; returns how many keys were
     /// fresh inserts.  Pairs apply in input order (later duplicates win),
-    /// so the result is identical to a loop of [`HashTable::upsert`] —
-    /// the batch entry point pre-grows the table once (keeping the
-    /// per-key loop free of rehash checks that can hit) and walks the
-    /// batch in prefetch groups: every group's home buckets are
-    /// prefetched before any of its upserts run, so the displacement
-    /// chains start from warm lines.  (Full AMAC interleaving does not
-    /// apply to upserts: a displacement rewrites the very chain a
-    /// concurrent in-flight probe would be walking.)
+    /// exactly as a loop of [`HashTable::upsert`], behind a group prefetch
+    /// (no AMAC: a displacement rewrites the chain an in-flight probe would
+    /// be walking).  A fresh key that finds the table full grows it once
+    /// for the rest of the batch; [`HashTable::reserve`] first for a batch
+    /// in another table's bucket order, whose head would until then pile
+    /// onto one stretch of the array.
     pub fn upsert_batch(&mut self, pairs: &[(u64, u64)]) -> u64 {
-        // ALLOC-OK: the one pre-grow that keeps the per-key loop
-        // rehash-free; amortized over the batch.
-        self.reserve(pairs.len());
-        let mut fresh = 0u64;
+        let mut fresh = 0;
+        let mut left = pairs.len();
         for group in pairs.chunks(AMAC_GROUP) {
             for &(k, _) in group {
-                self.prefetch_slot(self.bucket_of(k));
+                self.cursor(self.bucket_of(k)).prefetch();
             }
             for &(k, v) in group {
-                fresh += self.upsert(k, v).is_none() as u64;
+                fresh += self.upsert_sized(k, v, left).is_none() as u64;
+                left -= 1;
             }
         }
         fresh
     }
 
-    /// Remove a key; returns its value.  Uses backward-shift deletion to
-    /// preserve the Robin-Hood invariant.
+    /// Remove a key; returns its value.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let mut idx = self.bucket_of(key);
-        let mut psl = 1u32;
-        loop {
-            let s = self.slots[idx];
-            if s.psl == 0 || s.psl < psl {
-                return None;
-            }
-            if s.key == key {
-                let value = s.value;
-                self.remove_at(idx);
-                return Some(value);
-            }
-            psl += 1;
-            idx = (idx + 1) & self.mask;
-        }
+        let (idx, value) = self.find(key).map(|at| (at.idx, at.pair().1)).ok()?;
+        self.remove_at(idx);
+        Some(value)
     }
 
-    /// Delete the occupied slot at `idx` by backward-shifting the chain
+    /// Delete the occupied bucket `idx` by backward-shifting the chain
     /// behind it, preserving the Robin-Hood invariant.
-    fn remove_at(&mut self, idx: usize) {
-        let mut prev = idx;
-        let mut next = (idx + 1) & self.mask;
+    fn remove_at(&mut self, mut idx: usize) {
         loop {
-            let n = self.slots[next];
-            if n.psl <= 1 {
+            let at = self.cursor(self.next(idx));
+            let (next, psl, pair) = (at.idx, self.psl_at(at), at.pair());
+            if psl <= 1 {
                 break;
             }
-            self.slots[prev] = Slot {
-                psl: n.psl - 1,
-                ..n
-            };
-            prev = next;
-            next = (next + 1) & self.mask;
+            self.set(idx, pair, psl - 1);
+            idx = next;
         }
-        self.slots[prev] = EMPTY;
+        self.set(idx, (0, 0), 0);
         self.len -= 1;
-    }
-
-    fn grow(&mut self) {
-        self.resize_to((self.mask + 1) * 2);
-    }
-
-    /// Reallocate the bucket array to exactly `buckets` (a power of two)
-    /// and rehash every resident key once.
-    fn resize_to(&mut self, buckets: usize) {
-        debug_assert!(buckets.is_power_of_two());
-        debug_assert!(buckets > self.slots.len());
-        self.rehashes += 1;
-        // ALLOC-OK: table growth is amortized doubling — reached only
-        // when an upsert crosses the load factor.
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; buckets]);
-        self.mask = buckets - 1;
-        self.len = 0;
-        for s in old {
-            if s.psl > 0 {
-                self.upsert(s.key, s.value);
-            }
-        }
     }
 
     /// Visit every `(key, value)` pair in arbitrary (hash) order.
     pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        for s in &self.slots {
-            if s.psl > 0 {
-                f(s.key, s.value);
+        for chunk in &self.chunks {
+            for b in chunk.as_deref().unwrap_or_default() {
+                for (psl, &(k, v)) in b.psl.iter().zip(&b.pairs) {
+                    if *psl != 0 {
+                        f(k, v);
+                    }
+                }
             }
         }
     }
 
-    /// Drain all pairs (partition transfer source side).
+    /// Drain all pairs (partition transfer source side) and give the
+    /// bucket array back.
     pub fn drain_all(&mut self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(self.len);
-        for s in &mut self.slots {
-            if s.psl > 0 {
-                out.push((s.key, s.value));
-                *s = EMPTY;
-            }
-        }
-        self.len = 0;
+        self.for_each(|k, v| out.push((k, v)));
+        self.replace_blocks(1);
         out
     }
 
-    /// Extract and remove every key in `[lo, hi)` (range-partitioned
-    /// balancing over hash-stored partitions — the table is unordered, so
-    /// this is a full sweep).  Collection and deletion happen in a single
-    /// pass: a matching slot is backward-shift-deleted in place and the
-    /// scan re-examines the slot (the shift pulls the next chain entry
-    /// into it) instead of re-probing every extracted key from its home
-    /// bucket afterwards, which made dense extractions O(n·k).
+    /// Extract and remove every key in `[lo, hi)` (the balancer's donor
+    /// side; the table is unordered, so this is a full sweep).  One pass: a
+    /// matching bucket is backward-shift-deleted in place and re-examined.
+    /// A sweep that leaves the table under a quarter full rebuilds it with
+    /// room for half again the survivors — the fill a growth step leaves —
+    /// so neither the next insert nor the next sweep rebuilds it again.
     pub fn extract_range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        let mut idx = 0usize;
-        while idx < self.slots.len() {
-            let s = self.slots[idx];
-            if s.psl > 0 && s.key >= lo && s.key < hi {
-                out.push((s.key, s.value));
+        let mut idx = 0;
+        while idx < self.buckets {
+            let at = self.cursor(idx);
+            let (psl, (k, v)) = (self.psl_at(at), at.pair());
+            if psl != 0 && k >= lo && k < hi {
+                out.push((k, v));
                 // Deleting here can only move entries *backward* (toward
-                // their home bucket), i.e. into this slot or — across the
-                // wrap — from slot 0 to the array's end, which the scan
+                // their home bucket), i.e. into this bucket or — across the
+                // wrap — from bucket 0 to the array's end, which the scan
                 // has yet to visit either way: nothing is skipped, and a
                 // re-examined non-matching entry is just re-skipped.
                 self.remove_at(idx);
             } else {
                 idx += 1;
             }
+        }
+        if self.buckets > LANES && self.len * SPARSE_DIVISOR < self.buckets {
+            self.rehash(Self::blocks_for(self.len + self.len / 2));
         }
         out
     }
@@ -463,35 +541,15 @@ impl HashTable {
     /// by a partition with a different hash seed (a wiring error: part
     /// files restored into the wrong AEU).
     pub fn restore(&mut self, payload: &[u8]) -> bool {
-        if payload.len() < 8 {
-            return false;
-        }
-        let seed = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        if seed != self.seed {
-            return false;
-        }
-        let Some(pairs) = crate::codec::decode_pairs(&payload[8..]) else {
+        let Some((seed, body)) = payload.split_first_chunk() else {
             return false;
         };
-        for (k, v) in pairs {
-            self.upsert(k, v);
-        }
-        true
-    }
-
-    /// Synthetic addresses touched by a lookup of `key` (bucket probes),
-    /// for the cache simulator.
-    pub fn trace_path(&self, key: u64, out: &mut Vec<u64>) {
-        let mut idx = self.bucket_of(key);
-        let mut psl = 1u32;
-        loop {
-            out.push(self.base_vaddr + (idx * std::mem::size_of::<Slot>()) as u64);
-            let s = &self.slots[idx];
-            if s.psl == 0 || s.psl < psl || s.key == key {
-                return;
+        match crate::codec::decode_pairs(body) {
+            Some(pairs) if u64::from_le_bytes(*seed) == self.seed => {
+                self.upsert_batch(&pairs);
+                true
             }
-            psl += 1;
-            idx = (idx + 1) & self.mask;
+            _ => false,
         }
     }
 }
@@ -499,6 +557,54 @@ impl HashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn pairs(keys: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
+        keys.into_iter().map(|k| (k, !k)).collect()
+    }
+
+    /// A table sized for `capacity` keys holding `keys`, each mapped to `!key`.
+    fn table(seed: u64, capacity: usize, keys: impl IntoIterator<Item = u64>) -> HashTable {
+        let mut t = HashTable::with_capacity(seed, 0, capacity);
+        t.upsert_batch(&pairs(keys));
+        t
+    }
+
+    /// `n` keys whose home is bucket `home` at `t`'s current size.
+    fn keys_homed_at(t: &HashTable, home: usize, n: usize) -> Vec<u64> {
+        let homed = (0u64..).filter(|&k| t.bucket_of(k) == home);
+        homed.take(n).collect()
+    }
+
+    /// `lookup_batch` appends what a `lookup` loop returns, and `lookup`
+    /// finds exactly the keys of `model`.
+    fn check_lookups(t: &HashTable, model: &BTreeMap<u64, u64>, keys: &[u64]) {
+        let mut got = vec![Some(77)]; // pre-existing entries are kept
+        t.lookup_batch(keys, &mut got);
+        let want: Vec<_> = keys.iter().map(|k| model.get(k).copied()).collect();
+        assert_eq!(got[0], Some(77));
+        assert_eq!(&got[1..], &want[..]);
+        for (&k, w) in keys.iter().zip(want) {
+            assert_eq!(t.lookup(k), w, "key {k}");
+        }
+        assert_eq!(t.len(), model.len());
+    }
+
+    fn model_of(t: &HashTable) -> BTreeMap<u64, u64> {
+        let mut m = BTreeMap::new();
+        t.for_each(|k, v| assert!(m.insert(k, v).is_none(), "key {k} visited twice"));
+        m
+    }
+
+    /// `extract_range` returns and removes what `BTreeMap::range` holds.
+    fn check_extract(t: &mut HashTable, m: &mut BTreeMap<u64, u64>, lo: u64, hi: u64) {
+        let mut got = t.extract_range(lo, hi);
+        got.sort_unstable();
+        let want: Vec<(u64, u64)> = m.range(lo..hi.max(lo)).map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(got, want, "extracted set for [{lo}, {hi})");
+        m.retain(|&k, _| !(k >= lo && k < hi));
+        assert_eq!(model_of(t), *m, "survivors of [{lo}, {hi})");
+    }
 
     #[test]
     fn insert_lookup_roundtrip() {
@@ -512,18 +618,13 @@ mod tests {
 
     #[test]
     fn serialization_roundtrips_and_checks_the_seed() {
-        let mut t = HashTable::new(7, 0);
-        for k in 0..100u64 {
-            t.upsert(k, k + 1);
-        }
+        let t = table(7, 0, 0..100);
         let mut buf = Vec::new();
         t.serialize_into(&mut buf);
         let mut back = HashTable::new(7, 0);
         assert!(back.restore(&buf));
-        assert_eq!(back.len(), 100);
-        for k in 0..100u64 {
-            assert_eq!(back.lookup(k), Some(k + 1));
-        }
+        assert_eq!(back.rehashes(), 1, "restore sizes the table once");
+        assert_eq!(model_of(&back), model_of(&t));
         let mut wrong_seed = HashTable::new(8, 0);
         assert!(!wrong_seed.restore(&buf), "seed mismatch rejected");
         let mut fresh = HashTable::new(7, 0);
@@ -532,118 +633,64 @@ mod tests {
 
     #[test]
     fn zero_key_works() {
-        let mut t = HashTable::new(3, 0);
-        t.upsert(0, 0);
-        assert_eq!(t.lookup(0), Some(0));
-        assert_eq!(t.remove(0), Some(0));
+        let mut t = table(3, 0, [0]);
+        assert_eq!(t.lookup(0), Some(!0));
+        assert_eq!(t.remove(0), Some(!0));
         assert_eq!(t.lookup(0), None);
     }
 
     #[test]
     fn grows_past_initial_capacity() {
         let mut t = HashTable::with_capacity(1, 0, 4);
+        let mut bytes = t.memory_bytes();
         for k in 0..10_000u64 {
-            t.upsert(k, k * 2);
+            t.upsert(k, !k);
+            let now = t.memory_bytes();
+            assert!(now <= bytes * 2, "by half; the first block by one");
+            bytes = now;
         }
-        assert_eq!(t.len(), 10_000);
-        for k in 0..10_000u64 {
-            assert_eq!(t.lookup(k), Some(k * 2), "key {k}");
-        }
+        assert!(t.rehashes() > 8, "geometric, not one jump");
+        assert_eq!(model_of(&t), pairs(0..10_000).into_iter().collect());
     }
 
     #[test]
     fn remove_with_backward_shift() {
-        let mut t = HashTable::with_capacity(5, 0, 64);
-        for k in 0..50u64 {
-            t.upsert(k, k);
-        }
+        let mut t = table(5, 64, 0..50);
         for k in (0..50u64).step_by(2) {
-            assert_eq!(t.remove(k), Some(k));
-        }
-        for k in 0..50u64 {
-            assert_eq!(t.lookup(k), if k % 2 == 0 { None } else { Some(k) });
+            assert_eq!(t.remove(k), Some(!k));
         }
         assert_eq!(t.len(), 25);
+        check_lookups(&t, &model_of(&t), &(0..50).collect::<Vec<_>>());
     }
 
     #[test]
     fn different_seeds_give_different_layouts() {
-        let mut a = HashTable::new(1, 0);
-        let mut b = HashTable::new(999, 0);
-        for k in 0..100u64 {
-            a.upsert(k, k);
-            b.upsert(k, k);
-        }
-        let mut ta = Vec::new();
-        let mut tb = Vec::new();
-        a.trace_path(50, &mut ta);
-        b.trace_path(50, &mut tb);
-        // Per-partition hash functions: the same key probes different
-        // buckets in different partitions.
-        assert_ne!(ta[0], tb[0]);
+        // Per-partition hash functions: one key, different home buckets.
+        let home = |seed| HashTable::with_capacity(seed, 0, 1000).bucket_of(50);
+        assert_ne!(home(1), home(999));
     }
 
     #[test]
     fn drain_and_extract_range() {
-        let mut t = HashTable::new(11, 0);
-        for k in 0..100u64 {
-            t.upsert(k, k + 1);
-        }
-        let moved = t.extract_range(30, 60);
-        assert_eq!(moved.len(), 30);
-        assert!(moved
-            .iter()
-            .all(|&(k, v)| (30..60).contains(&k) && v == k + 1));
+        let mut t = table(11, 0, 0..100);
+        let mut m = model_of(&t);
+        check_extract(&mut t, &mut m, 30, 60);
         assert_eq!(t.len(), 70);
-        assert_eq!(t.lookup(45), None);
-        assert_eq!(t.lookup(29), Some(30));
-        let rest = t.drain_all();
-        assert_eq!(rest.len(), 70);
+        assert_eq!(t.drain_all().len(), 70);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn for_each_visits_everything_once() {
-        let mut t = HashTable::new(13, 0);
-        for k in 0..500u64 {
-            t.upsert(k * 3, k);
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        t.for_each(|k, _| {
-            assert!(seen.insert(k), "key {k} visited twice");
-        });
-        assert_eq!(seen.len(), 500);
+        assert_eq!(t.memory_bytes(), HashTable::new(11, 0).memory_bytes());
+        assert_eq!(t.upsert(5, 5), None, "usable after the drain");
     }
 
     #[test]
     fn lookup_batch_answers_in_input_order() {
-        let mut t = HashTable::new(17, 0);
-        for k in 0..1000u64 {
-            t.upsert(k * 2, k);
+        let t = table(17, 0, (0..1000).map(|k| k * 2));
+        let m = model_of(&t);
+        // Duplicates, misses and u64::MAX in one batch; short batches too.
+        let keys = [4, 9999, 0, 4, u64::MAX, 998 * 2, 6, 1_000_001];
+        for n in 0..=keys.len() {
+            check_lookups(&t, &m, &keys[..n]);
         }
-        // Duplicates, misses, and u64::MAX all allowed in one batch; 8+
-        // keys takes the hoisted prefetching path.
-        let keys = vec![4, 9999, 0, 4, u64::MAX, 998 * 2, 6, 1_000_001];
-        let mut got = vec![Some(77)]; // pre-existing entries are kept
-        t.lookup_batch(&keys, &mut got);
-        assert_eq!(
-            got,
-            vec![
-                Some(77),
-                Some(2),
-                None,
-                Some(0),
-                Some(2),
-                None,
-                Some(998),
-                Some(3),
-                None
-            ]
-        );
-        // The short path (under the batch threshold) agrees.
-        let mut short = Vec::new();
-        t.lookup_batch(&keys[..3], &mut short);
-        assert_eq!(short, vec![Some(2), None, Some(0)]);
     }
 
     #[test]
@@ -657,202 +704,226 @@ mod tests {
         assert_eq!(t.len(), 3);
     }
 
+    /// A one-block table asked for room for 10k keys sizes the bucket
+    /// array once, directly, and inserting them does not resize it again.
+    fn check_reserve(insert: impl Fn(&mut HashTable, Vec<(u64, u64)>)) {
+        let mut t = table(23, 4, 0..10);
+        assert_eq!(t.memory_bytes(), (LANES * HashTable::SLOT_BYTES) as u64);
+        assert_eq!(t.rehashes(), 0, "one block holds 10 keys without growth");
+        t.reserve(10_000);
+        let reserved = (t.memory_bytes(), 1);
+        insert(&mut t, pairs(10..10_010));
+        assert_eq!((t.memory_bytes(), t.rehashes()), reserved, "one resize");
+        assert_eq!(model_of(&t), pairs(0..10_010).into_iter().collect());
+    }
+
     #[test]
     fn reserve_prevents_mid_batch_growth() {
-        let mut t = HashTable::with_capacity(23, 0, 4);
-        t.reserve(10_000);
-        let buckets = t.memory_bytes();
-        for k in 0..10_000u64 {
-            t.upsert(k, k);
-        }
-        assert_eq!(t.memory_bytes(), buckets, "no rehash during the batch");
-        assert_eq!(t.len(), 10_000);
+        check_reserve(|t, pairs| assert!(pairs.iter().all(|&(k, v)| t.upsert(k, v).is_none())));
     }
 
     #[test]
     fn reserve_rehashes_exactly_once() {
-        // A 16-slot table asked for room for 10k keys used to rehash its
-        // residents once per doubling (16 → 32 → ... → 16384); it must
-        // size the bucket array to the final power of two directly.
-        let mut t = HashTable::with_capacity(23, 0, 4);
-        assert_eq!(t.memory_bytes(), 16 * std::mem::size_of::<Slot>() as u64);
-        for k in 0..10u64 {
-            t.upsert(k, k);
-        }
-        assert_eq!(t.rehashes(), 0, "16 slots hold 10 keys without growth");
-        t.reserve(10_000);
-        assert_eq!(t.rehashes(), 1, "one reallocation, not one per doubling");
-        for k in 0..10_000u64 {
-            t.upsert(k, k);
-        }
-        assert_eq!(t.rehashes(), 1, "reserve covered the whole batch");
-        assert_eq!(t.len(), 10_000);
-        for k in 0..10u64 {
-            assert_eq!(t.lookup(k), Some(k), "residents survive the rehash");
+        check_reserve(|t, pairs| assert_eq!(t.upsert_batch(&pairs), 10_000));
+    }
+
+    #[test]
+    fn a_table_sized_for_n_keys_costs_at_most_21_bytes_per_key() {
+        // 2^20 (where a power-of-two array sat at 50 % fill) and 2^22 + 1
+        // (its worst brink: one key past a doubling).
+        for n in [1u64 << 20, (1 << 22) + 1] {
+            let t = table(37, 0, 0..n);
+            let per_key = t.memory_bytes() as f64 / t.len() as f64;
+            assert!((20.0..=21.0).contains(&per_key), "{n} keys: {per_key} B");
+            assert_eq!(t.rehashes(), 1, "a bulk load sizes the table once");
+            assert_eq!(t.lookup(n - 1), Some(!(n - 1)));
         }
     }
 
     #[test]
+    fn only_a_fresh_key_grows_a_full_table_and_by_at_most_half() {
+        let mut t = HashTable::with_capacity(43, 0, 5_000);
+        let resident = pairs(0..t.max_len() as u64);
+        t.upsert_batch(&resident);
+        assert_eq!(t.len(), t.max_len(), "at the threshold");
+        let before = (t.memory_bytes(), t.rehashes());
+        assert_eq!(t.upsert_batch(&resident), 0, "overwrites only");
+        assert_eq!(t.upsert(7, 7), Some(!7));
+        assert_eq!((t.memory_bytes(), t.rehashes()), before);
+        assert_eq!(t.upsert(u64::MAX, 1), None, "one fresh key past it");
+        assert_eq!(t.rehashes(), before.1 + 1);
+        let grown = t.memory_bytes() as f64 / before.0 as f64;
+        assert!(grown > 1.4 && grown <= 1.6, "grew {grown}x");
+    }
+
+    #[test]
+    fn a_sparse_table_shrinks_with_hysteresis() {
+        let n = 100_000u64;
+        let mut t = table(47, 0, 0..n);
+        let mut m = model_of(&t);
+        let full = t.memory_bytes();
+        // Down to 30 % of the keys: under half full, not yet a quarter.
+        check_extract(&mut t, &mut m, 0, n * 7 / 10);
+        assert_eq!(t.memory_bytes(), full, "no rebuild above a quarter full");
+        // Down to 20 %: rebuilt with room for half again the survivors.
+        check_extract(&mut t, &mut m, 0, n * 8 / 10);
+        let per_key = t.memory_bytes() as f64 / t.len() as f64;
+        assert!((29.0..=31.0).contains(&per_key), "{per_key} B/key");
+        let small = (t.memory_bytes(), t.rehashes());
+        // Neither a third more keys nor a third fewer rebuilds it again.
+        t.upsert_batch(&pairs(0..n / 15));
+        m.extend(pairs(0..n / 15));
+        check_extract(&mut t, &mut m, 0, n * 8 / 10 + n / 15);
+        assert_eq!((t.memory_bytes(), t.rehashes()), small);
+        check_lookups(&t, &m, &(n / 2..n).step_by(7).collect::<Vec<_>>());
+    }
+
+    /// A chain of `n` keys homed `back` buckets before the array's end and
+    /// 20 keys homed inside it: lookups, backward shifts, a rehash and a
+    /// sweep agree with the model.  Returns the longest PSL reached.
+    fn check_chain(seed: u64, capacity: usize, back: usize, n: usize) -> usize {
+        let mut t = HashTable::with_capacity(seed, 0, capacity);
+        let home = t.buckets - back;
+        let mut keys = keys_homed_at(&t, home, n);
+        keys.extend(keys_homed_at(&t, (home + n / 2) % t.buckets, 20));
+        assert_eq!(t.upsert_batch(&pairs(keys.iter().copied())), n as u64 + 20);
+        assert_eq!(t.rehashes(), 0);
+        let longest = (0..t.buckets)
+            .map(|idx| t.psl_at(t.cursor(idx)))
+            .max()
+            .unwrap();
+        let mut m = model_of(&t);
+        check_lookups(&t, &m, &keys);
+        for &k in keys.iter().step_by(2) {
+            assert_eq!(t.remove(k), m.remove(&k));
+        }
+        check_lookups(&t, &m, &keys);
+        t.reserve(5 * capacity);
+        check_lookups(&t, &m, &keys);
+        check_extract(&mut t, &mut m, 0, u64::MAX);
+        longest
+    }
+
+    #[test]
+    fn probes_wrap_past_the_last_bucket() {
+        // 192 buckets: 40 keys homed in the last one chain on through
+        // buckets 0, 1, ... and displace the keys homed there.
+        assert!(check_chain(53, 150, 1, 40) >= 40);
+    }
+
+    #[test]
+    fn psls_past_one_byte_stay_correct() {
+        // 300 keys sharing one home bucket: PSLs run past what the side
+        // array stores and fall back on the distance from home.
+        assert!(check_chain(59, 1_000, 100, 300) > PSL_SAT as usize);
+    }
+
+    #[test]
+    fn chains_cross_into_a_chunk_not_yet_allocated() {
+        // Two chunks; 40 keys homed in the first one's last bucket.
+        let t = HashTable::with_capacity(61, 0, 100_000);
+        assert_eq!(t.chunks.len(), 2);
+        assert!(check_chain(61, 100_000, t.buckets - CHUNK_BUCKETS + 1, 40) >= 40);
+    }
+
+    #[test]
     fn extract_range_matches_per_key_removal_on_dense_ranges() {
-        // Equivalence against the old semantics (full sweep, then one
-        // backward-shift `remove` per collected key): same extracted
-        // multiset, same survivors, on ranges dense enough that the old
-        // path went quadratic.
+        // Ranges dense enough that sweep-then-remove-each went quadratic,
+        // an empty one, and one whose survivors trigger the shrink.
         for (lo, hi) in [(0, 5_000), (100, 4_900), (2_500, 2_501), (0, 0)] {
-            let mut fast = HashTable::with_capacity(31, 0, 64);
-            let mut slow = HashTable::with_capacity(31, 0, 64);
-            for k in 0..5_000u64 {
-                fast.upsert(k, k * 7);
-                slow.upsert(k, k * 7);
-            }
-            let mut got = fast.extract_range(lo, hi);
-            // Old semantics, spelled out.
-            let mut want = Vec::new();
-            slow.for_each(|k, v| {
-                if k >= lo && k < hi {
-                    want.push((k, v));
-                }
-            });
-            for &(k, _) in &want {
-                slow.remove(k);
-            }
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want, "extracted set for [{lo}, {hi})");
-            assert_eq!(fast.len(), slow.len());
-            for k in 0..5_000u64 {
-                assert_eq!(fast.lookup(k), slow.lookup(k), "survivor {k}");
-            }
+            let mut t = table(31, 64, 0..5_000);
+            let mut m = model_of(&t);
+            check_extract(&mut t, &mut m, lo, hi);
+            check_lookups(&t, &m, &(0..5_000).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn amac_lookup_matches_scalar_at_the_growth_brink() {
-        // Fill the table to just under the load threshold so probe chains
-        // are at their longest, then drive the AMAC path across group
-        // sizes and a batch spanning hits, misses, duplicates, and MAX.
-        let mut t = HashTable::with_capacity(41, 0, 4);
-        let n = {
-            // Stop one insert short of the next growth trigger.
-            let mut k = 0u64;
-            while (t.len() + 2) * 100
-                <= t.memory_bytes() as usize / std::mem::size_of::<Slot>() * MAX_LOAD_PERCENT
-            {
-                t.upsert(k.wrapping_mul(0x9E37_79B9), k);
-                k += 1;
-            }
-            k
-        };
-        let grown = t.rehashes();
-        let keys: Vec<u64> = (0..4 * n)
-            .map(|i| {
-                if i % 3 == 0 {
-                    u64::MAX - (i % 5)
-                } else {
-                    (i % (2 * n)).wrapping_mul(0x9E37_79B9)
-                }
+        // Chains are longest at the load limit: hits, misses, duplicates
+        // and MAX there, one key past it, and on both sides of a shrink.
+        let mut t = HashTable::with_capacity(41, 0, 3_000);
+        let key = |i: u64| i.wrapping_mul(0x9E37_79B9);
+        let n = t.max_len() as u64;
+        let probe: Vec<u64> = (0..4 * n)
+            .map(|i| match i % 3 {
+                0 => u64::MAX - (i % 5),
+                _ => key(i % (2 * n)),
             })
             .collect();
-        for group in [2usize, 8, 12, 16, 64] {
-            let mut got = Vec::new();
-            t.lookup_batch_grouped(&keys, &mut got, group);
-            let want: Vec<Option<u64>> = keys.iter().map(|&k| t.lookup(k)).collect();
-            assert_eq!(got, want, "group {group}");
+        t.upsert_batch(&pairs((0..n).map(key)));
+        assert_eq!((t.len(), t.rehashes()), (t.max_len(), 0));
+        check_lookups(&t, &model_of(&t), &probe);
+        assert_eq!(t.rehashes(), 0, "lookups never grow the table");
+        t.upsert(key(n), n);
+        assert_eq!(t.rehashes(), 1);
+        check_lookups(&t, &model_of(&t), &probe);
+        // One key above a quarter full, then one below.
+        let sorted: Vec<u64> = model_of(&t).into_keys().collect();
+        let cut = sorted[sorted.len() - t.buckets / SPARSE_DIVISOR];
+        for (hi, rehashes) in [(cut, 1), (cut + 1, 2)] {
+            t.extract_range(0, hi);
+            assert_eq!(t.rehashes(), rehashes);
+            check_lookups(&t, &model_of(&t), &probe);
         }
-        assert_eq!(t.rehashes(), grown, "lookups never grow the table");
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeMap;
+
+        fn key() -> impl Strategy<Value = u64> {
+            prop_oneof![0u64..500, Just(u64::MAX)]
+        }
 
         proptest! {
             #[test]
             fn batch_entry_points_match_scalar_loops(
                 seed in 0u64..1000,
-                pairs in proptest::collection::vec(
-                    (prop_oneof![0u64..300, Just(u64::MAX)], 0u64..100), 0..300),
-                // Batch lengths concentrate around the 8-key threshold
-                // (both sides of the scalar/AMAC switch) and stretch into
-                // proper interleaving territory.
-                keys in prop_oneof![
-                    proptest::collection::vec(
-                        prop_oneof![0u64..300, Just(u64::MAX)], 0..300),
-                    proptest::collection::vec(
-                        prop_oneof![0u64..300, Just(u64::MAX)], 6..10),
-                ],
-                group in 2usize..32)
+                pairs in proptest::collection::vec((key(), 0u64..100), 0..300),
+                keys in proptest::collection::vec(key(), 0..300))
             {
                 let mut batched = HashTable::new(seed, 0);
                 let mut scalar = HashTable::new(seed, 0);
                 let fresh = batched.upsert_batch(&pairs);
-                let mut scalar_fresh = 0u64;
-                for &(k, v) in &pairs {
-                    scalar_fresh += scalar.upsert(k, v).is_none() as u64;
-                }
-                prop_assert_eq!(fresh, scalar_fresh);
-                prop_assert_eq!(batched.len(), scalar.len());
-                let want: Vec<Option<u64>> =
-                    keys.iter().map(|&k| scalar.lookup(k)).collect();
-                let mut got = Vec::new();
-                batched.lookup_batch(&keys, &mut got);
-                prop_assert_eq!(&got, &want, "default AMAC group");
-                let mut grouped = Vec::new();
-                batched.lookup_batch_grouped(&keys, &mut grouped, group);
-                prop_assert_eq!(&grouped, &want, "group {}", group);
+                let scalar_fresh = pairs.iter().filter(|&&(k, v)| scalar.upsert(k, v).is_none());
+                prop_assert_eq!(fresh, scalar_fresh.count() as u64);
+                check_lookups(&batched, &model_of(&scalar), &keys);
             }
 
-            #[test]
-            fn extract_range_behaves_like_btreemap_split(
-                seed in 0u64..1000,
-                pairs in proptest::collection::vec(
-                    (prop_oneof![0u64..500, Just(u64::MAX)], 0u64..100), 0..400),
-                lo in 0u64..600,
-                width in 0u64..600)
-            {
-                let hi = lo.saturating_add(width);
-                let mut t = HashTable::new(seed, 0);
-                let mut m = BTreeMap::new();
-                for &(k, v) in &pairs {
-                    t.upsert(k, v);
-                    m.insert(k, v);
-                }
-                let mut got = t.extract_range(lo, hi);
-                got.sort_unstable();
-                let want: Vec<(u64, u64)> = m
-                    .iter()
-                    .filter(|(&k, _)| k >= lo && k < hi)
-                    .map(|(&k, &v)| (k, v))
-                    .collect();
-                prop_assert_eq!(got, want);
-                m.retain(|&k, _| !(k >= lo && k < hi));
-                prop_assert_eq!(t.len(), m.len());
-                for (&k, &v) in &m {
-                    prop_assert_eq!(t.lookup(k), Some(v));
-                }
-            }
-
+            /// Every mutation against a map model, keys 0 and MAX included,
+            /// on tables that `reserve` and the shrink rule move through
+            /// odd block counts, so chains wrap at non-power-of-two ends.
             #[test]
             fn behaves_like_btreemap(
                 seed in 0u64..1000,
-                ops in proptest::collection::vec((0u8..3, 0u64..500, 0u64..100), 1..400))
+                ops in proptest::collection::vec((0u8..7, key(), 0u64..100), 1..400))
             {
                 let mut t = HashTable::new(seed, 0);
                 let mut m = BTreeMap::new();
                 for (op, k, v) in ops {
                     match op {
-                        0 => { prop_assert_eq!(t.upsert(k, v), m.insert(k, v)); }
-                        1 => { prop_assert_eq!(t.remove(k), m.remove(&k)); }
-                        _ => { prop_assert_eq!(t.lookup(k), m.get(&k).copied()); }
+                        0 | 1 => prop_assert_eq!(t.upsert(k, v), m.insert(k, v)),
+                        2 => prop_assert_eq!(t.remove(k), m.remove(&k)),
+                        3 => prop_assert_eq!(t.lookup(k), m.get(&k).copied()),
+                        4 => {
+                            let batch: Vec<(u64, u64)> =
+                                (0..v).map(|i| (k.wrapping_add(i * 3), v + i)).collect();
+                            let before = m.len();
+                            m.extend(batch.iter().copied());
+                            prop_assert_eq!(t.upsert_batch(&batch), (m.len() - before) as u64);
+                        }
+                        5 => check_extract(&mut t, &mut m, k, k.saturating_add(v * 4)),
+                        _ => {
+                            t.reserve(v as usize * 8);
+                            prop_assert!(t.len() + v as usize * 8 <= t.max_len());
+                        }
                     }
-                    prop_assert_eq!(t.len(), m.len());
+                    prop_assert!(t.len() == m.len() && t.len() <= t.max_len());
                 }
-                let mut all: Vec<(u64, u64)> = Vec::new();
-                t.for_each(|k, v| all.push((k, v)));
-                all.sort();
-                let expect: Vec<(u64, u64)> = m.into_iter().collect();
-                prop_assert_eq!(all, expect);
+                prop_assert_eq!(&model_of(&t), &m);
+                let keys: Vec<u64> = m.keys().copied().chain([0, 1, u64::MAX]).collect();
+                check_lookups(&t, &m, &keys);
             }
         }
     }

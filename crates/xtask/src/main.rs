@@ -81,7 +81,6 @@ const LOCK_ALLOWLIST: &[(&str, &str)] = &[
 const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/column/src/simd.rs",
     "crates/core/src/routing/incoming.rs",
-    "crates/index/src/hash_table.rs",
     // The crate's one prefetch hint (hash probe + prefix-tree descent).
     "crates/index/src/prefetch.rs",
     "crates/index/src/shared_tree.rs",

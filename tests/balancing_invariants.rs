@@ -310,3 +310,147 @@ fn audited_migrations_match_the_partition_table() {
     assert_eq!(total_keys(&e, idx) as u64, domain);
     ranges_are_consistent(&e, idx, domain);
 }
+
+#[test]
+fn a_drained_hash_partition_gives_its_memory_back() {
+    // The `engine-batch` shape in small: 4 AEUs, a dense hash index,
+    // Zipf(1) lookups by rank, low keys hot.  The balancer evens out
+    // *accesses*, so the hot AEUs keep handing their cold keys on until one
+    // AEU holds most of the index.  A hash partition's `bytes()` — the
+    // physical size the balancer samples — has to follow its keys both
+    // ways: receivers grow by half, not by doubling, and donors rebuild
+    // smaller.
+    use eris_core::PartitionData;
+    const KEYS: u64 = 1 << 18;
+    // One bucket at the table's load limit, and the slack a growth step
+    // (half again) plus the donors' hysteresis may add on top of it.
+    const BYTES_PER_KEY: f64 = 20.0;
+    const SLACK: f64 = 1.6;
+    let value = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut e = Engine::new(
+        eris_numa::machines::custom_machine("t", 2, 2, 20.0, 100.0, 10.0, 60.0),
+        EngineConfig {
+            collect_results: true,
+            balancer: BalancerConfig {
+                enabled: true,
+                algorithm: BalanceAlgorithm::OneShot,
+                threshold_cv: 0.1,
+                period_s: 1e-4,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let idx = e.create_hash_index("h", KEYS);
+    e.bulk_load_index(idx, (0..KEYS).map(|k| (k, value(k))));
+    for a in e.aeu_ids() {
+        let mut x = (a.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        e.set_generator(
+            a,
+            Some(Box::new(move |_, out| {
+                let keys = (0..64)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        // rank = KEYS^u - 1 for uniform u: density ∝ 1/rank.
+                        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+                        ((KEYS as f64).powf(u) as u64).clamp(1, KEYS) - 1
+                    })
+                    .collect();
+                out.push(DataCommand {
+                    object: DataObjectId(0),
+                    ticket: 0,
+                    payload: Payload::Lookup { keys },
+                });
+            })),
+        );
+    }
+    let sizes = |e: &Engine| -> Vec<(usize, u64)> {
+        e.aeu_ids()
+            .iter()
+            .map(|a| {
+                let p = e.aeu(*a).partition(idx).expect("partition exists");
+                assert!(matches!(p.data, PartitionData::Hash(_)));
+                (p.data.len(), p.data.bytes())
+            })
+            .collect()
+    };
+    let loaded = sizes(&e);
+    for &(len, bytes) in &loaded {
+        let per_key = bytes as f64 / len as f64;
+        assert!(per_key <= 1.05 * BYTES_PER_KEY, "loaded at {per_key} B/key");
+    }
+
+    let mut cycles = 0;
+    let mut epochs = 0;
+    let now = loop {
+        let balanced = e.run_epoch().balance_ns > 0.0;
+        e.results().take_lookup_values(); // generator traffic: not checked
+        epochs += 1;
+        assert!(epochs < 50_000, "cycle {cycles}: no AEU holds 80 % yet");
+        if !balanced {
+            continue;
+        }
+        cycles += 1;
+        let now = sizes(&e);
+        let keys: usize = now.iter().map(|s| s.0).sum();
+        let bytes: u64 = now.iter().map(|s| s.1).sum();
+        assert_eq!(
+            keys as u64, KEYS,
+            "cycle {cycles}: nothing lost or duplicated"
+        );
+        assert!(
+            bytes as f64 <= SLACK * BYTES_PER_KEY * KEYS as f64,
+            "cycle {cycles}: {bytes} B for {KEYS} keys, partitions {now:?}"
+        );
+        // One AEU holds over 80 % after two cycles; the cycles after that
+        // shuffle the hot head between ever smaller donors.
+        if cycles >= 8 && now.iter().any(|s| s.0 as u64 * 10 > KEYS * 8) {
+            break now;
+        }
+    };
+
+    // Every partition drained below a quarter of its load was rebuilt
+    // smaller, and stays at least a quarter full (or one block).
+    let drained: Vec<usize> = (0..now.len())
+        .filter(|&a| now[a].0 * 4 < loaded[a].0)
+        .collect();
+    assert!(!drained.is_empty(), "some AEU gave most of its keys away");
+    for a in drained {
+        let ((len, bytes), (_, was)) = (now[a], loaded[a]);
+        assert!(bytes < was / 2, "aeu {a}: {was} B loaded, {bytes} B now");
+        let quarter_full = (4.0 * 0.85 * BYTES_PER_KEY * len as f64) as u64;
+        assert!(
+            bytes <= quarter_full.max(2048),
+            "aeu {a}: {bytes} B for {len} keys"
+        );
+    }
+
+    // Lookups of every key still hit, wherever the key now lives.
+    for a in e.aeu_ids() {
+        e.set_generator(a, None);
+    }
+    e.run_until_drained();
+    e.results().take_lookup_values();
+    for (n, lo) in (0..KEYS).step_by(4096).enumerate() {
+        e.submit(
+            AeuId((n % e.num_aeus()) as u32),
+            DataCommand {
+                object: idx,
+                ticket: 7,
+                payload: Payload::Lookup {
+                    keys: (lo..lo + 4096).collect(),
+                },
+            },
+        )
+        .unwrap();
+    }
+    e.run_until_drained();
+    let mut answers = e.results().take_lookup_values();
+    answers.sort_unstable();
+    assert_eq!(answers.len() as u64, KEYS);
+    for (k, (_, key, v)) in answers.into_iter().enumerate() {
+        assert_eq!((key, v), (k as u64, Some(value(k as u64))));
+    }
+}

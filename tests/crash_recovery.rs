@@ -458,3 +458,79 @@ fn repeated_checkpoints_pick_the_newest() {
     assert_eq!(oracle(&mut r, &o), expected);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn a_checkpoint_of_resized_hash_partitions_restores_every_key() {
+    // Hash partitions that grew (by half) and shrank (rebuilt smaller)
+    // under the balancer are checkpointed as `[seed][n][sorted pairs]`
+    // whatever their bucket count; restoring sizes each table once, for
+    // its own population, and every key comes back.
+    use eris_core::PartitionData;
+    let value = |k: u64| k.wrapping_mul(31) | 1;
+    let dir = temp_dir("hash-resized");
+    let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let hash = e.create_hash_index("customers", DOMAIN);
+    e.bulk_load_index(hash, (0..DOMAIN).map(|k| (k, value(k))));
+    // Hammer the low keys and rebalance until the partitions differ 8x.
+    let lens = |e: &Engine| -> Vec<usize> {
+        let len = |a: &AeuId| e.aeu(*a).partition(hash).unwrap().data.len();
+        e.aeu_ids().iter().map(len).collect()
+    };
+    for round in 0.. {
+        assert!(
+            round < 64,
+            "the balancer never skewed the sizes: {:?}",
+            lens(&e)
+        );
+        let hot = DataCommand {
+            object: hash,
+            ticket: round,
+            payload: Payload::Lookup {
+                keys: (0..2048).map(|i| i * 7 % (DOMAIN / 64)).collect(),
+            },
+        };
+        e.submit(AeuId(0), hot).unwrap();
+        e.run_until_drained();
+        e.run_balancer();
+        e.run_until_drained();
+        let lens = lens(&e);
+        if lens.iter().max().unwrap() / lens.iter().min().unwrap().max(&1) >= 8 {
+            break;
+        }
+    }
+    e.results().take_lookup_values();
+    assert_eq!(dura.checkpoint(&mut e).unwrap(), 0);
+    let expected = lens(&e);
+    drop(e);
+
+    let mut r = engine();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!((report.checkpoint, report.replayed_records), (Some(0), 0));
+    assert_eq!(lens(&r), expected, "every partition holds what it held");
+    for a in r.aeu_ids() {
+        let PartitionData::Hash(h) = &r.aeu(a).partition(hash).unwrap().data else {
+            panic!("a hash partition restores as one");
+        };
+        assert!(h.rehashes() <= 1, "{a:?}: sized once, for its population");
+        let ceiling = 21 * h.len() as u64 + 2048;
+        assert!(h.memory_bytes() <= ceiling, "{a:?}: {} B", h.memory_bytes());
+    }
+    let all = DataCommand {
+        object: hash,
+        ticket: 1,
+        payload: Payload::Lookup {
+            keys: (0..DOMAIN).collect(),
+        },
+    };
+    r.submit(AeuId(1), all).unwrap();
+    r.run_until_drained();
+    let mut answers = r.results().take_lookup_values();
+    answers.sort_unstable();
+    assert_eq!(answers.len() as u64, DOMAIN);
+    for (k, (_, key, v)) in answers.into_iter().enumerate() {
+        assert_eq!((key, v), (k as u64, Some(value(k as u64))));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
