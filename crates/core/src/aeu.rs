@@ -61,6 +61,32 @@ fn split_strays<T: Copy>(
     (Cow::Owned(kept), stray)
 }
 
+/// The `(ticket, point operations)` of a command inside a group run.
+fn command_extent((c, _): &TracedCommand) -> (u64, usize) {
+    (c.ticket, c.payload.op_count() as usize)
+}
+
+/// The modelled cost of one point operation on a partition; fixed for the
+/// group it was computed for.
+#[derive(Clone, Copy)]
+struct PointCost {
+    /// Expected LLC misses.
+    misses: f64,
+    /// Structure-traversal CPU time.
+    cpu_ns: f64,
+}
+
+/// What a point group adds up over its runs.
+#[derive(Default)]
+struct PointTally {
+    /// Keys probed or pairs applied locally.
+    ops: u64,
+    /// Of the pairs applied, fresh inserts.
+    fresh: u64,
+    /// Modelled execution time.
+    exec_ns: f64,
+}
+
 /// Why [`Aeu::absorb_rows`] refused a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsorbError {
@@ -273,6 +299,10 @@ pub struct Aeu {
     // Scratch buffers reused across steps.
     scratch_cmds: Vec<TracedCommand>,
     scratch_gen: Vec<DataCommand>,
+    /// The local keys (pairs) of a point group's current run, gathered
+    /// for one batched kernel call, and that call's lookup results.
+    scratch_keys: Vec<u64>,
+    scratch_pairs: Vec<(u64, u64)>,
     scratch_values: Vec<Option<u64>>,
     /// Stamped commands executed by the current group, recorded into the
     /// latency table once the group's host-time cost is known.
@@ -319,6 +349,8 @@ impl Aeu {
             reply_rr: id.index(),
             scratch_cmds: Vec::new(),
             scratch_gen: Vec::new(),
+            scratch_keys: Vec::new(),
+            scratch_pairs: Vec::new(),
             scratch_values: Vec::new(),
             traced_pending: Vec::new(),
             tel,
@@ -639,6 +671,17 @@ impl Aeu {
     /// Model length of a partition: real length × size scale.
     fn model_len(&self, p: &Partition) -> u64 {
         p.data.len() as u64 * self.cfg.size_scale
+    }
+
+    /// What one point operation on `p` costs in the model, at its
+    /// current size.
+    fn point_cost(&self, p: &Partition) -> PointCost {
+        PointCost {
+            misses: p
+                .data
+                .point_misses(self.model_len(p), self.cfg.llc_share_bytes),
+            cpu_ns: p.data.point_cpu_ns(&self.cfg.params),
+        }
     }
 
     /// One iteration of the AEU loop.
@@ -992,105 +1035,70 @@ impl Aeu {
             });
             return;
         };
-        let (lo, hi) = p.range;
+        let range = p.range;
         // BOUNDS: routing invariant — the router never targets a column
         // partition with point lookups; debug-checked, total in release.
         debug_assert!(
             !matches!(p.data, PartitionData::Column(_)),
             "lookup on a column partition"
         );
-        let misses = p
-            .data
-            .point_misses(self.model_len(p), self.cfg.llc_share_bytes);
-        let per_op_cpu = p.data.point_cpu_ns(&self.cfg.params);
+        let cost = self.point_cost(p);
         let params = self.cfg.params;
-        let mut total = 0u64;
-        let mut exec_ns = 0.0;
+        let mut tally = PointTally::default();
         let mut strays: Vec<(u64, Vec<u64>, Option<TraceStamp>)> = Vec::new();
-        for (c, stamp) in cmds {
+        // Group execution: the keys of consecutive all-mine commands are
+        // gathered and probed as ONE batch, so the kernels' prefetched
+        // descent sees the group, not 1-key commands one at a time.
+        let mut gathered = std::mem::take(&mut self.scratch_keys);
+        gathered.clear();
+        let mut run_from = 0;
+        for (i, (c, stamp)) in cmds.iter().enumerate() {
             // BOUNDS: dispatch invariant — process_group groups by op, so
             // every payload in this batch is a Lookup.
-            // ALLOC-OK: the mine/stray partition below stages the batch's
-            // keys; strays ride out as owned payloads across AEUs.
             let Payload::Lookup { keys } = &c.payload else {
                 unreachable!()
             };
             // Validity check: keys outside the updated range are forwarded
             // to the AEU now responsible (Section 3.3.2).
-            let (mine, stray) = split_strays(keys, (lo, hi), |k| k);
-            let mine: &[u64] = &mine;
+            let (mine, stray) = split_strays(keys, range, |k| k);
             // A stamp is recorded where work happens: here if any keys
             // are local, otherwise it rides on with the strays.
-            // ALLOC-OK: trace bookkeeping for the sampled minority, and the
-            // stray push hands leftover keys an owned ride to their new
-            // owner; both drain every epoch.
             let fully_stray = mine.is_empty() && !stray.is_empty();
             if let Some(s) = stamp {
                 if !fully_stray {
+                    // ALLOC-OK: trace bookkeeping for the sampled minority;
+                    // the pending vector drains every epoch.
                     self.traced_pending
                         .push((object, StorageOp::Lookup.tag(), *s));
                 }
             }
-            if !stray.is_empty() {
-                // ALLOC-OK: strays ride out as owned payloads to their
-                // new owner; the vector drains at the end of the batch.
-                strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
-            }
-            if mine.is_empty() {
+            if stray.is_empty() {
+                // ALLOC-OK: the reused gather buffer; steady state appends
+                // within its capacity.
+                gathered.extend_from_slice(keys);
                 continue;
             }
-            // BOUNDS: presence proven by the `else` at fn entry; nothing in
-            // this loop removes partitions.  The unreachable arm below
-            // restates the column debug_assert above.
-            let data = &self.partitions[&object].data;
-            let values = &mut self.scratch_values;
-            match data {
-                PartitionData::Index(tree) => tree.lookup_batch(mine, values),
-                PartitionData::Hash(h) => {
-                    values.clear();
-                    // Batched probe: AMAC interleaved state machine —
-                    // every in-flight probe's next bucket is prefetched
-                    // while the others execute, results in input order.
-                    h.lookup_batch(mine, values);
-                    self.tel
-                        .counters
-                        .batched_probe_keys
-                        .fetch_add(mine.len() as u64, Relaxed);
-                }
-                // BOUNDS: restates the column routing debug_assert at fn entry.
-                PartitionData::Column(_) => unreachable!(),
-            }
-            self.results.lookup_batch(c.ticket, mine, values);
-            let n = mine.len() as u64;
-            total += n;
-            // Result reply path: the callback owner receives the values.
-            self.reply_rr = (self.reply_rr + 1) % self.cfg.node_of.len();
-            // BOUNDS: reply_rr was just reduced modulo node_of.len().
-            let reply_node = self.cfg.node_of[self.reply_rr];
-            w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * params.mlp);
-            w.cpu_ns += n as f64 * 2.0;
-            // ALLOC-OK: flow records, as above.
-            w.flows.push((
-                Flow::new(self.node, reply_node, n * 16),
-                FlowKind::Overlapped,
-            ));
-            exec_ns += n as f64 * per_op_cpu;
-            w.latency_ns += n as f64 * misses * self.cfg.local_latency_ns / params.mlp;
-            // ALLOC-OK: flow records drain into the epoch's work summary.
-            w.flows.push((
-                Flow::new(
-                    self.node,
-                    self.node,
-                    (n as f64 * misses * params.cache_line as f64) as u64,
-                ),
-                FlowKind::Overlapped,
-            ));
+            // A command carrying strays ends the run and probes its own
+            // keys as a run of one.
+            let run = cmds.iter().skip(run_from).take(i - run_from);
+            let run = run.map(command_extent);
+            self.lookup_run(object, run, &gathered, cost, &mut tally, w);
+            gathered.clear();
+            run_from = i + 1;
+            let one = std::iter::once((c.ticket, mine.len()));
+            self.lookup_run(object, one, &mine, cost, &mut tally, w);
+            // ALLOC-OK: strays ride out as owned payloads to their new
+            // owner; the vector drains at the end of the group.
+            strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
         }
-        w.cpu_ns += exec_ns;
-        w.ops.lookups += total;
+        let run = cmds.iter().skip(run_from).map(command_extent);
+        self.lookup_run(object, run, &gathered, cost, &mut tally, w);
+        self.scratch_keys = gathered;
+        w.cpu_ns += tally.exec_ns;
+        w.ops.lookups += tally.ops;
         if let Some(p) = self.partitions.get_mut(&object) {
-            p.accesses += total;
-            p.exec_ns += exec_ns;
+            p.accesses += tally.ops;
+            p.exec_ns += tally.exec_ns;
         }
         if !strays.is_empty() {
             let stray_keys: u64 = strays.iter().map(|(_, k, _)| k.len() as u64).sum();
@@ -1114,6 +1122,82 @@ impl Aeu {
         }
     }
 
+    /// Probe `keys` — the local keys of `commands`, each a `(ticket, key
+    /// count)`, concatenated in arrival order — with one batched kernel
+    /// call, hand every command its slice of the results, and charge the
+    /// cost model per command exactly as if each had been probed alone.
+    fn lookup_run<C: Iterator<Item = (u64, usize)> + Clone>(
+        &mut self,
+        object: DataObjectId,
+        commands: C,
+        keys: &[u64],
+        cost: PointCost,
+        tally: &mut PointTally,
+        w: &mut WorkSummary,
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let Some(p) = self.partitions.get(&object) else {
+            debug_assert!(false, "partition vanished mid-group");
+            return;
+        };
+        let values = &mut self.scratch_values;
+        match &p.data {
+            PartitionData::Index(tree) => tree.lookup_batch(keys, values),
+            PartitionData::Hash(h) => {
+                values.clear();
+                // Batched probe: AMAC interleaved state machine —
+                // every in-flight probe's next bucket is prefetched
+                // while the others execute, results in input order.
+                h.lookup_batch(keys, values);
+                self.tel
+                    .counters
+                    .batched_probe_keys
+                    .fetch_add(keys.len() as u64, Relaxed);
+            }
+            PartitionData::Column(_) => {
+                debug_assert!(false, "lookup on a column partition");
+                return;
+            }
+        }
+        self.results.lookup_batch(keys, values, commands.clone());
+        tally.ops += keys.len() as u64;
+        let params = self.cfg.params;
+        for (_, n) in commands.filter(|&(_, n)| n > 0) {
+            let n = n as u64;
+            // Result reply path: the callback owner receives the values.
+            self.reply_rr = (self.reply_rr + 1) % self.cfg.node_of.len();
+            // BOUNDS: reply_rr was just reduced modulo node_of.len().
+            let reply_node = self.cfg.node_of[self.reply_rr];
+            w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * params.mlp);
+            w.cpu_ns += n as f64 * 2.0;
+            // ALLOC-OK: flow records drain into the epoch's work summary.
+            w.flows.push((
+                Flow::new(self.node, reply_node, n * 16),
+                FlowKind::Overlapped,
+            ));
+            tally.exec_ns += n as f64 * cost.cpu_ns;
+            self.charge_point_misses(n, cost, w);
+        }
+    }
+
+    /// Charge the expected cache misses of `n` point operations: their
+    /// (overlapped) latency, and the lines they pull from local memory.
+    fn charge_point_misses(&self, n: u64, cost: PointCost, w: &mut WorkSummary) {
+        let params = &self.cfg.params;
+        w.latency_ns += n as f64 * cost.misses * self.cfg.local_latency_ns / params.mlp;
+        // ALLOC-OK: flow records drain into the epoch's work summary.
+        w.flows.push((
+            Flow::new(
+                self.node,
+                self.node,
+                (n as f64 * cost.misses * params.cache_line as f64) as u64,
+            ),
+            FlowKind::Overlapped,
+        ));
+    }
+
     fn process_upserts(
         &mut self,
         object: DataObjectId,
@@ -1135,91 +1219,59 @@ impl Aeu {
         };
         match &p.data {
             PartitionData::Index(_) | PartitionData::Hash(_) => {
-                let (lo, hi) = p.range;
-                let misses = p
-                    .data
-                    .point_misses(self.model_len(p), self.cfg.llc_share_bytes);
-                let per_op_cpu = p.data.point_cpu_ns(&params);
-                let mut total = 0u64;
-                let mut fresh = 0u64;
-                let mut exec_ns = 0.0;
+                let range = p.range;
+                let cost = self.point_cost(p);
+                let mut tally = PointTally::default();
                 type Pairs = Vec<(u64, u64)>;
                 let mut strays: Vec<(u64, Pairs, Option<TraceStamp>)> = Vec::new();
-                for (c, stamp) in cmds {
+                // Group execution, as process_lookups; a run ends at a
+                // command carrying strays so that pairs apply in arrival
+                // order across the whole group (last write wins).
+                let mut gathered = std::mem::take(&mut self.scratch_pairs);
+                gathered.clear();
+                let mut run_from = 0;
+                for (i, (c, stamp)) in cmds.iter().enumerate() {
                     // BOUNDS: dispatch invariant — process_group groups by op, so
                     // every payload in this batch is an Upsert.
                     let Payload::Upsert { pairs } = &c.payload else {
                         unreachable!()
                     };
-                    let (mine, stray) = split_strays(pairs, (lo, hi), |(k, _)| k);
-                    let mine: &[(u64, u64)] = &mine;
+                    let (mine, stray) = split_strays(pairs, range, |(k, _)| k);
                     let fully_stray = mine.is_empty() && !stray.is_empty();
-                    // ALLOC-OK: trace bookkeeping for the sampled minority; the
-                    // pending vector drains every epoch.  The stray push hands the
-                    // leftover keys an owned ride to their new owner.
                     if let Some(s) = stamp {
                         if !fully_stray {
+                            // ALLOC-OK: trace bookkeeping for the sampled
+                            // minority; the pending vector drains every epoch.
                             self.traced_pending
                                 .push((object, StorageOp::Upsert.tag(), *s));
                         }
                     }
-                    if !stray.is_empty() {
-                        strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
-                    }
-                    // BOUNDS: presence was proven at fn entry (the
-                    // stray-forwarding `else` above) and nothing in this
-                    // loop removes partitions; the re-fetch only scopes
-                    // the mutable borrow.  Release builds skip the batch
-                    // instead of crashing the AEU if that ever rots.
-                    let Some(p) = self.partitions.get_mut(&object) else {
-                        debug_assert!(false, "partition vanished mid-batch");
+                    if stray.is_empty() {
+                        // ALLOC-OK: the reused gather buffer; steady state
+                        // appends within its capacity.
+                        gathered.extend_from_slice(pairs);
                         continue;
-                    };
-                    match &mut p.data {
-                        PartitionData::Index(tree) => {
-                            // Batched upsert: read-only prefetched group
-                            // descent, input-order application.
-                            fresh += tree.upsert_batch(mine);
-                        }
-                        PartitionData::Hash(h) => {
-                            // Batched upsert: group-prefetched home
-                            // buckets, input-order application; only a
-                            // fresh key can grow the table.
-                            fresh += h.upsert_batch(mine);
-                            self.tel
-                                .counters
-                                .batched_probe_keys
-                                .fetch_add(mine.len() as u64, Relaxed);
-                        }
-                        // BOUNDS: this match arm runs under Index|Hash only.
-                        PartitionData::Column(_) => unreachable!(),
                     }
-                    if !mine.is_empty() {
-                        self.journal(RedoOp::UpsertPairs {
-                            object,
-                            pairs: mine,
-                        });
-                    }
-                    let n = mine.len() as u64;
-                    total += n;
-                    exec_ns += n as f64 * (per_op_cpu + params.cpu_ns_per_upsert);
-                    w.latency_ns += n as f64 * misses * self.cfg.local_latency_ns / params.mlp;
-                    // ALLOC-OK: flow records drain into the epoch's work summary.
-                    w.flows.push((
-                        Flow::new(
-                            self.node,
-                            self.node,
-                            (n as f64 * misses * params.cache_line as f64) as u64,
-                        ),
-                        FlowKind::Overlapped,
-                    ));
+                    let run = cmds.iter().skip(run_from).take(i - run_from);
+                    let run = run.map(|c| command_extent(c).1);
+                    self.upsert_run(object, run, &gathered, cost, &mut tally, w);
+                    gathered.clear();
+                    run_from = i + 1;
+                    let one = std::iter::once(mine.len());
+                    self.upsert_run(object, one, &mine, cost, &mut tally, w);
+                    // ALLOC-OK: strays ride out as owned payloads to their
+                    // new owner; the vector drains at the end of the group.
+                    strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
                 }
-                self.results.upsert_batch(total, fresh);
-                w.cpu_ns += exec_ns;
-                w.ops.upserts += total;
+                let run = cmds.iter().skip(run_from).map(|c| command_extent(c).1);
+                self.upsert_run(object, run, &gathered, cost, &mut tally, w);
+                self.scratch_pairs = gathered;
+                self.results.upsert_batch(tally.ops, tally.fresh);
+                w.cpu_ns += tally.exec_ns;
+                w.ops.upserts += tally.ops;
                 if let Some(p) = self.partitions.get_mut(&object) {
-                    p.accesses += total;
-                    p.exec_ns += exec_ns;
+                    p.accesses += tally.ops;
+                    p.exec_ns += tally.exec_ns;
                 }
                 if !strays.is_empty() {
                     let stray_pairs: u64 = strays.iter().map(|(_, p, _)| p.len() as u64).sum();
@@ -1280,6 +1332,64 @@ impl Aeu {
                     p.exec_ns += exec_ns;
                 }
             }
+        }
+    }
+
+    /// Apply `pairs` — the local pairs of commands carrying `lens` pairs
+    /// each, concatenated in arrival order — with one batched kernel call,
+    /// then journal and charge the cost model per command exactly as if
+    /// each had been applied alone.
+    fn upsert_run<L: Iterator<Item = usize>>(
+        &mut self,
+        object: DataObjectId,
+        lens: L,
+        pairs: &[(u64, u64)],
+        cost: PointCost,
+        tally: &mut PointTally,
+        w: &mut WorkSummary,
+    ) {
+        if !pairs.is_empty() {
+            let Some(p) = self.partitions.get_mut(&object) else {
+                debug_assert!(false, "partition vanished mid-group");
+                return;
+            };
+            tally.fresh += match &mut p.data {
+                // Batched upsert: read-only prefetched group descent,
+                // input-order application.
+                PartitionData::Index(tree) => tree.upsert_batch(pairs),
+                PartitionData::Hash(h) => {
+                    self.tel
+                        .counters
+                        .batched_probe_keys
+                        .fetch_add(pairs.len() as u64, Relaxed);
+                    // Batched upsert: group-prefetched home buckets,
+                    // input-order application; only a fresh key can grow
+                    // the table.
+                    h.upsert_batch(pairs)
+                }
+                PartitionData::Column(_) => {
+                    debug_assert!(false, "point upsert on a column partition");
+                    return;
+                }
+            };
+            tally.ops += pairs.len() as u64;
+        }
+        let params = self.cfg.params;
+        let mut rest = pairs;
+        for n in lens {
+            // A run's lengths add up to `pairs.len()`; a shortfall would
+            // journal less, never panic.
+            let (mine, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            if !mine.is_empty() {
+                self.journal(RedoOp::UpsertPairs {
+                    object,
+                    pairs: mine,
+                });
+            }
+            let n = mine.len() as u64;
+            tally.exec_ns += n as f64 * (cost.cpu_ns + params.cpu_ns_per_upsert);
+            self.charge_point_misses(n, cost, w);
         }
     }
 
@@ -1476,6 +1586,12 @@ impl Aeu {
     /// True when the outgoing buffers are fully drained.
     pub fn is_drained(&self) -> bool {
         self.router.is_drained() && self.incoming.pending_bytes() == 0
+    }
+
+    /// True when a step could do anything but poll: buffered commands in
+    /// either direction, or a generator that makes new ones.
+    pub fn has_work(&self) -> bool {
+        self.generator.is_some() || !self.is_drained()
     }
 }
 

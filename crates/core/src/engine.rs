@@ -790,6 +790,14 @@ impl Engine {
         self.shared.telemetry().in_flight_commands()
     }
 
+    /// True when an epoch would execute nothing: no sub-command in flight,
+    /// every AEU's buffers drained and no generator attached.  A caller on
+    /// a wall clock may skip the epoch; on the virtual clock an idle epoch
+    /// still advances time by its scheduling quantum.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight_commands() == 0 && !self.aeus.iter().any(Aeu::has_work)
+    }
+
     /// Typed graceful shutdown: detach every command generator, run
     /// epochs until all buffers drain and no AEU holds deferred work,
     /// then audit both conservation ledgers.  Callers that stop feeding

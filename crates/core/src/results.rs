@@ -37,19 +37,29 @@ impl ResultCollector {
         }
     }
 
-    /// Record a batch of lookup results.
+    /// Record the results of lookup commands executed as one batch:
+    /// `keys` and `values` are the commands' concatenation in execution
+    /// order, and `commands` names each command's `(ticket, key count)` in
+    /// that order.  Counters are published once for the whole batch; in
+    /// collection mode every result is filed under its command's ticket.
     // HOT-PATH-CUT: reply staging — result batches own their payload
     // vectors by design; the collector is the handoff out of the
     // latch-free section.
-    pub fn lookup_batch(&self, ticket: u64, keys: &[u64], values: &[Option<u64>]) {
+    pub fn lookup_batch<C: IntoIterator<Item = (u64, usize)>>(
+        &self,
+        keys: &[u64],
+        values: &[Option<u64>],
+        commands: C,
+    ) {
         debug_assert_eq!(keys.len(), values.len());
         self.lookups.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let hits = values.iter().filter(|v| v.is_some()).count() as u64;
         self.lookup_hits.fetch_add(hits, Ordering::Relaxed);
         if self.collect_values {
             let mut g = self.lookup_values.lock();
-            for (k, v) in keys.iter().zip(values) {
-                g.push((ticket, *k, *v));
+            let mut results = keys.iter().zip(values);
+            for (ticket, n) in commands {
+                g.extend(results.by_ref().take(n).map(|(k, v)| (ticket, *k, *v)));
             }
         }
     }
@@ -160,7 +170,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let c = ResultCollector::new();
-        c.lookup_batch(1, &[1, 2, 3], &[Some(1), None, Some(3)]);
+        c.lookup_batch(&[1, 2, 3], &[Some(1), None, Some(3)], [(1, 3)]);
         c.upsert_batch(5, 2);
         c.scan_partial(9, AeuId(0), AggregateResult::Count(7), 100);
         let s = c.counts();
@@ -175,16 +185,19 @@ mod tests {
     #[test]
     fn counting_mode_drops_values() {
         let c = ResultCollector::new();
-        c.lookup_batch(1, &[1], &[Some(1)]);
+        c.lookup_batch(&[1], &[Some(1)], [(1, 1)]);
         assert!(c.take_lookup_values().is_empty());
     }
 
     #[test]
     fn collection_mode_keeps_values() {
         let c = ResultCollector::collecting();
-        c.lookup_batch(1, &[1, 2], &[Some(10), None]);
+        // Two commands executed as one batch: results split by ticket.
+        c.lookup_batch(&[1, 2, 3], &[Some(10), None, Some(30)], [(1, 2), (7, 1)]);
         let v = c.take_lookup_values();
-        assert_eq!(v, vec![(1, 1, Some(10)), (1, 2, None)]);
+        assert_eq!(v, vec![(1, 1, Some(10)), (1, 2, None), (7, 3, Some(30))]);
+        assert_eq!(c.counts().lookups, 3);
+        assert_eq!(c.counts().lookup_hits, 2);
         assert!(c.take_lookup_values().is_empty(), "take drains");
     }
 

@@ -340,77 +340,77 @@ impl Router {
         let had_stamp = stamp.is_some();
         let object = cmd.object;
         // Telemetry tallies of this call, published in one batch below.
-        let (mut uni, mut multi, mut split) = (0u64, 0u64, 0u64);
+        let (mut multi, mut split) = (0u64, 0u64);
+        let out_before = self.stats.commands_out;
         let mut full_targets: Vec<AeuId> = Vec::new();
         match &cmd.payload {
             Payload::Lookup { keys } => {
-                let groups = self.shared.with_table(cmd.object, |t| match t {
-                    PartitionTable::Range(r) => Ok(r.split_by_owner(keys)),
+                // `Ok`: the one owner of every key; `Err`: the per-owner
+                // groups of a command that has to be split.
+                let owners = self.shared.with_table(object, |t| match t {
+                    PartitionTable::Range(r) => Ok(r
+                        .single_owner(keys.iter().copied())
+                        .ok_or_else(|| r.split_by_owner(keys))),
                     PartitionTable::Bitmap(_) => {
-                        Err(RoutingError::PointOpOnSizePartitioned(cmd.object))
+                        Err(RoutingError::PointOpOnSizePartitioned(object))
                     }
                 })??;
-                if groups.len() > 1 {
-                    self.stats.splits += 1;
-                    split += 1;
-                }
-                for (owner, group_keys) in groups {
-                    let sub = DataCommand {
-                        object: cmd.object,
-                        ticket: cmd.ticket,
-                        payload: Payload::Lookup { keys: group_keys },
-                    };
-                    self.stats.commands_out += 1;
-                    uni += 1;
-                    if self.out.push_unicast_traced(owner, &sub, stamp.take()) {
-                        // ALLOC-OK: full-target list is bounded by the AEU count and
-                        // lives for one routing call.
-                        full_targets.push(owner);
+                match owners {
+                    // One owner (always, for one key): the caller's command
+                    // is the sub-command.
+                    Ok(owner) => self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets),
+                    Err(groups) => {
+                        if groups.len() > 1 {
+                            self.stats.splits += 1;
+                            split += 1;
+                        }
+                        for (owner, group_keys) in groups {
+                            let sub = DataCommand {
+                                object,
+                                ticket: cmd.ticket,
+                                payload: Payload::Lookup { keys: group_keys },
+                            };
+                            self.push_unicast(owner, &sub, &mut stamp, &mut full_targets);
+                        }
                     }
                 }
             }
             Payload::Upsert { pairs } => {
-                let groups = self.shared.with_table(cmd.object, |t| match t {
-                    PartitionTable::Range(r) => Some(r.split_pairs_by_owner(pairs)),
+                let owners = self.shared.with_table(object, |t| match t {
+                    PartitionTable::Range(r) => Some(
+                        r.single_owner(pairs.iter().map(|p| p.0))
+                            .ok_or_else(|| r.split_pairs_by_owner(pairs)),
+                    ),
                     PartitionTable::Bitmap(_) => None,
                 })?;
-                match groups {
-                    Some(groups) => {
+                match owners {
+                    Some(Ok(owner)) => {
+                        self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets)
+                    }
+                    Some(Err(groups)) => {
                         if groups.len() > 1 {
                             self.stats.splits += 1;
                             split += 1;
                         }
                         for (owner, group_pairs) in groups {
                             let sub = DataCommand {
-                                object: cmd.object,
+                                object,
                                 ticket: cmd.ticket,
                                 payload: Payload::Upsert { pairs: group_pairs },
                             };
-                            self.stats.commands_out += 1;
-                            uni += 1;
-                            if self.out.push_unicast_traced(owner, &sub, stamp.take()) {
-                                // ALLOC-OK: full-target list is bounded by the AEU count and
-                                // lives for one routing call.
-                                full_targets.push(owner);
-                            }
+                            self.push_unicast(owner, &sub, &mut stamp, &mut full_targets);
                         }
                     }
                     None => {
                         // Size-partitioned object: appends round-robin over
                         // the member set (NUMA-aware materialization of
                         // intermediate results).
-                        let members = self.shared.with_table(cmd.object, |t| t.scan_targets())?;
+                        let members = self.shared.with_table(object, |t| t.scan_targets())?;
                         self.rr_cursor = (self.rr_cursor + 1) % members.len();
                         // BOUNDS: the cursor was just reduced modulo `members.len()`,
                         // which `with_table` guarantees non-empty for a provisioned object.
                         let owner = members[self.rr_cursor];
-                        self.stats.commands_out += 1;
-                        uni += 1;
-                        if self.out.push_unicast_traced(owner, &cmd, stamp.take()) {
-                            // ALLOC-OK: full-target list is bounded by the AEU count and
-                            // lives for one routing call.
-                            full_targets.push(owner);
-                        }
+                        self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets);
                     }
                 }
             }
@@ -441,6 +441,8 @@ impl Router {
                 full_targets.extend(self.out.push_multicast(&targets, &cmd));
             }
         }
+        // Every sub-command emitted that was not a multicast delivery.
+        let uni = self.stats.commands_out - out_before - multi;
         // Stamp accounting at the emission point: a fresh stamp enters
         // the `stamped == traced + dropped` ledger only when its marker
         // actually hit a unicast buffer (multicast deliveries are never
@@ -482,6 +484,24 @@ impl Router {
             self.flush_target(t, &mut flushed);
         }
         Ok(flushed)
+    }
+
+    /// Buffer one sub-command for its single owner, preceded by the
+    /// command's trace marker if it is still to be emitted; notes the
+    /// owner in `full` when its buffer crossed the flush threshold.
+    fn push_unicast(
+        &mut self,
+        owner: AeuId,
+        cmd: &DataCommand,
+        stamp: &mut Option<TraceStamp>,
+        full: &mut Vec<AeuId>,
+    ) {
+        self.stats.commands_out += 1;
+        if self.out.push_unicast_traced(owner, cmd, stamp.take()) {
+            // ALLOC-OK: the full-target list is bounded by the AEU count
+            // and lives for one routing call.
+            full.push(owner);
+        }
     }
 
     fn flush_target(&mut self, target: AeuId, flushed: &mut Vec<FlushInfo>) {
@@ -856,5 +876,107 @@ mod tests {
                 assert_eq!(r.owner(50), AeuId(1));
             })
             .unwrap();
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const DOMAIN: u64 = 400;
+
+    /// Routing step 1 as the split path does it for every command: group
+    /// by owner, wrap each group in a sub-command, encode it towards its
+    /// owner.  The bytes each AEU must find in its incoming buffer.
+    fn split_oracle(table: &RangeTable, cmd: &DataCommand, aeus: usize) -> (Vec<Vec<u8>>, usize) {
+        let mut per_target = vec![Vec::new(); aeus];
+        let groups: Vec<(AeuId, Payload)> = match &cmd.payload {
+            Payload::Lookup { keys } => table
+                .split_by_owner(keys)
+                .into_iter()
+                .map(|(a, keys)| (a, Payload::Lookup { keys }))
+                .collect(),
+            Payload::Upsert { pairs } => table
+                .split_pairs_by_owner(pairs)
+                .into_iter()
+                .map(|(a, pairs)| (a, Payload::Upsert { pairs }))
+                .collect(),
+            _ => unreachable!("point commands only"),
+        };
+        for (owner, payload) in &groups {
+            DataCommand {
+                object: cmd.object,
+                ticket: cmd.ticket,
+                payload: payload.clone(),
+            }
+            .encode(&mut per_target[owner.index()]);
+        }
+        (per_target, groups.len())
+    }
+
+    proptest! {
+        /// A command whose keys have one owner is routed as it is, the
+        /// others are split; either way every AEU receives exactly the
+        /// bytes the split path alone would have sent it, and
+        /// `command_splits` counts the commands that had more than one
+        /// owner, no others.
+        #[test]
+        fn single_owner_commands_route_like_the_split_path(
+            aeus in 1usize..=4,
+            cmds in proptest::collection::vec(
+                (
+                    proptest::bool::ANY,
+                    // Mostly one owner's stretch of the domain, sometimes all of it.
+                    (0u64..4, 0u64..5),
+                    proptest::collection::vec((0u64..100, 0u64..1000), 0..6),
+                ),
+                1..24,
+            ),
+        ) {
+            let cfg = RoutingConfig {
+                trace_sample_every: 0,
+                // Flush only at the end: one contiguous run per target.
+                outgoing_capacity: 1 << 20,
+                ..Default::default()
+            };
+            let shared = Arc::new(RoutingShared::new(aeus, cfg));
+            let owners: Vec<AeuId> = (0..aeus as u32).map(AeuId).collect();
+            shared.register_object(
+                DataObjectId(0),
+                PartitionTable::Range(RangeTable::even(DOMAIN, &owners)),
+            );
+            let table = RangeTable::even(DOMAIN, &owners);
+            let mut router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
+            let mut want = vec![Vec::new(); aeus];
+            let (mut want_splits, mut want_unicast) = (0u64, 0u64);
+            for (ticket, (upsert, (stretch, spread), items)) in cmds.into_iter().enumerate() {
+                // `spread == 0` scatters the keys over the whole domain.
+                let key = |k: u64| if spread == 0 { k * 4 } else { stretch * 100 + k };
+                let payload = if upsert {
+                    Payload::Upsert { pairs: items.iter().map(|&(k, v)| (key(k), v)).collect() }
+                } else {
+                    Payload::Lookup { keys: items.iter().map(|&(k, _)| key(k)).collect() }
+                };
+                let cmd = DataCommand { object: DataObjectId(0), ticket: ticket as u64, payload };
+                let (bytes, groups) = split_oracle(&table, &cmd, aeus);
+                for (w, b) in want.iter_mut().zip(bytes) {
+                    w.extend(b);
+                }
+                want_splits += (groups > 1) as u64;
+                want_unicast += groups as u64;
+                router.route(cmd).unwrap();
+            }
+            router.flush_all();
+            for (a, want) in owners.iter().zip(&want) {
+                let mut got = Vec::new();
+                shared.incoming(*a).swap_and_consume(|d| got = d.to_vec());
+                prop_assert_eq!(&got, want, "bytes towards {}", a);
+            }
+            prop_assert_eq!(router.stats.splits, want_splits);
+            let totals = shared.telemetry_totals();
+            prop_assert_eq!(totals.command_splits, want_splits);
+            prop_assert_eq!(totals.commands_unicast, want_unicast);
+        }
     }
 }

@@ -84,6 +84,15 @@ impl RangeTable {
         self.version += 1;
     }
 
+    /// The AEU that owns every one of `keys`, if one does (always, for one
+    /// key): such a command needs no splitting and is routed as it is.
+    /// `None` for keys spanning owners, and for no keys at all.
+    pub fn single_owner<K: IntoIterator<Item = u64>>(&self, keys: K) -> Option<AeuId> {
+        let mut keys = keys.into_iter();
+        let owner = self.owner(keys.next()?);
+        keys.all(|k| self.owner(k) == owner).then_some(owner)
+    }
+
     /// Group `keys` by owner: returns `(owner, keys)` groups — the batch
     /// lookup + command splitting of routing step 1.
     pub fn split_by_owner(&self, keys: &[u64]) -> Vec<(AeuId, Vec<u64>)> {
@@ -247,6 +256,16 @@ mod tests {
         let g1 = groups.iter().find(|(a, _)| *a == AeuId(1)).unwrap();
         assert_eq!(g0.1, vec![1, 2, 3]);
         assert_eq!(g1.1, vec![60, 70]);
+    }
+
+    #[test]
+    fn single_owner_is_some_exactly_when_the_split_has_one_group() {
+        let t = RangeTable::even(100, &aeus(2));
+        assert_eq!(t.single_owner([60]), Some(AeuId(1)));
+        assert_eq!(t.single_owner([1, 49, 2]), Some(AeuId(0)));
+        assert_eq!(t.single_owner([u64::MAX, 50]), Some(AeuId(1)));
+        assert_eq!(t.single_owner([1, 60, 2]), None);
+        assert_eq!(t.single_owner([]), None, "no keys, no sub-command");
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! the whole budget if sustained; short windows catch fast burns, long
 //! windows catch slow ones).
 //!
-//! All state lives under one mutex keyed by tenant; observation ticks
-//! are export-rate (hertz, not megahertz), so contention is irrelevant.
+//! All state lives under one mutex keyed by tenant; callers feed it at
+//! export rate (see [`SloEngine::quantum_ns`]), so contention is
+//! irrelevant.  Whatever the feed rate, a tenant's history is bounded:
+//! observations closer together than the quantum replace the newest
+//! sample instead of adding one.
 
 use crate::export::{Metric, MetricKind};
 use parking_lot::Mutex;
@@ -72,6 +75,11 @@ pub struct BurnRate {
     pub error_burn: f64,
 }
 
+/// Retained samples per shortest window: the time resolution of every
+/// window's baseline, and with it the bound on a tenant's history
+/// (`horizon / quantum + 2` samples).
+const SAMPLES_PER_SHORTEST_WINDOW: u64 = 64;
+
 #[derive(Debug, Clone, Copy)]
 struct Sample {
     at_ns: u64,
@@ -102,14 +110,32 @@ impl SloEngine {
         &self.cfg
     }
 
-    /// Push one tenant's cumulative totals at time `at_ns`.  Samples
-    /// older than the longest window (plus one baseline beyond it) are
-    /// pruned.
+    /// The spacing below which observations coalesce: 1/64 of the
+    /// shortest window.  Feeding faster than this buys no resolution.
+    pub fn quantum_ns(&self) -> u64 {
+        let shortest = self.cfg.windows_ns.iter().copied().min().unwrap_or(0);
+        shortest / SAMPLES_PER_SHORTEST_WINDOW
+    }
+
+    /// Push one tenant's cumulative totals at time `at_ns`.  While the
+    /// newest sample is less than a quantum younger than the one before
+    /// it, an observation replaces it instead of adding a sample, so
+    /// retained samples (but the last) are at least a quantum apart;
+    /// samples older than the longest window (plus one baseline beyond
+    /// it) are pruned.
     pub fn observe(&self, tenant: u32, at_ns: u64, totals: SloTotals) {
         let horizon = self.cfg.windows_ns.iter().copied().max().unwrap_or(0);
+        let quantum = self.quantum_ns();
         let mut map = self.tenants.lock();
         let t = map.entry(tenant).or_default();
-        t.samples.push_back(Sample { at_ns, totals });
+        let sample = Sample { at_ns, totals };
+        let mut newest_two = t.samples.iter_mut().rev();
+        match (newest_two.next(), newest_two.next()) {
+            (Some(newest), Some(before)) if newest.at_ns.saturating_sub(before.at_ns) < quantum => {
+                *newest = sample
+            }
+            _ => t.samples.push_back(sample),
+        }
         // Keep one sample at-or-before the horizon as the diff baseline.
         while t.samples.len() >= 2 && t.samples[1].at_ns + horizon <= at_ns {
             t.samples.pop_front();
@@ -325,6 +351,72 @@ mod tests {
         let rates = e.burn_rates(2, 499 * S);
         assert_eq!(rates[1].requests, 100);
         assert_eq!(rates[0].requests, 10);
+    }
+
+    /// A long-lived server pumps thousands of times a second: the
+    /// history must not grow with the observation rate, and coalescing
+    /// may move a window's baseline by at most one quantum.
+    #[test]
+    #[cfg_attr(miri, ignore = "a million mutex-guarded pushes; no unsafe to check")]
+    fn a_million_observations_a_second_retain_a_bounded_history() {
+        const MS: u64 = 1_000_000;
+        let e = SloEngine::new(SloConfig {
+            windows_ns: vec![100 * MS, 500 * MS],
+            ..SloConfig::default()
+        });
+        let quantum = e.quantum_ns();
+        assert_eq!(quantum, 100 * MS / 64);
+        // One baseline at or before the horizon, the samples inside it (a
+        // quantum apart or more), and the newest.
+        let bound = (500 * MS).div_ceil(quantum) as usize + 2;
+        // One request per microsecond for a second; every request of the
+        // last 20 ms is an error.
+        let totals_at = |at_ns: u64| {
+            let requests = at_ns / 1_000;
+            SloTotals {
+                requests,
+                bad_latency: 0,
+                errors: requests.saturating_sub(980_000),
+            }
+        };
+        let mut peak = 0;
+        for i in 1..=1_000_000u64 {
+            e.observe(4, i * 1_000, totals_at(i * 1_000));
+            if i % 1_000 == 0 {
+                peak = peak.max(e.tenants.lock()[&4].samples.len());
+            }
+        }
+        assert!(peak <= bound, "{peak} samples retained, bound {bound}");
+        assert!(peak > 64, "every window still has its resolution: {peak}");
+
+        // The uncoalesced reference keeps every observation, so its
+        // baseline is the observation at the window start exactly; the
+        // coalesced baseline may be up to a quantum (plus one observation
+        // interval) older.
+        let now = 1_000 * MS;
+        let reference = |window: u64, older_by: u64| {
+            let base = totals_at(now - window - older_by);
+            let newest = totals_at(now);
+            let requests = newest.requests - base.requests;
+            let errors = newest.errors - base.errors;
+            (requests, errors as f64 / requests as f64 / 0.05)
+        };
+        for b in e.burn_rates(4, now) {
+            let (exact_requests, exact_burn) = reference(b.window_ns, 0);
+            let (most_requests, least_burn) = reference(b.window_ns, quantum + 1_000);
+            assert!(
+                (exact_requests..=most_requests).contains(&b.requests),
+                "window {}: {} requests, reference {exact_requests}..={most_requests}",
+                b.window_ns,
+                b.requests
+            );
+            assert!(
+                b.error_burn <= exact_burn && b.error_burn >= least_burn,
+                "window {}: burn {}, reference {least_burn}..={exact_burn}",
+                b.window_ns,
+                b.error_burn
+            );
+        }
     }
 
     #[test]

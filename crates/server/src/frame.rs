@@ -217,9 +217,34 @@ impl RequestFrame {
     }
 
     /// Decode one frame from the front of `buf`, advancing it only on
+    /// success; the owned form of [`RequestView::try_decode`].
+    pub fn try_decode(buf: &mut &[u8]) -> Result<Option<RequestFrame>, FrameError> {
+        Ok(RequestView::try_decode(buf)?.map(|v| RequestFrame {
+            kind: v.kind,
+            tenant: v.tenant,
+            conn: v.conn,
+            seq: v.seq,
+            payload: v.payload.to_vec(),
+        }))
+    }
+}
+
+/// A request frame decoded in place: the header fields, and the payload
+/// still in the buffer it was read into (the server's intake path).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    pub kind: ReqKind,
+    pub tenant: u32,
+    pub conn: u32,
+    pub seq: u64,
+    pub payload: &'a [u8],
+}
+
+impl<'a> RequestView<'a> {
+    /// Decode one frame from the front of `buf`, advancing it only on
     /// success.  `Ok(None)` means the frame is not complete yet (read
     /// more bytes); `Err` means the stream is not speaking this protocol.
-    pub fn try_decode(buf: &mut &[u8]) -> Result<Option<RequestFrame>, FrameError> {
+    pub fn try_decode(buf: &mut &'a [u8]) -> Result<Option<RequestView<'a>>, FrameError> {
         if buf.len() < REQ_HEADER_BYTES {
             // Partial headers are only "incomplete" if what we have so
             // far could still become a valid header.
@@ -246,14 +271,13 @@ impl RequestFrame {
         if b.len() < total {
             return Ok(None);
         }
-        let payload = b[REQ_HEADER_BYTES..total].to_vec();
         *buf = &b[total..];
-        Ok(Some(RequestFrame {
+        Ok(Some(RequestView {
             kind,
             tenant,
             conn,
             seq,
-            payload,
+            payload: &b[REQ_HEADER_BYTES..total],
         }))
     }
 }

@@ -24,7 +24,8 @@
 //!   with the engine's conservation law to prove accepted == executed
 //!   and shed-after-accept == 0.
 //! * [`client`] — a small client mirroring the credit window locally.
-//! * [`tcp`] — the readiness-polling TCP listener loop.
+//! * [`tcp`] — the readiness-polling TCP listener loop and its idle rule
+//!   ([`IdleRule`]: spin while there is traffic, sleep when there is none).
 
 #![deny(unsafe_code)]
 
@@ -47,5 +48,5 @@ pub use server::{
     ClockSource, EngineServer, PumpReport, ServerConfig, ServerCounters, ServerSnapshot,
     ServingLedger, ShutdownOutcome,
 };
-pub use tcp::TcpServer;
+pub use tcp::{IdleRule, IdleStep, TcpServer};
 pub use transport::{loopback_pair, PipeTransport, TcpTransport, Transport};

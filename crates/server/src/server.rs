@@ -12,7 +12,9 @@
 //!    watermark, then the tenant's token bucket, then `DataCommand`
 //!    decode and [`Engine::submit`].
 //! 2. **Boundary** — `run_epoch()`: every AEU steps once, executing the
-//!    batch that was just routed.
+//!    batch that was just routed.  On the host clock an epoch that would
+//!    find nothing to execute is skipped; on the virtual clock it runs,
+//!    because there the epoch *is* the clock.
 //! 3. **Settle + flush** — credits consumed by settled commands are
 //!    regranted, responses are encoded and written back.
 //!
@@ -25,7 +27,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TenantCounts};
 use crate::frame::{
-    ReqKind, RequestFrame, RespKind, ResponseFrame, REJ_DECODE, REJ_PROTOCOL, REJ_ROUTING,
+    ReqKind, RequestView, RespKind, ResponseFrame, REJ_DECODE, REJ_PROTOCOL, REJ_ROUTING,
     REJ_TENANT, SHED_OVERLOAD,
 };
 use crate::transport::Transport;
@@ -123,6 +125,10 @@ pub struct ServerCounters {
     /// boundary; the engine's conservation law covers everything after
     /// routing), so this stays 0 — exported so the claim is auditable.
     pub shed_after_accept: u64,
+    /// Iterations of [`TcpServer::serve`](crate::TcpServer::serve) that
+    /// went straight on to the next pump, and that slept first.
+    pub serve_spins: u64,
+    pub serve_sleeps: u64,
 }
 
 /// What one pump cycle did.
@@ -137,6 +143,8 @@ pub struct PumpReport {
     /// Connections that had parsable frames waiting but an exhausted
     /// credit window (reading was withheld).
     pub stalled_conns: u64,
+    /// Virtual duration of the cycle's epoch; 0 when the epoch was skipped
+    /// (host clock, nothing to execute).
     pub epoch_duration_ns: f64,
 }
 
@@ -329,6 +337,8 @@ pub struct EngineServer {
     counters: ServerCounters,
     net_wait: Vec<LogHistogram>,
     slo: SloEngine,
+    /// When the burn-rate tracker is next due a sample (admission clock).
+    slo_due_ns: u64,
     /// Commands seen by the 1-in-N trace sampler.
     trace_seq: u64,
 }
@@ -346,6 +356,7 @@ impl EngineServer {
             counters: ServerCounters::default(),
             net_wait,
             slo,
+            slo_due_ns: 0,
             trace_seq: 0,
         }
     }
@@ -366,7 +377,9 @@ impl EngineServer {
         &self.cfg
     }
 
-    /// The per-tenant SLO burn-rate tracker (fed once per pump).
+    /// The per-tenant SLO burn-rate tracker, fed once per
+    /// [`SloEngine::quantum_ns`] of the admission clock and at every
+    /// [`EngineServer::snapshot`].
     pub fn slo(&self) -> &SloEngine {
         &self.slo
     }
@@ -405,6 +418,10 @@ impl EngineServer {
         self.conns.iter().flatten().count() as u64
     }
 
+    pub(crate) fn counters_mut(&mut self) -> &mut ServerCounters {
+        &mut self.counters
+    }
+
     /// One batch cycle: read + admit, epoch boundary, settle + flush.
     pub fn pump(&mut self) -> PumpReport {
         let mut report = PumpReport::default();
@@ -418,23 +435,23 @@ impl EngineServer {
         // Phase 1: read and admit, bounded by each connection's window.
         // Wall time is charged as `read_admit` to the profiler of the
         // AEU each connection submits through.
+        let mut mark = eris_obs::now_ns();
         for slot in 0..self.conns.len() {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
             };
-            let t0 = eris_obs::now_ns();
             self.read_and_admit(&mut conn, now, load, &mut report);
-            let dt = eris_obs::now_ns().saturating_sub(t0);
-            self.engine
-                .telemetry_shard(conn.via)
-                .profiler
-                .add(Phase::ReadAdmit, dt);
+            mark = self.charge_phase(conn.via, Phase::ReadAdmit, mark);
             self.conns[slot] = Some(conn);
         }
 
-        // Phase 2: the AEU step boundary executes the admitted batch.
-        let epoch = self.engine.run_epoch();
-        report.epoch_duration_ns = epoch.duration_ns;
+        // Phase 2: the AEU step boundary executes the admitted batch.  A
+        // wall-clock server skips a boundary with nothing on either side
+        // of it; the virtual clock only moves when epochs run.
+        if self.cfg.clock == ClockSource::Virtual || !self.engine.is_idle() {
+            report.epoch_duration_ns = self.engine.run_epoch().duration_ns;
+            mark = eris_obs::now_ns();
+        }
 
         // Phase 3: settle responses (regrants happen here, after the
         // boundary) and flush transports.  Charged as `flush`.
@@ -442,13 +459,8 @@ impl EngineServer {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
             };
-            let t0 = eris_obs::now_ns();
             self.settle_and_flush(&mut conn);
-            let dt = eris_obs::now_ns().saturating_sub(t0);
-            self.engine
-                .telemetry_shard(conn.via)
-                .profiler
-                .add(Phase::Flush, dt);
+            mark = self.charge_phase(conn.via, Phase::Flush, mark);
             let dead = !conn.transport.is_open() && conn.inbuf.is_empty();
             if (conn.closing && conn.outbuf.is_empty()) || dead {
                 conn.transport.close();
@@ -457,20 +469,34 @@ impl EngineServer {
                 self.conns[slot] = Some(conn);
             }
         }
-        self.observe_slo();
+        if now >= self.slo_due_ns && self.observe_slo(now) {
+            self.slo_due_ns = now + self.slo.quantum_ns();
+        }
         report
     }
 
-    /// Feed the burn-rate tracker one observation tick per tenant.
-    /// Admission verdicts give the request and error totals; the
-    /// engine's per-tenant full-path histograms give the bad-latency
-    /// count, scaled by the sampling rate (only 1-in-N commands are
-    /// traced) and clamped so the estimated bad fraction stays ≤ 1.
-    fn observe_slo(&mut self) {
-        let now = self.now_ns();
+    /// Charge the wall time since `mark` to `phase` on the profiler of
+    /// AEU `via`; returns the new mark.
+    fn charge_phase(&self, via: eris_core::AeuId, phase: Phase, mark: u64) -> u64 {
+        let now = eris_obs::now_ns();
+        self.engine
+            .telemetry_shard(via)
+            .profiler
+            .add(phase, now.saturating_sub(mark));
+        now
+    }
+
+    /// Feed the burn-rate tracker one observation per tenant that has
+    /// received a verdict; returns whether any had.  Admission verdicts
+    /// give the request and error totals; the engine's per-tenant
+    /// full-path histograms give the bad-latency count, scaled by the
+    /// sampling rate (only 1-in-N commands are traced) and clamped so the
+    /// estimated bad fraction stays ≤ 1.
+    fn observe_slo(&self, now: u64) -> bool {
         let threshold = self.slo.config().latency_threshold_ns;
         let scale = self.cfg.trace_sample_every.max(1) as u64;
         let tenant_full = self.engine.latency().tenant_snapshot();
+        let mut observed = false;
         for t in self.admission.counts() {
             let errors = t.shed + t.quota_denied + t.rejected;
             let requests = t.accepted + errors;
@@ -491,7 +517,9 @@ impl EngineServer {
                     errors,
                 },
             );
+            observed = true;
         }
+        observed
     }
 
     /// 1-in-N serving-side trace sampling decision.
@@ -533,15 +561,15 @@ impl EngineServer {
                 conn.closing = true;
             }
         }
-        loop {
-            if conn.closing {
-                break;
-            }
-            let mut cur = conn.inbuf.as_slice();
-            let before = cur.len();
-            match RequestFrame::try_decode(&mut cur) {
+        // One pass over the buffered frames — payloads decoded where they
+        // lie — and one drain of what the pass consumed.
+        let inbuf = std::mem::take(&mut conn.inbuf);
+        let mut cur = inbuf.as_slice();
+        while !conn.closing {
+            let mut next = cur;
+            match RequestView::try_decode(&mut next) {
                 Ok(None) => break,
-                Err(err) => {
+                Err(_) => {
                     self.counters.protocol_errors += 1;
                     conn.pending.push(PendingResponse {
                         kind: RespKind::Rejected,
@@ -554,10 +582,9 @@ impl EngineServer {
                         s.rejected.fetch_add(1, Relaxed);
                         report.rejected += 1;
                     }
-                    let _ = err;
-                    conn.inbuf.clear();
+                    // Nothing after a malformed frame can be trusted.
+                    cur = &[];
                     conn.closing = true;
-                    break;
                 }
                 Ok(Some(frame)) => {
                     if frame.kind == ReqKind::Command && !conn.credits.try_consume() {
@@ -569,14 +596,16 @@ impl EngineServer {
                         report.stalled_conns += 1;
                         break;
                     }
-                    let consumed = before - cur.len();
-                    conn.inbuf.drain(..consumed);
+                    cur = next;
                     self.counters.frames_received += 1;
                     report.frames += 1;
                     self.handle_frame(conn, frame, now, load, report);
                 }
             }
         }
+        let consumed = inbuf.len() - cur.len();
+        conn.inbuf = inbuf;
+        conn.inbuf.drain(..consumed);
         if conn.inbuf.is_empty() {
             conn.inbuf_since_ns = None;
         } else if conn.inbuf_since_ns.is_none() {
@@ -587,7 +616,7 @@ impl EngineServer {
     fn handle_frame(
         &mut self,
         conn: &mut Conn,
-        frame: RequestFrame,
+        frame: RequestView<'_>,
         now: u64,
         load: LoadSignal,
         report: &mut PumpReport,
@@ -662,7 +691,7 @@ impl EngineServer {
                     reject(conn, REJ_PROTOCOL, frame.seq);
                     return;
                 }
-                let mut body = frame.payload.as_slice();
+                let mut body = frame.payload;
                 let cmd = match DataCommand::try_decode(&mut body) {
                     Ok(cmd) if body.is_empty() => cmd,
                     _ => {
@@ -684,23 +713,23 @@ impl EngineServer {
                 // Span: the admission verdict itself, in host wall time
                 // (the virtual clock does not advance inside a pump) —
                 // clamped to ≥ 1 ns so a traced verdict is never
-                // indistinguishable from "not measured".
-                let admit_t0 = eris_obs::now_ns();
+                // indistinguishable from "not measured".  Only a sampled
+                // command pays for the clock reads.
+                let admit_t0 = if sampled { eris_obs::now_ns() } else { 0 };
                 let verdict = self.admission.admit(tenant, ops, now, load);
-                let admit_ns = eris_obs::now_ns().saturating_sub(admit_t0).max(1);
-                let stamp = if sampled {
-                    Some(TraceStamp {
-                        submit_ns: eris_obs::now_ns(),
+                let stamp = sampled.then(|| {
+                    let submit_ns = eris_obs::now_ns();
+                    let admit_ns = submit_ns.saturating_sub(admit_t0).max(1);
+                    TraceStamp {
+                        submit_ns,
                         hops: 0,
                         tenant,
                         conn: conn.id,
                         seq: frame.seq,
                         net_ns: net_ns.min(u32::MAX as u64) as u32,
                         admit_ns: admit_ns.min(u32::MAX as u64) as u32,
-                    })
-                } else {
-                    None
-                };
+                    }
+                });
                 match verdict {
                     Admit::Overloaded { retry_after_ms } => {
                         report.shed += 1;
@@ -747,8 +776,7 @@ impl EngineServer {
                         match submitted {
                             Ok(()) => {
                                 report.accepted += 1;
-                                let wait = now.saturating_sub(conn.inbuf_since_ns.unwrap_or(now));
-                                self.net_wait[tenant as usize].record(wait);
+                                self.net_wait[tenant as usize].record(net_ns);
                                 conn.pending.push(PendingResponse {
                                     kind: RespKind::Accepted,
                                     code: 0,
@@ -821,12 +849,15 @@ impl EngineServer {
     }
 
     pub fn snapshot(&self) -> ServerSnapshot {
+        // Between pumps' quantum-spaced samples: make the export current.
+        let now = self.now_ns();
+        self.observe_slo(now);
         ServerSnapshot {
             tenants: self.admission.counts(),
             counters: self.counters,
             net_wait: self.net_wait.clone(),
             open_connections: self.open_connections(),
-            slo_metrics: self.slo.to_metrics(self.now_ns()),
+            slo_metrics: self.slo.to_metrics(now),
         }
     }
 
@@ -882,6 +913,7 @@ impl EngineServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::RequestFrame;
     use crate::transport::loopback_pair;
     use eris_core::prelude::*;
     use eris_numa::machines::custom_machine;
@@ -1062,5 +1094,161 @@ mod tests {
         );
         // The credit consumed by the read was returned with the reject.
         assert_eq!(r.credits, 1);
+    }
+
+    /// A server with one helloed loopback connection; returns the client
+    /// end and the connection id.
+    fn helloed(
+        cfg: ServerConfig,
+    ) -> (
+        EngineServer,
+        crate::transport::PipeTransport,
+        u32,
+        DataObjectId,
+    ) {
+        let (engine, obj) = small_engine();
+        let mut server = EngineServer::new(engine, cfg);
+        let (server_side, mut client_side) = loopback_pair();
+        let id = server.attach(Box::new(server_side));
+        let mut bytes = Vec::new();
+        RequestFrame {
+            kind: ReqKind::Hello,
+            tenant: 0,
+            conn: 0,
+            seq: 0,
+            payload: vec![],
+        }
+        .encode(&mut bytes);
+        client_side.try_write(&bytes).unwrap();
+        server.pump();
+        assert_eq!(responses(&mut client_side)[0].kind, RespKind::Welcome);
+        (server, client_side, id, obj)
+    }
+
+    fn command_bytes(obj: DataObjectId, id: u32, seq: u64) -> Vec<u8> {
+        let cmd = DataCommand {
+            object: obj,
+            ticket: seq,
+            payload: Payload::Lookup {
+                keys: vec![seq * 64],
+            },
+        };
+        let mut bytes = Vec::new();
+        RequestFrame::command(0, id, seq, &cmd).encode(&mut bytes);
+        bytes
+    }
+
+    /// Every response waiting on the client end.
+    fn responses(client_side: &mut impl Transport) -> Vec<ResponseFrame> {
+        let mut bytes = Vec::new();
+        client_side.try_read(&mut bytes).unwrap();
+        let mut cur = bytes.as_slice();
+        let mut out = Vec::new();
+        while let Some(r) = ResponseFrame::try_decode(&mut cur).unwrap() {
+            out.push(r);
+        }
+        assert!(cur.is_empty(), "whole responses only");
+        out
+    }
+
+    #[test]
+    fn a_full_window_in_one_read_is_admitted_in_one_pass() {
+        let (mut server, mut client_side, id, obj) = helloed(ServerConfig::default());
+        let window = server.config().admission.credit_limit as u64;
+        assert_eq!(window, 64);
+        let bytes: Vec<u8> = (1..=window)
+            .flat_map(|seq| command_bytes(obj, id, seq))
+            .collect();
+        client_side.try_write(&bytes).unwrap();
+        let r = server.pump();
+        assert_eq!((r.frames, r.commands, r.accepted), (window, window, window));
+        let got = responses(&mut client_side);
+        let seqs: Vec<u64> = got.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (1..=window).collect::<Vec<_>>(), "in arrival order");
+        assert!(got.iter().all(|r| r.kind == RespKind::Accepted));
+        server.pump_until_quiet(16);
+        assert!(server.ledger().holds());
+    }
+
+    #[test]
+    fn a_frame_split_across_two_reads_keeps_its_partial_tail() {
+        let (mut server, mut client_side, id, obj) = helloed(ServerConfig::default());
+        let bytes: Vec<u8> = (1..=3)
+            .flat_map(|seq| command_bytes(obj, id, seq))
+            .collect();
+        let frame = bytes.len() / 3;
+        // One and a half frames, then the rest but the last byte, then it.
+        let cuts = [0, frame + frame / 2, bytes.len() - 1, bytes.len()];
+        let mut accepted = Vec::new();
+        for w in cuts.windows(2) {
+            client_side.try_write(&bytes[w[0]..w[1]]).unwrap();
+            accepted.push(server.pump().accepted);
+            assert_eq!(server.snapshot().counters.protocol_errors, 0);
+        }
+        assert_eq!(accepted, [1, 1, 1], "a frame is admitted once it is whole");
+        let seqs: Vec<u64> = responses(&mut client_side).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_credit_stalled_frame_waits_in_the_buffer_for_the_regrant() {
+        let cfg = ServerConfig {
+            admission: AdmissionConfig {
+                credit_limit: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (mut server, mut client_side, id, obj) = helloed(cfg);
+        // Three commands against a window of two, and half of a fourth.
+        let mut bytes: Vec<u8> = (1..=3)
+            .flat_map(|seq| command_bytes(obj, id, seq))
+            .collect();
+        let fourth = command_bytes(obj, id, 4);
+        bytes.extend_from_slice(&fourth[..fourth.len() / 2]);
+        client_side.try_write(&bytes).unwrap();
+        let r = server.pump();
+        assert_eq!(
+            (r.accepted, r.stalled_conns),
+            (2, 1),
+            "the third is withheld"
+        );
+        // The flush of that pump returned the credits: the third goes now,
+        // and what follows it in the buffer is still there.
+        let r = server.pump();
+        assert_eq!((r.accepted, r.stalled_conns), (1, 0));
+        client_side.try_write(&fourth[fourth.len() / 2..]).unwrap();
+        assert_eq!(server.pump().accepted, 1);
+        let seqs: Vec<u64> = responses(&mut client_side).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 4]);
+        assert_eq!(server.snapshot().credits_stalled_total(), 1);
+        server.pump_until_quiet(16);
+        assert!(server.ledger().holds());
+    }
+
+    #[test]
+    fn a_malformed_frame_mid_buffer_clears_it_and_closes() {
+        let (mut server, mut client_side, id, obj) = helloed(ServerConfig::default());
+        let mut bytes = command_bytes(obj, id, 1);
+        bytes.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        bytes.extend_from_slice(&command_bytes(obj, id, 2));
+        client_side.try_write(&bytes).unwrap();
+        let r = server.pump();
+        assert_eq!((r.frames, r.accepted, r.rejected), (1, 1, 1));
+        let got = responses(&mut client_side);
+        assert_eq!(
+            got.iter()
+                .map(|r| (r.kind, r.code, r.seq))
+                .collect::<Vec<_>>(),
+            [
+                (RespKind::Accepted, 0, 1),
+                (RespKind::Rejected, REJ_PROTOCOL, 0)
+            ],
+            "the frame before the garbage counts, nothing after it does"
+        );
+        let snap = server.snapshot();
+        assert_eq!(snap.counters.protocol_errors, 1);
+        assert_eq!(snap.counters.commands_received, 1);
+        assert_eq!(server.open_connections(), 0, "connection reaped");
     }
 }

@@ -193,6 +193,281 @@ fn index_batches_stranded_by_a_rebalance_match_the_scalar_oracle() {
     assert_eq!(total, oracle.len());
 }
 
+/// Submit one command per entry of `payloads` through `via`; returns the
+/// tickets in submission order.
+fn submit_each(
+    e: &mut Engine,
+    object: DataObjectId,
+    ticket: &mut u64,
+    via: impl Fn(u64) -> AeuId,
+    payloads: impl IntoIterator<Item = Payload>,
+) -> Vec<u64> {
+    payloads
+        .into_iter()
+        .map(|payload| {
+            *ticket += 1;
+            let cmd = DataCommand {
+                object,
+                ticket: *ticket,
+                payload,
+            };
+            e.submit(via(*ticket), cmd).unwrap();
+            *ticket
+        })
+        .collect()
+}
+
+/// The collected lookup results, per ticket, as `(key, value)` in key order.
+fn answers_by_ticket(e: &Engine) -> BTreeMap<u64, Vec<(u64, Option<u64>)>> {
+    let mut got: BTreeMap<u64, Vec<(u64, Option<u64>)>> = BTreeMap::new();
+    for (t, k, v) in e.results().take_lookup_values() {
+        got.entry(t).or_default().push((k, v));
+    }
+    got.values_mut().for_each(|a| a.sort_unstable());
+    got
+}
+
+#[test]
+fn groups_of_one_key_commands_match_the_oracle() {
+    // The serving path: hundreds of 1-key commands per AEU and epoch.  An
+    // AEU executes the lookups (upserts) of one epoch as one group — one
+    // kernel call over all their keys — and every ticket must still get
+    // exactly its own answer, as from a BTreeMap driven one command at a
+    // time.  Twice: a dense 16-bit key space, and a few hundred keys spread
+    // over the whole 64-bit domain with `u64::MAX` among them.
+    let dense: Vec<u64> = (0..1 << 16).collect();
+    let mut wide: Vec<u64> = (0..512).map(|i| i * (u64::MAX / 512) + i).collect();
+    wide.push(u64::MAX);
+    for (hash, domain, universe) in [
+        (false, 1 << 16, &dense),
+        (true, 1 << 16, &dense),
+        (false, u64::MAX, &wide),
+        (true, u64::MAX, &wide),
+    ] {
+        let case = format!("hash={hash} domain={domain}");
+        let mut rng = StdRng::seed_from_u64(0x1CE + hash as u64);
+        let mut e = Engine::new(
+            eris_numa::machines::custom_machine("t", 2, 2, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                collect_results: true,
+                tree: if domain == u64::MAX {
+                    EngineConfig::default().tree
+                } else {
+                    PrefixTreeConfig::new(8, 32)
+                },
+                ..Default::default()
+            },
+        );
+        let idx = if hash {
+            e.create_hash_index("t", domain)
+        } else {
+            e.create_index("t", domain)
+        };
+        // Every other key but the last is there from the start (a bulk
+        // load takes keys below `domain` only).
+        let last = universe.len() - 1;
+        let mut oracle: BTreeMap<u64, u64> = universe[..last]
+            .iter()
+            .step_by(2)
+            .map(|&k| (k, k ^ 0x5EED))
+            .collect();
+        e.bulk_load_index(idx, oracle.iter().map(|(&k, &v)| (k, v)));
+        let n = e.num_aeus() as u64;
+        let mut ticket = 0u64;
+        // A few keys every round hits again and again, the top of the
+        // universe among them.
+        let hot = [7, 8, last / 2, last - 1, last].map(|i| universe[i]);
+        let mut pick = |i: usize, every: usize| match i % every {
+            0 => hot[rng.gen_range(0..hot.len())],
+            _ => universe[rng.gen_range(0..universe.len())],
+        };
+
+        for round in 0..12u64 {
+            // Upserts.  Every key goes through the AEU `key % n`, so the
+            // commands that write one key arrive in submission order; the
+            // hot keys are written by many commands of the same group.
+            let before = e.results().counts();
+            let mut fresh = 0;
+            for i in 0..600 {
+                let (k, v) = (pick(i, 5), round << 32 | i as u64);
+                fresh += oracle.insert(k, v).is_none() as u64;
+                let pairs = vec![(k, v)];
+                let via = |_| AeuId((k % n) as u32);
+                submit_each(&mut e, idx, &mut ticket, via, [Payload::Upsert { pairs }]);
+            }
+            e.run_until_drained();
+            let counts = e.results().counts() - before;
+            assert_eq!(counts.upserts, 600, "{case} round {round}");
+            assert_eq!(
+                counts.inserted_new, fresh,
+                "{case} round {round}: a key first written by several commands of one \
+                 group is new once"
+            );
+
+            // Lookups, through every AEU: a key asked for by several
+            // commands of one group is answered to each of them.
+            let keys: Vec<u64> = (0..600).map(|i| pick(i, 4)).collect();
+            let tickets = submit_each(
+                &mut e,
+                idx,
+                &mut ticket,
+                |t| AeuId((t % n) as u32),
+                keys.iter().map(|&k| Payload::Lookup { keys: vec![k] }),
+            );
+            e.run_until_drained();
+            let got = answers_by_ticket(&e);
+            assert_eq!(got.len(), tickets.len(), "{case} round {round}");
+            for (t, k) in tickets.iter().zip(&keys) {
+                assert_eq!(
+                    got[t],
+                    vec![(*k, oracle.get(k).copied())],
+                    "{case} round {round}: ticket {t}, key {k}"
+                );
+            }
+            assert_eq!(e.telemetry().totals.forwarded, 0, "nothing moved");
+        }
+        let snap = e.telemetry();
+        assert!(snap.conservation_holds(), "{snap}");
+        // The groups were groups: far fewer kernel batches than commands.
+        let t = &snap.totals;
+        assert!(
+            t.exec_batches * 8 < t.commands_executed,
+            "{case}: {} commands in {} groups",
+            t.commands_executed,
+            t.exec_batches
+        );
+        let total: usize = e
+            .aeu_ids()
+            .iter()
+            .map(|a| e.aeu(*a).partition(idx).map_or(0, |p| p.data.len()))
+            .sum();
+        assert_eq!(total, oracle.len(), "{case}");
+    }
+}
+
+#[test]
+fn groups_mixing_all_mine_and_stray_commands_match_the_oracle() {
+    // Small commands routed before a balancer cycle, executed after it: a
+    // group then holds commands whose keys all stayed (they execute as one
+    // batch) between commands that carry strays (each executes alone and
+    // forwards the rest).  Pairs must still apply in arrival order across
+    // the whole group, whichever way a command went.
+    for hash in [false, true] {
+        let mut rng = StdRng::seed_from_u64(0x57A7 + hash as u64);
+        let domain: u64 = 1 << 16;
+        let mut e = engine(2, 2);
+        let idx = if hash {
+            e.create_hash_index("t", domain)
+        } else {
+            e.create_index("t", domain)
+        };
+        let mut oracle: BTreeMap<u64, u64> =
+            (0..domain).step_by(3).map(|k| (k, k ^ 0xABCD)).collect();
+        e.bulk_load_index(idx, oracle.iter().map(|(&k, &v)| (k, v)));
+        let mut ticket = 0u64;
+        // Everything goes through one AEU: the commands that write a key
+        // reach its owner — old, and after forwarding new — in submission
+        // order, so the last one submitted wins.
+        let via = |_| AeuId(1);
+        // Keys many commands of a round write, spread over the domain.
+        let hot: Vec<u64> = (0..64).map(|i| i * (domain / 64) + 5).collect();
+        let mut stranded = [0, 0];
+
+        for round in 0..8u64 {
+            // Skew, so that the next balancer cycle has boundaries to move.
+            let base = (round % 4) * domain / 4;
+            let skew: Vec<Payload> = (0..8)
+                .map(|_| Payload::Lookup {
+                    keys: (0..256)
+                        .map(|_| base + rng.gen_range(0..domain / 8))
+                        .collect(),
+                })
+                .collect();
+            submit_each(&mut e, idx, &mut ticket, via, skew);
+            e.run_until_drained();
+            e.results().take_lookup_values();
+
+            // 1- to 3-key commands over the whole domain: one hot key and
+            // up to two keys of their own.
+            let upserts = round % 2 == 0;
+            let mut asked: Vec<Vec<u64>> = Vec::new();
+            let payloads: Vec<Payload> = (0..400u64)
+                .map(|i| {
+                    let mut keys = vec![hot[rng.gen_range(0..hot.len())]];
+                    keys.extend((0..i % 3).map(|_| rng.gen_range(0..domain)));
+                    if upserts {
+                        let pairs: Vec<(u64, u64)> = keys
+                            .iter()
+                            .enumerate()
+                            .map(|(j, &k)| (k, (round + 1) << 32 | i << 2 | j as u64))
+                            .collect();
+                        oracle.extend(pairs.iter().copied());
+                        Payload::Upsert { pairs }
+                    } else {
+                        asked.push(keys.clone());
+                        Payload::Lookup { keys }
+                    }
+                })
+                .collect();
+            let tickets = submit_each(&mut e, idx, &mut ticket, via, payloads);
+            // Stranded: the ranges move before the commands execute.
+            let before = e.telemetry().totals.forwarded;
+            e.run_balancer();
+            e.run_until_drained();
+            if e.telemetry().totals.forwarded > before {
+                stranded[upserts as usize] += 1;
+            }
+            let got = answers_by_ticket(&e);
+            for (t, keys) in tickets.iter().zip(&asked) {
+                let mut want: Vec<_> = keys.iter().map(|k| (*k, oracle.get(k).copied())).collect();
+                want.sort_unstable();
+                assert_eq!(
+                    got.get(t),
+                    Some(&want),
+                    "hash={hash} round {round} ticket {t}"
+                );
+            }
+
+            // Read everything back with 1-key commands.
+            let keys: Vec<u64> = oracle
+                .keys()
+                .copied()
+                .filter(|k| k % 7 == round % 7)
+                .collect();
+            let tickets = submit_each(
+                &mut e,
+                idx,
+                &mut ticket,
+                via,
+                hot.iter()
+                    .chain(&keys)
+                    .map(|&k| Payload::Lookup { keys: vec![k] }),
+            );
+            e.run_until_drained();
+            let got = answers_by_ticket(&e);
+            for (t, k) in tickets.iter().zip(hot.iter().chain(&keys)) {
+                assert_eq!(
+                    got[t],
+                    vec![(*k, oracle.get(k).copied())],
+                    "hash={hash} round {round}: key {k}"
+                );
+            }
+        }
+        assert!(
+            stranded[0] > 0 && stranded[1] > 0,
+            "hash={hash}: lookups and upserts both had strays to forward: {stranded:?}"
+        );
+        let snap = e.telemetry();
+        assert!(snap.conservation_holds(), "{snap}");
+        let total: usize = e
+            .aeu_ids()
+            .iter()
+            .map(|a| e.aeu(*a).partition(idx).map_or(0, |p| p.data.len()))
+            .sum();
+        assert_eq!(total, oracle.len(), "hash={hash}");
+    }
+}
+
 #[test]
 fn scans_match_oracle_aggregates() {
     let mut rng = StdRng::seed_from_u64(7);

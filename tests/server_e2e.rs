@@ -16,9 +16,12 @@
 
 use eris_core::prelude::*;
 use eris_server::{
-    loopback_pair, AdmissionConfig, Client, ClockSource, EngineServer, PipeTransport, RespKind,
-    ServerConfig, TcpServer, Transport, REJ_DECODE,
+    loopback_pair, AdmissionConfig, Client, ClockSource, EngineServer, IdleRule, PipeTransport,
+    RespKind, ServerConfig, ShutdownOutcome, TcpServer, TcpTransport, Transport, REJ_DECODE,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn small_engine(nodes: u16, cores: u16) -> (Engine, DataObjectId) {
     let cfg = EngineConfig {
@@ -512,4 +515,124 @@ fn tcp_round_trip_on_localhost() {
     assert!(outcome.quiesce.clean(), "{:?}", outcome.quiesce);
     assert!(outcome.ledger.holds(), "{:?}", outcome.ledger);
     assert_eq!(outcome.snapshot.accepted_total(), 50);
+}
+
+/// A host-clock TCP server with one client connected and its `Hello` sent
+/// *before* the serve loop starts (the listener's backlog holds the
+/// connection), so the loop's first pump already sees traffic.
+struct Serving {
+    client: Client<TcpTransport>,
+    obj: DataObjectId,
+    stop: Arc<AtomicBool>,
+    handle: std::thread::JoinHandle<ShutdownOutcome>,
+}
+
+impl Serving {
+    fn start() -> Serving {
+        let (engine, obj) = small_engine(1, 2);
+        let server = EngineServer::new(
+            engine,
+            ServerConfig {
+                clock: ClockSource::Host,
+                ..Default::default()
+            },
+        );
+        let tcp = TcpServer::bind("127.0.0.1:0".parse().unwrap(), server).unwrap();
+        let mut client = Client::connect_tcp(tcp.local_addr().unwrap(), 0).unwrap();
+        client.poll();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || tcp.serve(&stop2));
+        Serving {
+            client,
+            obj,
+            stop,
+            handle,
+        }
+    }
+
+    /// Raise `stop`, join the loop, and check what every shutdown owes.
+    fn stop(self) -> (ShutdownOutcome, Client<TcpTransport>) {
+        self.stop.store(true, Ordering::Relaxed);
+        let outcome = self.handle.join().unwrap();
+        assert!(outcome.quiesce.clean(), "{:?}", outcome.quiesce);
+        assert!(outcome.ledger.holds(), "{:?}", outcome.ledger);
+        (outcome, self.client)
+    }
+}
+
+/// One command every 100 us keeps the serve loop polling — it never
+/// sleeps through traffic — and `stop` raised while it spins still
+/// shuts down cleanly.
+#[test]
+fn a_steady_trickle_keeps_the_serve_loop_awake() {
+    // The claim binds only while the *client* kept its schedule: on a
+    // loaded host (the tests beside this one) it can be descheduled for
+    // longer than the spin window, and then the server is right to sleep.
+    // Such an attempt is repeated.
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while Instant::now() < give_up {
+        let mut s = Serving::start();
+        let t0 = Instant::now();
+        let (mut sent, mut last_send, mut longest_pause) = (0u64, t0, Duration::ZERO);
+        while t0.elapsed() < Duration::from_millis(20) {
+            s.client.poll();
+            let due = t0 + Duration::from_micros(100) * sent as u32;
+            if Instant::now() >= due
+                && s.client.is_welcomed()
+                && s.client.try_send(&lookup(s.obj, sent))
+            {
+                longest_pause = longest_pause.max(last_send.elapsed());
+                last_send = Instant::now();
+                sent += 1;
+            }
+        }
+        longest_pause = longest_pause.max(last_send.elapsed());
+        // Mid-trickle: the loop is spinning when it sees the flag.
+        let (outcome, _) = s.stop();
+        let counters = outcome.snapshot.counters;
+        assert_eq!(
+            outcome.snapshot.accepted_total(),
+            counters.commands_received
+        );
+        if longest_pause < IdleRule::SPIN_WINDOW / 2 {
+            assert!(sent > 100, "the trickle ran: {sent} commands");
+            assert!(counters.serve_spins > 0, "{counters:?}");
+            assert_eq!(
+                counters.serve_sleeps, 0,
+                "slept through traffic: {counters:?}"
+            );
+            return;
+        }
+    }
+    panic!("30 s of attempts, and in each the client itself paused for half the spin window");
+}
+
+/// A connected but silent client lets the loop fall back to sleeping, so
+/// an idle server does not burn a core; `stop` raised while it sleeps
+/// shuts down cleanly, and the silent connection still hears `Goodbye`.
+#[test]
+fn silence_puts_the_serve_loop_to_sleep() {
+    let mut s = Serving::start();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !s.client.is_welcomed() && Instant::now() < deadline {
+        s.client.poll();
+        std::thread::yield_now();
+    }
+    assert!(s.client.is_welcomed());
+    assert!(s.client.try_send(&lookup(s.obj, 1)));
+    s.client.poll();
+    std::thread::sleep(Duration::from_millis(50));
+    let (outcome, mut client) = s.stop();
+    let counters = outcome.snapshot.counters;
+    // 50 ms of silence is 49 ms past the window: ~245 sleeps of 200 us.
+    assert!(counters.serve_sleeps >= 20, "{counters:?}");
+    assert!(
+        counters.serve_spins > 0,
+        "it polled while there was traffic"
+    );
+    assert_eq!(outcome.snapshot.accepted_total(), 1);
+    client.poll();
+    assert!(client.is_done());
+    assert_eq!(client.stats().goodbyes, 1);
 }

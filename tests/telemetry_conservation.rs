@@ -446,6 +446,115 @@ fn trace_ledger_balances_under_real_threads() {
 }
 
 #[test]
+fn one_key_command_groups_conserve_under_both_runtimes() {
+    // The serving shape: many 1-key commands per AEU and step, executed
+    // as one batch per (object, op) group, on a prefix tree and a hash
+    // index at once.  Group execution publishes its counters per group;
+    // both ledgers must still balance command for command — per object
+    // enqueued == executed, and stamped == traced + dropped with every
+    // fourth command stamped.
+    let build = || {
+        let mut e = Engine::new(
+            eris_numa::machines::custom_machine("t", 2, 2, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                tree: PrefixTreeConfig::new(8, 32),
+                routing: RoutingConfig {
+                    trace_sample_every: 4,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let domain = 1 << 16;
+        let tree = e.create_index("tree", domain);
+        let hash = e.create_hash_index("hash", domain);
+        e.bulk_load_index(tree, (0..domain).step_by(2).map(|k| (k, k)));
+        e.bulk_load_index(hash, (0..domain).step_by(2).map(|k| (k, k)));
+        (e, [tree, hash])
+    };
+    // 64 one-key commands: x picks object, op and key.
+    let burst = |mut x: u64, objects: [DataObjectId; 2], out: &mut Vec<DataCommand>| {
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = (x >> 8) % (1 << 16);
+            out.push(DataCommand {
+                object: objects[(x & 1) as usize],
+                ticket: x,
+                payload: if x & 6 == 0 {
+                    Payload::Upsert {
+                        pairs: vec![(key, x)],
+                    }
+                } else {
+                    Payload::Lookup { keys: vec![key] }
+                },
+            });
+        }
+    };
+    let check = |e: &Engine, runtime: &str| {
+        let snap = e.telemetry();
+        assert!(snap.conservation_holds(), "{runtime}:\n{snap}");
+        for f in &snap.objects {
+            assert!(f.enqueued > 0, "{runtime}: {:?} saw traffic", f.object);
+            assert_eq!(f.in_flight(), 0, "{runtime}: {:?}", f.object);
+        }
+        assert!(snap.trace.stamped > 0, "{runtime}: {:?}", snap.trace);
+        assert!(snap.trace.balances(), "{runtime}: {:?}", snap.trace);
+        let recorded: u64 = snap.latency.iter().map(|(_, s)| s.queue_wait.count).sum();
+        assert_eq!(
+            recorded, snap.trace.traced,
+            "{runtime}: every trace recorded"
+        );
+        let t = &snap.totals;
+        assert_eq!(t.commands_executed, t.commands_unicast, "{runtime}");
+        assert_eq!(
+            t.lookups + t.upserts,
+            t.commands_executed,
+            "{runtime}: one operation per command"
+        );
+        assert!(
+            t.exec_batches * 4 < t.commands_executed,
+            "{runtime}: {} commands in {} groups",
+            t.commands_executed,
+            t.exec_batches
+        );
+    };
+
+    // Cooperative: 64 commands through each AEU before every epoch.
+    let (mut e, objects) = build();
+    let mut cmds = Vec::new();
+    for epoch in 0..40u64 {
+        for a in e.aeu_ids() {
+            burst(epoch * 31 + a.0 as u64 + 1, objects, &mut cmds);
+            for cmd in cmds.drain(..) {
+                e.submit(a, cmd).unwrap();
+            }
+        }
+        e.run_epoch();
+    }
+    e.run_until_drained();
+    check(&e, "cooperative");
+
+    // Real threads: every AEU generates a burst per step.
+    let (mut e, objects) = build();
+    for a in e.aeu_ids() {
+        e.set_generator(
+            a,
+            Some(Box::new(move |step, out| {
+                burst(step * 131 + a.0 as u64 + 1, objects, out)
+            })),
+        );
+    }
+    e.run_threaded_for(Duration::from_millis(150));
+    for a in e.aeu_ids() {
+        e.set_generator(a, None);
+    }
+    e.run_until_drained();
+    check(&e, "threaded");
+}
+
+#[test]
 fn snapshot_renders_text_and_json() {
     let mut e = engine(2, 2);
     let idx = e.create_index("t", 1 << 12);
