@@ -1,4 +1,4 @@
-//! Kernel regression benchmark — chunked vs scalar AEU execution.
+//! Kernel regression benchmark — fused vs scalar AEU execution.
 //!
 //! Unlike the paper-figure experiments (virtual time on simulated
 //! machines), this measures **wall-clock** throughput of the vectorized
@@ -6,7 +6,8 @@
 //!
 //! * the fused multi-predicate shared sweep (N coalesced scans answered
 //!   in one pass) against N unshared sweeps and against the
-//!   row-at-a-time scalar oracle, at both the chunked and SIMD tiers,
+//!   row-at-a-time scalar oracle — on the production path, i.e. AVX2
+//!   lanes where detected and the portable kernels under `ERIS_SIMD=0`,
 //! * the single-predicate count/sum kernels — explicit-AVX2 SIMD vs the
 //!   portable chunked loops vs scalar scans,
 //! * AMAC interleaved batched hash probes against one-at-a-time lookups,
@@ -79,6 +80,20 @@ fn preds(n: usize) -> Vec<Predicate> {
         .collect()
 }
 
+/// One measurement pass: seconds per call of `f` over at least `min_ms`.
+fn pass(min_ms: u64, f: &mut dyn FnMut() -> u64, sink: &mut u64) -> f64 {
+    let t0 = Instant::now();
+    let mut iters = 0u64;
+    loop {
+        *sink = sink.wrapping_add(f());
+        iters += 1;
+        if t0.elapsed().as_millis() as u64 >= min_ms {
+            break;
+        }
+    }
+    t0.elapsed().as_secs_f64() / iters as f64
+}
+
 /// Wall time of `f` in seconds per call: the minimum over three
 /// measurement passes of at least `min_ms` each, after one warmup call.
 /// Min-of-passes discards scheduler noise (which only ever slows a
@@ -87,16 +102,7 @@ fn time(min_ms: u64, mut f: impl FnMut() -> u64) -> f64 {
     let mut sink = f(); // warmup
     let mut best = f64::INFINITY;
     for _ in 0..3 {
-        let t0 = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            sink = sink.wrapping_add(f());
-            iters += 1;
-            if t0.elapsed().as_millis() as u64 >= min_ms {
-                break;
-            }
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
+        best = best.min(pass(min_ms, &mut f, &mut sink));
     }
     std::hint::black_box(sink);
     best
@@ -109,20 +115,9 @@ fn time(min_ms: u64, mut f: impl FnMut() -> u64) -> f64 {
 fn time_pair(min_ms: u64, mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (f64, f64) {
     let mut sink = a().wrapping_add(b()); // warmup both
     let (mut ta, mut tb) = (f64::INFINITY, f64::INFINITY);
-    let mut fns: [(&mut f64, &mut dyn FnMut() -> u64); 2] = [(&mut ta, &mut a), (&mut tb, &mut b)];
     for _ in 0..3 {
-        for (best, f) in fns.iter_mut() {
-            let t0 = Instant::now();
-            let mut iters = 0u64;
-            loop {
-                sink = sink.wrapping_add(f());
-                iters += 1;
-                if t0.elapsed().as_millis() as u64 >= min_ms {
-                    break;
-                }
-            }
-            **best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-        }
+        ta = ta.min(pass(min_ms, &mut a, &mut sink));
+        tb = tb.min(pass(min_ms, &mut b, &mut sink));
     }
     std::hint::black_box(sink);
     (ta, tb)
@@ -219,28 +214,22 @@ fn measure(quick: bool) -> (Metrics, u64) {
     let ps = preds(CONSUMERS);
     let mut m = Metrics(Vec::new());
 
-    // The tentpole comparison: one fused sweep answers all N consumers;
-    // the alternatives pay either N sweeps or per-row dispatch.  The
-    // SIMD tier runs the same fused sweep through explicit AVX2 lanes
-    // (or, under ERIS_SIMD=0, through the portable kernels — ~1.0x).
-    let t_fused = time(ms, || fused_sweep(&col, &ps, ScanKernel::Chunked));
-    let t_fused_simd = time(ms, || fused_sweep(&col, &ps, ScanKernel::Simd));
+    // One fused sweep answers all N consumers; the alternatives pay
+    // either N sweeps or per-row dispatch.  The fused side is the sweep
+    // the engine runs, whichever kernels `simd::level()` selects.
+    let t_fused = time(ms, || fused_sweep(&col, &ps, ScanKernel::Simd));
     let t_fused_scalar = time(ms, || fused_sweep(&col, &ps, ScanKernel::Scalar));
     let t_unshared = time(ms, || {
-        let mut acc = 0u64;
-        for p in &ps {
-            acc = acc.wrapping_add(col.sum(*p, usize::MAX));
-        }
-        acc
+        ps.iter().fold(0u64, |acc, p| {
+            acc.wrapping_add(fused_sweep(&col, std::slice::from_ref(p), ScanKernel::Simd))
+        })
     });
     let consumer_rows = (rows * CONSUMERS as u64) as f64;
-    m.put("fused_chunked_rows_per_sec", consumer_rows / t_fused);
-    m.put("fused_simd_rows_per_sec", consumer_rows / t_fused_simd);
+    m.put("fused_rows_per_sec", consumer_rows / t_fused);
     m.put("fused_scalar_rows_per_sec", consumer_rows / t_fused_scalar);
-    m.put("unshared_chunked_rows_per_sec", consumer_rows / t_unshared);
+    m.put("unshared_rows_per_sec", consumer_rows / t_unshared);
     m.put("shared_vs_unshared_speedup", t_unshared / t_fused);
     m.put("chunked_vs_scalar_speedup", t_fused_scalar / t_fused);
-    m.put("simd_vs_chunked_fused_speedup", t_fused / t_fused_simd);
 
     // Single-predicate kernels against the row-at-a-time scan.
     let p = Predicate::Range {
@@ -368,7 +357,9 @@ fn measure(quick: bool) -> (Metrics, u64) {
 }
 
 pub fn run(quick: bool) {
-    println!("Kernel regression benchmark: simd vs chunked vs scalar (wall clock)");
+    println!(
+        "Kernel regression benchmark: fused sweep, chunk kernels, batched probes (wall clock)"
+    );
     println!(
         "({CONSUMERS} coalesced consumers per fused sweep; simd level {:?})\n",
         simd::level()
@@ -377,19 +368,14 @@ pub fn run(quick: bool) {
 
     let mut t = TextTable::new(&["kernel", "throughput", "speedup"]);
     t.row(vec![
-        format!("fused shared sweep ({CONSUMERS} preds, chunked)"),
-        fmt_rate(m.get("fused_chunked_rows_per_sec")),
+        format!("fused shared sweep ({CONSUMERS} preds)"),
+        fmt_rate(m.get("fused_rows_per_sec")),
         format!("{:.2}x vs unshared", m.get("shared_vs_unshared_speedup")),
-    ]);
-    t.row(vec![
-        format!("fused shared sweep ({CONSUMERS} preds, simd)"),
-        fmt_rate(m.get("fused_simd_rows_per_sec")),
-        format!("{:.2}x vs chunked", m.get("simd_vs_chunked_fused_speedup")),
     ]);
     t.row(vec![
         "fused shared sweep (scalar oracle)".into(),
         fmt_rate(m.get("fused_scalar_rows_per_sec")),
-        format!("{:.2}x chunked/scalar", m.get("chunked_vs_scalar_speedup")),
+        format!("{:.2}x fused/scalar", m.get("chunked_vs_scalar_speedup")),
     ]);
     t.row(vec![
         "chunked count".into(),
@@ -523,15 +509,14 @@ mod tests {
                 },
             "simd_active flag matches dispatch level"
         );
-        // The fused chunked sweep must beat the per-row scalar path —
-        // the acceptance criterion of the chunked-kernel tentpole.
+        // The fused sweep must beat the per-row scalar path.
         // Optimized builds only: debug codegen neither vectorizes the
         // kernels nor inlines the scalar dispatch, so the ratio there
         // measures the compiler, not the design.
         if cfg!(not(debug_assertions)) {
             assert!(
                 m.get("chunked_vs_scalar_speedup") > 1.0,
-                "chunked fused sweep beats the scalar oracle: {:?}",
+                "fused sweep beats the scalar oracle: {:?}",
                 m.0
             );
         }

@@ -383,11 +383,7 @@ pub fn run_bench(quick: bool) -> ServerBenchReport {
     // Merge per-tenant wait histograms for whole-server percentiles.
     let mut wait = eris_obs::LogHistogram::default();
     for h in &snap.net_wait {
-        for (a, b) in wait.buckets.iter_mut().zip(h.buckets.iter()) {
-            *a += *b;
-        }
-        wait.count += h.count;
-        wait.sum += h.sum;
+        wait.merge(h);
     }
     let p50 = wait.p50();
     let p99 = wait.p99();

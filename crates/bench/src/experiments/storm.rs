@@ -39,7 +39,7 @@ use crate::{fmt_rate, scale_for, TextTable};
 use eris_core::prelude::*;
 use eris_core::DataObjectId;
 use eris_durability::{Durability, FailPoints, FP_JOURNAL_PRE_SYNC};
-use eris_obs::{LatencySeries, LogHistogram, SloConfig, SloEngine, SloTotals};
+use eris_obs::{LatencySeries, SloConfig, SloEngine, SloTotals};
 use eris_workloads::{Storm, StormParams, StormSampler};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -593,13 +593,6 @@ fn run_units(
 /// Merge per-(object, op) latency series into per-op-tag series,
 /// accumulating across process lifetimes.
 fn merge_latency(into: &mut Vec<(u8, LatencySeries)>, tel: &TelemetrySnapshot) {
-    fn add_hist(a: &mut LogHistogram, b: &LogHistogram) {
-        for (x, y) in a.buckets.iter_mut().zip(b.buckets.iter()) {
-            *x += *y;
-        }
-        a.count += b.count;
-        a.sum += b.sum;
-    }
     for ((_, op), series) in &tel.latency {
         let slot = match into.iter_mut().find(|(o, _)| o == op) {
             Some((_, s)) => s,
@@ -608,9 +601,9 @@ fn merge_latency(into: &mut Vec<(u8, LatencySeries)>, tel: &TelemetrySnapshot) {
                 &mut into.last_mut().unwrap().1
             }
         };
-        add_hist(&mut slot.queue_wait, &series.queue_wait);
-        add_hist(&mut slot.exec, &series.exec);
-        add_hist(&mut slot.hops, &series.hops);
+        slot.queue_wait.merge(&series.queue_wait);
+        slot.exec.merge(&series.exec);
+        slot.hops.merge(&series.hops);
     }
 }
 

@@ -11,26 +11,18 @@
 //! is shared.
 
 use crate::column::{Column, Predicate};
-use crate::kernel::{self, CompiledPredicate};
+use crate::kernel::CompiledPredicate;
 use crate::simd;
 
-/// Which execution path a shared sweep uses.  [`ScanKernel::Simd`] is the
-/// default everywhere and degrades to the portable chunked code when the
-/// hardware (or `ERIS_SIMD=0`) rules the explicit lanes out;
-/// [`ScanKernel::Scalar`] keeps the original per-row closure path alive
-/// as a correctness oracle (and a baseline for the kernel benchmarks).
+/// Which execution path a shared sweep uses: the production fused sweep
+/// or the row-at-a-time oracle it is tested (and benchmarked) against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanKernel {
-    /// Fused chunked sweep through the explicit-SIMD predicate kernels
-    /// ([`crate::simd`]): AVX2 u64 lanes where detected, the portable
-    /// chunked kernels otherwise — bit-identical either way.
+    /// Fused chunked sweep through [`crate::simd`]: AVX2 u64 lanes where
+    /// detected, the portable chunked kernels of [`crate::kernel`]
+    /// otherwise (or under `ERIS_SIMD=0`) — bit-identical either way.
     #[default]
     Simd,
-    /// Fused chunked sweep through the portable branch-free kernels:
-    /// every consumer's predicate is evaluated against each
-    /// [`kernel::CHUNK_ROWS`]-row chunk while the chunk is hot in L1,
-    /// leaving vectorization to the compiler.
-    Chunked,
     /// Row-at-a-time `Predicate::matches` closure per consumer.
     Scalar,
 }
@@ -105,33 +97,19 @@ impl SharedScan {
         self.consumers.is_empty()
     }
 
-    /// Execute all consumers in one sweep with the default
-    /// ([`ScanKernel::Simd`]) kernel.  Returns the rows examined — the
-    /// *maximum* snapshot across consumers, not the sum: that the data is
-    /// read once for N commands is exactly the scan-sharing win the
-    /// virtual-time model charges for.
-    pub fn execute(self, column: &Column) -> (Vec<AggregateResult>, usize) {
-        self.execute_with(column, ScanKernel::default())
-    }
-
-    /// Execute with an explicit kernel choice.
-    pub fn execute_with(self, column: &Column, k: ScanKernel) -> (Vec<AggregateResult>, usize) {
-        match k {
-            ScanKernel::Simd => self.execute_fused(column, true),
-            ScanKernel::Chunked => self.execute_fused(column, false),
-            ScanKernel::Scalar => self.execute_scalar(column),
-        }
-    }
-
-    /// Fused chunked sweep: each chunk is pulled through the cache once
-    /// and every consumer's compiled predicate reduces it branch-free,
-    /// computing only the aggregate that consumer asked for — through the
-    /// explicit-SIMD kernels when `use_simd` (which themselves fall back
-    /// to the portable code on non-AVX2 hardware), the portable chunked
-    /// kernels otherwise.  Exactness: count/sum/min/max are
+    /// Execute all consumers in one fused sweep.  Returns the rows
+    /// examined — the *maximum* snapshot across consumers, not the sum:
+    /// that the data is read once for N commands is exactly the
+    /// scan-sharing win the virtual-time model charges for.
+    ///
+    /// Each chunk is pulled through the cache once and every consumer's
+    /// compiled predicate reduces it branch-free, computing only the
+    /// aggregate that consumer asked for, through the [`simd`] kernels
+    /// (which fall back to the portable [`crate::kernel`] code on
+    /// non-AVX2 hardware).  Exactness: count/sum/min/max are
     /// commutative–associative folds, so per-chunk partials combine to
     /// bit-identical results vs. the scalar path.
-    fn execute_fused(mut self, column: &Column, use_simd: bool) -> (Vec<AggregateResult>, usize) {
+    pub fn execute(mut self, column: &Column) -> (Vec<AggregateResult>, usize) {
         let sweep = self.consumers.iter().map(|c| c.snapshot).max().unwrap_or(0);
         // ALLOC-OK: one predicate-compilation vector per fused sweep,
         // amortized over every chunk the sweep touches.
@@ -151,28 +129,10 @@ impl SharedScan {
                 // base < c.snapshot was checked above, so the range is valid.
                 let part = &chunk[..(c.snapshot - base).min(chunk.len())];
                 match c.agg {
-                    Aggregate::Count => {
-                        c.count += if use_simd {
-                            simd::count(part, p)
-                        } else {
-                            kernel::count(part, p)
-                        }
-                    }
-                    Aggregate::Sum => {
-                        let s = if use_simd {
-                            simd::sum(part, p)
-                        } else {
-                            kernel::sum(part, p)
-                        };
-                        c.sum = c.sum.wrapping_add(s);
-                    }
+                    Aggregate::Count => c.count += simd::count(part, p),
+                    Aggregate::Sum => c.sum = c.sum.wrapping_add(simd::sum(part, p)),
                     Aggregate::MinMax => {
-                        let mm = if use_simd {
-                            simd::min_max(part, p)
-                        } else {
-                            kernel::min_max(part, p)
-                        };
-                        if let Some((mn, mx)) = mm {
+                        if let Some((mn, mx)) = simd::min_max(part, p) {
                             c.min = c.min.min(mn);
                             c.max = c.max.max(mx);
                             c.matched = true;
@@ -184,8 +144,16 @@ impl SharedScan {
         (self.results(), examined)
     }
 
-    /// The original row-at-a-time path, kept as the oracle the chunked
-    /// kernels are tested (and benchmarked) against.
+    /// Execute with an explicit kernel choice.
+    pub fn execute_with(self, column: &Column, k: ScanKernel) -> (Vec<AggregateResult>, usize) {
+        match k {
+            ScanKernel::Simd => self.execute(column),
+            ScanKernel::Scalar => self.execute_scalar(column),
+        }
+    }
+
+    /// The row-at-a-time path, kept as the oracle the fused sweep is
+    /// tested (and benchmarked) against.
     pub fn execute_scalar(mut self, column: &Column) -> (Vec<AggregateResult>, usize) {
         let sweep = self.consumers.iter().map(|c| c.snapshot).max().unwrap_or(0);
         let examined = column.scan(Predicate::All, sweep, |row, v| {
@@ -298,6 +266,7 @@ mod tests {
 
     mod properties {
         use super::*;
+        use crate::kernel;
         use proptest::prelude::*;
 
         fn preds() -> impl Strategy<Value = Predicate> {
@@ -320,6 +289,25 @@ mod tests {
             ]
         }
 
+        /// One consumer's aggregate through the portable chunked kernels.
+        fn portable(c: &Column, pred: Predicate, agg: Aggregate, snap: usize) -> AggregateResult {
+            let p = CompiledPredicate::compile(pred);
+            let (mut count, mut sum, mut mm) = (0u64, 0u64, None::<(u64, u64)>);
+            c.for_each_chunk(snap, |_, chunk| {
+                count += kernel::count(chunk, p);
+                sum = sum.wrapping_add(kernel::sum(chunk, p));
+                mm = match (mm, kernel::min_max(chunk, p)) {
+                    (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                    (a, b) => a.or(b),
+                };
+            });
+            match agg {
+                Aggregate::Count => AggregateResult::Count(count),
+                Aggregate::Sum => AggregateResult::Sum(sum),
+                Aggregate::MinMax => AggregateResult::MinMax(mm),
+            }
+        }
+
         proptest! {
             #[test]
             fn chunked_matches_scalar_oracle(
@@ -340,13 +328,15 @@ mod tests {
                     }
                     s
                 };
-                let (chunked, ex_c) = build().execute_with(&c, ScanKernel::Chunked);
-                let (simd, ex_v) = build().execute_with(&c, ScanKernel::Simd);
-                let (scalar, ex_s) = build().execute_with(&c, ScanKernel::Scalar);
-                prop_assert_eq!(&chunked, &scalar);
+                let (simd, ex_v) = build().execute(&c);
+                let (scalar, ex_s) = build().execute_scalar(&c);
                 prop_assert_eq!(&simd, &scalar);
-                prop_assert_eq!(ex_c, ex_s);
                 prop_assert_eq!(ex_v, ex_s);
+                // The portable kernels — what `simd::*` falls back to off
+                // AVX2 — folded per chunk, one consumer at a time.
+                for (&(p, a, snap), want) in consumers.iter().zip(&scalar) {
+                    prop_assert_eq!(portable(&c, p, a, snap), *want);
+                }
             }
         }
     }

@@ -11,8 +11,8 @@
 //!   and honors the `ERIS_SIMD=0` kill switch, which forces the portable
 //!   path so CI can prove the fallback is equivalent.
 //! * Every entry point falls back to the matching [`crate::kernel`]
-//!   function — the scalar kernel stays the correctness oracle, exactly
-//!   like [`crate::scan::ScanKernel::Scalar`] does for the chunked tier.
+//!   function — the only path on hosts without AVX2, and the oracle the
+//!   lanes are property-tested against.
 //! * Unsigned 64-bit compares are built from the signed `_mm256_cmpgt_epi64`
 //!   by biasing both sides with `1 << 63` (the "sign-flip" idiom); all
 //!   folds use the same identities as the scalar kernels (`u64::MAX` for
@@ -81,19 +81,6 @@ pub fn min_max(values: &[u64], p: CompiledPredicate) -> Option<(u64, u64)> {
         // the avx2 target feature on this CPU.
         SimdLevel::Avx2 => unsafe { avx2::min_max(values, p) },
         _ => kernel::min_max(values, p),
-    }
-}
-
-/// Fill `out` with the LSB-first selection bitmap of one chunk and return
-/// the match count ([`kernel::select_bitmap`] semantics and layout).
-#[inline]
-pub fn select_bitmap(values: &[u64], p: CompiledPredicate, out: &mut [u64]) -> u64 {
-    match level() {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // SAFETY: `level()` returns Avx2 only after runtime detection of
-        // the avx2 target feature on this CPU.
-        SimdLevel::Avx2 => unsafe { avx2::select_bitmap(values, p, out) },
-        _ => kernel::select_bitmap(values, p, out),
     }
 }
 
@@ -236,45 +223,6 @@ mod avx2 {
             (v, t) => v.or(t),
         }
     }
-
-    /// # Safety
-    /// Caller must have verified the `avx2` target feature.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: declared unsafe for the avx2 target-feature contract
-    // (see the doc Safety section); callers go through `level()`.
-    pub unsafe fn select_bitmap(values: &[u64], p: CompiledPredicate, out: &mut [u64]) -> u64 {
-        let (lo, hi) = p.bounds();
-        let words = values.len().div_ceil(64);
-        // BOUNDS: same precondition as the scalar kernel; `out[w]` stays
-        // under the asserted length for every chunk index w < words.
-        assert!(out.len() >= words, "bitmap buffer too small");
-        let mut total = 0u64;
-        // SAFETY: loads read 32 bytes from 4-element in-bounds slices.
-        unsafe {
-            let bias = _mm256_set1_epi64x(BIAS);
-            let lo_s = _mm256_set1_epi64x(lo as i64 ^ BIAS);
-            let hi_s = _mm256_set1_epi64x(hi as i64 ^ BIAS);
-            for (w, block) in values.chunks(64).enumerate() {
-                let mut word = 0u64;
-                let mut groups = block.chunks_exact(4);
-                for (g, c) in groups.by_ref().enumerate() {
-                    let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-                    let m = in_range(_mm256_xor_si256(v, bias), lo_s, hi_s);
-                    // One sign bit per 64-bit lane, LSB-first: 4 bits.
-                    let bits = _mm256_movemask_pd(_mm256_castsi256_pd(m)) as u64 & 0xF;
-                    word |= bits << (g * 4);
-                }
-                let base = block.len() - groups.remainder().len();
-                for (i, &v) in groups.remainder().iter().enumerate() {
-                    word |= (p.matches(v) as u64) << (base + i);
-                }
-                // BOUNDS: w < words <= out.len() (asserted precondition above).
-                out[w] = word;
-                total += word.count_ones() as u64;
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +244,7 @@ mod tests {
     }
 
     fn values() -> impl Strategy<Value = Vec<u64>> {
-        // Lengths cover empty, sub-lane tails, and multi-word bitmaps;
+        // Lengths cover empty, sub-lane tails, and many full lanes;
         // values cover both compare boundaries and the sign-flip bias.
         proptest::collection::vec(
             prop_oneof![
@@ -318,12 +266,6 @@ mod tests {
             prop_assert_eq!(count(&vals, p), kernel::count(&vals, p));
             prop_assert_eq!(sum(&vals, p), kernel::sum(&vals, p));
             prop_assert_eq!(min_max(&vals, p), kernel::min_max(&vals, p));
-            let mut got = vec![0u64; vals.len().div_ceil(64)];
-            let mut want = vec![0u64; vals.len().div_ceil(64)];
-            let n_got = select_bitmap(&vals, p, &mut got);
-            let n_want = kernel::select_bitmap(&vals, p, &mut want);
-            prop_assert_eq!(n_got, n_want);
-            prop_assert_eq!(got, want);
         }
 
     }
@@ -346,12 +288,6 @@ mod tests {
                     prop_assert_eq!(avx2::count(&vals, p), kernel::count(&vals, p));
                     prop_assert_eq!(avx2::sum(&vals, p), kernel::sum(&vals, p));
                     prop_assert_eq!(avx2::min_max(&vals, p), kernel::min_max(&vals, p));
-                    let mut got = vec![0u64; vals.len().div_ceil(64)];
-                    let mut want = vec![0u64; vals.len().div_ceil(64)];
-                    let n_got = avx2::select_bitmap(&vals, p, &mut got);
-                    let n_want = kernel::select_bitmap(&vals, p, &mut want);
-                    prop_assert_eq!(n_got, n_want);
-                    prop_assert_eq!(got, want);
                 }
             }
         }

@@ -7,14 +7,14 @@
 //! commands**.  All data structure accesses are latch-free because the AEU
 //! is the only writer of its partitions.
 
-use crate::command::{AeuId, DataCommand, DataObjectId, Payload, StorageOp};
+use crate::command::{AeuId, DataCommand, DataObjectId, Payload, PointItem, StorageOp};
 use crate::cost::{expected_tree_misses, CostParams};
 use crate::durability::{RedoOp, RedoSink};
 use crate::results::ResultCollector;
 use crate::routing::RoutingError;
 use crate::routing::{FlushInfo, IncomingBuffers, Router};
-use crate::telemetry::{ObjectCounters, TelemetryShard};
-use eris_column::{Column, ScanKernel, Segment, SharedScan};
+use crate::telemetry::TelemetryShard;
+use eris_column::{simd, Column, Segment, SharedScan, SimdLevel};
 use eris_index::{HashTable, PrefixTree, PrefixTreeConfig};
 use eris_mem::ThreadCache;
 use eris_numa::{CoreId, Flow, NodeId};
@@ -48,16 +48,14 @@ fn range_contains(lo: u64, hi: u64, k: u64) -> bool {
 /// Split a point command's items into those whose key the validity range
 /// `[lo, hi)` contains and the strays.  Outside a migration every item is
 /// mine: the decoded slice is handed on as it is and nothing is allocated.
-fn split_strays<T: Copy>(
-    items: &[T],
-    (lo, hi): (u64, u64),
-    key: impl Fn(T) -> u64,
-) -> (Cow<'_, [T]>, Vec<T>) {
-    let mine = |item: T| range_contains(lo, hi, key(item));
-    if items.iter().all(|&item| mine(item)) {
+fn split_strays<T: PointItem>(items: &[T], (lo, hi): (u64, u64)) -> (Cow<'_, [T]>, Vec<T>) {
+    let mine = |item: &T| range_contains(lo, hi, item.key());
+    if items.iter().all(mine) {
         return (Cow::Borrowed(items), Vec::new());
     }
-    let (kept, stray) = items.iter().partition(|&&item| mine(item));
+    // ALLOC-OK: mid-migration only — a command straddling a moved
+    // boundary is copied into its local and its forwarded part.
+    let (kept, stray) = items.iter().partition(|&item| mine(item));
     (Cow::Owned(kept), stray)
 }
 
@@ -72,7 +70,7 @@ fn command_extent((c, _): &TracedCommand) -> (u64, usize) {
 struct PointCost {
     /// Expected LLC misses.
     misses: f64,
-    /// Structure-traversal CPU time.
+    /// CPU time: structure traversal, plus the write for an upsert.
     cpu_ns: f64,
 }
 
@@ -81,10 +79,99 @@ struct PointCost {
 struct PointTally {
     /// Keys probed or pairs applied locally.
     ops: u64,
-    /// Of the pairs applied, fresh inserts.
-    fresh: u64,
     /// Modelled execution time.
     exec_ns: f64,
+}
+
+/// What differs between lookups and upserts in a point run, implemented on
+/// the run's items: the kernel call with result delivery, and what settles
+/// one command (its reply, or its redo record).
+trait PointRun {
+    /// ONE batched kernel call over the run; results go to `results`,
+    /// each of `commands` — a `(ticket, item count)` — taking its slice.
+    fn run_kernel<C: Iterator<Item = (u64, usize)>>(
+        &self,
+        data: &mut PartitionData,
+        values: &mut Vec<Option<u64>>,
+        results: &ResultCollector,
+        commands: C,
+    );
+
+    /// Settle the one command whose local items these are.
+    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId, w: &mut WorkSummary);
+}
+
+impl PointRun for [u64] {
+    fn run_kernel<C: Iterator<Item = (u64, usize)>>(
+        &self,
+        data: &mut PartitionData,
+        values: &mut Vec<Option<u64>>,
+        results: &ResultCollector,
+        commands: C,
+    ) {
+        match data {
+            // Level-synchronous prefetched group descent.
+            PartitionData::Index(tree) => tree.lookup_batch(self, values),
+            PartitionData::Hash(h) => {
+                values.clear();
+                // AMAC interleaved state machine — every in-flight probe's
+                // next bucket is prefetched while the others execute,
+                // results in input order.
+                h.lookup_batch(self, values);
+            }
+            PartitionData::Column(_) => {
+                debug_assert!(false, "lookup on a column partition");
+                return;
+            }
+        }
+        results.lookup_batch(self, values, commands);
+    }
+
+    /// Result reply path: the callback owner receives the values.
+    fn settle_command(&self, aeu: &mut Aeu, _: DataObjectId, w: &mut WorkSummary) {
+        let n = self.len() as u64;
+        aeu.reply_rr = (aeu.reply_rr + 1) % aeu.cfg.node_of.len();
+        // BOUNDS: reply_rr was just reduced modulo node_of.len().
+        let reply_node = aeu.cfg.node_of[aeu.reply_rr];
+        w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * aeu.cfg.params.mlp);
+        w.cpu_ns += n as f64 * 2.0;
+        // ALLOC-OK: flow records drain into the epoch's work summary.
+        w.flows.push((
+            Flow::new(aeu.node, reply_node, n * 16),
+            FlowKind::Overlapped,
+        ));
+    }
+}
+
+impl PointRun for [(u64, u64)] {
+    fn run_kernel<C: Iterator<Item = (u64, usize)>>(
+        &self,
+        data: &mut PartitionData,
+        _: &mut Vec<Option<u64>>,
+        results: &ResultCollector,
+        _: C,
+    ) {
+        let fresh = match data {
+            // Read-only prefetched group descent, input-order application.
+            PartitionData::Index(tree) => tree.upsert_batch(self),
+            // Group-prefetched home buckets, input-order application; only
+            // a fresh key can grow the table.
+            PartitionData::Hash(h) => h.upsert_batch(self),
+            PartitionData::Column(_) => {
+                debug_assert!(false, "point upsert on a column partition");
+                return;
+            }
+        };
+        results.upsert_batch(self.len() as u64, fresh);
+    }
+
+    /// One redo record per command, as if it had been applied alone.
+    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId, _: &mut WorkSummary) {
+        aeu.journal(RedoOp::UpsertPairs {
+            object,
+            pairs: self,
+        });
+    }
 }
 
 /// Why [`Aeu::absorb_rows`] refused a batch.
@@ -129,9 +216,7 @@ impl PartitionData {
             PartitionData::Column(c) => c.bytes(),
         }
     }
-}
 
-impl PartitionData {
     /// Expected LLC misses per point operation, given the modelled key
     /// count and the AEU's effective cache share.
     fn point_misses(&self, model_keys: u64, cache_bytes: f64) -> f64 {
@@ -269,9 +354,6 @@ pub struct AeuConfig {
     pub local_latency_ns: f64,
     /// AEU index → home node, for flush traffic accounting.
     pub node_of: Arc<Vec<NodeId>>,
-    /// Kernel used for coalesced column sweeps: chunked (default) or the
-    /// row-at-a-time scalar oracle.
-    pub scan_kernel: ScanKernel,
 }
 
 /// An Autonomous Execution Unit.
@@ -299,21 +381,19 @@ pub struct Aeu {
     // Scratch buffers reused across steps.
     scratch_cmds: Vec<TracedCommand>,
     scratch_gen: Vec<DataCommand>,
-    /// The local keys (pairs) of a point group's current run, gathered
-    /// for one batched kernel call, and that call's lookup results.
+    /// Gather buffers for the local keys (pairs) of a point group's
+    /// current run, and the lookup results of its one batched kernel call.
     scratch_keys: Vec<u64>,
     scratch_pairs: Vec<(u64, u64)>,
     scratch_values: Vec<Option<u64>>,
-    /// Stamped commands executed by the current group, recorded into the
-    /// latency table once the group's host-time cost is known.
-    traced_pending: Vec<(DataObjectId, u8, TraceStamp)>,
+    /// Stamps of the commands executed by the current group, recorded into
+    /// the latency table once the group's host-time cost is known.
+    traced_pending: Vec<TraceStamp>,
     /// This AEU's telemetry shard (execution-side counters), shared with
     /// the router.
     tel: Arc<TelemetryShard>,
     /// The engine-wide sampled-latency table.
     latency: Arc<LatencyTable>,
-    /// Per-object conservation ledgers, cached off the registry lock.
-    tel_objects: Vec<Option<Arc<ObjectCounters>>>,
     /// Durability hook: every applied local mutation is reported here.
     sink: Option<Arc<dyn RedoSink>>,
 }
@@ -355,7 +435,6 @@ impl Aeu {
             traced_pending: Vec::new(),
             tel,
             latency,
-            tel_objects: Vec::new(),
             sink: None,
         }
     }
@@ -375,14 +454,16 @@ impl Aeu {
     /// owner).  No fresh sampling happens on this path.
     // HOT-PATH-CUT: rebalancing slow path — a command that landed on
     // the wrong AEU mid-migration is re-routed; rare by construction.
-    fn forward_stray(&mut self, cmd: DataCommand, stamp: Option<TraceStamp>) -> Vec<FlushInfo> {
+    fn forward_stray(&mut self, cmd: DataCommand, stamp: Option<TraceStamp>, w: &mut WorkSummary) {
         let stamp = stamp.map(|s| TraceStamp {
             hops: s.hops + 1,
             ..s
         });
-        self.router
+        let fl = self
+            .router
             .route_traced(cmd, stamp)
-            .expect("internally produced command targets a registered object")
+            .expect("internally produced command targets a registered object");
+        charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
     }
 
     /// Attach (or detach) the durability sink.  Must happen while the
@@ -400,24 +481,6 @@ impl Aeu {
     fn journal(&self, op: RedoOp<'_>) {
         if let Some(s) = &self.sink {
             s.append(self.id, op);
-        }
-    }
-
-    /// The cached conservation ledger of `id` (execution side).
-    // HOT-PATH-CUT: first-touch ledger registration; allocates the
-    // counter arc once per object, steady state is a map hit.
-    fn object_ledger(&mut self, id: DataObjectId) -> Arc<ObjectCounters> {
-        let i = id.0 as usize;
-        if self.tel_objects.len() <= i {
-            self.tel_objects.resize_with(i + 1, || None);
-        }
-        match &self.tel_objects[i] {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = self.router.shared().telemetry().object(id);
-                self.tel_objects[i] = Some(Arc::clone(&c));
-                c
-            }
         }
     }
 
@@ -510,40 +573,15 @@ impl Aeu {
         self.pending_ns += ns;
     }
 
-    /// Route a command on behalf of an external client through this AEU's
-    /// routing front end, charging the costs to `w`.
+    /// Route one command through this AEU's routing front end — for an
+    /// external client ([`crate::Engine::submit`]), or one this AEU
+    /// produced itself — charging `w` CPU per emitted sub-command (the
+    /// batch target lookup + encode of routing step 1) and the flush
+    /// costs.  A `stamp` born at the serving layer's frame decode rides
+    /// along (full-path tracing: `(tenant, conn, seq)` and the
+    /// net-queue/admission spans); without one the router's sampler
+    /// decides.
     pub fn route_external(
-        &mut self,
-        cmd: DataCommand,
-        w: &mut WorkSummary,
-    ) -> Result<(), RoutingError> {
-        self.route_and_charge(cmd, w)
-    }
-
-    /// Route a command on behalf of the serving layer with a trace
-    /// stamp born at frame decode (full-path tracing: the stamp carries
-    /// `(tenant, conn, seq)` and the net-queue/admission spans).  Costs
-    /// are charged to `w` exactly like [`Self::route_external`].
-    pub fn route_external_traced(
-        &mut self,
-        cmd: DataCommand,
-        stamp: TraceStamp,
-        w: &mut WorkSummary,
-    ) -> Result<(), RoutingError> {
-        self.route_and_charge_with(cmd, Some(stamp), w)
-    }
-
-    /// Route one command, charging CPU per emitted sub-command (the batch
-    /// target lookup + encode of routing step 1) and flush costs.
-    fn route_and_charge(
-        &mut self,
-        cmd: DataCommand,
-        w: &mut WorkSummary,
-    ) -> Result<(), RoutingError> {
-        self.route_and_charge_with(cmd, None, w)
-    }
-
-    fn route_and_charge_with(
         &mut self,
         cmd: DataCommand,
         stamp: Option<TraceStamp>,
@@ -561,6 +599,18 @@ impl Aeu {
         w.ops.commands_routed += 1;
         charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
         Ok(())
+    }
+
+    /// Append `rows` to `col`, provisioning fresh local segments on demand.
+    fn fill_column(mem: &mut ThreadCache, node: NodeId, col: &mut Column, rows: &[u64]) {
+        let mut written = 0;
+        while written < rows.len() {
+            // BOUNDS: the loop guard keeps written < rows.len().
+            written += col.append_slice(&rows[written..]);
+            if written < rows.len() {
+                Self::provision_segment(mem, node, col);
+            }
+        }
     }
 
     /// Provision a fresh local segment for a column partition.
@@ -583,14 +633,7 @@ impl Aeu {
         let PartitionData::Column(col) = &mut p.data else {
             return Err(AbsorbError::NotAColumn(object));
         };
-        let mut written = 0;
-        while written < rows.len() {
-            // BOUNDS: the loop guard keeps written < rows.len().
-            written += col.append_slice(&rows[written..]);
-            if written < rows.len() {
-                Self::provision_segment(&mut self.mem, node, col);
-            }
-        }
+        Self::fill_column(&mut self.mem, node, col, rows);
         self.journal(RedoOp::AppendRows { object, rows });
         Ok(())
     }
@@ -704,7 +747,7 @@ impl Aeu {
             gen(self.epoch, &mut self.scratch_gen);
             let gen_cmds: Vec<DataCommand> = self.scratch_gen.drain(..).collect();
             for cmd in gen_cmds {
-                self.route_and_charge(cmd, &mut w)
+                self.route_external(cmd, None, &mut w)
                     .expect("generated command targets a registered object");
             }
             let now = now_ns();
@@ -741,7 +784,8 @@ impl Aeu {
                 while j < cmds.len() && cmds[j].0.object == object {
                     j += 1;
                 }
-                self.object_ledger(object)
+                self.router
+                    .object_ledger(object)
                     .executed
                     .fetch_add((j - i) as u64, Relaxed);
                 i = j;
@@ -795,11 +839,11 @@ impl Aeu {
                 let mut max_wait = 0u64;
                 if !self.traced_pending.is_empty() {
                     let pend = std::mem::take(&mut self.traced_pending);
-                    for (obj, tag, stamp) in &pend {
+                    for stamp in &pend {
                         let wait = group_t0.saturating_sub(stamp.submit_ns);
                         max_wait = max_wait.max(wait);
                         self.latency.record(
-                            (obj.0, *tag),
+                            (object.0, op.tag()),
                             LatencyRecord {
                                 queue_wait_ns: wait,
                                 exec_ns,
@@ -876,14 +920,38 @@ impl Aeu {
         cmds: &[TracedCommand],
         w: &mut WorkSummary,
     ) {
+        let Some(p) = self.partitions.get(&object) else {
+            return self.forward_group(object, cmds, w);
+        };
+        let column = matches!(p.data, PartitionData::Column(_));
         match op {
-            StorageOp::Lookup => self.process_lookups(object, cmds, w),
-            StorageOp::Upsert => self.process_upserts(object, cmds, w),
+            StorageOp::Lookup => {
+                let gather = std::mem::take(&mut self.scratch_keys);
+                self.scratch_keys = self.process_points(object, cmds, gather, w);
+            }
+            StorageOp::Upsert if column => self.process_appends(object, cmds, w),
+            StorageOp::Upsert => {
+                let gather = std::mem::take(&mut self.scratch_pairs);
+                self.scratch_pairs = self.process_points(object, cmds, gather, w);
+            }
             StorageOp::Scan => self.process_scans(object, cmds, w),
             StorageOp::JoinProbe | StorageOp::Materialize => {
                 self.process_scan_producers(object, cmds, w)
             }
         }
+    }
+
+    /// The partition moved away entirely: forward every command of the
+    /// group to the AEU now responsible.
+    fn forward_group(&mut self, object: DataObjectId, cmds: &[TracedCommand], w: &mut WorkSummary) {
+        for (c, stamp) in cmds {
+            w.ops.forwarded += c.payload.op_count();
+            self.forward_stray(c.clone(), *stamp, w);
+        }
+        self.emit(TraceEvent::ForwardedStray {
+            object: object.0,
+            count: cmds.len() as u32,
+        });
     }
 
     /// Scan-shaped operators that *produce* new data commands from the
@@ -899,18 +967,6 @@ impl Aeu {
     ) {
         let params = self.cfg.params;
         let scale = self.cfg.size_scale;
-        if !self.partitions.contains_key(&object) {
-            for (c, stamp) in cmds {
-                w.ops.forwarded += 1;
-                let fl = self.forward_stray(c.clone(), *stamp);
-                charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
-            }
-            self.emit(TraceEvent::ForwardedStray {
-                object: object.0,
-                count: cmds.len() as u32,
-            });
-            return;
-        }
         /// Rows per routed batch command.
         const PRODUCER_BATCH: usize = 128;
         for (c, stamp) in cmds {
@@ -919,15 +975,14 @@ impl Aeu {
             // ALLOC-OK: trace bookkeeping for the sampled minority of
             // commands; the pending vector drains every epoch.
             if let Some(stamp) = stamp {
-                self.traced_pending
-                    .push((object, c.payload.op().tag(), *stamp));
+                self.traced_pending.push(*stamp);
             }
             // Gather matching row values from the local partition.
             let (pred, snapshot) = match &c.payload {
                 Payload::JoinProbe { pred, snapshot, .. }
                 // BOUNDS: dispatch invariant — process_group routes only
-                // JoinProbe/Materialize payloads here; the map lookup below is
-                // backed by the contains_key guard at fn entry.
+                // JoinProbe/Materialize payloads here, and only for an object
+                // whose partition it found, which backs the map lookup below.
                 // ALLOC-OK: `values` stages the gathered rows for downstream
                 // batching; it is the producer's working set by design.
                 | Payload::Materialize { pred, snapshot, .. } => (*pred, *snapshot),
@@ -1010,173 +1065,150 @@ impl Aeu {
                     _ => unreachable!(),
                 };
                 // Infallible for the same reason as `route_internal`.
-                self.route_and_charge(cmd, w)
+                self.route_external(cmd, None, w)
                     .expect("internally produced command targets a registered object");
             }
         }
     }
 
-    fn process_lookups(
+    /// Execute one group of point commands on the local index or hash
+    /// partition: lookups (`T` = key) or upserts (`T` = pair).  `gathered`
+    /// is the operation's reused gather buffer, handed back at the end.
+    fn process_points<T: PointItem>(
         &mut self,
         object: DataObjectId,
         cmds: &[TracedCommand],
+        mut gathered: Vec<T>,
         w: &mut WorkSummary,
-    ) {
+    ) -> Vec<T>
+    where
+        [T]: PointRun,
+    {
         let Some(p) = self.partitions.get(&object) else {
-            // Partition moved away entirely: forward everything.
-            for (c, stamp) in cmds {
-                w.ops.forwarded += c.payload.op_count();
-                let fl = self.forward_stray(c.clone(), *stamp);
-                charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
-            }
-            self.emit(TraceEvent::ForwardedStray {
-                object: object.0,
-                count: cmds.len() as u32,
-            });
-            return;
+            return gathered;
         };
         let range = p.range;
-        // BOUNDS: routing invariant — the router never targets a column
-        // partition with point lookups; debug-checked, total in release.
-        debug_assert!(
-            !matches!(p.data, PartitionData::Column(_)),
-            "lookup on a column partition"
-        );
-        let cost = self.point_cost(p);
         let params = self.cfg.params;
+        let mut cost = self.point_cost(p);
+        if T::OP == StorageOp::Upsert {
+            cost.cpu_ns += params.cpu_ns_per_upsert;
+        }
         let mut tally = PointTally::default();
-        let mut strays: Vec<(u64, Vec<u64>, Option<TraceStamp>)> = Vec::new();
-        // Group execution: the keys of consecutive all-mine commands are
-        // gathered and probed as ONE batch, so the kernels' prefetched
-        // descent sees the group, not 1-key commands one at a time.
-        let mut gathered = std::mem::take(&mut self.scratch_keys);
+        let mut strays: Vec<(u64, Vec<T>, Option<TraceStamp>)> = Vec::new();
+        // Group execution: the items of consecutive all-mine commands are
+        // gathered and handed to ONE batched kernel call, so the kernels'
+        // prefetched descent sees the group, not 1-key commands one at a
+        // time.
         gathered.clear();
         let mut run_from = 0;
         for (i, (c, stamp)) in cmds.iter().enumerate() {
-            // BOUNDS: dispatch invariant — process_group groups by op, so
-            // every payload in this batch is a Lookup.
-            let Payload::Lookup { keys } = &c.payload else {
-                unreachable!()
-            };
+            let items = T::items(&c.payload);
             // Validity check: keys outside the updated range are forwarded
             // to the AEU now responsible (Section 3.3.2).
-            let (mine, stray) = split_strays(keys, range, |k| k);
-            // A stamp is recorded where work happens: here if any keys
+            let (mine, stray) = split_strays(items, range);
+            // A stamp is recorded where work happens: here if any items
             // are local, otherwise it rides on with the strays.
             let fully_stray = mine.is_empty() && !stray.is_empty();
             if let Some(s) = stamp {
                 if !fully_stray {
                     // ALLOC-OK: trace bookkeeping for the sampled minority;
                     // the pending vector drains every epoch.
-                    self.traced_pending
-                        .push((object, StorageOp::Lookup.tag(), *s));
+                    self.traced_pending.push(*s);
                 }
             }
             if stray.is_empty() {
                 // ALLOC-OK: the reused gather buffer; steady state appends
                 // within its capacity.
-                gathered.extend_from_slice(keys);
+                gathered.extend_from_slice(items);
                 continue;
             }
-            // A command carrying strays ends the run and probes its own
-            // keys as a run of one.
+            // A command carrying strays ends the run and executes its own
+            // items as a run of one, so that pairs apply in arrival order
+            // across the whole group (last write wins).
             let run = cmds.iter().skip(run_from).take(i - run_from);
             let run = run.map(command_extent);
-            self.lookup_run(object, run, &gathered, cost, &mut tally, w);
+            self.point_run(object, run, &gathered, cost, &mut tally, w);
             gathered.clear();
             run_from = i + 1;
             let one = std::iter::once((c.ticket, mine.len()));
-            self.lookup_run(object, one, &mine, cost, &mut tally, w);
+            self.point_run(object, one, &mine, cost, &mut tally, w);
             // ALLOC-OK: strays ride out as owned payloads to their new
             // owner; the vector drains at the end of the group.
             strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
         }
         let run = cmds.iter().skip(run_from).map(command_extent);
-        self.lookup_run(object, run, &gathered, cost, &mut tally, w);
-        self.scratch_keys = gathered;
+        self.point_run(object, run, &gathered, cost, &mut tally, w);
         w.cpu_ns += tally.exec_ns;
-        w.ops.lookups += tally.ops;
+        match T::OP {
+            StorageOp::Upsert => w.ops.upserts += tally.ops,
+            _ => w.ops.lookups += tally.ops,
+        }
         if let Some(p) = self.partitions.get_mut(&object) {
             p.accesses += tally.ops;
             p.exec_ns += tally.exec_ns;
         }
         if !strays.is_empty() {
-            let stray_keys: u64 = strays.iter().map(|(_, k, _)| k.len() as u64).sum();
+            let stray_items: u64 = strays.iter().map(|(_, s, _)| s.len() as u64).sum();
             self.emit(TraceEvent::ForwardedStray {
                 object: object.0,
-                count: stray_keys as u32,
+                count: stray_items as u32,
             });
         }
-        for (ticket, keys, stamp) in strays {
-            w.ops.forwarded += keys.len() as u64;
-            w.cpu_ns += keys.len() as f64 * params.cpu_ns_per_routed_cmd;
-            let fl = self.forward_stray(
-                DataCommand {
-                    object,
-                    ticket,
-                    payload: Payload::Lookup { keys },
-                },
-                stamp,
-            );
-            charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
+        for (ticket, items, stamp) in strays {
+            w.ops.forwarded += items.len() as u64;
+            w.cpu_ns += items.len() as f64 * params.cpu_ns_per_routed_cmd;
+            let cmd = DataCommand {
+                object,
+                ticket,
+                payload: T::payload(items),
+            };
+            self.forward_stray(cmd, stamp, w);
         }
+        gathered
     }
 
-    /// Probe `keys` — the local keys of `commands`, each a `(ticket, key
-    /// count)`, concatenated in arrival order — with one batched kernel
-    /// call, hand every command its slice of the results, and charge the
-    /// cost model per command exactly as if each had been probed alone.
-    fn lookup_run<C: Iterator<Item = (u64, usize)> + Clone>(
+    /// Execute `items` — the local items of `commands`, each a `(ticket,
+    /// item count)`, concatenated in arrival order — with one batched
+    /// kernel call, then settle every command (its slice of the results,
+    /// or its redo record) and charge the cost model per command exactly
+    /// as if each had been executed alone.
+    fn point_run<T, C>(
         &mut self,
         object: DataObjectId,
         commands: C,
-        keys: &[u64],
+        items: &[T],
         cost: PointCost,
         tally: &mut PointTally,
         w: &mut WorkSummary,
-    ) {
-        if keys.is_empty() {
+    ) where
+        T: PointItem,
+        [T]: PointRun,
+        C: Iterator<Item = (u64, usize)> + Clone,
+    {
+        if items.is_empty() {
             return;
         }
-        let Some(p) = self.partitions.get(&object) else {
+        let Some(p) = self.partitions.get_mut(&object) else {
             debug_assert!(false, "partition vanished mid-group");
             return;
         };
-        let values = &mut self.scratch_values;
-        match &p.data {
-            PartitionData::Index(tree) => tree.lookup_batch(keys, values),
-            PartitionData::Hash(h) => {
-                values.clear();
-                // Batched probe: AMAC interleaved state machine —
-                // every in-flight probe's next bucket is prefetched
-                // while the others execute, results in input order.
-                h.lookup_batch(keys, values);
-                self.tel
-                    .counters
-                    .batched_probe_keys
-                    .fetch_add(keys.len() as u64, Relaxed);
-            }
-            PartitionData::Column(_) => {
-                debug_assert!(false, "lookup on a column partition");
-                return;
-            }
+        if let PartitionData::Hash(_) = p.data {
+            self.tel
+                .counters
+                .batched_probe_keys
+                .fetch_add(items.len() as u64, Relaxed);
         }
-        self.results.lookup_batch(keys, values, commands.clone());
-        tally.ops += keys.len() as u64;
-        let params = self.cfg.params;
+        let values = &mut self.scratch_values;
+        items.run_kernel(&mut p.data, values, &self.results, commands.clone());
+        tally.ops += items.len() as u64;
+        let mut rest = items;
         for (_, n) in commands.filter(|&(_, n)| n > 0) {
-            let n = n as u64;
-            // Result reply path: the callback owner receives the values.
-            self.reply_rr = (self.reply_rr + 1) % self.cfg.node_of.len();
-            // BOUNDS: reply_rr was just reduced modulo node_of.len().
-            let reply_node = self.cfg.node_of[self.reply_rr];
-            w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * params.mlp);
-            w.cpu_ns += n as f64 * 2.0;
-            // ALLOC-OK: flow records drain into the epoch's work summary.
-            w.flows.push((
-                Flow::new(self.node, reply_node, n * 16),
-                FlowKind::Overlapped,
-            ));
+            // A run's counts add up to `items.len()`; a shortfall would
+            // settle less, never panic.
+            let (mine, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            mine.settle_command(self, object, w);
+            let n = mine.len() as u64;
             tally.exec_ns += n as f64 * cost.cpu_ns;
             self.charge_point_misses(n, cost, w);
         }
@@ -1198,198 +1230,44 @@ impl Aeu {
         ));
     }
 
-    fn process_upserts(
+    /// Upserts on a column partition are appends: materialize the values
+    /// into the local column.
+    fn process_appends(
         &mut self,
         object: DataObjectId,
         cmds: &[TracedCommand],
         w: &mut WorkSummary,
     ) {
         let params = self.cfg.params;
-        let Some(p) = self.partitions.get(&object) else {
-            for (c, stamp) in cmds {
-                w.ops.forwarded += c.payload.op_count();
-                let fl = self.forward_stray(c.clone(), *stamp);
-                charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
+        let mut rows: Vec<u64> = Vec::new();
+        for (c, stamp) in cmds {
+            // Column appends are always fully local: a stamp completes
+            // its journey here.
+            // ALLOC-OK: trace bookkeeping for the sampled minority; the
+            // pending vector drains every epoch.
+            if let Some(s) = stamp {
+                self.traced_pending.push(*s);
             }
-            self.emit(TraceEvent::ForwardedStray {
-                object: object.0,
-                count: cmds.len() as u32,
-            });
-            return;
-        };
-        match &p.data {
-            PartitionData::Index(_) | PartitionData::Hash(_) => {
-                let range = p.range;
-                let cost = self.point_cost(p);
-                let mut tally = PointTally::default();
-                type Pairs = Vec<(u64, u64)>;
-                let mut strays: Vec<(u64, Pairs, Option<TraceStamp>)> = Vec::new();
-                // Group execution, as process_lookups; a run ends at a
-                // command carrying strays so that pairs apply in arrival
-                // order across the whole group (last write wins).
-                let mut gathered = std::mem::take(&mut self.scratch_pairs);
-                gathered.clear();
-                let mut run_from = 0;
-                for (i, (c, stamp)) in cmds.iter().enumerate() {
-                    // BOUNDS: dispatch invariant — process_group groups by op, so
-                    // every payload in this batch is an Upsert.
-                    let Payload::Upsert { pairs } = &c.payload else {
-                        unreachable!()
-                    };
-                    let (mine, stray) = split_strays(pairs, range, |(k, _)| k);
-                    let fully_stray = mine.is_empty() && !stray.is_empty();
-                    if let Some(s) = stamp {
-                        if !fully_stray {
-                            // ALLOC-OK: trace bookkeeping for the sampled
-                            // minority; the pending vector drains every epoch.
-                            self.traced_pending
-                                .push((object, StorageOp::Upsert.tag(), *s));
-                        }
-                    }
-                    if stray.is_empty() {
-                        // ALLOC-OK: the reused gather buffer; steady state
-                        // appends within its capacity.
-                        gathered.extend_from_slice(pairs);
-                        continue;
-                    }
-                    let run = cmds.iter().skip(run_from).take(i - run_from);
-                    let run = run.map(|c| command_extent(c).1);
-                    self.upsert_run(object, run, &gathered, cost, &mut tally, w);
-                    gathered.clear();
-                    run_from = i + 1;
-                    let one = std::iter::once(mine.len());
-                    self.upsert_run(object, one, &mine, cost, &mut tally, w);
-                    // ALLOC-OK: strays ride out as owned payloads to their
-                    // new owner; the vector drains at the end of the group.
-                    strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
-                }
-                let run = cmds.iter().skip(run_from).map(|c| command_extent(c).1);
-                self.upsert_run(object, run, &gathered, cost, &mut tally, w);
-                self.scratch_pairs = gathered;
-                self.results.upsert_batch(tally.ops, tally.fresh);
-                w.cpu_ns += tally.exec_ns;
-                w.ops.upserts += tally.ops;
-                if let Some(p) = self.partitions.get_mut(&object) {
-                    p.accesses += tally.ops;
-                    p.exec_ns += tally.exec_ns;
-                }
-                if !strays.is_empty() {
-                    let stray_pairs: u64 = strays.iter().map(|(_, p, _)| p.len() as u64).sum();
-                    self.emit(TraceEvent::ForwardedStray {
-                        object: object.0,
-                        count: stray_pairs as u32,
-                    });
-                }
-                for (ticket, pairs, stamp) in strays {
-                    w.ops.forwarded += pairs.len() as u64;
-                    w.cpu_ns += pairs.len() as f64 * params.cpu_ns_per_routed_cmd;
-                    let fl = self.forward_stray(
-                        DataCommand {
-                            object,
-                            ticket,
-                            payload: Payload::Upsert { pairs },
-                        },
-                        stamp,
-                    );
-                    charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
-                }
-            }
-            PartitionData::Column(_) => {
-                // Appends: materialize values into the local column.
-                let mut rows: Vec<u64> = Vec::new();
-                for (c, stamp) in cmds {
-                    // BOUNDS: dispatch invariant, as the index/hash branch above.
-                    // ALLOC-OK: `rows` stages the batch's values for one absorb
-                    // call; the traced push drains every epoch.
-                    let Payload::Upsert { pairs } = &c.payload else {
-                        unreachable!()
-                    };
-                    // Column appends are always fully local: a stamp
-                    // completes its journey here.
-                    if let Some(s) = stamp {
-                        self.traced_pending
-                            .push((object, StorageOp::Upsert.tag(), *s));
-                    }
-                    // ALLOC-OK: `rows` stages the whole batch for one
-                    // absorb call into pre-provisioned segments.
-                    rows.extend(pairs.iter().map(|&(_, v)| v));
-                }
-                let n = rows.len() as u64;
-                // This match arm proved the partition is a local column,
-                // so the absorb cannot fail; a debug build still screams
-                // if that invariant ever rots.
-                let absorbed = self.absorb_rows(object, &rows);
-                debug_assert!(absorbed.is_ok(), "{absorbed:?}");
-                self.results.upsert_batch(n, n);
-                let exec_ns = n as f64 * (params.cpu_ns_per_scan_row + params.cpu_ns_per_upsert);
-                w.cpu_ns += exec_ns;
-                w.ops.upserts += n;
-                w.flows
-                    // ALLOC-OK: one flow record per absorbed batch.
-                    .push((Flow::new(self.node, self.node, n * 8), FlowKind::Overlapped));
-                if let Some(p) = self.partitions.get_mut(&object) {
-                    p.accesses += n;
-                    p.exec_ns += exec_ns;
-                }
-            }
+            let pairs = <(u64, u64)>::items(&c.payload);
+            // ALLOC-OK: `rows` stages the whole batch for one absorb call
+            // into pre-provisioned segments.
+            rows.extend(pairs.iter().map(|&(_, v)| v));
         }
-    }
-
-    /// Apply `pairs` — the local pairs of commands carrying `lens` pairs
-    /// each, concatenated in arrival order — with one batched kernel call,
-    /// then journal and charge the cost model per command exactly as if
-    /// each had been applied alone.
-    fn upsert_run<L: Iterator<Item = usize>>(
-        &mut self,
-        object: DataObjectId,
-        lens: L,
-        pairs: &[(u64, u64)],
-        cost: PointCost,
-        tally: &mut PointTally,
-        w: &mut WorkSummary,
-    ) {
-        if !pairs.is_empty() {
-            let Some(p) = self.partitions.get_mut(&object) else {
-                debug_assert!(false, "partition vanished mid-group");
-                return;
-            };
-            tally.fresh += match &mut p.data {
-                // Batched upsert: read-only prefetched group descent,
-                // input-order application.
-                PartitionData::Index(tree) => tree.upsert_batch(pairs),
-                PartitionData::Hash(h) => {
-                    self.tel
-                        .counters
-                        .batched_probe_keys
-                        .fetch_add(pairs.len() as u64, Relaxed);
-                    // Batched upsert: group-prefetched home buckets,
-                    // input-order application; only a fresh key can grow
-                    // the table.
-                    h.upsert_batch(pairs)
-                }
-                PartitionData::Column(_) => {
-                    debug_assert!(false, "point upsert on a column partition");
-                    return;
-                }
-            };
-            tally.ops += pairs.len() as u64;
-        }
-        let params = self.cfg.params;
-        let mut rest = pairs;
-        for n in lens {
-            // A run's lengths add up to `pairs.len()`; a shortfall would
-            // journal less, never panic.
-            let (mine, tail) = rest.split_at(n.min(rest.len()));
-            rest = tail;
-            if !mine.is_empty() {
-                self.journal(RedoOp::UpsertPairs {
-                    object,
-                    pairs: mine,
-                });
-            }
-            let n = mine.len() as u64;
-            tally.exec_ns += n as f64 * (cost.cpu_ns + params.cpu_ns_per_upsert);
-            self.charge_point_misses(n, cost, w);
+        let n = rows.len() as u64;
+        // process_group found a local column, so the absorb cannot fail; a
+        // debug build still screams if that invariant ever rots.
+        let absorbed = self.absorb_rows(object, &rows);
+        debug_assert!(absorbed.is_ok(), "{absorbed:?}");
+        self.results.upsert_batch(n, n);
+        let exec_ns = n as f64 * (params.cpu_ns_per_scan_row + params.cpu_ns_per_upsert);
+        w.cpu_ns += exec_ns;
+        w.ops.upserts += n;
+        w.flows
+            // ALLOC-OK: one flow record per absorbed batch.
+            .push((Flow::new(self.node, self.node, n * 8), FlowKind::Overlapped));
+        if let Some(p) = self.partitions.get_mut(&object) {
+            p.accesses += n;
+            p.exec_ns += exec_ns;
         }
     }
 
@@ -1397,15 +1275,6 @@ impl Aeu {
         let params = self.cfg.params;
         let scale = self.cfg.size_scale;
         let Some(p) = self.partitions.get_mut(&object) else {
-            for (c, stamp) in cmds {
-                w.ops.forwarded += 1;
-                let fl = self.forward_stray(c.clone(), *stamp);
-                charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
-            }
-            self.emit(TraceEvent::ForwardedStray {
-                object: object.0,
-                count: cmds.len() as u32,
-            });
             return;
         };
         match &mut p.data {
@@ -1426,12 +1295,11 @@ impl Aeu {
                     };
                     shared.add(*pred, (*snapshot).min(col.len() as u64) as usize, *agg);
                 }
-                let kernel = self.cfg.scan_kernel;
-                let (outcomes, examined) = shared.execute_with(col, kernel);
-                match kernel {
-                    ScanKernel::Simd => &self.tel.counters.simd_sweeps,
-                    ScanKernel::Chunked => &self.tel.counters.chunked_sweeps,
-                    ScanKernel::Scalar => &self.tel.counters.scalar_sweeps,
+                let (outcomes, examined) = shared.execute(col);
+                // The one dispatch feeds the sweep counters by what ran.
+                match simd::level() {
+                    SimdLevel::Avx2 => &self.tel.counters.simd_sweeps,
+                    SimdLevel::Portable => &self.tel.counters.chunked_sweeps,
                 }
                 .fetch_add(1, Relaxed);
                 let examined = examined as u64;
@@ -1566,13 +1434,7 @@ impl Aeu {
                 let Some(rows) = Column::decode_values(payload) else {
                     return false;
                 };
-                let mut written = 0;
-                while written < rows.len() {
-                    written += col.append_slice(&rows[written..]);
-                    if written < rows.len() {
-                        Self::provision_segment(&mut self.mem, node, col);
-                    }
-                }
+                Self::fill_column(&mut self.mem, node, col, &rows);
                 true
             }
         }

@@ -138,6 +138,63 @@ impl Payload {
     }
 }
 
+/// One item of a point command's data segment: a lookup key or an upsert
+/// pair.  The routing split and the AEU's group execution are written
+/// once over this trait instead of once per operation.
+pub trait PointItem: Copy {
+    /// The storage operation whose commands carry items of this type.
+    const OP: StorageOp;
+
+    /// The key that places the item in a partition.
+    fn key(self) -> u64;
+
+    /// The data segment of `payload`; empty for another operation's.
+    fn items(payload: &Payload) -> &[Self];
+
+    /// A payload of [`Self::OP`] carrying `items`.
+    fn payload(items: Vec<Self>) -> Payload;
+}
+
+impl PointItem for u64 {
+    const OP: StorageOp = StorageOp::Lookup;
+
+    #[inline]
+    fn key(self) -> u64 {
+        self
+    }
+
+    fn items(payload: &Payload) -> &[u64] {
+        match payload {
+            Payload::Lookup { keys } => keys,
+            _ => &[],
+        }
+    }
+
+    fn payload(keys: Vec<u64>) -> Payload {
+        Payload::Lookup { keys }
+    }
+}
+
+impl PointItem for (u64, u64) {
+    const OP: StorageOp = StorageOp::Upsert;
+
+    #[inline]
+    fn key(self) -> u64 {
+        self.0
+    }
+
+    fn items(payload: &Payload) -> &[(u64, u64)] {
+        match payload {
+            Payload::Upsert { pairs } => pairs,
+            _ => &[],
+        }
+    }
+
+    fn payload(pairs: Vec<(u64, u64)>) -> Payload {
+        Payload::Upsert { pairs }
+    }
+}
+
 /// A routable data command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataCommand {

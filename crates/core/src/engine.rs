@@ -15,13 +15,12 @@ use crate::routing::{
     BitmapTable, PartitionTable, RangeTable, Router, RoutingConfig, RoutingError, RoutingShared,
 };
 use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};
-use eris_column::ScanKernel;
 use eris_index::PrefixTreeConfig;
 use eris_mem::{MemoryManager, ThreadCache};
 use eris_numa::{CoreId, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
 use eris_obs::{now_ns, Stamped, TraceEvent, TraceStamp};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Clone)]
@@ -45,11 +44,6 @@ pub struct EngineConfig {
     pub balancer: BalancerConfig,
     /// Shape of index partitions.
     pub tree: PrefixTreeConfig,
-    /// Kernel used for coalesced column sweeps: explicit SIMD (default;
-    /// AVX2 lanes where detected, portable fallback otherwise), portable
-    /// chunked, or the row-at-a-time scalar oracle — kept selectable for
-    /// A/B checks and regression benchmarks.
-    pub scan_kernel: ScanKernel,
 }
 
 impl Default for EngineConfig {
@@ -64,7 +58,6 @@ impl Default for EngineConfig {
             collect_results: false,
             balancer: BalancerConfig::default(),
             tree: PrefixTreeConfig::new(8, 64),
-            scan_kernel: ScanKernel::default(),
         }
     }
 }
@@ -110,6 +103,7 @@ pub enum ObjectKind {
 struct ObjectMeta {
     id: DataObjectId,
     kind: ObjectKind,
+    class: ObjectClass,
     name: String,
 }
 
@@ -226,7 +220,6 @@ impl Engine {
                 size_scale: cfg.size_scale,
                 local_latency_ns: spec.local_latency_ns,
                 node_of: Arc::clone(&node_of),
-                scan_kernel: cfg.scan_kernel,
             };
             let router = Router::new(id, Arc::clone(&shared), cfg.routing);
             let incoming = Arc::clone(shared.incoming(id));
@@ -379,16 +372,7 @@ impl Engine {
     /// (`None` for columns and unregistered objects).
     pub fn owner_of(&self, object: DataObjectId, key: u64) -> Option<AeuId> {
         self.shared
-            .with_table(object, |t| {
-                t.as_range().map(|r| {
-                    let ranges = r.ranges();
-                    match ranges.binary_search_by(|(b, _)| b.cmp(&key)) {
-                        Ok(i) => ranges[i].1,
-                        Err(0) => ranges[0].1,
-                        Err(i) => ranges[i - 1].1,
-                    }
-                })
-            })
+            .with_table(object, |t| t.as_range().map(|r| r.owner(key)))
             .ok()
             .flatten()
     }
@@ -406,23 +390,7 @@ impl Engine {
     /// Create a range-partitioned index over `[0, domain)`, evenly split
     /// across all AEUs.
     pub fn create_index(&mut self, name: &str, domain: u64) -> DataObjectId {
-        let id = DataObjectId(self.objects.len() as u32);
-        let owners = self.aeu_ids();
-        let table = RangeTable::even(domain, &owners);
-        for (i, aeu) in self.aeus.iter_mut().enumerate() {
-            let (lo, hi) = table.range_of(i, domain);
-            aeu.create_index_partition(id, self.cfg.tree, (lo, hi));
-        }
-        self.shared
-            .register_object(id, PartitionTable::Range(table));
-        self.objects.push(ObjectMeta {
-            id,
-            kind: ObjectKind::Index { domain },
-            name: name.into(),
-        });
-        self.balance_backoff.push(BackoffState::default());
-        self.journal_create(ObjectClass::Tree, id, domain, name);
-        id
+        self.create_object(name, ObjectKind::Index { domain }, ObjectClass::Tree)
     }
 
     /// Create a range-partitioned object stored as per-partition hash
@@ -431,41 +399,47 @@ impl Engine {
     /// partition structure differs, and each partition draws its own hash
     /// function seed.
     pub fn create_hash_index(&mut self, name: &str, domain: u64) -> DataObjectId {
-        let id = DataObjectId(self.objects.len() as u32);
-        let owners = self.aeu_ids();
-        let table = RangeTable::even(domain, &owners);
-        for (i, aeu) in self.aeus.iter_mut().enumerate() {
-            let (lo, hi) = table.range_of(i, domain);
-            aeu.create_hash_partition(id, (lo, hi));
-        }
-        self.shared
-            .register_object(id, PartitionTable::Range(table));
-        self.objects.push(ObjectMeta {
-            id,
-            kind: ObjectKind::Index { domain },
-            name: name.into(),
-        });
-        self.balance_backoff.push(BackoffState::default());
-        self.journal_create(ObjectClass::Hash, id, domain, name);
-        id
+        self.create_object(name, ObjectKind::Index { domain }, ObjectClass::Hash)
     }
 
     /// Create a size-partitioned column held by all AEUs.
     pub fn create_column(&mut self, name: &str) -> DataObjectId {
+        self.create_object(name, ObjectKind::Column, ObjectClass::Column)
+    }
+
+    /// Give every AEU its partition of a new object, register the
+    /// partition table and journal the creation.
+    fn create_object(&mut self, name: &str, kind: ObjectKind, class: ObjectClass) -> DataObjectId {
         let id = DataObjectId(self.objects.len() as u32);
         let owners = self.aeu_ids();
-        for aeu in self.aeus.iter_mut() {
-            aeu.create_column_partition(id);
-        }
-        self.shared
-            .register_object(id, PartitionTable::Bitmap(BitmapTable::new(owners)));
+        let (table, domain) = match kind {
+            ObjectKind::Index { domain } => {
+                let table = RangeTable::even(domain, &owners);
+                for (i, aeu) in self.aeus.iter_mut().enumerate() {
+                    let range = table.range_of(i, domain);
+                    match class {
+                        ObjectClass::Hash => aeu.create_hash_partition(id, range),
+                        _ => aeu.create_index_partition(id, self.cfg.tree, range),
+                    }
+                }
+                (PartitionTable::Range(table), domain)
+            }
+            ObjectKind::Column => {
+                for aeu in self.aeus.iter_mut() {
+                    aeu.create_column_partition(id);
+                }
+                (PartitionTable::Bitmap(BitmapTable::new(owners)), 0)
+            }
+        };
+        self.shared.register_object(id, table);
         self.objects.push(ObjectMeta {
             id,
-            kind: ObjectKind::Column,
+            kind,
+            class,
             name: name.into(),
         });
         self.balance_backoff.push(BackoffState::default());
-        self.journal_create(ObjectClass::Column, id, 0, name);
+        self.journal_create(class, id, domain, name);
         id
     }
 
@@ -493,25 +467,14 @@ impl Engine {
     pub fn describe_objects(&self) -> Vec<ObjectDescriptor> {
         self.objects
             .iter()
-            .map(|o| {
-                let (class, domain) = match o.kind {
-                    ObjectKind::Column => (ObjectClass::Column, 0),
-                    ObjectKind::Index { domain } => {
-                        // `ObjectKind` conflates the two range-partitioned
-                        // layouts; partition 0's storage distinguishes them.
-                        let class = match self.aeus[0].partition(o.id).map(|p| &p.data) {
-                            Some(crate::aeu::PartitionData::Hash(_)) => ObjectClass::Hash,
-                            _ => ObjectClass::Tree,
-                        };
-                        (class, domain)
-                    }
-                };
-                ObjectDescriptor {
-                    id: o.id,
-                    class,
-                    domain,
-                    name: o.name.clone(),
-                }
+            .map(|o| ObjectDescriptor {
+                id: o.id,
+                class: o.class,
+                domain: match o.kind {
+                    ObjectKind::Index { domain } => domain,
+                    ObjectKind::Column => 0,
+                },
+                name: o.name.clone(),
             })
             .collect()
     }
@@ -525,22 +488,21 @@ impl Engine {
             ObjectKind::Index { domain } => domain,
             ObjectKind::Column => return,
         };
-        let owners = self.aeu_ids();
+        self.apply_bounds(object, domain, bounds);
+    }
+
+    /// Make `bounds` (one lower bound per AEU) the object's partitioning:
+    /// the routing table first, then every AEU's validity range.
+    fn apply_bounds(&mut self, object: DataObjectId, domain: u64, bounds: &[u64]) {
+        let entries = bounds.iter().copied().zip(self.aeu_ids()).collect();
         self.shared
             .with_table_mut(object, |t| {
-                t.as_range_mut()
-                    .expect("range object")
-                    .rebuild(bounds.iter().copied().zip(owners.iter().copied()).collect())
+                t.as_range_mut().expect("range object").rebuild(entries)
             })
-            .expect("restored object is registered");
+            .expect("repartitioned object is registered");
         for (i, aeu) in self.aeus.iter_mut().enumerate() {
-            let lo = bounds[i];
-            let hi = if i + 1 < bounds.len() {
-                bounds[i + 1]
-            } else {
-                domain
-            };
-            aeu.set_range(object, (lo, hi));
+            let hi = bounds.get(i + 1).copied().unwrap_or(domain);
+            aeu.set_range(object, (bounds[i], hi));
         }
     }
 
@@ -577,24 +539,21 @@ impl Engine {
         object: DataObjectId,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) {
-        let ranges = self
-            .shared
-            .with_table(object, |t| t.as_range().expect("index object").ranges())
-            .expect("bulk-loaded object is registered");
         let domain = match self.objects[object.0 as usize].kind {
             ObjectKind::Index { domain } => domain,
             ObjectKind::Column => panic!("bulk_load_index on a column"),
         };
         // Group into per-owner batches, then absorb.
         let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.aeus.len()];
-        for (k, v) in pairs {
-            assert!(k < domain, "key {k} outside domain {domain}");
-            let idx = match ranges.binary_search_by(|(b, _)| b.cmp(&k)) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            batches[ranges[idx].1.index()].push((k, v));
-        }
+        self.shared
+            .with_table(object, |t| {
+                let table = t.as_range().expect("index object");
+                for (k, v) in pairs {
+                    assert!(k < domain, "key {k} outside domain {domain}");
+                    batches[table.owner(k).index()].push((k, v));
+                }
+            })
+            .expect("bulk-loaded object is registered");
         for (i, batch) in batches.into_iter().enumerate() {
             if !batch.is_empty() {
                 self.aeus[i].absorb_pairs(object, &batch);
@@ -629,29 +588,26 @@ impl Engine {
 
     /// Submit one command through an AEU's router (client path for tests
     /// and examples; generators are the benchmark path).  Undeliverable
-    /// commands — unknown object, point op on a size-partitioned object —
-    /// are rejected with a [`RoutingError`] and enqueue nothing.
+    /// commands — unknown object, point op on a size-partitioned object,
+    /// key outside an index's domain — are rejected with a
+    /// [`RoutingError`] and enqueue nothing.
     pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
-        let node = self.node_of[via.index()];
-        let mut w = crate::aeu::WorkSummary::new(node);
-        self.aeus[via.index()].route_external(cmd, &mut w)?;
-        // Submission costs are charged to the next epoch via pending ns.
-        self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
-        Ok(())
+        self.submit_traced(via, cmd, None)
     }
 
-    /// Submit one command carrying a serving-layer trace stamp born at
-    /// frame decode (full-path tracing: identity + net/admit spans ride
-    /// to the executing AEU).  Otherwise identical to [`Self::submit`].
+    /// [`Self::submit`] for the serving layer: a trace stamp born at frame
+    /// decode (full-path tracing: identity + net/admit spans) rides to the
+    /// executing AEU.
     pub fn submit_traced(
         &mut self,
         via: AeuId,
         cmd: DataCommand,
-        stamp: TraceStamp,
+        stamp: Option<TraceStamp>,
     ) -> Result<(), RoutingError> {
         let node = self.node_of[via.index()];
         let mut w = crate::aeu::WorkSummary::new(node);
-        self.aeus[via.index()].route_external_traced(cmd, stamp, &mut w)?;
+        self.aeus[via.index()].route_external(cmd, stamp, &mut w)?;
+        // Submission costs are charged to the next epoch via pending ns.
         self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
         Ok(())
     }
@@ -683,10 +639,6 @@ impl Engine {
         for f in &flows {
             self.counters.record(&self.topo, f.src, f.home, f.bytes);
         }
-        // Read once per process: the environment is a lock and a scan.
-        static DEBUG_EPOCH: OnceLock<bool> = OnceLock::new();
-        let debug_epoch =
-            *DEBUG_EPOCH.get_or_init(|| std::env::var_os("ERIS_DEBUG_EPOCH").is_some());
         let mut duration: f64 = 0.0;
         for (s, span) in summaries.iter().zip(spans) {
             // Streaming (serial) flows add up; posted (overlapped) flows
@@ -714,15 +666,6 @@ impl Engine {
             let bw_ns = serial_ns + overlapped_ns;
             let cpu_ns = s.cpu_ns / self.cfg.params.frequency_scale;
             let t = cpu_ns + s.latency_ns.max(bw_ns);
-            if debug_epoch && t > duration {
-                eprintln!(
-                    "  max-AEU so far: cpu={:.1}us lat={:.1}us serial_bw={:.1}us overl_bw={:.1}us",
-                    cpu_ns / 1e3,
-                    s.latency_ns / 1e3,
-                    serial_ns / 1e3,
-                    overlapped_ns / 1e3
-                );
-            }
             duration = duration.max(t);
             report.ops.add(&s.ops);
         }
@@ -753,17 +696,20 @@ impl Engine {
     }
 
     /// Run epochs until every AEU's buffers are drained and no new work
-    /// appeared (command completion for synchronous callers).
-    pub fn run_until_drained(&mut self) {
+    /// appeared (command completion for synchronous callers).  Returns
+    /// the number of epochs run.
+    pub fn run_until_drained(&mut self) -> u64 {
+        let mut epochs = 0;
         loop {
             let r = self.run_epoch();
+            epochs += 1;
             let idle = r.ops.lookups == 0
                 && r.ops.upserts == 0
                 && r.ops.scans == 0
                 && r.ops.commands_routed == 0
                 && r.ops.forwarded == 0;
             if idle && self.aeus.iter().all(|a| a.is_drained()) {
-                break;
+                return epochs;
             }
         }
     }
@@ -807,19 +753,7 @@ impl Engine {
         for aeu in self.aeus.iter_mut() {
             aeu.set_generator(None);
         }
-        let mut epochs = 0u64;
-        loop {
-            let r = self.run_epoch();
-            epochs += 1;
-            let idle = r.ops.lookups == 0
-                && r.ops.upserts == 0
-                && r.ops.scans == 0
-                && r.ops.commands_routed == 0
-                && r.ops.forwarded == 0;
-            if idle && self.aeus.iter().all(|a| a.is_drained()) {
-                break;
-            }
-        }
+        let epochs = self.run_until_drained();
         let snap = self.telemetry();
         let (stamped, traced, dropped) = self.shared.telemetry().latency().ledger();
         let (pending_bytes, _) = self.incoming_occupancy();
@@ -876,6 +810,54 @@ impl Engine {
         total_ns
     }
 
+    /// Every balancer evaluation leaves an audit entry: the CVs as seen,
+    /// the threshold judged against, and (filled in by the caller) why the
+    /// balancer did what it did.
+    fn open_decision(&self, object: DataObjectId, sample: &Sample) -> BalanceDecision {
+        BalanceDecision {
+            at_secs: sample.at_secs,
+            object,
+            access_cv: sample.access_cv(),
+            exec_cv: sample.exec_cv(),
+            size_cv: sample.size_cv(),
+            threshold_cv: self.cfg.balancer.threshold_cv,
+            verdict: BalanceVerdict::BelowThreshold,
+            migrations: Vec::new(),
+        }
+    }
+
+    /// File the audit entry of a cycle that moved data and count it.
+    fn close_cycle(&mut self, mut decision: BalanceDecision, moves: u64, keys_moved: u64) {
+        let tel = self.shared.telemetry();
+        tel.balancer_cycles.fetch_add(1, Ordering::Relaxed);
+        tel.balancer_moves.fetch_add(moves, Ordering::Relaxed);
+        tel.balancer_keys_moved
+            .fetch_add(keys_moved, Ordering::Relaxed);
+        decision.verdict = BalanceVerdict::Rebalanced;
+        self.monitor.record_decision(decision);
+    }
+
+    /// Record one executed transfer: an audit entry on its decision and a
+    /// `Migration` event in the donor's trace ring.
+    fn record_migration(&self, decision: &mut BalanceDecision, m: MigrationRecord) {
+        self.shared
+            .telemetry()
+            .shard(AeuId(m.src as u32))
+            .ring
+            .emit(Stamped {
+                at_ns: now_ns(),
+                aeu: m.src as u32,
+                event: TraceEvent::Migration {
+                    object: decision.object.0,
+                    src: m.src as u32,
+                    dst: m.dst as u32,
+                    keys: m.keys,
+                    bytes: m.bytes,
+                },
+            });
+        decision.migrations.push(m);
+    }
+
     fn balance_index(&mut self, object: DataObjectId, domain: u64, sample: &Sample) -> f64 {
         // The configured metric drives the balancing decision.
         let metric = self.cfg.balancer.metric;
@@ -885,18 +867,7 @@ impl Engine {
             }
             crate::balancer::BalanceMetric::ExecutionTime => sample.exec_ns.clone(),
         };
-        // Every evaluation leaves an audit entry: the CVs as seen, the
-        // threshold judged against, and why the balancer did what it did.
-        let mut decision = BalanceDecision {
-            at_secs: sample.at_secs,
-            object,
-            access_cv: sample.access_cv(),
-            exec_cv: sample.exec_cv(),
-            size_cv: sample.size_cv(),
-            threshold_cv: self.cfg.balancer.threshold_cv,
-            verdict: BalanceVerdict::BelowThreshold,
-            migrations: Vec::new(),
-        };
+        let mut decision = self.open_decision(object, sample);
         // Oscillation backoff: while cooling down, only accumulate samples.
         let backoff = &mut self.balance_backoff[object.0 as usize];
         if backoff.skip_left > 0 {
@@ -914,12 +885,6 @@ impl Engine {
         }
         let period_ns = self.cfg.balancer.period_s * 1e9;
         let costly = backoff.last_cost_ns > 0.5 * period_ns || backoff.last_moved_frac > 0.02;
-        if std::env::var_os("ERIS_DEBUG_BALANCE").is_some() {
-            eprintln!(
-                "balance check obj={} cv={cv:.3} last_cv={:.3} costly={costly} moved={:.4} cost_ms={:.3}",
-                object.0, backoff.last_cv, backoff.last_moved_frac, backoff.last_cost_ns / 1e6
-            );
-        }
         if backoff.last_cv > 0.0 && cv >= 0.9 * backoff.last_cv && costly {
             // The previous cycle paid real transfer cost without improving
             // the imbalance — an indivisible hotspot (e.g. one scorching
@@ -966,27 +931,7 @@ impl Engine {
 
         // All involved AEUs synchronize on the routing-table update first,
         // then execute their transfer commands.
-        let owners = self.aeu_ids();
-        self.shared
-            .with_table_mut(object, |t| {
-                t.as_range_mut().unwrap().rebuild(
-                    new_bounds
-                        .iter()
-                        .copied()
-                        .zip(owners.iter().copied())
-                        .collect(),
-                )
-            })
-            .expect("balanced object is registered");
-        for (i, aeu) in self.aeus.iter_mut().enumerate() {
-            let lo = new_bounds[i];
-            let hi = if i + 1 < new_bounds.len() {
-                new_bounds[i + 1]
-            } else {
-                domain
-            };
-            aeu.set_range(object, (lo, hi));
-        }
+        self.apply_bounds(object, domain, &new_bounds);
 
         // Execute transfers: link within a node, copy across nodes.
         let params = self.cfg.params;
@@ -1017,29 +962,17 @@ impl Engine {
             self.aeus[t.to].add_pending_ns(dst_ns);
             total_ns += src_ns + dst_ns;
             let moved_bytes = moved.len() as u64 * params.transfer_bytes_per_key;
-            decision.migrations.push(MigrationRecord {
-                src: t.from,
-                dst: t.to,
-                lo: t.lo,
-                hi: t.hi,
-                keys: moved.len() as u64,
-                bytes: moved_bytes,
-            });
-            self.shared
-                .telemetry()
-                .shard(AeuId(t.from as u32))
-                .ring
-                .emit(Stamped {
-                    at_ns: now_ns(),
-                    aeu: t.from as u32,
-                    event: TraceEvent::Migration {
-                        object: object.0,
-                        src: t.from as u32,
-                        dst: t.to as u32,
-                        keys: moved.len() as u64,
-                        bytes: moved_bytes,
-                    },
-                });
+            self.record_migration(
+                &mut decision,
+                MigrationRecord {
+                    src: t.from,
+                    dst: t.to,
+                    lo: t.lo,
+                    hi: t.hi,
+                    keys: moved.len() as u64,
+                    bytes: moved_bytes,
+                },
+            );
         }
         let total_keys: usize = (0..self.aeus.len())
             .map(|i| self.aeus[i].partition(object).map_or(0, |p| p.data.len()))
@@ -1047,29 +980,14 @@ impl Engine {
         let backoff = &mut self.balance_backoff[object.0 as usize];
         backoff.last_moved_frac = moved_keys_total as f64 / total_keys.max(1) as f64;
         backoff.last_cost_ns = total_ns;
-        let tel = self.shared.telemetry();
-        tel.balancer_cycles.fetch_add(1, Ordering::Relaxed);
-        tel.balancer_moves.fetch_add(num_moves, Ordering::Relaxed);
-        tel.balancer_keys_moved
-            .fetch_add(moved_keys_total as u64, Ordering::Relaxed);
-        decision.verdict = BalanceVerdict::Rebalanced;
-        self.monitor.record_decision(decision);
+        self.close_cycle(decision, num_moves, moved_keys_total as u64);
         total_ns
     }
 
     fn balance_column(&mut self, object: DataObjectId, sample: &Sample) -> f64 {
         let lens = &sample.lens;
         let weights: Vec<f64> = lens.iter().map(|l| *l as f64).collect();
-        let mut decision = BalanceDecision {
-            at_secs: sample.at_secs,
-            object,
-            access_cv: sample.access_cv(),
-            exec_cv: sample.exec_cv(),
-            size_cv: sample.size_cv(),
-            threshold_cv: self.cfg.balancer.threshold_cv,
-            verdict: BalanceVerdict::BelowThreshold,
-            migrations: Vec::new(),
-        };
+        let mut decision = self.open_decision(object, sample);
         if !needs_balancing(&weights, self.cfg.balancer.threshold_cv) {
             self.monitor.record_decision(decision);
             return 0.0;
@@ -1101,44 +1019,25 @@ impl Engine {
             self.aeus[to].add_pending_ns(ns);
             total_ns += 2.0 * ns;
             let row_bytes = rows.len() as u64 * 8;
-            decision.migrations.push(MigrationRecord {
-                src: from,
-                dst: to,
-                lo: 0,
-                hi: 0,
-                keys: rows.len() as u64,
-                bytes: row_bytes,
-            });
-            self.shared
-                .telemetry()
-                .shard(AeuId(from as u32))
-                .ring
-                .emit(Stamped {
-                    at_ns: now_ns(),
-                    aeu: from as u32,
-                    event: TraceEvent::Migration {
-                        object: object.0,
-                        src: from as u32,
-                        dst: to as u32,
-                        keys: rows.len() as u64,
-                        bytes: row_bytes,
-                    },
-                });
+            self.record_migration(
+                &mut decision,
+                MigrationRecord {
+                    src: from,
+                    dst: to,
+                    lo: 0,
+                    hi: 0,
+                    keys: rows.len() as u64,
+                    bytes: row_bytes,
+                },
+            );
         }
-        decision.verdict = if num_moves > 0 {
-            BalanceVerdict::Rebalanced
+        if num_moves > 0 {
+            self.close_cycle(decision, num_moves, moved_rows);
         } else {
             // Over threshold but integer row-averaging found nothing to
             // shift — the column analogue of an unchanged boundary set.
-            BalanceVerdict::NoBoundaryChange
-        };
-        self.monitor.record_decision(decision);
-        if num_moves > 0 {
-            let tel = self.shared.telemetry();
-            tel.balancer_cycles.fetch_add(1, Ordering::Relaxed);
-            tel.balancer_moves.fetch_add(num_moves, Ordering::Relaxed);
-            tel.balancer_keys_moved
-                .fetch_add(moved_rows, Ordering::Relaxed);
+            decision.verdict = BalanceVerdict::NoBoundaryChange;
+            self.monitor.record_decision(decision);
         }
         total_ns
     }
@@ -1156,11 +1055,11 @@ impl Engine {
         stop.store(false, Ordering::Relaxed);
         let aeus = std::mem::take(&mut self.aeus);
         let mut done: Vec<Option<Aeu>> = (0..aeus.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for aeu in aeus {
                 let stop = Arc::clone(&stop);
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let _ = eris_numa::affinity::pin_current_thread(aeu.core.index());
                     let mut aeu = aeu;
                     while !stop.load(Ordering::Relaxed) {
@@ -1180,8 +1079,7 @@ impl Engine {
                 let idx = aeu.id.index();
                 done[idx] = Some(aeu);
             }
-        })
-        .expect("thread scope");
+        });
         self.aeus = done
             .into_iter()
             .map(|a| a.expect("all AEUs returned"))
@@ -1678,27 +1576,7 @@ mod hash_partition_tests {
         );
         let domain = 1u64 << 16;
         let idx = e.create_hash_index("h", domain);
-        for a in e.aeu_ids() {
-            let batch: Vec<(u64, u64)> = (0..domain)
-                .filter(|k| k % e.num_aeus() as u64 == a.0 as u64)
-                .map(|k| (k, k))
-                .collect();
-            // Load through the owning route: absorb directly by range owner.
-            let _ = batch; // loaded below via bulk path
-        }
-        // Direct absorb by current owner.
-        let owners: Vec<(u64, AeuId)> = e
-            .shared
-            .with_table(idx, |t| t.as_range().unwrap().ranges())
-            .unwrap();
-        for k in 0..domain {
-            let idx_owner = match owners.binary_search_by(|(b, _)| b.cmp(&k)) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            let owner = owners[idx_owner].1;
-            e.aeu_mut(owner).absorb_pairs(idx, &[(k, k ^ 0xF0F0)]);
-        }
+        e.bulk_load_index(idx, (0..domain).map(|k| (k, k ^ 0xF0F0)));
         // Skewed traffic into the first AEU's range.
         for a in e.aeu_ids() {
             let mut x = (a.0 as u64 + 1) | 1;

@@ -92,6 +92,6 @@ pub mod prelude {
     pub use crate::results::{ResultCollector, ResultCounts};
     pub use crate::routing::{RoutingConfig, RoutingError};
     pub use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};
-    pub use eris_column::{Aggregate, Predicate, ScanKernel};
+    pub use eris_column::{Aggregate, Predicate};
     pub use eris_index::PrefixTreeConfig;
 }

@@ -18,9 +18,9 @@ pub mod partition_table;
 
 pub use incoming::{BufferFull, IncomingBuffers, IncomingStats};
 pub use outgoing::{FlushInfo, OutgoingBuffers};
-pub use partition_table::{BitmapTable, PartitionTable, RangeTable};
+pub use partition_table::{BitmapTable, OwnerSplit, PartitionTable, RangeTable};
 
-use crate::command::{AeuId, DataCommand, DataObjectId, Payload};
+use crate::command::{AeuId, DataCommand, DataObjectId, Payload, PointItem, StorageOp};
 use crate::telemetry::{CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
 use eris_numa::NodeId;
 use eris_obs::{now_ns, LatencyTable, TraceStamp};
@@ -40,6 +40,13 @@ pub enum RoutingError {
     /// Point lookups need a range-partitioned object; this object is
     /// size-partitioned (a column), where keys carry no placement.
     PointOpOnSizePartitioned(DataObjectId),
+    /// A point command names a key at or past the end of the object's
+    /// key domain `[0, domain)`: no partition is responsible for it.
+    KeyOutOfDomain {
+        object: DataObjectId,
+        key: u64,
+        domain: u64,
+    },
 }
 
 impl std::fmt::Display for RoutingError {
@@ -53,6 +60,17 @@ impl std::fmt::Display for RoutingError {
                     f,
                     "point lookups need a range-partitioned object, but object {} is size-partitioned",
                     id.0
+                )
+            }
+            RoutingError::KeyOutOfDomain {
+                object,
+                key,
+                domain,
+            } => {
+                write!(
+                    f,
+                    "key {key} is outside the domain [0, {domain}) of object {}",
+                    object.0
                 )
             }
         }
@@ -265,9 +283,11 @@ impl Router {
         &self.shared
     }
 
-    /// The cached conservation ledger of `id`.
-    // HOT-PATH-CUT: first-touch ledger registration, as Aeu::object_ledger.
-    fn object_ledger(&mut self, id: DataObjectId) -> Arc<ObjectCounters> {
+    /// The cached conservation ledger of `id`; routing counts `enqueued`
+    /// on it, this router's AEU `executed`.
+    // HOT-PATH-CUT: first-touch ledger registration; allocates the
+    // counter arc once per object, steady state is a vector hit.
+    pub(crate) fn object_ledger(&mut self, id: DataObjectId) -> Arc<ObjectCounters> {
         let i = id.0 as usize;
         if self.tel_objects.len() <= i {
             self.tel_objects.resize_with(i + 1, || None);
@@ -345,74 +365,10 @@ impl Router {
         let mut full_targets: Vec<AeuId> = Vec::new();
         match &cmd.payload {
             Payload::Lookup { keys } => {
-                // `Ok`: the one owner of every key; `Err`: the per-owner
-                // groups of a command that has to be split.
-                let owners = self.shared.with_table(object, |t| match t {
-                    PartitionTable::Range(r) => Ok(r
-                        .single_owner(keys.iter().copied())
-                        .ok_or_else(|| r.split_by_owner(keys))),
-                    PartitionTable::Bitmap(_) => {
-                        Err(RoutingError::PointOpOnSizePartitioned(object))
-                    }
-                })??;
-                match owners {
-                    // One owner (always, for one key): the caller's command
-                    // is the sub-command.
-                    Ok(owner) => self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets),
-                    Err(groups) => {
-                        if groups.len() > 1 {
-                            self.stats.splits += 1;
-                            split += 1;
-                        }
-                        for (owner, group_keys) in groups {
-                            let sub = DataCommand {
-                                object,
-                                ticket: cmd.ticket,
-                                payload: Payload::Lookup { keys: group_keys },
-                            };
-                            self.push_unicast(owner, &sub, &mut stamp, &mut full_targets);
-                        }
-                    }
-                }
+                split += self.route_point(&cmd, keys, &mut stamp, &mut full_targets)?
             }
             Payload::Upsert { pairs } => {
-                let owners = self.shared.with_table(object, |t| match t {
-                    PartitionTable::Range(r) => Some(
-                        r.single_owner(pairs.iter().map(|p| p.0))
-                            .ok_or_else(|| r.split_pairs_by_owner(pairs)),
-                    ),
-                    PartitionTable::Bitmap(_) => None,
-                })?;
-                match owners {
-                    Some(Ok(owner)) => {
-                        self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets)
-                    }
-                    Some(Err(groups)) => {
-                        if groups.len() > 1 {
-                            self.stats.splits += 1;
-                            split += 1;
-                        }
-                        for (owner, group_pairs) in groups {
-                            let sub = DataCommand {
-                                object,
-                                ticket: cmd.ticket,
-                                payload: Payload::Upsert { pairs: group_pairs },
-                            };
-                            self.push_unicast(owner, &sub, &mut stamp, &mut full_targets);
-                        }
-                    }
-                    None => {
-                        // Size-partitioned object: appends round-robin over
-                        // the member set (NUMA-aware materialization of
-                        // intermediate results).
-                        let members = self.shared.with_table(object, |t| t.scan_targets())?;
-                        self.rr_cursor = (self.rr_cursor + 1) % members.len();
-                        // BOUNDS: the cursor was just reduced modulo `members.len()`,
-                        // which `with_table` guarantees non-empty for a provisioned object.
-                        let owner = members[self.rr_cursor];
-                        self.push_unicast(owner, &cmd, &mut stamp, &mut full_targets);
-                    }
-                }
+                split += self.route_point(&cmd, pairs, &mut stamp, &mut full_targets)?
             }
             Payload::Scan { pred, .. }
             | Payload::JoinProbe { pred, .. }
@@ -484,6 +440,61 @@ impl Router {
             self.flush_target(t, &mut flushed);
         }
         Ok(flushed)
+    }
+
+    /// Routing steps 1 and 2 of a point command carrying `items`: batch
+    /// owner lookup, then the caller's command buffered as it is when one
+    /// AEU owns every item (always, for one item) or one sub-command per
+    /// owner group.  Returns 1 if the command was split.  On a
+    /// size-partitioned object upserts are appends, dealt round-robin over
+    /// the member set (NUMA-aware materialization of intermediate
+    /// results), and lookups have no placement to go by.
+    fn route_point<T: PointItem>(
+        &mut self,
+        cmd: &DataCommand,
+        items: &[T],
+        stamp: &mut Option<TraceStamp>,
+        full: &mut Vec<AeuId>,
+    ) -> Result<u64, RoutingError> {
+        let object = cmd.object;
+        // `None`: a size-partitioned object.
+        let owners = self.shared.with_table(object, |t| match t {
+            PartitionTable::Range(r) => Ok(Some(r.split_by_owner(items))),
+            PartitionTable::Bitmap(_) if T::OP == StorageOp::Upsert => Ok(None),
+            PartitionTable::Bitmap(_) => Err(RoutingError::PointOpOnSizePartitioned(object)),
+        })??;
+        let mut split = 0;
+        match owners {
+            Some(OwnerSplit::One(owner)) => self.push_unicast(owner, cmd, stamp, full),
+            Some(OwnerSplit::Groups(groups)) => {
+                split = (groups.len() > 1) as u64;
+                self.stats.splits += split;
+                for (owner, group) in groups {
+                    let sub = DataCommand {
+                        object,
+                        ticket: cmd.ticket,
+                        payload: T::payload(group),
+                    };
+                    self.push_unicast(owner, &sub, stamp, full);
+                }
+            }
+            Some(OwnerSplit::OutOfDomain { key, domain }) => {
+                return Err(RoutingError::KeyOutOfDomain {
+                    object,
+                    key,
+                    domain,
+                })
+            }
+            None => {
+                let members = self.shared.with_table(object, |t| t.scan_targets())?;
+                self.rr_cursor = (self.rr_cursor + 1) % members.len();
+                // BOUNDS: the cursor was just reduced modulo `members.len()`,
+                // which `with_table` guarantees non-empty for a provisioned object.
+                let owner = members[self.rr_cursor];
+                self.push_unicast(owner, cmd, stamp, full);
+            }
+        }
+        Ok(split)
     }
 
     /// Buffer one sub-command for its single owner, preceded by the
@@ -777,33 +788,20 @@ mod tests {
 
     #[test]
     fn threshold_crossing_flushes_inline() {
-        let shared = Arc::new(RoutingShared::new(
-            2,
-            RoutingConfig {
-                // Sampling off: `flush_bytes % 29 == 0` below relies on
-                // an unstamped 29-byte-per-command byte stream.
-                trace_sample_every: 0,
-                outgoing_capacity: 64,
-                incoming_capacity: 4096,
-                ..Default::default()
-            },
-        ));
+        let cfg = RoutingConfig {
+            // Sampling off: `flush_bytes % 29 == 0` below relies on
+            // an unstamped 29-byte-per-command byte stream.
+            trace_sample_every: 0,
+            outgoing_capacity: 64,
+            incoming_capacity: 4096,
+            ..Default::default()
+        };
+        let shared = Arc::new(RoutingShared::new(2, cfg));
         shared.register_object(
             DataObjectId(0),
             PartitionTable::Range(RangeTable::even(100, &[AeuId(0), AeuId(1)])),
         );
-        let mut router = Router::new(
-            AeuId(0),
-            Arc::clone(&shared),
-            RoutingConfig {
-                // Sampling off: `flush_bytes % 29 == 0` below relies on
-                // an unstamped 29-byte-per-command byte stream.
-                trace_sample_every: 0,
-                outgoing_capacity: 64,
-                incoming_capacity: 4096,
-                ..Default::default()
-            },
-        );
+        let mut router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
         let mut flushed = Vec::new();
         for i in 0..10 {
             flushed.extend(
@@ -891,17 +889,22 @@ mod proptests {
     /// owner.  The bytes each AEU must find in its incoming buffer.
     fn split_oracle(table: &RangeTable, cmd: &DataCommand, aeus: usize) -> (Vec<Vec<u8>>, usize) {
         let mut per_target = vec![Vec::new(); aeus];
-        let groups: Vec<(AeuId, Payload)> = match &cmd.payload {
-            Payload::Lookup { keys } => table
-                .split_by_owner(keys)
+        /// The split's groups wrapped as payloads; a shared owner is one
+        /// group of everything.
+        fn groups<T: PointItem>(table: &RangeTable, items: &[T]) -> Vec<(AeuId, Payload)> {
+            let groups = match table.split_by_owner(items) {
+                OwnerSplit::One(owner) => vec![(owner, items.to_vec())],
+                OwnerSplit::Groups(groups) => groups,
+                OwnerSplit::OutOfDomain { key, .. } => panic!("key {key} outside the domain"),
+            };
+            groups
                 .into_iter()
-                .map(|(a, keys)| (a, Payload::Lookup { keys }))
-                .collect(),
-            Payload::Upsert { pairs } => table
-                .split_pairs_by_owner(pairs)
-                .into_iter()
-                .map(|(a, pairs)| (a, Payload::Upsert { pairs }))
-                .collect(),
+                .map(|(a, g)| (a, T::payload(g)))
+                .collect()
+        }
+        let groups = match &cmd.payload {
+            Payload::Lookup { keys } => groups(table, keys),
+            Payload::Upsert { pairs } => groups(table, pairs),
             _ => unreachable!("point commands only"),
         };
         for (owner, payload) in &groups {

@@ -6,26 +6,34 @@
 //! whether or not an AEU stores a partition of that data object (bitmap
 //! partition table)."*  Range tables are CSB+-trees (Section 4).
 
-use crate::command::AeuId;
+use crate::command::{AeuId, PointItem};
 use eris_index::CsbTree;
+
+/// What [`RangeTable::split_by_owner`] found for a point command's items.
+#[derive(Debug, PartialEq, Eq)]
+pub enum OwnerSplit<T> {
+    /// One AEU owns every item (always, for one item): the command needs
+    /// no splitting and is routed as it is.
+    One(AeuId),
+    /// The `(owner, items)` groups of items spanning owners, in order of
+    /// first appearance; no groups for no items.
+    Groups(Vec<(AeuId, Vec<T>)>),
+    /// `key` lies outside `[0, domain)`: no AEU's validity range contains
+    /// it, so once routed it would be forwarded as a stray forever.
+    OutOfDomain { key: u64, domain: u64 },
+}
 
 /// Range partition table: sorted range boundaries → owning AEU.
 pub struct RangeTable {
     csb: CsbTree<AeuId>,
+    /// Keys live in `[0, domain)`; `u64::MAX` means the whole key space,
+    /// its top key included (the last partition is closed at the top).
+    domain: u64,
     /// Bumped on every rebalance; AEUs use it to detect stale commands.
     version: u64,
 }
 
 impl RangeTable {
-    /// Build from `(boundary, owner)` entries with strictly increasing
-    /// boundaries; the first boundary is the domain minimum.
-    pub fn new(entries: Vec<(u64, AeuId)>, version: u64) -> Self {
-        RangeTable {
-            csb: CsbTree::build(entries),
-            version,
-        }
-    }
-
     /// Evenly partition `[0, domain)` over `owners` (initial partitioning).
     pub fn even(domain: u64, owners: &[AeuId]) -> Self {
         assert!(!owners.is_empty());
@@ -35,10 +43,15 @@ impl RangeTable {
             .enumerate()
             .map(|(i, &a)| (domain / n * i as u64, a))
             .collect();
-        Self::new(entries, 0)
+        RangeTable {
+            csb: CsbTree::build(entries),
+            domain,
+            version: 0,
+        }
     }
 
-    /// The AEU owning `key`.
+    /// The AEU whose range holds `key`; keys past the domain map to the
+    /// last range (scan predicates may name them, point commands may not).
     #[inline]
     pub fn owner(&self, key: u64) -> AeuId {
         *self.csb.lookup(key)
@@ -84,46 +97,48 @@ impl RangeTable {
         self.version += 1;
     }
 
-    /// The AEU that owns every one of `keys`, if one does (always, for one
-    /// key): such a command needs no splitting and is routed as it is.
-    /// `None` for keys spanning owners, and for no keys at all.
-    pub fn single_owner<K: IntoIterator<Item = u64>>(&self, keys: K) -> Option<AeuId> {
-        let mut keys = keys.into_iter();
-        let owner = self.owner(keys.next()?);
-        keys.all(|k| self.owner(k) == owner).then_some(owner)
-    }
-
-    /// Group `keys` by owner: returns `(owner, keys)` groups — the batch
-    /// lookup + command splitting of routing step 1.
-    pub fn split_by_owner(&self, keys: &[u64]) -> Vec<(AeuId, Vec<u64>)> {
-        let mut groups: Vec<(AeuId, Vec<u64>)> = Vec::new();
-        for &k in keys {
-            let owner = self.owner(k);
-            // ALLOC-OK: the split groups own their key vectors by design —
-            // each becomes the payload of a per-owner sub-command.
-            // ALLOC-OK: group count is bounded by the owner count.
+    /// Routing step 1 for a point command: the batch owner lookup of its
+    /// items (keys or pairs) and, when they span owners, the split into
+    /// per-owner groups.  One pass; a command whose items share an owner
+    /// allocates nothing.
+    pub fn split_by_owner<T: PointItem>(&self, items: &[T]) -> OwnerSplit<T> {
+        let mut first: Option<AeuId> = None;
+        let mut groups: Vec<(AeuId, Vec<T>)> = Vec::new();
+        for (i, &item) in items.iter().enumerate() {
+            let key = item.key();
+            if key >= self.domain && self.domain != u64::MAX {
+                return OwnerSplit::OutOfDomain {
+                    key,
+                    domain: self.domain,
+                };
+            }
+            let owner = self.owner(key);
+            if groups.is_empty() {
+                // Still inside the prefix of items sharing the first owner.
+                match first {
+                    None => {
+                        first = Some(owner);
+                        continue;
+                    }
+                    Some(f) if f == owner => continue,
+                    // ALLOC-OK: the split groups own their item vectors by
+                    // design — each becomes the payload of a per-owner
+                    // sub-command.
+                    // BOUNDS: `i` indexes `items`.
+                    Some(f) => groups.push((f, items[..i].to_vec())),
+                }
+            }
+            // ALLOC-OK: as above; the group count is bounded by the owner
+            // count.
             match groups.iter_mut().find(|(a, _)| *a == owner) {
-                Some((_, v)) => v.push(k),
-                None => groups.push((owner, vec![k])),
+                Some((_, g)) => g.push(item),
+                None => groups.push((owner, vec![item])),
             }
         }
-        groups
-    }
-
-    /// Group `(key, value)` pairs by owner.
-    pub fn split_pairs_by_owner(&self, pairs: &[(u64, u64)]) -> Vec<(AeuId, Vec<(u64, u64)>)> {
-        let mut groups: Vec<(AeuId, Vec<(u64, u64)>)> = Vec::new();
-        for &(k, v) in pairs {
-            let owner = self.owner(k);
-            // ALLOC-OK: the split groups own their pair vectors by design —
-            // each becomes the payload of a per-owner sub-command.
-            // ALLOC-OK: group count is bounded by the owner count.
-            match groups.iter_mut().find(|(a, _)| *a == owner) {
-                Some((_, g)) => g.push((k, v)),
-                None => groups.push((owner, vec![(k, v)])),
-            }
+        match first {
+            Some(owner) if groups.is_empty() => OwnerSplit::One(owner),
+            _ => OwnerSplit::Groups(groups),
         }
-        groups
     }
 
     /// Owners whose range intersects `[lo, hi)` — except that
@@ -241,7 +256,7 @@ mod tests {
         assert_eq!(
             t.owner(u64::MAX),
             AeuId(3),
-            "keys beyond domain go to the last"
+            "keys beyond domain map to the last range"
         );
         assert_eq!(t.range_of(1, 1000), (250, 500));
         assert_eq!(t.range_of(3, 1000), (750, 1000));
@@ -250,22 +265,58 @@ mod tests {
     #[test]
     fn split_by_owner_groups_keys() {
         let t = RangeTable::even(100, &aeus(2));
-        let groups = t.split_by_owner(&[1, 60, 2, 70, 3]);
-        assert_eq!(groups.len(), 2);
-        let g0 = groups.iter().find(|(a, _)| *a == AeuId(0)).unwrap();
-        let g1 = groups.iter().find(|(a, _)| *a == AeuId(1)).unwrap();
-        assert_eq!(g0.1, vec![1, 2, 3]);
-        assert_eq!(g1.1, vec![60, 70]);
+        assert_eq!(
+            t.split_by_owner(&[1u64, 60, 2, 70, 3]),
+            OwnerSplit::Groups(vec![(AeuId(0), vec![1, 2, 3]), (AeuId(1), vec![60, 70])])
+        );
+        // A shared-owner prefix moves into its group in one piece.
+        assert_eq!(
+            t.split_by_owner(&[(60u64, 6u64), (70, 7), (1, 8), (61, 9)]),
+            OwnerSplit::Groups(vec![
+                (AeuId(1), vec![(60, 6), (70, 7), (61, 9)]),
+                (AeuId(0), vec![(1, 8)])
+            ])
+        );
     }
 
     #[test]
     fn single_owner_is_some_exactly_when_the_split_has_one_group() {
         let t = RangeTable::even(100, &aeus(2));
-        assert_eq!(t.single_owner([60]), Some(AeuId(1)));
-        assert_eq!(t.single_owner([1, 49, 2]), Some(AeuId(0)));
-        assert_eq!(t.single_owner([u64::MAX, 50]), Some(AeuId(1)));
-        assert_eq!(t.single_owner([1, 60, 2]), None);
-        assert_eq!(t.single_owner([]), None, "no keys, no sub-command");
+        assert_eq!(t.split_by_owner(&[60u64]), OwnerSplit::One(AeuId(1)));
+        assert_eq!(t.split_by_owner(&[1u64, 49, 2]), OwnerSplit::One(AeuId(0)));
+        assert_eq!(
+            t.split_by_owner(&[(99u64, 0u64), (50, 1)]),
+            OwnerSplit::One(AeuId(1))
+        );
+        assert!(matches!(t.split_by_owner(&[1u64, 60, 2]), OwnerSplit::Groups(g) if g.len() == 2));
+        assert_eq!(
+            t.split_by_owner::<u64>(&[]),
+            OwnerSplit::Groups(vec![]),
+            "no keys, no sub-command"
+        );
+    }
+
+    #[test]
+    fn keys_outside_the_domain_have_no_point_owner() {
+        let t = RangeTable::even(100, &aeus(2));
+        assert_eq!(t.split_by_owner(&[50u64, 99]), OwnerSplit::One(AeuId(1)));
+        assert_eq!(
+            t.split_by_owner(&[1u64, 100, 2]),
+            OwnerSplit::OutOfDomain {
+                key: 100,
+                domain: 100
+            }
+        );
+        assert_eq!(
+            t.split_by_owner(&[(60u64, 0u64), (1, 0), (u64::MAX, 0)]),
+            OwnerSplit::OutOfDomain {
+                key: u64::MAX,
+                domain: 100
+            }
+        );
+        // A full domain is closed at the top: u64::MAX is a key like any.
+        let full = RangeTable::even(u64::MAX, &aeus(2));
+        assert_eq!(full.split_by_owner(&[u64::MAX]), OwnerSplit::One(AeuId(1)));
     }
 
     #[test]

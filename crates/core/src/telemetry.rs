@@ -1,4 +1,4 @@
-//! Engine-wide telemetry: live counters and fixed-bucket histograms.
+//! Engine-wide telemetry: live counters and log2 histograms.
 //!
 //! Every AEU owns one [`TelemetryShard`] — a cache-friendly block of
 //! relaxed atomic counters updated from the routing and processing hot
@@ -19,6 +19,7 @@
 
 use crate::command::{AeuId, DataObjectId};
 use eris_numa::NodeId;
+use eris_obs::latency::{bucket_of, LATENCY_BUCKETS};
 use eris_obs::{
     Exemplar, LatencyKey, LatencySeries, LatencyTable, LogHistogram, Metric, MetricKind, Phase,
     PhaseBreakdown, PhaseProfiler, RingStats, TraceRing,
@@ -153,12 +154,13 @@ counter_fields! {
         scans,
         /// Rows examined by scans.
         scan_rows,
-        /// Shared column sweeps dispatched to the explicit-SIMD kernels
-        /// (AVX2 lanes where detected, portable fallback otherwise).
+        /// Shared column sweeps that ran on the AVX2 lanes.
         simd_sweeps,
-        /// Shared column sweeps dispatched to the portable chunked kernels.
+        /// Shared column sweeps that ran on the portable chunked kernels
+        /// (no AVX2, or `ERIS_SIMD=0`).
         chunked_sweeps,
-        /// Shared column sweeps dispatched to the scalar oracle path.
+        /// Always 0: the scalar path is a test oracle the engine never
+        /// dispatches to (a `benchmark/` contract name).
         scalar_sweeps,
         /// Keys probed through the batched hash-lookup entry point.
         batched_probe_keys,
@@ -181,35 +183,12 @@ counter_fields! {
     }
 }
 
-/// Number of buckets in every [`Histogram`].
-pub const HISTOGRAM_BUCKETS: usize = 17;
-
-#[inline]
-fn bucket_of(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-}
-
-/// Human-readable range of one bucket.
-pub fn bucket_label(i: usize) -> String {
-    match i {
-        0 => "0".to_string(),
-        1 => "1".to_string(),
-        i if i < HISTOGRAM_BUCKETS - 1 => format!("{}..{}", 1u64 << (i - 1), 1u64 << i),
-        _ => format!(">={}", 1u64 << (HISTOGRAM_BUCKETS - 2)),
-    }
-}
-
-/// A log2-bucketed histogram with a fixed bucket count, updated with one
-/// relaxed `fetch_add` per sample.  Bucket 0 counts zero-valued samples,
-/// bucket `i` (1..=15) counts values in `[2^(i-1), 2^i)`, and the last
-/// bucket collects everything at or above `2^15`.
+/// The atomic recorder of a [`LogHistogram`]: same log2 bucket layout,
+/// updated with relaxed `fetch_add`s from an AEU's hot path and copied
+/// out as a plain histogram.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    buckets: [AtomicU64; LATENCY_BUCKETS],
     sum: AtomicU64,
 }
 
@@ -225,13 +204,18 @@ impl Default for Histogram {
 impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
+        // BOUNDS: `bucket_of` saturates at `LATENCY_BUCKETS - 1`.
         self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
     }
 
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Relaxed)),
+    pub fn snapshot(&self) -> LogHistogram {
+        // BOUNDS: `from_fn` hands out indices below the shared bucket count.
+        let buckets: [u64; LATENCY_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Relaxed));
+        LogHistogram {
+            buckets,
+            count: buckets.iter().sum(),
             sum: self.sum.load(Relaxed),
         }
     }
@@ -242,58 +226,6 @@ impl Histogram {
             b.store(0, Relaxed);
         }
         self.sum.store(0, Relaxed);
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    pub sum: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            sum: 0,
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    pub fn merge(&mut self, o: &HistogramSnapshot) {
-        for (b, ob) in self.buckets.iter_mut().zip(&o.buckets) {
-            *b += ob;
-        }
-        self.sum += o.sum;
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Mean of all recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-}
-
-impl fmt::Display for HistogramSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n={} mean={:.1}", self.count(), self.mean())?;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c > 0 {
-                write!(f, " [{}]={c}", bucket_label(i))?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -521,9 +453,9 @@ impl Telemetry {
             })
             .collect();
 
-        let mut swap_batch = HistogramSnapshot::default();
-        let mut exec_group = HistogramSnapshot::default();
-        let mut step_ns = HistogramSnapshot::default();
+        let mut swap_batch = LogHistogram::default();
+        let mut exec_group = LogHistogram::default();
+        let mut step_ns = LogHistogram::default();
         for s in &self.shards {
             swap_batch.merge(&s.swap_batch.snapshot());
             exec_group.merge(&s.exec_group.snapshot());
@@ -615,9 +547,9 @@ pub struct TelemetrySnapshot {
     pub totals: CounterSnapshot,
     pub objects: Vec<ObjectFlow>,
     pub balancer: BalancerCounters,
-    pub swap_batch: HistogramSnapshot,
-    pub exec_group: HistogramSnapshot,
-    pub step_ns: HistogramSnapshot,
+    pub swap_batch: LogHistogram,
+    pub exec_group: LogHistogram,
+    pub step_ns: LogHistogram,
     /// Sampled-trace conservation: stamped vs. traced + dropped.
     pub trace: TraceLedger,
     /// Per-(object, op) sampled latency series, sorted by key.
@@ -688,7 +620,7 @@ impl TelemetrySnapshot {
             }
             out.push('}');
         }
-        fn hist(h: &HistogramSnapshot, out: &mut String) {
+        fn hist(h: &LogHistogram, out: &mut String) {
             out.push_str(&format!("{{\"sum\":{},\"buckets\":[", h.sum));
             for (i, b) in h.buckets.iter().enumerate() {
                 if i > 0 {
@@ -1213,14 +1145,29 @@ mod tests {
 
     #[test]
     fn buckets_cover_the_value_range() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of((1 << 14) + 1), 15);
-        assert_eq!(bucket_of(1 << 15), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        // The atomic recorder files every value where the plain
+        // histogram does: one layout, two views.
+        let (h, mut plain) = (Histogram::default(), LogHistogram::default());
+        for v in [
+            0,
+            1,
+            2,
+            3,
+            4,
+            (1 << 14) + 1,
+            1 << 15,
+            1 << 40,
+            u64::MAX >> 1,
+        ] {
+            h.record(v);
+            plain.record(v);
+        }
+        assert_eq!(h.snapshot(), plain);
+        assert_eq!(
+            plain.buckets[LATENCY_BUCKETS - 1],
+            2,
+            "saturating top bucket"
+        );
     }
 
     #[test]
@@ -1232,13 +1179,15 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count(), 5);
         assert_eq!(s.sum, 40_007);
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[1], 2);
-        assert_eq!(s.buckets[HISTOGRAM_BUCKETS - 1], 1);
-        let mut m = s;
+        assert_eq!(s.buckets[0], 3, "0 and 1 share the first bucket");
+        assert_eq!(s.buckets[2], 1);
+        assert_eq!(s.buckets[15], 1);
+        let mut m = s.clone();
         m.merge(&s);
         assert_eq!(m.count(), 10);
         assert_eq!(m.sum, 2 * 40_007);
+        h.reset();
+        assert_eq!(h.snapshot(), LogHistogram::default());
     }
 
     #[test]

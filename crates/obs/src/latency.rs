@@ -43,8 +43,9 @@ pub fn bucket_le(b: usize) -> u64 {
     (1u64 << (b + 1)) - 1
 }
 
-/// A plain log2 histogram (no interior mutability; lives under the
-/// table's mutex).
+/// A plain log2 histogram (no interior mutability): the one bucket
+/// layout of the workspace.  The latency table keeps these under its
+/// mutex; `eris-core`'s atomic per-AEU recorders snapshot into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     pub buckets: [u64; LATENCY_BUCKETS],
@@ -67,6 +68,20 @@ impl LogHistogram {
         self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v;
+    }
+
+    /// Fold another histogram's samples in.
+    pub fn merge(&mut self, o: &LogHistogram) {
+        for (b, ob) in self.buckets.iter_mut().zip(&o.buckets) {
+            *b += ob;
+        }
+        self.count += o.count;
+        self.sum += o.sum;
+    }
+
+    /// Total number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.count
     }
 
     pub fn mean(&self) -> f64 {
@@ -118,6 +133,19 @@ impl LogHistogram {
             .filter(|(b, _)| bucket_le(*b) > threshold)
             .map(|(_, &n)| n)
             .sum()
+    }
+}
+
+impl std::fmt::Display for LogHistogram {
+    /// `n=… mean=…` and every non-empty bucket as `[<=upper bound]=count`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n={} mean={:.1}", self.count, self.mean())?;
+        for (b, &c) in self.buckets.iter().enumerate() {
+            if c > 0 {
+                write!(f, " [<={}]={c}", bucket_le(b))?;
+            }
+        }
+        Ok(())
     }
 }
 

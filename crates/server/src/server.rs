@@ -769,11 +769,7 @@ impl EngineServer {
                         reject(conn, REJ_TENANT, frame.seq);
                     }
                     Admit::Granted => {
-                        let submitted = match stamp {
-                            Some(stamp) => self.engine.submit_traced(conn.via, cmd, stamp),
-                            None => self.engine.submit(conn.via, cmd),
-                        };
-                        match submitted {
+                        match self.engine.submit_traced(conn.via, cmd, stamp) {
                             Ok(()) => {
                                 report.accepted += 1;
                                 self.net_wait[tenant as usize].record(net_ns);

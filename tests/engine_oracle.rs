@@ -593,12 +593,14 @@ fn coalesced_scans_match_unshared_baseline() {
 
 #[test]
 fn chunked_and_scalar_kernels_agree_end_to_end() {
-    // The chunked branch-free kernels are the default coalesced-scan path;
-    // the row-at-a-time scalar path survives as the oracle.  The same
-    // workload through two engines — one per kernel — must produce
-    // identical answers, including at MVCC snapshot cuts that land
-    // mid-chunk and at the very top of the u64 value domain.  Telemetry
-    // proves each engine dispatched the kernel the test assumes.
+    // The fused chunked sweep (AVX2 lanes or the portable kernels,
+    // whichever `simd::level()` selects) is the engine's only scan path;
+    // the row-at-a-time scalar path survives as the oracle.  Every AEU's
+    // partial result must equal the scalar oracle run over that AEU's
+    // partition column — including at MVCC snapshot cuts that land
+    // mid-chunk and at the very top of the u64 value domain — and
+    // telemetry must show the one dispatch counted what actually ran.
+    use eris_column::{simd, SharedScan, SimdLevel};
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let domain: u64 = 1 << 16;
     let mut rows: Vec<u64> = (0..30_000).map(|_| rng.gen_range(0..domain)).collect();
@@ -633,60 +635,148 @@ fn chunked_and_scalar_kernels_agree_end_to_end() {
         })
         .collect();
 
-    let run = |kernel: ScanKernel| {
-        let mut e = Engine::new(
-            eris_numa::machines::custom_machine("t", 2, 2, 20.0, 100.0, 10.0, 60.0),
-            EngineConfig {
-                collect_results: true,
-                tree: PrefixTreeConfig::new(8, 32),
-                scan_kernel: kernel,
-                ..Default::default()
-            },
-        );
-        let col = e.create_column("c");
-        e.bulk_load_column(col, rows.iter().copied());
-        for (t, &(pred, agg, snapshot)) in queries.iter().enumerate() {
-            e.submit(
-                AeuId((t % 4) as u32),
-                DataCommand {
-                    object: col,
-                    ticket: t as u64,
-                    payload: Payload::Scan {
-                        pred,
-                        agg,
-                        snapshot,
-                    },
+    let mut e = engine(2, 2);
+    let col = e.create_column("c");
+    e.bulk_load_column(col, rows.iter().copied());
+    for (t, &(pred, agg, snapshot)) in queries.iter().enumerate() {
+        e.submit(
+            AeuId((t % 4) as u32),
+            DataCommand {
+                object: col,
+                ticket: t as u64,
+                payload: Payload::Scan {
+                    pred,
+                    agg,
+                    snapshot,
                 },
-            )
-            .unwrap();
+            },
+        )
+        .unwrap();
+    }
+    e.run_until_drained();
+
+    let mut got = e.results().take_scan_results();
+    got.sort_by_key(|&(t, a, _)| (t, a));
+    let mut want = Vec::new();
+    for (t, &(pred, agg, snapshot)) in queries.iter().enumerate() {
+        for a in e.aeu_ids() {
+            let part = &e.aeu(a).partition(col).unwrap().data;
+            let eris_core::PartitionData::Column(part) = part else {
+                panic!("column partition expected");
+            };
+            let mut oracle = SharedScan::new();
+            oracle.add(pred, snapshot.min(part.len() as u64) as usize, agg);
+            want.push((t as u64, a, oracle.execute_scalar(part).0[0]));
         }
-        e.run_until_drained();
-        let results: Vec<_> = (0..queries.len() as u64)
-            .map(|t| e.results().combine_scan(t))
-            .collect();
-        (results, e.telemetry().totals)
+    }
+    assert_eq!(got.len(), want.len(), "one partial per query and AEU");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(
+            g, w,
+            "query {:?}: engine == scalar oracle",
+            queries[g.0 as usize]
+        );
+    }
+
+    let t = e.telemetry().totals;
+    let (ran, idle) = match simd::level() {
+        SimdLevel::Avx2 => (t.simd_sweeps, t.chunked_sweeps),
+        SimdLevel::Portable => (t.chunked_sweeps, t.simd_sweeps),
     };
+    assert!(
+        ran > 0 && idle == 0 && t.scalar_sweeps == 0,
+        "exactly the counter of the kernels that ran moved ({:?}): {t:?}",
+        simd::level()
+    );
+}
 
-    let (chunked, ct) = run(ScanKernel::Chunked);
-    let (simd, vt) = run(ScanKernel::Simd);
-    let (scalar, st) = run(ScanKernel::Scalar);
-
-    assert!(
-        ct.chunked_sweeps > 0 && ct.scalar_sweeps == 0 && ct.simd_sweeps == 0,
-        "chunked engine dispatched chunked sweeps only: {ct:?}"
-    );
-    assert!(
-        vt.simd_sweeps > 0 && vt.chunked_sweeps == 0 && vt.scalar_sweeps == 0,
-        "simd engine dispatched simd sweeps only: {vt:?}"
-    );
-    assert!(
-        st.scalar_sweeps > 0 && st.chunked_sweeps == 0 && st.simd_sweeps == 0,
-        "scalar engine dispatched scalar sweeps only: {st:?}"
-    );
-    for (t, ((c, s), v)) in chunked.iter().zip(&scalar).zip(&simd).enumerate() {
-        assert!(c.is_some(), "query {t} answered");
-        assert_eq!(c, s, "query {t} ({:?}): chunked == scalar", queries[t]);
-        assert_eq!(v, s, "query {t} ({:?}): simd == scalar", queries[t]);
+#[test]
+fn a_key_outside_the_domain_is_rejected_at_submit() {
+    // A key at or past an index's domain used to be routed to the last
+    // AEU, judged a stray there and forwarded to itself forever: one
+    // hostile command hung `run_until_drained`.  It is a typed error at
+    // submit now, for lookups and upserts, tree and hash partitions, alone
+    // or next to valid keys — nothing is enqueued, the ledgers stay shut.
+    let domain: u64 = 1 << 16;
+    for hash in [false, true] {
+        let mut e = engine(2, 2);
+        let idx = if hash {
+            e.create_hash_index("t", domain)
+        } else {
+            e.create_index("t", domain)
+        };
+        e.bulk_load_index(idx, (0..100u64).map(|k| (k, k + 1)));
+        for (ticket, key) in [domain, domain + 7, u64::MAX - 1, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            for payload in [
+                Payload::Lookup { keys: vec![key] },
+                Payload::Lookup {
+                    keys: vec![3, domain - 1, key, 4],
+                },
+                Payload::Upsert {
+                    pairs: vec![(key, 1)],
+                },
+                Payload::Upsert {
+                    pairs: vec![(5, 50), (key, 1)],
+                },
+            ] {
+                let res = e.submit(
+                    AeuId(ticket as u32 % 4),
+                    DataCommand {
+                        object: idx,
+                        ticket: ticket as u64,
+                        payload,
+                    },
+                );
+                // A bounded drain: this must fail, not hang, where the
+                // command is accepted and circulates.
+                let mut epochs = 0;
+                while !e.is_idle() && epochs < 64 {
+                    e.run_epoch();
+                    epochs += 1;
+                }
+                assert!(
+                    e.is_idle(),
+                    "hash={hash}, key {key}: still circulating after {epochs} epochs"
+                );
+                assert_eq!(
+                    res,
+                    Err(RoutingError::KeyOutOfDomain {
+                        object: idx,
+                        key,
+                        domain
+                    }),
+                    "hash={hash}"
+                );
+                assert_eq!(epochs, 0, "nothing was enqueued");
+            }
+        }
+        let snap = e.telemetry();
+        assert!(snap.conservation_holds() && snap.trace.balances());
+        assert_eq!(snap.totals.commands_executed, 0);
+        assert_eq!(
+            e.results().counts().upserts,
+            0,
+            "no pair of a rejected command applied"
+        );
+        // The engine is unharmed: the domain's own keys still answer.
+        e.submit(
+            AeuId(1),
+            DataCommand {
+                object: idx,
+                ticket: 99,
+                payload: Payload::Lookup {
+                    keys: vec![5, domain - 1],
+                },
+            },
+        )
+        .unwrap();
+        e.run_until_drained();
+        let mut got = e.results().take_lookup_values();
+        got.sort();
+        assert_eq!(got, vec![(99, 5, Some(6)), (99, domain - 1, None)]);
     }
 }
 

@@ -18,6 +18,7 @@ use eris_core::prelude::*;
 use eris_server::{
     loopback_pair, AdmissionConfig, Client, ClockSource, EngineServer, IdleRule, PipeTransport,
     RespKind, ServerConfig, ShutdownOutcome, TcpServer, TcpTransport, Transport, REJ_DECODE,
+    REJ_ROUTING,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -313,6 +314,64 @@ fn malformed_command_payload_is_typed_rejected() {
 /// Mid-traffic graceful shutdown: clients still have commands in flight
 /// when the server drains; every admitted command executes, ledgers
 /// balance, and every connection gets a `Goodbye`.
+#[test]
+fn a_key_outside_the_domain_is_typed_rejected() {
+    // One hostile frame naming a key past the index's domain used to be
+    // accepted and then forwarded between AEUs forever, pinning the pump.
+    // It settles as a typed routing reject; the ledger still balances.
+    let (engine, obj) = small_engine(1, 2);
+    let mut server = EngineServer::new(engine, ServerConfig::default());
+    let (server_side, mut client_side) = loopback_pair();
+    let id = server.attach(Box::new(server_side));
+
+    use eris_server::{ReqKind, RequestFrame, ResponseFrame};
+    let mut bytes = Vec::new();
+    RequestFrame {
+        kind: ReqKind::Hello,
+        tenant: 0,
+        conn: 0,
+        seq: 0,
+        payload: vec![],
+    }
+    .encode(&mut bytes);
+    let hostile = [
+        Payload::Lookup {
+            keys: vec![7, 1 << 18],
+        },
+        Payload::Upsert {
+            pairs: vec![(u64::MAX, 1)],
+        },
+    ];
+    for (seq, payload) in hostile.into_iter().enumerate() {
+        let cmd = DataCommand {
+            object: obj,
+            ticket: seq as u64,
+            payload,
+        };
+        RequestFrame::command(0, id, seq as u64 + 1, &cmd).encode(&mut bytes);
+    }
+    RequestFrame::command(0, id, 3, &lookup(obj, 5)).encode(&mut bytes);
+    client_side.try_write(&bytes).unwrap();
+    assert!(server.pump_until_quiet(16) < 16, "nothing circulates");
+
+    let mut resp = Vec::new();
+    client_side.try_read(&mut resp).unwrap();
+    let mut cur = resp.as_slice();
+    let mut next = || ResponseFrame::try_decode(&mut cur).unwrap().unwrap();
+    assert_eq!(next().kind, RespKind::Welcome);
+    for seq in [1, 2] {
+        let rej = next();
+        assert_eq!(
+            (rej.kind, rej.code, rej.seq),
+            (RespKind::Rejected, REJ_ROUTING, seq)
+        );
+    }
+    assert_eq!(next().kind, RespKind::Accepted, "the valid command runs");
+    let ledger = server.ledger();
+    assert!(ledger.holds(), "{ledger:?}");
+    assert_eq!(server.snapshot().rejected_total(), 2);
+}
+
 #[test]
 fn mid_traffic_shutdown_conserves() {
     let (engine, obj) = small_engine(2, 2);
