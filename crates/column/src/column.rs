@@ -307,6 +307,7 @@ impl Column {
             let mut off = 0usize;
             while off < take {
                 let end = (off + crate::kernel::CHUNK_ROWS).min(take);
+                // BOUNDS: off < end <= take <= seg.data.len().
                 f(row + off, &seg.data[off..end]);
                 off = end;
             }
@@ -463,6 +464,8 @@ impl LocalColumn {
     }
 
     /// Append many values.
+    // HOT-PATH-CUT: self-provisioning column of tests and tools, never
+    // on the engine's paths — reached only by name from `Vec::extend`.
     pub fn extend(&mut self, values: impl IntoIterator<Item = u64>) {
         for v in values {
             self.append(v);

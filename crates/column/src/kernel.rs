@@ -123,13 +123,17 @@ pub fn select_bitmap(values: &[u64], p: CompiledPredicate, out: &mut [u64]) -> u
 }
 
 /// Visit every selected value of a chunk, given its bitmap: calls
-/// `f(row_in_chunk, value)` in row order.
+/// `f(row_in_chunk, value)` in row order.  `bitmap` selects rows of
+/// `values` only: a bit past `values.len()` panics.
 #[inline]
 pub fn for_each_selected(values: &[u64], bitmap: &[u64], mut f: impl FnMut(usize, u64)) {
     for (w, &word) in bitmap.iter().take(values.len().div_ceil(64)).enumerate() {
         let mut bits = word;
         while bits != 0 {
             let i = w * 64 + bits.trailing_zeros() as usize;
+            // BOUNDS: documented precondition — `bitmap` is a selection of
+            // `values` (as `select_bitmap` builds it): no bit at or past
+            // `values.len()` is set.
             f(i, values[i]);
             bits &= bits - 1;
         }

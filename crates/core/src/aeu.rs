@@ -7,7 +7,9 @@
 //! commands**.  All data structure accesses are latch-free because the AEU
 //! is the only writer of its partitions.
 
-use crate::command::{AeuId, DataCommand, DataObjectId, Payload, PointItem, StorageOp};
+use crate::command::{
+    AeuId, CommandView, DataCommand, DataObjectId, Payload, PointItem, StorageOp,
+};
 use crate::cost::{expected_tree_misses, CostParams};
 use crate::durability::{RedoOp, RedoSink};
 use crate::results::ResultCollector;
@@ -21,16 +23,12 @@ use eris_numa::{CoreId, Flow, NodeId};
 use eris_obs::{
     now_ns, LatencyRecord, LatencyTable, Phase, Stamped, TraceEvent, TraceStamp, NUM_PHASES,
 };
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 // ordering: Relaxed is the only ordering this module imports — every
 // atomic here is a monotonic telemetry counter that carries no payload;
 // command data flows through the incoming/outgoing buffer protocols.
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-
-/// A decoded incoming command paired with its (rare) trace stamp.
-type TracedCommand = (DataCommand, Option<TraceStamp>);
 
 /// Values per provisioned column segment.
 const SEGMENT_VALUES: usize = 64 * 1024;
@@ -45,23 +43,35 @@ fn range_contains(lo: u64, hi: u64, k: u64) -> bool {
     k >= lo && (k < hi || hi == u64::MAX)
 }
 
-/// Split a point command's items into those whose key the validity range
-/// `[lo, hi)` contains and the strays.  Outside a migration every item is
-/// mine: the decoded slice is handed on as it is and nothing is allocated.
-fn split_strays<T: PointItem>(items: &[T], (lo, hi): (u64, u64)) -> (Cow<'_, [T]>, Vec<T>) {
-    let mine = |item: &T| range_contains(lo, hi, item.key());
-    if items.iter().all(mine) {
-        return (Cow::Borrowed(items), Vec::new());
+/// How many of the encoded `items` have a key the validity range
+/// `[lo, hi)` contains: all of them outside a migration.
+fn count_mine<T: PointItem>(items: &[u8], (lo, hi): (u64, u64)) -> usize {
+    T::decode_items(items)
+        .map(|item| range_contains(lo, hi, item.key()) as usize)
+        .sum()
+}
+
+/// Split the encoded `items` of a command carrying strays: those whose
+/// key the validity range `[lo, hi)` contains are appended to `mine`, the
+/// strays are returned.  Mid-migration only — a command straddling a
+/// moved boundary.
+fn split_strays<T: PointItem>(items: &[u8], (lo, hi): (u64, u64), mine: &mut Vec<T>) -> Vec<T> {
+    let mut stray = Vec::new();
+    for item in T::decode_items(items) {
+        // ALLOC-OK: `mine` is the reused gather buffer; the strays ride
+        // out as an owned payload.
+        if range_contains(lo, hi, item.key()) {
+            mine.push(item);
+        } else {
+            stray.push(item);
+        }
     }
-    // ALLOC-OK: mid-migration only — a command straddling a moved
-    // boundary is copied into its local and its forwarded part.
-    let (kept, stray) = items.iter().partition(|&item| mine(item));
-    (Cow::Owned(kept), stray)
+    stray
 }
 
 /// The `(ticket, point operations)` of a command inside a group run.
-fn command_extent((c, _): &TracedCommand) -> (u64, usize) {
-    (c.ticket, c.payload.op_count() as usize)
+fn command_extent(v: &CommandView) -> (u64, usize) {
+    (v.ticket, v.op_count() as usize)
 }
 
 /// The modelled cost of one point operation on a partition; fixed for the
@@ -379,7 +389,8 @@ pub struct Aeu {
     /// symmetric benchmark workloads).
     reply_rr: usize,
     // Scratch buffers reused across steps.
-    scratch_cmds: Vec<TracedCommand>,
+    /// Views of the commands in the swapped incoming bytes.
+    scratch_cmds: Vec<CommandView>,
     scratch_gen: Vec<DataCommand>,
     /// Gather buffers for the local keys (pairs) of a point group's
     /// current run, and the lookup results of its one batched kernel call.
@@ -755,118 +766,15 @@ impl Aeu {
             mark = now;
         }
 
-        // Stage 1: swap incoming buffers and group commands.
-        self.scratch_cmds.clear();
-        let cmds = &mut self.scratch_cmds;
-        let mut swapped_bytes = 0u64;
-        self.incoming.swap_and_consume(|d| {
-            swapped_bytes = d.len() as u64;
-            *cmds = DataCommand::decode_all_traced(d);
+        // Stages 1 and 2: swap the incoming buffers, then group and process
+        // the commands where they lie in the swapped bytes.
+        let incoming = Arc::clone(&self.incoming);
+        let swapped = incoming.swap_and_consume(|region| {
+            self.process_incoming(region, mark, &mut phase_ns, &mut w);
         });
-        // Telemetry: every decoded command counts as executed for the
-        // conservation ledger — including raw-routing discard mode, where
-        // delivery is the whole point of the measurement.
-        if !self.scratch_cmds.is_empty() {
-            let cmds = std::mem::take(&mut self.scratch_cmds);
-            self.tel
-                .counters
-                .commands_executed
-                .fetch_add(cmds.len() as u64, Relaxed);
-            self.tel.swap_batch.record(cmds.len() as u64);
-            self.emit(TraceEvent::BufferSwap {
-                bytes: swapped_bytes,
-                commands: cmds.len() as u32,
-            });
-            let mut i = 0;
-            while i < cmds.len() {
-                let object = cmds[i].0.object;
-                let mut j = i + 1;
-                while j < cmds.len() && cmds[j].0.object == object {
-                    j += 1;
-                }
-                self.router
-                    .object_ledger(object)
-                    .executed
-                    .fetch_add((j - i) as u64, Relaxed);
-                i = j;
-            }
-            self.scratch_cmds = cmds;
-        }
-        if self.discard_incoming {
-            // Discarded stamps leave the system here; charge them to the
-            // trace ledger so stamped == traced + dropped stays exact.
-            let stamped = self
-                .scratch_cmds
-                .iter()
-                .filter(|(_, s)| s.is_some())
-                .count() as u64;
-            if stamped > 0 {
-                self.latency.on_dropped(stamped);
-            }
-            self.scratch_cmds.clear();
-        }
-        {
-            // Everything since the last mark — buffer swap, decode,
-            // conservation tallies, discard — is input intake.
-            let now = now_ns();
-            phase_ns[Phase::ReadAdmit as usize] += now.saturating_sub(mark);
-        }
-        if !self.scratch_cmds.is_empty() {
-            // Grouping: stable sort by (object, op) so equal groups are
-            // adjacent; cheap relative to processing.  Stamps ride along
-            // with their command.
-            self.scratch_cmds
-                .sort_by_key(|(c, _)| (c.object, c.payload.op()));
-            let cmds = std::mem::take(&mut self.scratch_cmds);
-            let mut i = 0;
-            while i < cmds.len() {
-                let object = cmds[i].0.object;
-                let op = cmds[i].0.payload.op();
-                let mut j = i + 1;
-                while j < cmds.len() && cmds[j].0.object == object && cmds[j].0.payload.op() == op {
-                    j += 1;
-                }
-                self.tel.counters.exec_batches.fetch_add(1, Relaxed);
-                self.tel.exec_group.record((j - i) as u64);
-                if op == StorageOp::Scan && j - i >= 2 {
-                    self.tel.counters.coalesced_scans.fetch_add(1, Relaxed);
-                }
-                let group_t0 = now_ns();
-                self.traced_pending.clear();
-                self.process_group(object, op, &cmds[i..j], &mut w);
-                let exec_ns = now_ns().saturating_sub(group_t0);
-                phase_ns[kernel_phase(op) as usize] += exec_ns;
-                let mut max_wait = 0u64;
-                if !self.traced_pending.is_empty() {
-                    let pend = std::mem::take(&mut self.traced_pending);
-                    for stamp in &pend {
-                        let wait = group_t0.saturating_sub(stamp.submit_ns);
-                        max_wait = max_wait.max(wait);
-                        self.latency.record(
-                            (object.0, op.tag()),
-                            LatencyRecord {
-                                queue_wait_ns: wait,
-                                exec_ns,
-                                hops: stamp.hops,
-                                net_ns: stamp.net_ns as u64,
-                                admit_ns: stamp.admit_ns as u64,
-                                trace_id: stamp.trace_id(),
-                                tenant: stamp.tenant,
-                            },
-                        );
-                    }
-                    self.traced_pending = pend;
-                }
-                self.emit(TraceEvent::BatchExecuted {
-                    object: object.0,
-                    op: op.tag(),
-                    batch: (j - i) as u32,
-                    queue_wait_ns: max_wait,
-                    exec_ns,
-                });
-                i = j;
-            }
-            self.scratch_cmds = cmds;
+        if swapped == 0 {
+            // Nothing arrived: the swap alone was the intake.
+            phase_ns[Phase::ReadAdmit as usize] += now_ns().saturating_sub(mark);
         }
 
         // Stage 2 epilogue: flush outgoing buffers before starting over.
@@ -910,43 +818,141 @@ impl Aeu {
         w
     }
 
-    /// Process one (object, op) group — the coalesced execution stage.
+    /// Read the commands of a swapped incoming `region` in place, count
+    /// them delivered, group them by (object, op) and process the groups.
+    /// Host time from `mark` to the end of the intake is charged to
+    /// `ReadAdmit`, each group's execution to its kernel phase.
+    fn process_incoming(
+        &mut self,
+        region: &[u8],
+        mark: u64,
+        phase_ns: &mut [u64; NUM_PHASES],
+        w: &mut WorkSummary,
+    ) {
+        let mut cmds = std::mem::take(&mut self.scratch_cmds);
+        cmds.clear();
+        CommandView::decode_all(region, &mut cmds);
+        // Telemetry: every delivered command counts as executed for the
+        // conservation ledger — including raw-routing discard mode, where
+        // delivery is the whole point of the measurement.
+        if !cmds.is_empty() {
+            self.tel
+                .counters
+                .commands_executed
+                .fetch_add(cmds.len() as u64, Relaxed);
+            self.tel.swap_batch.record(cmds.len() as u64);
+            self.emit(TraceEvent::BufferSwap {
+                bytes: region.len() as u64,
+                commands: cmds.len() as u32,
+            });
+            for run in cmds.chunk_by(|a, b| a.object == b.object) {
+                self.router
+                    .object_ledger(run[0].object)
+                    .executed
+                    .fetch_add(run.len() as u64, Relaxed);
+            }
+        }
+        if self.discard_incoming {
+            // Discarded stamps leave the system here; charge them to the
+            // trace ledger so stamped == traced + dropped stays exact.
+            let stamped = cmds.iter().filter(|v| v.stamp.is_some()).count() as u64;
+            if stamped > 0 {
+                self.latency.on_dropped(stamped);
+            }
+            cmds.clear();
+        }
+        // Everything since the mark — buffer swap, header reads,
+        // conservation tallies, discard — is input intake.
+        phase_ns[Phase::ReadAdmit as usize] += now_ns().saturating_sub(mark);
+        // Grouping: stable sort by (object, op) so equal groups are
+        // adjacent; cheap relative to processing.  Stamps ride along with
+        // their command.
+        cmds.sort_by_key(|v| (v.object, v.op));
+        for group in cmds.chunk_by(|a, b| (a.object, a.op) == (b.object, b.op)) {
+            let (object, op) = (group[0].object, group[0].op);
+            self.tel.counters.exec_batches.fetch_add(1, Relaxed);
+            self.tel.exec_group.record(group.len() as u64);
+            if op == StorageOp::Scan && group.len() >= 2 {
+                self.tel.counters.coalesced_scans.fetch_add(1, Relaxed);
+            }
+            let group_t0 = now_ns();
+            self.traced_pending.clear();
+            self.process_group(object, op, group, region, w);
+            let exec_ns = now_ns().saturating_sub(group_t0);
+            phase_ns[kernel_phase(op) as usize] += exec_ns;
+            let mut max_wait = 0u64;
+            for stamp in &self.traced_pending {
+                let wait = group_t0.saturating_sub(stamp.submit_ns);
+                max_wait = max_wait.max(wait);
+                self.latency.record(
+                    (object.0, op.tag()),
+                    LatencyRecord {
+                        queue_wait_ns: wait,
+                        exec_ns,
+                        hops: stamp.hops,
+                        net_ns: stamp.net_ns as u64,
+                        admit_ns: stamp.admit_ns as u64,
+                        trace_id: stamp.trace_id(),
+                        tenant: stamp.tenant,
+                    },
+                );
+            }
+            self.emit(TraceEvent::BatchExecuted {
+                object: object.0,
+                op: op.tag(),
+                batch: group.len() as u32,
+                queue_wait_ns: max_wait,
+                exec_ns,
+            });
+        }
+        self.scratch_cmds = cmds;
+    }
+
+    /// Process one (object, op) group — the coalesced execution stage —
+    /// of commands read in place from `region`.
     // HOT-PATH-ROOT: the AEU's per-group execution dispatch; every
     // command the engine processes flows through here.
     fn process_group(
         &mut self,
         object: DataObjectId,
         op: StorageOp,
-        cmds: &[TracedCommand],
+        cmds: &[CommandView],
+        region: &[u8],
         w: &mut WorkSummary,
     ) {
         let Some(p) = self.partitions.get(&object) else {
-            return self.forward_group(object, cmds, w);
+            return self.forward_group(object, cmds, region, w);
         };
         let column = matches!(p.data, PartitionData::Column(_));
         match op {
             StorageOp::Lookup => {
                 let gather = std::mem::take(&mut self.scratch_keys);
-                self.scratch_keys = self.process_points(object, cmds, gather, w);
+                self.scratch_keys = self.process_points(object, cmds, region, gather, w);
             }
-            StorageOp::Upsert if column => self.process_appends(object, cmds, w),
+            StorageOp::Upsert if column => self.process_appends(object, cmds, region, w),
             StorageOp::Upsert => {
                 let gather = std::mem::take(&mut self.scratch_pairs);
-                self.scratch_pairs = self.process_points(object, cmds, gather, w);
+                self.scratch_pairs = self.process_points(object, cmds, region, gather, w);
             }
-            StorageOp::Scan => self.process_scans(object, cmds, w),
+            StorageOp::Scan => self.process_scans(object, cmds, region, w),
             StorageOp::JoinProbe | StorageOp::Materialize => {
-                self.process_scan_producers(object, cmds, w)
+                self.process_scan_producers(object, cmds, region, w)
             }
         }
     }
 
     /// The partition moved away entirely: forward every command of the
     /// group to the AEU now responsible.
-    fn forward_group(&mut self, object: DataObjectId, cmds: &[TracedCommand], w: &mut WorkSummary) {
-        for (c, stamp) in cmds {
-            w.ops.forwarded += c.payload.op_count();
-            self.forward_stray(c.clone(), *stamp, w);
+    fn forward_group(
+        &mut self,
+        object: DataObjectId,
+        cmds: &[CommandView],
+        region: &[u8],
+        w: &mut WorkSummary,
+    ) {
+        for v in cmds {
+            w.ops.forwarded += v.op_count();
+            self.forward_stray(v.to_command(region), v.stamp, w);
         }
         self.emit(TraceEvent::ForwardedStray {
             object: object.0,
@@ -962,21 +968,23 @@ impl Aeu {
     fn process_scan_producers(
         &mut self,
         object: DataObjectId,
-        cmds: &[TracedCommand],
+        cmds: &[CommandView],
+        region: &[u8],
         w: &mut WorkSummary,
     ) {
         let params = self.cfg.params;
         let scale = self.cfg.size_scale;
         /// Rows per routed batch command.
         const PRODUCER_BATCH: usize = 128;
-        for (c, stamp) in cmds {
+        for v in cmds {
             // Multicast deliveries are never stamped, but if one ever
             // arrives stamped it executes right here.
             // ALLOC-OK: trace bookkeeping for the sampled minority of
             // commands; the pending vector drains every epoch.
-            if let Some(stamp) = stamp {
-                self.traced_pending.push(*stamp);
+            if let Some(stamp) = v.stamp {
+                self.traced_pending.push(stamp);
             }
+            let c = v.to_command(region);
             // Gather matching row values from the local partition.
             let (pred, snapshot) = match &c.payload {
                 Payload::JoinProbe { pred, snapshot, .. }
@@ -1072,12 +1080,14 @@ impl Aeu {
     }
 
     /// Execute one group of point commands on the local index or hash
-    /// partition: lookups (`T` = key) or upserts (`T` = pair).  `gathered`
-    /// is the operation's reused gather buffer, handed back at the end.
+    /// partition: lookups (`T` = key) or upserts (`T` = pair), their items
+    /// read from `region`.  `gathered` is the operation's reused gather
+    /// buffer, handed back at the end.
     fn process_points<T: PointItem>(
         &mut self,
         object: DataObjectId,
-        cmds: &[TracedCommand],
+        cmds: &[CommandView],
+        region: &[u8],
         mut gathered: Vec<T>,
         w: &mut WorkSummary,
     ) -> Vec<T>
@@ -1101,25 +1111,25 @@ impl Aeu {
         // time.
         gathered.clear();
         let mut run_from = 0;
-        for (i, (c, stamp)) in cmds.iter().enumerate() {
-            let items = T::items(&c.payload);
+        for (i, v) in cmds.iter().enumerate() {
+            let items = v.items::<T>(region);
             // Validity check: keys outside the updated range are forwarded
             // to the AEU now responsible (Section 3.3.2).
-            let (mine, stray) = split_strays(items, range);
+            let (n, mine) = (items.len() / T::BYTES, count_mine::<T>(items, range));
             // A stamp is recorded where work happens: here if any items
             // are local, otherwise it rides on with the strays.
-            let fully_stray = mine.is_empty() && !stray.is_empty();
-            if let Some(s) = stamp {
+            let fully_stray = mine == 0 && n > 0;
+            if let Some(s) = v.stamp {
                 if !fully_stray {
                     // ALLOC-OK: trace bookkeeping for the sampled minority;
                     // the pending vector drains every epoch.
-                    self.traced_pending.push(*s);
+                    self.traced_pending.push(s);
                 }
             }
-            if stray.is_empty() {
+            if mine == n {
                 // ALLOC-OK: the reused gather buffer; steady state appends
                 // within its capacity.
-                gathered.extend_from_slice(items);
+                gathered.extend(T::decode_items(items));
                 continue;
             }
             // A command carrying strays ends the run and executes its own
@@ -1130,11 +1140,13 @@ impl Aeu {
             self.point_run(object, run, &gathered, cost, &mut tally, w);
             gathered.clear();
             run_from = i + 1;
-            let one = std::iter::once((c.ticket, mine.len()));
-            self.point_run(object, one, &mine, cost, &mut tally, w);
+            let stray = split_strays(items, range, &mut gathered);
+            let one = std::iter::once((v.ticket, gathered.len()));
+            self.point_run(object, one, &gathered, cost, &mut tally, w);
+            gathered.clear();
             // ALLOC-OK: strays ride out as owned payloads to their new
             // owner; the vector drains at the end of the group.
-            strays.push((c.ticket, stray, if fully_stray { *stamp } else { None }));
+            strays.push((v.ticket, stray, if fully_stray { v.stamp } else { None }));
         }
         let run = cmds.iter().skip(run_from).map(command_extent);
         self.point_run(object, run, &gathered, cost, &mut tally, w);
@@ -1235,23 +1247,24 @@ impl Aeu {
     fn process_appends(
         &mut self,
         object: DataObjectId,
-        cmds: &[TracedCommand],
+        cmds: &[CommandView],
+        region: &[u8],
         w: &mut WorkSummary,
     ) {
         let params = self.cfg.params;
         let mut rows: Vec<u64> = Vec::new();
-        for (c, stamp) in cmds {
+        for v in cmds {
             // Column appends are always fully local: a stamp completes
             // its journey here.
             // ALLOC-OK: trace bookkeeping for the sampled minority; the
             // pending vector drains every epoch.
-            if let Some(s) = stamp {
-                self.traced_pending.push(*s);
+            if let Some(s) = v.stamp {
+                self.traced_pending.push(s);
             }
-            let pairs = <(u64, u64)>::items(&c.payload);
+            let pairs = <(u64, u64)>::decode_items(v.items::<(u64, u64)>(region));
             // ALLOC-OK: `rows` stages the whole batch for one absorb call
             // into pre-provisioned segments.
-            rows.extend(pairs.iter().map(|&(_, v)| v));
+            rows.extend(pairs.map(|(_, value)| value));
         }
         let n = rows.len() as u64;
         // process_group found a local column, so the absorb cannot fail; a
@@ -1271,7 +1284,13 @@ impl Aeu {
         }
     }
 
-    fn process_scans(&mut self, object: DataObjectId, cmds: &[TracedCommand], w: &mut WorkSummary) {
+    fn process_scans(
+        &mut self,
+        object: DataObjectId,
+        cmds: &[CommandView],
+        region: &[u8],
+        w: &mut WorkSummary,
+    ) {
         let params = self.cfg.params;
         let scale = self.cfg.size_scale;
         let Some(p) = self.partitions.get_mut(&object) else {
@@ -1281,7 +1300,7 @@ impl Aeu {
             PartitionData::Column(col) => {
                 // Scan sharing: all coalesced scan commands in one sweep.
                 let mut shared = SharedScan::new();
-                for (c, _) in cmds {
+                for v in cmds {
                     // BOUNDS: dispatch invariant — process_group groups by op, so
                     // every payload in this batch is a Scan; registration into the
                     // shared sweep allocates per command (ALLOC-OK, fused batch).
@@ -1289,11 +1308,11 @@ impl Aeu {
                         pred,
                         agg,
                         snapshot,
-                    } = &c.payload
+                    } = v.to_command(region).payload
                     else {
                         unreachable!()
                     };
-                    shared.add(*pred, (*snapshot).min(col.len() as u64) as usize, *agg);
+                    shared.add(pred, snapshot.min(col.len() as u64) as usize, agg);
                 }
                 let (outcomes, examined) = shared.execute(col);
                 // The one dispatch feeds the sweep counters by what ran.
@@ -1303,11 +1322,11 @@ impl Aeu {
                 }
                 .fetch_add(1, Relaxed);
                 let examined = examined as u64;
-                for (i, ((c, _), r)) in cmds.iter().zip(outcomes).enumerate() {
+                for (i, (v, r)) in cmds.iter().zip(outcomes).enumerate() {
                     // The sweep is shared: attribute the examined rows once,
                     // not once per coalesced consumer.
                     let rows = if i == 0 { examined * scale } else { 0 };
-                    self.results.scan_partial(c.ticket, self.id, r, rows);
+                    self.results.scan_partial(v.ticket, self.id, r, rows);
                 }
                 let exec_ns = examined as f64 * scale as f64 * params.cpu_ns_per_scan_row;
                 w.cpu_ns += exec_ns;
@@ -1332,9 +1351,9 @@ impl Aeu {
                 // Range scan: in order over the index, full-sweep filter
                 // over a hash partition (unordered, Section 3.1 trade-off).
                 let mut total_rows = 0u64;
-                for (c, _) in cmds {
+                for cmd in cmds {
                     // BOUNDS: dispatch invariant, as the column branch above.
-                    let Payload::Scan { pred, agg, .. } = &c.payload else {
+                    let Payload::Scan { pred, agg, .. } = cmd.to_command(region).payload else {
                         unreachable!()
                     };
                     let mut count = 0u64;
@@ -1375,7 +1394,7 @@ impl Aeu {
                         }
                     };
                     self.results
-                        .scan_partial(c.ticket, self.id, r, count * scale);
+                        .scan_partial(cmd.ticket, self.id, r, count * scale);
                     total_rows += count;
                 }
                 let exec_ns = total_rows as f64 * scale as f64 * params.cpu_ns_per_scan_row;

@@ -140,58 +140,87 @@ impl Payload {
 
 /// One item of a point command's data segment: a lookup key or an upsert
 /// pair.  The routing split and the AEU's group execution are written
-/// once over this trait instead of once per operation.
+/// once over this trait instead of once per operation, and so is the
+/// item's wire form: little-endian words, the key first.
 pub trait PointItem: Copy {
     /// The storage operation whose commands carry items of this type.
     const OP: StorageOp;
 
+    /// Encoded size of one item.
+    const BYTES: usize;
+
     /// The key that places the item in a partition.
     fn key(self) -> u64;
 
-    /// The data segment of `payload`; empty for another operation's.
-    fn items(payload: &Payload) -> &[Self];
-
     /// A payload of [`Self::OP`] carrying `items`.
     fn payload(items: Vec<Self>) -> Payload;
+
+    /// Append the item's encoding to `out`.
+    fn put(self, out: &mut Vec<u8>);
+
+    /// The items encoded back to back in `bytes`, in order (a trailing
+    /// partial item is ignored).
+    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = Self> + '_;
 }
 
 impl PointItem for u64 {
     const OP: StorageOp = StorageOp::Lookup;
+    const BYTES: usize = 8;
 
     #[inline]
     fn key(self) -> u64 {
         self
     }
 
-    fn items(payload: &Payload) -> &[u64] {
-        match payload {
-            Payload::Lookup { keys } => keys,
-            _ => &[],
-        }
-    }
-
     fn payload(keys: Vec<u64>) -> Payload {
         Payload::Lookup { keys }
+    }
+
+    #[inline]
+    fn put(self, out: &mut Vec<u8>) {
+        // ALLOC-OK: writes within the capacity the sub-command header
+        // reserved for its items.
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    #[inline]
+    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+        bytes
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|&k| u64::from_le_bytes(k))
     }
 }
 
 impl PointItem for (u64, u64) {
     const OP: StorageOp = StorageOp::Upsert;
+    const BYTES: usize = 16;
 
     #[inline]
     fn key(self) -> u64 {
         self.0
     }
 
-    fn items(payload: &Payload) -> &[(u64, u64)] {
-        match payload {
-            Payload::Upsert { pairs } => pairs,
-            _ => &[],
-        }
-    }
-
     fn payload(pairs: Vec<(u64, u64)>) -> Payload {
         Payload::Upsert { pairs }
+    }
+
+    #[inline]
+    fn put(self, out: &mut Vec<u8>) {
+        // ALLOC-OK: as for keys — within the reserved capacity.
+        out.extend_from_slice(&self.0.to_le_bytes());
+        out.extend_from_slice(&self.1.to_le_bytes());
+    }
+
+    #[inline]
+    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let words = bytes.as_chunks::<8>().0;
+        words
+            .as_chunks::<2>()
+            .0
+            .iter()
+            .map(|&[k, v]| (u64::from_le_bytes(k), u64::from_le_bytes(v)))
     }
 }
 
@@ -291,42 +320,29 @@ impl DataCommand {
 
     /// Append the wire encoding to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        // ALLOC-OK: serializes into the caller's reusable outgoing
-        // buffer; one exact reserve, steady state writes in place.
-        out.reserve(self.encoded_len());
-        let (op, plen) = (
-            match self.payload {
-                Payload::Lookup { .. } => OP_LOOKUP,
-                Payload::Upsert { .. } => OP_UPSERT,
-                Payload::Scan { .. } => OP_SCAN,
-                Payload::JoinProbe { .. } => OP_JOIN_PROBE,
-                Payload::Materialize { .. } => OP_MATERIALIZE,
-            },
-            payload_len(&self.payload) as u32,
-        );
-        out.put_u8(op);
-        out.put_u32_le(self.object.0);
-        out.put_u64_le(self.ticket);
-        out.put_u32_le(plen);
+        let op = self.payload.op();
+        let header = |out: &mut Vec<u8>| {
+            // ALLOC-OK: serializes into the caller's reusable outgoing
+            // buffer; one exact reserve, steady state writes in place.
+            out.reserve(self.encoded_len());
+            let plen = payload_len(&self.payload);
+            encode_header(StorageOp::tag(op), self.object, self.ticket, plen, out);
+        };
         match &self.payload {
             Payload::Lookup { keys } => {
-                out.put_u32_le(keys.len() as u32);
-                for k in keys {
-                    out.put_u64_le(*k);
-                }
+                encode_point_header::<u64>(self.object, self.ticket, keys.len(), out);
+                keys.iter().for_each(|k| k.put(out));
             }
             Payload::Upsert { pairs } => {
-                out.put_u32_le(pairs.len() as u32);
-                for (k, v) in pairs {
-                    out.put_u64_le(*k);
-                    out.put_u64_le(*v);
-                }
+                encode_point_header::<(u64, u64)>(self.object, self.ticket, pairs.len(), out);
+                pairs.iter().for_each(|p| p.put(out));
             }
             Payload::Scan {
                 pred,
                 agg,
                 snapshot,
             } => {
+                header(out);
                 encode_pred(out, pred);
                 out.put_u8(match agg {
                     Aggregate::Count => AGG_COUNT,
@@ -340,6 +356,7 @@ impl DataCommand {
                 pred,
                 snapshot,
             } => {
+                header(out);
                 out.put_u32_le(index.0);
                 encode_pred(out, pred);
                 out.put_u64_le(*snapshot);
@@ -349,6 +366,7 @@ impl DataCommand {
                 pred,
                 snapshot,
             } => {
+                header(out);
                 out.put_u32_le(dst.0);
                 encode_pred(out, pred);
                 out.put_u64_le(*snapshot);
@@ -474,25 +492,176 @@ impl DataCommand {
     /// appends the pair in one call and flushes copy whole buffers, so a
     /// marker at the very end of a region (no following command) is a
     /// logic error and panics like any other malformed internal buffer.
-    pub fn decode_all_traced(mut buf: &[u8]) -> Vec<(DataCommand, Option<TraceStamp>)> {
-        let mut out = Vec::new();
+    pub fn decode_all_traced(buf: &[u8]) -> Vec<(DataCommand, Option<TraceStamp>)> {
+        let mut views = Vec::new();
+        CommandView::decode_all(buf, &mut views);
+        views.iter().map(|v| (v.to_command(buf), v.stamp)).collect()
+    }
+}
+
+/// Append a record header: `[op][object:u32][ticket:u64][plen:u32]`.
+fn encode_header(op: u8, object: DataObjectId, ticket: u64, plen: usize, out: &mut Vec<u8>) {
+    out.put_u8(op);
+    out.put_u32_le(object.0);
+    out.put_u64_le(ticket);
+    out.put_u32_le(plen as u32);
+}
+
+/// Append the header and item count of a point command carrying `n`
+/// items of type `T`, reserving room for the items, which the caller
+/// appends next with [`PointItem::put`].  Header, count and items are
+/// byte for byte what [`DataCommand::encode`] writes for such a command.
+pub(crate) fn encode_point_header<T: PointItem>(
+    object: DataObjectId,
+    ticket: u64,
+    n: usize,
+    out: &mut Vec<u8>,
+) {
+    let plen = 4 + n * T::BYTES;
+    // ALLOC-OK: one exact reserve into the caller's reusable buffer for
+    // the whole command; the items are written within it.
+    out.reserve(HEADER_BYTES + plen);
+    encode_header(StorageOp::tag(T::OP), object, ticket, plen, out);
+    out.put_u32_le(n as u32);
+}
+
+/// A command read in place from a routing-buffer region: its header
+/// fields, the stamp of the trace marker before it, and where its
+/// payload lies in the region.  The AEU groups and executes point
+/// commands on views, reading their items straight from the region
+/// ([`CommandView::items`]); [`CommandView::to_command`] decodes the
+/// owned form for the few commands that need one (forwarded strays and
+/// scan-shaped payloads).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CommandView {
+    pub object: DataObjectId,
+    pub ticket: u64,
+    pub op: StorageOp,
+    pub stamp: Option<TraceStamp>,
+    /// Offset of the command's header in the region.
+    at: usize,
+    /// Payload length in bytes.
+    plen: usize,
+}
+
+impl CommandView {
+    /// Read every command of a filled routing-buffer region into `out`,
+    /// attaching each trace marker's stamp to the command that follows
+    /// it.  A point payload is checked to hold exactly its item count; a
+    /// scan-shaped one is decoded only by [`CommandView::to_command`].
+    ///
+    /// # Panics
+    /// On a malformed region, a dangling trace marker included: routing
+    /// buffers are process-internal.
+    pub fn decode_all(region: &[u8], out: &mut Vec<CommandView>) {
+        let mut rest = region;
         let mut pending: Option<TraceStamp> = None;
-        while !buf.is_empty() {
-            if buf[0] == OP_TRACE {
-                let (_object, stamp) = match try_decode_trace_marker(&mut buf) {
+        while let Some(&tag) = rest.first() {
+            if tag == OP_TRACE {
+                let (_object, stamp) = match try_decode_trace_marker(&mut rest) {
                     Ok(m) => m,
                     Err(e) => panic!("malformed trace marker: {e}"),
                 };
                 assert!(
-                    !buf.is_empty(),
+                    !rest.is_empty(),
                     "dangling trace marker at end of command buffer"
                 );
                 pending = Some(stamp);
                 continue;
             }
-            out.push((DataCommand::decode(&mut buf), pending.take()));
+            let at = region.len() - rest.len();
+            let view = match CommandView::try_read(&mut rest, at, pending.take()) {
+                Ok(view) => view,
+                Err(e) => panic!("malformed command buffer: {e}"),
+            };
+            out.push(view);
         }
-        out
+    }
+
+    /// Read the command header at the front of `buf` (at offset `at` of
+    /// its region) and step over the payload.
+    fn try_read(
+        buf: &mut &[u8],
+        at: usize,
+        stamp: Option<TraceStamp>,
+    ) -> Result<CommandView, DecodeError> {
+        if buf.len() < HEADER_BYTES {
+            return Err(DecodeError::Truncated);
+        }
+        let mut cur = *buf;
+        let tag = cur.get_u8();
+        let op = StorageOp::from_tag(tag).ok_or(DecodeError::UnknownOp(tag))?;
+        let object = DataObjectId(cur.get_u32_le());
+        let ticket = cur.get_u64_le();
+        let plen = cur.get_u32_le() as usize;
+        if cur.len() < plen {
+            return Err(DecodeError::Truncated);
+        }
+        let item_bytes = match op {
+            StorageOp::Lookup => Some(u64::BYTES),
+            StorageOp::Upsert => Some(<(u64, u64)>::BYTES),
+            _ => None,
+        };
+        if let Some(item_bytes) = item_bytes {
+            let n = take_u32(&mut &cur[..plen])? as usize;
+            let want = 4 + n * item_bytes;
+            if plen != want {
+                return Err(if plen < want {
+                    DecodeError::Truncated
+                } else {
+                    DecodeError::TrailingPayloadBytes {
+                        declared: plen as u32,
+                        consumed: want as u32,
+                    }
+                });
+            }
+        }
+        *buf = &cur[plen..];
+        Ok(CommandView {
+            object,
+            ticket,
+            op,
+            stamp,
+            at,
+            plen,
+        })
+    }
+
+    /// The payload bytes, from the region the view was read from.
+    pub fn payload<'a>(&self, region: &'a [u8]) -> &'a [u8] {
+        let from = self.at + HEADER_BYTES;
+        region.get(from..from + self.plen).unwrap_or(&[])
+    }
+
+    /// The encoded items of a point command of `T`'s operation — whole
+    /// items, back to back (see [`PointItem::decode_items`]); empty for
+    /// another operation's command.
+    pub fn items<'a, T: PointItem>(&self, region: &'a [u8]) -> &'a [u8] {
+        if self.op != T::OP {
+            return &[];
+        }
+        self.payload(region).get(4..).unwrap_or(&[])
+    }
+
+    /// Elementary storage operations carried, as [`Payload::op_count`].
+    pub fn op_count(&self) -> u64 {
+        let items = self.plen.saturating_sub(4) as u64;
+        match self.op {
+            StorageOp::Lookup => items / u64::BYTES as u64,
+            StorageOp::Upsert => items / <(u64, u64)>::BYTES as u64,
+            _ => 1,
+        }
+    }
+
+    /// The owned command, decoded from the region the view was read from.
+    ///
+    /// # Panics
+    /// When the region is not the view's, or its payload is malformed.
+    // HOT-PATH-CUT: owned decode — only for commands leaving the region
+    // (forwarded strays, the rebalancing slow path) and for scan-shaped
+    // payloads, which carry no item vector.
+    pub fn to_command(self, region: &[u8]) -> DataCommand {
+        DataCommand::decode(&mut &region[self.at..])
     }
 }
 
@@ -514,10 +683,7 @@ pub fn encode_trace_marker(object: DataObjectId, stamp: TraceStamp, out: &mut Ve
     // ALLOC-OK: as DataCommand::encode — one exact reserve into the
     // caller's reusable buffer.
     out.reserve(TRACE_MARKER_BYTES);
-    out.put_u8(OP_TRACE);
-    out.put_u32_le(object.0);
-    out.put_u64_le(stamp.submit_ns);
-    out.put_u32_le(TRACE_BODY_BYTES as u32);
+    encode_header(OP_TRACE, object, stamp.submit_ns, TRACE_BODY_BYTES, out);
     out.put_u32_le(stamp.hops);
     out.put_u32_le(stamp.tenant);
     out.put_u32_le(stamp.conn);
@@ -881,6 +1047,29 @@ mod tests {
     }
 
     #[test]
+    fn a_view_of_a_point_payload_must_hold_its_item_count() {
+        let mut buf = Vec::new();
+        DataCommand {
+            object: DataObjectId(1),
+            ticket: 1,
+            payload: Payload::Lookup { keys: vec![1, 2] },
+        }
+        .encode(&mut buf);
+        let view = |buf: &[u8]| CommandView::try_read(&mut &buf[..], 0, None);
+        assert!(view(&buf).is_ok());
+        // The 20-byte payload claims three keys, then one.
+        let trailing = DecodeError::TrailingPayloadBytes {
+            declared: 20,
+            consumed: 12,
+        };
+        for (n, err) in [(3u32, DecodeError::Truncated), (1, trailing)] {
+            let mut bad = buf.clone();
+            bad[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(view(&bad), Err(err), "{n} keys claimed");
+        }
+    }
+
+    #[test]
     fn storage_op_tags_roundtrip() {
         for op in [
             StorageOp::Lookup,
@@ -1019,6 +1208,53 @@ mod proptests {
             for cut in 1..buf.len() {
                 let mut cur = &buf[..cut];
                 prop_assert!(DataCommand::try_decode(&mut cur).is_err());
+            }
+        }
+
+        /// The AEU's intake reads views where the owned decoder copies:
+        /// over a region of random commands of every kind, some behind
+        /// trace markers, `decode_all_traced` returns the commands and
+        /// stamps written, and the views describe them — header fields,
+        /// stamps, operation counts and the point items read in place.
+        #[test]
+        fn views_read_what_the_owned_decoder_decodes(
+            cmds in proptest::collection::vec(
+                (arb_command(), proptest::bool::ANY, arb_stamp()),
+                0..12,
+            ),
+        ) {
+            let mut region = Vec::new();
+            for (cmd, stamped, stamp) in &cmds {
+                if *stamped {
+                    encode_trace_marker(cmd.object, *stamp, &mut region);
+                }
+                cmd.encode(&mut region);
+            }
+            let written: Vec<(DataCommand, Option<TraceStamp>)> = cmds
+                .iter()
+                .map(|(cmd, stamped, stamp)| (cmd.clone(), stamped.then_some(*stamp)))
+                .collect();
+            prop_assert_eq!(&DataCommand::decode_all_traced(&region), &written);
+            let mut views = Vec::new();
+            CommandView::decode_all(&region, &mut views);
+            prop_assert_eq!(views.len(), written.len());
+            for (v, (cmd, stamp)) in views.iter().zip(&written) {
+                prop_assert_eq!(
+                    (v.object, v.ticket, v.op, v.stamp),
+                    (cmd.object, cmd.ticket, cmd.payload.op(), *stamp)
+                );
+                prop_assert_eq!(v.op_count(), cmd.payload.op_count());
+                prop_assert_eq!(&v.to_command(&region), cmd);
+                let keys: Vec<u64> = u64::decode_items(v.items::<u64>(&region)).collect();
+                let pairs: Vec<(u64, u64)> =
+                    <(u64, u64)>::decode_items(v.items::<(u64, u64)>(&region)).collect();
+                let (want_keys, want_pairs) = match &cmd.payload {
+                    Payload::Lookup { keys } => (keys.clone(), vec![]),
+                    Payload::Upsert { pairs } => (vec![], pairs.clone()),
+                    _ => (vec![], vec![]),
+                };
+                prop_assert_eq!(keys, want_keys);
+                prop_assert_eq!(pairs, want_pairs);
             }
         }
 

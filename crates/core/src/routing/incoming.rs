@@ -264,11 +264,14 @@ impl IncomingBuffers {
         // pairs-with: incoming-writable.
         let old = self.writable.load(Ordering::Acquire);
         let new = 1 - old;
+        // BOUNDS: the writable index is only ever stored as 0 or 1 over
+        // the fixed two-slot array.
+        let (old_slot, new_slot) = (&self.slots[old], &self.slots[new]);
         // The other buffer was fully drained by the previous swap.
         debug_assert_eq!(
             // ordering: Acquire — see the drain loop below;
             // pairs-with: incoming-writer-done, incoming-slot-recycle.
-            writers(self.slots[new].desc.load(Ordering::Acquire)),
+            writers(new_slot.desc.load(Ordering::Acquire)),
             0,
             "drained buffer must have no writers"
         );
@@ -279,9 +282,7 @@ impl IncomingBuffers {
         // that reaches it early (stale CAS on a zeroed descriptor)
         // must see the zeroed offset, not a stale one;
         // pairs-with: incoming-slot-activate, incoming-writable.
-        self.slots[new]
-            .desc
-            .store(pack(true, 0, 0), Ordering::Release);
+        new_slot.desc.store(pack(true, 0, 0), Ordering::Release);
         self.writable.store(new, Ordering::Release);
         // Retire the old buffer: clear its active bit so late CAS attempts
         // fail and writers move over to the new buffer.
@@ -289,9 +290,9 @@ impl IncomingBuffers {
         // every reservation that won its CAS before the bit flips, and
         // its Release half publishes the cleared bit to spinning writers;
         // pairs-with: incoming-retire, incoming-reserve.
-        let mut d = self.slots[old].desc.load(Ordering::Acquire);
+        let mut d = old_slot.desc.load(Ordering::Acquire);
         loop {
-            match self.slots[old].desc.compare_exchange_weak(
+            match old_slot.desc.compare_exchange_weak(
                 d,
                 d & !ACTIVE_BIT,
                 Ordering::AcqRel,
@@ -307,7 +308,7 @@ impl IncomingBuffers {
             // `fetch_sub`; once the count reads zero, every reserved
             // range's bytes happened-before this load;
             // pairs-with: incoming-writer-done, incoming-reserve.
-            let d = self.slots[old].desc.load(Ordering::Acquire);
+            let d = old_slot.desc.load(Ordering::Acquire);
             if writers(d) == 0 {
                 break;
             }
@@ -316,9 +317,10 @@ impl IncomingBuffers {
         // ordering: Acquire — same pairing as the drain loop; re-read
         // for the final offset after the active bit was cleared;
         // pairs-with: incoming-writer-done, incoming-reserve.
-        let filled = offset(self.slots[old].desc.load(Ordering::Acquire)) as usize;
+        let filled = offset(old_slot.desc.load(Ordering::Acquire)) as usize;
         if filled > 0 {
-            self.slots[old].bytes[0].with(|base| {
+            // BOUNDS: `new` asserts a non-zero capacity.
+            old_slot.bytes[0].with(|base| {
                 // SAFETY: the buffer is inactive and writer-free, so no
                 // writer can alias it; cells are repr(transparent) and
                 // `filled <= capacity`, so the slice stays in bounds.
@@ -330,9 +332,7 @@ impl IncomingBuffers {
         // ordering: Release — the next activation of this slot must not
         // be observable before the owner is done reading its bytes;
         // pairs-with: incoming-slot-recycle.
-        self.slots[old]
-            .desc
-            .store(pack(false, 0, 0), Ordering::Release);
+        old_slot.desc.store(pack(false, 0, 0), Ordering::Release);
         // ordering: Relaxed — telemetry counters, no payload.
         self.stats.swaps.fetch_add(1, Ordering::Relaxed);
         self.stats

@@ -19,6 +19,7 @@ pub mod partition_table;
 pub use incoming::{BufferFull, IncomingBuffers, IncomingStats};
 pub use outgoing::{FlushInfo, OutgoingBuffers};
 pub use partition_table::{BitmapTable, OwnerSplit, PartitionTable, RangeTable};
+use partition_table::{OutOfDomain, Owners};
 
 use crate::command::{AeuId, DataCommand, DataObjectId, Payload, PointItem, StorageOp};
 use crate::telemetry::{CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
@@ -233,6 +234,12 @@ pub struct Router {
     src: AeuId,
     shared: Arc<RoutingShared>,
     out: OutgoingBuffers,
+    /// Routing step 1's scratch: the owners of the point command being
+    /// routed.
+    owners: Owners,
+    /// Targets whose outgoing buffer crossed the flush threshold during
+    /// the command being routed.
+    full: Vec<AeuId>,
     /// Round-robin cursor for appends to bitmap-partitioned objects.
     rr_cursor: usize,
     pub stats: RouterStats,
@@ -258,6 +265,8 @@ impl Router {
             src,
             shared,
             out: OutgoingBuffers::new(n, cfg.outgoing_capacity),
+            owners: Owners::default(),
+            full: Vec::new(),
             rr_cursor: src.index(),
             stats: RouterStats::default(),
             tel,
@@ -362,7 +371,8 @@ impl Router {
         // Telemetry tallies of this call, published in one batch below.
         let (mut multi, mut split) = (0u64, 0u64);
         let out_before = self.stats.commands_out;
-        let mut full_targets: Vec<AeuId> = Vec::new();
+        // Cleared after every flush round below; an error leaves it empty.
+        let mut full_targets = std::mem::take(&mut self.full);
         match &cmd.payload {
             Payload::Lookup { keys } => {
                 split += self.route_point(&cmd, keys, &mut stamp, &mut full_targets)?
@@ -436,19 +446,22 @@ impl Router {
                 .fetch_add(enqueued, Relaxed);
         }
         let mut flushed = Vec::new();
-        for t in full_targets {
+        for &t in &full_targets {
             self.flush_target(t, &mut flushed);
         }
+        full_targets.clear();
+        self.full = full_targets;
         Ok(flushed)
     }
 
-    /// Routing steps 1 and 2 of a point command carrying `items`: batch
-    /// owner lookup, then the caller's command buffered as it is when one
-    /// AEU owns every item (always, for one item) or one sub-command per
-    /// owner group.  Returns 1 if the command was split.  On a
-    /// size-partitioned object upserts are appends, dealt round-robin over
-    /// the member set (NUMA-aware materialization of intermediate
-    /// results), and lookups have no placement to go by.
+    /// Routing steps 1 and 2 of a point command carrying `items`: one
+    /// owner pass, then the caller's command buffered as it is when one
+    /// AEU owns every item (always, for one item), or each owner's
+    /// sub-command scattered straight into that owner's outgoing buffer.
+    /// Returns 1 if the command was split.  On a size-partitioned object
+    /// upserts are appends, dealt round-robin over the member set
+    /// (NUMA-aware materialization of intermediate results), and lookups
+    /// have no placement to go by.
     fn route_point<T: PointItem>(
         &mut self,
         cmd: &DataCommand,
@@ -457,44 +470,45 @@ impl Router {
         full: &mut Vec<AeuId>,
     ) -> Result<u64, RoutingError> {
         let object = cmd.object;
-        // `None`: a size-partitioned object.
-        let owners = self.shared.with_table(object, |t| match t {
-            PartitionTable::Range(r) => Ok(Some(r.split_by_owner(items))),
-            PartitionTable::Bitmap(_) if T::OP == StorageOp::Upsert => Ok(None),
-            PartitionTable::Bitmap(_) => Err(RoutingError::PointOpOnSizePartitioned(object)),
-        })??;
-        let mut split = 0;
-        match owners {
-            Some(OwnerSplit::One(owner)) => self.push_unicast(owner, cmd, stamp, full),
-            Some(OwnerSplit::Groups(groups)) => {
-                split = (groups.len() > 1) as u64;
-                self.stats.splits += split;
-                for (owner, group) in groups {
-                    let sub = DataCommand {
-                        object,
-                        ticket: cmd.ticket,
-                        payload: T::payload(group),
-                    };
-                    self.push_unicast(owner, &sub, stamp, full);
-                }
-            }
-            Some(OwnerSplit::OutOfDomain { key, domain }) => {
-                return Err(RoutingError::KeyOutOfDomain {
+        let owners = &mut self.owners;
+        // `false`: a size-partitioned object.
+        let ranged = self.shared.with_table(object, |t| match t {
+            PartitionTable::Range(r) => match r.assign_owners(items, owners) {
+                Ok(()) => Ok(true),
+                Err(OutOfDomain { key, domain }) => Err(RoutingError::KeyOutOfDomain {
                     object,
                     key,
                     domain,
-                })
-            }
-            None => {
-                let members = self.shared.with_table(object, |t| t.scan_targets())?;
-                self.rr_cursor = (self.rr_cursor + 1) % members.len();
-                // BOUNDS: the cursor was just reduced modulo `members.len()`,
-                // which `with_table` guarantees non-empty for a provisioned object.
-                let owner = members[self.rr_cursor];
+                }),
+            },
+            PartitionTable::Bitmap(_) if T::OP == StorageOp::Upsert => Ok(false),
+            PartitionTable::Bitmap(_) => Err(RoutingError::PointOpOnSizePartitioned(object)),
+        })??;
+        if !ranged {
+            let members = self.shared.with_table(object, |t| t.scan_targets())?;
+            self.rr_cursor = (self.rr_cursor + 1) % members.len();
+            // BOUNDS: the cursor was just reduced modulo `members.len()`,
+            // which `with_table` guarantees non-empty for a provisioned object.
+            let owner = members[self.rr_cursor];
+            self.push_unicast(owner, cmd, stamp, full);
+            return Ok(0);
+        }
+        match *self.owners.order() {
+            // No items: no sub-command.
+            [] => Ok(0),
+            [owner] => {
                 self.push_unicast(owner, cmd, stamp, full);
+                Ok(0)
+            }
+            ref split => {
+                self.stats.splits += 1;
+                self.stats.commands_out += split.len() as u64;
+                let (ticket, stamp) = (cmd.ticket, stamp.take());
+                self.out
+                    .push_split(object, ticket, items, &self.owners, stamp, full);
+                Ok(1)
             }
         }
-        Ok(split)
     }
 
     /// Buffer one sub-command for its single owner, preceded by the
@@ -889,8 +903,17 @@ mod proptests {
     /// owner.  The bytes each AEU must find in its incoming buffer.
     fn split_oracle(table: &RangeTable, cmd: &DataCommand, aeus: usize) -> (Vec<Vec<u8>>, usize) {
         let mut per_target = vec![Vec::new(); aeus];
-        /// The split's groups wrapped as payloads; a shared owner is one
-        /// group of everything.
+        let subs = sub_commands(table, cmd);
+        for (owner, sub) in &subs {
+            sub.encode(&mut per_target[owner.index()]);
+        }
+        (per_target, subs.len())
+    }
+
+    /// The split of a point command into per-owner sub-commands, each its
+    /// group of items wrapped as a payload; a shared owner gets the
+    /// command as it is.
+    fn sub_commands(table: &RangeTable, cmd: &DataCommand) -> Vec<(AeuId, DataCommand)> {
         fn groups<T: PointItem>(table: &RangeTable, items: &[T]) -> Vec<(AeuId, Payload)> {
             let groups = match table.split_by_owner(items) {
                 OwnerSplit::One(owner) => vec![(owner, items.to_vec())],
@@ -907,15 +930,88 @@ mod proptests {
             Payload::Upsert { pairs } => groups(table, pairs),
             _ => unreachable!("point commands only"),
         };
-        for (owner, payload) in &groups {
-            DataCommand {
-                object: cmd.object,
-                ticket: cmd.ticket,
-                payload: payload.clone(),
+        groups
+            .into_iter()
+            .map(|(owner, payload)| {
+                let sub = DataCommand {
+                    object: cmd.object,
+                    ticket: cmd.ticket,
+                    payload,
+                };
+                (owner, sub)
+            })
+            .collect()
+    }
+
+    /// Routing as the materialised split does it: each sub-command
+    /// encoded on its own into its owner's outgoing bytes (the trace
+    /// marker before the first), the owners that crossed `capacity`
+    /// flushed after the command in the order they crossed it, and every
+    /// target with bytes left flushed at the end, in AEU order.
+    struct SplitRouter {
+        capacity: usize,
+        pending: Vec<Vec<u8>>,
+        delivered: Vec<Vec<u8>>,
+        flushes: u64,
+        peak: usize,
+        splits: u64,
+        unicast: u64,
+    }
+
+    impl SplitRouter {
+        fn new(aeus: usize, capacity: usize) -> Self {
+            SplitRouter {
+                capacity,
+                pending: vec![Vec::new(); aeus],
+                delivered: vec![Vec::new(); aeus],
+                flushes: 0,
+                peak: 0,
+                splits: 0,
+                unicast: 0,
             }
-            .encode(&mut per_target[owner.index()]);
         }
-        (per_target, groups.len())
+
+        fn route(&mut self, table: &RangeTable, cmd: &DataCommand, mut stamp: Option<TraceStamp>) {
+            let subs = sub_commands(table, cmd);
+            self.splits += (subs.len() > 1) as u64;
+            self.unicast += subs.len() as u64;
+            let mut full = Vec::new();
+            for (owner, sub) in subs {
+                let out = &mut self.pending[owner.index()];
+                if let Some(s) = stamp.take() {
+                    crate::command::encode_trace_marker(sub.object, s, out);
+                }
+                sub.encode(out);
+                self.peak = self.peak.max(out.len());
+                if out.len() >= self.capacity {
+                    full.push(owner.index());
+                }
+            }
+            for a in full {
+                self.flush(a);
+            }
+        }
+
+        fn flush(&mut self, a: usize) {
+            if !self.pending[a].is_empty() {
+                let bytes = std::mem::take(&mut self.pending[a]);
+                self.delivered[a].extend(bytes);
+                self.flushes += 1;
+            }
+        }
+
+        fn flush_all(&mut self) {
+            (0..self.pending.len()).for_each(|a| self.flush(a));
+        }
+    }
+
+    /// SplitMix64: the test's own generator for the structured draws.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     proptest! {
@@ -980,6 +1076,119 @@ mod proptests {
             let totals = shared.telemetry_totals();
             prop_assert_eq!(totals.command_splits, want_splits);
             prop_assert_eq!(totals.commands_unicast, want_unicast);
+        }
+
+        /// The scatter writes what the materialised split writes.  Over
+        /// random range tables (1-16 ranges over 1-16 AEUs, random bounds,
+        /// domains up to the whole key space), lookups and upserts of
+        /// 0-300 items with repeated keys, stamped or not, and outgoing
+        /// buffers small enough to flush in the middle of a batch, every
+        /// AEU receives the bytes `SplitRouter` delivers, and the split,
+        /// unicast, flush and outgoing high-water counts agree.
+        #[test]
+        fn the_scatter_writes_the_bytes_of_the_materialised_split(
+            aeus in 1usize..=16,
+            ranges in 1usize..=16,
+            domain_kind in 0u8..3,
+            // 29 and 37 bytes: exactly one one-item lookup or upsert.
+            capacity in prop_oneof![
+                Just(1usize), Just(29), Just(37), Just(512), Just(4096), Just(1 << 16)
+            ],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut draw = move || splitmix(&mut rng);
+            let domain = match domain_kind {
+                0 => 1 + draw() % (1 << 12),
+                1 => (1 << 12) + draw() % (u64::MAX - (1 << 12)),
+                _ => u64::MAX,
+            };
+            let key_below = |x: u64| if domain == u64::MAX { x } else { x % domain };
+            let mut bounds: Vec<u64> = (1..ranges)
+                .map(|_| 1 + draw() % (domain - 1).max(1))
+                .filter(|&b| b < domain)
+                .collect();
+            bounds.push(0);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let entries: Vec<(u64, AeuId)> = bounds
+                .iter()
+                .map(|&b| (b, AeuId((draw() % aeus as u64) as u32)))
+                .collect();
+            let table = || {
+                let mut t = RangeTable::even(domain, &[AeuId(0)]);
+                t.rebuild(entries.clone());
+                t
+            };
+            // Keys that repeat: every boundary, the top of the domain, a
+            // few more.
+            let mut pool = bounds.clone();
+            pool.push(key_below(u64::MAX));
+            pool.extend((0..4).map(|_| key_below(draw())));
+
+            let cfg = RoutingConfig {
+                trace_sample_every: 0,
+                outgoing_capacity: capacity,
+                incoming_capacity: 1 << 17,
+                ..Default::default()
+            };
+            let shared = Arc::new(RoutingShared::new(aeus, cfg));
+            shared.register_object(DataObjectId(3), PartitionTable::Range(table()));
+            let mut router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
+            let mut oracle = SplitRouter::new(aeus, capacity);
+            let oracle_table = table();
+            let mut got = vec![Vec::new(); aeus];
+            let drain = |got: &mut Vec<Vec<u8>>| {
+                for (a, got) in got.iter_mut().enumerate() {
+                    shared
+                        .incoming(AeuId(a as u32))
+                        .swap_and_consume(|d| got.extend_from_slice(d));
+                }
+            };
+            for ticket in 0..1 + draw() % 16 {
+                // Small commands half the time, so groups of one item are
+                // common.
+                let n = draw() % if draw() % 2 == 0 { 4 } else { 301 };
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| match draw() % 3 {
+                        0 => pool[(draw() % pool.len() as u64) as usize],
+                        _ => key_below(draw()),
+                    })
+                    .collect();
+                let payload = if draw() % 2 == 0 {
+                    Payload::Lookup { keys }
+                } else {
+                    Payload::Upsert { pairs: keys.into_iter().map(|k| (k, draw())).collect() }
+                };
+                let cmd = DataCommand { object: DataObjectId(3), ticket, payload };
+                let stamp = (draw() % 3 == 0).then(|| TraceStamp {
+                    hops: (draw() % 4) as u32,
+                    tenant: 7,
+                    conn: 2,
+                    seq: ticket,
+                    ..TraceStamp::engine(draw())
+                });
+                oracle.route(&oracle_table, &cmd, stamp);
+                match stamp {
+                    Some(s) => router.route_stamped(cmd, s),
+                    None => router.route(cmd),
+                }
+                .unwrap();
+                drain(&mut got);
+            }
+            oracle.flush_all();
+            router.flush_all();
+            drain(&mut got);
+            for (a, (got, want)) in got.iter().zip(&oracle.delivered).enumerate() {
+                prop_assert_eq!(got, want, "bytes towards AEU{}", a);
+            }
+            prop_assert_eq!(router.stats.splits, oracle.splits);
+            prop_assert_eq!(router.stats.flushes, oracle.flushes);
+            let totals = shared.telemetry_totals();
+            prop_assert_eq!(totals.command_splits, oracle.splits);
+            prop_assert_eq!(totals.commands_unicast, oracle.unicast);
+            prop_assert_eq!(totals.flushes, oracle.flushes);
+            prop_assert_eq!(totals.peak_outgoing_bytes, oracle.peak as u64);
         }
     }
 }

@@ -18,7 +18,10 @@
 //! sequentially over the interconnect.
 
 use super::incoming::{BufferFull, IncomingBuffers};
-use crate::command::{encode_trace_marker, AeuId, DataCommand};
+use super::partition_table::Owners;
+use crate::command::{
+    encode_point_header, encode_trace_marker, AeuId, DataCommand, DataObjectId, PointItem,
+};
 use eris_obs::TraceStamp;
 
 /// Result of flushing one outgoing buffer into a target's incoming buffer.
@@ -105,6 +108,49 @@ impl OutgoingBuffers {
         pending >= self.capacity
     }
 
+    /// Buffer a point command whose `items` span owners, as one
+    /// sub-command per owner written straight into that owner's unicast
+    /// buffer: every header first (the trace marker, if any, before the
+    /// first item's owner's), then each item appended to its owner's
+    /// buffer in input order — its sub-command is the last thing there.
+    /// The bytes are those of encoding each owner's group as its own
+    /// [`DataCommand`].  Owners whose buffer crossed the flush threshold
+    /// are appended to `full`, in order of first appearance.
+    pub(crate) fn push_split<T: PointItem>(
+        &mut self,
+        object: DataObjectId,
+        ticket: u64,
+        items: &[T],
+        owners: &Owners,
+        mut trace: Option<TraceStamp>,
+        full: &mut Vec<AeuId>,
+    ) {
+        for (owner, n) in owners.groups() {
+            // BOUNDS: `targets` is sized to the AEU count at construction
+            // and the partition table only names AEUs of that topology.
+            let t = &mut self.targets[owner.index()];
+            if let Some(stamp) = trace.take() {
+                encode_trace_marker(object, stamp, &mut t.unicast);
+            }
+            encode_point_header::<T>(object, ticket, n, &mut t.unicast);
+            t.unicast_cmds += 1;
+            self.commands_routed += 1;
+        }
+        for (&item, owner) in items.iter().zip(owners.of_items()) {
+            // BOUNDS: as above.
+            item.put(&mut self.targets[owner.index()].unicast);
+        }
+        for &owner in owners.order() {
+            let pending = self.pending_bytes(owner);
+            self.peak_pending_bytes = self.peak_pending_bytes.max(pending);
+            if pending >= self.capacity {
+                // ALLOC-OK: the caller's reused full-target list, bounded
+                // by the AEU count.
+                full.push(owner);
+            }
+        }
+    }
+
     /// Buffer one command for many targets: the command body is stored once
     /// in the multicast buffer, each target gets a reference.
     /// Returns the targets that crossed the flush threshold.
@@ -174,22 +220,28 @@ impl OutgoingBuffers {
             return Ok(None);
         }
         let commands = self.pending_commands(target);
-        // Assemble unicast bytes + referenced multicast commands.
         // BOUNDS: `targets` is sized to the AEU count at construction and
         // AeuId indexes come from the same topology.
         let t = &self.targets[target.index()];
-        // ALLOC-OK: one exactly-sized assembly buffer per flush; flushes
-        // are batched, not per-command.
-        // ALLOC-OK: extend copies below stage into that same buffer.
-        let mut assembled = Vec::with_capacity(bytes);
-        assembled.extend_from_slice(&t.unicast);
-        for &(off, len) in &t.refs {
-            // BOUNDS: (off, len) was recorded from `multicast.len()` when the
-            // command was encoded; the buffer only grows until the flush.
-            // ALLOC-OK: extends the pre-sized assembly buffer.
-            assembled.extend_from_slice(&self.multicast[off as usize..(off + len) as usize]);
+        if t.refs.is_empty() {
+            // Unicast only: the buffer is the flush, copied once.
+            incoming.write(&t.unicast)?;
+        } else {
+            // Assemble unicast bytes + referenced multicast commands.
+            // ALLOC-OK: one exactly-sized assembly buffer per flush with
+            // multicast references; flushes are batched, not per-command.
+            // ALLOC-OK: extend copies below stage into that same buffer.
+            let mut assembled = Vec::with_capacity(bytes);
+            assembled.extend_from_slice(&t.unicast);
+            for &(off, len) in &t.refs {
+                // BOUNDS: (off, len) was recorded from `multicast.len()` when
+                // the command was encoded; the buffer only grows until the
+                // flush.
+                // ALLOC-OK: extends the pre-sized assembly buffer.
+                assembled.extend_from_slice(&self.multicast[off as usize..(off + len) as usize]);
+            }
+            incoming.write(&assembled)?;
         }
-        incoming.write(&assembled)?;
         // BOUNDS: `targets` is sized to the AEU count at construction and
         // AeuId indexes come from the same topology.
         let t = &mut self.targets[target.index()];

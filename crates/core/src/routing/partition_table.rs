@@ -9,6 +9,72 @@
 use crate::command::{AeuId, PointItem};
 use eris_index::CsbTree;
 
+/// Routing step 1's answer for one point command, in buffers a router
+/// reuses from command to command: the owner of every item in input
+/// order and, per owner in order of first appearance, how many items it
+/// got.  Filled by [`RangeTable::assign_owners`].
+#[derive(Debug, Default)]
+pub(crate) struct Owners {
+    /// The owner of each item, in input order.
+    of_item: Vec<AeuId>,
+    /// Owners with items in order of first appearance: the first
+    /// `distinct` entries (plus one spare slot the pass writes blindly).
+    order: Vec<AeuId>,
+    /// Items per owner, parallel to `order`.
+    count: Vec<u32>,
+    /// Per AEU index: 1 + its position in `order`, 0 when it owns none
+    /// of the items.
+    rank: Vec<u32>,
+    distinct: usize,
+}
+
+impl Owners {
+    /// The owner of each item, in input order.
+    pub fn of_items(&self) -> &[AeuId] {
+        &self.of_item
+    }
+
+    /// The owners with items, in order of first appearance.
+    pub fn order(&self) -> &[AeuId] {
+        self.order.get(..self.distinct).unwrap_or(&[])
+    }
+
+    /// `(owner, item count)` in order of first appearance.
+    pub fn groups(&self) -> impl Iterator<Item = (AeuId, usize)> + '_ {
+        let counts = self.count.iter().map(|&n| n as usize);
+        self.order().iter().copied().zip(counts)
+    }
+
+    /// Forget the last command (zeroing only what it touched) and make
+    /// room for `items` items over AEU indexes below `slots`.
+    fn prepare(&mut self, slots: usize, items: usize) {
+        // BOUNDS: `order` and `count` hold `distinct` + 1 entries or more.
+        for (&a, n) in self.order[..self.distinct].iter().zip(&mut self.count) {
+            // BOUNDS: every owner in `order` was counted at `rank[a]`,
+            // which is sized to the table's slot count and never shrinks.
+            self.rank[a.index()] = 0;
+            *n = 0;
+        }
+        self.distinct = 0;
+        // ALLOC-OK: the buffers grow to the largest table and command
+        // routed so far, not per command.
+        if self.rank.len() < slots {
+            self.rank.resize(slots, 0);
+            self.order.resize(slots + 1, AeuId(0));
+            self.count.resize(slots + 1, 0);
+        }
+        self.of_item.clear();
+        self.of_item.reserve(items);
+    }
+}
+
+/// A point key at or past the end of its object's key domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OutOfDomain {
+    pub key: u64,
+    pub domain: u64,
+}
+
 /// What [`RangeTable::split_by_owner`] found for a point command's items.
 #[derive(Debug, PartialEq, Eq)]
 pub enum OwnerSplit<T> {
@@ -29,8 +95,19 @@ pub struct RangeTable {
     /// Keys live in `[0, domain)`; `u64::MAX` means the whole key space,
     /// its top key included (the last partition is closed at the top).
     domain: u64,
+    /// One more than the largest owner index.
+    slots: usize,
     /// Bumped on every rebalance; AEUs use it to detect stale commands.
     version: u64,
+}
+
+/// One more than the largest owner index of `entries`.
+fn slots(entries: &[(u64, AeuId)]) -> usize {
+    entries
+        .iter()
+        .map(|(_, a)| a.index() + 1)
+        .max()
+        .unwrap_or(0)
 }
 
 impl RangeTable {
@@ -38,12 +115,13 @@ impl RangeTable {
     pub fn even(domain: u64, owners: &[AeuId]) -> Self {
         assert!(!owners.is_empty());
         let n = owners.len() as u64;
-        let entries = owners
+        let entries: Vec<(u64, AeuId)> = owners
             .iter()
             .enumerate()
             .map(|(i, &a)| (domain / n * i as u64, a))
             .collect();
         RangeTable {
+            slots: slots(&entries),
             csb: CsbTree::build(entries),
             domain,
             version: 0,
@@ -93,52 +171,78 @@ impl RangeTable {
 
     /// Replace the partitioning (load balancer only).
     pub fn rebuild(&mut self, entries: Vec<(u64, AeuId)>) {
+        self.slots = slots(&entries);
         self.csb = CsbTree::build(entries);
         self.version += 1;
     }
 
     /// Routing step 1 for a point command: the batch owner lookup of its
-    /// items (keys or pairs) and, when they span owners, the split into
-    /// per-owner groups.  One pass; a command whose items share an owner
-    /// allocates nothing.
-    pub fn split_by_owner<T: PointItem>(&self, items: &[T]) -> OwnerSplit<T> {
-        let mut first: Option<AeuId> = None;
-        let mut groups: Vec<(AeuId, Vec<T>)> = Vec::new();
-        for (i, &item) in items.iter().enumerate() {
+    /// items (keys or pairs), into `owners`.  One pass, with no branch on
+    /// the data: the owner comes from a counting search of the CSB+ node,
+    /// first appearances and per-owner counts are blind writes, and the
+    /// domain check is an accumulated flag — resolved after the pass to
+    /// the first key at or past the end of `[0, domain)`.
+    pub(crate) fn assign_owners<T: PointItem>(
+        &self,
+        items: &[T],
+        owners: &mut Owners,
+    ) -> Result<(), OutOfDomain> {
+        owners.prepare(self.slots, items.len());
+        // Slices and a local count, so the pass keeps them in registers.
+        let rank = owners.rank.as_mut_slice();
+        let (order, count) = (owners.order.as_mut_slice(), owners.count.as_mut_slice());
+        let mut distinct = 0;
+        let domain = self.domain;
+        // A full domain is closed at the top: there no key is outside.
+        let bounded = domain != u64::MAX;
+        let mut outside = false;
+        // ALLOC-OK: within the capacity `prepare` reserved.
+        owners.of_item.extend(items.iter().map(|item| {
             let key = item.key();
-            if key >= self.domain && self.domain != u64::MAX {
-                return OwnerSplit::OutOfDomain {
-                    key,
-                    domain: self.domain,
-                };
-            }
-            let owner = self.owner(key);
-            if groups.is_empty() {
-                // Still inside the prefix of items sharing the first owner.
-                match first {
-                    None => {
-                        first = Some(owner);
-                        continue;
-                    }
-                    Some(f) if f == owner => continue,
-                    // ALLOC-OK: the split groups own their item vectors by
-                    // design — each becomes the payload of a per-owner
-                    // sub-command.
-                    // BOUNDS: `i` indexes `items`.
-                    Some(f) => groups.push((f, items[..i].to_vec())),
-                }
-            }
-            // ALLOC-OK: as above; the group count is bounded by the owner
-            // count.
-            match groups.iter_mut().find(|(a, _)| *a == owner) {
-                Some((_, g)) => g.push(item),
-                None => groups.push((owner, vec![item])),
-            }
+            outside |= bounded & (key >= domain);
+            let owner = *self.csb.lookup(key);
+            // BOUNDS: `prepare` sized `rank` to every owner index of this
+            // table and `order`/`count` to one past its distinct owners;
+            // `r` is 1 + a position in `order`.
+            let r = &mut rank[owner.index()];
+            let fresh = (*r == 0) as usize;
+            order[distinct] = owner;
+            *r += ((distinct + 1) * fresh) as u32;
+            distinct += fresh;
+            count[*r as usize - 1] += 1;
+            owner
+        }));
+        owners.distinct = distinct;
+        if !outside {
+            return Ok(());
         }
-        match first {
-            Some(owner) if groups.is_empty() => OwnerSplit::One(owner),
-            _ => OwnerSplit::Groups(groups),
+        let key = items.iter().map(|i| i.key()).find(|&k| k >= domain);
+        Err(OutOfDomain {
+            key: key.unwrap_or(domain),
+            domain,
+        })
+    }
+
+    /// `RangeTable::assign_owners` materialised: `OwnerSplit::One` when
+    /// one AEU owns every item (always, for one item), otherwise the
+    /// per-owner groups in order of first appearance.  Allocates; the
+    /// router scatters from the pass itself.
+    pub fn split_by_owner<T: PointItem>(&self, items: &[T]) -> OwnerSplit<T> {
+        let mut owners = Owners::default();
+        if let Err(OutOfDomain { key, domain }) = self.assign_owners(items, &mut owners) {
+            return OwnerSplit::OutOfDomain { key, domain };
         }
+        if let [owner] = owners.order() {
+            return OwnerSplit::One(*owner);
+        }
+        let mut groups: Vec<(AeuId, Vec<T>)> = owners
+            .groups()
+            .map(|(a, n)| (a, Vec::with_capacity(n)))
+            .collect();
+        for (&item, owner) in items.iter().zip(owners.of_items()) {
+            groups[owners.rank[owner.index()] as usize - 1].1.push(item);
+        }
+        OwnerSplit::Groups(groups)
     }
 
     /// Owners whose range intersects `[lo, hi)` — except that

@@ -30,7 +30,7 @@ use eris_core::{AeuId, DataObjectId};
 use eris_obs::{now_ns, Stamped, TraceEvent};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -263,15 +263,14 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let valid = if bytes.is_empty() {
+        let len = file.metadata()?.len();
+        let valid = if len == 0 {
             file.write_all(WAL_MAGIC)?;
             file.sync_data()?;
             WAL_MAGIC.len() as u64
         } else {
-            let valid = scan_valid_len(&bytes);
-            if valid < bytes.len() as u64 {
+            let valid = walk_records(BufReader::new(&mut file), |_, _| Ok(()))?;
+            if valid < len {
                 file.set_len(valid)?;
                 file.sync_data()?;
             }
@@ -355,48 +354,62 @@ impl Wal {
     }
 }
 
-/// Length of the longest valid prefix of a journal image: magic plus
-/// intact CRC-checked records.
-fn scan_valid_len(bytes: &[u8]) -> u64 {
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return 0;
+/// Walk the records of a journal from its start, in order: the magic,
+/// then every intact record, handing `(offset, payload)` to `on_record`.
+/// Stops at the first short, oversized or CRC-failing record and returns
+/// the length of the valid prefix (0 without the magic).  Streams: only
+/// one record is held at a time, however long the journal.
+fn walk_records(
+    mut r: impl Read,
+    mut on_record: impl FnMut(u64, &[u8]) -> std::io::Result<()>,
+) -> std::io::Result<u64> {
+    /// `Ok(false)` at the end of the input, short or not.
+    fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
+        match r.read_exact(buf) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+            Err(e) => Err(e),
+        }
     }
-    let mut off = WAL_MAGIC.len();
+    let mut magic = [0u8; WAL_MAGIC.len()];
+    if !fill(&mut r, &mut magic)? || &magic != WAL_MAGIC {
+        return Ok(0);
+    }
+    let mut off = WAL_MAGIC.len() as u64;
+    let mut payload = Vec::new();
     loop {
-        let Some(header) = bytes.get(off..off + 8) else {
-            return off as u64;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let mut header = [0u8; 8];
+        if !fill(&mut r, &mut header)? {
+            return Ok(off);
+        }
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len > MAX_RECORD_BYTES {
-            return off as u64;
+            return Ok(off);
         }
-        let Some(payload) = bytes.get(off + 8..off + 8 + len as usize) else {
-            return off as u64;
-        };
-        if crc32(payload) != crc {
-            return off as u64;
+        payload.resize(len as usize, 0);
+        if !fill(&mut r, &mut payload)? || crc32(&payload) != crc {
+            return Ok(off);
         }
-        off += 8 + len as usize;
+        on_record(off, &payload)?;
+        off += 8 + len as u64;
     }
 }
 
 /// Read every intact record at byte offset ≥ `cut`, in order.  Returns
-/// the decoded ops and the number of torn tail bytes discarded.
+/// the decoded ops and the number of torn tail bytes discarded.  The
+/// journal is streamed: memory holds the ops after the cut, not the file.
 pub fn read_tail(path: &Path, cut: u64) -> std::io::Result<(Vec<JournalOp>, u64)> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    let file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e),
     };
-    let valid = scan_valid_len(&bytes) as usize;
-    let torn = (bytes.len() - valid) as u64;
+    let len = file.metadata()?.len();
     let mut ops = Vec::new();
-    let mut off = WAL_MAGIC.len().min(valid);
-    while off + 8 <= valid {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let payload = &bytes[off + 8..off + 8 + len];
-        if off as u64 >= cut {
+    let valid = walk_records(BufReader::with_capacity(1 << 16, file), |off, payload| {
+        if off >= cut {
             let Some(op) = decode_op(payload) else {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -405,9 +418,9 @@ pub fn read_tail(path: &Path, cut: u64) -> std::io::Result<(Vec<JournalOp>, u64)
             };
             ops.push(op);
         }
-        off += 8 + len;
-    }
-    Ok((ops, torn))
+        Ok(())
+    })?;
+    Ok((ops, len.saturating_sub(valid)))
 }
 
 /// The engine-facing sink: fan-in point for all AEUs' redo streams.
@@ -590,6 +603,52 @@ mod tests {
         let wal = Wal::open(&path).unwrap();
         assert_eq!(wal.synced_lsn(), intact);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_record_ends_the_valid_prefix_of_a_streamed_journal() {
+        let path = temp_path("corrupt-mid");
+        let fail = FailPoints::new();
+        let record = |n: u64| {
+            let mut p = Vec::new();
+            let object = DataObjectId(1);
+            let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k, k * 3)).collect();
+            encode_op(
+                &RedoOp::UpsertPairs {
+                    object,
+                    pairs: &pairs,
+                },
+                &mut p,
+            );
+            p
+        };
+        // Far more bytes than the reader buffers at once.
+        let wal = Wal::open(&path).unwrap();
+        for n in 0..400 {
+            wal.append_payload(&record(n % 64));
+        }
+        wal.flush(&fail, None);
+        let cut = wal.synced_lsn();
+        for _ in 0..3 {
+            wal.append_payload(&record(5));
+        }
+        wal.flush(&fail, None);
+        drop(wal);
+        let (ops, torn) = read_tail(&path, 0).unwrap();
+        assert_eq!((ops.len(), torn), (403, 0));
+        assert_eq!(read_tail(&path, cut).unwrap().0.len(), 3);
+
+        // Flip one payload byte of the second record after the cut: the
+        // first stays, the rest is torn — the third record too, intact
+        // as it is.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let second = cut as usize + 8 + record(5).len();
+        bytes[second + 8 + 3] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let (ops, torn) = read_tail(&path, cut).unwrap();
+        assert_eq!(ops.len(), 1);
+        assert_eq!(torn, (bytes.len() - second) as u64);
         std::fs::remove_file(&path).unwrap();
     }
 

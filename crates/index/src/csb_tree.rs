@@ -12,8 +12,8 @@
 //! array (routing tables change only during load balancing, so rebuild on
 //! update is the honest strategy), and the child group of node `j` is the
 //! node range `j*(B+1)..` of the level below.  Search within a node is a
-//! linear scan over at most [`NODE_KEYS`] keys, which stays inside one or
-//! two cache lines.
+//! branch-free count of the keys `<=` the probe over at most
+//! [`NODE_KEYS`] keys, which stays inside one or two cache lines.
 //!
 //! [`FlatRangeMap`] is the "simple array" alternative the paper compares
 //! against; both implement the same interface so benches can ablate them.
@@ -87,6 +87,7 @@ impl<V> CsbTree<V> {
     ///
     /// # Panics
     /// When `key` is below the first boundary (no owning range).
+    #[inline]
     pub fn lookup(&self, key: u64) -> &V {
         // BOUNDS: documented precondition — keys below the domain
         // minimum are a caller bug, checked once at the tree entry;
@@ -97,6 +98,31 @@ impl<V> CsbTree<V> {
             "key {key} below the domain minimum {}",
             self.boundaries[0]
         );
+        // A table of at most NODE_KEYS ranges is one leaf: the lookup is
+        // a single in-node count, small enough to inline into a caller's
+        // key loop.
+        let node = if self.levels.is_empty() {
+            0
+        } else {
+            self.descend(key)
+        };
+        // Leaf `node` covers boundaries[node*NODE_KEYS ..].
+        // BOUNDS: the last level's child index lands inside the leaf
+        // array by construction; `hi` is clamped to boundaries.len() and
+        // values is parallel to boundaries (idx > 0 is debug-asserted
+        // and guaranteed by the entry assert + separator routing).
+        let lo = node * NODE_KEYS;
+        let hi = (lo + NODE_KEYS).min(self.boundaries.len());
+        let idx = count_le(&self.boundaries[lo..hi], key);
+        debug_assert!(idx > 0, "internal separators must route above the node min");
+        // BOUNDS: idx > 0 (entry assert + separator routing) and
+        // lo + idx - 1 < boundaries.len() == values.len().
+        &self.values[lo + idx - 1]
+    }
+
+    /// The internal levels' descent: the leaf node holding `key`.
+    #[inline(never)]
+    fn descend(&self, key: u64) -> usize {
         let mut node = 0usize;
         for level in &self.levels {
             // Node j's keys start at sum of preceding node sizes; all nodes
@@ -109,28 +135,9 @@ impl<V> CsbTree<V> {
             let start = node_key_start(level, node);
             let size = level.node_sizes[node] as usize;
             let keys = &level.keys[start..start + size];
-            let mut idx = 0;
-            while idx < keys.len() && keys[idx] <= key {
-                idx += 1;
-            }
-            node = node * (NODE_KEYS + 1) + idx;
+            node = node * (NODE_KEYS + 1) + count_le(keys, key);
         }
-        // Leaf `node` covers boundaries[node*NODE_KEYS ..].
-        // BOUNDS: the last level's child index lands inside the leaf
-        // array by construction; `hi` is clamped to boundaries.len() and
-        // values is parallel to boundaries (idx > 0 is debug-asserted
-        // and guaranteed by the entry assert + separator routing).
-        let lo = node * NODE_KEYS;
-        let hi = (lo + NODE_KEYS).min(self.boundaries.len());
-        let leaf = &self.boundaries[lo..hi];
-        let mut idx = 0;
-        while idx < leaf.len() && leaf[idx] <= key {
-            idx += 1;
-        }
-        debug_assert!(idx > 0, "internal separators must route above the node min");
-        // BOUNDS: idx > 0 (entry assert + separator routing) and
-        // lo + idx - 1 < boundaries.len() == values.len().
-        &self.values[lo + idx - 1]
+        node
     }
 
     /// Iterate `(boundary, value)` in order.
@@ -142,6 +149,15 @@ impl<V> CsbTree<V> {
     pub fn boundary(&self, i: usize) -> u64 {
         self.boundaries[i]
     }
+}
+
+/// In-node search: how many of the node's sorted `keys` are `<= key`,
+/// which is the index of the child (or range) holding `key`.  A count
+/// rather than a scan to the first greater key, so there is no branch on
+/// the key to mispredict — random routing keys land anywhere in a node.
+#[inline]
+fn count_le(keys: &[u64], key: u64) -> usize {
+    keys.iter().map(|&k| (k <= key) as usize).sum()
 }
 
 #[inline]

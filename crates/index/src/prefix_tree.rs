@@ -879,6 +879,7 @@ impl PrefixTree {
             if child_hi <= lo {
                 continue;
             }
+            // BOUNDS: `node` names a live inner node and `digit < fanout`.
             let child = self.inner[node as usize * fanout + digit];
             if child != NULL {
                 self.scan_node(child, level + 1, child_lo, lo, hi, f);
@@ -910,6 +911,8 @@ impl PrefixTree {
             for bit in set_bits(bits) {
                 let digit = w * 64 + bit;
                 let offset = if direct { digit } else { rank };
+                // BOUNDS: a set presence bit has its value inside the leaf's
+                // block, at its digit (direct) or rank (compact).
                 f(
                     prefix | digit as u64,
                     self.values[head.block as usize + offset],

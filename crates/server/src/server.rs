@@ -570,7 +570,10 @@ impl EngineServer {
             match RequestView::try_decode(&mut next) {
                 Ok(None) => break,
                 Err(_) => {
+                    // A malformed frame is not a command: it is answered,
+                    // but charged to no tenant's command ledger.
                     self.counters.protocol_errors += 1;
+                    report.rejected += 1;
                     conn.pending.push(PendingResponse {
                         kind: RespKind::Rejected,
                         code: REJ_PROTOCOL,
@@ -578,10 +581,6 @@ impl EngineServer {
                         retry_after_ms: 0,
                         regrant: 0,
                     });
-                    if let Some(s) = conn.tenant.and_then(|t| self.admission.shard(t)) {
-                        s.rejected.fetch_add(1, Relaxed);
-                        report.rejected += 1;
-                    }
                     // Nothing after a malformed frame can be trusted.
                     cur = &[];
                     conn.closing = true;

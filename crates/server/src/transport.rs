@@ -156,13 +156,21 @@ impl TcpTransport {
     }
 }
 
+/// Bytes one `read` call may append to the caller's buffer.
+const READ_CHUNK: usize = 4096;
+
 impl Transport for TcpTransport {
+    /// Reads one chunk per call to `read` and appends what arrived, so
+    /// `buf` grows only by bytes received.  A short read proves the socket
+    /// empty, so it ends the call: there is no second syscall just to see
+    /// `WouldBlock`, and a close by the peer behind the data shows on the
+    /// next call.
     fn try_read(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
         if !self.open {
             return Ok(0);
         }
         let mut total = 0;
-        let mut chunk = [0u8; 4096];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -173,6 +181,9 @@ impl Transport for TcpTransport {
                 Ok(n) => {
                     buf.extend_from_slice(&chunk[..n]);
                     total += n;
+                    if n < READ_CHUNK {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -244,5 +255,73 @@ mod tests {
         b.close();
         assert_eq!(a.try_write(b"more").unwrap(), 0);
         assert!(!b.is_open());
+    }
+
+    /// A connected pair on 127.0.0.1: the server end wrapped, the peer a
+    /// plain blocking stream.
+    fn tcp_pair() -> (TcpTransport, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        (TcpTransport::new(ours).unwrap(), peer)
+    }
+
+    /// Poll `t` until `buf` holds `want` bytes (the peer's bytes are in
+    /// flight on the loopback device for a moment).
+    fn read_until(t: &mut TcpTransport, buf: &mut Vec<u8>, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while buf.len() < want {
+            assert!(std::time::Instant::now() < deadline, "bytes never arrived");
+            t.try_read(buf).unwrap();
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_peer_close_behind_its_bytes_shows_on_the_next_read() {
+        let (mut t, mut peer) = tcp_pair();
+        peer.write_all(b"last words").unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut buf = Vec::new();
+        read_until(&mut t, &mut buf, 10);
+        assert_eq!(buf, b"last words");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while t.is_open() {
+            assert!(std::time::Instant::now() < deadline, "close never seen");
+            assert_eq!(t.try_read(&mut buf).unwrap(), 0);
+        }
+        assert_eq!(buf, b"last words", "nothing but the data");
+    }
+
+    #[test]
+    fn a_frame_split_across_reads_assembles() {
+        use crate::frame::{ReqKind, RequestFrame};
+        let frame = RequestFrame {
+            kind: ReqKind::Command,
+            tenant: 1,
+            conn: 2,
+            seq: 3,
+            // More than one read chunk, so one write is read in pieces.
+            payload: (0..READ_CHUNK as u32 + 100).map(|i| i as u8).collect(),
+        };
+        let mut bytes = Vec::new();
+        frame.encode(&mut bytes);
+        let (mut t, mut peer) = tcp_pair();
+        let mut buf = vec![0xAA];
+        let half = bytes.len() / 3;
+        peer.write_all(&bytes[..half]).unwrap();
+        read_until(&mut t, &mut buf, 1 + half);
+        assert_eq!(
+            RequestFrame::try_decode(&mut &buf[1..]).unwrap(),
+            None,
+            "a partial frame waits"
+        );
+        peer.write_all(&bytes[half..]).unwrap();
+        read_until(&mut t, &mut buf, 1 + bytes.len());
+        assert_eq!(buf[0], 0xAA, "reads append");
+        let mut cur = &buf[1..];
+        assert_eq!(RequestFrame::try_decode(&mut cur).unwrap(), Some(frame));
+        assert!(cur.is_empty());
+        assert!(t.is_open());
     }
 }

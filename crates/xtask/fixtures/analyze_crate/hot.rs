@@ -14,9 +14,17 @@ pub fn root_dispatch(xs: &[u8], q: &mut Queue) -> u8 {
     let a = justified(xs, head as usize);
     bulk_setup(&mut q.rows);
     let scratch = make_scratch();
+    let last = fold_each(xs, |x| x);
     // seed: A1 — index expression without a BOUNDS justification.
     let tail = xs[xs.len() - 1];
-    head ^ tail ^ a ^ scratch
+    head ^ tail ^ a ^ scratch ^ last
+}
+
+/// `impl Trait` in the signature is an argument type, not an impl block:
+/// the body is scanned like any other.
+fn fold_each(xs: &[u8], f: impl Fn(u8) -> u8) -> u8 {
+    // seed: A1 — unwrap in a body behind an `impl Trait` parameter.
+    f(*xs.last().unwrap())
 }
 
 fn first_or_die(xs: &[u8]) -> u8 {

@@ -88,6 +88,10 @@ pub fn parse_fns(lexed: &Lexed, test_cut: usize) -> Vec<FnItem> {
     let mut fn_stack: Vec<(usize, usize)> = Vec::new();
     let mut pending: std::collections::HashMap<usize, Pending> = std::collections::HashMap::new();
     let mut depth = 0usize;
+    // Token index of the `{` opening the body of the `fn` whose signature
+    // is being walked: an `impl` before it is `impl Trait` in argument or
+    // return position, not an impl block.
+    let mut sig_open = 0usize;
 
     let is_punct = |i: usize, c: &str| {
         toks.get(i)
@@ -125,7 +129,7 @@ pub fn parse_fns(lexed: &Lexed, test_cut: usize) -> Vec<FnItem> {
                     }
                 }
             }
-            (TokKind::Ident, "impl") | (TokKind::Ident, "trait") => {
+            (TokKind::Ident, "impl") | (TokKind::Ident, "trait") if i >= sig_open => {
                 if let Some((open, ty)) = scan_impl_header(&toks, i) {
                     pending.insert(open, Pending::Impl(ty));
                 }
@@ -143,6 +147,7 @@ pub fn parse_fns(lexed: &Lexed, test_cut: usize) -> Vec<FnItem> {
                             index_sites: Vec::new(),
                         });
                         pending.insert(open, Pending::Fn(fi));
+                        sig_open = open;
                     }
                 }
             }
@@ -430,6 +435,24 @@ fn outer() {
         let names = |f: &FnItem| f.calls.iter().map(|c| c.name.clone()).collect::<Vec<_>>();
         assert_eq!(names(outer), vec!["inner_call", "after_nested"]);
         assert_eq!(names(nested), vec!["deep_call"]);
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_does_not_open_an_impl_block() {
+        let src = "
+impl Buffers {
+    fn consume(&self, mut f: impl FnMut(&[u8])) -> impl Iterator<Item = u8> {
+        f(&self.bytes[..]);
+        self.iter()
+    }
+    fn after(&self) { tail(); }
+}";
+        let fns = parse(src);
+        let quals: Vec<String> = fns.iter().map(|f| f.qualified()).collect();
+        assert_eq!(quals, vec!["Buffers::consume", "Buffers::after"]);
+        let names: Vec<String> = fns[0].calls.iter().map(|c| c.name.clone()).collect();
+        assert_eq!(names, vec!["f", "iter"]);
+        assert_eq!(fns[0].index_sites.len(), 1);
     }
 
     #[test]

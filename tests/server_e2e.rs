@@ -311,9 +311,56 @@ fn malformed_command_payload_is_typed_rejected() {
     assert!(ledger.holds(), "{ledger:?}");
 }
 
-/// Mid-traffic graceful shutdown: clients still have commands in flight
-/// when the server drains; every admitted command executes, ledgers
-/// balance, and every connection gets a `Goodbye`.
+/// A corrupt frame after a window of valid commands on a helloed
+/// connection: the commands settle, the frame gets `Rejected(REJ_PROTOCOL)`
+/// and the connection closes.  A malformed frame is not a command, so it
+/// moves no tenant's command counts and every received command is still
+/// settled.
+#[test]
+fn a_corrupt_frame_after_a_valid_window_settles_every_command() {
+    let (engine, obj) = small_engine(1, 2);
+    let mut server = EngineServer::new(engine, ServerConfig::default());
+    let (server_side, mut client_side) = loopback_pair();
+    let id = server.attach(Box::new(server_side));
+
+    use eris_server::{ReqKind, RequestFrame, ResponseFrame, REJ_PROTOCOL};
+    let mut bytes = Vec::new();
+    RequestFrame {
+        kind: ReqKind::Hello,
+        tenant: 0,
+        conn: 0,
+        seq: 0,
+        payload: vec![],
+    }
+    .encode(&mut bytes);
+    for seq in 1..=4u64 {
+        RequestFrame::command(0, id, seq, &lookup(obj, seq)).encode(&mut bytes);
+    }
+    bytes.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+    client_side.try_write(&bytes).unwrap();
+    server.pump_until_quiet(16);
+
+    let mut resp = Vec::new();
+    client_side.try_read(&mut resp).unwrap();
+    let mut cur = resp.as_slice();
+    let mut got = Vec::new();
+    while let Some(r) = ResponseFrame::try_decode(&mut cur).unwrap() {
+        got.push((r.kind, r.code, r.seq));
+    }
+    let mut want = vec![(RespKind::Welcome, 0, 0)];
+    want.extend((1..=4).map(|seq| (RespKind::Accepted, 0, seq)));
+    want.push((RespKind::Rejected, REJ_PROTOCOL, 0));
+    assert_eq!(got, want);
+    assert_eq!(server.open_connections(), 0, "connection closed");
+    let ledger = server.ledger();
+    assert!(ledger.all_commands_settled, "{ledger:?}");
+    assert!(ledger.holds(), "{ledger:?}");
+    let snap = server.snapshot();
+    assert_eq!(snap.counters.protocol_errors, 1);
+    assert_eq!(snap.counters.commands_received, 4);
+    assert_eq!(snap.rejected_total(), 0, "a frame is not a command");
+}
+
 #[test]
 fn a_key_outside_the_domain_is_typed_rejected() {
     // One hostile frame naming a key past the index's domain used to be
@@ -372,6 +419,9 @@ fn a_key_outside_the_domain_is_typed_rejected() {
     assert_eq!(server.snapshot().rejected_total(), 2);
 }
 
+/// Mid-traffic graceful shutdown: clients still have commands in flight
+/// when the server drains; every admitted command executes, ledgers
+/// balance, and every connection gets a `Goodbye`.
 #[test]
 fn mid_traffic_shutdown_conserves() {
     let (engine, obj) = small_engine(2, 2);
