@@ -491,17 +491,26 @@ fn run_once(args: &Args) -> Vec<String> {
         "partition table covers the domain after migrations",
     );
 
-    // JSON round-trips through the serde-free parser.
-    let json = snap.to_json();
-    let parsed = eris_obs::json::parse(&json).ok();
+    // The JSON-lines export parses back line by line through the
+    // serde-free parser, and its per-AEU executed samples add up to the
+    // totals.
+    let metrics_jsonl = eris_obs::render_jsonl(&snap.to_metrics(), eris_obs::now_ns());
+    let executed = metrics_jsonl
+        .lines()
+        .map(|l| eris_obs::json::parse(l).ok())
+        .collect::<Option<Vec<_>>>()
+        .map(|lines| {
+            lines
+                .iter()
+                .filter(|v| {
+                    v.get("metric").and_then(|m| m.as_str()) == Some("eris_commands_executed_total")
+                })
+                .filter_map(|v| v.get("value")?.as_u64())
+                .sum::<u64>()
+        });
     check(
-        parsed
-            .as_ref()
-            .and_then(|v| v.get("totals"))
-            .and_then(|t| t.get("commands_executed"))
-            .and_then(|c| c.as_u64())
-            == Some(snap.totals.commands_executed),
-        "telemetry JSON parses and round-trips totals",
+        executed == Some(snap.totals.commands_executed),
+        "telemetry JSONL parses and round-trips totals",
     );
     let events = engine.trace_events();
     let jsonl = eris_obs::render_events_jsonl(&events);

@@ -11,8 +11,6 @@
 //! [`scan::SharedScan`], multiple scan commands coalesce into a single pass
 //! over the data — the scan-sharing optimization of Section 3.1.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod column;
 pub mod kernel;
 pub mod scan;

@@ -17,6 +17,10 @@
 //!   by biasing both sides with `1 << 63` (the "sign-flip" idiom); all
 //!   folds use the same identities as the scalar kernels (`u64::MAX` for
 //!   min, `0` for max, masked `AND` for sum), so results are bit-identical.
+#![expect(
+    unsafe_code,
+    reason = "AVX2 intrinsics behind runtime feature detection"
+)]
 
 use crate::kernel::{self, CompiledPredicate};
 

@@ -57,8 +57,6 @@
 //!   compares against.
 //! * [`cost`] — virtual-time calibration and the analytic LLC model.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod aeu;
 pub mod balancer;
 pub mod baseline;

@@ -20,6 +20,10 @@
 //! facade, so a build with `RUSTFLAGS="--cfg loom"` model-checks the
 //! exact shipping protocol (see the `loom_models` test module and
 //! DESIGN.md § Concurrency model).
+#![expect(
+    unsafe_code,
+    reason = "writers copy into byte ranges the descriptor CAS reserved for them"
+)]
 
 use eris_sync::cell::UnsafeCell;
 use eris_sync::hint;

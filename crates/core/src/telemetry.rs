@@ -608,163 +608,6 @@ impl TelemetrySnapshot {
         eris_obs::collapsed_stack(&self.phases)
     }
 
-    /// Hand-rolled JSON render (no serde dependency).
-    pub fn to_json(&self) -> String {
-        fn counters(c: &CounterSnapshot, out: &mut String) {
-            out.push('{');
-            for (i, (k, v)) in c.fields().into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{k}\":{v}"));
-            }
-            out.push('}');
-        }
-        fn hist(h: &LogHistogram, out: &mut String) {
-            out.push_str(&format!("{{\"sum\":{},\"buckets\":[", h.sum));
-            for (i, b) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("]}");
-        }
-        let mut s = String::new();
-        s.push_str("{\"totals\":");
-        counters(&self.totals, &mut s);
-        s.push_str(",\"per_aeu\":[");
-        for (i, c) in self.per_aeu.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            counters(c, &mut s);
-        }
-        s.push_str("],\"per_node\":[");
-        for (i, (n, c)) in self.per_node.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{{\"node\":{},\"counters\":", n.0));
-            counters(c, &mut s);
-            s.push('}');
-        }
-        s.push_str("],\"objects\":[");
-        for (i, o) in self.objects.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"object\":{},\"enqueued\":{},\"executed\":{}}}",
-                o.object.0, o.enqueued, o.executed
-            ));
-        }
-        s.push_str(&format!(
-            "],\"balancer\":{{\"cycles\":{},\"moves\":{},\"keys_moved\":{}}}",
-            self.balancer.cycles, self.balancer.moves, self.balancer.keys_moved
-        ));
-        s.push_str(",\"histograms\":{\"swap_batch\":");
-        hist(&self.swap_batch, &mut s);
-        s.push_str(",\"exec_group\":");
-        hist(&self.exec_group, &mut s);
-        s.push_str(",\"step_ns\":");
-        hist(&self.step_ns, &mut s);
-        s.push('}');
-        s.push_str(&format!(
-            ",\"trace\":{{\"stamped\":{},\"traced\":{},\"dropped\":{}}}",
-            self.trace.stamped, self.trace.traced, self.trace.dropped
-        ));
-        s.push_str(",\"latency\":[");
-        for (i, ((object, op), series)) in self.latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"object\":{object},\"op\":{op},\
-                 \"queue_wait\":{{\"count\":{},\"sum\":{}}},\
-                 \"exec\":{{\"count\":{},\"sum\":{}}},\
-                 \"hops\":{{\"count\":{},\"sum\":{}}}}}",
-                series.queue_wait.count,
-                series.queue_wait.sum,
-                series.exec.count,
-                series.exec.sum,
-                series.hops.count,
-                series.hops.sum
-            ));
-        }
-        s.push_str("],\"tenant_latency\":[");
-        for (i, (tenant, h)) in self.tenant_latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"tenant\":{tenant},\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{}}}",
-                h.count,
-                h.sum,
-                h.p50(),
-                h.p99()
-            ));
-        }
-        s.push_str("],\"exemplars\":[");
-        let mut first = true;
-        for (bucket, e) in self.exemplars.iter().enumerate() {
-            let Some(e) = e else { continue };
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"bucket\":{bucket},\"trace_id\":\"{:016x}\",\"tenant\":{},\
-                 \"total_ns\":{},\"net_ns\":{},\"admit_ns\":{},\"queue_ns\":{},\
-                 \"exec_ns\":{},\"hops\":{}}}",
-                e.trace_id,
-                e.tenant,
-                e.total_ns,
-                e.net_ns,
-                e.admit_ns,
-                e.queue_ns,
-                e.exec_ns,
-                e.hops
-            ));
-        }
-        s.push_str("],\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            for (j, &ph) in Phase::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{}", ph.name(), p.get(ph)));
-            }
-            s.push('}');
-        }
-        s.push_str("],\"links\":[");
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"a\":{},\"b\":{},\"bytes_ab\":{},\"bytes_ba\":{}}}",
-                l.a, l.b, l.bytes_ab, l.bytes_ba
-            ));
-        }
-        s.push_str("],\"rings\":[");
-        for (i, r) in self.rings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"capacity\":{},\"emitted\":{},\"retained\":{},\"dropped\":{}}}",
-                r.capacity, r.emitted, r.retained, r.dropped
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-
     /// Convert to the exporter's neutral metric representation: one
     /// metric per counter (per-AEU samples labelled `aeu`), the
     /// conservation ledgers, balancer activity, trace-ring accounting
@@ -1334,21 +1177,5 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        let json = snap.to_json();
-        for key in [
-            "\"totals\"",
-            "\"per_aeu\"",
-            "\"per_node\"",
-            "\"objects\"",
-            "\"balancer\"",
-            "\"histograms\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in JSON");
-        }
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
     }
 }

@@ -21,8 +21,6 @@
 //!   different hash functions on a per-partition level"), for partitions
 //!   that never need range scans.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod codec;
 pub mod csb_tree;
 pub mod hash_table;

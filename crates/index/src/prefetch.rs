@@ -1,5 +1,10 @@
 //! The crate's one cache hint, shared by the batched hash probe and the
 //! prefix tree's level-synchronous descent.
+// Miri compiles the intrinsic, and with it the only unsafe block, out.
+#![cfg_attr(
+    not(miri),
+    expect(unsafe_code, reason = "the prefetch intrinsic is an unsafe fn")
+)]
 
 /// Hint the cache hierarchy that `*r` is about to be read.  A pure
 /// performance hint with no semantics: a no-op off x86_64, and under Miri,

@@ -16,6 +16,10 @@
 //! Arenas grow in fixed-size segments appended under a short mutex, so node
 //! ids stay stable without relocating memory that concurrent readers might
 //! be traversing.
+#![expect(
+    unsafe_code,
+    reason = "arena segments are raw slices that live until Drop"
+)]
 
 use crate::prefix_tree::PrefixTreeConfig;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};

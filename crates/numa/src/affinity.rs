@@ -4,6 +4,7 @@
 //! the simulated platforms there are usually more AEUs than host cores; the
 //! threaded runtime therefore pins AEU *i* to host core `i % host_cores`,
 //! which preserves the property that an AEU never migrates.
+#![expect(unsafe_code, reason = "libc affinity and sysconf calls")]
 
 use std::io;
 

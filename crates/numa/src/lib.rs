@@ -24,8 +24,6 @@
 //! * [`affinity`] — thread-to-core pinning via `libc` for the threaded
 //!   runtime.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod affinity;
 pub mod cache;
 pub mod clock;

@@ -18,6 +18,10 @@
 //! The module is written against the `eris-sync` facade, so a build
 //! with `RUSTFLAGS="--cfg loom"` model-checks the exact shipping
 //! protocol (see the `loom_models` test module).
+#![expect(
+    unsafe_code,
+    reason = "seqlock slots are read and written through raw pointers"
+)]
 
 use crate::latency::LATENCY_BUCKETS;
 use eris_sync::cell::UnsafeCell;
@@ -79,6 +83,7 @@ pub struct ExemplarTable {
 // SAFETY: slot payloads are only read/written under the per-slot
 // sequence protocol; torn reads are detected and discarded.
 unsafe impl Sync for ExemplarTable {}
+// SAFETY: the table owns its slots; none of them is thread-bound.
 unsafe impl Send for ExemplarTable {}
 
 impl Default for ExemplarTable {

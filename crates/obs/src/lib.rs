@@ -34,8 +34,6 @@
 //! Identifiers cross this crate's boundary as raw integers (`u32`
 //! object/AEU ids, `u8` op tags); `eris-core` owns the typed wrappers.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod clock;
 pub mod event;
 pub mod exemplar;

@@ -30,6 +30,10 @@
 //! with `RUSTFLAGS="--cfg loom"` model-checks the exact shipping
 //! protocol (see the `loom_models` test module and DESIGN.md
 //! § Concurrency model).
+#![expect(
+    unsafe_code,
+    reason = "seqlock slots are read and written through raw pointers"
+)]
 
 use crate::event::Stamped;
 use crate::event::TraceEvent;
@@ -57,6 +61,7 @@ pub struct TraceRing {
 // SAFETY: slot payloads are only read/written under the per-slot
 // sequence protocol; torn reads are detected and discarded.
 unsafe impl Sync for TraceRing {}
+// SAFETY: the ring owns its slots; none of them is thread-bound.
 unsafe impl Send for TraceRing {}
 
 /// Accounting snapshot of one ring.

@@ -3,8 +3,10 @@
 //!
 //! Everything here is latch-free: credit consumption happens once per
 //! received command and the per-tenant counters once per decision, so
-//! this module must never take a lock (enforced by `cargo xtask lint`,
-//! rule R2).  The three protocols:
+//! this module must never take a lock (`cargo xtask analyze`, rule A4).
+//! It is written against the `eris-sync` facade, so a build with
+//! `RUSTFLAGS="--cfg loom"` model-checks both CAS protocols (see the
+//! `loom_models` test module).  The three protocols:
 //!
 //! * [`CreditWindow`] — bounded outstanding commands per connection.
 //!   The server consumes one credit per command it *reads* and regrants
@@ -23,7 +25,7 @@
 // atomic here is its own ground truth (credit/token words updated by
 // CAS, monotonic telemetry counters); no other memory is published
 // through them, so no Acquire/Release pairing is needed.
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use eris_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
 /// A bounded credit window: at most `limit` commands outstanding.
 #[derive(Debug)]
@@ -548,5 +550,71 @@ mod proptests {
                 }
             }
         }
+    }
+}
+
+/// Model-checked interleaving exploration of the two admission CAS
+/// protocols.  Under a plain `cargo test` each model runs once on real
+/// threads; under `RUSTFLAGS="--cfg loom"` every schedule within the
+/// preemption bound is explored.  Run with
+/// `cargo test -p eris-server --lib loom_`.
+#[cfg(test)]
+mod loom_models {
+    use super::*;
+    use eris_sync::sync::Arc;
+    use eris_sync::{model, thread};
+
+    /// Two consumers race the regrant of a credit taken before they
+    /// started: `available` never leaves `[0, limit]`, the regrant gives
+    /// back exactly the one credit outstanding, and every credit is
+    /// accounted for (`available == limit - consumed + regranted`).
+    #[test]
+    fn loom_credit_window_consumers_racing_a_regrant_conserve_credits() {
+        model(|| {
+            let w = Arc::new(CreditWindow::new(2));
+            assert!(w.try_consume());
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let w = Arc::clone(&w);
+                    thread::spawn(move || {
+                        let got = w.try_consume();
+                        assert!(w.available() <= w.limit(), "window left its bounds");
+                        got
+                    })
+                })
+                .collect();
+            let granted = w.regrant(1);
+            assert!(w.available() <= w.limit(), "window left its bounds");
+            let consumed = consumers
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .filter(|&got| got)
+                .count() as u32;
+            assert_eq!(granted, 1, "the regrant returns exactly the credit taken");
+            assert_eq!(w.available(), w.limit() + granted - 1 - consumed);
+        });
+    }
+
+    /// Two takers race for 2 ops each from a bucket holding 3: exactly
+    /// one wins and the bucket keeps the op it did not spend — the
+    /// takers never spend more milli-ops than the bucket held.
+    #[test]
+    fn loom_token_bucket_takers_never_overspend() {
+        model(|| {
+            let b = Arc::new(TokenBucket::new(3, 0));
+            let takers: Vec<_> = (0..2)
+                .map(|_| {
+                    let b = Arc::clone(&b);
+                    thread::spawn(move || b.try_take(2, 0).is_ok())
+                })
+                .collect();
+            let won = takers
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .filter(|&ok| ok)
+                .count() as u32;
+            assert_eq!(won, 1, "3 ops cover one 2-op take, never two");
+            assert_eq!(b.level_ops(0), 3 - 2 * won);
+        });
     }
 }

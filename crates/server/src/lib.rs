@@ -13,8 +13,8 @@
 //!   around it, hardened against hostile bytes.
 //! * [`admission`] — credit windows (bounded outstanding commands per
 //!   connection; backpressure by withholding grants), per-tenant token
-//!   buckets, and the overload-shed decision.  Latch-free; linted as a
-//!   hot path.
+//!   buckets, and the overload-shed decision.  Latch-free, on the
+//!   `eris-sync` facade, loom-modelled; checked as a hot path.
 //! * [`transport`] — non-blocking byte transports behind one trait:
 //!   deterministic in-process loopback pipes and TCP.
 //! * [`server`] — [`EngineServer`], the batch-aligned serving core:
@@ -26,8 +26,6 @@
 //! * [`client`] — a small client mirroring the credit window locally.
 //! * [`tcp`] — the readiness-polling TCP listener loop and its idle rule
 //!   ([`IdleRule`]: spin while there is traffic, sleep when there is none).
-
-#![deny(unsafe_code)]
 
 pub mod admission;
 pub mod client;

@@ -10,13 +10,14 @@
 //! interleaving the preemption bound admits, without a test-only fork
 //! of the protocol code.
 //!
-//! Usage rules (enforced by `cargo xtask lint`):
-//! - crates ported to this facade must not import `std::sync::atomic`
-//!   directly in the ported modules;
+//! Usage rules:
+//! - a module that imports `eris_sync` must not also reach for
+//!   `std::sync::atomic`, `std::cell::UnsafeCell` or
+//!   `std::hint::spin_loop` outside its tests (`cargo xtask analyze`,
+//!   rule A5);
 //! - protocol data guarded by an atomic protocol goes through
 //!   [`cell::UnsafeCell`], whose accesses become scheduling points
 //!   under loom.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 /// Atomics and `Arc`.
 pub mod sync {

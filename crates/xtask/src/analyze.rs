@@ -1,14 +1,18 @@
-//! `cargo xtask analyze` — transitive hot-path rules over the
-//! conservative call graph (A1–A4).
+//! `cargo xtask analyze` — the one static-check pass (A0–A5).
 //!
+//! Every file of the call-graph universe is lexed and parsed once.
 //! Reachability starts at functions annotated `// HOT-PATH-ROOT:` and
 //! follows every call edge the name-based resolver admits (see
 //! `graph.rs`).  `// HOT-PATH-CUT:` marks a reviewed amortization or
 //! control-plane boundary: the cut function and everything only
-//! reachable through it are out of scope.
+//! reachable through it are out of scope.  Test code (from the first
+//! column-0 `#[cfg(test)]` on) is never checked.
 //!
-//! Rules over the reachable set:
-//!
+//! * **A0 inputs** — every file the lists name is one the pass loads (a
+//!   stale entry would switch its rules off without a word), and every
+//!   member manifest opts into the workspace lints (`[lints]` with
+//!   `workspace = true`), where rustc and clippy enforce the `unsafe`
+//!   rules.
 //! * **A1 panic-freedom** — no `unwrap`/`expect`, no panicking macro
 //!   (`panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`
 //!   family), no index/slice expression, unless a `// BOUNDS:` comment
@@ -18,16 +22,21 @@
 //!   `collect`, `format!`, `Box::new`, `to_vec`, …) unless the site
 //!   carries `// ALLOC-OK:` or the whole function is blessed with
 //!   `// ALLOC-OK(fn):` (reviewed warm-up/amortized allocation).
-//! * **A3 ordering-pairing** — in the hot-path files, every
+//! * **A3 ordering** — in the hot-path files, every `Ordering::` site
+//!   has an `// ordering:` comment within the lookback window, every
 //!   `Release`/`AcqRel` site names its paired acquire end via
 //!   `pairs-with: <label>` (comma-separated list, labels `[a-z0-9-]`),
-//!   and every named label must appear on both a release-side and an
+//!   and every named label appears on both a release-side and an
 //!   acquire-side line of the same file.
-//! * **A4 no-blocking-calls** — no `.lock()`, `Mutex`/`RwLock` usage,
-//!   `sleep`, `std::io`/`std::fs`/`std::net`/`std::process`, or stdout
-//!   printing reachable from a root.  Lock hits are excused only by the
-//!   file-level lock allowlist (shared with R2); io and sleep have no
-//!   escape hatch short of a reviewed `HOT-PATH-CUT`.
+//! * **A4 no-blocking** — no `.lock()`, `Mutex`/`RwLock` usage, `sleep`,
+//!   `std::io`/`std::fs`/`std::net`/`std::process`, or stdout printing
+//!   reachable from a root, and no `Mutex`/`RwLock` anywhere in a
+//!   hot-path file.  Lock hits are excused only by the file-level lock
+//!   allowlist; io and sleep have no escape hatch short of a reviewed
+//!   `HOT-PATH-CUT`.
+//! * **A5 facade** — a file that imports `eris_sync` uses no
+//!   `std::sync::atomic`, `std::cell::UnsafeCell` or
+//!   `std::hint::spin_loop`, which would silently escape loom.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -35,9 +44,10 @@ use std::process::ExitCode;
 
 use crate::graph::{FnMarks, Graph};
 use crate::lexer::{lex, Lexed};
-use crate::lint::has_comment_within_lookback;
 use crate::parser::{parse_fns, Call, CallKind, FnItem};
 use crate::{Violation, GRAPH_CRATES, HOT_PATHS, LOCK_ALLOWLIST, LOOKBACK};
+
+const RULES: &[&str] = &["A0", "A1", "A2", "A3", "A4", "A5"];
 
 const A1_MACROS: &[&str] = &[
     "panic",
@@ -77,21 +87,31 @@ const A4_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 const A4_IO_SUBSTRINGS: &[&str] = &["std::io::", "std::fs::", "std::net::", "std::process::"];
 const A4_LOCK_TYPES: &[&str] = &["Mutex", "RwLock"];
 
-/// Inputs of one analyzer run; the real tree and the self-check
-/// fixtures share every code path.
+const A5_FORBIDDEN: &[&str] = &[
+    "std::sync::atomic",
+    "std::cell::UnsafeCell",
+    "std::hint::spin_loop",
+];
+
+/// Inputs of one run; the real tree and the self-check fixtures share
+/// every code path.
 pub struct AnalyzeConfig {
-    /// The call-graph universe (library crates).
-    pub graph_files: Vec<PathBuf>,
-    /// Files under the A3 ordering-pairing audit.
-    pub a3_files: Vec<PathBuf>,
-    /// Files allowed to hold locks (shared with R2).
+    /// Directories whose `.rs` files form the call-graph universe.
+    pub graph_dirs: Vec<PathBuf>,
+    /// Files under A3 and the file-wide lock ban of A4.
+    pub hot_paths: Vec<PathBuf>,
+    /// Files allowed to hold locks.
     pub lock_allowlist: Vec<PathBuf>,
+    /// Member manifests that must opt into the workspace lints.
+    pub manifests: Vec<PathBuf>,
 }
 
 /// One lexed + parsed source file with per-fn annotation marks.
 pub struct LoadedFile {
     pub path: PathBuf,
     pub lexed: Lexed,
+    /// First line of test code (`usize::MAX` when there is none).
+    pub cut: usize,
     pub fns: Vec<FnItem>,
     pub marks: Vec<FnMarks>,
 }
@@ -105,6 +125,7 @@ pub fn load_file(path: &Path) -> Option<LoadedFile> {
     Some(LoadedFile {
         path: path.to_path_buf(),
         lexed,
+        cut,
         fns,
         marks,
     })
@@ -145,41 +166,78 @@ fn fn_marks(lexed: &Lexed, item: &FnItem) -> FnMarks {
     marks
 }
 
-/// The heart of the analyzer: build the graph, walk from the roots,
-/// apply A1/A2/A4 to every reachable function, and audit A3 pairings.
+/// True when a comment containing `marker` sits on `idx` or within the
+/// lookback window above it.  Searches comment text only.
+fn has_comment_within_lookback(comments: &[String], idx: usize, marker: &str) -> bool {
+    let start = idx.saturating_sub(LOOKBACK);
+    let end = idx.min(comments.len().saturating_sub(1));
+    comments[start..=end].iter().any(|c| c.contains(marker))
+}
+
+/// Violations, each reported once per (file, line, rule, key): the
+/// reachable-fn and file-wide halves of A4 can hit the same line.
+#[derive(Default)]
+struct Report {
+    seen: HashSet<(PathBuf, usize, &'static str, String)>,
+    out: Vec<Violation>,
+}
+
+impl Report {
+    fn push(&mut self, rule: &'static str, file: &Path, line0: usize, key: &str, message: String) {
+        if self
+            .seen
+            .insert((file.to_path_buf(), line0, rule, key.to_string()))
+        {
+            self.out.push(Violation {
+                rule,
+                file: file.to_path_buf(),
+                line: line0 + 1,
+                message,
+            });
+        }
+    }
+}
+
+/// The heart of the analyzer: load every file once, check the inputs,
+/// walk the graph from the roots applying A1/A2/A4 to every reachable
+/// function, then apply the per-file rules.
 pub fn run_analyze_with(config: &AnalyzeConfig) -> (Vec<Violation>, AnalyzeStats) {
-    let files: Vec<LoadedFile> = config
-        .graph_files
-        .iter()
-        .filter_map(|p| load_file(p))
-        .collect();
+    let mut report = Report::default();
+    let mut paths = Vec::new();
+    for dir in &config.graph_dirs {
+        if !dir.is_dir() {
+            report.push("A0", dir, 0, "", "listed directory does not exist".into());
+        }
+        crate::collect_rs_files(dir, &mut paths);
+    }
+    paths.sort();
+    let files: Vec<LoadedFile> = paths.iter().filter_map(|p| load_file(p)).collect();
+    for path in config.hot_paths.iter().chain(&config.lock_allowlist) {
+        if !files.iter().any(|f| f.path == *path) {
+            let msg = "listed file is not in the analyzed tree, so its rules are off";
+            report.push("A0", path, 0, "", msg.into());
+        }
+    }
+    for manifest in &config.manifests {
+        if !opts_into_workspace_lints(manifest) {
+            let msg = "member does not opt into the workspace lints (`[lints] workspace = true`)";
+            report.push("A0", manifest, 0, "", msg.into());
+        }
+    }
+
     let graph = Graph::new(
         files.iter().map(|f| f.fns.iter().collect()).collect(),
         files.iter().map(|f| f.marks.clone()).collect(),
     );
     let (reachable, cuts) = graph.reachable();
-
-    let mut out = Vec::new();
-    let mut dedup: HashSet<(usize, usize, &'static str, String)> = HashSet::new();
     for &(fi, ii) in &reachable {
         let file = &files[fi];
-        let item = &file.fns[ii];
-        let marks = &file.marks[ii];
-        check_fn(fi, file, item, marks, config, &mut dedup, &mut out);
+        check_fn(file, &file.fns[ii], &file.marks[ii], config, &mut report);
     }
     for file in &files {
-        if config.a3_files.contains(&file.path) {
-            check_a3(file, &mut out);
-        }
+        check_file(file, config, &mut report);
     }
-    // A3 files outside the graph universe (fixture runs).
-    for path in &config.a3_files {
-        if !files.iter().any(|f| f.path == *path) {
-            if let Some(file) = load_file(path) {
-                check_a3(&file, &mut out);
-            }
-        }
-    }
+    let mut out = report.out;
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     let stats = AnalyzeStats {
         files: files.len(),
@@ -197,35 +255,28 @@ pub struct AnalyzeStats {
     pub cuts: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_once(
-    dedup: &mut HashSet<(usize, usize, &'static str, String)>,
-    out: &mut Vec<Violation>,
-    file_idx: usize,
-    rule: &'static str,
-    file: &Path,
-    line0: usize,
-    key: String,
-    message: String,
-) {
-    if dedup.insert((file_idx, line0, rule, key)) {
-        out.push(Violation {
-            rule,
-            file: file.to_path_buf(),
-            line: line0 + 1,
-            message,
-        });
+/// True when `manifest` has a `[lints]` table with `workspace = true`.
+fn opts_into_workspace_lints(manifest: &Path) -> bool {
+    let Ok(text) = std::fs::read_to_string(manifest) else {
+        return false;
+    };
+    let mut in_lints = false;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
     }
+    false
 }
 
 fn check_fn(
-    fidx: usize,
     file: &LoadedFile,
     item: &FnItem,
     marks: &FnMarks,
     config: &AnalyzeConfig,
-    dedup: &mut HashSet<(usize, usize, &'static str, String)>,
-    out: &mut Vec<Violation>,
+    report: &mut Report,
 ) {
     let lock_allowed = config.lock_allowlist.contains(&file.path);
     let qual = item.qualified();
@@ -237,14 +288,11 @@ fn check_fn(
     for call in &item.calls {
         if let Some(kind_word) = a1_call(call) {
             if !bounds_ok(call.line) {
-                push_once(
-                    dedup,
-                    out,
-                    fidx,
+                report.push(
                     "A1",
                     &file.path,
                     call.line,
-                    call.name.clone(),
+                    &call.name,
                     format!(
                         "{kind_word} `{}` reachable from a hot-path root (in \
                          `{qual}`) with no `// BOUNDS:` justification within \
@@ -257,14 +305,11 @@ fn check_fn(
         if !marks.alloc_ok_fn {
             if let Some(kind_word) = a2_call(call) {
                 if !alloc_ok(call.line) {
-                    push_once(
-                        dedup,
-                        out,
-                        fidx,
+                    report.push(
                         "A2",
                         &file.path,
                         call.line,
-                        call.name.clone(),
+                        &call.name,
                         format!(
                             "{kind_word} `{}` reachable from a hot-path root \
                              (in `{qual}`) with no `// ALLOC-OK:` \
@@ -278,14 +323,11 @@ fn check_fn(
         if let Some(kind_word) = a4_call(call) {
             let excused = call.name == "lock" && lock_allowed;
             if !excused {
-                push_once(
-                    dedup,
-                    out,
-                    fidx,
+                report.push(
                     "A4",
                     &file.path,
                     call.line,
-                    call.name.clone(),
+                    &call.name,
                     format!(
                         "{kind_word} `{}` reachable from a hot-path root (in \
                          `{qual}`) — blocking is not allowed on latch-free \
@@ -300,14 +342,11 @@ fn check_fn(
 
     for &line in &item.index_sites {
         if !bounds_ok(line) {
-            push_once(
-                dedup,
-                out,
-                fidx,
+            report.push(
                 "A1",
                 &file.path,
                 line,
-                "[index]".into(),
+                "[index]",
                 format!(
                     "index expression reachable from a hot-path root (in \
                      `{qual}`) with no `// BOUNDS:` justification within \
@@ -321,37 +360,27 @@ fn check_fn(
     let (b0, b1) = item.body;
     for line in b0..=b1.min(file.lexed.code.len().saturating_sub(1)) {
         let code = &file.lexed.code[line];
-        for s in A4_IO_SUBSTRINGS {
-            if code.contains(s) {
-                push_once(
-                    dedup,
-                    out,
-                    fidx,
+        for s in A4_IO_SUBSTRINGS.iter().filter(|s| code.contains(*s)) {
+            report.push(
+                "A4",
+                &file.path,
+                line,
+                s,
+                format!("`{s}` usage reachable from a hot-path root (in `{qual}`)"),
+            );
+        }
+        if !lock_allowed {
+            for s in A4_LOCK_TYPES.iter().filter(|s| code.contains(*s)) {
+                report.push(
                     "A4",
                     &file.path,
                     line,
-                    (*s).into(),
-                    format!("`{s}` usage reachable from a hot-path root (in `{qual}`)"),
+                    s,
+                    format!(
+                        "`{s}` usage reachable from a hot-path root (in \
+                         `{qual}`) — latch-free paths must not touch locks"
+                    ),
                 );
-            }
-        }
-        if !lock_allowed {
-            for s in A4_LOCK_TYPES {
-                if code.contains(s) {
-                    push_once(
-                        dedup,
-                        out,
-                        fidx,
-                        "A4",
-                        &file.path,
-                        line,
-                        (*s).into(),
-                        format!(
-                            "`{s}` usage reachable from a hot-path root (in \
-                             `{qual}`) — latch-free paths must not touch locks"
-                        ),
-                    );
-                }
             }
         }
     }
@@ -368,9 +397,7 @@ fn a1_call(call: &Call) -> Option<&'static str> {
 fn a2_call(call: &Call) -> Option<&'static str> {
     match &call.kind {
         CallKind::Macro if A2_MACROS.contains(&call.name.as_str()) => Some("allocating macro"),
-        CallKind::Method if A2_NAMES.contains(&call.name.as_str()) => Some("allocating call"),
-        CallKind::Path(q) if A2_NAMES.contains(&call.name.as_str()) => {
-            let _ = q;
+        CallKind::Method | CallKind::Path(_) if A2_NAMES.contains(&call.name.as_str()) => {
             Some("allocating call")
         }
         CallKind::Path(q) if call.name == "new" && A2_NEW_QUALS.contains(&q.as_str()) => {
@@ -392,16 +419,74 @@ fn a4_call(call: &Call) -> Option<&'static str> {
     }
 }
 
-/// A3: every release-side ordering names its acquire end, and every
-/// named label has both ends in the file.
-fn check_a3(file: &LoadedFile, out: &mut Vec<Violation>) {
+/// The per-file rules: A3 and the lock ban of A4 on the hot-path files,
+/// A5 on every file that imports `eris_sync` (in its tests or not).
+fn check_file(file: &LoadedFile, config: &AnalyzeConfig, report: &mut Report) {
+    let hot = config.hot_paths.contains(&file.path);
+    if hot {
+        check_a3(file, report);
+    }
+    let lock_ban = hot && !config.lock_allowlist.contains(&file.path);
+    let facade = file.lexed.code.iter().any(|l| l.contains("eris_sync"));
+    for (line, code) in file.lexed.code.iter().enumerate().take(file.cut) {
+        if lock_ban {
+            for s in A4_LOCK_TYPES.iter().filter(|s| code.contains(*s)) {
+                report.push(
+                    "A4",
+                    &file.path,
+                    line,
+                    s,
+                    format!(
+                        "`{s}` in a hot-path file (allowlist the file in \
+                         xtask with a reason if this is control-plane): `{}`",
+                        code.trim()
+                    ),
+                );
+            }
+        }
+        if facade {
+            for s in A5_FORBIDDEN.iter().filter(|s| code.contains(*s)) {
+                report.push(
+                    "A5",
+                    &file.path,
+                    line,
+                    s,
+                    format!(
+                        "`{s}` bypasses the eris-sync facade (and loom): `{}`",
+                        code.trim()
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// A3: every ordering choice is justified, every release-side ordering
+/// names its acquire end, and every named label has both ends in the
+/// file.
+fn check_a3(file: &LoadedFile, report: &mut Report) {
     let code = &file.lexed.code;
     let comments = &file.lexed.comments;
     // (label, line) per side.
     let mut release_labels: Vec<(String, usize)> = Vec::new();
     let mut acquire_labels: Vec<(String, usize)> = Vec::new();
 
-    for (idx, line) in code.iter().enumerate() {
+    for (idx, line) in code.iter().enumerate().take(file.cut) {
+        if line.contains("Ordering::")
+            && !has_comment_within_lookback(comments, idx, "// ordering:")
+        {
+            report.push(
+                "A3",
+                &file.path,
+                idx,
+                "ordering",
+                format!(
+                    "`Ordering::` with no `// ordering:` comment within \
+                     {LOOKBACK} lines: `{}`",
+                    line.trim()
+                ),
+            );
+        }
         let is_release = line.contains("Ordering::Release") || line.contains("Ordering::AcqRel");
         let is_acquire = line.contains("Ordering::Acquire") || line.contains("Ordering::AcqRel");
         if !is_release && !is_acquire {
@@ -410,16 +495,17 @@ fn check_a3(file: &LoadedFile, out: &mut Vec<Violation>) {
         let labels = pair_labels_in_window(comments, idx);
         if is_release {
             if labels.is_empty() {
-                out.push(Violation {
-                    rule: "A3",
-                    file: file.path.clone(),
-                    line: idx + 1,
-                    message: format!(
+                report.push(
+                    "A3",
+                    &file.path,
+                    idx,
+                    "pairs-with",
+                    format!(
                         "release-side ordering with no `pairs-with:` label \
                          within {LOOKBACK} lines: `{}`",
                         line.trim()
                     ),
-                });
+                );
             }
             for l in &labels {
                 release_labels.push((l.clone(), idx));
@@ -437,28 +523,30 @@ fn check_a3(file: &LoadedFile, out: &mut Vec<Violation>) {
     let mut reported: HashSet<&String> = HashSet::new();
     for (label, line) in &release_labels {
         if !acq_set.contains(label) && reported.insert(label) {
-            out.push(Violation {
-                rule: "A3",
-                file: file.path.clone(),
-                line: line + 1,
-                message: format!(
+            report.push(
+                "A3",
+                &file.path,
+                *line,
+                label,
+                format!(
                     "pairing label `{label}` has a release side but no \
                      acquire side in this file"
                 ),
-            });
+            );
         }
     }
     for (label, line) in &acquire_labels {
         if !rel_set.contains(label) && reported.insert(label) {
-            out.push(Violation {
-                rule: "A3",
-                file: file.path.clone(),
-                line: line + 1,
-                message: format!(
+            report.push(
+                "A3",
+                &file.path,
+                *line,
+                label,
+                format!(
                     "pairing label `{label}` has an acquire side but no \
                      release side in this file"
                 ),
-            });
+            );
         }
     }
 }
@@ -498,24 +586,33 @@ fn pair_labels_in_window(comments: &[String], idx: usize) -> Vec<String> {
     out
 }
 
-/// Real-tree configuration: graph over the library crates, A3 over the
-/// hot-path files, lock allowlist shared with R2.
+/// Real-tree configuration: the graph over the library crates, the
+/// hot-path and lock lists, and every member under `crates/` plus the
+/// loom shim (the other shims stand in for external crates and keep
+/// their own lint policy).
 fn tree_config(root: &Path) -> AnalyzeConfig {
-    let mut graph_files = Vec::new();
-    for c in GRAPH_CRATES {
-        crate::collect_rs_files(&root.join(c).join("src"), &mut graph_files);
-    }
-    graph_files.sort();
+    let mut manifests: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.path().join("Cargo.toml"))
+        .filter(|p| p.exists())
+        .collect();
+    manifests.push(root.join("shims/loom/Cargo.toml"));
+    manifests.sort();
     AnalyzeConfig {
-        graph_files,
-        a3_files: HOT_PATHS.iter().map(|p| root.join(p)).collect(),
+        graph_dirs: GRAPH_CRATES
+            .iter()
+            .map(|c| root.join(c).join("src"))
+            .collect(),
+        hot_paths: HOT_PATHS.iter().map(|p| root.join(p)).collect(),
         lock_allowlist: LOCK_ALLOWLIST.iter().map(|(p, _)| root.join(p)).collect(),
+        manifests,
     }
 }
 
 pub fn run_analyze(root: &Path) -> ExitCode {
-    let config = tree_config(root);
-    let (violations, stats) = run_analyze_with(&config);
+    let (violations, stats) = run_analyze_with(&tree_config(root));
     if violations.is_empty() {
         println!(
             "static analysis: {} roots, {} reachable fns ({} cut boundaries) \
@@ -541,24 +638,28 @@ pub fn run_analyze(root: &Path) -> ExitCode {
     }
 }
 
-/// Mutation-test the rules: every A-rule must fire on the seeded
-/// fixture crate with exactly the seeded counts, and the negative
-/// controls (unreachable, cut, justified) must stay silent — any
-/// over-fire breaks the exact-count match just like a dead rule does.
+/// Mutation-test the rules: every rule must fire on the seeded fixtures
+/// with exactly the seeded counts, and the negative controls
+/// (unreachable, cut, justified, test code, a compliant manifest) must
+/// stay silent — any over-fire breaks the exact-count match just like a
+/// dead rule does.
 pub fn run_analyze_self_check(root: &Path) -> ExitCode {
-    let fixtures = root.join("crates/xtask/fixtures/analyze_crate");
-    let hot = fixtures.join("hot.rs");
-    let ordering = fixtures.join("ordering.rs");
+    let fixtures = root.join("crates/xtask/fixtures");
     let config = AnalyzeConfig {
-        graph_files: vec![hot.clone()],
-        a3_files: vec![ordering.clone()],
+        graph_dirs: vec![fixtures.clone()],
+        // `missing.rs` does not exist: the seeded stale list entry.
+        hot_paths: vec![fixtures.join("hot_file.rs"), fixtures.join("missing.rs")],
         lock_allowlist: vec![],
+        manifests: vec![
+            fixtures.join("member.toml"),
+            fixtures.join("member_ok.toml"),
+        ],
     };
     let (violations, stats) = run_analyze_with(&config);
     let mut failed = false;
-    for rule in ["A1", "A2", "A3", "A4"] {
+    for &rule in RULES {
         let n = violations.iter().filter(|v| v.rule == rule).count();
-        let seeded = crate::seeded_count(rule, &[&hot, &ordering]);
+        let seeded = seeded_count(rule, &fixtures);
         if n == seeded && n > 0 {
             println!("self-check {rule}: {n}/{seeded} seeded violations caught");
         } else {
@@ -579,9 +680,32 @@ pub fn run_analyze_self_check(root: &Path) -> ExitCode {
         }
         ExitCode::FAILURE
     } else {
-        println!("self-check: all analyzer rules fire on the seeded fixtures");
+        println!("self-check: every rule fires on the seeded fixtures");
         ExitCode::SUCCESS
     }
+}
+
+/// Fixtures carry a manifest of their own seeded violations as
+/// `// seed: A<N>` (or, in TOML, `# seed: A<N>`) lines, one per expected
+/// hit, so the expected counts live next to what triggers them.
+fn seeded_count(rule: &str, dir: &Path) -> usize {
+    let seed_of = |line: &str| {
+        let l = line.trim_start();
+        let body = l.strip_prefix("//").or_else(|| l.strip_prefix('#'))?;
+        let seed = body.trim_start().strip_prefix("seed: ")?;
+        seed.split_whitespace().next().map(str::to_string)
+    };
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| std::fs::read_to_string(e.path()).ok())
+        .map(|text| {
+            text.lines()
+                .filter(|l| seed_of(l).as_deref() == Some(rule))
+                .count()
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   rules (`Ordering::`, `Mutex`, …) only ever match real code;
 //! * `comments[i]` — the comment text that covers line `i` (line
 //!   comments, doc comments, and each line of a block comment), so
-//!   justification markers (`// ordering:`, `// SAFETY:`, `BOUNDS:`)
+//!   justification markers (`// ordering:`, `BOUNDS:`, `ALLOC-OK:`)
 //!   only ever match real comments;
 //! * `tokens`    — identifiers and punctuation with line numbers, for
 //!   the item parser and call-graph extraction.

@@ -8,7 +8,7 @@
 //! headers, `fn` signatures, call forms (`f(..)`, `x.m(..)`,
 //! `T::f(..)`, `m!(..)`, turbofish), and `expr[..]` index sites — and
 //! is conservative everywhere else.  Soundness caveats are documented
-//! in DESIGN.md § Static analysis.
+//! in DESIGN.md § Static checks.
 
 use crate::lexer::{Lexed, Tok, TokKind};
 

@@ -2,6 +2,7 @@
 //! genuine interleaving bugs (a lost update, a torn two-word read) and
 //! must *pass* correct protocols after exploring every schedule within
 //! the preemption bound.
+#![expect(unsafe_code, reason = "deliberately racy cells the checker must catch")]
 
 use loom::cell::UnsafeCell;
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,6 +57,7 @@ struct Pair(UnsafeCell<u64>, UnsafeCell<u64>);
 // SAFETY: test fixture; deliberately unsound sharing — the model is
 // expected to catch the resulting tear.
 unsafe impl Sync for Pair {}
+// SAFETY: the cells hold plain `u64`s; nothing is thread-bound.
 unsafe impl Send for Pair {}
 
 /// A writer updating two cells with no protocol can be observed
@@ -72,10 +74,13 @@ fn finds_a_torn_two_word_read() {
             // model is expected to catch the tear.
             p2.0.with_mut(|a| unsafe { *a = 7 });
             r2.store(true, Ordering::Relaxed);
+            // SAFETY: as above — the unsynchronized second write.
             p2.1.with_mut(|b| unsafe { *b = 7 });
         });
         if ready.load(Ordering::Relaxed) {
+            // SAFETY: test fixture; reads race the writer on purpose.
             let a = pair.0.with(|a| unsafe { *a });
+            // SAFETY: as above.
             let b = pair.1.with(|b| unsafe { *b });
             assert_eq!(a, b, "torn read observed");
         }

@@ -575,18 +575,4 @@ fn snapshot_renders_text_and_json() {
     let text = snap.to_string();
     assert!(text.contains("telemetry:"), "text render: {text}");
     assert!(text.contains("routed"), "text render: {text}");
-    let json = snap.to_json();
-    assert!(json.contains("\"commands_routed\""), "json render: {json}");
-    assert!(json.contains("\"per_aeu\""), "json render: {json}");
-    // JSON stays balanced (cheap structural sanity without a parser).
-    assert_eq!(
-        json.matches('{').count(),
-        json.matches('}').count(),
-        "balanced braces"
-    );
-    assert_eq!(
-        json.matches('[').count(),
-        json.matches(']').count(),
-        "balanced brackets"
-    );
 }
