@@ -3,7 +3,9 @@
 //! The paper computes misses / requests from the AMD hardware counters
 //! while running lookups against ERIS and the shared index at different
 //! index sizes.  Here the MESIF cache simulator replays the *actual* node
-//! paths of lookups (via `trace_path`) against the per-node LLCs.
+//! paths of lookups (via `trace_path`) against the per-node LLCs.  Both
+//! sides are the same `PrefixTree` layout and trace the same reads; the
+//! shared index differs only in being one tree that every node walks.
 //!
 //! Scale model: a tree of `real × s` keys against a cache of `C` bytes has
 //! the same miss ratio as a tree of `real` keys against `C / s` bytes, so
@@ -12,7 +14,7 @@
 
 use super::driver::XorShift;
 use crate::{fmt_size, TextTable};
-use eris_index::{PrefixTree, PrefixTreeConfig, SharedPrefixTree};
+use eris_index::{PrefixTree, PrefixTreeConfig};
 use eris_numa::{CacheConfig, CacheSim, NodeId, Topology};
 
 pub struct Row {
@@ -21,20 +23,14 @@ pub struct Row {
     pub shared_miss_ratio: f64,
 }
 
-/// Build per-AEU ERIS trees: `aeus` partitions of `real/aeus` keys each,
-/// at well-separated synthetic bases.
-fn build_eris_trees(real: u64, aeus: usize, cfg: PrefixTreeConfig) -> Vec<PrefixTree> {
-    let per = real / aeus as u64;
-    (0..aeus)
-        .map(|a| {
-            let mut t = PrefixTree::with_config(cfg, (a as u64) << 36);
-            let lo = a as u64 * per;
-            for k in lo..lo + per {
-                t.upsert(k, k);
-            }
-            t
-        })
-        .collect()
+/// A tree of the keys `lo..hi`, inserted one by one, at synthetic base
+/// `base`.
+fn build_tree(cfg: PrefixTreeConfig, base: u64, lo: u64, hi: u64) -> PrefixTree {
+    let mut t = PrefixTree::with_config(cfg, base);
+    for k in lo..hi {
+        t.upsert(k, k);
+    }
+    t
 }
 
 /// Replay lookups through the cache simulator; returns the miss ratio.
@@ -70,29 +66,33 @@ fn simulate(
 }
 
 pub fn sweep(quick: bool) -> Vec<Row> {
+    if quick {
+        sweep_at(1 << 16, 20_000, &[16 << 20, 2 << 30])
+    } else {
+        let sizes = [16 << 20, 64 << 20, 256 << 20, 1 << 30, 2 << 30];
+        sweep_at(1 << 20, 150_000, &sizes)
+    }
+}
+
+/// One row per entry of `sizes`: trees of `real` keys, `lookups` replayed
+/// per phase and side.  ERIS is one tree per AEU (core) over its key range,
+/// looked up from the AEU's node; the shared index is the same tree built
+/// once over all keys, looked up from any node.
+pub fn sweep_at(real: u64, lookups: u64, sizes: &[u64]) -> Vec<Row> {
     let topo = eris_numa::amd_machine();
     let cfg = PrefixTreeConfig::new(8, 32);
-    let real: u64 = if quick { 1 << 16 } else { 1 << 20 };
     let aeus = topo.num_cores();
     let nodes = topo.num_nodes() as u64;
     let aeus_per_node = aeus / topo.num_nodes();
     let llc = topo.node_spec(NodeId(0)).llc_mib as u64 * 1048576;
-    let lookups: u64 = if quick { 20_000 } else { 150_000 };
+    let per = real / aeus as u64;
 
-    let eris_trees = build_eris_trees(real, aeus, cfg);
-    let shared = {
-        let t = SharedPrefixTree::new(cfg, 0);
-        for k in 0..real {
-            t.upsert(k, k);
-        }
-        t
-    };
+    // Well-separated synthetic bases, one per partition.
+    let eris_trees: Vec<PrefixTree> = (0..aeus as u64)
+        .map(|a| build_tree(cfg, a << 36, a * per, (a + 1) * per))
+        .collect();
+    let shared = build_tree(cfg, 0, 0, real);
 
-    let sizes: &[u64] = if quick {
-        &[16 << 20, 2 << 30]
-    } else {
-        &[16 << 20, 64 << 20, 256 << 20, 1 << 30, 2 << 30]
-    };
     sizes
         .iter()
         .map(|&keys| {
@@ -100,7 +100,6 @@ pub fn sweep(quick: bool) -> Vec<Row> {
             let scaled_llc = (llc / scale).max(16 * 1024);
             let eris = simulate(&topo, scaled_llc, lookups, |rng, trace| {
                 let a = rng.below(aeus as u64) as usize;
-                let per = real / aeus as u64;
                 let key = a as u64 * per + rng.below(per);
                 eris_trees[a].trace_path(key, trace);
                 NodeId((a / aeus_per_node) as u16)

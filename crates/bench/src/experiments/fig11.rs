@@ -7,11 +7,12 @@
 //! while 97% of ERIS hits land on `Modified`/`Exclusive` lines.
 //!
 //! Reproduced with the MESIF simulator: a mixed upsert+lookup stream over
-//! per-AEU trees (ERIS) versus one shared tree accessed from every node.
+//! per-AEU trees (ERIS) versus one shared instance of the same tree
+//! accessed from every node.
 
 use super::driver::XorShift;
 use crate::TextTable;
-use eris_index::{PrefixTree, PrefixTreeConfig, SharedPrefixTree};
+use eris_index::{PrefixTree, PrefixTreeConfig};
 use eris_numa::{CacheConfig, CacheSim, NodeId};
 
 pub struct Shares {
@@ -91,7 +92,7 @@ pub fn run_measurement(quick: bool) -> Result {
     let eris = shares(&sim);
 
     // Shared index: every node walks the same tree.
-    let tree = SharedPrefixTree::new(cfg, 0);
+    let mut tree = PrefixTree::with_config(cfg, 0);
     for k in 0..real {
         tree.upsert(k, k);
     }

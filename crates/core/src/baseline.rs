@@ -1,9 +1,13 @@
 //! The NUMA-agnostic baselines of Section 4.
 //!
-//! * [`SharedIndexBench`] — one shared prefix tree, synchronized purely
-//!   with atomic instructions, memory interleaved across all nodes (the
-//!   paper runs it under `numactl --interleave=all`).  Worker threads
-//!   operate on the tree directly — no partitioning, no routing.
+//! * [`SharedIndexBench`] — one shared instance of the engine's own
+//!   [`PrefixTree`], memory interleaved across all nodes (the paper runs it
+//!   under `numactl --interleave=all`).  Workers operate on the tree
+//!   directly — no partitioning, no routing.  The simulated workers run
+//!   one after another on the host thread, so the tree needs no
+//!   synchronization of its own; what the paper's atomic instructions cost
+//!   is charged by the cost model ([`CostParams::shared_cas_ns`] per upsert,
+//!   [`CostParams::shared_coherence_factor`] on every miss).
 //! * [`SharedScanBench`] — parallel threads scanning one column whose
 //!   segments are placed on a single node (*Single RAM*) or interleaved
 //!   (*Interleaved*), the two naive allocation strategies of Figure 9.
@@ -15,7 +19,7 @@
 
 use crate::cost::{expected_tree_misses, CostParams};
 use eris_column::{Column, Predicate, Segment};
-use eris_index::{PrefixTreeConfig, SharedPrefixTree};
+use eris_index::{PrefixTree, PrefixTreeConfig};
 use eris_mem::{MemoryManager, Policy};
 use eris_numa::{CostModel, Flow, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
 use rand::rngs::StdRng;
@@ -42,13 +46,12 @@ impl PhaseResult {
     }
 }
 
-/// The shared-index baseline: same prefix tree, no partitioning, atomic
-/// synchronization, interleaved memory.
+/// The shared-index baseline: same prefix tree, no partitioning, charged
+/// atomic synchronization, interleaved memory.
 pub struct SharedIndexBench {
     topo: Arc<Topology>,
     params: CostParams,
-    tree: SharedPrefixTree,
-    tree_cfg: PrefixTreeConfig,
+    tree: PrefixTree,
     /// One worker per core; workers[i] runs on node `worker_nodes[i]`.
     worker_nodes: Vec<NodeId>,
     /// Virtual keys the index models (real keys × scale).
@@ -74,8 +77,7 @@ impl SharedIndexBench {
         let counters = HwCounters::new(&topo);
         SharedIndexBench {
             params,
-            tree: SharedPrefixTree::new(tree_cfg, 0),
-            tree_cfg,
+            tree: PrefixTree::with_config(tree_cfg, 0),
             worker_nodes,
             model_keys: real_keys * size_scale,
             real_keys,
@@ -116,12 +118,10 @@ impl SharedIndexBench {
     fn run_phase(&mut self, virtual_secs: f64, upsert: bool) -> PhaseResult {
         let end = self.clock.now_secs() + virtual_secs;
         let mut ops = 0u64;
-        let misses = expected_tree_misses(
-            self.model_keys.max(1),
-            self.tree_cfg,
-            self.effective_cache_bytes(),
-        );
-        let levels = self.tree_cfg.levels() as f64;
+        let cfg = self.tree.config();
+        let misses =
+            expected_tree_misses(self.model_keys.max(1), cfg, self.effective_cache_bytes());
+        let levels = cfg.levels() as f64;
         let num_nodes = self.topo.num_nodes() as u64;
         while self.clock.now_secs() < end {
             // One epoch: every worker executes one real batch.
@@ -199,7 +199,7 @@ impl SharedIndexBench {
     }
 
     /// The shared tree (tests).
-    pub fn tree(&self) -> &SharedPrefixTree {
+    pub fn tree(&self) -> &PrefixTree {
         &self.tree
     }
 }

@@ -86,35 +86,10 @@ impl Default for CostParams {
     }
 }
 
-/// Expected node bytes of a dense-domain prefix tree, level by level
-/// (root first).  Inner nodes are `fanout` u32 children; the leaf level is
-/// `fanout` u64 values plus a presence bitmap.
-pub fn tree_level_bytes(keys: u64, cfg: PrefixTreeConfig) -> Vec<f64> {
-    let levels = cfg.levels() as i64;
-    let fanout = cfg.fanout() as f64;
-    let keys = keys as f64;
-    (0..levels)
-        .map(|l| {
-            // With keys dense in [0, keys), the number of occupied nodes at
-            // level l is keys / fanout^(levels-l), capped by the level's
-            // structural width fanout^l (and at least one node).
-            let by_keys = keys / fanout.powi((levels - l) as i32);
-            let by_width = fanout.powi(l as i32);
-            let nodes = by_keys.min(by_width).max(1.0);
-            let node_bytes = if l == levels - 1 {
-                fanout * 8.0 + fanout / 8.0
-            } else {
-                fanout * 4.0
-            };
-            nodes * node_bytes
-        })
-        // ALLOC-OK: one small Vec (one entry per tree level) per cost
-        // model evaluation, at batch grouping time — not per key.
-        .collect()
-}
-
 /// Expected LLC misses per lookup for a tree of `keys` dense keys when
-/// `cache_bytes` of LLC are effectively available to it.
+/// `cache_bytes` of LLC are effectively available to it.  The level sizes
+/// are the tree's own ([`PrefixTreeConfig::dense_level_bytes`]), checked
+/// against a built tree below.
 ///
 /// Greedy top-down residency: hot levels (touched by *every* lookup) occupy
 /// the cache first; a partially resident level misses with the uncovered
@@ -124,7 +99,7 @@ pub fn tree_level_bytes(keys: u64, cfg: PrefixTreeConfig) -> Vec<f64> {
 pub fn expected_tree_misses(keys: u64, cfg: PrefixTreeConfig, cache_bytes: f64) -> f64 {
     let mut budget = cache_bytes;
     let mut misses = 0.0;
-    for bytes in tree_level_bytes(keys, cfg) {
+    for bytes in cfg.dense_level_bytes(keys) {
         if budget >= bytes {
             budget -= bytes;
         } else if budget > 0.0 {
@@ -156,17 +131,10 @@ pub fn expected_hash_misses(keys: u64, cache_bytes: f64) -> f64 {
     AVG_PROBES * (1.0 - resident)
 }
 
-/// Expected miss *ratio* (misses / L3 requests) per lookup: every level
-/// touch is an L3 request once it leaves L1/L2; the model treats all level
-/// touches as L3 requests, matching how Figure 10 normalizes.
-pub fn expected_miss_ratio(keys: u64, cfg: PrefixTreeConfig, cache_bytes: f64) -> f64 {
-    let levels = cfg.levels() as f64;
-    expected_tree_misses(keys, cfg, cache_bytes) / levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eris_index::PrefixTree;
 
     fn cfg() -> PrefixTreeConfig {
         PrefixTreeConfig::new(8, 64)
@@ -174,14 +142,35 @@ mod tests {
 
     #[test]
     fn level_bytes_grow_towards_leaves() {
-        let lv = tree_level_bytes(1 << 30, cfg());
+        let lv: Vec<f64> = cfg().dense_level_bytes(1 << 30).collect();
         assert_eq!(lv.len(), 8);
         for w in lv.windows(2) {
             assert!(w[0] <= w[1] * 1.01, "levels grow monotonically: {lv:?}");
         }
-        // Leaf level of a 2^30-key dense tree: 2^22 nodes x (2048+32) B.
-        let expected_leaf = (1u64 << 22) as f64 * (256.0 * 8.0 + 32.0);
+        // Leaf level of a 2^30-key dense tree: 2^22 leaves, each a 2048 B
+        // value block behind a descriptor and four presence words.
+        let expected_leaf = (1u64 << 22) as f64 * (256.0 * 8.0 + 40.0);
         assert!((lv[7] - expected_leaf).abs() / expected_leaf < 0.01);
+    }
+
+    #[test]
+    fn tree_level_bytes_match_a_built_tree() {
+        // A power of two and an odd size, bulk-loaded as the engine loads a
+        // partition, over a 32- and a 64-bit domain.
+        for key_bits in [32, 64] {
+            let cfg = PrefixTreeConfig::new(8, key_bits);
+            for n in [1u64 << 16, 100_003] {
+                let mut t = PrefixTree::with_config(cfg, 0);
+                t.upsert_batch(&(0..n).map(|k| (k, k)).collect::<Vec<_>>());
+                let built = t.memory_bytes() as f64;
+                let model: f64 = cfg.dense_level_bytes(n).sum();
+                let off = (model / built - 1.0).abs();
+                assert!(
+                    off < 0.05,
+                    "{key_bits}-bit, {n} keys: built {built} B, model {model} B"
+                );
+            }
+        }
     }
 
     #[test]
@@ -261,11 +250,5 @@ mod tests {
                 "{n} keys: built {built} B/key, model {HASH_BYTES_PER_KEY}"
             );
         }
-    }
-
-    #[test]
-    fn miss_ratio_is_normalized() {
-        let r = expected_miss_ratio(1 << 31, cfg(), 6.0 * (1 << 20) as f64);
-        assert!(r > 0.0 && r < 1.0);
     }
 }

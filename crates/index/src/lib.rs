@@ -10,10 +10,9 @@
 //!   order-preserving trie over fixed-width key digits with a configurable
 //!   prefix length (default 8 bit), supporting point and range operations,
 //!   splitting/merging for partition rebalancing, and flattening to a
-//!   sorted stream for inter-node *copy* transfers.
-//! * [`SharedPrefixTree`] — the NUMA-agnostic baseline: one shared tree
-//!   synchronized purely with atomic instructions (CAS child insertion),
-//!   latch-free readers.
+//!   sorted stream for inter-node *copy* transfers.  The NUMA-agnostic
+//!   baseline of Section 4 is one unpartitioned instance of the same tree
+//!   (`eris_core::baseline`).
 //! * [`CsbTree`] — a cache-sensitive B+-tree mapping range boundaries to
 //!   targets, used for the routing layer's range partition tables.
 //! * [`HashTable`] — a per-partition Robin-Hood hash table with a
@@ -26,9 +25,7 @@ pub mod csb_tree;
 pub mod hash_table;
 mod prefetch;
 pub mod prefix_tree;
-pub mod shared_tree;
 
 pub use csb_tree::CsbTree;
 pub use hash_table::HashTable;
 pub use prefix_tree::{PrefixTree, PrefixTreeConfig};
-pub use shared_tree::SharedPrefixTree;

@@ -111,6 +111,26 @@ impl PrefixTreeConfig {
         (key >> self.shift(level)) as usize & (self.fanout() - 1)
     }
 
+    /// Bytes of each level of a tree holding the dense keys `0..keys`, root
+    /// first: [`PrefixTree::memory_bytes`] for key counts no tree is built
+    /// for, which is what the cost model's cache residency reads.  Level
+    /// `l` holds `keys / fanout^(levels - l)` nodes, capped by its width
+    /// `fanout^l` and at least one.  An inner node is `fanout` child slots;
+    /// a dense leaf is its header and a direct-indexed block of `fanout`
+    /// value slots.
+    pub fn dense_level_bytes(&self, keys: u64) -> impl Iterator<Item = f64> {
+        let levels = self.levels() as i32;
+        let fanout = self.fanout() as f64;
+        let inner = fanout * CHILD_BYTES as f64;
+        let leaf = (self.header_words() as f64 + fanout) * WORD_BYTES as f64;
+        (0..levels).map(move |l| {
+            let nodes = (keys as f64 / fanout.powi(levels - l))
+                .min(fanout.powi(l))
+                .max(1.0);
+            nodes * if l == levels - 1 { leaf } else { inner }
+        })
+    }
+
     /// Leading levels on which two keys of the domain have equal digits,
     /// at most `levels - 1`: the leaf level is never skipped.
     fn shared_levels(&self, a: u64, b: u64) -> u32 {
@@ -133,6 +153,13 @@ impl PrefixTreeConfig {
 }
 
 const NULL: u32 = u32::MAX;
+
+/// Bytes of an inner node's child slot: a `u32` node id.
+const CHILD_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Bytes of a leaf-header word (block descriptor or presence word) and of a
+/// value slot.
+const WORD_BYTES: usize = std::mem::size_of::<u64>();
 
 /// Keys the batch entry points walk together, one level at a time.  Every
 /// key of a group has one line in flight per level; 32 covers a DRAM miss
@@ -260,12 +287,7 @@ impl PrefixTree {
     /// descriptor) and the live value blocks.  Blocks waiting on a free
     /// list are not counted — they are what a shrunk partition gave back.
     pub fn memory_bytes(&self) -> u64 {
-        (self.inner.len() * 4 + self.leaves.len() * 8 + self.live_slots * 8) as u64
-    }
-
-    /// Relocate the synthetic address base (after a partition transfer).
-    pub fn set_base_vaddr(&mut self, base: u64) {
-        self.base_vaddr = base;
+        (self.inner.len() * CHILD_BYTES + (self.leaves.len() + self.live_slots) * WORD_BYTES) as u64
     }
 
     fn new_inner(&mut self) -> u32 {
@@ -816,22 +838,23 @@ impl PrefixTree {
         }
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        let leaves_base = self.base_vaddr + self.inner.len() as u64 * 4;
-        let values_base = leaves_base + self.leaves.len() as u64 * 8;
+        let (child, word) = (CHILD_BYTES as u64, WORD_BYTES as u64);
+        let leaves_base = self.base_vaddr + self.inner.len() as u64 * child;
+        let values_base = leaves_base + self.leaves.len() as u64 * word;
         let mut node = self.skip_node;
         for level in self.skip_levels..levels - 1 {
             let slot = node as usize * fanout + self.cfg.digit(key, level);
-            out.push(self.base_vaddr + slot as u64 * 4);
+            out.push(self.base_vaddr + slot as u64 * child);
             node = self.inner[slot];
             if node == NULL {
                 return;
             }
         }
         let digit = key as usize & (fanout - 1);
-        out.push(leaves_base + self.present_word(node, digit).0 as u64 * 8);
+        out.push(leaves_base + self.present_word(node, digit).0 as u64 * word);
         if let Some(slot) = self.value_slot(node, digit) {
-            out.push(leaves_base + self.header(node) as u64 * 8);
-            out.push(values_base + slot as u64 * 8);
+            out.push(leaves_base + self.header(node) as u64 * word);
+            out.push(values_base + slot as u64 * word);
         }
     }
 

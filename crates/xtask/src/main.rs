@@ -66,12 +66,6 @@ const LOCK_ALLOWLIST: &[(&str, &str)] = &[
         "Mutex guards the latency-series map on the reporting path; the \
          record hot path only touches relaxed counters",
     ),
-    (
-        "crates/index/src/shared_tree.rs",
-        "Mutex guards arena segment installation, taken only on the \
-         first allocation in each 64Ki-node segment; the per-node fast \
-         path is a fetch_add plus an Acquire null check",
-    ),
 ];
 
 /// The call-graph universe: library crates only.  `bench`, `tests` and

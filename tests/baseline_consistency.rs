@@ -4,24 +4,27 @@
 
 use eris_core::baseline::{ScanPlacement, SharedIndexBench, SharedScanBench};
 use eris_core::prelude::*;
-use eris_index::{PrefixTree, SharedPrefixTree};
 use eris_numa::NodeId;
+use std::collections::BTreeMap;
 
 #[test]
 fn shared_tree_agrees_with_partitioned_trees() {
-    let cfg = PrefixTreeConfig::new(8, 32);
-    let shared = SharedPrefixTree::new(cfg, 0);
-    let mut partitioned: Vec<PrefixTree> = (0..4)
-        .map(|i| PrefixTree::with_config(cfg, i << 40))
-        .collect();
-    let domain = 1u64 << 20;
-    for k in (0..domain).step_by(17) {
-        shared.upsert(k, k * 3);
-        partitioned[(k * 4 / domain) as usize].upsert(k, k * 3);
-    }
-    for k in (0..domain).step_by(13) {
-        let part = &partitioned[(k * 4 / domain) as usize];
-        assert_eq!(shared.lookup(k), part.lookup(k), "key {k}");
+    // The baseline's one tree answers like the map the partitioned engine
+    // is tested against: every loaded key, and nothing beyond them.
+    let loaded = 100_003u64;
+    let mut b = SharedIndexBench::new(
+        eris_numa::amd_machine(),
+        PrefixTreeConfig::new(8, 32),
+        CostParams::default(),
+        loaded,
+        1,
+        5,
+    );
+    b.load_dense(loaded);
+    let oracle: BTreeMap<u64, u64> = (0..loaded).map(|k| (k, k)).collect();
+    assert_eq!(b.tree().len(), oracle.len());
+    for k in (0..2 * loaded).step_by(13).chain([0, loaded - 1, loaded]) {
+        assert_eq!(b.tree().lookup(k), oracle.get(&k).copied(), "key {k}");
     }
 }
 

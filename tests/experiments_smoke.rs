@@ -89,11 +89,34 @@ fn fig9_strategy_ordering() {
 #[test]
 fn fig10_shared_misses_more_at_small_sizes() {
     let rows = fig10::sweep(true);
-    // Miss ratios are sane and the shared index misses at least as often.
+    // Miss ratios are sane and the shared index misses more often.
     for r in &rows {
         assert!(r.eris_miss_ratio > 0.0 && r.eris_miss_ratio < 1.0);
-        assert!(r.shared_miss_ratio >= r.eris_miss_ratio * 0.8);
+        assert!(
+            r.shared_miss_ratio > r.eris_miss_ratio,
+            "{} keys: shared {:.3} vs ERIS {:.3}",
+            r.keys,
+            r.shared_miss_ratio,
+            r.eris_miss_ratio
+        );
     }
+}
+
+#[test]
+fn fig10_shared_misses_more_above_the_cache_floor() {
+    // Full mode's 67M point (2^20 real keys against a 96 KB simulated
+    // cache), with fewer lookups; quick mode's 2^16 keys put its caches at
+    // 24 KB and the 16 KB floor, a different regime.  Both sides walk the
+    // same tree layout, so what separates them is that every node walks
+    // the whole shared tree: 46 % against ERIS's 27 %.
+    let rows = fig10::sweep_at(1 << 20, 40_000, &[64 << 20]);
+    let r = &rows[0];
+    assert!(
+        r.shared_miss_ratio > r.eris_miss_ratio,
+        "67M keys: shared {:.3} vs ERIS {:.3}",
+        r.shared_miss_ratio,
+        r.eris_miss_ratio
+    );
 }
 
 #[test]

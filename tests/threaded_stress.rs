@@ -1,11 +1,9 @@
 //! The threaded runtime: real OS threads exercising the latch-free
-//! incoming-buffer protocol (64-bit descriptor CAS) and the concurrent
-//! shared tree under true parallelism.
+//! incoming-buffer protocol (64-bit descriptor CAS) under true parallelism.
 
 use eris_core::prelude::*;
 use eris_core::routing::IncomingBuffers;
 use eris_core::DataObjectId;
-use eris_index::SharedPrefixTree;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,46 +126,6 @@ fn threaded_upserts_are_all_applied() {
         .map(|a| e.aeu(*a).partition(idx).map_or(0, |p| p.data.len()))
         .sum();
     assert_eq!(total as u64, num_aeus * per_aeu);
-}
-
-#[test]
-fn shared_tree_concurrent_mixed_workload() {
-    // The baseline's latch-free tree under mixed reads/writes from many
-    // threads: all writes visible, no garbage reads.
-    let tree = Arc::new(SharedPrefixTree::new(PrefixTreeConfig::new(8, 32), 0));
-    let threads = 8u64;
-    let per = stress_n(20_000, 5_000);
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let tree = Arc::clone(&tree);
-            std::thread::spawn(move || {
-                for i in 0..per {
-                    let k = t * per + i;
-                    tree.upsert(k, value_of(k));
-                    // Read-back of own writes plus probing others: a probe
-                    // either misses (not inserted yet) or returns exactly
-                    // the value its writer stored — never garbage.
-                    assert_eq!(tree.lookup(k), Some(value_of(k)));
-                    let probe = (k * 7919) % (threads * per);
-                    if let Some(v) = tree.lookup(probe) {
-                        assert_eq!(v, value_of(probe), "garbage value for {probe}");
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(tree.len(), (threads * per) as usize);
-    for k in 0..threads * per {
-        assert_eq!(tree.lookup(k), Some(value_of(k)));
-    }
-}
-
-/// Value a writer stores for key `k` (recognizable, key-derived).
-fn value_of(k: u64) -> u64 {
-    k.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
 #[test]
