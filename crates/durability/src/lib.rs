@@ -123,10 +123,13 @@ impl Durability {
     /// Take a checkpoint: drain the engine, sync every journal, then
     /// write the partitioned snapshot.  Returns the checkpoint sequence
     /// number.  On an injected crash the on-disk state is left partial
-    /// (that is the point) and the sequence is not consumed.
+    /// (that is the point) and the sequence is not consumed.  A journal
+    /// that could not be written and synced is an error, and no
+    /// checkpoint is written: its cut would fall before records whose
+    /// effects the images hold, and replay would apply them twice.
     pub fn checkpoint(&mut self, engine: &mut Engine) -> std::io::Result<u64> {
         engine.run_until_drained();
-        let cuts = self.sink.sync_all();
+        let cuts = self.sink.sync_all()?;
         let seq = self.next_seq;
         checkpoint::write_checkpoint(engine, &self.dir, seq, &cuts, &self.fail)?;
         if !self.fail.crashed() {

@@ -159,42 +159,40 @@ pub fn recover_into(
         }
     }
 
-    // Phase 2: replay each AEU's data records in log order.
+    // Phase 2: replay each AEU's data records in log order.  Consecutive
+    // upserts into one object are applied as one batch (one `reserve`, one
+    // `upsert_batch`) in log order, so the last write of a key still wins.
     let mut replayed = 0u64;
-    for (i, tail) in tails.iter().enumerate() {
+    for (i, tail) in tails.into_iter().enumerate() {
         let aeu = AeuId(i as u32);
+        let records = tail.len() as u64;
+        let mut run: Option<(DataObjectId, Vec<(u64, u64)>)> = None;
         for op in tail {
             if fail.hit(FP_RECOVERY_MID_REPLAY) {
                 return Err(RecoveryError::InjectedCrash);
             }
-            match op {
-                JournalOp::Create { .. } => {}
-                JournalOp::UpsertPairs { object, pairs } => {
-                    engine.aeu_mut(aeu).absorb_pairs(*object, pairs);
+            replayed += 1;
+            match (op, &mut run) {
+                (JournalOp::UpsertPairs { object, pairs }, Some((run_object, run_pairs)))
+                    if *run_object == object && run_pairs.len() < REPLAY_RUN_PAIRS =>
+                {
+                    run_pairs.extend_from_slice(&pairs);
                 }
-                JournalOp::AppendRows { object, rows } => {
-                    engine
-                        .aeu_mut(aeu)
-                        .absorb_rows(*object, rows)
-                        .expect("replay targets partitions the redo log provisioned");
+                (JournalOp::UpsertPairs { object, pairs }, _) => {
+                    apply_run(engine, aeu, run.replace((object, pairs)));
                 }
-                JournalOp::RemoveRange { object, lo, hi } => {
-                    engine.aeu_mut(aeu).extract_range(*object, *lo, *hi);
-                }
-                JournalOp::RemoveTail { object, n } => {
-                    engine.aeu_mut(aeu).extract_tail_rows(*object, *n as usize);
-                }
-                JournalOp::SetRange { object, lo, hi } => {
-                    engine.aeu_mut(aeu).set_range(*object, (*lo, *hi));
+                (op, _) => {
+                    apply_run(engine, aeu, run.take());
+                    replay_one(engine, aeu, op);
                 }
             }
-            replayed += 1;
         }
+        apply_run(engine, aeu, run);
         engine
             .telemetry_shard(aeu)
             .counters
             .replayed_records
-            .fetch_add(tail.len() as u64, Relaxed);
+            .fetch_add(records, Relaxed);
     }
 
     // Phase 3: routing tables from recovered partition bounds.
@@ -228,6 +226,39 @@ pub fn recover_into(
     })
 }
 
+/// Pairs one replayed upsert batch gathers at most.  `absorb_pairs`
+/// reserves room for every pair, but replayed pairs mostly overwrite keys
+/// the checkpoint restored: an unbounded run would grow a table for keys
+/// it already holds.
+const REPLAY_RUN_PAIRS: usize = 1 << 12;
+
+/// Apply a gathered run of upserts into one object.
+fn apply_run(engine: &mut Engine, aeu: AeuId, run: Option<(DataObjectId, Vec<(u64, u64)>)>) {
+    if let Some((object, pairs)) = run {
+        engine.aeu_mut(aeu).absorb_pairs(object, &pairs);
+    }
+}
+
+/// Re-apply one journal record.
+fn replay_one(engine: &mut Engine, aeu: AeuId, op: JournalOp) {
+    let aeu = engine.aeu_mut(aeu);
+    match op {
+        JournalOp::Create { .. } => {}
+        JournalOp::UpsertPairs { object, pairs } => aeu.absorb_pairs(object, &pairs),
+        JournalOp::AppendRows { object, rows } => {
+            aeu.absorb_rows(object, &rows)
+                .expect("replay targets partitions the redo log provisioned");
+        }
+        JournalOp::RemoveRange { object, lo, hi } => {
+            aeu.extract_range(object, lo, hi);
+        }
+        JournalOp::RemoveTail { object, n } => {
+            aeu.extract_tail_rows(object, n as usize);
+        }
+        JournalOp::SetRange { object, lo, hi } => aeu.set_range(object, (lo, hi)),
+    }
+}
+
 fn restore_checkpoint(
     engine: &mut Engine,
     ckpt_path: &Path,
@@ -251,4 +282,72 @@ fn restore_checkpoint(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::REPLAY_RUN_PAIRS;
+    use crate::Durability;
+    use eris_core::prelude::*;
+
+    #[test]
+    fn batched_replay_keeps_the_last_write_of_every_key() {
+        const KEYS: u64 = 1 << 12;
+        let value = |round: u64, k: u64| round << 32 | k;
+        let dir = std::env::temp_dir().join(format!("eris-replay-runs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = EngineConfig {
+            collect_results: true,
+            ..Default::default()
+        };
+        let machine =
+            || eris_numa::machines::custom_machine("replay", 2, 2, 20.0, 100.0, 10.0, 60.0);
+        let mut e = Engine::new(machine(), cfg.clone());
+        let dura = Durability::open(&dir, e.num_aeus()).unwrap();
+        dura.attach(&mut e);
+        let hash = e.create_hash_index("h", KEYS);
+        let tree = e.create_index("t", KEYS);
+        // Every round overwrites every hash key; every eighth also writes
+        // the tree, which ends the hash runs in each log.  Eight rounds
+        // of hash records are twice one replay batch.
+        let rounds = 16;
+        assert!(8 * KEYS / e.num_aeus() as u64 >= 2 * REPLAY_RUN_PAIRS as u64);
+        for round in 0..rounds {
+            let mut writes = vec![hash];
+            if round % 8 == 7 {
+                writes.push(tree);
+            }
+            for object in writes {
+                let pairs = (0..KEYS).map(|k| (k, value(round, k))).collect();
+                let cmd = DataCommand {
+                    object,
+                    ticket: round,
+                    payload: Payload::Upsert { pairs },
+                };
+                e.submit(AeuId(0), cmd).unwrap();
+            }
+            e.run_until_drained();
+        }
+        drop(e);
+
+        let mut r = Engine::new(machine(), cfg);
+        let report = Durability::recover(&mut r, &dir).unwrap();
+        assert_eq!(report.checkpoint, None);
+        for (object, last) in [(hash, rounds - 1), (tree, rounds - 1)] {
+            let cmd = DataCommand {
+                object,
+                ticket: 0,
+                payload: Payload::Lookup {
+                    keys: (0..KEYS).collect(),
+                },
+            };
+            r.submit(AeuId(0), cmd).unwrap();
+            r.run_until_drained();
+            let mut got = r.results().take_lookup_values();
+            got.sort_unstable();
+            let want: Vec<_> = (0..KEYS).map(|k| (0, k, Some(value(last, k)))).collect();
+            assert_eq!(got, want);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

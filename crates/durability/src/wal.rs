@@ -6,7 +6,8 @@
 //! no cross-socket cache-line bouncing — the redo analogue of the
 //! paper's "exclusive ownership" rule).  Each AEU logs the *local
 //! effects* it applied (post-routing), so replay is deterministic per
-//! log and never re-routes.
+//! log and never re-routes.  A record is encoded once, straight into the
+//! group-commit buffer ([`Wal::append_op`]), and checksummed where it lies.
 //!
 //! ## File format
 //!
@@ -87,57 +88,102 @@ pub enum JournalOp {
     },
 }
 
-/// Serialize one redo operation into a record payload.
-pub fn encode_op(op: &RedoOp<'_>, out: &mut Vec<u8>) {
-    match op {
+/// Payload length of `op`'s record: exactly what [`encode_op`] writes.
+fn encoded_len(op: &RedoOp<'_>) -> usize {
+    // [tag][u32 object] open every record.
+    5 + match op {
+        RedoOp::CreateObject { name, .. } => 1 + 8 + 4 + name.len(),
+        RedoOp::UpsertPairs { pairs, .. } => 8 + 16 * pairs.len(),
+        RedoOp::AppendRows { rows, .. } => 8 + 8 * rows.len(),
+        RedoOp::RemoveRange { .. } | RedoOp::SetRange { .. } => 16,
+        RedoOp::RemoveTail { .. } => 8,
+    }
+}
+
+/// Fills a pre-sized payload front to back.
+struct Writer<'a>(&'a mut [u8]);
+
+impl<'a> Writer<'a> {
+    /// The next `n` bytes, to be filled by the caller.
+    fn next(&mut self, n: usize) -> &'a mut [u8] {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(n);
+        self.0 = rest;
+        head
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.next(bytes.len()).copy_from_slice(bytes);
+    }
+}
+
+/// Serialize one redo operation into `out`, which is exactly
+/// [`encoded_len`] bytes long: one pass, no allocation.
+fn encode_op(op: &RedoOp<'_>, out: &mut [u8]) {
+    let mut w = Writer(out);
+    match *op {
         RedoOp::CreateObject {
             class,
             object,
             domain,
             name,
         } => {
-            out.push(TAG_CREATE);
-            out.push(class.tag());
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&domain.to_le_bytes());
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+            w.put(&[TAG_CREATE, class.tag()]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&domain.to_le_bytes());
+            w.put(&(name.len() as u32).to_le_bytes());
+            w.put(name.as_bytes());
         }
         RedoOp::UpsertPairs { object, pairs } => {
-            out.push(TAG_UPSERT_PAIRS);
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-            for (k, v) in pairs.iter() {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
+            w.put(&[TAG_UPSERT_PAIRS]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&(pairs.len() as u64).to_le_bytes());
+            for (slot, (k, v)) in w.next(16 * pairs.len()).chunks_exact_mut(16).zip(pairs) {
+                let (ks, vs) = slot.split_at_mut(8);
+                ks.copy_from_slice(&k.to_le_bytes());
+                vs.copy_from_slice(&v.to_le_bytes());
             }
         }
         RedoOp::AppendRows { object, rows } => {
-            out.push(TAG_APPEND_ROWS);
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-            for r in rows.iter() {
-                out.extend_from_slice(&r.to_le_bytes());
+            w.put(&[TAG_APPEND_ROWS]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&(rows.len() as u64).to_le_bytes());
+            for (slot, r) in w.next(8 * rows.len()).chunks_exact_mut(8).zip(rows) {
+                slot.copy_from_slice(&r.to_le_bytes());
             }
         }
         RedoOp::RemoveRange { object, lo, hi } => {
-            out.push(TAG_REMOVE_RANGE);
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&hi.to_le_bytes());
+            w.put(&[TAG_REMOVE_RANGE]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&lo.to_le_bytes());
+            w.put(&hi.to_le_bytes());
         }
         RedoOp::RemoveTail { object, n } => {
-            out.push(TAG_REMOVE_TAIL);
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&n.to_le_bytes());
+            w.put(&[TAG_REMOVE_TAIL]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&n.to_le_bytes());
         }
         RedoOp::SetRange { object, lo, hi } => {
-            out.push(TAG_SET_RANGE);
-            out.extend_from_slice(&object.0.to_le_bytes());
-            out.extend_from_slice(&lo.to_le_bytes());
-            out.extend_from_slice(&hi.to_le_bytes());
+            w.put(&[TAG_SET_RANGE]);
+            w.put(&object.0.to_le_bytes());
+            w.put(&lo.to_le_bytes());
+            w.put(&hi.to_le_bytes());
         }
     }
+    debug_assert!(w.0.is_empty(), "encoded_len disagrees with encode_op");
+}
+
+/// Frame one record at the end of the group-commit buffer `buf`: reserve
+/// the header and `len` payload bytes, let `write` fill the payload where
+/// it lies, then checksum it and fill in `[u32 len][u32 crc]`.  Returns
+/// the bytes now pending.  The one framing path of the journal.
+fn frame(buf: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut [u8])) -> usize {
+    let start = buf.len();
+    buf.resize(start + 8 + len, 0);
+    let (header, payload) = buf[start..].split_at_mut(8);
+    write(payload);
+    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    buf.len()
 }
 
 fn take_u8(buf: &mut &[u8]) -> Option<u8> {
@@ -240,8 +286,13 @@ struct WalInner {
     file: File,
     /// Records framed but not yet written + synced (the group commit).
     buf: Vec<u8>,
+    /// Byte offset where the last complete write ended: the next group
+    /// commit is written here.
+    end: u64,
     /// Byte offset up to which the file content is known durable.
     synced_lsn: u64,
+    /// Records framed since the last flush published the count.
+    records: u64,
 }
 
 /// One AEU's append-only journal.  The mutex is uncontended in steady
@@ -282,7 +333,9 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 buf: Vec::new(),
+                end: valid,
                 synced_lsn: valid,
+                records: 0,
             }),
         })
     }
@@ -291,44 +344,73 @@ impl Wal {
         &self.path
     }
 
-    /// Frame `payload` into the group-commit buffer.  Returns the bytes
-    /// now pending so the caller can trigger an early flush.
+    /// Encode `op` as one record straight into the group-commit buffer.
+    /// Returns the bytes now pending so the caller can trigger an early
+    /// flush.
+    pub fn append_op(&self, op: &RedoOp<'_>) -> usize {
+        let mut inner = self.inner.lock();
+        inner.records += 1;
+        frame(&mut inner.buf, encoded_len(op), |payload| {
+            encode_op(op, payload)
+        })
+    }
+
+    /// Frame an already encoded `payload` into the group-commit buffer.
+    /// Returns the bytes now pending, as [`Wal::append_op`].
     pub fn append_payload(&self, payload: &[u8]) -> usize {
         let mut inner = self.inner.lock();
-        inner
-            .buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        inner.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        inner.buf.extend_from_slice(payload);
-        inner.buf.len()
+        inner.records += 1;
+        frame(&mut inner.buf, payload.len(), |out| {
+            out.copy_from_slice(payload)
+        })
     }
 
     /// Group commit: write the pending buffer and `fsync`.  Fail points
     /// model a crash with a torn write or before the sync.  Returns the
-    /// number of records' bytes made durable (0 when nothing pended or
-    /// the crash fired).
+    /// number of records' bytes made durable (0 when nothing pended, an
+    /// I/O error kept them pending, or the crash fired).
     // HOT-PATH-CUT: group-commit flush — file IO on the durability
     // thread, never under the AEU's latch-free section.
     pub fn flush(&self, fail: &FailPoints, shard: Option<&Arc<TelemetryShard>>) -> u64 {
         if fail.crashed() {
             return 0;
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if inner.buf.is_empty() {
             return 0;
+        }
+        let records = std::mem::take(&mut inner.records);
+        if let Some(shard) = shard {
+            shard.counters.journal_records.fetch_add(records, Relaxed);
         }
         if fail.hit(FP_JOURNAL_TORN_WRITE) {
             // Die mid-`write(2)`: a prefix that ends inside the last
             // record's framing reaches the file, and no sync happens.
             let torn = inner.buf.len().saturating_sub(3);
-            let prefix = inner.buf[..torn].to_vec();
-            let _ = inner.file.write_all(&prefix);
+            let _ = inner.file.write_all(&inner.buf[..torn]);
             return 0;
         }
-        let buf = std::mem::take(&mut inner.buf);
-        if inner.file.write_all(&buf).is_err() {
-            inner.buf = buf;
+        // A write that failed earlier may have left part of its buffer
+        // after `end`: cut the file back first, so this commit lands where
+        // its records belong and not after debris the reader stops at.
+        if inner.file.stream_position().ok() != Some(inner.end)
+            && (inner.file.set_len(inner.end).is_err()
+                || inner.file.seek(SeekFrom::Start(inner.end)).is_err())
+        {
             return 0;
+        }
+        if inner.file.write_all(&inner.buf).is_err() {
+            // The buffer stays for the retry.
+            return 0;
+        }
+        inner.end += inner.buf.len() as u64;
+        // Keep the buffer's capacity for the next commit, unless one huge
+        // record (a bulk load) grew it far past a group commit's size.
+        if inner.buf.capacity() > 2 * GROUP_COMMIT_BYTES {
+            inner.buf = Vec::new();
+        } else {
+            inner.buf.clear();
         }
         if fail.hit(FP_JOURNAL_PRE_SYNC) {
             // Written but never synced: the bytes may or may not survive
@@ -339,8 +421,11 @@ impl Wal {
         if inner.file.sync_data().is_err() {
             return 0;
         }
-        let n = buf.len() as u64;
-        inner.synced_lsn += n;
+        // The sync covers the whole file up to `end`, including bytes an
+        // earlier commit wrote but failed to sync: a checkpoint cut taken
+        // from this LSN never falls before records its images contain.
+        let n = inner.end - inner.synced_lsn;
+        inner.synced_lsn = inner.end;
         if let Some(shard) = shard {
             shard.counters.journal_bytes.fetch_add(n, Relaxed);
             shard.counters.journal_fsyncs.fetch_add(1, Relaxed);
@@ -351,6 +436,13 @@ impl Wal {
     /// The durable byte offset (the LSN recorded by checkpoint cuts).
     pub fn synced_lsn(&self) -> u64 {
         self.inner.lock().synced_lsn
+    }
+
+    /// The durable LSN, or `None` while a failed write or sync leaves
+    /// framed records that are not known to be on disk.
+    fn settled_lsn(&self) -> Option<u64> {
+        let inner = self.inner.lock();
+        (inner.buf.is_empty() && inner.end == inner.synced_lsn).then_some(inner.synced_lsn)
     }
 }
 
@@ -452,16 +544,26 @@ impl JournalSink {
         &self.fail
     }
 
-    /// Flush + sync every AEU's log; returns the per-AEU LSN cuts.
-    pub fn sync_all(&self) -> Vec<u64> {
-        for i in 0..self.wals.len() {
-            self.flush_wal(i);
-        }
-        self.wals.iter().map(|w| w.synced_lsn()).collect()
+    /// Flush + sync every AEU's log; returns the per-AEU LSN cuts, or an
+    /// error naming a log whose records could not all be made durable
+    /// (its LSN would cut before effects the engine already holds).
+    pub fn sync_all(&self) -> std::io::Result<Vec<u64>> {
+        (0..self.wals.len())
+            .map(|i| {
+                self.flush_wal(i);
+                let wal = &self.wals[i];
+                wal.settled_lsn().ok_or_else(|| {
+                    std::io::Error::other(format!(
+                        "journal {} holds records that could not be written and synced",
+                        wal.path().display()
+                    ))
+                })
+            })
+            .collect()
     }
 
-    /// Group-commit one AEU's log and trace the commit when it made
-    /// bytes durable.
+    /// Group-commit one AEU's log, publish its record count, and trace
+    /// the commit when it made bytes durable.
     // HOT-PATH-CUT: group-commit flush entry, as Wal::flush.
     fn flush_wal(&self, idx: usize) -> u64 {
         let shards = self.shards.read();
@@ -490,17 +592,7 @@ impl eris_core::durability::RedoSink for JournalSink {
         if self.fail.crashed() {
             return;
         }
-        let mut payload = Vec::new();
-        encode_op(&op, &mut payload);
-        let wal = &self.wals[aeu.index()];
-        let pending = wal.append_payload(&payload);
-        {
-            let shards = self.shards.read();
-            if let Some(shard) = shards.get(aeu.index()) {
-                shard.counters.journal_records.fetch_add(1, Relaxed);
-            }
-        }
-        if pending >= GROUP_COMMIT_BYTES {
+        if self.wals[aeu.index()].append_op(&op) >= GROUP_COMMIT_BYTES {
             self.flush_wal(aeu.index());
         }
     }
@@ -516,13 +608,17 @@ impl eris_core::durability::RedoSink for JournalSink {
         if self.fail.crashed() {
             return;
         }
-        self.sync_all();
+        // The sink has no error path: a log left unsettled here makes the
+        // next checkpoint fail instead.
+        let _ = self.sync_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32_bytewise;
+    use eris_core::durability::RedoSink;
 
     fn temp_path(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -533,9 +629,100 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn ops_roundtrip_through_the_record_codec() {
-        let ops = [
+    /// The record encoder the journal shipped with before records were
+    /// encoded in place: the golden reference for the format.
+    fn oracle_encode(op: &RedoOp<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        match op {
+            RedoOp::CreateObject {
+                class,
+                object,
+                domain,
+                name,
+            } => {
+                out.push(TAG_CREATE);
+                out.push(class.tag());
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&domain.to_le_bytes());
+                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+            }
+            RedoOp::UpsertPairs { object, pairs } => {
+                out.push(TAG_UPSERT_PAIRS);
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+                for (k, v) in pairs.iter() {
+                    out.extend_from_slice(&k.to_le_bytes());
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            RedoOp::AppendRows { object, rows } => {
+                out.push(TAG_APPEND_ROWS);
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+                for r in rows.iter() {
+                    out.extend_from_slice(&r.to_le_bytes());
+                }
+            }
+            RedoOp::RemoveRange { object, lo, hi } => {
+                out.push(TAG_REMOVE_RANGE);
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&lo.to_le_bytes());
+                out.extend_from_slice(&hi.to_le_bytes());
+            }
+            RedoOp::RemoveTail { object, n } => {
+                out.push(TAG_REMOVE_TAIL);
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&n.to_le_bytes());
+            }
+            RedoOp::SetRange { object, lo, hi } => {
+                out.push(TAG_SET_RANGE);
+                out.extend_from_slice(&object.0.to_le_bytes());
+                out.extend_from_slice(&lo.to_le_bytes());
+                out.extend_from_slice(&hi.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    /// `op`'s payload as the in-place encoder writes it.
+    fn encode(op: &RedoOp<'_>) -> Vec<u8> {
+        let mut payload = vec![0; encoded_len(op)];
+        encode_op(op, &mut payload);
+        payload
+    }
+
+    /// The owned record replay reads back for `op`.
+    fn owned(op: &RedoOp<'_>) -> JournalOp {
+        match *op {
+            RedoOp::CreateObject {
+                class,
+                object,
+                domain,
+                name,
+            } => JournalOp::Create {
+                class,
+                object,
+                domain,
+                name: name.to_string(),
+            },
+            RedoOp::UpsertPairs { object, pairs } => JournalOp::UpsertPairs {
+                object,
+                pairs: pairs.to_vec(),
+            },
+            RedoOp::AppendRows { object, rows } => JournalOp::AppendRows {
+                object,
+                rows: rows.to_vec(),
+            },
+            RedoOp::RemoveRange { object, lo, hi } => JournalOp::RemoveRange { object, lo, hi },
+            RedoOp::RemoveTail { object, n } => JournalOp::RemoveTail { object, n },
+            RedoOp::SetRange { object, lo, hi } => JournalOp::SetRange { object, lo, hi },
+        }
+    }
+
+    /// Every tag, a record without pairs, and `big`'s record.
+    fn sample_ops(big: &[(u64, u64)]) -> Vec<RedoOp<'_>> {
+        vec![
             RedoOp::CreateObject {
                 class: ObjectClass::Tree,
                 object: DataObjectId(3),
@@ -546,6 +733,10 @@ mod tests {
                 object: DataObjectId(1),
                 pairs: &[(1, 2), (u64::MAX, 0)],
             },
+            RedoOp::UpsertPairs {
+                object: DataObjectId(1),
+                pairs: &[],
+            },
             RedoOp::AppendRows {
                 object: DataObjectId(2),
                 rows: &[5, 6, 7],
@@ -554,6 +745,10 @@ mod tests {
                 object: DataObjectId(1),
                 lo: 10,
                 hi: 20,
+            },
+            RedoOp::UpsertPairs {
+                object: DataObjectId(1),
+                pairs: big,
             },
             RedoOp::RemoveTail {
                 object: DataObjectId(2),
@@ -564,22 +759,94 @@ mod tests {
                 lo: 0,
                 hi: 512,
             },
-        ];
-        for op in &ops {
-            let mut payload = Vec::new();
-            encode_op(op, &mut payload);
-            let decoded = decode_op(&payload).expect("own encoding decodes");
-            // Spot-check one borrowed/owned pair; shapes are mirrored.
-            if let (RedoOp::UpsertPairs { pairs, .. }, JournalOp::UpsertPairs { pairs: got, .. }) =
-                (op, &decoded)
-            {
-                assert_eq!(&pairs[..], &got[..]);
-            }
+        ]
+    }
+
+    /// One pair more than a group commit holds.
+    fn big_pairs() -> Vec<(u64, u64)> {
+        (0..GROUP_COMMIT_BYTES as u64 / 16 + 1)
+            .map(|k| (k * 7, !k))
+            .collect()
+    }
+
+    #[test]
+    fn ops_roundtrip_through_the_record_codec() {
+        for op in &sample_ops(&[(9, 9); 3]) {
+            let payload = encode(op);
+            assert_eq!(payload, oracle_encode(op));
+            assert_eq!(decode_op(&payload), Some(owned(op)));
             // Every truncation of a payload is rejected.
             for cut in 0..payload.len() {
                 assert!(decode_op(&payload[..cut]).is_none(), "cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn records_encoded_in_place_match_the_golden_journal() {
+        let path = temp_path("golden");
+        let big = big_pairs();
+        let ops = sample_ops(&big);
+        let sink = JournalSink::new(vec![Wal::open(&path).unwrap()], Arc::new(FailPoints::new()));
+        for (i, op) in ops.iter().enumerate() {
+            sink.append(AeuId(0), *op);
+            if i % 3 == 2 {
+                sink.end_of_step(AeuId(0));
+            }
+        }
+        sink.end_of_step(AeuId(0));
+
+        // The old framing, by hand, with the bytewise CRC.
+        let mut golden = WAL_MAGIC.to_vec();
+        for op in &ops {
+            let payload = oracle_encode(op);
+            golden.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            golden.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
+            golden.extend_from_slice(&payload);
+        }
+        assert!(
+            std::fs::read(&path).unwrap() == golden,
+            "journal bytes differ"
+        );
+        let (read, torn) = read_tail(&path, 0).unwrap();
+        assert_eq!(read, ops.iter().map(owned).collect::<Vec<_>>());
+        assert_eq!(torn, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_is_cut_back_and_retried_at_the_same_lsn() {
+        let path = temp_path("write-error");
+        let fail = FailPoints::new();
+        let big = big_pairs();
+        let ops = sample_ops(&big);
+        let sink = JournalSink::new(vec![Wal::open(&path).unwrap()], Arc::new(FailPoints::new()));
+        let wal = &sink.wals[0];
+        wal.append_op(&ops[0]);
+        assert!(wal.flush(&fail, None) > 0);
+
+        let read_only = File::open(&path).unwrap();
+        drop(std::mem::replace(&mut wal.inner.lock().file, read_only));
+        for op in &ops[1..] {
+            wal.append_op(op);
+        }
+        assert_eq!(wal.flush(&fail, None), 0, "a read-only handle cannot write");
+        assert!(sink.sync_all().is_err(), "no cut while records are pending");
+        // What a short write leaves behind.
+        let mut debris = OpenOptions::new().append(true).open(&path).unwrap();
+        debris.write_all(&[0xAB; 5]).unwrap();
+
+        // A writable handle again, positioned at 0, not at the LSN.
+        let writable = OpenOptions::new().write(true).open(&path).unwrap();
+        wal.inner.lock().file = writable;
+        assert!(wal.flush(&fail, None) > 0);
+        let (read, torn) = read_tail(&path, 0).unwrap();
+        assert_eq!(read, ops.iter().map(owned).collect::<Vec<_>>());
+        assert_eq!(torn, 0);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(wal.synced_lsn(), len);
+        assert_eq!(sink.sync_all().unwrap(), vec![len]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -611,17 +878,11 @@ mod tests {
         let path = temp_path("corrupt-mid");
         let fail = FailPoints::new();
         let record = |n: u64| {
-            let mut p = Vec::new();
-            let object = DataObjectId(1);
             let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k, k * 3)).collect();
-            encode_op(
-                &RedoOp::UpsertPairs {
-                    object,
-                    pairs: &pairs,
-                },
-                &mut p,
-            );
-            p
+            encode(&RedoOp::UpsertPairs {
+                object: DataObjectId(1),
+                pairs: &pairs,
+            })
         };
         // Far more bytes than the reader buffers at once.
         let wal = Wal::open(&path).unwrap();
@@ -657,26 +918,16 @@ mod tests {
         let path = temp_path("cut");
         let fail = FailPoints::new();
         let wal = Wal::open(&path).unwrap();
-        let mut p1 = Vec::new();
-        encode_op(
-            &RedoOp::RemoveTail {
-                object: DataObjectId(1),
-                n: 1,
-            },
-            &mut p1,
-        );
-        wal.append_payload(&p1);
+        wal.append_op(&RedoOp::RemoveTail {
+            object: DataObjectId(1),
+            n: 1,
+        });
         wal.flush(&fail, None);
         let cut = wal.synced_lsn();
-        let mut p2 = Vec::new();
-        encode_op(
-            &RedoOp::RemoveTail {
-                object: DataObjectId(2),
-                n: 2,
-            },
-            &mut p2,
-        );
-        wal.append_payload(&p2);
+        wal.append_op(&RedoOp::RemoveTail {
+            object: DataObjectId(2),
+            n: 2,
+        });
         wal.flush(&fail, None);
 
         let (all, _) = read_tail(&path, 0).unwrap();
