@@ -6,8 +6,8 @@ use eris_numa::NodeId;
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 64 * 1024;
 
 /// Error returned when a column has no segment space left; the caller
-/// (the AEU, which owns the node's memory manager) provisions a segment
-/// and retries.
+/// (the AEU that owns the column) provisions a segment on its node and
+/// retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnFull;
 
@@ -22,18 +22,15 @@ impl std::error::Error for ColumnFull {}
 /// A fixed-capacity run of values homed on one NUMA node.
 pub struct Segment {
     home: NodeId,
-    /// Synthetic address of the segment start (for traffic accounting).
-    vaddr: u64,
     data: Vec<u64>,
     capacity: usize,
 }
 
 impl Segment {
-    pub fn with_capacity(home: NodeId, vaddr: u64, capacity: usize) -> Self {
+    pub fn with_capacity(home: NodeId, capacity: usize) -> Self {
         assert!(capacity > 0);
         Segment {
             home,
-            vaddr,
             data: Vec::with_capacity(capacity),
             capacity,
         }
@@ -42,11 +39,6 @@ impl Segment {
     #[inline]
     pub fn home(&self) -> NodeId {
         self.home
-    }
-
-    #[inline]
-    pub fn vaddr(&self) -> u64 {
-        self.vaddr
     }
 
     #[inline]
@@ -141,19 +133,18 @@ impl Column {
     }
 
     /// Convenience constructor: a column that self-provisions segments of
-    /// `capacity` values homed on `home`, with synthetic addresses starting
-    /// at `base_vaddr`.  Used by tests and single-node tools; the engine
-    /// provisions segments through its memory manager instead.
-    pub fn new_local(home: NodeId, base_vaddr: u64, capacity: usize) -> LocalColumn {
+    /// `capacity` values homed on `home`.  Used by tests and single-node
+    /// tools; the engine's AEUs provision their own.  Segments carry no
+    /// address, so `_base_vaddr` is accepted and ignored.
+    pub fn new_local(home: NodeId, _base_vaddr: u64, capacity: usize) -> LocalColumn {
         LocalColumn {
             column: Column::new(),
             home,
-            base_vaddr,
             capacity,
         }
     }
 
-    /// Add a fresh segment (provisioned by the AEU's memory manager).
+    /// Add a fresh segment (provisioned by the column's owner).
     pub fn push_segment(&mut self, seg: Segment) {
         assert!(seg.is_empty(), "provisioned segments start empty");
         self.segments.push(seg);
@@ -447,7 +438,6 @@ impl Default for Column {
 pub struct LocalColumn {
     column: Column,
     home: NodeId,
-    base_vaddr: u64,
     capacity: usize,
 }
 
@@ -455,10 +445,8 @@ impl LocalColumn {
     /// Append, provisioning a fresh local segment when full.
     pub fn append(&mut self, v: u64) {
         if self.column.append(v) == Err(ColumnFull) {
-            let idx = self.column.segments.len() as u64;
-            let vaddr = self.base_vaddr + idx * (self.capacity as u64 * 8);
             self.column
-                .push_segment(Segment::with_capacity(self.home, vaddr, self.capacity));
+                .push_segment(Segment::with_capacity(self.home, self.capacity));
             self.column.append(v).expect("fresh segment has room");
         }
     }
@@ -648,9 +636,9 @@ mod tests {
     #[test]
     fn rows_per_node_tracks_segment_homes() {
         let mut c = Column::new();
-        c.push_segment(Segment::with_capacity(NodeId(0), 0, 4));
+        c.push_segment(Segment::with_capacity(NodeId(0), 4));
         c.append_slice(&[1, 2, 3, 4]);
-        c.push_segment(Segment::with_capacity(NodeId(1), 64, 4));
+        c.push_segment(Segment::with_capacity(NodeId(1), 4));
         c.append_slice(&[5, 6, 7, 8]);
         let per = c.rows_per_node(2, 7);
         assert_eq!(per, vec![(NodeId(0), 2), (NodeId(1), 3)]);
@@ -660,11 +648,11 @@ mod tests {
     #[test]
     fn append_slice_fills_open_segment_only() {
         let mut c = Column::new();
-        c.push_segment(Segment::with_capacity(NodeId(1), 0, 8));
+        c.push_segment(Segment::with_capacity(NodeId(1), 8));
         let values: Vec<u64> = (0..20).collect();
         assert_eq!(c.append_slice(&values), 8);
         assert_eq!(c.len(), 8);
-        c.push_segment(Segment::with_capacity(NodeId(1), 64, 8));
+        c.push_segment(Segment::with_capacity(NodeId(1), 8));
         assert_eq!(c.append_slice(&values[8..]), 8);
         assert_eq!(c.len(), 16);
     }
@@ -694,11 +682,10 @@ mod tests {
     #[test]
     fn segment_homes_and_bytes() {
         let mut c = Column::new();
-        c.push_segment(Segment::with_capacity(NodeId(3), 4096, 4));
+        c.push_segment(Segment::with_capacity(NodeId(3), 4));
         c.append(7).unwrap();
         let seg = &c.segments()[0];
         assert_eq!(seg.home(), NodeId(3));
-        assert_eq!(seg.vaddr(), 4096);
         assert_eq!(seg.bytes(), 8);
         assert_eq!(c.bytes(), 8);
     }

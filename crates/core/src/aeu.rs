@@ -18,7 +18,6 @@ use crate::routing::{FlushInfo, IncomingBuffers, Router};
 use crate::telemetry::TelemetryShard;
 use eris_column::{simd, Column, Segment, SharedScan, SimdLevel};
 use eris_index::{HashTable, PrefixTree, PrefixTreeConfig};
-use eris_mem::ThreadCache;
 use eris_numa::{CoreId, Flow, NodeId};
 use eris_obs::{
     now_ns, LatencyRecord, LatencyTable, Phase, Stamped, TraceEvent, TraceStamp, NUM_PHASES,
@@ -376,7 +375,6 @@ pub struct Aeu {
     router: Router,
     incoming: Arc<IncomingBuffers>,
     results: Arc<ResultCollector>,
-    mem: ThreadCache,
     generator: Option<CommandGen>,
     /// Raw-routing mode: swap and decode incoming commands but skip the
     /// processing stage (the "raw routing throughput" arm of Figure 5).
@@ -410,7 +408,6 @@ pub struct Aeu {
 }
 
 impl Aeu {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: AeuId,
         node: NodeId,
@@ -419,7 +416,6 @@ impl Aeu {
         router: Router,
         incoming: Arc<IncomingBuffers>,
         results: Arc<ResultCollector>,
-        mem: ThreadCache,
     ) -> Self {
         let tel = Arc::clone(router.telemetry_shard());
         let latency = Arc::clone(router.shared().telemetry().latency());
@@ -432,7 +428,6 @@ impl Aeu {
             router,
             incoming,
             results,
-            mem,
             generator: None,
             discard_incoming: false,
             pending_ns: 0.0,
@@ -513,11 +508,12 @@ impl Aeu {
         cfg: PrefixTreeConfig,
         range: (u64, u64),
     ) {
-        let base = self.mem.alloc(1 << 20).vaddr;
         self.partitions.insert(
             object,
             Partition {
-                data: PartitionData::Index(PrefixTree::with_config(cfg, base)),
+                // Synthetic addresses only matter to the cache-simulation
+                // figures, which trace trees of their own.
+                data: PartitionData::Index(PrefixTree::with_config(cfg, 0)),
                 range,
                 accesses: 0,
                 exec_ns: 0.0,
@@ -528,13 +524,12 @@ impl Aeu {
     /// Create a hash partition responsible for `range`, using a hash
     /// function seeded per partition (Section 3.1).
     pub fn create_hash_partition(&mut self, object: DataObjectId, range: (u64, u64)) {
-        let base = self.mem.alloc(1 << 20).vaddr;
         // The AEU id seeds the per-partition hash function.
         let seed = (self.id.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.partitions.insert(
             object,
             Partition {
-                data: PartitionData::Hash(HashTable::new(seed, base)),
+                data: PartitionData::Hash(HashTable::new(seed, 0)),
                 range,
                 accesses: 0,
                 exec_ns: 0.0,
@@ -612,24 +607,24 @@ impl Aeu {
         Ok(())
     }
 
-    /// Append `rows` to `col`, provisioning fresh local segments on demand.
-    fn fill_column(mem: &mut ThreadCache, node: NodeId, col: &mut Column, rows: &[u64]) {
+    /// Append `rows` to `col`, provisioning fresh segments homed on `node`
+    /// on demand.
+    fn fill_column(node: NodeId, col: &mut Column, rows: &[u64]) {
         let mut written = 0;
         while written < rows.len() {
             // BOUNDS: the loop guard keeps written < rows.len().
             written += col.append_slice(&rows[written..]);
             if written < rows.len() {
-                Self::provision_segment(mem, node, col);
+                Self::provision_segment(node, col);
             }
         }
     }
 
-    /// Provision a fresh local segment for a column partition.
+    /// Provision a fresh segment, homed on `node`, for a column partition.
     // HOT-PATH-CUT: amortized segment provisioning — runs once per
     // SEGMENT_ROWS appends, never per command.
-    fn provision_segment(mem: &mut ThreadCache, node: NodeId, col: &mut Column) {
-        let alloc = mem.alloc((SEGMENT_VALUES * 8) as u64);
-        col.push_segment(Segment::with_capacity(node, alloc.vaddr, SEGMENT_VALUES));
+    fn provision_segment(node: NodeId, col: &mut Column) {
+        col.push_segment(Segment::with_capacity(node, SEGMENT_VALUES));
     }
 
     /// Append rows to a column partition, provisioning segments on demand.
@@ -644,7 +639,7 @@ impl Aeu {
         let PartitionData::Column(col) = &mut p.data else {
             return Err(AbsorbError::NotAColumn(object));
         };
-        Self::fill_column(&mut self.mem, node, col, rows);
+        Self::fill_column(node, col, rows);
         self.journal(RedoOp::AppendRows { object, rows });
         Ok(())
     }
@@ -1453,7 +1448,7 @@ impl Aeu {
                 let Some(rows) = Column::decode_values(payload) else {
                     return false;
                 };
-                Self::fill_column(&mut self.mem, node, col, &rows);
+                Self::fill_column(node, col, &rows);
                 true
             }
         }

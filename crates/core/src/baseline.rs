@@ -247,12 +247,8 @@ impl SharedScanBench {
         let mut remaining = real_rows;
         let mut v = 0u64;
         while remaining > 0 {
-            let alloc = mem.alloc(policy, (SEGMENT_VALUES * 8) as u64);
-            column.push_segment(Segment::with_capacity(
-                alloc.home(),
-                alloc.vaddr,
-                SEGMENT_VALUES,
-            ));
+            let home = mem.alloc(policy, (SEGMENT_VALUES * 8) as u64).home;
+            column.push_segment(Segment::with_capacity(home, SEGMENT_VALUES));
             let take = remaining.min(SEGMENT_VALUES);
             for _ in 0..take {
                 column.append(v).expect("fresh segment");

@@ -16,7 +16,7 @@ use crate::routing::{
 };
 use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};
 use eris_index::PrefixTreeConfig;
-use eris_mem::{MemoryManager, ThreadCache};
+use eris_mem::{MemoryManager, Policy};
 use eris_numa::{CoreId, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
 use eris_obs::{now_ns, Stamped, TraceEvent, TraceStamp};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,7 +154,6 @@ pub struct Engine {
     topo: Arc<Topology>,
     cfg: EngineConfig,
     shared: Arc<RoutingShared>,
-    mem: Arc<MemoryManager>,
     results: Arc<ResultCollector>,
     aeus: Vec<Aeu>,
     node_of: Arc<Vec<NodeId>>,
@@ -201,7 +200,6 @@ impl Engine {
         let node_of: Arc<Vec<NodeId>> = Arc::new(placement.iter().map(|(n, _)| *n).collect());
 
         let shared = Arc::new(RoutingShared::new(num_aeus, cfg.routing));
-        let mem = Arc::new(MemoryManager::new(&topo));
         let results = Arc::new(if cfg.collect_results {
             ResultCollector::collecting()
         } else {
@@ -223,7 +221,6 @@ impl Engine {
             };
             let router = Router::new(id, Arc::clone(&shared), cfg.routing);
             let incoming = Arc::clone(shared.incoming(id));
-            let cache = ThreadCache::new(Arc::clone(mem.node(node)));
             aeus.push(Aeu::new(
                 id,
                 node,
@@ -232,7 +229,6 @@ impl Engine {
                 router,
                 incoming,
                 Arc::clone(&results),
-                cache,
             ));
         }
 
@@ -240,7 +236,6 @@ impl Engine {
             topo,
             cfg,
             shared,
-            mem,
             results,
             aeus,
             node_of,
@@ -325,9 +320,21 @@ impl Engine {
         }
     }
 
-    /// The per-node memory manager.
-    pub fn memory(&self) -> &Arc<MemoryManager> {
-        &self.mem
+    /// Where the engine's data is homed: every partition's resident bytes
+    /// ([`crate::aeu::PartitionData::bytes`]) placed on its AEU's node, the
+    /// node-local policy of Section 3.1.  A census taken at the call: the
+    /// engine allocates from the global allocator and keeps no per-node
+    /// books of its own.
+    pub fn memory(&self) -> MemoryManager {
+        let mem = MemoryManager::new(&self.topo);
+        for aeu in &self.aeus {
+            for o in &self.objects {
+                if let Some(p) = aeu.partition(o.id) {
+                    mem.alloc(Policy::Local(aeu.node), p.data.bytes());
+                }
+            }
+        }
+        mem
     }
 
     /// A consistent point-in-time snapshot of the engine's telemetry:
@@ -568,8 +575,16 @@ impl Engine {
         values: impl IntoIterator<Item = u64>,
     ) {
         let n = self.aeus.len();
-        let mut batches: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, v) in values.into_iter().enumerate() {
+        // Each batch is allocated once, at its final size.  Grown by
+        // doubling, the batches' reallocations interleave with the
+        // segments the load provisions, and how much of a dropped
+        // engine's heap the next load reuses then hinges on allocation
+        // sizes: a 128 MB load peaked 47 MB higher once `Segment` was
+        // 8 bytes smaller.
+        let values = values.into_iter();
+        let per_aeu = values.size_hint().0.div_ceil(n);
+        let mut batches: Vec<Vec<u64>> = (0..n).map(|_| Vec::with_capacity(per_aeu)).collect();
+        for (i, v) in values.enumerate() {
             batches[i % n].push(v);
         }
         for (i, batch) in batches.into_iter().enumerate() {
@@ -1136,6 +1151,34 @@ mod tests {
             },
         );
         assert_eq!(e.num_aeus(), 8);
+    }
+
+    #[test]
+    fn memory_homes_every_partition_on_its_aeus_node() {
+        let mut e = small_engine(false);
+        let idx = e.create_index("t", 1 << 16);
+        e.bulk_load_index(idx, (0..1u64 << 16).map(|k| (k, k)));
+        let col = e.create_column("c");
+        // One row past a full 64 Ki-value segment on each of the 8 AEUs.
+        e.bulk_load_column(col, 0..8 * ((64 << 10) + 1));
+        let mem = e.memory();
+        let mut per_node = vec![0u64; e.topology().num_nodes()];
+        for a in e.aeu_ids() {
+            let (aeu, node) = (e.aeu(a), e.node_of(a));
+            let crate::aeu::PartitionData::Column(c) = &aeu.partition(col).unwrap().data else {
+                panic!("column partition");
+            };
+            assert_eq!(c.segments().len(), 2);
+            assert!(c.segments().iter().all(|s| s.home() == node));
+            for o in [idx, col] {
+                per_node[node.index()] += aeu.partition(o).unwrap().data.bytes();
+            }
+        }
+        for n in e.topology().nodes() {
+            assert_eq!(mem.node_live_bytes(n), per_node[n.index()]);
+        }
+        assert_eq!(mem.live_bytes(), per_node.iter().sum::<u64>());
+        assert!(mem.live_bytes() >= 8 * ((64 << 10) + 1) * 8);
     }
 
     #[test]

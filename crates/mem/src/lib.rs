@@ -1,61 +1,18 @@
-//! # eris-mem — per-multiprocessor memory management
+//! # eris-mem — where a span of memory is homed
 //!
-//! Section 3.1 of the paper: *"a global memory manager (per data object) is
-//! not feasible on a NUMA platform.  Instead, ERIS deploys one memory
-//! manager per multiprocessor (and data object) ... To scale with a high
-//! number of cores per multiprocessor, our memory managers use thread-local
-//! caching mechanisms."*
+//! Section 3.1 of the paper gives ERIS one memory manager per
+//! multiprocessor so that every AEU allocation is node-local.  In this
+//! reproduction the engine has one allocator, the process's global one:
+//! each AEU creates and fills its own partitions (tree arenas, hash chunks,
+//! column segments), and which node that memory is homed on is a fact of
+//! the simulated machine — the cost model charges an AEU's structures to
+//! its own node, and every column segment carries its home tag.  DESIGN.md
+//! lists this under "Known deviations".
 //!
-//! This crate provides exactly that:
-//!
-//! * [`NodeAllocator`] — one allocator per NUMA node, handing out spans from
-//!   the node's region of a synthetic, node-colored virtual address space
-//!   (the simulation analogue of physical memory homed at that node).
-//! * [`ThreadCache`] — a per-AEU cache of free spans that batches refills
-//!   and flushes so the central per-node free lists are touched rarely.
-//! * [`MemoryManager`] — the per-machine façade, plus the NUMA-agnostic
-//!   allocation [`Policy`]s (`Interleaved`, `SingleNode`) used by the
-//!   baseline engines of Section 4.
-//!
-//! Every allocation is tagged with its **home node**, which is what the
-//! engine, the flow solver, and the cache simulator consume.  Synthetic
-//! addresses are stable, unique, and node-decodable via [`home_of_vaddr`].
+//! What this crate keeps is the decision Section 4.2.2 (Figure 9) varies:
+//! on which node a span is homed ([`Policy`]), with a per-node tally of
+//! the bytes placed there ([`MemoryManager`]).
 
 pub mod manager;
-pub mod node_alloc;
-pub mod thread_cache;
 
-pub use manager::{MemoryManager, Policy};
-pub use node_alloc::{Allocation, NodeAllocator, NodeMemStats};
-pub use thread_cache::ThreadCache;
-
-use eris_numa::NodeId;
-
-/// Bits of a synthetic virtual address reserved for the node offset.
-pub const NODE_SHIFT: u32 = 40;
-
-/// The home node encoded in a synthetic virtual address.
-#[inline]
-pub fn home_of_vaddr(vaddr: u64) -> NodeId {
-    NodeId((vaddr >> NODE_SHIFT) as u16)
-}
-
-/// First address of a node's region.
-#[inline]
-pub fn node_base(node: NodeId) -> u64 {
-    (node.0 as u64) << NODE_SHIFT
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn vaddr_roundtrip() {
-        for n in [0u16, 1, 7, 63] {
-            let base = node_base(NodeId(n));
-            assert_eq!(home_of_vaddr(base), NodeId(n));
-            assert_eq!(home_of_vaddr(base + (1 << NODE_SHIFT) - 1), NodeId(n));
-        }
-    }
-}
+pub use manager::{Allocation, MemoryManager, Policy};

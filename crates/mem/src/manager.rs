@@ -1,11 +1,9 @@
-//! The per-machine memory manager façade and the baseline allocation
-//! policies of Section 4.2.2 (Figure 9): *Single RAM*, *Interleaved*, and
-//! node-local (what ERIS itself does).
+//! The placement policies of Section 4.2.2 (Figure 9) — node-local (what
+//! ERIS does), *Interleaved* and *Single RAM* — and the per-node tally of
+//! the bytes they place.
 
-use crate::node_alloc::{Allocation, NodeAllocator, NodeMemStats};
 use eris_numa::{NodeId, Topology};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
 
 /// Where an allocation should be homed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,70 +16,60 @@ pub enum Policy {
     SingleNode(NodeId),
 }
 
-/// One [`NodeAllocator`] per node of a machine.
+/// A span of memory and the node it is homed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocation {
+    pub home: NodeId,
+    pub size: u64,
+}
+
+/// Places spans on the nodes of one machine and counts the live bytes
+/// homed on each.
 pub struct MemoryManager {
-    allocators: Vec<Arc<NodeAllocator>>,
-    interleave_next: AtomicU64,
+    live: Vec<Cell<u64>>,
+    interleave_next: Cell<u64>,
 }
 
 impl MemoryManager {
-    /// Build managers sized to each node's installed memory.
+    /// A manager for every node of `topo`, nothing placed yet.
     pub fn new(topo: &Topology) -> Self {
-        let allocators = topo
-            .nodes()
-            .map(|n| {
-                let gib = topo.node_spec(n).memory_gib;
-                Arc::new(NodeAllocator::new(n, gib << 30))
-            })
-            .collect();
         MemoryManager {
-            allocators,
-            interleave_next: AtomicU64::new(0),
+            live: topo.nodes().map(|_| Cell::new(0)).collect(),
+            interleave_next: Cell::new(0),
         }
     }
 
-    /// The allocator of one node (for wiring up AEU thread caches).
-    pub fn node(&self, node: NodeId) -> &Arc<NodeAllocator> {
-        // BOUNDS: NodeId comes from the topology that sized this vector.
-        &self.allocators[node.index()]
-    }
-
-    /// Number of per-node allocators.
-    pub fn num_nodes(&self) -> usize {
-        self.allocators.len()
-    }
-
-    /// Allocate one span according to `policy`.
+    /// Home one span of `size` bytes according to `policy`.  Interleaving
+    /// places consecutive spans round-robin, as page-granular OS
+    /// interleaving distributes a large array.
     pub fn alloc(&self, policy: Policy, size: u64) -> Allocation {
-        match policy {
-            Policy::Local(n) | Policy::SingleNode(n) => self.allocators[n.index()].alloc(size),
+        let home = match policy {
+            Policy::Local(n) | Policy::SingleNode(n) => n,
             Policy::Interleaved => {
-                let i = self.interleave_next.fetch_add(1, Ordering::Relaxed);
-                self.allocators[(i % self.allocators.len() as u64) as usize].alloc(size)
+                let i = self.interleave_next.get();
+                self.interleave_next.set(i + 1);
+                NodeId((i % self.live.len() as u64) as u16)
             }
-        }
+        };
+        let live = &self.live[home.index()];
+        live.set(live.get() + size);
+        Allocation { home, size }
     }
 
-    /// Allocate `count` spans of `size` bytes under `policy`.  Interleaving
-    /// distributes consecutive spans round-robin, exactly like page-granular
-    /// OS interleaving distributes a large array.
-    pub fn alloc_many(&self, policy: Policy, size: u64, count: usize) -> Vec<Allocation> {
-        (0..count).map(|_| self.alloc(policy, size)).collect()
-    }
-
-    /// Free a span on whichever node homes it.
+    /// Return a span to the node that homes it.
     pub fn free(&self, a: Allocation) {
-        self.allocators[a.home().index()].free(a);
+        let live = &self.live[a.home.index()];
+        live.set(live.get() - a.size);
     }
 
-    /// Per-node statistics.
-    pub fn stats(&self) -> Vec<NodeMemStats> {
-        self.allocators.iter().map(|a| a.stats()).collect()
+    /// Live bytes homed on `node`.
+    pub fn node_live_bytes(&self, node: NodeId) -> u64 {
+        self.live[node.index()].get()
     }
 
-    /// Total live bytes across all nodes.
+    /// Live bytes across all nodes.
     pub fn live_bytes(&self) -> u64 {
-        self.allocators.iter().map(|a| a.live_bytes()).sum()
+        self.live.iter().map(Cell::get).sum()
     }
 }
 
@@ -98,40 +86,39 @@ mod tests {
     fn local_policy_homes_on_requested_node() {
         let m = mgr();
         let a = m.alloc(Policy::Local(NodeId(2)), 4096);
-        assert_eq!(a.home(), NodeId(2));
+        assert_eq!(a.home, NodeId(2));
+        assert_eq!(m.node_live_bytes(NodeId(2)), 4096);
     }
 
     #[test]
     fn single_node_policy_concentrates() {
         let m = mgr();
         for _ in 0..16 {
-            assert_eq!(m.alloc(Policy::SingleNode(NodeId(1)), 64).home(), NodeId(1));
+            assert_eq!(m.alloc(Policy::SingleNode(NodeId(1)), 64).home, NodeId(1));
         }
+        assert_eq!(m.node_live_bytes(NodeId(1)), 16 * 64);
+        assert_eq!(m.live_bytes(), 16 * 64);
     }
 
     #[test]
     fn interleaved_policy_round_robins() {
         let m = mgr();
         let homes: Vec<u16> = (0..8)
-            .map(|_| m.alloc(Policy::Interleaved, 64).home().0)
+            .map(|_| m.alloc(Policy::Interleaved, 64).home.0)
             .collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(m.node_live_bytes(NodeId(0)), 2 * 64);
     }
 
     #[test]
     fn free_returns_to_owning_node() {
         let m = mgr();
         let a = m.alloc(Policy::Local(NodeId(3)), 64);
+        let b = m.alloc(Policy::Local(NodeId(0)), 128);
         m.free(a);
-        assert_eq!(m.node(NodeId(3)).live_bytes(), 0);
+        assert_eq!(m.node_live_bytes(NodeId(3)), 0);
+        assert_eq!(m.live_bytes(), 128);
+        m.free(b);
         assert_eq!(m.live_bytes(), 0);
-    }
-
-    #[test]
-    fn alloc_many_interleaves_spans() {
-        let m = mgr();
-        let spans = m.alloc_many(Policy::Interleaved, 4096, 12);
-        let on_node0 = spans.iter().filter(|a| a.home() == NodeId(0)).count();
-        assert_eq!(on_node0, 3);
     }
 }
