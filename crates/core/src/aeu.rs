@@ -267,9 +267,8 @@ pub struct Partition {
     pub exec_ns: f64,
 }
 
-/// A per-epoch command generator: the query-processing layer above the
-/// storage engine, modelled as commands arising *at* each AEU (as they do
-/// during distributed query processing, e.g. lookups produced by a join).
+/// A per-epoch command generator: workload traffic modelled as commands
+/// arising *at* each AEU, routed like any client's command.
 pub type CommandGen = Box<dyn FnMut(u64, &mut Vec<DataCommand>) + Send>;
 
 /// Operation tallies of one step.
@@ -580,26 +579,24 @@ impl Aeu {
     }
 
     /// Route one command through this AEU's routing front end — for an
-    /// external client ([`crate::Engine::submit`]), or one this AEU
-    /// produced itself — charging `w` CPU per emitted sub-command (the
+    /// external client ([`crate::Engine::submit`]), or one this AEU's
+    /// generator produced — charging `w` CPU per emitted sub-command (the
     /// batch target lookup + encode of routing step 1) and the flush
     /// costs.  A `stamp` born at the serving layer's frame decode rides
     /// along (full-path tracing: `(tenant, conn, seq)` and the
     /// net-queue/admission spans); without one the router's sampler
     /// decides.
+    // HOT-PATH-ROOT: routing step 1 for every submitted or generated
+    // command: partition-table split, outgoing buffers, threshold flushes.
     pub fn route_external(
         &mut self,
         cmd: DataCommand,
         stamp: Option<TraceStamp>,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
-        let before = self.router.stats.commands_out;
         let keys = cmd.payload.op_count();
-        let fl = match stamp {
-            Some(s) => self.router.route_stamped(cmd, s)?,
-            None => self.router.route(cmd)?,
-        };
-        let emitted = (self.router.stats.commands_out - before).max(1);
+        let (fl, emitted) = self.router.route_counted(cmd, stamp)?;
+        let emitted = emitted.max(1);
         w.cpu_ns += emitted as f64 * self.cfg.params.cpu_ns_per_routed_cmd
             + keys as f64 * self.cfg.params.cpu_ns_per_routed_key;
         w.ops.commands_routed += 1;
@@ -747,7 +744,7 @@ impl Aeu {
         let step_t0 = now_ns();
         let mut mark = step_t0;
 
-        // Stage 0: command generation (the query layer above).
+        // Stage 0: command generation (the workload's per-AEU traffic).
         if let Some(gen) = &mut self.generator {
             self.scratch_gen.clear();
             gen(self.epoch, &mut self.scratch_gen);
@@ -930,9 +927,6 @@ impl Aeu {
                 self.scratch_pairs = self.process_points(object, cmds, region, gather, w);
             }
             StorageOp::Scan => self.process_scans(object, cmds, region, w),
-            StorageOp::JoinProbe | StorageOp::Materialize => {
-                self.process_scan_producers(object, cmds, region, w)
-            }
         }
     }
 
@@ -953,125 +947,6 @@ impl Aeu {
             object: object.0,
             count: cmds.len() as u32,
         });
-    }
-
-    /// Scan-shaped operators that *produce* new data commands from the
-    /// rows they visit: the join probe (route a lookup per row) and
-    /// intermediate-result materialization (route appends).  This is the
-    /// paper's "AEUs generate data commands during the processing stage"
-    /// pattern.
-    fn process_scan_producers(
-        &mut self,
-        object: DataObjectId,
-        cmds: &[CommandView],
-        region: &[u8],
-        w: &mut WorkSummary,
-    ) {
-        let params = self.cfg.params;
-        let scale = self.cfg.size_scale;
-        /// Rows per routed batch command.
-        const PRODUCER_BATCH: usize = 128;
-        for v in cmds {
-            // Multicast deliveries are never stamped, but if one ever
-            // arrives stamped it executes right here.
-            // ALLOC-OK: trace bookkeeping for the sampled minority of
-            // commands; the pending vector drains every epoch.
-            if let Some(stamp) = v.stamp {
-                self.traced_pending.push(stamp);
-            }
-            let c = v.to_command(region);
-            // Gather matching row values from the local partition.
-            let (pred, snapshot) = match &c.payload {
-                Payload::JoinProbe { pred, snapshot, .. }
-                // BOUNDS: dispatch invariant — process_group routes only
-                // JoinProbe/Materialize payloads here, and only for an object
-                // whose partition it found, which backs the map lookup below.
-                // ALLOC-OK: `values` stages the gathered rows for downstream
-                // batching; it is the producer's working set by design.
-                | Payload::Materialize { pred, snapshot, .. } => (*pred, *snapshot),
-                _ => unreachable!(),
-            };
-            let mut values = Vec::new();
-            let p = &self.partitions[&object];
-            let examined = match &p.data {
-                PartitionData::Column(col) => {
-                    // Chunked gather: branch-free selection bitmap per
-                    // chunk, then a selected-row walk.
-                    col.collect_matching(pred, snapshot.min(col.len() as u64) as usize, &mut values)
-                }
-                PartitionData::Index(tree) => {
-                    // ALLOC-OK: gathering into the producer's staging vector, as the
-                    // column arm above.
-                    tree.scan_range_inclusive(0, u64::MAX, |_, v| {
-                        if pred.matches(v) {
-                            values.push(v);
-                        }
-                    });
-                    tree.len()
-                }
-                PartitionData::Hash(h) => {
-                    // ALLOC-OK: gathering into the producer's staging vector, as the
-                    // column arm above.
-                    h.for_each(|_, v| {
-                        if pred.matches(v) {
-                            values.push(v);
-                        }
-                    });
-                    h.len()
-                }
-            } as u64;
-            // Scan cost (same as a plain scan of this partition).
-            let exec_ns = examined as f64 * scale as f64 * params.cpu_ns_per_scan_row;
-            w.cpu_ns += exec_ns;
-            w.ops.scans += 1;
-            w.ops.scan_rows += examined * scale;
-            // ALLOC-OK: one flow record per executed command, drained into
-            // the epoch's work summary.
-            // ALLOC-OK: flow records drain into the epoch's work summary.
-            w.flows.push((
-                Flow::new(self.node, self.node, examined * 8 * scale),
-                FlowKind::Serial,
-            ));
-            if let Some(p) = self.partitions.get_mut(&object) {
-                p.accesses += 1;
-                p.exec_ns += exec_ns;
-            }
-            // Produce downstream commands in batches.
-            for chunk in values.chunks(PRODUCER_BATCH) {
-                // BOUNDS: same dispatch invariant as the gather above; the
-                // expect below is infallible for the same reason as
-                // `route_internal` (internally produced commands target
-                // registered objects).
-                // ALLOC-OK: each produced command owns its key batch — the
-                // payload crosses an AEU boundary.
-                let cmd = match &c.payload {
-                    Payload::JoinProbe { index, .. } => DataCommand {
-                        object: *index,
-                        ticket: c.ticket,
-                        payload: Payload::Lookup {
-                            // ALLOC-OK: the produced command owns its key batch — the
-                            // payload crosses an AEU boundary.
-                            keys: chunk.to_vec(),
-                        },
-                    },
-                    Payload::Materialize { dst, .. } => DataCommand {
-                        object: *dst,
-                        ticket: c.ticket,
-                        payload: Payload::Upsert {
-                            // ALLOC-OK: owned payload, as the lookup arm above.
-                            // BOUNDS: the unreachable arm below restates the dispatch
-                            // invariant already matched at the top of this loop body, and
-                            // the route expect is infallible as for `route_internal`.
-                            pairs: chunk.iter().map(|&v| (v, v)).collect(),
-                        },
-                    },
-                    _ => unreachable!(),
-                };
-                // Infallible for the same reason as `route_internal`.
-                self.route_external(cmd, None, w)
-                    .expect("internally produced command targets a registered object");
-            }
-        }
     }
 
     /// Execute one group of point commands on the local index or hash
@@ -1454,11 +1329,6 @@ impl Aeu {
         }
     }
 
-    /// Router statistics (fig5).
-    pub fn router_stats(&self) -> &crate::routing::RouterStats {
-        &self.router.stats
-    }
-
     /// True when the outgoing buffers are fully drained.
     pub fn is_drained(&self) -> bool {
         self.router.is_drained() && self.incoming.pending_bytes() == 0
@@ -1472,14 +1342,13 @@ impl Aeu {
 }
 
 /// The profiler phase a coalesced `(object, op)` group's execution wall
-/// time is charged to: scans hit the chunked scan kernels, lookups and
-/// join probes the hash/index probe kernels, upserts and materialized
-/// appends the write path.
+/// time is charged to: scans hit the chunked scan kernels, lookups the
+/// hash/index probe kernels, upserts the write path.
 fn kernel_phase(op: StorageOp) -> Phase {
     match op {
         StorageOp::Scan => Phase::ScanKernel,
-        StorageOp::Lookup | StorageOp::JoinProbe => Phase::Probe,
-        StorageOp::Upsert | StorageOp::Materialize => Phase::Write,
+        StorageOp::Lookup => Phase::Probe,
+        StorageOp::Upsert => Phase::Write,
     }
 }
 

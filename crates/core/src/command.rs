@@ -43,15 +43,6 @@ pub enum StorageOp {
     Lookup,
     Upsert,
     Scan,
-    /// Scan the local partition and route a `Lookup` into another object
-    /// for every matching row — the distributed index-nested-loop join
-    /// probe ("lookup operations during a join", Section 3.2).
-    JoinProbe,
-    /// Scan the local partition and route matching rows as appends into a
-    /// size-partitioned object — NUMA-aware materialization of intermediate
-    /// results (Section 1: "the effective handling of intermediate results
-    /// ... [is a] mission critical component").
-    Materialize,
 }
 
 impl StorageOp {
@@ -61,8 +52,6 @@ impl StorageOp {
             StorageOp::Lookup => OP_LOOKUP,
             StorageOp::Upsert => OP_UPSERT,
             StorageOp::Scan => OP_SCAN,
-            StorageOp::JoinProbe => OP_JOIN_PROBE,
-            StorageOp::Materialize => OP_MATERIALIZE,
         }
     }
 
@@ -71,8 +60,6 @@ impl StorageOp {
             StorageOp::Lookup => "lookup",
             StorageOp::Upsert => "upsert",
             StorageOp::Scan => "scan",
-            StorageOp::JoinProbe => "join_probe",
-            StorageOp::Materialize => "materialize",
         }
     }
 
@@ -83,8 +70,6 @@ impl StorageOp {
             OP_LOOKUP => Some(StorageOp::Lookup),
             OP_UPSERT => Some(StorageOp::Upsert),
             OP_SCAN => Some(StorageOp::Scan),
-            OP_JOIN_PROBE => Some(StorageOp::JoinProbe),
-            OP_MATERIALIZE => Some(StorageOp::Materialize),
             _ => None,
         }
     }
@@ -103,18 +88,6 @@ pub enum Payload {
         agg: Aggregate,
         snapshot: u64,
     },
-    /// Probe `index` with every matching row value of the local partition.
-    JoinProbe {
-        index: DataObjectId,
-        pred: Predicate,
-        snapshot: u64,
-    },
-    /// Append matching row values into `dst`.
-    Materialize {
-        dst: DataObjectId,
-        pred: Predicate,
-        snapshot: u64,
-    },
 }
 
 impl Payload {
@@ -123,8 +96,6 @@ impl Payload {
             Payload::Lookup { .. } => StorageOp::Lookup,
             Payload::Upsert { .. } => StorageOp::Upsert,
             Payload::Scan { .. } => StorageOp::Scan,
-            Payload::JoinProbe { .. } => StorageOp::JoinProbe,
-            Payload::Materialize { .. } => StorageOp::Materialize,
         }
     }
 
@@ -133,7 +104,7 @@ impl Payload {
         match self {
             Payload::Lookup { keys } => keys.len() as u64,
             Payload::Upsert { pairs } => pairs.len() as u64,
-            Payload::Scan { .. } | Payload::JoinProbe { .. } | Payload::Materialize { .. } => 1,
+            Payload::Scan { .. } => 1,
         }
     }
 }
@@ -236,8 +207,6 @@ pub struct DataCommand {
 const OP_LOOKUP: u8 = 0;
 const OP_UPSERT: u8 = 1;
 const OP_SCAN: u8 = 2;
-const OP_JOIN_PROBE: u8 = 3;
-const OP_MATERIALIZE: u8 = 4;
 /// Not a storage op: an in-band latency-trace marker that annotates the
 /// *next* command in the stream (see [`encode_trace_marker`]).
 const OP_TRACE: u8 = 5;
@@ -351,26 +320,6 @@ impl DataCommand {
                 });
                 out.put_u64_le(*snapshot);
             }
-            Payload::JoinProbe {
-                index,
-                pred,
-                snapshot,
-            } => {
-                header(out);
-                out.put_u32_le(index.0);
-                encode_pred(out, pred);
-                out.put_u64_le(*snapshot);
-            }
-            Payload::Materialize {
-                dst,
-                pred,
-                snapshot,
-            } => {
-                header(out);
-                out.put_u32_le(dst.0);
-                encode_pred(out, pred);
-                out.put_u64_le(*snapshot);
-            }
         }
     }
 
@@ -423,26 +372,6 @@ impl DataCommand {
                 Payload::Scan {
                     pred,
                     agg,
-                    snapshot,
-                }
-            }
-            OP_JOIN_PROBE => {
-                let index = DataObjectId(take_u32(&mut body)?);
-                let pred = decode_pred(&mut body)?;
-                let snapshot = take_u64(&mut body)?;
-                Payload::JoinProbe {
-                    index,
-                    pred,
-                    snapshot,
-                }
-            }
-            OP_MATERIALIZE => {
-                let dst = DataObjectId(take_u32(&mut body)?);
-                let pred = decode_pred(&mut body)?;
-                let snapshot = take_u64(&mut body)?;
-                Payload::Materialize {
-                    dst,
-                    pred,
                     snapshot,
                 }
             }
@@ -736,7 +665,6 @@ fn payload_len(p: &Payload) -> usize {
         Payload::Lookup { keys } => 4 + keys.len() * 8,
         Payload::Upsert { pairs } => 4 + pairs.len() * 16,
         Payload::Scan { .. } => 1 + 8 + 8 + 1 + 8,
-        Payload::JoinProbe { .. } | Payload::Materialize { .. } => 4 + 1 + 8 + 8 + 8,
     }
 }
 
@@ -836,28 +764,6 @@ mod tests {
                 });
             }
         }
-    }
-
-    #[test]
-    fn join_probe_and_materialize_roundtrip() {
-        roundtrip(DataCommand {
-            object: DataObjectId(3),
-            ticket: 77,
-            payload: Payload::JoinProbe {
-                index: DataObjectId(9),
-                pred: Predicate::Range { lo: 5, hi: 10 },
-                snapshot: 42,
-            },
-        });
-        roundtrip(DataCommand {
-            object: DataObjectId(4),
-            ticket: 78,
-            payload: Payload::Materialize {
-                dst: DataObjectId(2),
-                pred: Predicate::All,
-                snapshot: u64::MAX,
-            },
-        });
     }
 
     #[test]
@@ -970,6 +876,30 @@ mod tests {
     }
 
     #[test]
+    fn tags_3_and_4_are_not_storage_ops() {
+        // The engine executes the paper's three storage operations only:
+        // a record under tag 3 or 4 is an unknown op however well formed
+        // its body (here an object id, a predicate and a snapshot), and
+        // the cursor stays where it was.
+        for tag in [3u8, 4] {
+            let mut body = Vec::new();
+            body.put_u32_le(42);
+            encode_pred(&mut body, &Predicate::Range { lo: 0, hi: 10 });
+            body.put_u64_le(u64::MAX);
+            let mut frame = Vec::new();
+            encode_header(tag, DataObjectId(1), 7, body.len(), &mut frame);
+            frame.extend_from_slice(&body);
+            let mut cur = frame.as_slice();
+            assert_eq!(
+                DataCommand::try_decode(&mut cur),
+                Err(DecodeError::UnknownOp(tag))
+            );
+            assert_eq!(cur, frame.as_slice(), "tag {tag}: buf untouched");
+            assert_eq!(StorageOp::from_tag(tag), None);
+        }
+    }
+
+    #[test]
     fn try_decode_survives_corrupt_element_counts() {
         let cmd = DataCommand {
             object: DataObjectId(0),
@@ -1071,13 +1001,7 @@ mod tests {
 
     #[test]
     fn storage_op_tags_roundtrip() {
-        for op in [
-            StorageOp::Lookup,
-            StorageOp::Upsert,
-            StorageOp::Scan,
-            StorageOp::JoinProbe,
-            StorageOp::Materialize,
-        ] {
+        for op in [StorageOp::Lookup, StorageOp::Upsert, StorageOp::Scan] {
             assert_eq!(StorageOp::from_tag(op.tag()), Some(op));
             assert!(!op.name().is_empty());
         }
@@ -1117,13 +1041,13 @@ mod proptests {
 
     fn arb_command() -> impl Strategy<Value = DataCommand> {
         (
-            (0u8..5, 0u32..1 << 20, FULL),
+            (0u8..3, 0u32..1 << 20, FULL),
             proptest::collection::vec(FULL, 0..48),
             proptest::collection::vec((FULL, FULL), 0..48),
-            (arb_pred(), 0u8..3, FULL, 0u32..1 << 20),
+            (arb_pred(), 0u8..3, FULL),
         )
             .prop_map(
-                |((op, object, ticket), keys, pairs, (pred, agg, snapshot, other))| {
+                |((op, object, ticket), keys, pairs, (pred, agg, snapshot))| {
                     let agg = match agg {
                         0 => Aggregate::Count,
                         1 => Aggregate::Sum,
@@ -1132,19 +1056,9 @@ mod proptests {
                     let payload = match op {
                         0 => Payload::Lookup { keys },
                         1 => Payload::Upsert { pairs },
-                        2 => Payload::Scan {
+                        _ => Payload::Scan {
                             pred,
                             agg,
-                            snapshot,
-                        },
-                        3 => Payload::JoinProbe {
-                            index: DataObjectId(other),
-                            pred,
-                            snapshot,
-                        },
-                        _ => Payload::Materialize {
-                            dst: DataObjectId(other),
-                            pred,
                             snapshot,
                         },
                     };

@@ -212,23 +212,6 @@ impl RoutingShared {
     }
 }
 
-/// Routing statistics of one source AEU.
-#[derive(Debug, Clone, Default)]
-pub struct RouterStats {
-    /// Commands handed to `route`.
-    pub commands_in: u64,
-    /// Commands written to buffers after splitting (>= commands_in).
-    pub commands_out: u64,
-    /// Commands that had to be split across partitions.
-    pub splits: u64,
-    /// Successful flushes into incoming buffers.
-    pub flushes: u64,
-    /// Bytes moved by flushes.
-    pub flush_bytes: u64,
-    /// Flush attempts rejected because the target's buffer was full.
-    pub flush_stalls: u64,
-}
-
 /// The per-AEU routing front end.
 pub struct Router {
     src: AeuId,
@@ -242,7 +225,6 @@ pub struct Router {
     full: Vec<AeuId>,
     /// Round-robin cursor for appends to bitmap-partitioned objects.
     rr_cursor: usize,
-    pub stats: RouterStats,
     /// This AEU's telemetry shard (routing-side counters).
     tel: Arc<TelemetryShard>,
     /// Per-object conservation ledgers, cached to keep the hot path off
@@ -268,7 +250,6 @@ impl Router {
             owners: Owners::default(),
             full: Vec::new(),
             rr_cursor: src.index(),
-            stats: RouterStats::default(),
             tel,
             tel_objects: Vec::new(),
             trace_sample_every: cfg.trace_sample_every,
@@ -332,20 +313,22 @@ impl Router {
     /// end-to-end trace marker (see [`RoutingConfig::trace_sample_every`]).
     pub fn route(&mut self, cmd: DataCommand) -> Result<Vec<FlushInfo>, RoutingError> {
         let stamp = self.maybe_stamp();
-        self.route_with(cmd, stamp, true)
+        Ok(self.route_with(cmd, stamp, true)?.0)
     }
 
-    /// Route a command stamped *by the serving layer*: the stamp was
-    /// born at frame decode (it carries the `(tenant, conn, seq)`
-    /// identity and the net-queue/admission spans) rather than by the
-    /// router's own sampler, so this charges stamp accounting like a
-    /// fresh stamp and bypasses the 1-in-N counter entirely.
-    pub fn route_stamped(
+    /// Route a command as [`Router::route`] does, and also return the
+    /// number of sub-commands emitted, which the AEU charges CPU for.
+    /// A `stamp` given here was born *in the serving layer* at frame
+    /// decode (it carries the `(tenant, conn, seq)` identity and the
+    /// net-queue/admission spans): it is charged to stamp accounting like
+    /// a fresh stamp and bypasses the router's 1-in-N sampler entirely.
+    pub(crate) fn route_counted(
         &mut self,
         cmd: DataCommand,
-        stamp: TraceStamp,
-    ) -> Result<Vec<FlushInfo>, RoutingError> {
-        self.route_with(cmd, Some(stamp), true)
+        stamp: Option<TraceStamp>,
+    ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
+        let stamp = stamp.or_else(|| self.maybe_stamp());
+        self.route_with(cmd, stamp, true)
     }
 
     /// Route a command that already carries a trace stamp (stray
@@ -356,35 +339,34 @@ impl Router {
         cmd: DataCommand,
         stamp: Option<TraceStamp>,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
-        self.route_with(cmd, stamp, false)
+        Ok(self.route_with(cmd, stamp, false)?.0)
     }
 
+    /// Route `cmd`; returns the flushes performed and the number of
+    /// sub-commands emitted (unicast plus multicast deliveries).
     fn route_with(
         &mut self,
         cmd: DataCommand,
         mut stamp: Option<TraceStamp>,
         fresh: bool,
-    ) -> Result<Vec<FlushInfo>, RoutingError> {
-        self.stats.commands_in += 1;
+    ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
         let had_stamp = stamp.is_some();
         let object = cmd.object;
-        // Telemetry tallies of this call, published in one batch below.
-        let (mut multi, mut split) = (0u64, 0u64);
-        let out_before = self.stats.commands_out;
         // Cleared after every flush round below; an error leaves it empty.
         let mut full_targets = std::mem::take(&mut self.full);
-        match &cmd.payload {
-            Payload::Lookup { keys } => {
-                split += self.route_point(&cmd, keys, &mut stamp, &mut full_targets)?
-            }
-            Payload::Upsert { pairs } => {
-                split += self.route_point(&cmd, pairs, &mut stamp, &mut full_targets)?
-            }
-            Payload::Scan { pred, .. }
-            | Payload::JoinProbe { pred, .. }
-            | Payload::Materialize { pred, .. } => {
-                // Scans (and the scan-shaped join-probe / materialize
-                // operators) multicast to every owner intersecting the
+        // Telemetry tallies of this call, published in one batch below:
+        // unicast sub-commands and multicast deliveries.
+        let (uni, multi) = match &cmd.payload {
+            Payload::Lookup { keys } => (
+                self.route_point(&cmd, keys, &mut stamp, &mut full_targets)?,
+                0,
+            ),
+            Payload::Upsert { pairs } => (
+                self.route_point(&cmd, pairs, &mut stamp, &mut full_targets)?,
+                0,
+            ),
+            Payload::Scan { pred, .. } => {
+                // Scans multicast to every owner intersecting the
                 // predicate.
                 let targets = self.shared.with_table(cmd.object, |t| match (t, pred) {
                     (PartitionTable::Range(r), eris_column::Predicate::Range { lo, hi }) => {
@@ -400,15 +382,14 @@ impl Router {
                     }
                     (t, _) => t.scan_targets(),
                 })?;
-                self.stats.commands_out += targets.len() as u64;
-                multi += targets.len() as u64;
                 // ALLOC-OK: extends the per-call full-target list (bounded by the
                 // AEU count).
                 full_targets.extend(self.out.push_multicast(&targets, &cmd));
+                (0, targets.len() as u64)
             }
-        }
-        // Every sub-command emitted that was not a multicast delivery.
-        let uni = self.stats.commands_out - out_before - multi;
+        };
+        // A point command owned by more than one AEU was split.
+        let split = u64::from(uni > 1);
         // Stamp accounting at the emission point: a fresh stamp enters
         // the `stamped == traced + dropped` ledger only when its marker
         // actually hit a unicast buffer (multicast deliveries are never
@@ -451,17 +432,16 @@ impl Router {
         }
         full_targets.clear();
         self.full = full_targets;
-        Ok(flushed)
+        Ok((flushed, enqueued))
     }
 
     /// Routing steps 1 and 2 of a point command carrying `items`: one
     /// owner pass, then the caller's command buffered as it is when one
     /// AEU owns every item (always, for one item), or each owner's
     /// sub-command scattered straight into that owner's outgoing buffer.
-    /// Returns 1 if the command was split.  On a size-partitioned object
-    /// upserts are appends, dealt round-robin over the member set
-    /// (NUMA-aware materialization of intermediate results), and lookups
-    /// have no placement to go by.
+    /// Returns the number of sub-commands emitted.  On a size-partitioned
+    /// object upserts are appends, dealt round-robin over the member set,
+    /// and lookups have no placement to go by.
     fn route_point<T: PointItem>(
         &mut self,
         cmd: &DataCommand,
@@ -491,22 +471,21 @@ impl Router {
             // which `with_table` guarantees non-empty for a provisioned object.
             let owner = members[self.rr_cursor];
             self.push_unicast(owner, cmd, stamp, full);
-            return Ok(0);
+            return Ok(1);
         }
         match *self.owners.order() {
             // No items: no sub-command.
             [] => Ok(0),
             [owner] => {
                 self.push_unicast(owner, cmd, stamp, full);
-                Ok(0)
+                Ok(1)
             }
             ref split => {
-                self.stats.splits += 1;
-                self.stats.commands_out += split.len() as u64;
+                let emitted = split.len() as u64;
                 let (ticket, stamp) = (cmd.ticket, stamp.take());
                 self.out
                     .push_split(object, ticket, items, &self.owners, stamp, full);
-                Ok(1)
+                Ok(emitted)
             }
         }
     }
@@ -521,7 +500,6 @@ impl Router {
         stamp: &mut Option<TraceStamp>,
         full: &mut Vec<AeuId>,
     ) {
-        self.stats.commands_out += 1;
         if self.out.push_unicast_traced(owner, cmd, stamp.take()) {
             // ALLOC-OK: the full-target list is bounded by the AEU count
             // and lives for one routing call.
@@ -532,8 +510,6 @@ impl Router {
     fn flush_target(&mut self, target: AeuId, flushed: &mut Vec<FlushInfo>) {
         match self.out.flush_into(target, self.shared.incoming(target)) {
             Ok(Some(info)) => {
-                self.stats.flushes += 1;
-                self.stats.flush_bytes += info.bytes;
                 let c = &self.tel.counters;
                 c.flushes.fetch_add(1, Relaxed);
                 c.flush_commands.fetch_add(info.commands, Relaxed);
@@ -544,7 +520,6 @@ impl Router {
             }
             Ok(None) => {}
             Err(BufferFull) => {
-                self.stats.flush_stalls += 1;
                 self.tel.counters.flush_stalls.fetch_add(1, Relaxed);
             }
         }
@@ -607,8 +582,9 @@ mod tests {
                 },
             })
             .unwrap();
-        assert_eq!(router.stats.splits, 1);
-        assert_eq!(router.stats.commands_out, 4);
+        let c = router.telemetry_shard().counters.snapshot();
+        assert_eq!(c.command_splits, 1);
+        assert_eq!(c.commands_unicast + c.commands_multicast, 4);
         router.flush_all();
         assert!(router.is_drained());
         let c0 = drain(&shared, AeuId(0));
@@ -772,13 +748,13 @@ mod tests {
             ..TraceStamp::engine(1234)
         };
         router
-            .route_stamped(
+            .route_counted(
                 DataCommand {
                     object: DataObjectId(0),
                     ticket: 1,
                     payload: Payload::Lookup { keys: vec![60] },
                 },
-                stamp,
+                Some(stamp),
             )
             .unwrap();
         router.flush_all();
@@ -829,8 +805,9 @@ mod tests {
             );
         }
         assert!(!flushed.is_empty(), "auto-flush on threshold");
-        assert!(router.stats.flushes > 0);
-        assert_eq!(router.stats.flush_bytes % 29, 0, "whole commands only");
+        let c = router.telemetry_shard().counters.snapshot();
+        assert!(c.flushes > 0);
+        assert_eq!(c.flush_bytes % 29, 0, "whole commands only");
     }
 
     #[test]
@@ -1072,7 +1049,8 @@ mod proptests {
                 shared.incoming(*a).swap_and_consume(|d| got = d.to_vec());
                 prop_assert_eq!(&got, want, "bytes towards {}", a);
             }
-            prop_assert_eq!(router.stats.splits, want_splits);
+            let c = router.telemetry_shard().counters.snapshot();
+            prop_assert_eq!(c.command_splits, want_splits);
             let totals = shared.telemetry_totals();
             prop_assert_eq!(totals.command_splits, want_splits);
             prop_assert_eq!(totals.commands_unicast, want_unicast);
@@ -1169,11 +1147,7 @@ mod proptests {
                     ..TraceStamp::engine(draw())
                 });
                 oracle.route(&oracle_table, &cmd, stamp);
-                match stamp {
-                    Some(s) => router.route_stamped(cmd, s),
-                    None => router.route(cmd),
-                }
-                .unwrap();
+                router.route_counted(cmd, stamp).unwrap();
                 drain(&mut got);
             }
             oracle.flush_all();
@@ -1182,8 +1156,9 @@ mod proptests {
             for (a, (got, want)) in got.iter().zip(&oracle.delivered).enumerate() {
                 prop_assert_eq!(got, want, "bytes towards AEU{}", a);
             }
-            prop_assert_eq!(router.stats.splits, oracle.splits);
-            prop_assert_eq!(router.stats.flushes, oracle.flushes);
+            let c = router.telemetry_shard().counters.snapshot();
+            prop_assert_eq!(c.command_splits, oracle.splits);
+            prop_assert_eq!(c.flushes, oracle.flushes);
             let totals = shared.telemetry_totals();
             prop_assert_eq!(totals.command_splits, oracle.splits);
             prop_assert_eq!(totals.commands_unicast, oracle.unicast);

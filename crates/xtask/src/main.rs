@@ -80,7 +80,6 @@ const GRAPH_CRATES: &[&str] = &[
     "crates/mem",
     "crates/numa",
     "crates/obs",
-    "crates/query",
     "crates/server",
     "crates/sync",
     "crates/workloads",

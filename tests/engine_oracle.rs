@@ -954,7 +954,8 @@ fn column_appends_distribute_over_members() {
 
 #[test]
 fn real_machines_route_correctly() {
-    // Smoke the three paper machines end to end.
+    // Smoke the three paper machines end to end: index lookups and
+    // column scans.
     for topo in [
         eris_numa::intel_machine(),
         eris_numa::amd_machine(),
@@ -971,6 +972,25 @@ fn real_machines_route_correctly() {
         );
         let idx = e.create_index("t", 1 << 24);
         e.bulk_load_index(idx, (0..10_000u64).map(|k| (k * 1000, k)));
+        let col = e.create_column("c");
+        e.bulk_load_column(col, (0..1000u64).map(|i| i % 100));
+        let scans = [
+            (Predicate::Range { lo: 90, hi: 100 }, Aggregate::Count),
+            (Predicate::All, Aggregate::MinMax),
+        ];
+        for (ticket, (pred, agg)) in (2u64..).zip(scans) {
+            let payload = Payload::Scan {
+                pred,
+                agg,
+                snapshot: u64::MAX,
+            };
+            let scan = DataCommand {
+                object: col,
+                ticket,
+                payload,
+            };
+            e.submit(AeuId(0), scan).unwrap();
+        }
         e.submit(
             AeuId(0),
             DataCommand {
@@ -993,6 +1013,16 @@ fn real_machines_route_correctly() {
                 (1, 5_000_000, Some(5000)),
                 (1, 9_999_000, Some(9999)),
             ],
+            "{name}"
+        );
+        assert_eq!(
+            e.results().combine_scan(2),
+            Some(eris_column::scan::AggregateResult::Count(100)),
+            "{name}"
+        );
+        assert_eq!(
+            e.results().combine_scan(3),
+            Some(eris_column::scan::AggregateResult::MinMax(Some((0, 99)))),
             "{name}"
         );
     }

@@ -254,14 +254,41 @@ fn credit_window_bounds_outstanding_commands() {
 
 /// A frame whose payload is not a valid `DataCommand` gets
 /// `Rejected(REJ_DECODE)` — typed, credit returned, connection lives on.
+/// Records under op tags 3 and 4 are not commands either: the engine
+/// executes lookup, upsert and scan only.
 #[test]
 fn malformed_command_payload_is_typed_rejected() {
-    let (engine, obj) = small_engine(1, 2);
+    let (mut engine, obj) = small_engine(1, 2);
+    let fact = engine.create_column("fact");
+    engine.bulk_load_column(fact, 0..1024u64);
     let mut server = EngineServer::new(engine, ServerConfig::default());
     let (server_side, mut client_side) = loopback_pair();
     let id = server.attach(Box::new(server_side));
 
     use eris_server::{ReqKind, RequestFrame, ResponseFrame};
+    // A well-formed record under `tag` on the registered column, shaped
+    // as a scan that feeds another object: header, target object, range
+    // predicate [0, 512), snapshot.
+    let producer = |tag: u8, target: u32| {
+        let mut p = vec![tag];
+        p.extend_from_slice(&fact.0.to_le_bytes());
+        p.extend_from_slice(&9u64.to_le_bytes());
+        p.extend_from_slice(&29u32.to_le_bytes());
+        p.extend_from_slice(&target.to_le_bytes());
+        p.push(1);
+        p.extend_from_slice(&0u64.to_le_bytes());
+        p.extend_from_slice(&512u64.to_le_bytes());
+        p.extend_from_slice(&u64::MAX.to_le_bytes());
+        p
+    };
+    let bad = [
+        // Garbage.
+        vec![0xFF; 9],
+        // Tag 3 naming an index that was never registered.
+        producer(3, 42),
+        // Tag 4 naming an unregistered destination.
+        producer(4, 43),
+    ];
     let mut bytes = Vec::new();
     RequestFrame {
         kind: ReqKind::Hello,
@@ -271,15 +298,16 @@ fn malformed_command_payload_is_typed_rejected() {
         payload: vec![],
     }
     .encode(&mut bytes);
-    // A command frame whose payload is garbage (not a DataCommand).
-    RequestFrame {
-        kind: ReqKind::Command,
-        tenant: 0,
-        conn: id,
-        seq: 1,
-        payload: vec![0xFF; 9],
+    for (seq, payload) in (1u64..).zip(&bad) {
+        RequestFrame {
+            kind: ReqKind::Command,
+            tenant: 0,
+            conn: id,
+            seq,
+            payload: payload.clone(),
+        }
+        .encode(&mut bytes);
     }
-    .encode(&mut bytes);
     client_side.try_write(&bytes).unwrap();
     server.pump();
 
@@ -288,16 +316,19 @@ fn malformed_command_payload_is_typed_rejected() {
     let mut cur = resp.as_slice();
     let welcome = ResponseFrame::try_decode(&mut cur).unwrap().unwrap();
     assert_eq!(welcome.kind, RespKind::Welcome);
-    let rej = ResponseFrame::try_decode(&mut cur).unwrap().unwrap();
-    assert_eq!(
-        (rej.kind, rej.code, rej.seq),
-        (RespKind::Rejected, REJ_DECODE, 1)
-    );
-    assert_eq!(rej.credits, 1, "credit returned with the reject");
+    for seq in 1..=bad.len() as u64 {
+        let rej = ResponseFrame::try_decode(&mut cur).unwrap().unwrap();
+        assert_eq!(
+            (rej.kind, rej.code, rej.seq),
+            (RespKind::Rejected, REJ_DECODE, seq)
+        );
+        assert_eq!(rej.credits, 1, "credit returned with reject {seq}");
+    }
 
     // The connection still works: a valid command goes through.
     let mut bytes = Vec::new();
-    RequestFrame::command(0, id, 2, &lookup(obj, 5)).encode(&mut bytes);
+    let next = bad.len() as u64 + 1;
+    RequestFrame::command(0, id, next, &lookup(obj, 5)).encode(&mut bytes);
     client_side.try_write(&bytes).unwrap();
     server.pump();
     let mut resp = Vec::new();
@@ -305,7 +336,7 @@ fn malformed_command_payload_is_typed_rejected() {
     let acc = ResponseFrame::try_decode(&mut resp.as_slice())
         .unwrap()
         .unwrap();
-    assert_eq!(acc.kind, RespKind::Accepted);
+    assert_eq!((acc.kind, acc.seq), (RespKind::Accepted, next));
     server.pump_until_quiet(16);
     let ledger = server.ledger();
     assert!(ledger.holds(), "{ledger:?}");
