@@ -641,7 +641,9 @@ impl Aeu {
         Ok(())
     }
 
-    /// Insert pairs into an index or hash partition (balancing absorb side).
+    /// Insert pairs into an index or hash partition (redo-log replay, and
+    /// the chunks of a hash transfer after [`Aeu::reserve_transfer`]).  A
+    /// hash partition grows geometrically, as inserts grow it.
     pub fn absorb_pairs(&mut self, object: DataObjectId, pairs: &[(u64, u64)]) {
         let p = self
             .partitions
@@ -664,25 +666,84 @@ impl Aeu {
         self.journal(RedoOp::UpsertPairs { object, pairs });
     }
 
-    /// Extract and remove all keys of `[lo, hi)` (balancing shrink side).
-    pub fn extract_range(&mut self, object: DataObjectId, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+    /// Size a point partition once for the `keys` keys a balancing cycle
+    /// is about to move into it, in `sorted` when they are all at hand (a
+    /// tree sizes its arenas from the run itself): a hash partition then
+    /// holds exactly its keys, with no growth headroom.
+    pub fn reserve_transfer(&mut self, object: DataObjectId, keys: usize, sorted: &[(u64, u64)]) {
+        match &mut self
+            .partitions
+            .get_mut(&object)
+            .expect("point partition exists")
+            .data
+        {
+            PartitionData::Index(tree) => tree.reserve_sorted(sorted),
+            PartitionData::Hash(h) => h.reserve_exact(keys),
+            PartitionData::Column(_) => panic!("reserve_transfer on a column partition"),
+        }
+    }
+
+    /// Keys of a point partition in `[lo, hi)`: what a transfer of that
+    /// range moves.
+    pub fn count_range(&self, object: DataObjectId, lo: u64, hi: u64) -> usize {
+        match &self
+            .partitions
+            .get(&object)
+            .expect("point partition exists")
+            .data
+        {
+            PartitionData::Index(tree) => tree.count_range(lo, hi),
+            PartitionData::Hash(h) => h.count_range(lo, hi),
+            PartitionData::Column(_) => panic!("count_range on a column partition"),
+        }
+    }
+
+    /// Remove all keys of `[lo, hi)` and append their pairs to `out`
+    /// (balancing shrink side, and its replay); a partition left under
+    /// half of what it was sized for is compacted.
+    pub fn extract_range(
+        &mut self,
+        object: DataObjectId,
+        lo: u64,
+        hi: u64,
+        out: &mut Vec<(u64, u64)>,
+    ) {
         let p = self
             .partitions
             .get_mut(&object)
             .expect("point partition exists");
-        let moved = match &mut p.data {
-            PartitionData::Index(tree) => {
-                let moved = tree.flatten_range(lo, hi);
-                for &(k, _) in &moved {
-                    tree.remove(k);
-                }
-                moved
-            }
-            PartitionData::Hash(h) => h.extract_range(lo, hi),
+        match &mut p.data {
+            PartitionData::Index(tree) => tree.extract_range(lo, hi, out),
+            PartitionData::Hash(h) => h.extract_range(lo, hi, out),
             PartitionData::Column(_) => panic!("extract_range on a column partition"),
-        };
+        }
         self.journal(RedoOp::RemoveRange { object, lo, hi });
-        moved
+    }
+
+    /// [`Aeu::extract_range`] on a hash partition in bounded steps
+    /// ([`HashTable::extract_chunk`]), so that a transfer streams through
+    /// one reused buffer.  Returns the bucket to resume at; the range's
+    /// one `RemoveRange` record is journaled when it is gone (`None`).
+    pub fn extract_hash_chunk(
+        &mut self,
+        object: DataObjectId,
+        (lo, hi): (u64, u64),
+        from: usize,
+        out: &mut Vec<(u64, u64)>,
+        max: usize,
+    ) -> Option<usize> {
+        let p = self
+            .partitions
+            .get_mut(&object)
+            .expect("point partition exists");
+        let PartitionData::Hash(h) = &mut p.data else {
+            panic!("extract_hash_chunk on a partition that is not a hash table")
+        };
+        let next = h.extract_chunk(lo, hi, from, out, max);
+        if next.is_none() {
+            self.journal(RedoOp::RemoveRange { object, lo, hi });
+        }
+        next
     }
 
     /// Remove the last `n` rows of a column partition.

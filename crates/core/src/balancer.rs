@@ -217,6 +217,43 @@ pub fn transfer_plan(old_bounds: &[u64], new_bounds: &[u64], domain_end: u64) ->
     plan
 }
 
+/// The order to execute `plan` in so that every partition gives away all
+/// its outgoing ranges before it absorbs any incoming one: indices into
+/// `plan`, each receiver's incoming transfers consecutive and in plan order.
+///
+/// A donor that gives first never holds its outgoing and its incoming keys
+/// at once, and each receiver can be sized once for everything it takes.
+/// The moved key sets do not depend on the order: the ranges of a plan are
+/// disjoint, each owned by its donor before the cycle.  And the order
+/// exists, because an order-preserving repartitioning moves keys across
+/// each old boundary in one direction only (left if the boundary moved
+/// right, right if it moved left), so the give graph has no cycle.
+pub fn donor_first(plan: &[Transfer]) -> Vec<usize> {
+    let n = plan.iter().map(|t| t.from.max(t.to) + 1).max().unwrap_or(0);
+    let mut gives = vec![0usize; n];
+    for t in plan {
+        gives[t.from] += 1;
+    }
+    let mut order = Vec::with_capacity(plan.len());
+    // Partitions that have given everything away, ready to receive.
+    let mut ready: Vec<usize> = (0..n).filter(|&p| gives[p] == 0).collect();
+    while let Some(p) = ready.pop() {
+        for (i, t) in plan.iter().enumerate().filter(|(_, t)| t.to == p) {
+            order.push(i);
+            gives[t.from] -= 1;
+            if gives[t.from] == 0 {
+                ready.push(t.from);
+            }
+        }
+    }
+    assert_eq!(
+        order.len(),
+        plan.len(),
+        "a range repartitioning has no cycle"
+    );
+    order
+}
+
 /// Balance a size-partitioned object: equalize tuple counts.  Returns
 /// `(from, to, tuples)` moves computed greedily from the most loaded to
 /// the least loaded partitions.
@@ -465,6 +502,7 @@ mod tests {
 mod properties {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn bounds_and_weights() -> impl Strategy<Value = (Vec<u64>, u64, Vec<f64>)> {
         (2usize..32)
@@ -489,6 +527,23 @@ mod properties {
                     domain_end,
                     weights.into_iter().map(f64::from).collect(),
                 )
+            })
+    }
+
+    /// Two random strictly increasing bound sets from 0 over one small
+    /// domain, and the domain's end.
+    fn old_and_new_bounds() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
+        (2usize..12, 12u64..400)
+            .prop_flat_map(|(n, end)| {
+                let cuts = || proptest::collection::btree_set(1..end, n - 1);
+                (cuts(), cuts(), Just(end))
+            })
+            .prop_map(|(a, b, end)| {
+                // A set drawn short (duplicates) shortens both alike.
+                let n = a.len().min(b.len());
+                let bounds =
+                    |cuts: BTreeSet<u64>| std::iter::once(0).chain(cuts).take(n + 1).collect();
+                (bounds(a), bounds(b), end)
             })
     }
 
@@ -536,6 +591,47 @@ mod properties {
                 }
             }
             let _ = n;
+        }
+
+        #[test]
+        fn donor_first_reorders_the_plan_without_changing_its_outcome(
+            (old, new, end) in old_and_new_bounds())
+        {
+            let plan = transfer_plan(&old, &new, end);
+            let order = donor_first(&plan);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(sorted, (0..plan.len()).collect::<Vec<_>>(), "a permutation");
+            // No partition receives before its last give.
+            for (at, &i) in order.iter().enumerate() {
+                let later_give = order[at..].iter().any(|&j| plan[j].from == plan[i].to);
+                prop_assert!(!later_give, "{} receives before it gives: {:?}", plan[i].to, plan);
+            }
+            // Each receiver's transfers run back to back.
+            let mut seen = Vec::new();
+            for &i in &order {
+                if seen.last() != Some(&plan[i].to) {
+                    prop_assert!(!seen.contains(&plan[i].to), "{} receives twice", plan[i].to);
+                    seen.push(plan[i].to);
+                }
+            }
+            // Moving every owned key of each range from its donor ends in the
+            // same ownership either way, and it is the new bounds'.
+            let owner = |bs: &[u64], k: u64| bs.iter().rposition(|&b| b <= k).unwrap();
+            let apply = |order: &mut dyn Iterator<Item = usize>| {
+                let mut own: BTreeMap<u64, usize> = (0..end).map(|k| (k, owner(&old, k))).collect();
+                for i in order {
+                    let t = plan[i];
+                    for (_, o) in own.range_mut(t.lo..t.hi).filter(|(_, o)| **o == t.from) {
+                        *o = t.to;
+                    }
+                }
+                own
+            };
+            let in_plan_order = apply(&mut (0..plan.len()));
+            prop_assert_eq!(&apply(&mut order.iter().copied()), &in_plan_order);
+            let want: BTreeMap<u64, usize> = (0..end).map(|k| (k, owner(&new, k))).collect();
+            prop_assert_eq!(&in_plan_order, &want);
         }
 
         #[test]

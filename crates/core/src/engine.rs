@@ -2,9 +2,10 @@
 //! runtime, the load-balancer adaption loop, and a threaded runtime that
 //! exercises the routing protocol under real parallelism.
 
-use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts};
+use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts, PartitionData};
 use crate::balancer::{
-    needs_balancing, size_balance_moves, target_boundaries, transfer_plan, BalancerConfig,
+    donor_first, needs_balancing, size_balance_moves, target_boundaries, transfer_plan,
+    BalancerConfig,
 };
 use crate::command::{AeuId, DataCommand, DataObjectId};
 use crate::cost::CostParams;
@@ -62,15 +63,16 @@ impl Default for EngineConfig {
     }
 }
 
+/// Pairs a hash transfer moves per step through its reused buffer (1 MiB).
+const TRANSFER_CHUNK: usize = 1 << 16;
+
 /// Oscillation-backoff state of one data object.
 #[derive(Debug, Clone, Copy, Default)]
 struct BackoffState {
     /// Imbalance measured when the last balancing cycle was decided.
     last_cv: f64,
-    /// Current backoff length in periods.
+    /// Current backoff length in periods (the monitor counts them down).
     skip: u32,
-    /// Periods left to skip.
-    skip_left: u32,
     /// Fraction of the object's keys moved by the last cycle.
     last_moved_frac: f64,
     /// Virtual time the last cycle's transfers cost, in ns.
@@ -882,15 +884,12 @@ impl Engine {
             }
             crate::balancer::BalanceMetric::ExecutionTime => sample.exec_ns.clone(),
         };
-        let mut decision = self.open_decision(object, sample);
         // Oscillation backoff: while cooling down, only accumulate samples.
-        let backoff = &mut self.balance_backoff[object.0 as usize];
-        if backoff.skip_left > 0 {
-            backoff.skip_left -= 1;
-            decision.verdict = BalanceVerdict::CoolingDown;
-            self.monitor.record_decision(decision);
+        if self.monitor.skip_period(object) {
             return 0.0;
         }
+        let mut decision = self.open_decision(object, sample);
+        let backoff = &mut self.balance_backoff[object.0 as usize];
         let cv = coefficient_of_variation(&weights);
         if !needs_balancing(&weights, self.cfg.balancer.threshold_cv) {
             // Balanced again: reset the backoff state.
@@ -909,11 +908,10 @@ impl Engine {
             *backoff = BackoffState {
                 last_cv: cv,
                 skip,
-                skip_left: skip,
                 ..Default::default()
             };
             decision.verdict = BalanceVerdict::OscillationDetected;
-            self.monitor.record_decision(decision);
+            self.monitor.back_off(decision, skip);
             return 0.0;
         }
         backoff.last_cv = cv;
@@ -942,19 +940,25 @@ impl Engine {
         }
         let plan = transfer_plan(&old_bounds, &new_bounds, domain);
         let num_moves = plan.len() as u64;
-        let mut moved_keys_total = 0usize;
+        // Each range is its donor's before the cycle, whatever order the
+        // transfers then run in: size every transfer up front.
+        let counts: Vec<usize> = plan
+            .iter()
+            .map(|t| self.aeus[t.from].count_range(object, t.lo, t.hi))
+            .collect();
+        let moved_keys_total: usize = counts.iter().sum();
 
         // All involved AEUs synchronize on the routing-table update first,
         // then execute their transfer commands.
         self.apply_bounds(object, domain, &new_bounds);
 
-        // Execute transfers: link within a node, copy across nodes.
+        // Charge the transfers in plan order: link within a node, copy
+        // across nodes.
         let params = self.cfg.params;
         let scale = self.cfg.transfer_scale.unwrap_or(self.cfg.size_scale) as f64;
         let mut total_ns = 0.0;
-        for t in plan {
-            let moved = self.aeus[t.from].extract_range(object, t.lo, t.hi);
-            let keys = moved.len() as f64 * scale;
+        for (t, &moved) in plan.iter().zip(&counts) {
+            let keys = moved as f64 * scale;
             let from_node = self.node_of[t.from];
             let to_node = self.node_of[t.to];
             let (src_ns, dst_ns) = if from_node == to_node {
@@ -969,14 +973,9 @@ impl Engine {
                     .record(&self.topo, to_node, from_node, bytes as u64);
                 (stream_ns, stream_ns + keys * params.rebuild_ns_per_key)
             };
-            moved_keys_total += moved.len();
-            if !moved.is_empty() {
-                self.aeus[t.to].absorb_pairs(object, &moved);
-            }
             self.aeus[t.from].add_pending_ns(src_ns);
             self.aeus[t.to].add_pending_ns(dst_ns);
             total_ns += src_ns + dst_ns;
-            let moved_bytes = moved.len() as u64 * params.transfer_bytes_per_key;
             self.record_migration(
                 &mut decision,
                 MigrationRecord {
@@ -984,10 +983,64 @@ impl Engine {
                     dst: t.to,
                     lo: t.lo,
                     hi: t.hi,
-                    keys: moved.len() as u64,
-                    bytes: moved_bytes,
+                    keys: moved as u64,
+                    bytes: moved as u64 * params.transfer_bytes_per_key,
                 },
             );
+        }
+
+        // Move the keys donor-first, one receiver at a time, sizing each
+        // receiver once for all it takes.  A hash transfer streams through
+        // one bounded buffer.  A tree receiver sizes its arenas from the
+        // whole sorted run, so a tree's donors give into one buffer, sized
+        // once for the largest receiver.
+        let order = donor_first(&plan);
+        let mut incoming = vec![0usize; self.aeus.len()];
+        for (t, &moved) in plan.iter().zip(&counts) {
+            incoming[t.to] += moved;
+        }
+        let most = incoming.iter().copied().max().unwrap_or(0);
+        let hash = self.aeus[0]
+            .partition(object)
+            .is_some_and(|p| matches!(p.data, PartitionData::Hash(_)));
+        let mut buf = Vec::with_capacity(if hash { most.min(TRANSFER_CHUNK) } else { most });
+        for group in order.chunk_by(|&a, &b| plan[a].to == plan[b].to) {
+            let to = plan[group[0]].to;
+            if hash {
+                self.aeus[to].reserve_transfer(object, incoming[to], &[]);
+                for t in group.iter().map(|&i| plan[i]) {
+                    let mut from = Some(0);
+                    while let Some(bucket) = from {
+                        buf.clear();
+                        from = self.aeus[t.from].extract_hash_chunk(
+                            object,
+                            (t.lo, t.hi),
+                            bucket,
+                            &mut buf,
+                            TRANSFER_CHUNK,
+                        );
+                        if !buf.is_empty() {
+                            self.aeus[to].absorb_pairs(object, &buf);
+                        }
+                    }
+                }
+            } else {
+                buf.clear();
+                for t in group.iter().map(|&i| plan[i]) {
+                    self.aeus[t.from].extract_range(object, t.lo, t.hi, &mut buf);
+                }
+                debug_assert_eq!(buf.len(), incoming[to], "a transfer moves what it counted");
+                self.aeus[to].reserve_transfer(object, buf.len(), &buf);
+                // One journal record per transfer, as the plan has them.
+                let mut at = 0;
+                for &i in group {
+                    let pairs = &buf[at..at + counts[i]];
+                    at += counts[i];
+                    if !pairs.is_empty() {
+                        self.aeus[to].absorb_pairs(object, pairs);
+                    }
+                }
+            }
         }
         let total_keys: usize = (0..self.aeus.len())
             .map(|i| self.aeus[i].partition(object).map_or(0, |p| p.data.len()))

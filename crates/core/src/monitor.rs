@@ -77,11 +77,11 @@ pub const AUDIT_CAPACITY: usize = 256;
 pub enum BalanceVerdict {
     /// The metric CV was under the configured threshold — balanced enough.
     BelowThreshold,
-    /// A cooldown from a previous oscillation suppressed the evaluation.
-    CoolingDown,
     /// Over threshold, but the previous cycle paid real transfer cost
     /// without improving the imbalance (an indivisible hotspot); the
-    /// balancer backed off instead of thrashing.
+    /// balancer backed off instead of thrashing.  This entry is the whole
+    /// record of the back-off: the periods it skips file none
+    /// ([`Monitor::back_off`]).
     OscillationDetected,
     /// Over threshold, but the target boundaries equal the current ones.
     NoBoundaryChange,
@@ -130,11 +130,13 @@ pub struct BalanceDecision {
 static EMPTY_HISTORY: VecDeque<Sample> = VecDeque::new();
 
 /// Per-object sample history with a bounded ring, plus the balancer's
-/// decision audit log.
+/// decision audit log and back-offs.
 pub struct Monitor {
     history: HashMap<DataObjectId, VecDeque<Sample>>,
     capacity: usize,
     audit: VecDeque<BalanceDecision>,
+    /// Balancer evaluations each backing-off object still skips.
+    cooldown: HashMap<DataObjectId, u32>,
 }
 
 impl Monitor {
@@ -145,6 +147,7 @@ impl Monitor {
             history: HashMap::new(),
             capacity,
             audit: VecDeque::new(),
+            cooldown: HashMap::new(),
         }
     }
 
@@ -175,6 +178,28 @@ impl Monitor {
             self.audit.pop_front();
         }
         self.audit.push_back(decision);
+    }
+
+    /// File a back-off once: `decision` (an `OscillationDetected` verdict)
+    /// is its record, and the object's next `periods` evaluations are
+    /// skipped ([`Monitor::skip_period`]) without filing anything, so a
+    /// long back-off cannot evict the decisions that moved data.
+    pub fn back_off(&mut self, decision: BalanceDecision, periods: u32) {
+        debug_assert_eq!(decision.verdict, BalanceVerdict::OscillationDetected);
+        self.cooldown.insert(decision.object, periods);
+        self.record_decision(decision);
+    }
+
+    /// Whether `object` is backing off; if so this consumes one of its
+    /// skipped periods.
+    pub fn skip_period(&mut self, object: DataObjectId) -> bool {
+        match self.cooldown.get_mut(&object) {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// The retained balancer evaluations, oldest first.
@@ -323,10 +348,8 @@ mod tests {
         assert!(m.imbalance_rising(o, 2));
     }
 
-    #[test]
-    fn audit_log_is_bounded_and_queryable() {
-        let mut m = Monitor::new(4);
-        let decision = |obj: u32, at: f64, verdict| BalanceDecision {
+    fn decision(obj: u32, at: f64, verdict: BalanceVerdict) -> BalanceDecision {
+        BalanceDecision {
             at_secs: at,
             object: DataObjectId(obj),
             access_cv: 0.5,
@@ -342,7 +365,12 @@ mod tests {
                 keys: 10,
                 bytes: 80,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn audit_log_is_bounded_and_queryable() {
+        let mut m = Monitor::new(4);
         for i in 0..AUDIT_CAPACITY + 5 {
             m.record_decision(decision(
                 (i % 2) as u32,
@@ -360,6 +388,32 @@ mod tests {
         assert_eq!(last.at_secs, (AUDIT_CAPACITY + 4) as f64);
         assert_eq!(last.migrations.len(), 1);
         assert!(m.last_decision(DataObjectId(9)).is_none());
+    }
+
+    #[test]
+    fn a_back_off_is_filed_once_however_long_it_lasts() {
+        use BalanceVerdict::*;
+        let mut m = Monitor::new(4);
+        let (hot, other) = (DataObjectId(0), DataObjectId(1));
+        m.record_decision(decision(0, 0.0, Rebalanced));
+        // Back off for 16 periods, AUDIT_CAPACITY times over: one entry
+        // per back-off, none per skipped period.
+        for round in 0..AUDIT_CAPACITY - 2 {
+            m.back_off(decision(0, round as f64, OscillationDetected), 16);
+            assert_eq!(m.last_decision(hot).unwrap().verdict, OscillationDetected);
+            for _ in 0..16 {
+                assert!(m.skip_period(hot));
+                assert!(!m.skip_period(other), "another object is not held");
+            }
+            assert!(!m.skip_period(hot), "16 periods, then evaluated again");
+        }
+        let log = m.audit_log();
+        assert_eq!(log.len(), AUDIT_CAPACITY - 1);
+        assert_eq!(
+            log[0].verdict, Rebalanced,
+            "the cycle that moved data stays"
+        );
+        assert!(log.iter().skip(1).all(|d| d.verdict == OscillationDetected));
     }
 
     #[test]

@@ -250,7 +250,7 @@ fn replay_one(engine: &mut Engine, aeu: AeuId, op: JournalOp) {
                 .expect("replay targets partitions the redo log provisioned");
         }
         JournalOp::RemoveRange { object, lo, hi } => {
-            aeu.extract_range(object, lo, hi);
+            aeu.extract_range(object, lo, hi, &mut Vec::new());
         }
         JournalOp::RemoveTail { object, n } => {
             aeu.extract_tail_rows(object, n as usize);

@@ -20,8 +20,10 @@
 //! for *n* keys sits at the full [`HashTable::MAX_LOAD_PERCENT`].  The
 //! reduction is monotone, so bucket order is hash order at every size.  A
 //! fresh key past the load limit grows the table by half (or to fit the
-//! rest of its batch), overwrites never grow it, and a sweep that leaves
-//! it under a quarter full rebuilds it smaller.
+//! rest of its batch), and overwrites never grow it.  A balancing transfer
+//! sizes its receiver once, exactly ([`HashTable::reserve_exact`]), and a
+//! range extraction that leaves the donor holding fewer than half the keys
+//! its array was sized for rebuilds it at its exact size.
 //!
 //! **Allocation.**  The array is a list of 1 MiB chunks, each allocated by
 //! the first write into it (an absent chunk reads as empty buckets).  A
@@ -41,8 +43,6 @@ const CHUNK_BUCKETS: usize = CHUNK_BLOCKS * LANES;
 /// resident's key ([`HashTable::true_psl`]).  Random hashing stays under
 /// ~60 at 85 % load, so only adversarial key sets ever reach it.
 const PSL_SAT: u8 = u8::MAX;
-/// A sweep that leaves fewer than `buckets / SPARSE_DIVISOR` keys shrinks.
-const SPARSE_DIVISOR: usize = 4;
 /// Probes kept in flight by the batch lookup, one pending cache line each:
 /// 12 cover a DRAM miss (~60-80 ns) at a few ns per bucket inspection.
 const AMAC_GROUP: usize = 12;
@@ -174,8 +174,9 @@ impl HashTable {
         buckets.div_ceil(LANES).max(1)
     }
 
-    /// Keys the current bucket array holds before it must grow.
-    fn max_len(&self) -> usize {
+    /// Keys the current bucket array holds before it must grow: the keys
+    /// it was last sized for.
+    pub fn capacity(&self) -> usize {
         self.buckets * Self::MAX_LOAD_PERCENT / 100
     }
 
@@ -325,7 +326,7 @@ impl HashTable {
             }
             Err(at) => at,
         };
-        if self.len >= self.max_len() {
+        if self.len >= self.capacity() {
             // ALLOC-OK: growth, amortized over the keys that filled the
             // table; overwrites never reach it.
             self.reserve(upcoming);
@@ -356,9 +357,19 @@ impl HashTable {
     /// to half again the current array, whichever is larger (growth stays
     /// geometric, so repeated small reserves stay amortized).
     pub fn reserve(&mut self, extra: usize) {
-        if self.len + extra > self.max_len() {
+        if self.len + extra > self.capacity() {
             let grown = (self.buckets / LANES * 3).div_ceil(2);
             self.rehash(Self::blocks_for(self.len + extra).max(grown));
+        }
+    }
+
+    /// Make room for exactly `extra` further fresh keys in one resize, with
+    /// no headroom: the receiving side of a balancing transfer, which knows
+    /// what it takes.  Anything that inserts repeatedly uses
+    /// [`HashTable::reserve`], whose growth stays geometric.
+    pub fn reserve_exact(&mut self, extra: usize) {
+        if self.len + extra > self.capacity() {
+            self.rehash(Self::blocks_for(self.len + extra));
         }
     }
 
@@ -485,28 +496,44 @@ impl HashTable {
         }
     }
 
-    /// Drain all pairs (partition transfer source side) and give the
-    /// bucket array back.
-    pub fn drain_all(&mut self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|k, v| out.push((k, v)));
-        self.replace_blocks(1);
-        out
+    /// Keys in `[lo, hi)` (a full read-only sweep: the table is unordered).
+    pub fn count_range(&self, lo: u64, hi: u64) -> usize {
+        let mut n = 0;
+        self.for_each(|k, _| n += (lo..hi).contains(&k) as usize);
+        n
     }
 
-    /// Extract and remove every key in `[lo, hi)` (the balancer's donor
-    /// side; the table is unordered, so this is a full sweep).  One pass: a
-    /// matching bucket is backward-shift-deleted in place and re-examined.
-    /// A sweep that leaves the table under a quarter full rebuilds it with
-    /// room for half again the survivors — the fill a growth step leaves —
-    /// so neither the next insert nor the next sweep rebuilds it again.
-    pub fn extract_range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut idx = 0;
+    /// Remove every key in `[lo, hi)` and append its pair to `out` (the
+    /// balancer's donor side; the table is unordered, so this is a full
+    /// sweep).  One pass: a matching bucket is backward-shift-deleted in
+    /// place and re-examined.  A donor left holding fewer than half the
+    /// keys its array was sized for is rebuilt at its exact size, so what
+    /// it gave away is freed rather than kept as empty buckets.
+    pub fn extract_range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
+        self.extract_chunk(lo, hi, 0, out, usize::MAX);
+    }
+
+    /// [`HashTable::extract_range`] in bounded steps, for a transfer that
+    /// streams through one reused buffer: the sweep starts at bucket
+    /// `from` and stops where one more pair would take `out` past `max`
+    /// pairs, returning the bucket to resume at.  `None` means the sweep
+    /// is complete, and the donor compacted if it is due.
+    pub fn extract_chunk(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        from: usize,
+        out: &mut Vec<(u64, u64)>,
+        max: usize,
+    ) -> Option<usize> {
+        let mut idx = from;
         while idx < self.buckets {
             let at = self.cursor(idx);
             let (psl, (k, v)) = (self.psl_at(at), at.pair());
             if psl != 0 && k >= lo && k < hi {
+                if out.len() >= max {
+                    return Some(idx);
+                }
                 out.push((k, v));
                 // Deleting here can only move entries *backward* (toward
                 // their home bucket), i.e. into this bucket or — across the
@@ -518,10 +545,11 @@ impl HashTable {
                 idx += 1;
             }
         }
-        if self.buckets > LANES && self.len * SPARSE_DIVISOR < self.buckets {
-            self.rehash(Self::blocks_for(self.len + self.len / 2));
+        let exact = Self::blocks_for(self.len);
+        if self.len * 2 < self.capacity() && exact < self.buckets / LANES {
+            self.rehash(exact);
         }
-        out
+        None
     }
 
     /// Append a stable little-endian serialization:
@@ -590,17 +618,26 @@ mod tests {
         assert_eq!(t.len(), model.len());
     }
 
+    /// Bytes of a table sized exactly for `keys` keys.
+    fn exact_bytes(keys: usize) -> u64 {
+        HashTable::with_capacity(0, 0, keys).memory_bytes()
+    }
+
     fn model_of(t: &HashTable) -> BTreeMap<u64, u64> {
         let mut m = BTreeMap::new();
         t.for_each(|k, v| assert!(m.insert(k, v).is_none(), "key {k} visited twice"));
         m
     }
 
-    /// `extract_range` returns and removes what `BTreeMap::range` holds.
+    /// `count_range` counts, and `extract_range` appends and removes, what
+    /// `BTreeMap::range` holds.
     fn check_extract(t: &mut HashTable, m: &mut BTreeMap<u64, u64>, lo: u64, hi: u64) {
-        let mut got = t.extract_range(lo, hi);
-        got.sort_unstable();
         let want: Vec<(u64, u64)> = m.range(lo..hi.max(lo)).map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(t.count_range(lo, hi), want.len(), "count of [{lo}, {hi})");
+        let mut got = vec![(7, 7)];
+        t.extract_range(lo, hi, &mut got);
+        assert_eq!(got.remove(0), (7, 7), "appended after what `out` held");
+        got.sort_unstable();
         assert_eq!(got, want, "extracted set for [{lo}, {hi})");
         m.retain(|&k, _| !(k >= lo && k < hi));
         assert_eq!(model_of(t), *m, "survivors of [{lo}, {hi})");
@@ -671,12 +708,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_extract_range() {
+    fn extract_everything_then_refill() {
         let mut t = table(11, 0, 0..100);
         let mut m = model_of(&t);
         check_extract(&mut t, &mut m, 30, 60);
         assert_eq!(t.len(), 70);
-        assert_eq!(t.drain_all().len(), 70);
+        check_extract(&mut t, &mut m, 0, u64::MAX);
         assert!(t.is_empty());
         assert_eq!(t.memory_bytes(), HashTable::new(11, 0).memory_bytes());
         assert_eq!(t.upsert(5, 5), None, "usable after the drain");
@@ -728,6 +765,27 @@ mod tests {
     }
 
     #[test]
+    fn reserve_exact_sizes_for_what_it_takes_and_no_more() {
+        let mut t = table(29, 0, 0..1_000);
+        let before = t.rehashes();
+        t.reserve_exact(0);
+        t.reserve_exact(t.capacity() - t.len());
+        assert_eq!(t.rehashes(), before, "room enough: no resize");
+        t.reserve_exact(5_000);
+        assert_eq!(t.memory_bytes(), exact_bytes(6_000));
+        assert_eq!(t.upsert_batch(&pairs(1_000..6_000)), 5_000);
+        assert_eq!(t.rehashes(), before + 1, "one resize");
+        // At the load limit, room for one more key: one resize, to fit
+        // (a block), not half again.
+        let full = t.capacity();
+        t.upsert_batch(&pairs(6_000..full as u64));
+        t.reserve_exact(1);
+        assert_eq!(t.memory_bytes(), exact_bytes(full + 1));
+        assert_eq!(t.rehashes(), before + 2);
+        assert_eq!(model_of(&t), pairs(0..full as u64).into_iter().collect());
+    }
+
+    #[test]
     fn a_table_sized_for_n_keys_costs_at_most_21_bytes_per_key() {
         // 2^20 (where a power-of-two array sat at 50 % fill) and 2^22 + 1
         // (its worst brink: one key past a doubling).
@@ -743,9 +801,9 @@ mod tests {
     #[test]
     fn only_a_fresh_key_grows_a_full_table_and_by_at_most_half() {
         let mut t = HashTable::with_capacity(43, 0, 5_000);
-        let resident = pairs(0..t.max_len() as u64);
+        let resident = pairs(0..t.capacity() as u64);
         t.upsert_batch(&resident);
-        assert_eq!(t.len(), t.max_len(), "at the threshold");
+        assert_eq!(t.len(), t.capacity(), "at the threshold");
         let before = (t.memory_bytes(), t.rehashes());
         assert_eq!(t.upsert_batch(&resident), 0, "overwrites only");
         assert_eq!(t.upsert(7, 7), Some(!7));
@@ -762,18 +820,15 @@ mod tests {
         let mut t = table(47, 0, 0..n);
         let mut m = model_of(&t);
         let full = t.memory_bytes();
-        // Down to 30 % of the keys: under half full, not yet a quarter.
-        check_extract(&mut t, &mut m, 0, n * 7 / 10);
-        assert_eq!(t.memory_bytes(), full, "no rebuild above a quarter full");
-        // Down to 20 %: rebuilt with room for half again the survivors.
-        check_extract(&mut t, &mut m, 0, n * 8 / 10);
-        let per_key = t.memory_bytes() as f64 / t.len() as f64;
-        assert!((29.0..=31.0).contains(&per_key), "{per_key} B/key");
+        // Down to 60 % of the keys: still half full, kept as it is.
+        check_extract(&mut t, &mut m, 0, n * 4 / 10);
+        assert_eq!(t.memory_bytes(), full, "no rebuild at half full or more");
+        // Down to 40 %: rebuilt at its exact size.
+        check_extract(&mut t, &mut m, 0, n * 6 / 10);
+        assert_eq!(t.memory_bytes(), exact_bytes(t.len()));
         let small = (t.memory_bytes(), t.rehashes());
-        // Neither a third more keys nor a third fewer rebuilds it again.
-        t.upsert_batch(&pairs(0..n / 15));
-        m.extend(pairs(0..n / 15));
-        check_extract(&mut t, &mut m, 0, n * 8 / 10 + n / 15);
+        // Giving a third of that away keeps it half full: no rebuild.
+        check_extract(&mut t, &mut m, 0, n * 6 / 10 + n * 4 / 30);
         assert_eq!((t.memory_bytes(), t.rehashes()), small);
         check_lookups(&t, &m, &(n / 2..n).step_by(7).collect::<Vec<_>>());
     }
@@ -827,6 +882,28 @@ mod tests {
     }
 
     #[test]
+    fn a_chunked_extraction_moves_what_one_sweep_moves() {
+        let (n, max) = (20_000u64, 1_000);
+        let mut t = table(67, 0, 0..n);
+        let mut m = model_of(&t);
+        let want: Vec<(u64, u64)> = m.range(0..n * 3 / 4).map(|(&k, &v)| (k, v)).collect();
+        m.retain(|&k, _| k >= n * 3 / 4);
+        let (mut got, mut chunk, mut from) = (Vec::new(), Vec::with_capacity(max), Some(0));
+        while let Some(bucket) = from {
+            chunk.clear();
+            from = t.extract_chunk(0, n * 3 / 4, bucket, &mut chunk, max);
+            assert!(chunk.len() == max || from.is_none(), "full until the last");
+            got.extend_from_slice(&chunk);
+        }
+        assert_eq!(chunk.capacity(), max, "the buffer never grew");
+        got.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(model_of(&t), m);
+        assert_eq!(t.memory_bytes(), exact_bytes(t.len()), "compacted");
+        check_lookups(&t, &m, &(0..n).step_by(13).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn extract_range_matches_per_key_removal_on_dense_ranges() {
         // Ranges dense enough that sweep-then-remove-each went quadratic,
         // an empty one, and one whose survivors trigger the shrink.
@@ -844,7 +921,7 @@ mod tests {
         // and MAX there, one key past it, and on both sides of a shrink.
         let mut t = HashTable::with_capacity(41, 0, 3_000);
         let key = |i: u64| i.wrapping_mul(0x9E37_79B9);
-        let n = t.max_len() as u64;
+        let n = t.capacity() as u64;
         let probe: Vec<u64> = (0..4 * n)
             .map(|i| match i % 3 {
                 0 => u64::MAX - (i % 5),
@@ -852,17 +929,17 @@ mod tests {
             })
             .collect();
         t.upsert_batch(&pairs((0..n).map(key)));
-        assert_eq!((t.len(), t.rehashes()), (t.max_len(), 0));
+        assert_eq!((t.len(), t.rehashes()), (t.capacity(), 0));
         check_lookups(&t, &model_of(&t), &probe);
         assert_eq!(t.rehashes(), 0, "lookups never grow the table");
         t.upsert(key(n), n);
         assert_eq!(t.rehashes(), 1);
         check_lookups(&t, &model_of(&t), &probe);
-        // One key above a quarter full, then one below.
+        // Left exactly half full, then one key below.
         let sorted: Vec<u64> = model_of(&t).into_keys().collect();
-        let cut = sorted[sorted.len() - t.buckets / SPARSE_DIVISOR];
+        let cut = sorted[sorted.len() - t.capacity().div_ceil(2)];
         for (hi, rehashes) in [(cut, 1), (cut + 1, 2)] {
-            t.extract_range(0, hi);
+            t.extract_range(0, hi, &mut Vec::new());
             assert_eq!(t.rehashes(), rehashes);
             check_lookups(&t, &model_of(&t), &probe);
         }
@@ -897,7 +974,7 @@ mod tests {
             #[test]
             fn behaves_like_btreemap(
                 seed in 0u64..1000,
-                ops in proptest::collection::vec((0u8..7, key(), 0u64..100), 1..400))
+                ops in proptest::collection::vec((0u8..8, key(), 0u64..100), 1..400))
             {
                 let mut t = HashTable::new(seed, 0);
                 let mut m = BTreeMap::new();
@@ -914,12 +991,16 @@ mod tests {
                             prop_assert_eq!(t.upsert_batch(&batch), (m.len() - before) as u64);
                         }
                         5 => check_extract(&mut t, &mut m, k, k.saturating_add(v * 4)),
-                        _ => {
+                        6 => {
                             t.reserve(v as usize * 8);
-                            prop_assert!(t.len() + v as usize * 8 <= t.max_len());
+                            prop_assert!(t.len() + v as usize * 8 <= t.capacity());
+                        }
+                        _ => {
+                            t.reserve_exact(v as usize);
+                            prop_assert!(t.len() + v as usize <= t.capacity());
                         }
                     }
-                    prop_assert!(t.len() == m.len() && t.len() <= t.max_len());
+                    prop_assert!(t.len() == m.len() && t.len() <= t.capacity());
                 }
                 prop_assert_eq!(&model_of(&t), &m);
                 let keys: Vec<u64> = m.keys().copied().chain([0, 1, u64::MAX]).collect();

@@ -27,10 +27,16 @@
 //! same depth, so the group needs no per-key state machine.
 //!
 //! Nodes live in flat arenas indexed by `u32` — cache friendly and
-//! trivially relocatable, which matters for the load balancer: a partition
-//! *copy* transfer flattens the tree into a sorted stream
-//! ([`PrefixTree::flatten_range`]) and rebuilds it on the target AEU
-//! ([`PrefixTree::build_from_sorted`]).
+//! trivially relocatable, which matters for the load balancer.  A transfer
+//! moves a sorted `(key, value)` stream: the donor's
+//! [`PrefixTree::extract_range`] removes it, and the receiver reserves its
+//! arenas once for it ([`PrefixTree::reserve_sorted`]) before inserting it.
+//!
+//! **Sizing and shrinking.**  Arenas grow as `Vec`s do, and a removal frees
+//! value blocks to the free lists but never a node.  So a donor left
+//! holding fewer than half the keys it was sized for — the most it held
+//! since it was last built — is rebuilt from its remaining pairs in key
+//! order, with every arena sized once for exactly what they need.
 //!
 //! Every arena slot has a synthetic address (base vaddr + arena offset) so
 //! the engine can feed lookup paths into the L3 cache simulator
@@ -223,6 +229,9 @@ pub struct PrefixTree {
     /// Value slots held by live blocks.
     live_slots: usize,
     len: usize,
+    /// The most keys held since the tree was last built, as of the last
+    /// removal (growth since then is `len`): what its nodes are sized for.
+    sized_for: usize,
     /// Smallest and largest key ever inserted (`MAX`/`0` while there was
     /// none).  Removals never narrow them, so every stored key shares
     /// their common prefix.
@@ -252,6 +261,7 @@ impl PrefixTree {
             free: Default::default(),
             live_slots: 0,
             len: 0,
+            sized_for: 0,
             min_key: u64::MAX,
             max_key: 0,
             skip_levels: 0,
@@ -281,6 +291,12 @@ impl PrefixTree {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The most keys the tree held since it was last built: removals free
+    /// value blocks, but every node allocated for those keys stays.
+    pub fn sized_for(&self) -> usize {
+        self.sized_for.max(self.len)
     }
 
     /// Resident bytes: inner nodes, leaf headers (presence bitmap and block
@@ -819,6 +835,7 @@ impl PrefixTree {
         }
         let (word, bit) = self.present_word(leaf, digit);
         self.leaves[word] &= !bit;
+        self.sized_for = self.sized_for();
         self.len -= 1;
         if n == 1 {
             self.free_block(head);
@@ -999,9 +1016,11 @@ impl PrefixTree {
         self.flatten_from(0)
     }
 
-    /// Rebuild a tree from a sorted stream (target side of a copy transfer).
+    /// Build a tree from a strictly increasing stream, every arena sized
+    /// once for exactly what the stream needs.
     pub fn build_from_sorted(cfg: PrefixTreeConfig, base_vaddr: u64, pairs: &[(u64, u64)]) -> Self {
         let mut t = Self::with_config(cfg, base_vaddr);
+        t.reserve_sorted(pairs);
         t.upsert_batch(pairs);
         t
     }
@@ -1028,22 +1047,54 @@ impl PrefixTree {
         true
     }
 
-    /// Split off every key in `[pivot, ∞)` into a new tree, removing them
-    /// from `self` — the shrink side of a balancing command.
-    pub fn split_off(&mut self, pivot: u64) -> PrefixTree {
-        let moved = self.flatten_from(pivot);
-        for &(k, _) in &moved {
-            self.remove(k);
-        }
-        Self::build_from_sorted(self.cfg, self.base_vaddr, &moved)
+    /// Keys in `[lo, hi)`.
+    pub fn count_range(&self, lo: u64, hi: u64) -> usize {
+        let mut n = 0;
+        self.scan_range(lo, hi, |_, _| n += 1);
+        n
     }
 
-    /// Absorb all keys of `other` (the *link* mechanism: on real hardware
-    /// this is a pointer relink inside one memory domain; the simulation
-    /// charges it near-zero virtual time, see the engine's balancer).
-    pub fn merge_from(&mut self, other: PrefixTree) {
-        assert_eq!(self.cfg, other.cfg, "cannot merge trees of different shape");
-        self.upsert_batch(&other.flatten());
+    /// Remove every key in `[lo, hi)` and append its pair to `out` in key
+    /// order (the balancer's donor side).  A donor left holding fewer than
+    /// half the keys it was sized for is rebuilt from its remaining pairs
+    /// instead, at its exact size: its emptied nodes are freed, not kept.
+    pub fn extract_range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
+        let start = out.len();
+        self.scan_range(lo, hi, |k, v| out.push((k, v)));
+        // BOUNDS: `start` is where this call began appending.
+        let moved = &out[start..];
+        if (self.len - moved.len()) * 2 >= self.sized_for() {
+            for &(k, _) in moved {
+                self.remove(k);
+            }
+            return;
+        }
+        let mut kept = Vec::with_capacity(self.len - moved.len());
+        self.scan_range(0, lo, |k, v| kept.push((k, v)));
+        self.scan_range_inclusive(hi, u64::MAX, |k, v| kept.push((k, v)));
+        *self = Self::build_from_sorted(self.cfg, self.base_vaddr, &kept);
+    }
+
+    /// Reserve the arenas once for inserting the strictly increasing
+    /// `pairs`: the inner nodes, leaves and value blocks they need, counted
+    /// as if none of them existed yet.  That is exact for an empty tree;
+    /// a run beside the stored keys shares a few edge nodes with them.
+    pub fn reserve_sorted(&mut self, pairs: &[(u64, u64)]) {
+        let levels = self.cfg.levels();
+        let fanout = self.cfg.fanout();
+        let prefixes = |shift: u32| pairs.chunk_by(move |a, b| (a.0 ^ b.0) >> shift == 0);
+        // Inner nodes below the root: one per distinct prefix of each level.
+        let inner: usize = (1..levels.saturating_sub(1))
+            .map(|level| prefixes(self.cfg.shift(level - 1)).count())
+            .sum();
+        let (mut leaves, mut slots) = (0, 0);
+        for run in prefixes(self.cfg.prefix_bits) {
+            leaves += usize::from(levels > 1);
+            slots += self.capacity_for(run.len()) as usize;
+        }
+        self.inner.reserve_exact(inner * fanout);
+        self.leaves.reserve_exact(leaves * self.cfg.header_words());
+        self.values.reserve_exact(slots);
     }
 }
 
@@ -1202,33 +1253,96 @@ mod tests {
     }
 
     #[test]
-    fn split_off_moves_upper_range() {
+    fn extract_range_moves_the_range() {
         let mut t = small();
         for k in 0..100u64 {
             t.upsert(k, k);
         }
-        let upper = t.split_off(60);
-        assert_eq!(t.len(), 60);
-        assert_eq!(upper.len(), 40);
+        assert_eq!(t.count_range(60, 90), 30);
+        let mut moved = vec![(7, 7)];
+        t.extract_range(60, 90, &mut moved);
+        assert_eq!(moved.remove(0), (7, 7), "appended after what `out` held");
+        assert_eq!(moved, (60..90).map(|k| (k, k)).collect::<Vec<_>>());
+        assert_eq!((t.len(), t.sized_for()), (70, 100));
         assert_eq!(t.lookup(59), Some(59));
         assert_eq!(t.lookup(60), None);
-        assert_eq!(upper.lookup(60), Some(60));
-        assert_eq!(upper.lookup(59), None);
+        assert_eq!(t.lookup(90), Some(90));
+        assert_eq!(t.count_range(60, 90), 0);
+    }
+
+    /// Every arena of `t` holds exactly what it was sized for.
+    fn arenas_are_exact(t: &PrefixTree) -> bool {
+        t.inner.capacity() == t.inner.len()
+            && t.leaves.capacity() == t.leaves.len()
+            && t.values.capacity() == t.values.len()
+            && t.values.len() == t.live_slots
     }
 
     #[test]
-    fn merge_reunites_split() {
-        let mut t = small();
-        for k in 0..50u64 {
-            t.upsert(k, k + 1);
+    fn build_from_sorted_sizes_every_arena_once() {
+        for (cfg, stride) in [
+            ((8, 64), 64),
+            ((8, 32), 1),
+            ((8, 16), 3),
+            ((8, 8), 1),
+            ((4, 32), 5),
+        ] {
+            let cfg = PrefixTreeConfig::new(cfg.0, cfg.1);
+            let top = if cfg.key_bits == 64 {
+                1 << 20
+            } else {
+                1u64 << cfg.key_bits
+            };
+            for n in [0u64, 1, 3, 17, 100, 5_000] {
+                let pairs: Vec<(u64, u64)> = (0..n)
+                    .map(|r| r * stride)
+                    .filter(|&k| k < top)
+                    .map(|k| (k, !k))
+                    .collect();
+                let t = PrefixTree::build_from_sorted(cfg, 0, &pairs);
+                assert!(arenas_are_exact(&t), "{cfg:?}, {n} keys");
+                assert_eq!(t.flatten(), pairs);
+            }
         }
-        let upper = t.split_off(25);
-        let mut t2 = t;
-        t2.merge_from(upper);
-        assert_eq!(t2.len(), 50);
-        for k in 0..50u64 {
-            assert_eq!(t2.lookup(k), Some(k + 1));
-        }
+    }
+
+    #[test]
+    fn a_drained_donor_is_rebuilt_at_its_exact_size() {
+        // The sparse shape: 4 keys per 256-slot leaf.
+        let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 64, r)).collect();
+        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 0, &pairs);
+        let (n, loaded) = (pairs.len(), t.memory_bytes());
+        // Giving half away keeps the nodes: half is what it was sized for.
+        let mut moved = Vec::new();
+        t.extract_range(0, pairs[n / 2].0, &mut moved);
+        assert_eq!((t.len(), t.sized_for()), (n / 2, n));
+        let half = t.memory_bytes();
+        assert!(half > loaded / 2, "nodes kept: {loaded} -> {half} B");
+        // One key more, and it is rebuilt from what it keeps.
+        t.extract_range(pairs[n / 2].0, pairs[n / 2 + 1].0, &mut moved);
+        assert_eq!(moved, pairs[..n / 2 + 1]);
+        assert_eq!((t.len(), t.sized_for()), (n / 2 - 1, n / 2 - 1));
+        let fresh = PrefixTree::build_from_sorted(t.config(), 0, &pairs[n / 2 + 1..]);
+        assert_eq!(t.memory_bytes(), fresh.memory_bytes());
+        assert!(arenas_are_exact(&t));
+        assert!(t.memory_bytes() < half * 3 / 4);
+        assert_eq!(t.flatten(), pairs[n / 2 + 1..]);
+        assert_eq!(t.lookup(pairs[n - 1].0), Some(n as u64 - 1));
+    }
+
+    #[test]
+    fn a_reserved_run_lands_without_regrowing_an_arena() {
+        let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 64, r)).collect();
+        let (own, run) = pairs.split_at(pairs.len() / 3);
+        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 0, own);
+        t.reserve_sorted(run);
+        let caps = (t.inner.capacity(), t.leaves.capacity(), t.values.capacity());
+        assert_eq!(t.upsert_batch(run), run.len() as u64);
+        assert_eq!(
+            caps,
+            (t.inner.capacity(), t.leaves.capacity(), t.values.capacity())
+        );
+        assert_eq!(t.flatten(), pairs);
     }
 
     #[test]
@@ -1543,7 +1657,8 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 16, r)).collect();
         let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::new(8, 32), 0, &pairs);
         let (loaded, arena) = (t.memory_bytes(), t.values.len());
-        let upper = t.split_off(pairs[pairs.len() / 2].0);
+        let mut upper = Vec::new();
+        t.extract_range(pairs[pairs.len() / 2].0, u64::MAX, &mut upper);
         let shrunk = t.memory_bytes();
         assert!(
             shrunk < loaded * 3 / 4,
@@ -1551,7 +1666,7 @@ mod tests {
         );
         assert_eq!(upper.len(), pairs.len() / 2);
         // Moving the keys back recycles the freed blocks.
-        t.upsert_batch(&upper.flatten());
+        t.upsert_batch(&upper);
         assert_eq!(t.len(), pairs.len());
         assert!(t.memory_bytes() <= loaded);
         assert_eq!(t.values.len(), arena, "the arena did not grow");
@@ -1590,24 +1705,36 @@ mod tests {
             }
 
             #[test]
-            fn split_preserves_all_keys(keys in proptest::collection::btree_set(0u64..0x10000, 1..100),
-                                        pivot in 0u64..0x10000)
+            fn extract_range_preserves_all_keys(
+                keys in proptest::collection::btree_set(0u64..0x10000, 1..100),
+                cuts in proptest::collection::vec((0u64..0x10000, 0u64..0x1000), 1..6))
             {
+                // Repeated extractions, some of which leave the tree under
+                // half what it was sized for and rebuild it.
                 let mut t = small();
                 for &k in &keys {
                     t.upsert(k, k);
                 }
-                let upper = t.split_off(pivot);
-                for &k in &keys {
-                    if k < pivot {
-                        prop_assert_eq!(t.lookup(k), Some(k));
-                        prop_assert_eq!(upper.lookup(k), None);
-                    } else {
-                        prop_assert_eq!(upper.lookup(k), Some(k));
-                        prop_assert_eq!(t.lookup(k), None);
-                    }
+                let (mut moved, mut left) = (Vec::new(), keys.clone());
+                for (lo, width) in cuts {
+                    let hi = (lo + width).min(0x10000);
+                    let want: Vec<(u64, u64)> = left.range(lo..hi).map(|&k| (k, k)).collect();
+                    left.retain(|k| !(lo..hi).contains(k));
+                    prop_assert_eq!(t.count_range(lo, hi), want.len());
+                    let before = moved.len();
+                    t.extract_range(lo, hi, &mut moved);
+                    prop_assert_eq!(&moved[before..], &want[..]);
+                    prop_assert!(t.len() * 2 >= t.sized_for());
                 }
-                prop_assert_eq!(t.len() + upper.len(), keys.len());
+                for &k in &keys {
+                    let gone = moved.contains(&(k, k));
+                    prop_assert_eq!(t.lookup(k), (!gone).then_some(k));
+                }
+                prop_assert_eq!(t.len() + moved.len(), keys.len());
+                let mut all: Vec<(u64, u64)> = t.flatten();
+                all.extend(&moved);
+                all.sort_unstable();
+                prop_assert_eq!(all, keys.iter().map(|&k| (k, k)).collect::<Vec<_>>());
             }
 
             #[test]

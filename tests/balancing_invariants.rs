@@ -311,21 +311,20 @@ fn audited_migrations_match_the_partition_table() {
     ranges_are_consistent(&e, idx, domain);
 }
 
-#[test]
-fn a_drained_hash_partition_gives_its_memory_back() {
-    // The `engine-batch` shape in small: 4 AEUs, a dense hash index,
-    // Zipf(1) lookups by rank, low keys hot.  The balancer evens out
-    // *accesses*, so the hot AEUs keep handing their cold keys on until one
-    // AEU holds most of the index.  A hash partition's `bytes()` — the
-    // physical size the balancer samples — has to follow its keys both
-    // ways: receivers grow by half, not by doubling, and donors rebuild
-    // smaller.
-    use eris_core::PartitionData;
+/// The `engine-batch` shape in small: 4 AEUs, one index of `KEYS` keys
+/// (rank `r` stored as key `r * stride`), Zipf(1) lookups by rank, low
+/// keys hot.  The balancer evens out *accesses*, so the hot AEUs keep
+/// handing their cold keys on until one AEU holds most of the index.
+/// Runs at least 8 balancing cycles and until one AEU holds over 80 % of
+/// the keys, calling `check` after every cycle with each partition's
+/// length and bytes before and after it; then checks that every key still
+/// answers, wherever it now lives.
+fn drain_by_zipf(
+    hash: bool,
+    stride: u64,
+    mut check: impl FnMut(&Engine, DataObjectId, usize),
+) -> (Engine, DataObjectId) {
     const KEYS: u64 = 1 << 18;
-    // One bucket at the table's load limit, and the slack a growth step
-    // (half again) plus the donors' hysteresis may add on top of it.
-    const BYTES_PER_KEY: f64 = 20.0;
-    const SLACK: f64 = 1.6;
     let value = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut e = Engine::new(
         eris_numa::machines::custom_machine("t", 2, 2, 20.0, 100.0, 10.0, 60.0),
@@ -341,8 +340,12 @@ fn a_drained_hash_partition_gives_its_memory_back() {
             ..Default::default()
         },
     );
-    let idx = e.create_hash_index("h", KEYS);
-    e.bulk_load_index(idx, (0..KEYS).map(|k| (k, value(k))));
+    let idx = if hash {
+        e.create_hash_index("h", KEYS * stride)
+    } else {
+        e.create_index("t", KEYS * stride)
+    };
+    e.bulk_load_index(idx, (0..KEYS).map(|r| (r * stride, value(r * stride))));
     for a in e.aeu_ids() {
         let mut x = (a.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         e.set_generator(
@@ -355,7 +358,7 @@ fn a_drained_hash_partition_gives_its_memory_back() {
                         x ^= x << 17;
                         // rank = KEYS^u - 1 for uniform u: density ∝ 1/rank.
                         let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-                        ((KEYS as f64).powf(u) as u64).clamp(1, KEYS) - 1
+                        (((KEYS as f64).powf(u) as u64).clamp(1, KEYS) - 1) * stride
                     })
                     .collect();
                 out.push(DataCommand {
@@ -366,25 +369,10 @@ fn a_drained_hash_partition_gives_its_memory_back() {
             })),
         );
     }
-    let sizes = |e: &Engine| -> Vec<(usize, u64)> {
-        e.aeu_ids()
-            .iter()
-            .map(|a| {
-                let p = e.aeu(*a).partition(idx).expect("partition exists");
-                assert!(matches!(p.data, PartitionData::Hash(_)));
-                (p.data.len(), p.data.bytes())
-            })
-            .collect()
-    };
-    let loaded = sizes(&e);
-    for &(len, bytes) in &loaded {
-        let per_key = bytes as f64 / len as f64;
-        assert!(per_key <= 1.05 * BYTES_PER_KEY, "loaded at {per_key} B/key");
-    }
 
     let mut cycles = 0;
     let mut epochs = 0;
-    let now = loop {
+    loop {
         let balanced = e.run_epoch().balance_ns > 0.0;
         e.results().take_lookup_values(); // generator traffic: not checked
         epochs += 1;
@@ -393,41 +381,21 @@ fn a_drained_hash_partition_gives_its_memory_back() {
             continue;
         }
         cycles += 1;
-        let now = sizes(&e);
-        let keys: usize = now.iter().map(|s| s.0).sum();
-        let bytes: u64 = now.iter().map(|s| s.1).sum();
         assert_eq!(
-            keys as u64, KEYS,
+            total_keys(&e, idx) as u64,
+            KEYS,
             "cycle {cycles}: nothing lost or duplicated"
         );
-        assert!(
-            bytes as f64 <= SLACK * BYTES_PER_KEY * KEYS as f64,
-            "cycle {cycles}: {bytes} B for {KEYS} keys, partitions {now:?}"
-        );
+        check(&e, idx, cycles);
         // One AEU holds over 80 % after two cycles; the cycles after that
         // shuffle the hot head between ever smaller donors.
-        if cycles >= 8 && now.iter().any(|s| s.0 as u64 * 10 > KEYS * 8) {
-            break now;
+        let lens = e.aeu_ids().into_iter();
+        let most = lens.map(|a| e.aeu(a).partition(idx).unwrap().data.len());
+        if cycles >= 8 && most.max().unwrap() as u64 * 10 > KEYS * 8 {
+            break;
         }
-    };
-
-    // Every partition drained below a quarter of its load was rebuilt
-    // smaller, and stays at least a quarter full (or one block).
-    let drained: Vec<usize> = (0..now.len())
-        .filter(|&a| now[a].0 * 4 < loaded[a].0)
-        .collect();
-    assert!(!drained.is_empty(), "some AEU gave most of its keys away");
-    for a in drained {
-        let ((len, bytes), (_, was)) = (now[a], loaded[a]);
-        assert!(bytes < was / 2, "aeu {a}: {was} B loaded, {bytes} B now");
-        let quarter_full = (4.0 * 0.85 * BYTES_PER_KEY * len as f64) as u64;
-        assert!(
-            bytes <= quarter_full.max(2048),
-            "aeu {a}: {bytes} B for {len} keys"
-        );
     }
 
-    // Lookups of every key still hit, wherever the key now lives.
     for a in e.aeu_ids() {
         e.set_generator(a, None);
     }
@@ -440,7 +408,7 @@ fn a_drained_hash_partition_gives_its_memory_back() {
                 object: idx,
                 ticket: 7,
                 payload: Payload::Lookup {
-                    keys: (lo..lo + 4096).collect(),
+                    keys: (lo..lo + 4096).map(|r| r * stride).collect(),
                 },
             },
         )
@@ -450,7 +418,86 @@ fn a_drained_hash_partition_gives_its_memory_back() {
     let mut answers = e.results().take_lookup_values();
     answers.sort_unstable();
     assert_eq!(answers.len() as u64, KEYS);
-    for (k, (_, key, v)) in answers.into_iter().enumerate() {
-        assert_eq!((key, v), (k as u64, Some(value(k as u64))));
+    for (r, (_, key, v)) in answers.into_iter().enumerate() {
+        let k = r as u64 * stride;
+        assert_eq!((key, v), (k, Some(value(k))));
     }
+    (e, idx)
+}
+
+#[test]
+fn a_drained_hash_partition_gives_its_memory_back() {
+    // A hash partition's `bytes()` — the physical size the balancer
+    // samples — has to follow its keys both ways: each receiver is sized
+    // once for exactly what it then holds, and a donor left under half of
+    // what its array was sized for is rebuilt at its exact size.
+    use eris_core::PartitionData;
+    use eris_index::HashTable;
+    // One bucket at the table's load limit, and the slack that donors
+    // holding at least half of what they were sized for may add.
+    const BYTES_PER_KEY: f64 = 20.0;
+    const SLACK: f64 = 1.15;
+    let tables = |e: &Engine, idx: DataObjectId| -> Vec<(usize, usize, u64)> {
+        let table = |a: AeuId| match &e.aeu(a).partition(idx).unwrap().data {
+            PartitionData::Hash(h) => (h.len(), h.capacity(), h.memory_bytes()),
+            _ => panic!("a hash index has hash partitions"),
+        };
+        e.aeu_ids().into_iter().map(table).collect()
+    };
+    let exact = |len| HashTable::with_capacity(0, 0, len).memory_bytes();
+    let mut loaded = Vec::new();
+    let mut drained = std::collections::BTreeSet::new();
+    drain_by_zipf(true, 1, |e, idx, cycle| {
+        let now = tables(e, idx);
+        if loaded.is_empty() {
+            loaded = now.clone();
+        }
+        let keys: usize = now.iter().map(|t| t.0).sum();
+        let bytes: u64 = now.iter().map(|t| t.2).sum();
+        assert!(
+            bytes as f64 <= SLACK * BYTES_PER_KEY * keys as f64,
+            "cycle {cycle}: {bytes} B for {keys} keys, partitions {now:?}"
+        );
+        // No table sits below half of what it was sized for: a donor
+        // drained below that was rebuilt at its exact size (and a receiver
+        // sized once for what it took).
+        for (a, &(len, capacity, bytes)) in now.iter().enumerate() {
+            assert!(
+                len * 2 >= capacity || bytes == exact(len),
+                "cycle {cycle}, aeu {a}: {len} keys in {bytes} B sized for {capacity}"
+            );
+            if len * 4 < loaded[a].0 {
+                drained.insert(a);
+            }
+        }
+    });
+    assert!(!drained.is_empty(), "some AEU gave most of its keys away");
+}
+
+#[test]
+fn a_drained_prefix_tree_partition_gives_its_memory_back() {
+    // The tree twin, with the sparse keys of `engine-batch` (4 per
+    // 256-slot leaf): a removal frees value blocks but no node, so a donor
+    // left under half of what it was sized for is rebuilt from what it
+    // keeps.  After every cycle the partitions cost at most a fifth more
+    // than a fresh load of the same keys at the same bounds.
+    use eris_core::PartitionData;
+    use eris_index::PrefixTree;
+    drain_by_zipf(false, 64, |e, idx, cycle| {
+        let (mut bytes, mut fresh) = (0, 0);
+        for a in e.aeu_ids() {
+            let p = e.aeu(a).partition(idx).unwrap();
+            let PartitionData::Index(tree) = &p.data else {
+                panic!("an index has tree partitions")
+            };
+            assert!(tree.len() * 2 >= tree.sized_for(), "cycle {cycle}, {a:?}");
+            let pairs = tree.flatten();
+            bytes += tree.memory_bytes();
+            fresh += PrefixTree::build_from_sorted(tree.config(), 0, &pairs).memory_bytes();
+        }
+        assert!(
+            bytes as f64 <= 1.2 * fresh as f64,
+            "cycle {cycle}: {bytes} B where a fresh load takes {fresh} B"
+        );
+    });
 }

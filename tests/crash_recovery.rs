@@ -534,3 +534,75 @@ fn a_checkpoint_of_resized_hash_partitions_restores_every_key() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn journal_only_recovery_right_after_a_cascade_cycle_restores_every_partition() {
+    // Donor-first transfers change the order of each AEU's RemoveRange and
+    // UpsertPairs records, and replaying a RemoveRange compacts the donor
+    // as the cycle did.  Recovering from the journals alone, right after a
+    // cycle in which AEUs both gave and took, restores every key and the
+    // same per-AEU key counts.
+    use eris_core::BalanceVerdict;
+    let value = |k: u64| k.wrapping_mul(31) | 1;
+    let dir = temp_dir("cascade");
+    let dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let tree = e.create_index("orders", DOMAIN);
+    let hash = e.create_hash_index("customers", DOMAIN);
+    for object in [tree, hash] {
+        e.bulk_load_index(object, (0..DOMAIN).map(|k| (k, value(k))));
+    }
+    // Every access on AEU 0's lowest keys: the cycle hands AEU 0's range
+    // out over all four AEUs and AEUs 1 and 2 give theirs to AEU 3.
+    for (ticket, object) in [(1, tree), (2, hash)] {
+        let keys = (0..DOMAIN / 64).collect();
+        let hot = DataCommand {
+            object,
+            ticket,
+            payload: Payload::Lookup { keys },
+        };
+        e.submit(AeuId(0), hot).unwrap();
+    }
+    e.run_until_drained();
+    e.results().take_lookup_values();
+    e.run_balancer();
+    e.run_until_drained();
+    for object in [tree, hash] {
+        let d = e.monitor().last_decision(object).unwrap();
+        assert_eq!(d.verdict, BalanceVerdict::Rebalanced);
+        let m = &d.migrations;
+        let gives_and_takes = m.iter().any(|t| m.iter().any(|u| u.dst == t.src));
+        assert!(m.len() >= 3 && gives_and_takes, "a cascade: {m:?}");
+    }
+    let lens = |e: &Engine| -> Vec<usize> {
+        let len = |object, a: AeuId| e.aeu(a).partition(object).unwrap().data.len();
+        let per_aeu = |object| e.aeu_ids().into_iter().map(move |a| len(object, a));
+        per_aeu(tree).chain(per_aeu(hash)).collect()
+    };
+    let expected = lens(&e);
+    drop(e);
+    drop(dura);
+
+    let mut r = engine();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!(report.checkpoint, None);
+    assert_eq!(lens(&r), expected, "every partition holds what it held");
+    for (ticket, object) in [(3, tree), (4, hash)] {
+        let all = DataCommand {
+            object,
+            ticket,
+            payload: Payload::Lookup {
+                keys: (0..DOMAIN).collect(),
+            },
+        };
+        r.submit(AeuId(1), all).unwrap();
+    }
+    r.run_until_drained();
+    let answers = r.results().take_lookup_values();
+    assert_eq!(answers.len() as u64, 2 * DOMAIN);
+    for (_, key, v) in answers {
+        assert_eq!(v, Some(value(key)), "key {key}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
