@@ -8,6 +8,10 @@
 //!   in one pass) against N unshared sweeps and against the
 //!   row-at-a-time scalar oracle — on the production path, i.e. AVX2
 //!   lanes where detected and the portable kernels under `ERIS_SIMD=0`,
+//! * a consumer sweep: ns per row of one shared sweep with k = 1 … 64
+//!   consumers, shaped like `engine-scan` (k/2 ranges x {Count, Sum}) and
+//!   with k distinct ranges — the cost follows the distinct predicates,
+//!   not the consumers,
 //! * the single-predicate count/sum kernels — explicit-AVX2 SIMD vs the
 //!   portable chunked loops vs scalar scans,
 //! * AMAC interleaved batched hash probes against one-at-a-time lookups,
@@ -41,6 +45,7 @@ const CONSUMERS: usize = 8;
 /// the runner's hardware, not the code.
 const GATED: &[&str] = &[
     "shared_vs_unshared_speedup",
+    "sweep_single_vs_shared8",
     "chunked_vs_scalar_speedup",
     "chunked_count_speedup",
     "chunked_sum_speedup",
@@ -71,11 +76,81 @@ fn column(rows: u64) -> Column {
     c.into_column()
 }
 
-fn preds(n: usize) -> Vec<Predicate> {
+/// Consumer counts of the sweep, with the keys their ns/row land under.
+const SWEEP: [(usize, &str, &str); 6] = [
+    (
+        1,
+        "sweep_shared_k1_ns_per_row",
+        "sweep_distinct_k1_ns_per_row",
+    ),
+    (
+        2,
+        "sweep_shared_k2_ns_per_row",
+        "sweep_distinct_k2_ns_per_row",
+    ),
+    (
+        4,
+        "sweep_shared_k4_ns_per_row",
+        "sweep_distinct_k4_ns_per_row",
+    ),
+    (
+        8,
+        "sweep_shared_k8_ns_per_row",
+        "sweep_distinct_k8_ns_per_row",
+    ),
+    (
+        16,
+        "sweep_shared_k16_ns_per_row",
+        "sweep_distinct_k16_ns_per_row",
+    ),
+    (
+        64,
+        "sweep_shared_k64_ns_per_row",
+        "sweep_distinct_k64_ns_per_row",
+    ),
+];
+
+/// `engine-scan`'s value domain and range selectivities.
+const SWEEP_DOMAIN: u64 = 1 << 20;
+const SWEEP_SELECTIVITIES: [f64; 4] = [0.001, 0.01, 0.1, 0.5];
+
+/// A column of `rows` values uniform in `[0, SWEEP_DOMAIN)`.
+fn sweep_column(rows: u64) -> Column {
+    let mut c = Column::new_local(NodeId(0), 0, 64 * 1024);
+    c.extend((0..rows).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44));
+    c.into_column()
+}
+
+/// Range `r` of the sweep: the selectivities in turn, at scattered offsets.
+fn sweep_range(r: usize) -> Predicate {
+    let width = (SWEEP_DOMAIN as f64 * SWEEP_SELECTIVITIES[r % 4]) as u64;
+    let lo = (r as u64).wrapping_mul(0x9E37_79B9) % (SWEEP_DOMAIN - width);
+    Predicate::Range { lo, hi: lo + width }
+}
+
+/// `k` consumers, Count and Sum in turn: `engine-scan`'s shape (consumer
+/// `i` on range `i / 2`) when `shared`, else each on a range of its own.
+fn sweep_consumers(k: usize, shared: bool) -> Vec<(Predicate, Aggregate)> {
+    (0..k)
+        .map(|i| {
+            let agg = [Aggregate::Count, Aggregate::Sum][i % 2];
+            (sweep_range(if shared { i / 2 } else { i }), agg)
+        })
+        .collect()
+}
+
+/// `n` Sum consumers on overlapping ranges.
+fn preds(n: usize) -> Vec<(Predicate, Aggregate)> {
     (0..n)
-        .map(|i| Predicate::Range {
-            lo: (i as u64) * 5_000,
-            hi: (i as u64) * 5_000 + 20_000,
+        .map(|i| {
+            let lo = (i as u64) * 5_000;
+            (
+                Predicate::Range {
+                    lo,
+                    hi: lo + 20_000,
+                },
+                Aggregate::Sum,
+            )
         })
         .collect()
 }
@@ -159,10 +234,11 @@ fn probe_pair(
     )
 }
 
-fn fused_sweep(col: &Column, ps: &[Predicate], k: ScanKernel) -> u64 {
+/// One shared sweep of `consumers` over the whole column.
+fn sweep(col: &Column, consumers: &[(Predicate, Aggregate)], k: ScanKernel) -> u64 {
     let mut s = SharedScan::new();
-    for p in ps {
-        s.add(*p, usize::MAX, Aggregate::Sum);
+    for &(p, a) in consumers {
+        s.add(p, usize::MAX, a);
     }
     let (results, examined) = s.execute_with(col, k);
     results.len() as u64 + examined as u64
@@ -217,11 +293,11 @@ fn measure(quick: bool) -> (Metrics, u64) {
     // One fused sweep answers all N consumers; the alternatives pay
     // either N sweeps or per-row dispatch.  The fused side is the sweep
     // the engine runs, whichever kernels `simd::level()` selects.
-    let t_fused = time(ms, || fused_sweep(&col, &ps, ScanKernel::Simd));
-    let t_fused_scalar = time(ms, || fused_sweep(&col, &ps, ScanKernel::Scalar));
+    let t_fused = time(ms, || sweep(&col, &ps, ScanKernel::Simd));
+    let t_fused_scalar = time(ms, || sweep(&col, &ps, ScanKernel::Scalar));
     let t_unshared = time(ms, || {
         ps.iter().fold(0u64, |acc, p| {
-            acc.wrapping_add(fused_sweep(&col, std::slice::from_ref(p), ScanKernel::Simd))
+            acc.wrapping_add(sweep(&col, std::slice::from_ref(p), ScanKernel::Simd))
         })
     });
     let consumer_rows = (rows * CONSUMERS as u64) as f64;
@@ -230,6 +306,31 @@ fn measure(quick: bool) -> (Metrics, u64) {
     m.put("unshared_rows_per_sec", consumer_rows / t_unshared);
     m.put("shared_vs_unshared_speedup", t_unshared / t_fused);
     m.put("chunked_vs_scalar_speedup", t_fused_scalar / t_fused);
+
+    // Consumer sweep on the production path.  The gated ratio times one
+    // consumer against engine-scan's eight (4 ranges x {Count, Sum})
+    // in alternated passes.
+    let sweep_col = sweep_column(rows);
+    let ns_per_row = |t: f64| t * 1e9 / rows as f64;
+    let (one, eight) = (sweep_consumers(1, true), sweep_consumers(8, true));
+    let production =
+        |consumers: &[(Predicate, Aggregate)]| sweep(&sweep_col, consumers, ScanKernel::Simd);
+    let (t_one, t_eight) = time_pair(ms, || production(&one), || production(&eight));
+    m.put("sweep_single_vs_shared8", t_one / t_eight);
+    for (k, shared_key, distinct_key) in SWEEP {
+        let t_shared = match k {
+            1 => t_one,
+            8 => t_eight,
+            _ => {
+                let consumers = sweep_consumers(k, true);
+                time(ms, || production(&consumers))
+            }
+        };
+        let distinct = sweep_consumers(k, false);
+        let t_distinct = time(ms, || production(&distinct));
+        m.put(shared_key, ns_per_row(t_shared));
+        m.put(distinct_key, ns_per_row(t_distinct));
+    }
 
     // Single-predicate kernels against the row-at-a-time scan.
     let p = Predicate::Range {
@@ -377,6 +478,21 @@ pub fn run(quick: bool) {
         fmt_rate(m.get("fused_scalar_rows_per_sec")),
         format!("{:.2}x fused/scalar", m.get("chunked_vs_scalar_speedup")),
     ]);
+    for (k, shared_key, distinct_key) in SWEEP {
+        t.row(vec![
+            format!("consumer sweep, k = {k}"),
+            format!(
+                "{:.2} ns/row shared, {:.2} distinct",
+                m.get(shared_key),
+                m.get(distinct_key)
+            ),
+            if k == 8 {
+                format!("{:.2}x 1 over 8 shared", m.get("sweep_single_vs_shared8"))
+            } else {
+                String::new()
+            },
+        ]);
+    }
     t.row(vec![
         "chunked count".into(),
         fmt_rate(m.get("chunked_count_rows_per_sec")),

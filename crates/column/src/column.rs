@@ -307,23 +307,6 @@ impl Column {
         limit
     }
 
-    /// Append every value matching `pred` within the snapshot to `out`,
-    /// in row order, via the chunked bitmap kernel.  Returns rows
-    /// examined.
-    pub fn collect_matching(&self, pred: Predicate, snapshot: usize, out: &mut Vec<u64>) -> usize {
-        let p = crate::kernel::CompiledPredicate::compile(pred);
-        let mut words = [0u64; crate::kernel::CHUNK_WORDS];
-        self.for_each_chunk(snapshot, |_, chunk| {
-            let n = crate::kernel::select_bitmap(chunk, p, &mut words);
-            if n > 0 {
-                // ALLOC-OK: `out` is the caller's reusable result vector; reserve
-                // amortizes and the push writes into reserved capacity.
-                out.reserve(n as usize);
-                crate::kernel::for_each_selected(chunk, &words, |_, v| out.push(v));
-            }
-        })
-    }
-
     /// Scan rows `[start, end)` (parallel workers splitting one shared
     /// scan), calling `f(row_id, value)` for matches.  Returns rows
     /// examined.
@@ -570,7 +553,7 @@ mod tests {
         assert_eq!(c.count(half_open, 4), 1, "only the 7");
         assert_eq!(c.count(Predicate::Equals(u64::MAX), 4), 1);
         let mut got = Vec::new();
-        c.collect_matching(unbounded, 4, &mut got);
+        c.scan(unbounded, 4, |_, v| got.push(v));
         assert_eq!(got, vec![u64::MAX, 7, u64::MAX - 1]);
     }
 
@@ -724,17 +707,12 @@ mod tests {
                 // The per-row closure scan is the oracle for the kernels.
                 let mut n = 0u64;
                 let mut s = 0u64;
-                let mut vals = Vec::new();
                 c.column().scan(pred, snapshot, |_, v| {
                     n += 1;
                     s = s.wrapping_add(v);
-                    vals.push(v);
                 });
                 prop_assert_eq!(c.column().count(pred, snapshot), n);
                 prop_assert_eq!(c.column().sum(pred, snapshot), s);
-                let mut got = Vec::new();
-                c.column().collect_matching(pred, snapshot, &mut got);
-                prop_assert_eq!(got, vals);
             }
 
             #[test]

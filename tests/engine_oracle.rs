@@ -691,6 +691,93 @@ fn chunked_and_scalar_kernels_agree_end_to_end() {
 }
 
 #[test]
+fn one_sweep_per_partition_answers_many_scans() {
+    // Eleven scans of one epoch: three ranges x {Count, Sum, MinMax}, and
+    // the first range's Count and Sum again under a snapshot that cuts a
+    // chunk.  Submitted through one AEU, they reach every partition in
+    // one batch, and each AEU answers them in one shared sweep, in which the
+    // Count and Sum of a range share one evaluation and the cut copy gets
+    // an evaluation of its own.  Every AEU's partial must equal the
+    // scalar oracle over that AEU's partition column, and the sweep
+    // counters must show one sweep per AEU.
+    use eris_column::{simd, SharedScan, SimdLevel};
+    let mut rng = StdRng::seed_from_u64(0x5CA7);
+    let domain: u64 = 1 << 16;
+    let rows: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..domain)).collect();
+    let mut queries: Vec<(Predicate, Aggregate, u64)> = Vec::new();
+    for (lo, hi) in [(100, 30_000), (20_000, 20_500), (0, u64::MAX)] {
+        for agg in [Aggregate::Count, Aggregate::Sum, Aggregate::MinMax] {
+            queries.push((Predicate::Range { lo, hi }, agg, u64::MAX));
+        }
+    }
+    for agg in [Aggregate::Count, Aggregate::Sum] {
+        queries.push((
+            Predicate::Range {
+                lo: 100,
+                hi: 30_000,
+            },
+            agg,
+            2500,
+        ));
+    }
+
+    let mut e = engine(2, 2);
+    let col = e.create_column("c");
+    e.bulk_load_column(col, rows.iter().copied());
+    let before = e.telemetry().totals;
+    for (t, &(pred, agg, snapshot)) in queries.iter().enumerate() {
+        e.submit(
+            AeuId(0),
+            DataCommand {
+                object: col,
+                ticket: t as u64,
+                payload: Payload::Scan {
+                    pred,
+                    agg,
+                    snapshot,
+                },
+            },
+        )
+        .unwrap();
+    }
+    e.run_until_drained();
+
+    let mut got = e.results().take_scan_results();
+    got.sort_by_key(|&(t, a, _)| (t, a));
+    let mut want = Vec::new();
+    for (t, &(pred, agg, snapshot)) in queries.iter().enumerate() {
+        for a in e.aeu_ids() {
+            let eris_core::PartitionData::Column(part) = &e.aeu(a).partition(col).unwrap().data
+            else {
+                panic!("column partition expected");
+            };
+            assert!(part.len() > 2500, "the cut lands inside the partition");
+            let mut oracle = SharedScan::new();
+            oracle.add(pred, snapshot.min(part.len() as u64) as usize, agg);
+            want.push((t as u64, a, oracle.execute_scalar(part).0[0]));
+        }
+    }
+    assert_eq!(got, want, "engine == scalar oracle, per AEU and query");
+
+    let t = e.telemetry().totals;
+    let (ran, idle) = match simd::level() {
+        SimdLevel::Avx2 => (
+            t.simd_sweeps - before.simd_sweeps,
+            t.chunked_sweeps - before.chunked_sweeps,
+        ),
+        SimdLevel::Portable => (
+            t.chunked_sweeps - before.chunked_sweeps,
+            t.simd_sweeps - before.simd_sweeps,
+        ),
+    };
+    assert_eq!(
+        (ran, idle, t.scalar_sweeps),
+        (e.num_aeus() as u64, 0, 0),
+        "one sweep per AEU, counted by the kernels that ran: {t:?}"
+    );
+}
+
+#[test]
 fn a_key_outside_the_domain_is_rejected_at_submit() {
     // A key at or past an index's domain used to be routed to the last
     // AEU, judged a stray there and forwarded to itself forever: one
