@@ -8,14 +8,14 @@
 //! is the only writer of its partitions.
 
 use crate::command::{
-    AeuId, CommandView, DataCommand, DataObjectId, Payload, PointItem, StorageOp,
+    AeuId, CommandRef, CommandView, DataCommand, DataObjectId, Payload, PointItem, StorageOp,
 };
 use crate::cost::{expected_tree_misses, CostParams};
 use crate::durability::{RedoOp, RedoSink};
 use crate::results::ResultCollector;
 use crate::routing::RoutingError;
 use crate::routing::{FlushInfo, IncomingBuffers, Router};
-use crate::telemetry::TelemetryShard;
+use crate::telemetry::{bump, TelemetryShard};
 use eris_column::{simd, Column, Segment, SharedScan, SimdLevel};
 use eris_index::{HashTable, PrefixTree, PrefixTreeConfig};
 use eris_numa::{CoreId, Flow, NodeId};
@@ -26,6 +26,9 @@ use std::collections::BTreeMap;
 // ordering: Relaxed is the only ordering this module imports — every
 // atomic here is a monotonic telemetry counter that carries no payload;
 // command data flows through the incoming/outgoing buffer protocols.
+// The shard's execution counters have one writer, this AEU's thread, and
+// are bumped with a load and a store (`telemetry::bump`); the per-object
+// ledgers have many and keep `fetch_add`.
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -144,11 +147,10 @@ impl PointRun for [u64] {
         let reply_node = aeu.cfg.node_of[aeu.reply_rr];
         w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * aeu.cfg.params.mlp);
         w.cpu_ns += n as f64 * 2.0;
-        // ALLOC-OK: flow records drain into the epoch's work summary.
-        w.flows.push((
+        w.add_flow(
             Flow::new(aeu.node, reply_node, n * 16),
             FlowKind::Overlapped,
-        ));
+        );
     }
 }
 
@@ -325,6 +327,22 @@ impl WorkSummary {
             latency_ns: 0.0,
             flows: Vec::new(),
             ops: OpCounts::default(),
+        }
+    }
+
+    /// Add one flow record, merged into the entry of the same `(src, home,
+    /// kind)` when there is one — the entry [`Self::coalesce_flows`] would
+    /// merge it into — so a point command adds to the worker's stream
+    /// instead of a record of its own.  The coalesced order and sums are
+    /// those of pushing every record and coalescing once.
+    pub fn add_flow(&mut self, flow: Flow, kind: FlowKind) {
+        let same = |(m, mk): &&mut (Flow, FlowKind)| {
+            m.src == flow.src && m.home == flow.home && *mk == kind
+        };
+        match self.flows.iter_mut().find(same) {
+            Some((m, _)) => m.bytes += flow.bytes,
+            // ALLOC-OK: one record per distinct stream, drained every epoch.
+            None => self.flows.push((flow, kind)),
         }
     }
 
@@ -590,12 +608,12 @@ impl Aeu {
     // command: partition-table split, outgoing buffers, threshold flushes.
     pub fn route_external(
         &mut self,
-        cmd: DataCommand,
+        cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
-        let keys = cmd.payload.op_count();
-        let (fl, emitted) = self.router.route_counted(cmd, stamp)?;
+        let keys = cmd.op_count();
+        let (fl, emitted) = self.router.route_counted(&cmd, stamp)?;
         let emitted = emitted.max(1);
         w.cpu_ns += emitted as f64 * self.cfg.params.cpu_ns_per_routed_cmd
             + keys as f64 * self.cfg.params.cpu_ns_per_routed_key;
@@ -811,7 +829,7 @@ impl Aeu {
             gen(self.epoch, &mut self.scratch_gen);
             let gen_cmds: Vec<DataCommand> = self.scratch_gen.drain(..).collect();
             for cmd in gen_cmds {
-                self.route_external(cmd, None, &mut w)
+                self.route_external(CommandRef::Owned(cmd), None, &mut w)
                     .expect("generated command targets a registered object");
             }
             let now = now_ns();
@@ -838,22 +856,23 @@ impl Aeu {
 
         // Fold the step's operation tallies into the telemetry shard
         // (routing-side counters are maintained by the router itself).
+        // ordering: one writer, this AEU's thread.
         let ops = &w.ops;
         let c = &self.tel.counters;
         if ops.lookups > 0 {
-            c.lookups.fetch_add(ops.lookups, Relaxed);
+            bump(&c.lookups, ops.lookups);
         }
         if ops.upserts > 0 {
-            c.upserts.fetch_add(ops.upserts, Relaxed);
+            bump(&c.upserts, ops.upserts);
         }
         if ops.scans > 0 {
-            c.scans.fetch_add(ops.scans, Relaxed);
+            bump(&c.scans, ops.scans);
         }
         if ops.scan_rows > 0 {
-            c.scan_rows.fetch_add(ops.scan_rows, Relaxed);
+            bump(&c.scan_rows, ops.scan_rows);
         }
         if ops.forwarded > 0 {
-            c.forwarded.fetch_add(ops.forwarded, Relaxed);
+            bump(&c.forwarded, ops.forwarded);
         }
         self.tel.step_ns.record((w.cpu_ns + w.latency_ns) as u64);
         if let Some(s) = &self.sink {
@@ -889,10 +908,8 @@ impl Aeu {
         // conservation ledger — including raw-routing discard mode, where
         // delivery is the whole point of the measurement.
         if !cmds.is_empty() {
-            self.tel
-                .counters
-                .commands_executed
-                .fetch_add(cmds.len() as u64, Relaxed);
+            // ordering: one writer, this AEU's thread.
+            bump(&self.tel.counters.commands_executed, cmds.len() as u64);
             self.tel.swap_batch.record(cmds.len() as u64);
             self.emit(TraceEvent::BufferSwap {
                 bytes: region.len() as u64,
@@ -923,10 +940,11 @@ impl Aeu {
         cmds.sort_by_key(|v| (v.object, v.op));
         for group in cmds.chunk_by(|a, b| (a.object, a.op) == (b.object, b.op)) {
             let (object, op) = (group[0].object, group[0].op);
-            self.tel.counters.exec_batches.fetch_add(1, Relaxed);
+            // ordering: one writer, this AEU's thread.
+            bump(&self.tel.counters.exec_batches, 1);
             self.tel.exec_group.record(group.len() as u64);
             if op == StorageOp::Scan && group.len() >= 2 {
-                self.tel.counters.coalesced_scans.fetch_add(1, Relaxed);
+                bump(&self.tel.counters.coalesced_scans, 1);
             }
             let group_t0 = now_ns();
             self.traced_pending.clear();
@@ -1136,10 +1154,8 @@ impl Aeu {
             return;
         };
         if let PartitionData::Hash(_) = p.data {
-            self.tel
-                .counters
-                .batched_probe_keys
-                .fetch_add(items.len() as u64, Relaxed);
+            // ordering: one writer, this AEU's thread.
+            bump(&self.tel.counters.batched_probe_keys, items.len() as u64);
         }
         let values = &mut self.scratch_values;
         items.run_kernel(&mut p.data, values, &self.results, commands.clone());
@@ -1162,15 +1178,8 @@ impl Aeu {
     fn charge_point_misses(&self, n: u64, cost: PointCost, w: &mut WorkSummary) {
         let params = &self.cfg.params;
         w.latency_ns += n as f64 * cost.misses * self.cfg.local_latency_ns / params.mlp;
-        // ALLOC-OK: flow records drain into the epoch's work summary.
-        w.flows.push((
-            Flow::new(
-                self.node,
-                self.node,
-                (n as f64 * cost.misses * params.cache_line as f64) as u64,
-            ),
-            FlowKind::Overlapped,
-        ));
+        let bytes = (n as f64 * cost.misses * params.cache_line as f64) as u64;
+        w.add_flow(Flow::new(self.node, self.node, bytes), FlowKind::Overlapped);
     }
 
     /// Upserts on a column partition are appends: materialize the values
@@ -1247,11 +1256,12 @@ impl Aeu {
                 }
                 let (outcomes, examined) = shared.execute(col);
                 // The one dispatch feeds the sweep counters by what ran.
-                match simd::level() {
+                // ordering: one writer, this AEU's thread.
+                let sweeps = match simd::level() {
                     SimdLevel::Avx2 => &self.tel.counters.simd_sweeps,
                     SimdLevel::Portable => &self.tel.counters.chunked_sweeps,
-                }
-                .fetch_add(1, Relaxed);
+                };
+                bump(sweeps, 1);
                 let examined = examined as u64;
                 for (i, (v, r)) in cmds.iter().zip(outcomes).enumerate() {
                     // The sweep is shared: attribute the examined rows once,
@@ -1439,6 +1449,9 @@ fn charge_flushes_to(
     };
     for f in flushes {
         w.latency_ns += params.flush_latency_factor * per_flush;
+        // Pushed, not merged: scan routing flushes here too, and the scan
+        // path's allocation pattern is what keeps glibc from trimming the
+        // heap between `engine-scan`'s repeated builds.
         // ALLOC-OK: flow records drain into the epoch's work summary.
         // BOUNDS: FlushInfo targets come from the router, which only
         // issues AEU ids it owns — always within node_of.

@@ -131,7 +131,7 @@ pub trait PointItem: Copy {
 
     /// The items encoded back to back in `bytes`, in order (a trailing
     /// partial item is ignored).
-    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = Self> + '_;
+    fn decode_items(bytes: &[u8]) -> impl ExactSizeIterator<Item = Self> + Clone + '_;
 }
 
 impl PointItem for u64 {
@@ -155,7 +155,7 @@ impl PointItem for u64 {
     }
 
     #[inline]
-    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    fn decode_items(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
         bytes
             .as_chunks::<8>()
             .0
@@ -185,7 +185,7 @@ impl PointItem for (u64, u64) {
     }
 
     #[inline]
-    fn decode_items(bytes: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn decode_items(bytes: &[u8]) -> impl ExactSizeIterator<Item = (u64, u64)> + Clone + '_ {
         let words = bytes.as_chunks::<8>().0;
         words
             .as_chunks::<2>()
@@ -452,6 +452,113 @@ pub(crate) fn encode_point_header<T: PointItem>(
     out.reserve(HEADER_BYTES + plen);
     encode_header(StorageOp::tag(T::OP), object, ticket, plen, out);
     out.put_u32_le(n as u32);
+}
+
+/// A point command (a lookup or an upsert) checked where it lies in its
+/// encoding, such as a serving-layer frame payload.  Routing reads its
+/// items in place and copies the encoding unchanged to a single owner,
+/// so it is never decoded into an owned [`DataCommand`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PointView<'a> {
+    object: DataObjectId,
+    ticket: u64,
+    /// `Lookup` or `Upsert`.
+    op: StorageOp,
+    /// The whole encoding: header, item count, items.
+    bytes: &'a [u8],
+}
+
+impl<'a> PointView<'a> {
+    pub(crate) fn object(&self) -> DataObjectId {
+        self.object
+    }
+
+    pub(crate) fn ticket(&self) -> u64 {
+        self.ticket
+    }
+
+    /// `StorageOp::Lookup` or `StorageOp::Upsert`.
+    pub(crate) fn op(&self) -> StorageOp {
+        self.op
+    }
+
+    /// The command's encoding, header first.
+    pub(crate) fn encoded(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The encoded items, back to back (see [`PointItem::decode_items`]).
+    pub(crate) fn item_bytes(&self) -> &'a [u8] {
+        self.bytes.get(HEADER_BYTES + 4..).unwrap_or(&[])
+    }
+
+    /// Elementary storage operations carried, as [`Payload::op_count`].
+    pub(crate) fn op_count(&self) -> u64 {
+        let size = match self.op {
+            StorageOp::Upsert => <(u64, u64)>::BYTES,
+            _ => u64::BYTES,
+        };
+        (self.item_bytes().len() / size) as u64
+    }
+}
+
+/// A command handed to the engine: a point command read in place from
+/// its encoding, or an owned command.  Both route through one path.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CommandRef<'a> {
+    Point(PointView<'a>),
+    Owned(DataCommand),
+}
+
+impl<'a> CommandRef<'a> {
+    /// Check that `bytes` hold exactly one command: accepted and rejected
+    /// exactly as [`DataCommand::try_decode`] decodes them with nothing
+    /// left over.  A point command is checked in place and borrowed; a
+    /// scan is decoded.  Bytes after the command are reported as
+    /// [`DecodeError::TrailingPayloadBytes`] of the whole input.
+    pub fn check(bytes: &'a [u8]) -> Result<CommandRef<'a>, DecodeError> {
+        let mut rest = bytes;
+        let point = matches!(
+            bytes.first().copied().and_then(StorageOp::from_tag),
+            Some(StorageOp::Lookup | StorageOp::Upsert)
+        );
+        let cmd = if point {
+            // The view reader checks the header, the declared length and
+            // the item count the way the owned decoder does.
+            let v = CommandView::try_read(&mut rest, 0, None)?;
+            CommandRef::Point(PointView {
+                object: v.object,
+                ticket: v.ticket,
+                op: v.op,
+                bytes: bytes.get(..bytes.len() - rest.len()).unwrap_or(&[]),
+            })
+        } else {
+            CommandRef::Owned(DataCommand::try_decode(&mut rest)?)
+        };
+        if !rest.is_empty() {
+            return Err(DecodeError::TrailingPayloadBytes {
+                declared: bytes.len() as u32,
+                consumed: (bytes.len() - rest.len()) as u32,
+            });
+        }
+        Ok(cmd)
+    }
+
+    /// The data object the command targets.
+    pub(crate) fn object(&self) -> DataObjectId {
+        match self {
+            CommandRef::Point(v) => v.object,
+            CommandRef::Owned(cmd) => cmd.object,
+        }
+    }
+
+    /// Elementary storage operations carried, as [`Payload::op_count`].
+    pub fn op_count(&self) -> u64 {
+        match self {
+            CommandRef::Point(v) => v.op_count(),
+            CommandRef::Owned(cmd) => cmd.payload.op_count(),
+        }
+    }
 }
 
 /// A command read in place from a routing-buffer region: its header
@@ -1238,6 +1345,68 @@ mod proptests {
                 let back = DataCommand::try_decode(&mut re.as_slice()).expect("re-decode");
                 prop_assert_eq!(back, decoded);
             }
+        }
+    }
+
+    /// `CommandRef::check` against the owned decoder on `bytes`: the
+    /// check accepts exactly what `try_decode` decodes with nothing left
+    /// over, and what it accepts is that command — a point command
+    /// borrowed whole, a scan decoded.
+    fn check_agrees_with_the_owned_decoder(bytes: &[u8]) {
+        let mut cur = bytes;
+        let owned = DataCommand::try_decode(&mut cur)
+            .ok()
+            .filter(|_| cur.is_empty());
+        match (CommandRef::check(bytes), owned) {
+            (Ok(CommandRef::Point(v)), Some(cmd)) => {
+                assert_eq!(v.encoded(), bytes);
+                assert_eq!(
+                    (v.object(), v.ticket(), v.op()),
+                    (cmd.object, cmd.ticket, cmd.payload.op())
+                );
+                assert_eq!(v.op_count(), cmd.payload.op_count());
+                let keys: Vec<u64> = u64::decode_items(v.item_bytes()).collect();
+                let pairs: Vec<(u64, u64)> = <(u64, u64)>::decode_items(v.item_bytes()).collect();
+                match &cmd.payload {
+                    Payload::Lookup { keys: want } => assert_eq!(&keys, want),
+                    Payload::Upsert { pairs: want } => assert_eq!(&pairs, want),
+                    Payload::Scan { .. } => panic!("a scan checked as a point command"),
+                }
+            }
+            (Ok(CommandRef::Owned(c)), Some(cmd)) => {
+                assert_eq!(c.payload.op(), StorageOp::Scan);
+                assert_eq!(c, cmd);
+            }
+            (Err(_), None) => {}
+            (got, want) => panic!("check {got:?}, owned decoder {want:?}"),
+        }
+    }
+
+    proptest! {
+        /// The serving layer checks a frame payload in place exactly as
+        /// the owned decoder decodes it: over valid encodings with a
+        /// byte flipped, cut short or followed by more bytes, and over
+        /// arbitrary bytes.
+        #[test]
+        fn check_accepts_exactly_what_the_owned_decoder_decodes_whole(
+            cmd in arb_command(),
+            pos in 0usize..4096,
+            flip in 0u8..=255,
+            cut in 0usize..4096,
+            tail in proptest::collection::vec(0u8..=255, 0..3),
+            noise in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            let mut buf = Vec::new();
+            cmd.encode(&mut buf);
+            check_agrees_with_the_owned_decoder(&buf);
+            let mut flipped = buf.clone();
+            flipped[pos % buf.len()] ^= flip;
+            check_agrees_with_the_owned_decoder(&flipped);
+            check_agrees_with_the_owned_decoder(&buf[..cut % (buf.len() + 1)]);
+            let mut longer = buf.clone();
+            longer.extend_from_slice(&tail);
+            check_agrees_with_the_owned_decoder(&longer);
+            check_agrees_with_the_owned_decoder(&noise);
         }
     }
 

@@ -7,7 +7,7 @@ use crate::balancer::{
     donor_first, needs_balancing, size_balance_moves, target_boundaries, transfer_plan,
     BalancerConfig,
 };
-use crate::command::{AeuId, DataCommand, DataObjectId};
+use crate::command::{AeuId, CommandRef, DataCommand, DataObjectId};
 use crate::cost::CostParams;
 use crate::durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
 use crate::monitor::{BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
@@ -609,16 +609,19 @@ impl Engine {
     /// key outside an index's domain — are rejected with a
     /// [`RoutingError`] and enqueue nothing.
     pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
-        self.submit_traced(via, cmd, None)
+        self.submit_view(via, CommandRef::Owned(cmd), None)
     }
 
-    /// [`Self::submit`] for the serving layer: a trace stamp born at frame
-    /// decode (full-path tracing: identity + net/admit spans) rides to the
-    /// executing AEU.
-    pub fn submit_traced(
+    /// Submit a command as the serving layer holds it: a point command is
+    /// routed where it lies in its encoding (see [`CommandRef::check`]),
+    /// without an owned copy, and copied unchanged into the outgoing
+    /// buffer of a single owner.  Owned commands take the same path.  A
+    /// trace stamp born at frame decode (full-path tracing: identity +
+    /// net/admit spans) rides to the executing AEU.
+    pub fn submit_view(
         &mut self,
         via: AeuId,
-        cmd: DataCommand,
+        cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
     ) -> Result<(), RoutingError> {
         let node = self.node_of[via.index()];

@@ -71,7 +71,9 @@ pub mod telemetry;
 
 pub use aeu::{AbsorbError, Aeu, OpCounts, Partition, PartitionData, WorkSummary};
 pub use balancer::{BalanceAlgorithm, BalanceMetric, BalancerConfig};
-pub use command::{AeuId, DataCommand, DataObjectId, DecodeError, Payload, StorageOp};
+pub use command::{
+    AeuId, CommandRef, DataCommand, DataObjectId, DecodeError, Payload, PointView, StorageOp,
+};
 pub use cost::CostParams;
 pub use durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
 pub use engine::{Engine, EngineConfig, EpochReport, ObjectKind, QuiesceReport};

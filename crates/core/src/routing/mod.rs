@@ -21,15 +21,18 @@ pub use outgoing::{FlushInfo, OutgoingBuffers};
 pub use partition_table::{BitmapTable, OwnerSplit, PartitionTable, RangeTable};
 use partition_table::{OutOfDomain, Owners};
 
-use crate::command::{AeuId, DataCommand, DataObjectId, Payload, PointItem, StorageOp};
-use crate::telemetry::{CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
+use crate::command::{
+    AeuId, CommandRef, DataCommand, DataObjectId, Payload, PointItem, PointView, StorageOp,
+};
+use crate::telemetry::{bump, raise, CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
 use eris_numa::NodeId;
 use eris_obs::{now_ns, LatencyTable, TraceStamp};
 use parking_lot::RwLock;
-// ordering: Relaxed is the only ordering this module imports — every
-// atomic here is a monotonic routing/telemetry counter; delivery
-// synchronization lives in the incoming-buffer descriptor protocol.
-use std::sync::atomic::Ordering::Relaxed;
+// ordering: Relaxed is this module's default — every counter here is
+// monotonic routing telemetry, and delivery synchronization lives in the
+// incoming-buffer descriptor protocol.  The table epoch alone is
+// Release/Acquire (`table-epoch` below).
+use std::sync::atomic::{AtomicU64, Ordering, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A command the routing layer cannot deliver.  Surfaced through
@@ -108,12 +111,22 @@ impl Default for RoutingConfig {
     }
 }
 
+/// The partition tables, one slot per data object id.
+type Tables = Vec<Option<Arc<PartitionTable>>>;
+
 /// Shared routing state: the partition tables and every AEU's incoming
 /// buffers.  Tables are read on every routed command and written only
 /// during load balancing, mirroring the paper's "rarely updated, frequently
-/// read" design.
+/// read" design: each router routes by its own handle on the table list
+/// and takes a new one only when the epoch says a table changed.
 pub struct RoutingShared {
-    tables: RwLock<Vec<Option<PartitionTable>>>,
+    /// The current table list.  A registration or a change replaces the
+    /// list and the changed table (clone on write), so the list a router
+    /// holds never changes under it.
+    tables: RwLock<Arc<Tables>>,
+    /// Bumped under the write guard after every registration or table
+    /// change.
+    epoch: AtomicU64,
     incoming: Vec<Arc<IncomingBuffers>>,
     telemetry: Telemetry,
 }
@@ -121,7 +134,8 @@ pub struct RoutingShared {
 impl RoutingShared {
     pub fn new(num_aeus: usize, cfg: RoutingConfig) -> Self {
         RoutingShared {
-            tables: RwLock::new(Vec::new()),
+            tables: RwLock::new(Arc::default()),
+            epoch: AtomicU64::new(0),
             incoming: (0..num_aeus)
                 .map(|_| Arc::new(IncomingBuffers::new(cfg.incoming_capacity)))
                 .collect(),
@@ -131,7 +145,8 @@ impl RoutingShared {
 
     /// Register a data object's partition table; its id indexes the slot.
     pub fn register_object(&self, id: DataObjectId, table: PartitionTable) {
-        let mut tables = self.tables.write();
+        let mut guard = self.tables.write();
+        let tables = Arc::make_mut(&mut guard);
         if tables.len() <= id.0 as usize {
             tables.resize_with(id.0 as usize + 1, || None);
         }
@@ -139,7 +154,10 @@ impl RoutingShared {
             tables[id.0 as usize].is_none(),
             "object {id:?} already registered"
         );
-        tables[id.0 as usize] = Some(table);
+        tables[id.0 as usize] = Some(Arc::new(table));
+        // ordering: Release, under the write guard: a router that sees the
+        // bump re-reads its handles; pairs-with: table-epoch.
+        self.epoch.fetch_add(1, Ordering::Release);
         // Pre-create the object's conservation ledger.
         let _ = self.telemetry.object(id);
     }
@@ -157,17 +175,35 @@ impl RoutingShared {
         }
     }
 
-    /// Write access (load balancer only).
+    /// Write access (load balancer only).  The change is made to a copy
+    /// of the table (and of the list) while routers hold the old ones, and
+    /// every router routes its next command by the changed table.
     pub fn with_table_mut<R>(
         &self,
         id: DataObjectId,
         f: impl FnOnce(&mut PartitionTable) -> R,
     ) -> Result<R, RoutingError> {
-        let mut tables = self.tables.write();
-        match tables.get_mut(id.0 as usize).and_then(|t| t.as_mut()) {
-            Some(t) => Ok(f(t)),
-            None => Err(RoutingError::UnknownObject(id)),
+        let mut guard = self.tables.write();
+        if !matches!(guard.get(id.0 as usize), Some(Some(_))) {
+            return Err(RoutingError::UnknownObject(id));
         }
+        let slot = Arc::make_mut(&mut guard).get_mut(id.0 as usize);
+        let Some(Some(t)) = slot else {
+            return Err(RoutingError::UnknownObject(id));
+        };
+        let r = f(Arc::make_mut(t));
+        // ordering: Release, under the write guard, after the change;
+        // pairs-with: table-epoch.
+        self.epoch.fetch_add(1, Ordering::Release);
+        Ok(r)
+    }
+
+    /// The current table list and the epoch it belongs to.
+    fn table_list(&self) -> (Arc<Tables>, u64) {
+        let tables = self.tables.read();
+        // ordering: writers bump the epoch under the write guard, so under
+        // the read guard it is the list's own.
+        (Arc::clone(&tables), self.epoch.load(Relaxed))
     }
 
     /// The incoming buffers of one AEU.
@@ -217,6 +253,9 @@ pub struct Router {
     src: AeuId,
     shared: Arc<RoutingShared>,
     out: OutgoingBuffers,
+    /// This router's handle on the table list, as of `tables_epoch`.
+    tables: Arc<Tables>,
+    tables_epoch: u64,
     /// Routing step 1's scratch: the owners of the point command being
     /// routed.
     owners: Owners,
@@ -241,12 +280,15 @@ pub struct Router {
 impl Router {
     pub fn new(src: AeuId, shared: Arc<RoutingShared>, cfg: RoutingConfig) -> Self {
         let n = shared.num_aeus();
+        let (tables, tables_epoch) = shared.table_list();
         let tel = Arc::clone(shared.telemetry().shard(src));
         let latency = Arc::clone(shared.telemetry().latency());
         Router {
             src,
             shared,
             out: OutgoingBuffers::new(n, cfg.outgoing_capacity),
+            tables,
+            tables_epoch,
             owners: Owners::default(),
             full: Vec::new(),
             rr_cursor: src.index(),
@@ -277,19 +319,31 @@ impl Router {
     /// on it, this router's AEU `executed`.
     // HOT-PATH-CUT: first-touch ledger registration; allocates the
     // counter arc once per object, steady state is a vector hit.
-    pub(crate) fn object_ledger(&mut self, id: DataObjectId) -> Arc<ObjectCounters> {
+    pub(crate) fn object_ledger(&mut self, id: DataObjectId) -> &ObjectCounters {
         let i = id.0 as usize;
         if self.tel_objects.len() <= i {
             self.tel_objects.resize_with(i + 1, || None);
         }
-        match &self.tel_objects[i] {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = self.shared.telemetry().object(id);
-                self.tel_objects[i] = Some(Arc::clone(&c));
-                c
-            }
+        let shared = &self.shared;
+        // BOUNDS: the vector was just grown past `i`.
+        self.tel_objects[i].get_or_insert_with(|| shared.telemetry().object(id))
+    }
+
+    /// Bring this router's table list up to date: one Acquire load, and
+    /// a new handle taken under the shared guard only when a table was
+    /// registered or changed since the last one.
+    #[inline]
+    fn sync_tables(&mut self) {
+        // ordering: Acquire; pairs-with: table-epoch.
+        if self.shared.epoch.load(Ordering::Acquire) != self.tables_epoch {
+            self.reload_tables();
         }
+    }
+
+    // HOT-PATH-CUT: runs once per registration or rebalance, not per
+    // command; takes the list under the shared guard.
+    fn reload_tables(&mut self) {
+        (self.tables, self.tables_epoch) = self.shared.table_list();
     }
 
     /// The trace stamp for the next routed command, if the deterministic
@@ -313,7 +367,7 @@ impl Router {
     /// end-to-end trace marker (see [`RoutingConfig::trace_sample_every`]).
     pub fn route(&mut self, cmd: DataCommand) -> Result<Vec<FlushInfo>, RoutingError> {
         let stamp = self.maybe_stamp();
-        Ok(self.route_with(cmd, stamp, true)?.0)
+        Ok(self.route_with(&CommandRef::Owned(cmd), stamp, true)?.0)
     }
 
     /// Route a command as [`Router::route`] does, and also return the
@@ -324,7 +378,7 @@ impl Router {
     /// a fresh stamp and bypasses the router's 1-in-N sampler entirely.
     pub(crate) fn route_counted(
         &mut self,
-        cmd: DataCommand,
+        cmd: &CommandRef<'_>,
         stamp: Option<TraceStamp>,
     ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
         let stamp = stamp.or_else(|| self.maybe_stamp());
@@ -339,54 +393,63 @@ impl Router {
         cmd: DataCommand,
         stamp: Option<TraceStamp>,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
-        Ok(self.route_with(cmd, stamp, false)?.0)
+        Ok(self.route_with(&CommandRef::Owned(cmd), stamp, false)?.0)
     }
 
     /// Route `cmd`; returns the flushes performed and the number of
     /// sub-commands emitted (unicast plus multicast deliveries).
     fn route_with(
         &mut self,
-        cmd: DataCommand,
+        cmd: &CommandRef<'_>,
         mut stamp: Option<TraceStamp>,
         fresh: bool,
     ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
         let had_stamp = stamp.is_some();
-        let object = cmd.object;
+        let object = cmd.object();
+        self.sync_tables();
         // Cleared after every flush round below; an error leaves it empty.
         let mut full_targets = std::mem::take(&mut self.full);
+        let full = &mut full_targets;
         // Telemetry tallies of this call, published in one batch below:
         // unicast sub-commands and multicast deliveries.
-        let (uni, multi) = match &cmd.payload {
-            Payload::Lookup { keys } => (
-                self.route_point(&cmd, keys, &mut stamp, &mut full_targets)?,
-                0,
-            ),
-            Payload::Upsert { pairs } => (
-                self.route_point(&cmd, pairs, &mut stamp, &mut full_targets)?,
-                0,
-            ),
-            Payload::Scan { pred, .. } => {
-                // Scans multicast to every owner intersecting the
-                // predicate.
-                let targets = self.shared.with_table(cmd.object, |t| match (t, pred) {
-                    (PartitionTable::Range(r), eris_column::Predicate::Range { lo, hi }) => {
-                        r.owners_in_range(*lo, *hi)
-                    }
-                    (PartitionTable::Range(r), eris_column::Predicate::Equals(x)) => {
-                        // A point predicate has exactly one owner; going
-                        // through `owners_in_range(x, x + 1)` would lose
-                        // `x == u64::MAX` to bound saturation.
-                        // ALLOC-OK: one-element owner list for the point-predicate fast
-                        // path, shaped like the general multicast target set.
-                        vec![r.owner(*x)]
-                    }
-                    (t, _) => t.scan_targets(),
-                })?;
-                // ALLOC-OK: extends the per-call full-target list (bounded by the
-                // AEU count).
-                full_targets.extend(self.out.push_multicast(&targets, &cmd));
-                (0, targets.len() as u64)
-            }
+        let (uni, multi) = match cmd {
+            CommandRef::Point(v) => (self.route_view(v, &mut stamp, full)?, 0),
+            CommandRef::Owned(c) => match &c.payload {
+                Payload::Lookup { keys } => {
+                    let keys = keys.iter().copied();
+                    let whole = |out: &mut Vec<u8>| c.encode(out);
+                    let uni = self.route_point(object, c.ticket, keys, whole, &mut stamp, full)?;
+                    (uni, 0)
+                }
+                Payload::Upsert { pairs } => {
+                    let pairs = pairs.iter().copied();
+                    let whole = |out: &mut Vec<u8>| c.encode(out);
+                    let uni = self.route_point(object, c.ticket, pairs, whole, &mut stamp, full)?;
+                    (uni, 0)
+                }
+                Payload::Scan { pred, .. } => {
+                    // Scans multicast to every owner intersecting the
+                    // predicate.
+                    let targets = match (table_in(&self.tables, object)?, pred) {
+                        (PartitionTable::Range(r), eris_column::Predicate::Range { lo, hi }) => {
+                            r.owners_in_range(*lo, *hi)
+                        }
+                        (PartitionTable::Range(r), eris_column::Predicate::Equals(x)) => {
+                            // A point predicate has exactly one owner; going
+                            // through `owners_in_range(x, x + 1)` would lose
+                            // `x == u64::MAX` to bound saturation.
+                            // ALLOC-OK: one-element owner list for the point-predicate fast
+                            // path, shaped like the general multicast target set.
+                            vec![r.owner(*x)]
+                        }
+                        (t, _) => t.scan_targets(),
+                    };
+                    // ALLOC-OK: extends the per-call full-target list (bounded by the
+                    // AEU count).
+                    full.extend(self.out.push_multicast(&targets, c));
+                    (0, targets.len() as u64)
+                }
+            },
         };
         // A point command owned by more than one AEU was split.
         let split = u64::from(uni > 1);
@@ -405,21 +468,23 @@ impl Router {
                 self.latency.on_dropped(1);
             }
         }
+        // ordering: one writer, this router's AEU thread (the router is
+        // owned by its AEU), so plain relaxed stores keep every read exact.
         let c = &self.tel.counters;
-        c.commands_routed.fetch_add(1, Relaxed);
+        bump(&c.commands_routed, 1);
         if uni > 0 {
-            c.commands_unicast.fetch_add(uni, Relaxed);
+            bump(&c.commands_unicast, uni);
         }
         if multi > 0 {
-            c.commands_multicast.fetch_add(multi, Relaxed);
+            bump(&c.commands_multicast, multi);
         }
         if split > 0 {
-            c.command_splits.fetch_add(split, Relaxed);
+            bump(&c.command_splits, split);
         }
-        c.peak_outgoing_bytes
-            .fetch_max(self.out.peak_pending_bytes() as u64, Relaxed);
+        raise(&c.peak_outgoing_bytes, self.out.peak_pending_bytes() as u64);
         // Conservation ledger: every sub-command enqueued towards an owner
-        // must eventually be counted as executed by that owner.
+        // must eventually be counted as executed by that owner.  Many
+        // routers write it, so it keeps its read-modify-write.
         let enqueued = uni + multi;
         if enqueued > 0 {
             self.object_ledger(object)
@@ -435,56 +500,84 @@ impl Router {
         Ok((flushed, enqueued))
     }
 
-    /// Routing steps 1 and 2 of a point command carrying `items`: one
-    /// owner pass, then the caller's command buffered as it is when one
-    /// AEU owns every item (always, for one item), or each owner's
-    /// sub-command scattered straight into that owner's outgoing buffer.
-    /// Returns the number of sub-commands emitted.  On a size-partitioned
-    /// object upserts are appends, dealt round-robin over the member set,
-    /// and lookups have no placement to go by.
-    fn route_point<T: PointItem>(
+    /// Route a point command read in place: its items are decoded from
+    /// the encoding as the owner pass and the scatter read them, and a
+    /// single owner receives the encoding unchanged.
+    fn route_view(
         &mut self,
-        cmd: &DataCommand,
-        items: &[T],
+        v: &PointView<'_>,
         stamp: &mut Option<TraceStamp>,
         full: &mut Vec<AeuId>,
     ) -> Result<u64, RoutingError> {
-        let object = cmd.object;
+        let (object, ticket, bytes) = (v.object(), v.ticket(), v.item_bytes());
+        // ALLOC-OK: copies into the owner's reused outgoing buffer, which
+        // grows to its flush threshold once.
+        let whole = |out: &mut Vec<u8>| out.extend_from_slice(v.encoded());
+        match v.op() {
+            StorageOp::Upsert => {
+                let pairs = <(u64, u64)>::decode_items(bytes);
+                self.route_point(object, ticket, pairs, whole, stamp, full)
+            }
+            // A view is a lookup or an upsert.
+            _ => {
+                let keys = u64::decode_items(bytes);
+                self.route_point(object, ticket, keys, whole, stamp, full)
+            }
+        }
+    }
+
+    /// Routing steps 1 and 2 of a point command carrying `items`: one
+    /// owner pass, then the command buffered whole (`whole` appends its
+    /// encoding) when one AEU owns every item (always, for one item), or each
+    /// owner's sub-command scattered straight into that owner's outgoing
+    /// buffer.  Returns the number of sub-commands emitted.  On a
+    /// size-partitioned object upserts are appends, dealt round-robin
+    /// over the member set, and lookups have no placement to go by.
+    fn route_point<T: PointItem>(
+        &mut self,
+        object: DataObjectId,
+        ticket: u64,
+        items: impl ExactSizeIterator<Item = T> + Clone,
+        whole: impl FnOnce(&mut Vec<u8>),
+        stamp: &mut Option<TraceStamp>,
+        full: &mut Vec<AeuId>,
+    ) -> Result<u64, RoutingError> {
         let owners = &mut self.owners;
-        // `false`: a size-partitioned object.
-        let ranged = self.shared.with_table(object, |t| match t {
-            PartitionTable::Range(r) => match r.assign_owners(items, owners) {
-                Ok(()) => Ok(true),
-                Err(OutOfDomain { key, domain }) => Err(RoutingError::KeyOutOfDomain {
-                    object,
-                    key,
-                    domain,
-                }),
+        let members = match table_in(&self.tables, object)? {
+            PartitionTable::Range(r) => match r.assign_owners(items.clone(), owners) {
+                Ok(()) => None,
+                Err(OutOfDomain { key, domain }) => {
+                    return Err(RoutingError::KeyOutOfDomain {
+                        object,
+                        key,
+                        domain,
+                    })
+                }
             },
-            PartitionTable::Bitmap(_) if T::OP == StorageOp::Upsert => Ok(false),
-            PartitionTable::Bitmap(_) => Err(RoutingError::PointOpOnSizePartitioned(object)),
-        })??;
-        if !ranged {
-            let members = self.shared.with_table(object, |t| t.scan_targets())?;
+            t @ PartitionTable::Bitmap(_) if T::OP == StorageOp::Upsert => Some(t.scan_targets()),
+            PartitionTable::Bitmap(_) => {
+                return Err(RoutingError::PointOpOnSizePartitioned(object))
+            }
+        };
+        if let Some(members) = members {
             self.rr_cursor = (self.rr_cursor + 1) % members.len();
             // BOUNDS: the cursor was just reduced modulo `members.len()`,
-            // which `with_table` guarantees non-empty for a provisioned object.
+            // which a provisioned bitmap table keeps non-empty.
             let owner = members[self.rr_cursor];
-            self.push_unicast(owner, cmd, stamp, full);
+            self.push_unicast(owner, object, whole, stamp, full);
             return Ok(1);
         }
         match *self.owners.order() {
             // No items: no sub-command.
             [] => Ok(0),
             [owner] => {
-                self.push_unicast(owner, cmd, stamp, full);
+                self.push_unicast(owner, object, whole, stamp, full);
                 Ok(1)
             }
             ref split => {
                 let emitted = split.len() as u64;
-                let (ticket, stamp) = (cmd.ticket, stamp.take());
                 self.out
-                    .push_split(object, ticket, items, &self.owners, stamp, full);
+                    .push_split(object, ticket, items, &self.owners, stamp.take(), full);
                 Ok(emitted)
             }
         }
@@ -496,11 +589,12 @@ impl Router {
     fn push_unicast(
         &mut self,
         owner: AeuId,
-        cmd: &DataCommand,
+        object: DataObjectId,
+        whole: impl FnOnce(&mut Vec<u8>),
         stamp: &mut Option<TraceStamp>,
         full: &mut Vec<AeuId>,
     ) {
-        if self.out.push_unicast_traced(owner, cmd, stamp.take()) {
+        if self.out.push_whole(owner, object, stamp.take(), whole) {
             // ALLOC-OK: the full-target list is bounded by the AEU count
             // and lives for one routing call.
             full.push(owner);
@@ -510,17 +604,19 @@ impl Router {
     fn flush_target(&mut self, target: AeuId, flushed: &mut Vec<FlushInfo>) {
         match self.out.flush_into(target, self.shared.incoming(target)) {
             Ok(Some(info)) => {
+                // ordering: one writer, this router's AEU thread.
                 let c = &self.tel.counters;
-                c.flushes.fetch_add(1, Relaxed);
-                c.flush_commands.fetch_add(info.commands, Relaxed);
-                c.flush_bytes.fetch_add(info.bytes, Relaxed);
+                bump(&c.flushes, 1);
+                bump(&c.flush_commands, info.commands);
+                bump(&c.flush_bytes, info.bytes);
                 // ALLOC-OK: flush summaries accumulate into the caller's reusable
                 // report vector, one entry per flushed target.
                 flushed.push(info);
             }
             Ok(None) => {}
             Err(BufferFull) => {
-                self.tel.counters.flush_stalls.fetch_add(1, Relaxed);
+                // ordering: one writer, this router's AEU thread.
+                bump(&self.tel.counters.flush_stalls, 1);
             }
         }
     }
@@ -541,6 +637,14 @@ impl Router {
     pub fn is_drained(&self) -> bool {
         self.out.is_drained()
     }
+}
+
+/// `object`'s table among a router's handles.
+fn table_in(tables: &Tables, object: DataObjectId) -> Result<&PartitionTable, RoutingError> {
+    tables
+        .get(object.0 as usize)
+        .and_then(|t| t.as_deref())
+        .ok_or(RoutingError::UnknownObject(object))
 }
 
 #[cfg(test)]
@@ -749,11 +853,11 @@ mod tests {
         };
         router
             .route_counted(
-                DataCommand {
+                &CommandRef::Owned(DataCommand {
                     object: DataObjectId(0),
                     ticket: 1,
                     payload: Payload::Lookup { keys: vec![60] },
-                },
+                }),
                 Some(stamp),
             )
             .unwrap();
@@ -865,6 +969,35 @@ mod tests {
                 assert_eq!(r.owner(50), AeuId(1));
             })
             .unwrap();
+    }
+
+    #[test]
+    fn a_table_change_between_two_commands_routes_the_second_by_the_new_bounds() {
+        let (shared, mut router) = setup(2, 100);
+        let lookup = |ticket| DataCommand {
+            object: DataObjectId(0),
+            ticket,
+            payload: Payload::Lookup { keys: vec![10] },
+        };
+        let mut encoded = Vec::new();
+        lookup(2).encode(&mut encoded);
+        router.route(lookup(1)).unwrap();
+        // Key 10 moves from AEU0 to AEU1.
+        shared
+            .with_table_mut(DataObjectId(0), |t| {
+                t.as_range_mut()
+                    .unwrap()
+                    .rebuild(vec![(0, AeuId(1)), (90, AeuId(0))]);
+            })
+            .unwrap();
+        router.route(lookup(2)).unwrap();
+        router
+            .route_counted(&CommandRef::check(&encoded).unwrap(), None)
+            .unwrap();
+        router.flush_all();
+        let tickets = |a| -> Vec<u64> { drain(&shared, a).iter().map(|c| c.ticket).collect() };
+        assert_eq!(tickets(AeuId(0)), vec![1], "routed before the change");
+        assert_eq!(tickets(AeuId(1)), vec![2, 2], "owned and encoded, after it");
     }
 }
 
@@ -1147,7 +1280,7 @@ mod proptests {
                     ..TraceStamp::engine(draw())
                 });
                 oracle.route(&oracle_table, &cmd, stamp);
-                router.route_counted(cmd, stamp).unwrap();
+                router.route_counted(&CommandRef::Owned(cmd), stamp).unwrap();
                 drain(&mut got);
             }
             oracle.flush_all();
@@ -1164,6 +1297,126 @@ mod proptests {
             prop_assert_eq!(totals.commands_unicast, oracle.unicast);
             prop_assert_eq!(totals.flushes, oracle.flushes);
             prop_assert_eq!(totals.peak_outgoing_bytes, oracle.peak as u64);
+        }
+
+        /// Routing a point command's encoding where it lies is routing the
+        /// owned command.  Over the scatter test's random range tables and
+        /// buffer capacities, lookups and upserts of 0-300 items with
+        /// repeated keys, stamped or not, two routers — one handed each
+        /// command, one its encoding — fill byte-identical incoming
+        /// buffers, and their shard counters and the object's ledger agree
+        /// right after every command, before any flush.
+        #[test]
+        fn routing_the_encoding_writes_what_routing_the_command_writes(
+            aeus in 1usize..=16,
+            ranges in 1usize..=16,
+            domain_kind in 0u8..3,
+            capacity in prop_oneof![
+                Just(1usize), Just(29), Just(37), Just(512), Just(4096), Just(1 << 16)
+            ],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut draw = move || splitmix(&mut rng);
+            let domain = match domain_kind {
+                0 => 1 + draw() % (1 << 12),
+                1 => (1 << 12) + draw() % (u64::MAX - (1 << 12)),
+                _ => u64::MAX,
+            };
+            let key_below = |x: u64| if domain == u64::MAX { x } else { x % domain };
+            let mut bounds: Vec<u64> = (1..ranges)
+                .map(|_| 1 + draw() % (domain - 1).max(1))
+                .filter(|&b| b < domain)
+                .collect();
+            bounds.push(0);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let entries: Vec<(u64, AeuId)> = bounds
+                .iter()
+                .map(|&b| (b, AeuId((draw() % aeus as u64) as u32)))
+                .collect();
+            let mut pool = bounds.clone();
+            pool.push(key_below(u64::MAX));
+            pool.extend((0..4).map(|_| key_below(draw())));
+
+            let cfg = RoutingConfig {
+                trace_sample_every: 0,
+                outgoing_capacity: capacity,
+                incoming_capacity: 1 << 17,
+                ..Default::default()
+            };
+            // Side 0 routes the owned command, side 1 its encoding.
+            let sides: Vec<(Arc<RoutingShared>, Router)> = (0..2)
+                .map(|_| {
+                    let shared = Arc::new(RoutingShared::new(aeus, cfg));
+                    let mut t = RangeTable::even(domain, &[AeuId(0)]);
+                    t.rebuild(entries.clone());
+                    shared.register_object(DataObjectId(3), PartitionTable::Range(t));
+                    let router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
+                    (shared, router)
+                })
+                .collect();
+            let [(owned_shared, mut owned), (view_shared, mut view)] =
+                <[_; 2]>::try_from(sides).ok().unwrap();
+            let mut got = [vec![Vec::new(); aeus], vec![Vec::new(); aeus]];
+            let drain = |shared: &RoutingShared, got: &mut Vec<Vec<u8>>| {
+                for (a, got) in got.iter_mut().enumerate() {
+                    shared
+                        .incoming(AeuId(a as u32))
+                        .swap_and_consume(|d| got.extend_from_slice(d));
+                }
+            };
+            let ledger = |shared: &RoutingShared| {
+                shared.telemetry().object(DataObjectId(3)).enqueued.load(Relaxed)
+            };
+            for ticket in 0..1 + draw() % 16 {
+                let n = draw() % if draw() % 2 == 0 { 4 } else { 301 };
+                let keys: Vec<u64> = (0..n)
+                    .map(|_| match draw() % 3 {
+                        0 => pool[(draw() % pool.len() as u64) as usize],
+                        _ => key_below(draw()),
+                    })
+                    .collect();
+                let payload = if draw() % 2 == 0 {
+                    Payload::Lookup { keys }
+                } else {
+                    Payload::Upsert { pairs: keys.into_iter().map(|k| (k, draw())).collect() }
+                };
+                let cmd = DataCommand { object: DataObjectId(3), ticket, payload };
+                let stamp = (draw() % 3 == 0).then(|| TraceStamp {
+                    hops: (draw() % 4) as u32,
+                    tenant: 7,
+                    conn: 2,
+                    seq: ticket,
+                    ..TraceStamp::engine(draw())
+                });
+                let mut encoded = Vec::new();
+                cmd.encode(&mut encoded);
+                let checked = CommandRef::check(&encoded).unwrap();
+                prop_assert!(matches!(checked, CommandRef::Point(_)));
+                let a = owned.route_counted(&CommandRef::Owned(cmd), stamp).unwrap();
+                let b = view.route_counted(&checked, stamp).unwrap();
+                prop_assert_eq!(a, b, "flushes and emitted sub-commands");
+                prop_assert_eq!(
+                    owned.telemetry_shard().counters.snapshot(),
+                    view.telemetry_shard().counters.snapshot()
+                );
+                prop_assert_eq!(ledger(&owned_shared), ledger(&view_shared));
+                drain(&owned_shared, &mut got[0]);
+                drain(&view_shared, &mut got[1]);
+            }
+            owned.flush_all();
+            view.flush_all();
+            drain(&owned_shared, &mut got[0]);
+            drain(&view_shared, &mut got[1]);
+            for (a, (o, v)) in got[0].iter().zip(&got[1]).enumerate() {
+                prop_assert_eq!(o, v, "bytes towards AEU{}", a);
+            }
+            prop_assert_eq!(owned_shared.telemetry_totals(), view_shared.telemetry_totals());
+            prop_assert_eq!(
+                owned_shared.telemetry().latency().ledger(),
+                view_shared.telemetry().latency().ledger()
+            );
         }
     }
 }

@@ -94,13 +94,27 @@ impl OutgoingBuffers {
         cmd: &DataCommand,
         trace: Option<TraceStamp>,
     ) -> bool {
+        self.push_whole(target, cmd.object, trace, |out| cmd.encode(out))
+    }
+
+    /// Buffer one whole command of `object`, which `write` appends in its
+    /// wire encoding (from an owned command, or by copying an encoding
+    /// unchanged), optionally preceded by its trace marker.  Returns
+    /// `true` when the target's buffer crossed the flush threshold.
+    pub(crate) fn push_whole(
+        &mut self,
+        target: AeuId,
+        object: DataObjectId,
+        trace: Option<TraceStamp>,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
         // BOUNDS: `targets` is sized to the AEU count at construction and
         // AeuId indexes come from the same topology.
         let t = &mut self.targets[target.index()];
         if let Some(stamp) = trace {
-            encode_trace_marker(cmd.object, stamp, &mut t.unicast);
+            encode_trace_marker(object, stamp, &mut t.unicast);
         }
-        cmd.encode(&mut t.unicast);
+        write(&mut t.unicast);
         t.unicast_cmds += 1;
         self.commands_routed += 1;
         let pending = self.pending_bytes(target);
@@ -120,7 +134,7 @@ impl OutgoingBuffers {
         &mut self,
         object: DataObjectId,
         ticket: u64,
-        items: &[T],
+        items: impl Iterator<Item = T>,
         owners: &Owners,
         mut trace: Option<TraceStamp>,
         full: &mut Vec<AeuId>,
@@ -136,7 +150,7 @@ impl OutgoingBuffers {
             t.unicast_cmds += 1;
             self.commands_routed += 1;
         }
-        for (&item, owner) in items.iter().zip(owners.of_items()) {
+        for (item, owner) in items.zip(owners.of_items()) {
             // BOUNDS: as above.
             item.put(&mut self.targets[owner.index()].unicast);
         }

@@ -90,6 +90,7 @@ pub enum OwnerSplit<T> {
 }
 
 /// Range partition table: sorted range boundaries → owning AEU.
+#[derive(Clone)]
 pub struct RangeTable {
     csb: CsbTree<AeuId>,
     /// Keys live in `[0, domain)`; `u64::MAX` means the whole key space,
@@ -177,14 +178,15 @@ impl RangeTable {
     }
 
     /// Routing step 1 for a point command: the batch owner lookup of its
-    /// items (keys or pairs), into `owners`.  One pass, with no branch on
+    /// items (keys or pairs, from a slice or decoded where they lie in an
+    /// encoding), into `owners`.  One pass, with no branch on
     /// the data: the owner comes from a counting search of the CSB+ node,
     /// first appearances and per-owner counts are blind writes, and the
     /// domain check is an accumulated flag — resolved after the pass to
     /// the first key at or past the end of `[0, domain)`.
     pub(crate) fn assign_owners<T: PointItem>(
         &self,
-        items: &[T],
+        items: impl ExactSizeIterator<Item = T> + Clone,
         owners: &mut Owners,
     ) -> Result<(), OutOfDomain> {
         owners.prepare(self.slots, items.len());
@@ -197,7 +199,7 @@ impl RangeTable {
         let bounded = domain != u64::MAX;
         let mut outside = false;
         // ALLOC-OK: within the capacity `prepare` reserved.
-        owners.of_item.extend(items.iter().map(|item| {
+        owners.of_item.extend(items.clone().map(|item| {
             let key = item.key();
             outside |= bounded & (key >= domain);
             let owner = *self.csb.lookup(key);
@@ -216,7 +218,7 @@ impl RangeTable {
         if !outside {
             return Ok(());
         }
-        let key = items.iter().map(|i| i.key()).find(|&k| k >= domain);
+        let key = items.map(|i| i.key()).find(|&k| k >= domain);
         Err(OutOfDomain {
             key: key.unwrap_or(domain),
             domain,
@@ -229,7 +231,9 @@ impl RangeTable {
     /// router scatters from the pass itself.
     pub fn split_by_owner<T: PointItem>(&self, items: &[T]) -> OwnerSplit<T> {
         let mut owners = Owners::default();
-        if let Err(OutOfDomain { key, domain }) = self.assign_owners(items, &mut owners) {
+        if let Err(OutOfDomain { key, domain }) =
+            self.assign_owners(items.iter().copied(), &mut owners)
+        {
             return OwnerSplit::OutOfDomain { key, domain };
         }
         if let [owner] = owners.order() {
@@ -273,6 +277,7 @@ impl RangeTable {
 }
 
 /// Bitmap partition table: the set of AEUs holding a partition.
+#[derive(Clone)]
 pub struct BitmapTable {
     members: Vec<AeuId>,
     version: u64,
@@ -308,6 +313,7 @@ impl BitmapTable {
 }
 
 /// A data object's partition table.
+#[derive(Clone)]
 pub enum PartitionTable {
     Range(RangeTable),
     Bitmap(BitmapTable),

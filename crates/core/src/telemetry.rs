@@ -2,7 +2,11 @@
 //!
 //! Every AEU owns one [`TelemetryShard`] — a cache-friendly block of
 //! relaxed atomic counters updated from the routing and processing hot
-//! paths.  Shards live in the engine's [`RoutingShared`] state, so the
+//! paths.  A shard's routing and execution counters have one writer, the
+//! AEU's own thread (its router and its step), so they are bumped with a
+//! relaxed load and store (`bump`, `raise`) instead of a locked
+//! read-modify-write; the per-object ledgers have many writers and keep
+//! `fetch_add`.  Shards live in the engine's [`RoutingShared`] state, so the
 //! same registry serves the cooperative single-threaded runtime and the
 //! threaded runtime without any extra synchronization: writers touch only
 //! their own shard, readers fold shards into a consistent-enough
@@ -180,6 +184,24 @@ counter_fields! {
         peak_outgoing_bytes,
         /// High-water mark of bytes pending in the incoming buffers.
         peak_incoming_bytes,
+    }
+}
+
+/// Add `n` to a counter that only one thread writes: a relaxed load and
+/// a relaxed store, no locked instruction.  Every read stays exact, as
+/// with `fetch_add`; only a second writer could lose an update, so each
+/// call site names its one writer.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Relaxed).wrapping_add(n), Relaxed);
+}
+
+/// Raise a peak gauge that only one thread writes to `v`: compare, then
+/// store.
+#[inline]
+pub(crate) fn raise(gauge: &AtomicU64, v: u64) {
+    if v > gauge.load(Relaxed) {
+        gauge.store(v, Relaxed);
     }
 }
 

@@ -23,6 +23,7 @@ pub const NODE_KEYS: usize = 14;
 
 /// Maps range boundaries to owners: `lookup(k)` returns the value of the
 /// greatest boundary `<= k`.
+#[derive(Clone)]
 pub struct CsbTree<V> {
     /// Sorted range boundaries; `boundaries[0]` is the domain minimum.
     boundaries: Vec<u64>,
@@ -32,6 +33,7 @@ pub struct CsbTree<V> {
     levels: Vec<Level>,
 }
 
+#[derive(Clone)]
 struct Level {
     keys: Vec<u64>,
     node_sizes: Vec<u32>,

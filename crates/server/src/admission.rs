@@ -5,14 +5,16 @@
 //! received command and the per-tenant counters once per decision, so
 //! this module must never take a lock (`cargo xtask analyze`, rule A4).
 //! It is written against the `eris-sync` facade, so a build with
-//! `RUSTFLAGS="--cfg loom"` model-checks both CAS protocols (see the
-//! `loom_models` test module).  The three protocols:
+//! `RUSTFLAGS="--cfg loom"` model-checks the token bucket's CAS protocol
+//! (see the `loom_models` test module).  The three protocols:
 //!
 //! * [`CreditWindow`] — bounded outstanding commands per connection.
 //!   The server consumes one credit per command it *reads* and regrants
 //!   it only when the command is settled at a batch boundary; when the
 //!   window is empty the server simply stops reading that connection
-//!   (backpressure by withholding grants, not by buffering).
+//!   (backpressure by withholding grants, not by buffering).  The window
+//!   belongs to its connection: a plain count in a `Cell`, which keeps
+//!   the type from being shared between threads at all.
 //!   Invariant: `available <= limit`, always — proptested below.
 //! * [`TokenBucket`] — per-tenant rate limit in milli-ops, refilled by
 //!   wall (or virtual) time.  Packs `(last_refill_ms, tokens_milli)`
@@ -20,17 +22,21 @@
 //! * [`Admission`] — the per-command decision combining the watermark
 //!   shed check (computed by the server at batch boundaries) with the
 //!   tenant's bucket, bumping the tenant's counter shard as it decides.
+//!   The shard's counters have one writer, the serving loop, so a bump is
+//!   a relaxed load and store; the bucket is shared by all of a tenant's
+//!   connections and keeps its CAS.
 
 // ordering: Relaxed is the only ordering this module imports — every
-// atomic here is its own ground truth (credit/token words updated by
-// CAS, monotonic telemetry counters); no other memory is published
-// through them, so no Acquire/Release pairing is needed.
-use eris_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+// atomic here is its own ground truth (the token word updated by CAS,
+// monotonic telemetry counters); no other memory is published through
+// them, so no Acquire/Release pairing is needed.
+use eris_sync::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 /// A bounded credit window: at most `limit` commands outstanding.
 #[derive(Debug)]
 pub struct CreditWindow {
-    available: AtomicU32,
+    available: Cell<u32>,
     limit: u32,
 }
 
@@ -38,7 +44,7 @@ impl CreditWindow {
     /// A full window of `limit` credits (the Welcome grant).
     pub fn new(limit: u32) -> Self {
         CreditWindow {
-            available: AtomicU32::new(limit),
+            available: Cell::new(limit),
             limit,
         }
     }
@@ -48,26 +54,19 @@ impl CreditWindow {
     }
 
     pub fn available(&self) -> u32 {
-        self.available.load(Relaxed)
+        self.available.get()
     }
 
     /// Consume one credit; `false` when the window is exhausted (the
     /// caller must stall, not buffer).
     // HOT-PATH-ROOT: per-request credit check on the accept path.
     pub fn try_consume(&self) -> bool {
-        let mut cur = self.available.load(Relaxed);
-        loop {
-            if cur == 0 {
-                return false;
-            }
-            match self
-                .available
-                .compare_exchange(cur, cur - 1, Relaxed, Relaxed)
-            {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
+        let cur = self.available.get();
+        if cur == 0 {
+            return false;
         }
+        self.available.set(cur - 1);
+        true
     }
 
     /// Return `n` credits to the window, saturating at `limit`.  Returns
@@ -75,21 +74,19 @@ impl CreditWindow {
     /// therefore never exceed the configured bound.
     // HOT-PATH-ROOT: per-completion credit return on the reply path.
     pub fn regrant(&self, n: u32) -> u32 {
-        let mut cur = self.available.load(Relaxed);
-        loop {
-            let granted = n.min(self.limit - cur);
-            if granted == 0 {
-                return 0;
-            }
-            match self
-                .available
-                .compare_exchange(cur, cur + granted, Relaxed, Relaxed)
-            {
-                Ok(_) => return granted,
-                Err(seen) => cur = seen,
-            }
-        }
+        let cur = self.available.get();
+        let granted = n.min(self.limit - cur);
+        self.available.set(cur + granted);
+        granted
     }
+}
+
+/// Add `n` to a per-tenant counter.  Its one writer is the serving loop,
+/// so a relaxed load and store keep every read exact without a locked
+/// instruction.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 /// Milli-ops per op: bucket arithmetic is in 1/1000 ops so slow refill
@@ -172,7 +169,8 @@ impl TokenBucket {
 }
 
 /// Per-tenant admission counter shard (exported per tenant as
-/// `eris_server_*_total{tenant=...}`).
+/// `eris_server_*_total{tenant=...}`).  Its one writer is the serving
+/// loop that owns the [`Admission`]; any thread may read it.
 #[derive(Debug, Default)]
 pub struct TenantShard {
     /// Commands admitted and routed into the engine.
@@ -316,19 +314,20 @@ impl Admission {
         let Some((bucket, shard)) = self.tenants.get(tenant as usize) else {
             return Admit::UnknownTenant;
         };
+        // ordering: the shard's one writer is the serving loop (`bump`).
         if load.occupancy >= self.cfg.shed_occupancy || load.in_flight >= self.cfg.shed_in_flight {
-            shard.shed.fetch_add(1, Relaxed);
+            bump(&shard.shed, 1);
             return Admit::Overloaded {
                 retry_after_ms: self.cfg.shed_retry_after_ms,
             };
         }
         match bucket.try_take(ops, now_ns) {
             Ok(()) => {
-                shard.accepted.fetch_add(1, Relaxed);
+                bump(&shard.accepted, 1);
                 Admit::Granted
             }
             Err(retry_after_ms) => {
-                shard.quota_denied.fetch_add(1, Relaxed);
+                bump(&shard.quota_denied, 1);
                 Admit::QuotaDenied { retry_after_ms }
             }
         }
@@ -340,8 +339,11 @@ impl Admission {
     pub fn unaccept(&self, tenant: u32) {
         // An unknown id never had an `accepted` bump to undo.
         if let Some((_, shard)) = self.tenants.get(tenant as usize) {
-            shard.accepted.fetch_sub(1, Relaxed);
-            shard.rejected.fetch_add(1, Relaxed);
+            // ordering: the shard's one writer is the serving loop; the
+            // `accepted` it takes back was bumped by the same loop.
+            let accepted = shard.accepted.load(Relaxed);
+            shard.accepted.store(accepted.wrapping_sub(1), Relaxed);
+            bump(&shard.rejected, 1);
         }
     }
 
@@ -553,8 +555,8 @@ mod proptests {
     }
 }
 
-/// Model-checked interleaving exploration of the two admission CAS
-/// protocols.  Under a plain `cargo test` each model runs once on real
+/// Model-checked interleaving exploration of the token bucket's CAS
+/// protocol.  Under a plain `cargo test` each model runs once on real
 /// threads; under `RUSTFLAGS="--cfg loom"` every schedule within the
 /// preemption bound is explored.  Run with
 /// `cargo test -p eris-server --lib loom_`.
@@ -563,37 +565,6 @@ mod loom_models {
     use super::*;
     use eris_sync::sync::Arc;
     use eris_sync::{model, thread};
-
-    /// Two consumers race the regrant of a credit taken before they
-    /// started: `available` never leaves `[0, limit]`, the regrant gives
-    /// back exactly the one credit outstanding, and every credit is
-    /// accounted for (`available == limit - consumed + regranted`).
-    #[test]
-    fn loom_credit_window_consumers_racing_a_regrant_conserve_credits() {
-        model(|| {
-            let w = Arc::new(CreditWindow::new(2));
-            assert!(w.try_consume());
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let w = Arc::clone(&w);
-                    thread::spawn(move || {
-                        let got = w.try_consume();
-                        assert!(w.available() <= w.limit(), "window left its bounds");
-                        got
-                    })
-                })
-                .collect();
-            let granted = w.regrant(1);
-            assert!(w.available() <= w.limit(), "window left its bounds");
-            let consumed = consumers
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .filter(|&got| got)
-                .count() as u32;
-            assert_eq!(granted, 1, "the regrant returns exactly the credit taken");
-            assert_eq!(w.available(), w.limit() + granted - 1 - consumed);
-        });
-    }
 
     /// Two takers race for 2 ops each from a bucket holding 3: exactly
     /// one wins and the bucket keeps the op it did not spend — the

@@ -9,8 +9,10 @@
 //!    parse frames, and settle each command: credit window first (an
 //!    empty window *stops reading* that connection — backpressure by
 //!    withholding grants, never unbounded buffering), then the overload
-//!    watermark, then the tenant's token bucket, then `DataCommand`
-//!    decode and [`Engine::submit`].
+//!    watermark, then the tenant's token bucket, then
+//!    [`Engine::submit_view`].  A command payload is checked where it
+//!    lies ([`CommandRef::check`]) before admission; a point command is
+//!    routed from those bytes without being decoded.
 //! 2. **Boundary** — `run_epoch()`: every AEU steps once, executing the
 //!    batch that was just routed.  On the host clock an epoch that would
 //!    find nothing to execute is skipped; on the virtual clock it runs,
@@ -25,19 +27,20 @@
 //! enqueued-equals-executed conservation law into end-to-end
 //! accepted-equals-executed.
 
-use crate::admission::{Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TenantCounts};
+use crate::admission::{
+    bump, Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TenantCounts,
+};
 use crate::frame::{
     ReqKind, RequestView, RespKind, ResponseFrame, REJ_DECODE, REJ_PROTOCOL, REJ_ROUTING,
     REJ_TENANT, SHED_OVERLOAD,
 };
 use crate::transport::Transport;
-use eris_core::{DataCommand, Engine, QuiesceReport};
+use eris_core::{CommandRef, Engine, QuiesceReport};
 use eris_obs::latency::LogHistogram;
 use eris_obs::{
     render_jsonl, render_prometheus, HistogramFamily, Metric, MetricKind, Phase, SloConfig,
     SloEngine, SloTotals, TraceStamp,
 };
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Where the admission clock comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -590,7 +593,8 @@ impl EngineServer {
                         // Window empty: withhold — leave the frame in
                         // the buffer and stop reading this connection.
                         if let Some(s) = conn.tenant.and_then(|t| self.admission.shard(t)) {
-                            s.credits_stalled.fetch_add(1, Relaxed);
+                            // ordering: the serving loop is the one writer.
+                            bump(&s.credits_stalled, 1);
                         }
                         report.stalled_conns += 1;
                         break;
@@ -681,7 +685,8 @@ impl EngineServer {
                 if frame.conn != conn.id {
                     self.counters.protocol_errors += 1;
                     if let Some(s) = self.admission.shard(tenant) {
-                        s.rejected.fetch_add(1, Relaxed);
+                        // ordering: the serving loop is the one writer.
+                        bump(&s.rejected, 1);
                     }
                     report.rejected += 1;
                     if sampled {
@@ -690,12 +695,13 @@ impl EngineServer {
                     reject(conn, REJ_PROTOCOL, frame.seq);
                     return;
                 }
-                let mut body = frame.payload;
-                let cmd = match DataCommand::try_decode(&mut body) {
-                    Ok(cmd) if body.is_empty() => cmd,
-                    _ => {
+                // Exactly one command, or a typed reject before admission.
+                let cmd = match CommandRef::check(frame.payload) {
+                    Ok(cmd) => cmd,
+                    Err(_) => {
                         if let Some(s) = self.admission.shard(tenant) {
-                            s.rejected.fetch_add(1, Relaxed);
+                            // ordering: the serving loop is the one writer.
+                            bump(&s.rejected, 1);
                         }
                         report.rejected += 1;
                         if sampled {
@@ -708,7 +714,7 @@ impl EngineServer {
                 // Span: network-queue wait, from the arrival of the
                 // oldest unparsed byte to now (admission clock domain).
                 let net_ns = now.saturating_sub(conn.inbuf_since_ns.unwrap_or(now));
-                let ops = cmd.payload.op_count().max(1).min(u32::MAX as u64) as u32;
+                let ops = cmd.op_count().max(1).min(u32::MAX as u64) as u32;
                 // Span: the admission verdict itself, in host wall time
                 // (the virtual clock does not advance inside a pump) —
                 // clamped to ≥ 1 ns so a traced verdict is never
@@ -768,7 +774,7 @@ impl EngineServer {
                         reject(conn, REJ_TENANT, frame.seq);
                     }
                     Admit::Granted => {
-                        match self.engine.submit_traced(conn.via, cmd, stamp) {
+                        match self.engine.submit_view(conn.via, cmd, stamp) {
                             Ok(()) => {
                                 report.accepted += 1;
                                 self.net_wait[tenant as usize].record(net_ns);

@@ -52,9 +52,9 @@ const HOT_PATHS: &[&str] = &[
 const LOCK_ALLOWLIST: &[(&str, &str)] = &[
     (
         "crates/core/src/routing/mod.rs",
-        "RwLock guards partition-table reconfiguration; lookups on the \
-         command path read under a shared guard that is uncontended \
-         outside rebalancing",
+        "RwLock guards partition-table registration and reconfiguration; \
+         a routed command reads its router's own table handles and takes \
+         the shared guard only to re-read them after a change",
     ),
     (
         "crates/core/src/telemetry.rs",

@@ -255,7 +255,9 @@ fn credit_window_bounds_outstanding_commands() {
 /// A frame whose payload is not a valid `DataCommand` gets
 /// `Rejected(REJ_DECODE)` — typed, credit returned, connection lives on.
 /// Records under op tags 3 and 4 are not commands either: the engine
-/// executes lookup, upsert and scan only.
+/// executes lookup, upsert and scan only.  Point payloads are checked
+/// where they lie, and every malformed one is still rejected before
+/// admission: the tenant's `accepted` count does not move.
 #[test]
 fn malformed_command_payload_is_typed_rejected() {
     let (mut engine, obj) = small_engine(1, 2);
@@ -281,6 +283,39 @@ fn malformed_command_payload_is_typed_rejected() {
         p.extend_from_slice(&u64::MAX.to_le_bytes());
         p
     };
+    let encoded = |cmd: DataCommand| {
+        let mut p = Vec::new();
+        cmd.encode(&mut p);
+        p
+    };
+    // The payload length field and the item count of a point command.
+    let (plen_at, count_at) = (1 + 4 + 8, 1 + 4 + 8 + 4);
+    let set_u32 = |p: &mut Vec<u8>, at: usize, v: u32| {
+        p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    };
+    // A point payload with bytes after its last item.
+    let mut padded = encoded(lookup(obj, 7));
+    let plen = u32::from_le_bytes(padded[plen_at..plen_at + 4].try_into().unwrap());
+    set_u32(&mut padded, plen_at, plen + 8);
+    padded.extend_from_slice(&[0u8; 8]);
+    // An item count larger than its body.
+    let mut overcounted = encoded(upsert(obj, 8));
+    set_u32(&mut overcounted, count_at, 3);
+    // A whole command, then bytes after it in the same frame.
+    let mut trailing = encoded(lookup(obj, 9));
+    trailing.push(0);
+    // A scan whose aggregate tag is unknown.
+    let mut bad_agg = encoded(DataCommand {
+        object: fact,
+        ticket: 10,
+        payload: Payload::Scan {
+            pred: Predicate::All,
+            agg: Aggregate::Count,
+            snapshot: 0,
+        },
+    });
+    let agg_at = 1 + 4 + 8 + 4 + 17;
+    bad_agg[agg_at] = 9;
     let bad = [
         // Garbage.
         vec![0xFF; 9],
@@ -288,6 +323,10 @@ fn malformed_command_payload_is_typed_rejected() {
         producer(3, 42),
         // Tag 4 naming an unregistered destination.
         producer(4, 43),
+        padded,
+        overcounted,
+        trailing,
+        bad_agg,
     ];
     let mut bytes = Vec::new();
     RequestFrame {
@@ -324,6 +363,12 @@ fn malformed_command_payload_is_typed_rejected() {
         );
         assert_eq!(rej.credits, 1, "credit returned with reject {seq}");
     }
+    let tenant = server.snapshot().tenants[0];
+    assert_eq!(
+        (tenant.accepted, tenant.rejected),
+        (0, bad.len() as u64),
+        "rejected before admission"
+    );
 
     // The connection still works: a valid command goes through.
     let mut bytes = Vec::new();
