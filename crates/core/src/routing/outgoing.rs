@@ -76,31 +76,21 @@ impl OutgoingBuffers {
         self.capacity
     }
 
-    /// Buffer a command for a single target.  Returns `true` when the
-    /// target's buffer crossed the flush threshold.
+    /// Buffer an owned command for a single target.  Returns `true` when
+    /// the target's buffer crossed the flush threshold.
     pub fn push_unicast(&mut self, target: AeuId, cmd: &DataCommand) -> bool {
-        self.push_unicast_traced(target, cmd, None)
-    }
-
-    /// [`OutgoingBuffers::push_unicast`], optionally preceded by an
-    /// in-band trace marker.  The marker and its command are appended in
-    /// one call and the whole unicast run is flushed as one contiguous
-    /// copy, so the pair stays adjacent all the way into the target's
-    /// incoming buffer.  Markers are not counted as commands — flush and
-    /// delivery accounting see the identical stream either way.
-    pub fn push_unicast_traced(
-        &mut self,
-        target: AeuId,
-        cmd: &DataCommand,
-        trace: Option<TraceStamp>,
-    ) -> bool {
-        self.push_whole(target, cmd.object, trace, |out| cmd.encode(out))
+        self.push_whole(target, cmd.object, None, |out| cmd.encode(out))
     }
 
     /// Buffer one whole command of `object`, which `write` appends in its
     /// wire encoding (from an owned command, or by copying an encoding
-    /// unchanged), optionally preceded by its trace marker.  Returns
-    /// `true` when the target's buffer crossed the flush threshold.
+    /// unchanged), optionally preceded by its in-band trace marker.  The
+    /// marker and its command are appended in one call and the whole
+    /// unicast run is flushed as one contiguous copy, so the pair stays
+    /// adjacent all the way into the target's incoming buffer.  Markers
+    /// are not counted as commands — flush and delivery accounting see
+    /// the identical stream either way.  Returns `true` when the target's
+    /// buffer crossed the flush threshold.
     pub(crate) fn push_whole(
         &mut self,
         target: AeuId,
@@ -321,8 +311,9 @@ mod tests {
             hops: 1,
             ..TraceStamp::engine(777)
         };
-        out.push_unicast_traced(AeuId(1), &lookup_cmd(vec![1, 2]), Some(stamp));
-        out.push_unicast_traced(AeuId(1), &lookup_cmd(vec![3]), None);
+        let (first, second) = (lookup_cmd(vec![1, 2]), lookup_cmd(vec![3]));
+        out.push_whole(AeuId(1), first.object, Some(stamp), |o| first.encode(o));
+        out.push_whole(AeuId(1), second.object, None, |o| second.encode(o));
         assert_eq!(out.pending_commands(AeuId(1)), 2, "markers aren't commands");
         let info = out.flush_into(AeuId(1), &inc).unwrap().unwrap();
         assert_eq!(info.commands, 2);

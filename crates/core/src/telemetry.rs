@@ -190,16 +190,17 @@ counter_fields! {
 /// Add `n` to a counter that only one thread writes: a relaxed load and
 /// a relaxed store, no locked instruction.  Every read stays exact, as
 /// with `fetch_add`; only a second writer could lose an update, so each
-/// call site names its one writer.
+/// call site names its one writer.  The serving layer's per-tenant
+/// counters use this too, so the rule has one definition.
 #[inline]
-pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+pub fn bump(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 /// Raise a peak gauge that only one thread writes to `v`: compare, then
 /// store.
 #[inline]
-pub(crate) fn raise(gauge: &AtomicU64, v: u64) {
+pub fn raise(gauge: &AtomicU64, v: u64) {
     if v > gauge.load(Relaxed) {
         gauge.store(v, Relaxed);
     }

@@ -21,15 +21,17 @@
 //!   into one atomic word so refill+take is a single CAS.
 //! * [`Admission`] — the per-command decision combining the watermark
 //!   shed check (computed by the server at batch boundaries) with the
-//!   tenant's bucket, bumping the tenant's counter shard as it decides.
-//!   The shard's counters have one writer, the serving loop, so a bump is
-//!   a relaxed load and store; the bucket is shared by all of a tenant's
-//!   connections and keeps its CAS.
+//!   tenant's bucket, bumping the tenant's counter shard
+//!   ([`TenantShard`]) as it decides.  The shard's counters have one
+//!   writer, the serving loop, so a bump is a relaxed load and store
+//!   (`eris_core::telemetry::bump`); the bucket is shared by all of a
+//!   tenant's connections and keeps its CAS.
 
-// ordering: Relaxed is the only ordering this module imports — every
-// atomic here is its own ground truth (the token word updated by CAS,
-// monotonic telemetry counters); no other memory is published through
-// them, so no Acquire/Release pairing is needed.
+// ordering: Relaxed is the only ordering this module imports — the
+// token word updated by CAS is its own ground truth; no other memory is
+// published through it, so no Acquire/Release pairing is needed.
+use crate::tenant::{TenantCounts, TenantShard};
+use eris_core::telemetry::bump;
 use eris_sync::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::cell::Cell;
 
@@ -79,14 +81,6 @@ impl CreditWindow {
         self.available.set(cur + granted);
         granted
     }
-}
-
-/// Add `n` to a per-tenant counter.  Its one writer is the serving loop,
-/// so a relaxed load and store keep every read exact without a locked
-/// instruction.
-#[inline]
-pub(crate) fn bump(counter: &AtomicU64, n: u64) {
-    counter.store(counter.load(Relaxed).wrapping_add(n), Relaxed);
 }
 
 /// Milli-ops per op: bucket arithmetic is in 1/1000 ops so slow refill
@@ -164,48 +158,6 @@ impl TokenBucket {
                 Ok(_) => return Ok(()),
                 Err(seen) => cur = seen,
             }
-        }
-    }
-}
-
-/// Per-tenant admission counter shard (exported per tenant as
-/// `eris_server_*_total{tenant=...}`).  Its one writer is the serving
-/// loop that owns the [`Admission`]; any thread may read it.
-#[derive(Debug, Default)]
-pub struct TenantShard {
-    /// Commands admitted and routed into the engine.
-    pub accepted: AtomicU64,
-    /// Commands shed by the overload watermark.
-    pub shed: AtomicU64,
-    /// Commands denied by the tenant's token bucket.
-    pub quota_denied: AtomicU64,
-    /// Pump cycles in which a connection of this tenant had frames
-    /// waiting but an empty credit window (backpressure engaged).
-    pub credits_stalled: AtomicU64,
-    /// Commands answered with a typed reject (decode/routing/protocol).
-    pub rejected: AtomicU64,
-}
-
-/// A plain-integer copy of one tenant's shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCounts {
-    pub tenant: u32,
-    pub accepted: u64,
-    pub shed: u64,
-    pub quota_denied: u64,
-    pub credits_stalled: u64,
-    pub rejected: u64,
-}
-
-impl TenantShard {
-    pub fn counts(&self, tenant: u32) -> TenantCounts {
-        TenantCounts {
-            tenant,
-            accepted: self.accepted.load(Relaxed),
-            shed: self.shed.load(Relaxed),
-            quota_denied: self.quota_denied.load(Relaxed),
-            credits_stalled: self.credits_stalled.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
         }
     }
 }
@@ -340,9 +292,9 @@ impl Admission {
         // An unknown id never had an `accepted` bump to undo.
         if let Some((_, shard)) = self.tenants.get(tenant as usize) {
             // ordering: the shard's one writer is the serving loop; the
-            // `accepted` it takes back was bumped by the same loop.
-            let accepted = shard.accepted.load(Relaxed);
-            shard.accepted.store(accepted.wrapping_sub(1), Relaxed);
+            // `accepted` it takes back (a wrapping add of -1) was bumped
+            // by the same loop.
+            bump(&shard.accepted, 1u64.wrapping_neg());
             bump(&shard.rejected, 1);
         }
     }

@@ -26,17 +26,18 @@
 //! * [`client`] — a small client mirroring the credit window locally.
 //! * [`tcp`] — the readiness-polling TCP listener loop and its idle rule
 //!   ([`IdleRule`]: spin while there is traffic, sleep when there is none).
+//! * [`tenant`] — the per-tenant admission counters, written only by
+//!   the serving loop.
 
 pub mod admission;
 pub mod client;
 pub mod frame;
 pub mod server;
 pub mod tcp;
+pub mod tenant;
 pub mod transport;
 
-pub use admission::{
-    Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TenantCounts, TokenBucket,
-};
+pub use admission::{Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TokenBucket};
 pub use client::{Client, ClientStats};
 pub use frame::{
     FrameError, ReqKind, RequestFrame, RespKind, ResponseFrame, MAX_PAYLOAD_BYTES, REJ_DECODE,
@@ -47,4 +48,5 @@ pub use server::{
     ServingLedger, ShutdownOutcome,
 };
 pub use tcp::{IdleRule, IdleStep, TcpServer};
+pub use tenant::{TenantCounts, TenantShard};
 pub use transport::{loopback_pair, PipeTransport, TcpTransport, Transport};

@@ -27,14 +27,14 @@
 //! enqueued-equals-executed conservation law into end-to-end
 //! accepted-equals-executed.
 
-use crate::admission::{
-    bump, Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal, TenantCounts,
-};
+use crate::admission::{Admission, AdmissionConfig, Admit, CreditWindow, LoadSignal};
 use crate::frame::{
     ReqKind, RequestView, RespKind, ResponseFrame, REJ_DECODE, REJ_PROTOCOL, REJ_ROUTING,
     REJ_TENANT, SHED_OVERLOAD,
 };
+use crate::tenant::TenantCounts;
 use crate::transport::Transport;
+use eris_core::telemetry::bump;
 use eris_core::{CommandRef, Engine, QuiesceReport};
 use eris_obs::latency::LogHistogram;
 use eris_obs::{

@@ -45,6 +45,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/obs/src/latency.rs",
     "crates/obs/src/exemplar.rs",
     "crates/server/src/admission.rs",
+    "crates/server/src/tenant.rs",
 ];
 
 /// Files allowed to hold a lock, with the reason reviewers accepted.
