@@ -6,9 +6,11 @@
 //! 1. **Calibration** (closed loop): the provisioned fleet sends as fast
 //!    as its credit windows allow with the overload watermark disabled —
 //!    the accepted rate per pump is the serving capacity, and the
-//!    steady-state in-flight backlog at that rate (sub-commands that
-//!    lag one epoch in the routing double buffers) sets the overload
-//!    watermark with [`WATERMARK_HEADROOM`] on top.
+//!    largest batch one pump admits at that rate (the sub-commands its
+//!    own boundary executes) sets the overload watermark with
+//!    [`WATERMARK_HEADROOM`] on top.  The watermark is compared with
+//!    what the coming boundary will execute, so it caps the batch a
+//!    pump admits.
 //! 2. **Storm** (open loop): three times as many connections arrive and
 //!    tokens are credited at [`OVERSUBSCRIPTION`] × capacity regardless
 //!    of the service rate, with the derived watermark armed.  The server
@@ -46,8 +48,8 @@ const OVERSUBSCRIPTION: f64 = 1.5;
 /// per-connection credit windows cap each client at its fair share.
 const STORM_FLEET_FACTOR: u32 = 3;
 
-/// The shed watermark sits this far above the calibrated steady-state
-/// backlog, so 1× load never sheds and sustained oversubscription does.
+/// The shed watermark sits this far above the largest calibrated batch,
+/// so 1× load never sheds and sustained oversubscription does.
 const WATERMARK_HEADROOM: f64 = 1.25;
 
 /// Accepted commands must clear the server inside this many epochs of
@@ -137,7 +139,7 @@ fn build_engine(s: &BenchShape) -> (Engine, DataObjectId) {
 }
 
 /// `watermark = None` disables overload shedding (calibration); `Some(w)`
-/// arms the in-flight backlog watermark (storm).  Quotas stay effectively
+/// arms the in-flight watermark (storm).  Quotas stay effectively
 /// unlimited in both — this scenario isolates the overload path.
 fn admission(watermark: Option<u64>) -> AdmissionConfig {
     AdmissionConfig {
@@ -258,8 +260,9 @@ pub struct ServerBenchReport {
     pub conns: u32,
     /// Accepted commands per pump under closed-loop calibration.
     pub capacity_per_pump: f64,
-    /// Steady-state in-flight backlog at capacity (watermark basis).
-    pub calibrated_backlog: u64,
+    /// Sub-commands of the largest batch one pump admitted at capacity
+    /// (watermark basis).
+    pub calibrated_batch: u64,
     /// Armed `shed_in_flight` watermark for the storm run.
     pub shed_watermark: u64,
     pub offered: u64,
@@ -318,16 +321,19 @@ pub fn run_bench(quick: bool) -> ServerBenchReport {
     cal.pump();
     fleet.poll_all();
     let accepted_before = cal.snapshot().accepted_total();
-    // The in-flight backlog at a pump boundary is where the storm's
-    // admission control will look; its steady-state level at capacity is
-    // the calibration's second output.
-    let mut calibrated_backlog = 0u64;
+    // The storm's admission control compares what the coming boundary
+    // will execute with the watermark.  A pump's boundary executes the
+    // batch that pump admitted, so the largest batch at capacity, in
+    // executed sub-commands, is the calibration's second output.
+    let executed = |s: &EngineServer| s.engine().telemetry().totals.commands_executed;
+    let mut calibrated_batch = 0u64;
     for p in 0..s.warmup_pumps {
         fleet.drive(idx, u64::MAX);
-        if p >= s.warmup_pumps / 2 {
-            calibrated_backlog = calibrated_backlog.max(cal.engine().in_flight_commands());
-        }
+        let before = executed(&cal);
         cal.pump();
+        if p >= s.warmup_pumps / 2 {
+            calibrated_batch = calibrated_batch.max(executed(&cal) - before);
+        }
     }
     cal.pump_until_quiet(64);
     fleet.poll_all();
@@ -337,7 +343,7 @@ pub fn run_bench(quick: bool) -> ServerBenchReport {
 
     // Phase 2: open-loop storm at OVERSUBSCRIPTION × capacity from an
     // over-provisioned fleet, with the derived watermark armed.
-    let shed_watermark = ((calibrated_backlog as f64 * WATERMARK_HEADROOM).ceil() as u64).max(8);
+    let shed_watermark = ((calibrated_batch as f64 * WATERMARK_HEADROOM).ceil() as u64).max(8);
     let (engine, idx) = build_engine(&s);
     let mut server = EngineServer::new(
         engine,
@@ -435,7 +441,7 @@ pub fn run_bench(quick: bool) -> ServerBenchReport {
         aeus,
         conns: s.conns * STORM_FLEET_FACTOR,
         capacity_per_pump,
-        calibrated_backlog,
+        calibrated_batch,
         shed_watermark,
         offered: sent,
         accepted: c_accepted,
@@ -468,7 +474,7 @@ fn metrics(r: &ServerBenchReport) -> Metrics {
     m.put("aeus", r.aeus as f64);
     m.put("conns", r.conns as f64);
     m.put("capacity_per_pump", r.capacity_per_pump);
-    m.put("calibrated_backlog", r.calibrated_backlog as f64);
+    m.put("calibrated_batch", r.calibrated_batch as f64);
     m.put("shed_watermark", r.shed_watermark as f64);
     m.put("offered", r.offered as f64);
     m.put("accepted", r.accepted as f64);
@@ -528,10 +534,10 @@ pub fn run(quick: bool) {
         format!("{:.1} cmds/pump", r.capacity_per_pump),
     ]);
     t.row(vec![
-        "backlog watermark".into(),
+        "in-flight watermark".into(),
         format!(
-            "{} in-flight (steady state {})",
-            r.shed_watermark, r.calibrated_backlog
+            "{} sub-commands (largest batch at capacity {})",
+            r.shed_watermark, r.calibrated_batch
         ),
     ]);
     t.row(vec!["offered".into(), format!("{}", r.offered)]);
@@ -731,7 +737,7 @@ mod tests {
             aeus: 8,
             conns: 8,
             capacity_per_pump: 10.0,
-            calibrated_backlog: 20,
+            calibrated_batch: 20,
             shed_watermark: 25,
             offered: 100,
             accepted: 60,

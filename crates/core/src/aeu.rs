@@ -603,7 +603,7 @@ impl Aeu {
     /// costs.  A `stamp` born at the serving layer's frame decode rides
     /// along (full-path tracing: `(tenant, conn, seq)` and the
     /// net-queue/admission spans); without one the router's sampler
-    /// decides.
+    /// decides.  Returns the number of sub-commands enqueued.
     // HOT-PATH-ROOT: routing step 1 for every submitted or generated
     // command: partition-table split, outgoing buffers, threshold flushes.
     pub fn route_external(
@@ -611,15 +611,14 @@ impl Aeu {
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
         w: &mut WorkSummary,
-    ) -> Result<(), RoutingError> {
+    ) -> Result<u64, RoutingError> {
         let keys = cmd.op_count();
         let (fl, emitted) = self.router.route_counted(&cmd, stamp)?;
-        let emitted = emitted.max(1);
-        w.cpu_ns += emitted as f64 * self.cfg.params.cpu_ns_per_routed_cmd
+        w.cpu_ns += emitted.max(1) as f64 * self.cfg.params.cpu_ns_per_routed_cmd
             + keys as f64 * self.cfg.params.cpu_ns_per_routed_key;
         w.ops.commands_routed += 1;
         charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
-        Ok(())
+        Ok(emitted)
     }
 
     /// Append `rows` to `col`, provisioning fresh segments homed on `node`
@@ -848,10 +847,13 @@ impl Aeu {
             phase_ns[Phase::ReadAdmit as usize] += now_ns().saturating_sub(mark);
         }
 
-        // Stage 2 epilogue: flush outgoing buffers before starting over.
+        // Stage 2 epilogue: flush outgoing buffers before starting over,
+        // and charge these flushes with the ones the engine's delivery
+        // pass made for this AEU before it stepped.
         mark = now_ns();
         let flushes = self.router.flush_all();
-        charge_flushes_to(&mut w, &self.cfg.node_of, &flushes, &self.cfg.params, true);
+        charge_flushes_to(&mut w, &self.cfg.node_of, flushes, &self.cfg.params, true);
+        flushes.clear();
         phase_ns[Phase::Flush as usize] += now_ns().saturating_sub(mark);
 
         // Fold the step's operation tallies into the telemetry shard
@@ -888,6 +890,15 @@ impl Aeu {
             }
         }
         w
+    }
+
+    /// Deliver what was routed through this AEU since its last step —
+    /// commands [`crate::Engine::submit`] buffered between epochs — into
+    /// the targets' incoming buffers, so every AEU executes them in the
+    /// coming epoch.  The flushes are charged in this AEU's next step
+    /// epilogue, with its own.
+    pub(crate) fn deliver(&mut self) {
+        self.router.flush_all();
     }
 
     /// Read the commands of a swapped incoming `region` in place, count

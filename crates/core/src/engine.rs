@@ -607,9 +607,11 @@ impl Engine {
     /// and examples; generators are the benchmark path).  Undeliverable
     /// commands — unknown object, point op on a size-partitioned object,
     /// key outside an index's domain — are rejected with a
-    /// [`RoutingError`] and enqueue nothing.
+    /// [`RoutingError`] and enqueue nothing.  An accepted command
+    /// executes in the next [`Engine::run_epoch`].
     pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
         self.submit_view(via, CommandRef::Owned(cmd), None)
+            .map(drop)
     }
 
     /// Submit a command as the serving layer holds it: a point command is
@@ -618,25 +620,36 @@ impl Engine {
     /// buffer of a single owner.  Owned commands take the same path.  A
     /// trace stamp born at frame decode (full-path tracing: identity +
     /// net/admit spans) rides to the executing AEU.
+    ///
+    /// Returns the number of sub-commands the command was routed as
+    /// (one per owner of a point command, one per multicast target of a
+    /// scan): what the coming epoch executes on its behalf.
     pub fn submit_view(
         &mut self,
         via: AeuId,
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
-    ) -> Result<(), RoutingError> {
+    ) -> Result<u64, RoutingError> {
         let node = self.node_of[via.index()];
         let mut w = crate::aeu::WorkSummary::new(node);
-        self.aeus[via.index()].route_external(cmd, stamp, &mut w)?;
+        let emitted = self.aeus[via.index()].route_external(cmd, stamp, &mut w)?;
         // Submission costs are charged to the next epoch via pending ns.
         self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
-        Ok(())
+        Ok(emitted)
     }
 
-    /// Run one cooperative epoch: step every AEU, fair-share the traffic,
-    /// advance the virtual clock, and run the balancer when due.
+    /// Run one cooperative epoch: deliver everything submitted since the
+    /// last epoch, step every AEU, fair-share the traffic, advance the
+    /// virtual clock, and run the balancer when due.  Delivery comes
+    /// first so that a command submitted through any AEU executes in
+    /// this epoch, whatever the stepping order; generators route inside
+    /// the step and are flushed at its end, as before.
     pub fn run_epoch(&mut self) -> EpochReport {
         let mut report = EpochReport::default();
         let tel_before = self.shared.telemetry_totals();
+        for aeu in self.aeus.iter_mut() {
+            aeu.deliver();
+        }
         let mut summaries = Vec::with_capacity(self.aeus.len());
         for aeu in self.aeus.iter_mut() {
             let mut s = aeu.step();
@@ -1547,6 +1560,112 @@ mod tests {
         let mut e = small_engine(false);
         e.run_until_drained();
         e.run_until_drained();
+    }
+
+    /// Submit through every AEU a lookup whose one owner steps no later
+    /// than that AEU, a lookup and an upsert split over every owner, and
+    /// a multicast scan of `col`.
+    fn submit_through_every_aeu(e: &mut Engine, idx: DataObjectId, col: DataObjectId, domain: u64) {
+        let n = e.num_aeus() as u64;
+        let part = domain / n;
+        for a in e.aeu_ids() {
+            let via = u64::from(a.0);
+            let single = via / 2 * part;
+            assert!(e.owner_of(idx, single).unwrap() <= a);
+            let point = [
+                Payload::Lookup { keys: vec![single] },
+                Payload::Lookup {
+                    keys: (0..n).map(|i| i * part + via).collect(),
+                },
+                Payload::Upsert {
+                    pairs: (0..n).map(|i| (i * part + n + via, via)).collect(),
+                },
+            ];
+            for payload in point {
+                let cmd = DataCommand {
+                    object: idx,
+                    ticket: via,
+                    payload,
+                };
+                e.submit(a, cmd).unwrap();
+            }
+            let scan = Payload::Scan {
+                pred: Predicate::All,
+                agg: Aggregate::Count,
+                snapshot: u64::MAX,
+            };
+            let cmd = DataCommand {
+                object: col,
+                ticket: via,
+                payload: scan,
+            };
+            e.submit(a, cmd).unwrap();
+        }
+    }
+
+    /// Whatever AEU a command was submitted through, and however it is
+    /// routed, it executes in the next epoch.
+    #[test]
+    fn a_batch_submitted_through_every_aeu_executes_in_one_epoch() {
+        let mut e = small_engine(false);
+        let domain = 1u64 << 16;
+        let idx = e.create_index("t", domain);
+        e.bulk_load_index(idx, (0..domain).map(|k| (k, k)));
+        let col = e.create_column("c");
+        e.bulk_load_column(col, 0..1000u64);
+        submit_through_every_aeu(&mut e, idx, col, domain);
+        let n = e.num_aeus() as u64;
+        e.run_epoch();
+        let c = e.results().counts();
+        assert_eq!(c.lookups, n * (1 + n), "one-owner and split lookups");
+        assert_eq!(c.upserts, n * n, "split upserts");
+        assert_eq!(c.scans, n * n, "every partition's part of every scan");
+        assert_eq!(c.rows_scanned, 1000, "one shared pass per partition");
+        assert_eq!(e.in_flight_commands(), 0);
+        assert!(e.is_idle());
+    }
+
+    /// A batch executes before the cycle at the end of its epoch moves a
+    /// boundary, so none of it reaches a former owner as a stray.
+    #[test]
+    fn a_balancer_cycle_in_the_batch_epoch_forwards_none_of_it() {
+        let mut e = Engine::new(
+            custom_machine("m", 4, 2, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                tree: PrefixTreeConfig::new(8, 32),
+                balancer: BalancerConfig {
+                    enabled: true,
+                    algorithm: crate::balancer::BalanceAlgorithm::OneShot,
+                    threshold_cv: 0.2,
+                    // Due at the end of the first epoch.
+                    period_s: 1e-9,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let domain = 1u64 << 16;
+        let idx = e.create_index("t", domain);
+        e.bulk_load_index(idx, (0..domain).map(|k| (k, k)));
+        // Every AEU sends lookups into AEU 0's range: skew the cycle acts on.
+        let hot = domain / e.num_aeus() as u64;
+        for a in e.aeu_ids() {
+            let keys = (0..64).map(|i| (i * 127 + u64::from(a.0)) % hot).collect();
+            let cmd = DataCommand {
+                object: idx,
+                ticket: 0,
+                payload: Payload::Lookup { keys },
+            };
+            e.submit(a, cmd).unwrap();
+        }
+        let report = e.run_epoch();
+        let tel = e.telemetry();
+        assert_eq!(tel.balancer.cycles, 1, "the cycle ran in the batch's epoch");
+        assert!(tel.balancer.keys_moved > 0 && report.balance_ns > 0.0);
+        assert_eq!(e.results().counts().lookups, 64 * e.num_aeus() as u64);
+        e.run_until_drained();
+        assert_eq!(e.telemetry().totals.forwarded, 0);
+        assert_eq!(e.results().counts().lookups, 64 * e.num_aeus() as u64);
     }
 }
 

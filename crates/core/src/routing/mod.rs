@@ -262,6 +262,9 @@ pub struct Router {
     /// Targets whose outgoing buffer crossed the flush threshold during
     /// the command being routed.
     full: Vec<AeuId>,
+    /// The flush report: one record per end-of-loop flush not yet
+    /// charged by the owning AEU (see [`Router::flush_all`]).
+    flushed: Vec<FlushInfo>,
     /// Round-robin cursor for appends to bitmap-partitioned objects.
     rr_cursor: usize,
     /// This AEU's telemetry shard (routing-side counters).
@@ -291,6 +294,9 @@ impl Router {
             tables_epoch,
             owners: Owners::default(),
             full: Vec::new(),
+            // Room for the two rounds a step charges together (delivery
+            // pass, epilogue), one record per target each.
+            flushed: Vec::with_capacity(2 * n),
             rr_cursor: src.index(),
             tel,
             tel_objects: Vec::new(),
@@ -444,9 +450,7 @@ impl Router {
                         }
                         (t, _) => t.scan_targets(),
                     };
-                    // ALLOC-OK: extends the per-call full-target list (bounded by the
-                    // AEU count).
-                    full.extend(self.out.push_multicast(&targets, c));
+                    self.out.push_multicast(&targets, c, full);
                     (0, targets.len() as u64)
                 }
             },
@@ -623,14 +627,19 @@ impl Router {
 
     /// End-of-loop flush of every pending target (routing step 3 "or the
     /// AEU starts over its processing loop").  Targets whose incoming
-    /// buffer is full stay pending for the next round.
-    pub fn flush_all(&mut self) -> Vec<FlushInfo> {
-        let mut flushed = Vec::new();
-        for t in self.out.pending_targets() {
-            self.flush_target(t, &mut flushed);
+    /// buffer is full stay pending for the next round.  Each flush adds
+    /// its record to the router's reusable report, which is returned:
+    /// the caller clears it once it has charged the records, so flushes
+    /// made before the AEU steps (the engine's delivery pass) are
+    /// charged with the step's own.
+    pub fn flush_all(&mut self) -> &mut Vec<FlushInfo> {
+        let mut flushed = std::mem::take(&mut self.flushed);
+        for t in 0..self.shared.num_aeus() as u32 {
+            self.flush_target(AeuId(t), &mut flushed);
         }
         self.out.reclaim_multicast();
-        flushed
+        self.flushed = flushed;
+        &mut self.flushed
     }
 
     /// True when nothing is waiting in the outgoing buffers.

@@ -156,19 +156,17 @@ impl OutgoingBuffers {
     }
 
     /// Buffer one command for many targets: the command body is stored once
-    /// in the multicast buffer, each target gets a reference.
-    /// Returns the targets that crossed the flush threshold.
-    pub fn push_multicast(&mut self, targets: &[AeuId], cmd: &DataCommand) -> Vec<AeuId> {
+    /// in the multicast buffer, each target gets a reference.  Targets
+    /// whose buffer crossed the flush threshold are appended to `full`.
+    pub fn push_multicast(&mut self, targets: &[AeuId], cmd: &DataCommand, full: &mut Vec<AeuId>) {
         let off = self.multicast.len() as u32;
         cmd.encode(&mut self.multicast);
         let len = self.multicast.len() as u32 - off;
-        // ALLOC-OK: per-call list of targets that crossed the flush
-        // threshold — bounded by the multicast fan-out.
-        let mut full = Vec::new();
         for &t in targets {
             // BOUNDS: `targets` is sized to the AEU count at construction.
             // ALLOC-OK: multicast reference lists grow amortized with the
-            // batch and are drained every flush.
+            // batch and are drained every flush; `full` is the caller's
+            // reused full-target list, bounded by the AEU count.
             self.targets[t.index()].refs.push((off, len));
             self.commands_routed += 1;
             let pending = self.pending_bytes(t);
@@ -177,7 +175,6 @@ impl OutgoingBuffers {
                 full.push(t);
             }
         }
-        full
     }
 
     /// High-water mark of bytes pending towards any single target since
@@ -201,14 +198,6 @@ impl OutgoingBuffers {
         // AeuId indexes come from the same topology.
         let t = &self.targets[target.index()];
         t.unicast_cmds + t.refs.len() as u64
-    }
-
-    /// Targets with anything pending.
-    pub fn pending_targets(&self) -> Vec<AeuId> {
-        (0..self.targets.len() as u32)
-            .map(AeuId)
-            .filter(|t| self.pending_bytes(*t) > 0)
-            .collect()
     }
 
     /// Copy everything pending for `target` into its incoming buffer as one
@@ -338,7 +327,8 @@ mod tests {
     fn multicast_stores_body_once() {
         let mut out = OutgoingBuffers::new(3, 1024);
         let cmd = lookup_cmd(vec![7, 8, 9]);
-        let full = out.push_multicast(&[AeuId(0), AeuId(2)], &cmd);
+        let mut full = Vec::new();
+        out.push_multicast(&[AeuId(0), AeuId(2)], &cmd, &mut full);
         assert!(full.is_empty());
         assert_eq!(out.multicast.len(), cmd.encoded_len(), "one body");
         assert_eq!(out.pending_bytes(AeuId(0)), cmd.encoded_len());
@@ -362,7 +352,7 @@ mod tests {
     #[test]
     fn multicast_not_reclaimed_while_referenced() {
         let mut out = OutgoingBuffers::new(2, 1024);
-        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![1]));
+        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![1]), &mut Vec::new());
         let inc = IncomingBuffers::new(1024);
         out.flush_into(AeuId(0), &inc).unwrap();
         out.reclaim_multicast();
@@ -398,7 +388,7 @@ mod tests {
     fn mixed_unicast_and_multicast_arrive_together() {
         let mut out = OutgoingBuffers::new(2, 4096);
         out.push_unicast(AeuId(0), &lookup_cmd(vec![1]));
-        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![2]));
+        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![2]), &mut Vec::new());
         let inc = IncomingBuffers::new(4096);
         let info = out.flush_into(AeuId(0), &inc).unwrap().unwrap();
         assert_eq!(info.commands, 2);

@@ -10,7 +10,7 @@
 //!
 //! * [`CreditWindow`] — bounded outstanding commands per connection.
 //!   The server consumes one credit per command it *reads* and regrants
-//!   it only when the command is settled at a batch boundary; when the
+//!   it only when the command is settled, once per batch; when the
 //!   window is empty the server simply stops reading that connection
 //!   (backpressure by withholding grants, not by buffering).  The window
 //!   belongs to its connection: a plain count in a `Cell`, which keeps
@@ -20,7 +20,7 @@
 //!   wall (or virtual) time.  Packs `(last_refill_ms, tokens_milli)`
 //!   into one atomic word so refill+take is a single CAS.
 //! * [`Admission`] — the per-command decision combining the watermark
-//!   shed check (computed by the server at batch boundaries) with the
+//!   shed check (on the [`LoadSignal`] the server keeps for the batch) with the
 //!   tenant's bucket, bumping the tenant's counter shard
 //!   ([`TenantShard`]) as it decides.  The shard's counters have one
 //!   writer, the serving loop, so a bump is a relaxed load and store
@@ -174,7 +174,9 @@ pub struct AdmissionConfig {
     /// Shed once incoming-buffer occupancy (pending/capacity) crosses
     /// this fraction at a batch boundary.
     pub shed_occupancy: f64,
-    /// Shed once routed-but-unexecuted commands cross this depth.
+    /// Shed once the sub-commands bound for the coming boundary (in
+    /// flight in the engine plus those the batch has routed) reach this
+    /// depth.
     pub shed_in_flight: u64,
     /// Retry hint attached to overload sheds.
     pub shed_retry_after_ms: u32,
@@ -210,8 +212,11 @@ pub enum Admit {
     UnknownTenant,
 }
 
-/// The engine-side load signals the server samples at batch boundaries
-/// and holds fixed for every decision in that batch.
+/// The engine-side load signals one batch's decisions are made on.
+/// Occupancy is sampled at the start of the batch and holds for all of
+/// it; `in_flight` starts at the engine's count and the server adds the
+/// sub-commands each admission routes, so every decision sees what the
+/// coming boundary will execute.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadSignal {
     /// Incoming-buffer occupancy in `[0, 1]`.

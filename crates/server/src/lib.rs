@@ -18,7 +18,7 @@
 //! * [`transport`] — non-blocking byte transports behind one trait:
 //!   deterministic in-process loopback pipes and TCP.
 //! * [`server`] — [`EngineServer`], the batch-aligned serving core:
-//!   read + admit, epoch boundary, settle + flush.  Every received
+//!   read + admit, settle + flush, epoch boundary.  Every received
 //!   command gets exactly one typed response (`Accepted` / `Shed` /
 //!   `QuotaDenied` / `Rejected`), and the [`ServingLedger`] composes
 //!   with the engine's conservation law to prove accepted == executed

@@ -12,13 +12,18 @@
 //!    watermark, then the tenant's token bucket, then
 //!    [`Engine::submit_view`].  A command payload is checked where it
 //!    lies ([`CommandRef::check`]) before admission; a point command is
-//!    routed from those bytes without being decoded.
-//! 2. **Boundary** — `run_epoch()`: every AEU steps once, executing the
-//!    batch that was just routed.  On the host clock an epoch that would
-//!    find nothing to execute is skipped; on the virtual clock it runs,
-//!    because there the epoch *is* the clock.
-//! 3. **Settle + flush** — credits consumed by settled commands are
-//!    regranted, responses are encoded and written back.
+//!    routed from those bytes without being decoded.  The watermark
+//!    counts what the coming boundary will execute: the engine's
+//!    in-flight sub-commands plus those this batch has routed so far.
+//! 2. **Settle + flush** — credits consumed by settled commands are
+//!    regranted, responses are encoded and written back.  Verdicts and
+//!    regrants depend only on admission, so they leave before the
+//!    boundary instead of waiting for execution.
+//! 3. **Boundary** — `run_epoch()`: the engine delivers everything the
+//!    batch routed, then every AEU steps once and executes it.  On the
+//!    host clock an epoch that would find nothing to execute is skipped;
+//!    on the virtual clock it runs, because there the epoch *is* the
+//!    clock.
 //!
 //! Every received command produces exactly one typed response —
 //! `Accepted`, `Shed`, `QuotaDenied`, or `Rejected` — so the server can
@@ -84,8 +89,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// A response settled in phase 1, flushed in phase 3 (after the epoch
-/// boundary, so credit regrants really are "after the batch executed").
+/// A response settled in phase 1 and flushed in phase 2, before the
+/// epoch boundary: a verdict and its credit regrant depend only on
+/// admission, not on execution.
 struct PendingResponse {
     kind: RespKind,
     code: u8,
@@ -425,12 +431,14 @@ impl EngineServer {
         &mut self.counters
     }
 
-    /// One batch cycle: read + admit, epoch boundary, settle + flush.
+    /// One batch cycle: read + admit, settle + flush, epoch boundary.
     pub fn pump(&mut self) -> PumpReport {
         let mut report = PumpReport::default();
         let now = self.now_ns();
         let (pending_bytes, capacity) = self.engine.incoming_occupancy();
-        let load = LoadSignal {
+        // Admission adds the sub-commands it routes to `in_flight`, so
+        // every decision sees what the coming boundary will execute.
+        let mut load = LoadSignal {
             occupancy: pending_bytes as f64 / capacity.max(1) as f64,
             in_flight: self.engine.in_flight_commands(),
         };
@@ -443,21 +451,14 @@ impl EngineServer {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
             };
-            self.read_and_admit(&mut conn, now, load, &mut report);
+            self.read_and_admit(&mut conn, now, &mut load, &mut report);
             mark = self.charge_phase(conn.via, Phase::ReadAdmit, mark);
             self.conns[slot] = Some(conn);
         }
 
-        // Phase 2: the AEU step boundary executes the admitted batch.  A
-        // wall-clock server skips a boundary with nothing on either side
-        // of it; the virtual clock only moves when epochs run.
-        if self.cfg.clock == ClockSource::Virtual || !self.engine.is_idle() {
-            report.epoch_duration_ns = self.engine.run_epoch().duration_ns;
-            mark = eris_obs::now_ns();
-        }
-
-        // Phase 3: settle responses (regrants happen here, after the
-        // boundary) and flush transports.  Charged as `flush`.
+        // Phase 2: settle responses and flush transports.  Verdicts and
+        // credit regrants depend only on admission, so they go out
+        // before the boundary.  Charged as `flush`.
         for slot in 0..self.conns.len() {
             let Some(mut conn) = self.conns[slot].take() else {
                 continue;
@@ -471,6 +472,13 @@ impl EngineServer {
             } else {
                 self.conns[slot] = Some(conn);
             }
+        }
+
+        // Phase 3: the AEU step boundary executes the admitted batch.  A
+        // wall-clock server skips a boundary with nothing on either side
+        // of it; the virtual clock only moves when epochs run.
+        if self.cfg.clock == ClockSource::Virtual || !self.engine.is_idle() {
+            report.epoch_duration_ns = self.engine.run_epoch().duration_ns;
         }
         if now >= self.slo_due_ns && self.observe_slo(now) {
             self.slo_due_ns = now + self.slo.quantum_ns();
@@ -549,7 +557,7 @@ impl EngineServer {
         &mut self,
         conn: &mut Conn,
         now: u64,
-        load: LoadSignal,
+        load: &mut LoadSignal,
         report: &mut PumpReport,
     ) {
         let was_empty = conn.inbuf.is_empty();
@@ -621,7 +629,7 @@ impl EngineServer {
         conn: &mut Conn,
         frame: RequestView<'_>,
         now: u64,
-        load: LoadSignal,
+        load: &mut LoadSignal,
         report: &mut PumpReport,
     ) {
         match frame.kind {
@@ -721,7 +729,7 @@ impl EngineServer {
                 // indistinguishable from "not measured".  Only a sampled
                 // command pays for the clock reads.
                 let admit_t0 = if sampled { eris_obs::now_ns() } else { 0 };
-                let verdict = self.admission.admit(tenant, ops, now, load);
+                let verdict = self.admission.admit(tenant, ops, now, *load);
                 let stamp = sampled.then(|| {
                     let submit_ns = eris_obs::now_ns();
                     let admit_ns = submit_ns.saturating_sub(admit_t0).max(1);
@@ -775,7 +783,8 @@ impl EngineServer {
                     }
                     Admit::Granted => {
                         match self.engine.submit_view(conn.via, cmd, stamp) {
-                            Ok(()) => {
+                            Ok(routed) => {
+                                load.in_flight += routed;
                                 report.accepted += 1;
                                 self.net_wait[tenant as usize].record(net_ns);
                                 conn.pending.push(PendingResponse {
@@ -979,9 +988,10 @@ mod tests {
         assert_eq!(acc.kind, RespKind::Accepted);
         assert_eq!(acc.seq, 1);
         assert_eq!(acc.credits, 1);
-        // Conservation is a drained-state claim: in-flight sub-commands
-        // sit in the double buffers until later epochs execute them.
-        server.pump_until_quiet(16);
+        // The pump's own boundary executed the command: nothing is left
+        // in flight, and one quiet pump proves it.
+        assert_eq!(server.engine().in_flight_commands(), 0);
+        assert_eq!(server.pump_until_quiet(16), 1);
         let l = server.ledger();
         assert!(l.holds(), "{l:?}");
     }
@@ -1168,6 +1178,47 @@ mod tests {
         assert_eq!(seqs, (1..=window).collect::<Vec<_>>(), "in arrival order");
         assert!(got.iter().all(|r| r.kind == RespKind::Accepted));
         server.pump_until_quiet(16);
+        assert!(server.ledger().holds());
+    }
+
+    #[test]
+    fn one_pump_admits_up_to_the_watermark_and_sheds_the_rest() {
+        let (n, k) = (5u64, 3u64);
+        let cfg = ServerConfig {
+            admission: AdmissionConfig {
+                shed_in_flight: n,
+                shed_retry_after_ms: 33,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (mut server, mut client_side, id, obj) = helloed(cfg);
+        assert_eq!(server.engine().in_flight_commands(), 0);
+        // One-key frames: each admission routes one sub-command towards
+        // the coming boundary.
+        let bytes: Vec<u8> = (1..=n + k)
+            .flat_map(|seq| command_bytes(obj, id, seq))
+            .collect();
+        client_side.try_write(&bytes).unwrap();
+        let r = server.pump();
+        assert_eq!((r.commands, r.accepted, r.shed), (n + k, n, k));
+        let got = responses(&mut client_side);
+        let verdicts: Vec<(RespKind, u64, u32)> = got
+            .iter()
+            .map(|r| (r.kind, r.seq, r.retry_after_ms))
+            .collect();
+        let want: Vec<(RespKind, u64, u32)> = (1..=n + k)
+            .map(|seq| {
+                if seq <= n {
+                    (RespKind::Accepted, seq, 0)
+                } else {
+                    (RespKind::Shed, seq, 33)
+                }
+            })
+            .collect();
+        assert_eq!(verdicts, want);
+        // The pump's boundary executed the admitted batch.
+        assert_eq!(server.engine().in_flight_commands(), 0);
         assert!(server.ledger().holds());
     }
 

@@ -560,8 +560,9 @@ fn overload_sheds_with_typed_retry_hints() {
                 credit_limit: 64,
                 quota_capacity_ops: 1 << 20,
                 quota_refill_ops_per_sec: 1 << 20,
-                // Shed as soon as anything is in flight at a boundary:
-                // guarantees the watermark trips under sustained load.
+                // Shed once one sub-command is bound for the coming
+                // boundary: each pump admits its first command and sheds
+                // the rest of its batch.
                 shed_in_flight: 1,
                 shed_retry_after_ms: 25,
                 ..Default::default()
