@@ -374,10 +374,7 @@ fn run_once(args: &Args) -> Vec<String> {
 
     // Detach the generators, then drain: conservation invariants hold
     // exactly at quiescence.
-    for a in engine.aeu_ids() {
-        engine.set_generator(a, None);
-    }
-    engine.run_until_drained();
+    engine.drain_and_quiesce();
 
     let snap = engine.telemetry();
     println!("{}", render_frame(&engine, idx, &baseline, &snap));

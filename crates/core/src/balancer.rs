@@ -8,6 +8,20 @@
 //! **Moving Average over a window of k neighbours (MA-k)**, which turns
 //! into One-Shot as k covers all partitions (Figure 6) — and emits the
 //! balancing/transfer commands that realize it.
+//!
+//! `Balancer` is that loop; the engine runs epochs and lends it the
+//! partitions when a period of virtual time has passed.
+
+use crate::aeu::{Aeu, PartitionData};
+use crate::command::{AeuId, DataObjectId};
+use crate::cost::CostParams;
+use crate::durability::RedoSink;
+use crate::engine::{apply_bounds, ObjectKind};
+use crate::monitor::{cv, BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
+use crate::routing::RoutingShared;
+use eris_numa::{HwCounters, Topology};
+use eris_obs::{now_ns, Stamped, TraceEvent};
+use std::sync::atomic::Ordering;
 
 /// The metric driving index-object balancing (Section 3.3: access
 /// frequency is primary; the mean execution time of a data command is the
@@ -68,15 +82,11 @@ impl Default for BalancerConfig {
 /// must not silently win or lose the `>` comparison.
 pub fn needs_balancing(weights: &[f64], threshold_cv: f64) -> bool {
     let n = weights.len() as f64;
-    if n < 2.0 {
-        return false;
-    }
     let mean = weights.iter().sum::<f64>() / n;
-    if !mean.is_finite() || mean <= 0.0 {
+    if n < 2.0 || !mean.is_finite() || mean <= 0.0 {
         return false;
     }
-    let var = weights.iter().map(|w| (w - mean) * (w - mean)).sum::<f64>() / n;
-    let cv = var.sqrt() / mean;
+    let cv = cv(weights);
     cv.is_finite() && cv > threshold_cv
 }
 
@@ -292,6 +302,410 @@ pub fn size_balance_moves(lens: &[usize]) -> Vec<(usize, usize, usize)> {
     moves
 }
 
+/// Pairs a hash transfer moves per step through its reused buffer (1 MiB).
+const TRANSFER_CHUNK: usize = 1 << 16;
+
+/// The oscillation back-off of one data object: after a cycle that moved
+/// substantial data *without* improving the imbalance — an indivisible
+/// hotspot, e.g. one scorching key — the balancer backs off exponentially
+/// instead of thrashing with futile transfers.
+#[derive(Debug, Clone, Copy, Default)]
+struct BackoffState {
+    /// Imbalance measured when the last balancing cycle was decided.
+    last_cv: f64,
+    /// Current back-off length in periods.
+    skip: u32,
+    /// Periods of the current back-off still to skip.
+    left: u32,
+    /// Fraction of the object's keys moved by the last cycle.
+    last_moved_frac: f64,
+    /// Virtual time the last cycle's transfers cost, in ns.
+    last_cost_ns: f64,
+}
+
+impl BackoffState {
+    /// True while backing off; counts one skipped period down.
+    fn skips(&mut self) -> bool {
+        let skipping = self.left > 0;
+        self.left = self.left.saturating_sub(1);
+        skipping
+    }
+
+    /// Whether an over-threshold evaluation at imbalance `cv` backs off:
+    /// the last cycle paid real transfer cost without lowering the
+    /// imbalance by a tenth.  Back-offs double, capped so a genuine
+    /// workload change is picked up again within a few periods.
+    fn backs_off(&mut self, cv: f64, period_ns: f64) -> bool {
+        let costly = self.last_cost_ns > 0.5 * period_ns || self.last_moved_frac > 0.02;
+        if self.last_cv > 0.0 && cv >= 0.9 * self.last_cv && costly {
+            let skip = (self.skip.max(1) * 2).min(16);
+            *self = BackoffState {
+                last_cv: cv,
+                skip,
+                left: skip,
+                ..Default::default()
+            };
+            return true;
+        }
+        self.last_cv = cv;
+        false
+    }
+}
+
+/// What a cycle works on, lent by the engine (partition i ↔ AEU i).
+pub(crate) struct Partitions<'a> {
+    pub topo: &'a Topology,
+    pub shared: &'a RoutingShared,
+    pub aeus: &'a mut [Aeu],
+    pub counters: &'a mut HwCounters,
+    pub params: CostParams,
+    /// Virtual keys or rows per real one a transfer moves.
+    pub transfer_scale: f64,
+    pub sink: Option<&'a dyn RedoSink>,
+}
+
+impl Partitions<'_> {
+    /// Charge both AEUs one transfer of `keys` real keys (or rows) and
+    /// file it on `decision`; returns the ns charged.  Within a node it is
+    /// a *link*; across nodes a *copy* streams the bytes over the route
+    /// (recorded on the counters) and the receiver rebuilds them.
+    fn charge_transfer(
+        &mut self,
+        decision: &mut BalanceDecision,
+        t: Transfer,
+        keys: usize,
+        bytes_per_key: u64,
+        rebuild_ns_per_key: f64,
+    ) -> f64 {
+        let (from_node, to_node) = (self.aeus[t.from].node, self.aeus[t.to].node);
+        let (src_ns, dst_ns) = if from_node == to_node {
+            (self.params.link_transfer_ns, self.params.link_transfer_ns)
+        } else {
+            let scaled = keys as f64 * self.transfer_scale;
+            let bytes = scaled * bytes_per_key as f64;
+            let route = self.topo.route(from_node, to_node).expect("connected");
+            let stream_ns = route.latency_ns + bytes / route.bandwidth_gbps;
+            self.counters
+                .record(self.topo, to_node, from_node, bytes as u64);
+            (stream_ns, stream_ns + scaled * rebuild_ns_per_key)
+        };
+        self.aeus[t.from].add_pending_ns(src_ns);
+        self.aeus[t.to].add_pending_ns(dst_ns);
+        let m = MigrationRecord {
+            src: t.from,
+            dst: t.to,
+            lo: t.lo,
+            hi: t.hi,
+            keys: keys as u64,
+            bytes: keys as u64 * bytes_per_key,
+        };
+        self.shared
+            .telemetry()
+            .shard(AeuId(m.src as u32))
+            .ring
+            .emit(Stamped {
+                at_ns: now_ns(),
+                aeu: m.src as u32,
+                event: TraceEvent::Migration {
+                    object: decision.object.0,
+                    src: m.src as u32,
+                    dst: m.dst as u32,
+                    keys: m.keys,
+                    bytes: m.bytes,
+                },
+            });
+        decision.migrations.push(m);
+        src_ns + dst_ns
+    }
+
+    /// Move the `counts[i]` keys of each transfer donor-first, one receiver
+    /// at a time, sizing each receiver once for all it takes.  A hash
+    /// transfer streams through one bounded buffer.  A tree receiver sizes
+    /// its arenas from the whole sorted run, so a tree's donors give into
+    /// one buffer, sized once for the largest receiver.
+    fn move_ranges(&mut self, object: DataObjectId, plan: &[Transfer], counts: &[usize]) {
+        let order = donor_first(plan);
+        let mut incoming = vec![0usize; self.aeus.len()];
+        for (t, &moved) in plan.iter().zip(counts) {
+            incoming[t.to] += moved;
+        }
+        let most = incoming.iter().copied().max().unwrap_or(0);
+        let hash = self.aeus[0]
+            .partition(object)
+            .is_some_and(|p| matches!(p.data, PartitionData::Hash(_)));
+        let mut buf = Vec::with_capacity(if hash { most.min(TRANSFER_CHUNK) } else { most });
+        for group in order.chunk_by(|&a, &b| plan[a].to == plan[b].to) {
+            let to = plan[group[0]].to;
+            if hash {
+                self.aeus[to].reserve_transfer(object, incoming[to], &[]);
+                for t in group.iter().map(|&i| plan[i]) {
+                    let mut from = Some(0);
+                    while let Some(bucket) = from {
+                        buf.clear();
+                        from = self.aeus[t.from].extract_hash_chunk(
+                            object,
+                            (t.lo, t.hi),
+                            bucket,
+                            &mut buf,
+                            TRANSFER_CHUNK,
+                        );
+                        if !buf.is_empty() {
+                            self.aeus[to].absorb_pairs(object, &buf);
+                        }
+                    }
+                }
+            } else {
+                buf.clear();
+                for t in group.iter().map(|&i| plan[i]) {
+                    self.aeus[t.from].extract_range(object, t.lo, t.hi, &mut buf);
+                }
+                debug_assert_eq!(buf.len(), incoming[to], "a transfer moves what it counted");
+                self.aeus[to].reserve_transfer(object, buf.len(), &buf);
+                // One journal record per transfer, as the plan has them.
+                let mut at = 0;
+                for &i in group {
+                    let pairs = &buf[at..at + counts[i]];
+                    at += counts[i];
+                    if !pairs.is_empty() {
+                        self.aeus[to].absorb_pairs(object, pairs);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The adaption loop (Section 3.3): every period of virtual time it
+/// samples each object's partitions into the [`Monitor`], judges the
+/// imbalance, and moves key ranges or tail rows between partitions.
+pub(crate) struct Balancer {
+    cfg: BalancerConfig,
+    monitor: Monitor,
+    /// Virtual time of the last cycle, seconds.
+    last_balance_s: f64,
+    /// Per-object back-off, indexed by object id.
+    backoff: Vec<BackoffState>,
+}
+
+impl Balancer {
+    pub(crate) fn new(cfg: BalancerConfig) -> Self {
+        Balancer {
+            cfg,
+            monitor: Monitor::new(64),
+            last_balance_s: 0.0,
+            backoff: Vec::new(),
+        }
+    }
+
+    /// The per-object sampling history and the decision audit log.
+    pub(crate) fn monitor(&self) -> &Monitor {
+        &self.monitor
+    }
+
+    /// Start tracking the next data object.
+    pub(crate) fn add_object(&mut self) {
+        self.backoff.push(BackoffState::default());
+    }
+
+    /// Whether a cycle is due at virtual time `now`; if so, its period
+    /// starts now.
+    pub(crate) fn due(&mut self, now: f64) -> bool {
+        let due = self.cfg.enabled && now - self.last_balance_s >= self.cfg.period_s;
+        if due {
+            self.last_balance_s = now;
+        }
+        due
+    }
+
+    /// Sample every object at virtual time `now`, then rebalance it as
+    /// configured.  Returns the virtual time charged for transfers.
+    pub(crate) fn run(
+        &mut self,
+        now: f64,
+        objects: impl Iterator<Item = (DataObjectId, ObjectKind)>,
+        mut p: Partitions<'_>,
+    ) -> f64 {
+        let mut total_ns = 0.0;
+        for (id, kind) in objects {
+            let mut sample = Sample {
+                at_secs: now,
+                ..Default::default()
+            };
+            for aeu in p.aeus.iter_mut() {
+                let (accesses, exec_ns, len, bytes) = aeu.take_sample(id);
+                sample.accesses.push(accesses);
+                sample.exec_ns.push(exec_ns);
+                sample.lens.push(len);
+                sample.bytes.push(bytes);
+            }
+            total_ns += match kind {
+                ObjectKind::Index { domain } => self.balance_index(&mut p, id, domain, &sample),
+                ObjectKind::Column => self.balance_column(&mut p, id, &sample),
+            };
+            self.monitor.record(id, sample);
+        }
+        // A transfer's remove/absorb records live on two different AEU
+        // logs; sync them together so a crash cannot split the pair.
+        if let Some(s) = p.sink {
+            s.barrier();
+        }
+        total_ns
+    }
+
+    /// File the audit entry of a cycle that moved data and count it.
+    fn close_cycle(
+        &mut self,
+        shared: &RoutingShared,
+        mut decision: BalanceDecision,
+        moves: u64,
+        keys_moved: u64,
+    ) {
+        let tel = shared.telemetry();
+        tel.balancer_cycles.fetch_add(1, Ordering::Relaxed);
+        tel.balancer_moves.fetch_add(moves, Ordering::Relaxed);
+        tel.balancer_keys_moved
+            .fetch_add(keys_moved, Ordering::Relaxed);
+        decision.verdict = BalanceVerdict::Rebalanced;
+        self.monitor.record_decision(decision);
+    }
+
+    /// The gates of one evaluation.  `None` when the object skips this
+    /// period of its back-off (filing nothing), or when the evaluation is
+    /// filed here: balanced, or backing off.  Otherwise the audit entry
+    /// (the CVs as seen, the threshold) that the cycle completes.  Column
+    /// cycles record no cost, so columns never back off.
+    fn judge(&mut self, id: DataObjectId, s: &Sample, weights: &[f64]) -> Option<BalanceDecision> {
+        let backoff = &mut self.backoff[id.0 as usize];
+        if backoff.skips() {
+            return None;
+        }
+        let mut decision = BalanceDecision {
+            at_secs: s.at_secs,
+            object: id,
+            access_cv: s.access_cv(),
+            exec_cv: s.exec_cv(),
+            size_cv: s.size_cv(),
+            threshold_cv: self.cfg.threshold_cv,
+            verdict: BalanceVerdict::BelowThreshold,
+            migrations: Vec::new(),
+        };
+        if !needs_balancing(weights, self.cfg.threshold_cv) {
+            // Balanced again: the back-off starts over.
+            *backoff = BackoffState::default();
+        } else if backoff.backs_off(cv(weights), self.cfg.period_s * 1e9) {
+            decision.verdict = BalanceVerdict::OscillationDetected;
+        } else {
+            return Some(decision);
+        }
+        self.monitor.record_decision(decision);
+        None
+    }
+
+    fn balance_index(
+        &mut self,
+        p: &mut Partitions,
+        object: DataObjectId,
+        domain: u64,
+        sample: &Sample,
+    ) -> f64 {
+        // The configured metric drives the balancing decision.
+        let mut weights: Vec<f64> = match self.cfg.metric {
+            BalanceMetric::AccessFrequency => sample.accesses.iter().map(|&a| a as f64).collect(),
+            BalanceMetric::ExecutionTime => sample.exec_ns.clone(),
+        };
+        let Some(mut decision) = self.judge(object, sample, &weights) else {
+            return 0.0;
+        };
+        // Additive smoothing: a small weight floor keeps completely cold
+        // partitions from collapsing to one-key ranges, which would dump
+        // the entire cold region's data onto the partitions bordering the
+        // hot range and make later boundary moves disproportionately
+        // expensive.
+        let mean = weights.iter().sum::<f64>() / weights.len() as f64;
+        for w in &mut weights {
+            *w = w.max(0.02 * mean);
+        }
+        let old_bounds: Vec<u64> = p
+            .shared
+            .with_table(object, |t| t.as_range().unwrap().ranges())
+            .expect("balanced object is registered")
+            .iter()
+            .map(|(b, _)| *b)
+            .collect();
+        let new_bounds = target_boundaries(&old_bounds, domain, &weights, self.cfg.algorithm);
+        if new_bounds == old_bounds {
+            decision.verdict = BalanceVerdict::NoBoundaryChange;
+            self.monitor.record_decision(decision);
+            return 0.0;
+        }
+        let plan = transfer_plan(&old_bounds, &new_bounds, domain);
+        // Each range is its donor's before the cycle, whatever order the
+        // transfers then run in: size every transfer up front.
+        let counts: Vec<usize> = plan
+            .iter()
+            .map(|t| p.aeus[t.from].count_range(object, t.lo, t.hi))
+            .collect();
+        let moved_keys: usize = counts.iter().sum();
+
+        // All involved AEUs synchronize on the routing-table update first,
+        // then execute their transfer commands.
+        apply_bounds(p.shared, p.aeus, object, domain, &new_bounds);
+        // Charge the transfers in plan order, then move them donor-first.
+        let mut total_ns = 0.0;
+        for (&t, &moved) in plan.iter().zip(&counts) {
+            let (bytes, rebuild) = (p.params.transfer_bytes_per_key, p.params.rebuild_ns_per_key);
+            total_ns += p.charge_transfer(&mut decision, t, moved, bytes, rebuild);
+        }
+        p.move_ranges(object, &plan, &counts);
+
+        let total_keys: usize = p
+            .aeus
+            .iter()
+            .map(|a| a.partition(object).map_or(0, |part| part.data.len()))
+            .sum();
+        let backoff = &mut self.backoff[object.0 as usize];
+        backoff.last_moved_frac = moved_keys as f64 / total_keys.max(1) as f64;
+        backoff.last_cost_ns = total_ns;
+        self.close_cycle(p.shared, decision, plan.len() as u64, moved_keys as u64);
+        total_ns
+    }
+
+    fn balance_column(&mut self, p: &mut Partitions, object: DataObjectId, sample: &Sample) -> f64 {
+        let weights: Vec<f64> = sample.lens.iter().map(|l| *l as f64).collect();
+        let Some(mut decision) = self.judge(object, sample, &weights) else {
+            return 0.0;
+        };
+        let mut total_ns = 0.0;
+        let moves = size_balance_moves(&sample.lens);
+        let mut moved_rows = 0u64;
+        let num_moves = moves.len() as u64;
+        for (from, to, n) in moves {
+            let rows = p.aeus[from].extract_tail_rows(object, n);
+            moved_rows += rows.len() as u64;
+            p.aeus[to]
+                .absorb_rows(object, &rows)
+                .expect("migration lands on the freshly provisioned column");
+            // A row move shifts tail rows, not a key range.
+            let t = Transfer {
+                from,
+                to,
+                lo: 0,
+                hi: 0,
+            };
+            total_ns += p.charge_transfer(&mut decision, t, rows.len(), 8, 0.0);
+        }
+        if num_moves > 0 {
+            self.close_cycle(p.shared, decision, num_moves, moved_rows);
+        } else {
+            // Over threshold but integer row-averaging found nothing to
+            // shift — the column analogue of an unchanged boundary set.
+            decision.verdict = BalanceVerdict::NoBoundaryChange;
+            self.monitor.record_decision(decision);
+        }
+        total_ns
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,6 +897,53 @@ mod tests {
         assert_eq!(moves, vec![(0, 1, 50)]);
         assert!(size_balance_moves(&[10, 10, 10]).is_empty());
         assert!(size_balance_moves(&[7]).is_empty());
+    }
+
+    #[test]
+    fn a_back_off_is_filed_once_however_long_it_lasts() {
+        use crate::command::DataObjectId;
+        use crate::monitor::AUDIT_CAPACITY;
+        use BalanceVerdict::*;
+        let mut b = Balancer::new(BalancerConfig::default());
+        b.add_object();
+        b.add_object();
+        let (hot, other) = (DataObjectId(0), DataObjectId(1));
+        let weights = [0.0, 0.0, 100.0, 100.0];
+        let sample = Sample {
+            accesses: vec![0, 0, 100, 100],
+            ..Default::default()
+        };
+        let cycle = b.judge(hot, &sample, &weights).expect("over threshold");
+        b.monitor.record_decision(BalanceDecision {
+            verdict: Rebalanced,
+            ..cycle
+        });
+        // Before each round a cycle moved every key without lowering the
+        // imbalance: one entry per back-off, none per skipped period.
+        for round in 0..AUDIT_CAPACITY - 2 {
+            b.backoff[0].last_moved_frac = 1.0;
+            assert!(b.judge(hot, &sample, &weights).is_none());
+            assert_eq!(
+                b.monitor.last_decision(hot).unwrap().verdict,
+                OscillationDetected
+            );
+            let skip = b.backoff[0].skip;
+            assert_eq!(skip, if round < 3 { 2 << round } else { 16 });
+            for _ in 0..skip {
+                assert!(b.judge(hot, &sample, &weights).is_none());
+                let held = b.judge(other, &sample, &weights).is_none();
+                assert!(!held, "another object is not held");
+            }
+            let again = b.judge(hot, &sample, &weights).is_some();
+            assert!(again, "{skip} periods, then evaluated again");
+        }
+        let log = b.monitor.audit_log();
+        assert_eq!(log.len(), AUDIT_CAPACITY - 1);
+        assert_eq!(
+            log[0].verdict, Rebalanced,
+            "the cycle that moved data stays"
+        );
+        assert!(log.iter().skip(1).all(|d| d.verdict == OscillationDetected));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! tree are hot and cache-resident, the bottom levels miss — the exact
 //! effect Figures 8 and 10 of the paper attribute the ERIS/shared gap to.
 
+use crate::aeu::{FlowKind, WorkSummary};
 use eris_index::{HashTable, PrefixTreeConfig};
+use eris_numa::{FlowSolver, HwCounters, Topology};
 
 /// Calibration constants of the virtual-time model.
 ///
@@ -83,6 +85,61 @@ impl Default for CostParams {
             transfer_bytes_per_key: 16,
             frequency_scale: 1.0,
         }
+    }
+}
+
+impl CostParams {
+    /// Virtual duration of an epoch in which the AEUs did `summaries`, whose
+    /// traffic is fair-shared all at once (and recorded on `counters`).
+    /// Per AEU, streaming (serial) flows add up, while posted (overlapped)
+    /// flows share the worker's aggregate rate; an AEU takes `cpu /
+    /// frequency_scale + max(latency, bandwidth)`.  The slowest AEU sets
+    /// the epoch, and an idle epoch still advances a 1 µs quantum.
+    pub fn epoch_ns(
+        &self,
+        topo: &Topology,
+        summaries: &[WorkSummary],
+        counters: &mut HwCounters,
+    ) -> f64 {
+        let mut flows = Vec::new();
+        let mut kinds = Vec::new();
+        let mut spans = Vec::with_capacity(summaries.len());
+        for s in summaries {
+            let start = flows.len();
+            for (f, k) in &s.flows {
+                flows.push(f.clone());
+                kinds.push(*k);
+            }
+            spans.push(start..flows.len());
+        }
+        let rates = FlowSolver::new(topo).solve(&flows);
+        for f in &flows {
+            counters.record(topo, f.src, f.home, f.bytes);
+        }
+        let mut duration: f64 = 0.0;
+        for (s, span) in summaries.iter().zip(spans) {
+            let mut serial_ns = 0.0f64;
+            let mut over_bytes = 0.0f64;
+            let mut over_rate = 0.0f64;
+            for i in span {
+                match kinds[i] {
+                    FlowKind::Serial => serial_ns += flows[i].bytes as f64 / rates.rates[i],
+                    FlowKind::Overlapped => {
+                        over_bytes += flows[i].bytes as f64;
+                        over_rate += rates.rates[i];
+                    }
+                }
+            }
+            let overlapped_ns = if over_rate > 0.0 {
+                over_bytes / over_rate
+            } else {
+                0.0
+            };
+            let bw_ns = serial_ns + overlapped_ns;
+            let t = s.cpu_ns / self.frequency_scale + s.latency_ns.max(bw_ns);
+            duration = duration.max(t);
+        }
+        duration.max(1_000.0)
     }
 }
 
@@ -234,6 +291,55 @@ mod tests {
         // Hash point access beats a deep tree when both are uncached.
         let tree = expected_tree_misses(1 << 30, cfg(), cache);
         assert!(big < tree + 0.5, "hash {big} vs tree {tree}");
+    }
+
+    #[test]
+    fn epoch_cost_composes_cpu_latency_and_fair_shared_bandwidth() {
+        use eris_numa::{machines::custom_machine, Flow, NodeId};
+        let topo = custom_machine("m", 2, 1, 20.0, 100.0, 10.0, 60.0);
+        let params = CostParams {
+            frequency_scale: 0.5,
+            ..CostParams::default()
+        };
+        let mut counters = HwCounters::new(&topo);
+        let summary = |node, kind, homes: [(u16, u64); 2]| {
+            let mut s = WorkSummary::new(NodeId(node));
+            for (home, bytes) in homes {
+                s.flows
+                    .push((Flow::new(NodeId(node), NodeId(home), bytes), kind));
+            }
+            s
+        };
+        // AEU 0 streams from both nodes, AEU 1 posts traffic to both.
+        let mut both = [
+            summary(0, FlowKind::Serial, [(0, 1 << 20), (1, 1 << 18)]),
+            summary(1, FlowKind::Overlapped, [(1, 1 << 21), (0, 1 << 19)]),
+        ];
+        let flows: Vec<Flow> = both
+            .iter()
+            .flat_map(|s| &s.flows)
+            .map(|f| f.0.clone())
+            .collect();
+        let r = FlowSolver::new(&topo).solve(&flows).rates;
+        let b = |i: usize| flows[i].bytes as f64;
+        // Serial flows add; overlapped ones move their bytes at their
+        // summed rates.  CPU runs at the scaled frequency, and the slower
+        // AEU sets the epoch.
+        let (serial_ns, overlapped_ns) = (b(0) / r[0] + b(1) / r[1], (b(2) + b(3)) / (r[2] + r[3]));
+        both[0].cpu_ns = 1e6;
+        let epoch = params.epoch_ns(&topo, &both, &mut counters);
+        assert_eq!(epoch, 1e6 / 0.5 + serial_ns);
+        both[1].cpu_ns = 4e6;
+        let epoch = params.epoch_ns(&topo, &both, &mut counters);
+        assert_eq!(epoch, 4e6 / 0.5 + overlapped_ns);
+        // Latency beyond the bandwidth time bounds an AEU instead.
+        both[1].latency_ns = 1e9;
+        let epoch = params.epoch_ns(&topo, &both, &mut counters);
+        assert_eq!(epoch, 4e6 / 0.5 + 1e9);
+        // An empty epoch lasts one scheduling quantum.
+        assert_eq!(params.epoch_ns(&topo, &[], &mut counters), 1_000.0);
+        let moved: u64 = flows.iter().map(|f| f.bytes).sum();
+        assert_eq!(counters.total_imc_bytes(), 3 * moved, "traffic recorded");
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! The ERIS engine: AEU construction, the cooperative virtual-time
-//! runtime, the load-balancer adaption loop, and a threaded runtime that
-//! exercises the routing protocol under real parallelism.
+//! The ERIS engine: AEU construction, the cooperative virtual-time runtime
+//! (its one epoch loop), and a threaded runtime that exercises the routing
+//! protocol under real parallelism.  The adaption loop is the balancer's.
 
-use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts, PartitionData};
-use crate::balancer::{
-    donor_first, needs_balancing, size_balance_moves, target_boundaries, transfer_plan,
-    BalancerConfig,
-};
+use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts};
+use crate::balancer::{Balancer, BalancerConfig, Partitions};
 use crate::command::{AeuId, CommandRef, DataCommand, DataObjectId};
 use crate::cost::CostParams;
 use crate::durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
-use crate::monitor::{BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
+use crate::monitor::Monitor;
 use crate::results::ResultCollector;
 use crate::routing::{
     BitmapTable, PartitionTable, RangeTable, Router, RoutingConfig, RoutingError, RoutingShared,
@@ -18,16 +15,14 @@ use crate::routing::{
 use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};
 use eris_index::PrefixTreeConfig;
 use eris_mem::{MemoryManager, Policy};
-use eris_numa::{CoreId, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
-use eris_obs::{now_ns, Stamped, TraceEvent, TraceStamp};
+use eris_numa::{CoreId, HwCounters, NodeId, Topology, VirtualClock};
+use eris_obs::{Stamped, TraceStamp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// AEUs per node; `None` = one per core (the paper's deployment).
-    pub aeus_per_node: Option<u16>,
     /// Restrict the engine to the first `k` nodes (scalability sweeps).
     pub active_nodes: Option<usize>,
     pub routing: RoutingConfig,
@@ -50,7 +45,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            aeus_per_node: None,
             active_nodes: None,
             routing: RoutingConfig::default(),
             params: CostParams::default(),
@@ -61,36 +55,6 @@ impl Default for EngineConfig {
             tree: PrefixTreeConfig::new(8, 64),
         }
     }
-}
-
-/// Pairs a hash transfer moves per step through its reused buffer (1 MiB).
-const TRANSFER_CHUNK: usize = 1 << 16;
-
-/// Oscillation-backoff state of one data object.
-#[derive(Debug, Clone, Copy, Default)]
-struct BackoffState {
-    /// Imbalance measured when the last balancing cycle was decided.
-    last_cv: f64,
-    /// Current backoff length in periods (the monitor counts them down).
-    skip: u32,
-    /// Fraction of the object's keys moved by the last cycle.
-    last_moved_frac: f64,
-    /// Virtual time the last cycle's transfers cost, in ns.
-    last_cost_ns: f64,
-}
-
-/// Standard deviation over mean of a weight histogram (0 when degenerate).
-fn coefficient_of_variation(weights: &[f64]) -> f64 {
-    let n = weights.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mean = weights.iter().sum::<f64>() / n;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let var = weights.iter().map(|w| (w - mean) * (w - mean)).sum::<f64>() / n;
-    var.sqrt() / mean
 }
 
 /// Kind of a data object.
@@ -162,15 +126,7 @@ pub struct Engine {
     clock: VirtualClock,
     counters: HwCounters,
     objects: Vec<ObjectMeta>,
-    last_balance_s: f64,
-    /// Per-object oscillation backoff: when a balancing cycle moved a
-    /// substantial amount of data *without* improving the imbalance — the
-    /// signature of an indivisible hotspot, e.g. one scorching key that no
-    /// range split can divide — the balancer backs off exponentially
-    /// instead of thrashing with futile transfers.
-    balance_backoff: Vec<BackoffState>,
-    monitor: Monitor,
-    stop: Arc<AtomicBool>,
+    balancer: Balancer,
     /// Durability sink shared with every AEU (None = volatile engine).
     sink: Option<Arc<dyn RedoSink>>,
 }
@@ -188,13 +144,7 @@ impl Engine {
         // AEU placement: cores of the first `active_nodes` nodes.
         let mut placement: Vec<(NodeId, CoreId)> = Vec::new();
         for node in topo.nodes().take(active_nodes) {
-            let cores = topo.cores_of_node(node);
-            let take = cfg
-                .aeus_per_node
-                .map(|k| k as usize)
-                .unwrap_or(cores.len())
-                .min(cores.len());
-            for c in cores.take(take) {
+            for c in topo.cores_of_node(node) {
                 placement.push((node, CoreId(c)));
             }
         }
@@ -234,6 +184,7 @@ impl Engine {
             ));
         }
 
+        let balancer = Balancer::new(cfg.balancer);
         Engine {
             topo,
             cfg,
@@ -244,10 +195,7 @@ impl Engine {
             clock: VirtualClock::new(),
             counters,
             objects: Vec::new(),
-            last_balance_s: 0.0,
-            balance_backoff: Vec::new(),
-            monitor: Monitor::new(64),
-            stop: Arc::new(AtomicBool::new(false)),
+            balancer,
             sink: None,
         }
     }
@@ -447,7 +395,7 @@ impl Engine {
             class,
             name: name.into(),
         });
-        self.balance_backoff.push(BackoffState::default());
+        self.balancer.add_object();
         self.journal_create(class, id, domain, name);
         id
     }
@@ -497,22 +445,7 @@ impl Engine {
             ObjectKind::Index { domain } => domain,
             ObjectKind::Column => return,
         };
-        self.apply_bounds(object, domain, bounds);
-    }
-
-    /// Make `bounds` (one lower bound per AEU) the object's partitioning:
-    /// the routing table first, then every AEU's validity range.
-    fn apply_bounds(&mut self, object: DataObjectId, domain: u64, bounds: &[u64]) {
-        let entries = bounds.iter().copied().zip(self.aeu_ids()).collect();
-        self.shared
-            .with_table_mut(object, |t| {
-                t.as_range_mut().expect("range object").rebuild(entries)
-            })
-            .expect("repartitioned object is registered");
-        for (i, aeu) in self.aeus.iter_mut().enumerate() {
-            let hi = bounds.get(i + 1).copied().unwrap_or(domain);
-            aeu.set_range(object, (bounds[i], hi));
-        }
+        apply_bounds(&self.shared, &mut self.aeus, object, domain, bounds);
     }
 
     /// Overwrite one object's conservation ledger from a checkpoint
@@ -534,11 +467,6 @@ impl Engine {
     /// trace conservation law holds across the full request path.
     pub fn latency(&self) -> &Arc<eris_obs::LatencyTable> {
         self.shared.telemetry().latency()
-    }
-
-    /// Object name (diagnostics).
-    pub fn object_name(&self, id: DataObjectId) -> &str {
-        &self.objects[id.0 as usize].name
     }
 
     /// Bulk-load an index directly into the owning partitions (setup path;
@@ -639,11 +567,13 @@ impl Engine {
     }
 
     /// Run one cooperative epoch: deliver everything submitted since the
-    /// last epoch, step every AEU, fair-share the traffic, advance the
-    /// virtual clock, and run the balancer when due.  Delivery comes
-    /// first so that a command submitted through any AEU executes in
-    /// this epoch, whatever the stepping order; generators route inside
-    /// the step and are flushed at its end, as before.
+    /// last epoch, step every AEU, advance the virtual clock by the
+    /// epoch's cost ([`CostParams::epoch_ns`]), and run the balancer when
+    /// a period of virtual time has passed.  Delivery comes first so that
+    /// a command submitted through any AEU executes in this epoch,
+    /// whatever the stepping order; generators route inside the step and
+    /// are flushed at its end.  Everything but the threaded runtime runs
+    /// this loop, so the balancer's cadence is virtual in every run.
     pub fn run_epoch(&mut self) -> EpochReport {
         let mut report = EpochReport::default();
         let tel_before = self.shared.telemetry_totals();
@@ -654,63 +584,13 @@ impl Engine {
         for aeu in self.aeus.iter_mut() {
             let mut s = aeu.step();
             s.coalesce_flows();
+            report.ops.add(&s.ops);
             summaries.push(s);
         }
-        // Fair-share all memory traffic of the epoch.
-        let mut flows = Vec::new();
-        let mut kinds = Vec::new();
-        let mut spans = Vec::with_capacity(summaries.len());
-        for s in &summaries {
-            let start = flows.len();
-            for (f, k) in &s.flows {
-                flows.push(f.clone());
-                kinds.push(*k);
-            }
-            spans.push(start..flows.len());
-        }
-        let rates = FlowSolver::new(&self.topo).solve(&flows);
-        for f in &flows {
-            self.counters.record(&self.topo, f.src, f.home, f.bytes);
-        }
-        let mut duration: f64 = 0.0;
-        for (s, span) in summaries.iter().zip(spans) {
-            // Streaming (serial) flows add up; posted (overlapped) flows
-            // proceed concurrently and share the worker's aggregate rate:
-            // time = total posted bytes / summed fair-share rates.
-            let mut serial_ns = 0.0f64;
-            let mut over_bytes = 0.0f64;
-            let mut over_rate = 0.0f64;
-            for i in span {
-                match kinds[i] {
-                    crate::aeu::FlowKind::Serial => {
-                        serial_ns += flows[i].bytes as f64 / rates.rates[i];
-                    }
-                    crate::aeu::FlowKind::Overlapped => {
-                        over_bytes += flows[i].bytes as f64;
-                        over_rate += rates.rates[i];
-                    }
-                }
-            }
-            let overlapped_ns = if over_rate > 0.0 {
-                over_bytes / over_rate
-            } else {
-                0.0
-            };
-            let bw_ns = serial_ns + overlapped_ns;
-            let cpu_ns = s.cpu_ns / self.cfg.params.frequency_scale;
-            let t = cpu_ns + s.latency_ns.max(bw_ns);
-            duration = duration.max(t);
-            report.ops.add(&s.ops);
-        }
-        // An idle epoch still advances a scheduling quantum.
-        report.duration_ns = duration.max(1_000.0);
+        let params = &self.cfg.params;
+        report.duration_ns = params.epoch_ns(&self.topo, &summaries, &mut self.counters);
         self.clock.advance_ns(report.duration_ns);
-
-        // Balancer adaption loop.
-        if self.cfg.balancer.enabled
-            && self.clock.now_secs() - self.last_balance_s >= self.cfg.balancer.period_s
-        {
-            self.last_balance_s = self.clock.now_secs();
+        if self.balancer.due(self.clock.now_secs()) {
             report.balance_ns = self.run_balancer();
         }
         report.telemetry = self.shared.telemetry_totals().since(&tel_before);
@@ -800,330 +680,28 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Load balancing (engine-orchestrated, Section 3.3)
+    // Load balancing (Section 3.3): the adaption loop is the `Balancer`'s
     // ------------------------------------------------------------------
 
     /// The per-object sampling history collected by the adaption loop.
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        self.balancer.monitor()
     }
 
-    /// Check every object for imbalance and rebalance as configured.
-    /// Returns the total virtual time charged for transfers.
+    /// Run one adaption cycle now, due or not.  Returns the total virtual
+    /// time charged for transfers.
     pub fn run_balancer(&mut self) -> f64 {
-        let mut total_ns = 0.0;
-        let object_ids: Vec<(DataObjectId, ObjectKind)> =
-            self.objects.iter().map(|o| (o.id, o.kind)).collect();
-        let now = self.clock.now_secs();
-        for (id, kind) in object_ids {
-            // Sample every partition (table order: partition i ↔ AEU i)
-            // and feed the monitoring component before deciding.
-            let mut sample = Sample {
-                at_secs: now,
-                ..Default::default()
-            };
-            for i in 0..self.aeus.len() {
-                let (accesses, exec_ns, len, bytes) = self.aeus[i].take_sample(id);
-                sample.accesses.push(accesses);
-                sample.exec_ns.push(exec_ns);
-                sample.lens.push(len);
-                sample.bytes.push(bytes);
-            }
-            total_ns += match kind {
-                ObjectKind::Index { domain } => self.balance_index(id, domain, &sample),
-                ObjectKind::Column => self.balance_column(id, &sample),
-            };
-            self.monitor.record(id, sample);
-        }
-        // A transfer's remove/absorb records live on two different AEU
-        // logs; sync them together so a crash cannot split the pair.
-        if let Some(s) = &self.sink {
-            s.barrier();
-        }
-        total_ns
-    }
-
-    /// Every balancer evaluation leaves an audit entry: the CVs as seen,
-    /// the threshold judged against, and (filled in by the caller) why the
-    /// balancer did what it did.
-    fn open_decision(&self, object: DataObjectId, sample: &Sample) -> BalanceDecision {
-        BalanceDecision {
-            at_secs: sample.at_secs,
-            object,
-            access_cv: sample.access_cv(),
-            exec_cv: sample.exec_cv(),
-            size_cv: sample.size_cv(),
-            threshold_cv: self.cfg.balancer.threshold_cv,
-            verdict: BalanceVerdict::BelowThreshold,
-            migrations: Vec::new(),
-        }
-    }
-
-    /// File the audit entry of a cycle that moved data and count it.
-    fn close_cycle(&mut self, mut decision: BalanceDecision, moves: u64, keys_moved: u64) {
-        let tel = self.shared.telemetry();
-        tel.balancer_cycles.fetch_add(1, Ordering::Relaxed);
-        tel.balancer_moves.fetch_add(moves, Ordering::Relaxed);
-        tel.balancer_keys_moved
-            .fetch_add(keys_moved, Ordering::Relaxed);
-        decision.verdict = BalanceVerdict::Rebalanced;
-        self.monitor.record_decision(decision);
-    }
-
-    /// Record one executed transfer: an audit entry on its decision and a
-    /// `Migration` event in the donor's trace ring.
-    fn record_migration(&self, decision: &mut BalanceDecision, m: MigrationRecord) {
-        self.shared
-            .telemetry()
-            .shard(AeuId(m.src as u32))
-            .ring
-            .emit(Stamped {
-                at_ns: now_ns(),
-                aeu: m.src as u32,
-                event: TraceEvent::Migration {
-                    object: decision.object.0,
-                    src: m.src as u32,
-                    dst: m.dst as u32,
-                    keys: m.keys,
-                    bytes: m.bytes,
-                },
-            });
-        decision.migrations.push(m);
-    }
-
-    fn balance_index(&mut self, object: DataObjectId, domain: u64, sample: &Sample) -> f64 {
-        // The configured metric drives the balancing decision.
-        let metric = self.cfg.balancer.metric;
-        let mut weights: Vec<f64> = match metric {
-            crate::balancer::BalanceMetric::AccessFrequency => {
-                sample.accesses.iter().map(|&a| a as f64).collect()
-            }
-            crate::balancer::BalanceMetric::ExecutionTime => sample.exec_ns.clone(),
+        let parts = Partitions {
+            topo: &self.topo,
+            shared: &self.shared,
+            aeus: &mut self.aeus,
+            counters: &mut self.counters,
+            params: self.cfg.params,
+            transfer_scale: self.cfg.transfer_scale.unwrap_or(self.cfg.size_scale) as f64,
+            sink: self.sink.as_deref(),
         };
-        // Oscillation backoff: while cooling down, only accumulate samples.
-        if self.monitor.skip_period(object) {
-            return 0.0;
-        }
-        let mut decision = self.open_decision(object, sample);
-        let backoff = &mut self.balance_backoff[object.0 as usize];
-        let cv = coefficient_of_variation(&weights);
-        if !needs_balancing(&weights, self.cfg.balancer.threshold_cv) {
-            // Balanced again: reset the backoff state.
-            *backoff = BackoffState::default();
-            self.monitor.record_decision(decision);
-            return 0.0;
-        }
-        let period_ns = self.cfg.balancer.period_s * 1e9;
-        let costly = backoff.last_cost_ns > 0.5 * period_ns || backoff.last_moved_frac > 0.02;
-        if backoff.last_cv > 0.0 && cv >= 0.9 * backoff.last_cv && costly {
-            // The previous cycle paid real transfer cost without improving
-            // the imbalance — an indivisible hotspot (e.g. one scorching
-            // key).  Back off exponentially, capped so a genuine workload
-            // change is picked up again within a few periods.
-            let skip = (backoff.skip.max(1) * 2).min(16);
-            *backoff = BackoffState {
-                last_cv: cv,
-                skip,
-                ..Default::default()
-            };
-            decision.verdict = BalanceVerdict::OscillationDetected;
-            self.monitor.back_off(decision, skip);
-            return 0.0;
-        }
-        backoff.last_cv = cv;
-        // Additive smoothing: a small weight floor keeps completely cold
-        // partitions from collapsing to one-key ranges, which would dump
-        // the entire cold region's data onto the partitions bordering the
-        // hot range and make later boundary moves disproportionately
-        // expensive.
-        let mean = weights.iter().sum::<f64>() / weights.len() as f64;
-        for w in &mut weights {
-            *w = w.max(0.02 * mean);
-        }
-        let old_bounds: Vec<u64> = self
-            .shared
-            .with_table(object, |t| t.as_range().unwrap().ranges())
-            .expect("balanced object is registered")
-            .iter()
-            .map(|(b, _)| *b)
-            .collect();
-        let new_bounds =
-            target_boundaries(&old_bounds, domain, &weights, self.cfg.balancer.algorithm);
-        if new_bounds == old_bounds {
-            decision.verdict = BalanceVerdict::NoBoundaryChange;
-            self.monitor.record_decision(decision);
-            return 0.0;
-        }
-        let plan = transfer_plan(&old_bounds, &new_bounds, domain);
-        let num_moves = plan.len() as u64;
-        // Each range is its donor's before the cycle, whatever order the
-        // transfers then run in: size every transfer up front.
-        let counts: Vec<usize> = plan
-            .iter()
-            .map(|t| self.aeus[t.from].count_range(object, t.lo, t.hi))
-            .collect();
-        let moved_keys_total: usize = counts.iter().sum();
-
-        // All involved AEUs synchronize on the routing-table update first,
-        // then execute their transfer commands.
-        self.apply_bounds(object, domain, &new_bounds);
-
-        // Charge the transfers in plan order: link within a node, copy
-        // across nodes.
-        let params = self.cfg.params;
-        let scale = self.cfg.transfer_scale.unwrap_or(self.cfg.size_scale) as f64;
-        let mut total_ns = 0.0;
-        for (t, &moved) in plan.iter().zip(&counts) {
-            let keys = moved as f64 * scale;
-            let from_node = self.node_of[t.from];
-            let to_node = self.node_of[t.to];
-            let (src_ns, dst_ns) = if from_node == to_node {
-                // Link: unlink + relink inside one memory-management domain.
-                (params.link_transfer_ns, params.link_transfer_ns)
-            } else {
-                // Copy: flatten, stream, rebuild.
-                let bytes = keys * params.transfer_bytes_per_key as f64;
-                let route = self.topo.route(from_node, to_node).expect("connected");
-                let stream_ns = route.latency_ns + bytes / route.bandwidth_gbps;
-                self.counters
-                    .record(&self.topo, to_node, from_node, bytes as u64);
-                (stream_ns, stream_ns + keys * params.rebuild_ns_per_key)
-            };
-            self.aeus[t.from].add_pending_ns(src_ns);
-            self.aeus[t.to].add_pending_ns(dst_ns);
-            total_ns += src_ns + dst_ns;
-            self.record_migration(
-                &mut decision,
-                MigrationRecord {
-                    src: t.from,
-                    dst: t.to,
-                    lo: t.lo,
-                    hi: t.hi,
-                    keys: moved as u64,
-                    bytes: moved as u64 * params.transfer_bytes_per_key,
-                },
-            );
-        }
-
-        // Move the keys donor-first, one receiver at a time, sizing each
-        // receiver once for all it takes.  A hash transfer streams through
-        // one bounded buffer.  A tree receiver sizes its arenas from the
-        // whole sorted run, so a tree's donors give into one buffer, sized
-        // once for the largest receiver.
-        let order = donor_first(&plan);
-        let mut incoming = vec![0usize; self.aeus.len()];
-        for (t, &moved) in plan.iter().zip(&counts) {
-            incoming[t.to] += moved;
-        }
-        let most = incoming.iter().copied().max().unwrap_or(0);
-        let hash = self.aeus[0]
-            .partition(object)
-            .is_some_and(|p| matches!(p.data, PartitionData::Hash(_)));
-        let mut buf = Vec::with_capacity(if hash { most.min(TRANSFER_CHUNK) } else { most });
-        for group in order.chunk_by(|&a, &b| plan[a].to == plan[b].to) {
-            let to = plan[group[0]].to;
-            if hash {
-                self.aeus[to].reserve_transfer(object, incoming[to], &[]);
-                for t in group.iter().map(|&i| plan[i]) {
-                    let mut from = Some(0);
-                    while let Some(bucket) = from {
-                        buf.clear();
-                        from = self.aeus[t.from].extract_hash_chunk(
-                            object,
-                            (t.lo, t.hi),
-                            bucket,
-                            &mut buf,
-                            TRANSFER_CHUNK,
-                        );
-                        if !buf.is_empty() {
-                            self.aeus[to].absorb_pairs(object, &buf);
-                        }
-                    }
-                }
-            } else {
-                buf.clear();
-                for t in group.iter().map(|&i| plan[i]) {
-                    self.aeus[t.from].extract_range(object, t.lo, t.hi, &mut buf);
-                }
-                debug_assert_eq!(buf.len(), incoming[to], "a transfer moves what it counted");
-                self.aeus[to].reserve_transfer(object, buf.len(), &buf);
-                // One journal record per transfer, as the plan has them.
-                let mut at = 0;
-                for &i in group {
-                    let pairs = &buf[at..at + counts[i]];
-                    at += counts[i];
-                    if !pairs.is_empty() {
-                        self.aeus[to].absorb_pairs(object, pairs);
-                    }
-                }
-            }
-        }
-        let total_keys: usize = (0..self.aeus.len())
-            .map(|i| self.aeus[i].partition(object).map_or(0, |p| p.data.len()))
-            .sum();
-        let backoff = &mut self.balance_backoff[object.0 as usize];
-        backoff.last_moved_frac = moved_keys_total as f64 / total_keys.max(1) as f64;
-        backoff.last_cost_ns = total_ns;
-        self.close_cycle(decision, num_moves, moved_keys_total as u64);
-        total_ns
-    }
-
-    fn balance_column(&mut self, object: DataObjectId, sample: &Sample) -> f64 {
-        let lens = &sample.lens;
-        let weights: Vec<f64> = lens.iter().map(|l| *l as f64).collect();
-        let mut decision = self.open_decision(object, sample);
-        if !needs_balancing(&weights, self.cfg.balancer.threshold_cv) {
-            self.monitor.record_decision(decision);
-            return 0.0;
-        }
-        let params = self.cfg.params;
-        let scale = self.cfg.transfer_scale.unwrap_or(self.cfg.size_scale) as f64;
-        let mut total_ns = 0.0;
-        let moves = size_balance_moves(lens);
-        let mut moved_rows = 0u64;
-        let num_moves = moves.len() as u64;
-        for (from, to, n) in moves {
-            let rows = self.aeus[from].extract_tail_rows(object, n);
-            moved_rows += rows.len() as u64;
-            let from_node = self.node_of[from];
-            let to_node = self.node_of[to];
-            let ns = if from_node == to_node {
-                params.link_transfer_ns
-            } else {
-                let bytes = rows.len() as f64 * scale * 8.0;
-                let route = self.topo.route(from_node, to_node).expect("connected");
-                self.counters
-                    .record(&self.topo, to_node, from_node, bytes as u64);
-                route.latency_ns + bytes / route.bandwidth_gbps
-            };
-            self.aeus[to]
-                .absorb_rows(object, &rows)
-                .expect("migration lands on the freshly provisioned column");
-            self.aeus[from].add_pending_ns(ns);
-            self.aeus[to].add_pending_ns(ns);
-            total_ns += 2.0 * ns;
-            let row_bytes = rows.len() as u64 * 8;
-            self.record_migration(
-                &mut decision,
-                MigrationRecord {
-                    src: from,
-                    dst: to,
-                    lo: 0,
-                    hi: 0,
-                    keys: rows.len() as u64,
-                    bytes: row_bytes,
-                },
-            );
-        }
-        if num_moves > 0 {
-            self.close_cycle(decision, num_moves, moved_rows);
-        } else {
-            // Over threshold but integer row-averaging found nothing to
-            // shift — the column analogue of an unchanged boundary set.
-            decision.verdict = BalanceVerdict::NoBoundaryChange;
-            self.monitor.record_decision(decision);
-        }
-        total_ns
+        let objects = self.objects.iter().map(|o| (o.id, o.kind));
+        self.balancer.run(self.clock.now_secs(), objects, parts)
     }
 
     // ------------------------------------------------------------------
@@ -1131,43 +709,57 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Run every AEU as a real OS thread (pinned round-robin to host
-    /// cores) for `wall` time.  Virtual time does not advance; this mode
-    /// exists to exercise the latch-free routing protocol under true
-    /// parallelism — correctness is asserted through the result collector.
+    /// cores) for `wall` time, the only wall-clock runtime.  Virtual time
+    /// does not advance and the balancer does not run; this mode exists to
+    /// exercise the latch-free routing protocol under true parallelism —
+    /// correctness is asserted through the result collector.  Commands
+    /// still in flight when the threads stop stay in their buffers; a
+    /// caller that counts results drains them with
+    /// [`Engine::drain_and_quiesce`].
     pub fn run_threaded_for(&mut self, wall: std::time::Duration) {
-        let stop = Arc::clone(&self.stop);
-        stop.store(false, Ordering::Relaxed);
+        let stop = AtomicBool::new(false);
         let aeus = std::mem::take(&mut self.aeus);
-        let mut done: Vec<Option<Aeu>> = (0..aeus.len()).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for aeu in aeus {
-                let stop = Arc::clone(&stop);
-                handles.push(s.spawn(move || {
-                    let _ = eris_numa::affinity::pin_current_thread(aeu.core.index());
-                    let mut aeu = aeu;
-                    while !stop.load(Ordering::Relaxed) {
-                        aeu.step();
-                    }
-                    // Drain before exiting so no commands are stranded.
-                    for _ in 0..32 {
-                        aeu.step();
-                    }
-                    aeu
-                }));
-            }
+        self.aeus = std::thread::scope(|s| {
+            let stop = &stop;
+            let handles: Vec<_> = aeus
+                .into_iter()
+                .map(|mut aeu| {
+                    s.spawn(move || {
+                        let _ = eris_numa::affinity::pin_current_thread(aeu.core.index());
+                        while !stop.load(Ordering::Relaxed) {
+                            aeu.step();
+                        }
+                        aeu
+                    })
+                })
+                .collect();
             std::thread::sleep(wall);
             stop.store(true, Ordering::Relaxed);
-            for h in handles {
-                let aeu = h.join().expect("AEU thread panicked");
-                let idx = aeu.id.index();
-                done[idx] = Some(aeu);
-            }
+            // Joined in spawn order, which is AEU order.
+            let joined = handles.into_iter().map(|h| h.join());
+            joined.map(|r| r.expect("AEU thread panicked")).collect()
         });
-        self.aeus = done
-            .into_iter()
-            .map(|a| a.expect("all AEUs returned"))
-            .collect();
+    }
+}
+
+/// Make `bounds` (one lower bound per AEU) the object's partitioning: the
+/// routing table first, then every AEU's validity range.
+pub(crate) fn apply_bounds(
+    shared: &RoutingShared,
+    aeus: &mut [Aeu],
+    object: DataObjectId,
+    domain: u64,
+    bounds: &[u64],
+) {
+    let entries = bounds.iter().copied().zip((0..).map(AeuId)).collect();
+    shared
+        .with_table_mut(object, |t| {
+            t.as_range_mut().expect("range object").rebuild(entries)
+        })
+        .expect("repartitioned object is registered");
+    for (i, aeu) in aeus.iter_mut().enumerate() {
+        let hi = bounds.get(i + 1).copied().unwrap_or(domain);
+        aeu.set_range(object, (bounds[i], hi));
     }
 }
 
@@ -1178,6 +770,31 @@ mod tests {
     use eris_column::scan::AggregateResult;
     use eris_column::{Aggregate, Predicate};
     use eris_numa::machines::custom_machine;
+
+    /// Give every AEU a generator of one `n`-key lookup of object 0 per
+    /// step, its keys a xorshift stream from `x0(aeu)` modulo `range`.
+    pub(super) fn lookup_generators(e: &mut Engine, x0: fn(u64) -> u64, n: usize, range: u64) {
+        for a in e.aeu_ids() {
+            let mut x = x0(u64::from(a.0));
+            let gen = move |_, out: &mut Vec<DataCommand>| {
+                let keys = (0..n)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x % range
+                    })
+                    .collect();
+                let payload = Payload::Lookup { keys };
+                out.push(DataCommand {
+                    object: DataObjectId(0),
+                    ticket: 0,
+                    payload,
+                });
+            };
+            e.set_generator(a, Some(Box::new(gen)));
+        }
+    }
 
     fn small_engine(collect: bool) -> Engine {
         Engine::new(
@@ -1208,18 +825,6 @@ mod tests {
             },
         );
         assert_eq!(e.num_aeus(), 4);
-    }
-
-    #[test]
-    fn aeus_per_node_restricts_placement() {
-        let e = Engine::new(
-            custom_machine("m", 4, 4, 20.0, 100.0, 10.0, 60.0),
-            EngineConfig {
-                aeus_per_node: Some(2),
-                ..Default::default()
-            },
-        );
-        assert_eq!(e.num_aeus(), 8);
     }
 
     #[test]
@@ -1397,27 +1002,12 @@ mod tests {
         let mut e = small_engine(false);
         let idx = e.create_index("t", 1 << 16);
         e.bulk_load_index(idx, (0..(1 << 16) as u64).map(|k| (k, k)));
-        for a in e.aeu_ids() {
-            let seed = a.0 as u64;
-            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            e.set_generator(
-                a,
-                Some(Box::new(move |_, out| {
-                    let mut keys = Vec::with_capacity(64);
-                    for _ in 0..64 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        keys.push(x % (1 << 16));
-                    }
-                    out.push(DataCommand {
-                        object: DataObjectId(0),
-                        ticket: 0,
-                        payload: Payload::Lookup { keys },
-                    });
-                })),
-            );
-        }
+        lookup_generators(
+            &mut e,
+            |a| a.wrapping_mul(0x9E3779B97F4A7C15) | 1,
+            64,
+            1 << 16,
+        );
         let ops = e.run_for_virtual_secs(0.0005);
         assert!(ops.lookups > 1000, "sustained lookups: {}", ops.lookups);
         let c = e.results().counts();
@@ -1448,27 +1038,12 @@ mod tests {
         let idx = e.create_index("t", domain);
         e.bulk_load_index(idx, (0..domain).map(|k| (k, k)));
         // Hot range: only the first eighth of the domain (AEU 0's range).
-        for a in e.aeu_ids() {
-            let seed = a.0 as u64 + 1;
-            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            e.set_generator(
-                a,
-                Some(Box::new(move |_, out| {
-                    let mut keys = Vec::with_capacity(32);
-                    for _ in 0..32 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        keys.push(x % (1 << 13));
-                    }
-                    out.push(DataCommand {
-                        object: DataObjectId(0),
-                        ticket: 0,
-                        payload: Payload::Lookup { keys },
-                    });
-                })),
-            );
-        }
+        lookup_generators(
+            &mut e,
+            |a| (a + 1).wrapping_mul(0x9E3779B97F4A7C15) | 1,
+            32,
+            1 << 13,
+        );
         e.run_for_virtual_secs(0.01);
         // After balancing, the hot range must be spread over several AEUs.
         let ranges = e
@@ -1525,27 +1100,12 @@ mod tests {
         let mut e = small_engine(false);
         let idx = e.create_index("t", 1 << 16);
         e.bulk_load_index(idx, (0..(1 << 16) as u64).map(|k| (k, k)));
-        for a in e.aeu_ids() {
-            let seed = a.0 as u64 + 99;
-            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            e.set_generator(
-                a,
-                Some(Box::new(move |_, out| {
-                    let mut keys = Vec::with_capacity(16);
-                    for _ in 0..16 {
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        keys.push(x % (1 << 16));
-                    }
-                    out.push(DataCommand {
-                        object: DataObjectId(0),
-                        ticket: 0,
-                        payload: Payload::Lookup { keys },
-                    });
-                })),
-            );
-        }
+        lookup_generators(
+            &mut e,
+            |a| (a + 99).wrapping_mul(0x9E3779B97F4A7C15) | 1,
+            16,
+            1 << 16,
+        );
         e.run_threaded_for(std::time::Duration::from_millis(200));
         let c = e.results().counts();
         assert!(c.lookups > 0, "threaded AEUs processed lookups");
@@ -1796,27 +1356,7 @@ mod hash_partition_tests {
         let idx = e.create_hash_index("h", domain);
         e.bulk_load_index(idx, (0..domain).map(|k| (k, k ^ 0xF0F0)));
         // Skewed traffic into the first AEU's range.
-        for a in e.aeu_ids() {
-            let mut x = (a.0 as u64 + 1) | 1;
-            e.set_generator(
-                a,
-                Some(Box::new(move |_, out| {
-                    let keys = (0..32)
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            x % (1 << 13)
-                        })
-                        .collect();
-                    out.push(DataCommand {
-                        object: DataObjectId(0),
-                        ticket: 0,
-                        payload: Payload::Lookup { keys },
-                    });
-                })),
-            );
-        }
+        super::tests::lookup_generators(&mut e, |a| (a + 1) | 1, 32, 1 << 13);
         e.run_for_virtual_secs(2e-3);
         let total: usize = e
             .aeu_ids()
@@ -1840,7 +1380,6 @@ mod hash_partition_tests {
 mod balance_metric_tests {
     use super::*;
     use crate::balancer::{BalanceAlgorithm, BalanceMetric};
-    use crate::command::Payload;
     use eris_numa::machines::custom_machine;
 
     /// With the execution-time metric, AEUs whose partitions are slower per
@@ -1868,27 +1407,8 @@ mod balance_metric_tests {
         e.bulk_load_index(idx, (0..domain).map(|k| (k, k)));
         // Scans hammer one AEU's range (scan exec time is size-driven),
         // lookups spread evenly: exec time is skewed, access counts less so.
-        for a in e.aeu_ids() {
-            let mut x = (a.0 as u64 + 3) | 1;
-            e.set_generator(
-                a,
-                Some(Box::new(move |_, out| {
-                    let keys = (0..16)
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            x % (1 << 13) // hot eighth of the domain
-                        })
-                        .collect();
-                    out.push(DataCommand {
-                        object: DataObjectId(0),
-                        ticket: 0,
-                        payload: Payload::Lookup { keys },
-                    });
-                })),
-            );
-        }
+        // Lookups into the hot eighth of the domain.
+        super::tests::lookup_generators(&mut e, |a| (a + 3) | 1, 16, 1 << 13);
         e.run_for_virtual_secs(2e-3);
         let ranges = e
             .shared

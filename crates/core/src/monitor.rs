@@ -5,9 +5,9 @@
 //! load balancer periodically checks the load of ERIS for imbalances."*
 //!
 //! [`Monitor`] keeps a ring of per-partition metric snapshots for every
-//! data object, exposes the imbalance (coefficient of variation) per metric
-//! and its trend, and is what an operator dashboard (or the "ERIS live"
-//! demo UI) would read.
+//! data object, exposes the imbalance (coefficient of variation) per
+//! metric, keeps the balancer's decision audit log, and is what an
+//! operator dashboard (or the "ERIS live" demo UI) would read.
 
 use crate::command::DataObjectId;
 use std::collections::{HashMap, VecDeque};
@@ -42,14 +42,10 @@ impl Sample {
     pub fn size_cv(&self) -> f64 {
         cv(&self.lens.iter().map(|&l| l as f64).collect::<Vec<_>>())
     }
-
-    /// Total accesses in the window.
-    pub fn total_accesses(&self) -> u64 {
-        self.accesses.iter().sum()
-    }
 }
 
-/// Standard deviation over mean (0 for degenerate histograms).
+/// Standard deviation over mean (0 for degenerate histograms): the
+/// imbalance of a per-partition metric, and the balancer's trigger.
 pub fn cv(values: &[f64]) -> f64 {
     let n = values.len() as f64;
     if n < 2.0 {
@@ -63,12 +59,6 @@ pub fn cv(values: &[f64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Minimum *absolute* growth in access CV for [`Monitor::imbalance_rising`].
-/// A purely relative trigger (`last > first * 1.1`) degenerates when the
-/// window starts perfectly balanced: `first == 0.0` makes any nonzero CV —
-/// even measurement noise of 0.001 — a "rising imbalance".
-pub const RISING_MIN_DELTA: f64 = 0.05;
-
 /// Balancer evaluations retained in the audit log.
 pub const AUDIT_CAPACITY: usize = 256;
 
@@ -80,8 +70,7 @@ pub enum BalanceVerdict {
     /// Over threshold, but the previous cycle paid real transfer cost
     /// without improving the imbalance (an indivisible hotspot); the
     /// balancer backed off instead of thrashing.  This entry is the whole
-    /// record of the back-off: the periods it skips file none
-    /// ([`Monitor::back_off`]).
+    /// record of the back-off: the periods it skips file none.
     OscillationDetected,
     /// Over threshold, but the target boundaries equal the current ones.
     NoBoundaryChange,
@@ -130,13 +119,11 @@ pub struct BalanceDecision {
 static EMPTY_HISTORY: VecDeque<Sample> = VecDeque::new();
 
 /// Per-object sample history with a bounded ring, plus the balancer's
-/// decision audit log and back-offs.
+/// decision audit log.
 pub struct Monitor {
     history: HashMap<DataObjectId, VecDeque<Sample>>,
     capacity: usize,
     audit: VecDeque<BalanceDecision>,
-    /// Balancer evaluations each backing-off object still skips.
-    cooldown: HashMap<DataObjectId, u32>,
 }
 
 impl Monitor {
@@ -147,7 +134,6 @@ impl Monitor {
             history: HashMap::new(),
             capacity,
             audit: VecDeque::new(),
-            cooldown: HashMap::new(),
         }
     }
 
@@ -180,28 +166,6 @@ impl Monitor {
         self.audit.push_back(decision);
     }
 
-    /// File a back-off once: `decision` (an `OscillationDetected` verdict)
-    /// is its record, and the object's next `periods` evaluations are
-    /// skipped ([`Monitor::skip_period`]) without filing anything, so a
-    /// long back-off cannot evict the decisions that moved data.
-    pub fn back_off(&mut self, decision: BalanceDecision, periods: u32) {
-        debug_assert_eq!(decision.verdict, BalanceVerdict::OscillationDetected);
-        self.cooldown.insert(decision.object, periods);
-        self.record_decision(decision);
-    }
-
-    /// Whether `object` is backing off; if so this consumes one of its
-    /// skipped periods.
-    pub fn skip_period(&mut self, object: DataObjectId) -> bool {
-        match self.cooldown.get_mut(&object) {
-            Some(left) if *left > 0 => {
-                *left -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// The retained balancer evaluations, oldest first.
     pub fn audit_log(&self) -> &VecDeque<BalanceDecision> {
         &self.audit
@@ -210,36 +174,6 @@ impl Monitor {
     /// The most recent balancer evaluation of one object.
     pub fn last_decision(&self, object: DataObjectId) -> Option<&BalanceDecision> {
         self.audit.iter().rev().find(|d| d.object == object)
-    }
-
-    /// Is the access imbalance trending up over the last `k` samples?
-    /// (An increasing trend means the workload is drifting faster than the
-    /// balancer converges.)  Requires both 10% relative growth *and*
-    /// [`RISING_MIN_DELTA`] absolute growth, so a perfectly balanced
-    /// window (CV exactly 0) is not "rising" on the first speck of noise.
-    pub fn imbalance_rising(&self, object: DataObjectId, k: usize) -> bool {
-        let h = self.history(object);
-        let k = k.max(2);
-        if h.len() < k {
-            return false;
-        }
-        let first = h[h.len() - k].access_cv();
-        let last = h[h.len() - 1].access_cv();
-        last > first * 1.1 && last > first + RISING_MIN_DELTA
-    }
-
-    /// Mean accesses per second over the retained history of an object.
-    pub fn throughput_ops_per_sec(&self, object: DataObjectId) -> f64 {
-        let h = self.history(object);
-        if h.len() < 2 {
-            return 0.0;
-        }
-        let dt = h.back().unwrap().at_secs - h.front().unwrap().at_secs;
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        let ops: u64 = h.iter().skip(1).map(|s| s.total_accesses()).sum();
-        ops as f64 / dt
     }
 }
 
@@ -271,7 +205,6 @@ mod tests {
         assert!(s.access_cv() > 0.9);
         assert!(s.exec_cv() > 0.9);
         assert_eq!(s.size_cv(), 0.0);
-        assert_eq!(s.total_accesses(), 200);
     }
 
     #[test]
@@ -285,20 +218,6 @@ mod tests {
         assert_eq!(m.latest(o).unwrap().at_secs, 4.0);
         assert_eq!(m.history(o)[0].at_secs, 2.0);
         assert!(m.latest(DataObjectId(9)).is_none());
-    }
-
-    #[test]
-    fn rising_imbalance_detection() {
-        let mut m = Monitor::new(8);
-        let o = DataObjectId(0);
-        m.record(o, sample(0.0, vec![10, 10, 10, 10]));
-        m.record(o, sample(1.0, vec![5, 5, 15, 15]));
-        m.record(o, sample(2.0, vec![1, 1, 30, 30]));
-        assert!(m.imbalance_rising(o, 3));
-        let mut flat = Monitor::new(8);
-        flat.record(o, sample(0.0, vec![10, 10]));
-        flat.record(o, sample(1.0, vec![10, 10]));
-        assert!(!flat.imbalance_rising(o, 2));
     }
 
     #[test]
@@ -323,29 +242,6 @@ mod tests {
         assert_eq!(m.history(o).len(), cap);
         assert_eq!(m.latest(o).unwrap().at_secs, 39.0);
         assert_eq!(m.history(o)[0].at_secs, 33.0);
-    }
-
-    #[test]
-    fn rising_needs_absolute_growth_not_just_relative() {
-        // Regression: with `first == 0.0` the old relative-only trigger
-        // (`last > first * 1.1`) fired on ANY nonzero CV — a single access
-        // of noise on a perfectly balanced object read as "rising".
-        let mut m = Monitor::new(8);
-        let o = DataObjectId(0);
-        m.record(o, sample(0.0, vec![100, 100, 100, 100]));
-        m.record(o, sample(1.0, vec![100, 100, 100, 101]));
-        let last_cv = m.latest(o).unwrap().access_cv();
-        assert!(
-            last_cv > 0.0 && last_cv < RISING_MIN_DELTA,
-            "noise-level CV"
-        );
-        assert!(
-            !m.imbalance_rising(o, 2),
-            "noise on a balanced object is not a rising imbalance"
-        );
-        // A genuine swing from flat to skewed still trips the detector.
-        m.record(o, sample(2.0, vec![10, 10, 300, 300]));
-        assert!(m.imbalance_rising(o, 2));
     }
 
     fn decision(obj: u32, at: f64, verdict: BalanceVerdict) -> BalanceDecision {
@@ -388,42 +284,5 @@ mod tests {
         assert_eq!(last.at_secs, (AUDIT_CAPACITY + 4) as f64);
         assert_eq!(last.migrations.len(), 1);
         assert!(m.last_decision(DataObjectId(9)).is_none());
-    }
-
-    #[test]
-    fn a_back_off_is_filed_once_however_long_it_lasts() {
-        use BalanceVerdict::*;
-        let mut m = Monitor::new(4);
-        let (hot, other) = (DataObjectId(0), DataObjectId(1));
-        m.record_decision(decision(0, 0.0, Rebalanced));
-        // Back off for 16 periods, AUDIT_CAPACITY times over: one entry
-        // per back-off, none per skipped period.
-        for round in 0..AUDIT_CAPACITY - 2 {
-            m.back_off(decision(0, round as f64, OscillationDetected), 16);
-            assert_eq!(m.last_decision(hot).unwrap().verdict, OscillationDetected);
-            for _ in 0..16 {
-                assert!(m.skip_period(hot));
-                assert!(!m.skip_period(other), "another object is not held");
-            }
-            assert!(!m.skip_period(hot), "16 periods, then evaluated again");
-        }
-        let log = m.audit_log();
-        assert_eq!(log.len(), AUDIT_CAPACITY - 1);
-        assert_eq!(
-            log[0].verdict, Rebalanced,
-            "the cycle that moved data stays"
-        );
-        assert!(log.iter().skip(1).all(|d| d.verdict == OscillationDetected));
-    }
-
-    #[test]
-    fn throughput_over_history() {
-        let mut m = Monitor::new(8);
-        let o = DataObjectId(0);
-        m.record(o, sample(0.0, vec![0, 0]));
-        m.record(o, sample(1.0, vec![500, 500]));
-        m.record(o, sample(2.0, vec![500, 500]));
-        assert!((m.throughput_ops_per_sec(o) - 1000.0).abs() < 1e-9);
-        assert_eq!(m.throughput_ops_per_sec(DataObjectId(3)), 0.0);
     }
 }

@@ -176,10 +176,7 @@ fn lookups_stay_correct_across_rebalancing() {
         harvest(&e, &mut probes);
     }
     // Detach generators so the engine can drain.
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
     harvest(&e, &mut probes);
     assert_eq!(probes.len(), 40, "every probe answered exactly once");
     for (_, k, v) in probes {
@@ -396,10 +393,7 @@ fn drain_by_zipf(
         }
     }
 
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
     e.results().take_lookup_values();
     for (n, lo) in (0..KEYS).step_by(4096).enumerate() {
         e.submit(

@@ -166,10 +166,7 @@ fn drive_wb_threaded(e: &mut Engine, o: &Objects) {
         );
     }
     e.run_threaded_for(std::time::Duration::from_millis(200));
-    for a in 0..n_aeus {
-        e.set_generator(AeuId(a as u32), None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
 }
 
 /// Everything externally observable about the logical database state:

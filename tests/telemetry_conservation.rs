@@ -161,10 +161,7 @@ fn conservation_under_real_threads() {
     }
     e.run_threaded_for(Duration::from_millis(300));
     // Stop generating, then drain stragglers cooperatively.
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
 
     let snap = e.telemetry();
     assert!(
@@ -411,10 +408,7 @@ fn trace_ledger_balances_under_real_threads() {
         );
     }
     e.run_threaded_for(Duration::from_millis(250));
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
 
     let snap = e.telemetry();
     assert!(
@@ -547,10 +541,7 @@ fn one_key_command_groups_conserve_under_both_runtimes() {
         );
     }
     e.run_threaded_for(Duration::from_millis(150));
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
     check(&e, "threaded");
 }
 

@@ -113,10 +113,7 @@ fn threaded_upserts_are_all_applied() {
     }
     e.run_threaded_for(stress_ms(400, 150));
     // Drain any stragglers cooperatively.
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
     let c = e.results().counts();
     assert_eq!(c.upserts, num_aeus * per_aeu, "all upserts applied");
     assert_eq!(c.inserted_new, num_aeus * per_aeu, "all keys distinct");
@@ -260,10 +257,7 @@ fn threaded_run_conserves_telemetry_commands() {
         );
     }
     e.run_threaded_for(stress_ms(250, 100));
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
 
     let snap = e.telemetry();
     assert!(
@@ -320,10 +314,7 @@ fn trace_rings_conserve_under_threaded_overwrite_pressure() {
         );
     }
     e.run_threaded_for(stress_ms(300, 120));
-    for a in e.aeu_ids() {
-        e.set_generator(a, None);
-    }
-    e.run_until_drained();
+    e.drain_and_quiesce();
 
     let snap = e.telemetry();
     let mut total_emitted = 0u64;
