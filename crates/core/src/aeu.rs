@@ -659,8 +659,9 @@ impl Aeu {
     }
 
     /// Insert pairs into an index or hash partition (redo-log replay, and
-    /// the chunks of a hash transfer after [`Aeu::reserve_transfer`]).  A
-    /// hash partition grows geometrically, as inserts grow it.
+    /// the steps of a transfer, a hash receiver after
+    /// [`Aeu::reserve_transfer`]).  A hash partition grows geometrically,
+    /// as inserts grow it.
     pub fn absorb_pairs(&mut self, object: DataObjectId, pairs: &[(u64, u64)]) {
         let p = self
             .partitions
@@ -683,20 +684,17 @@ impl Aeu {
         self.journal(RedoOp::UpsertPairs { object, pairs });
     }
 
-    /// Size a point partition once for the `keys` keys a balancing cycle
-    /// is about to move into it, in `sorted` when they are all at hand (a
-    /// tree sizes its arenas from the run itself): a hash partition then
-    /// holds exactly its keys, with no growth headroom.
-    pub fn reserve_transfer(&mut self, object: DataObjectId, keys: usize, sorted: &[(u64, u64)]) {
-        match &mut self
+    /// Size a hash partition once for the `keys` keys a balancing cycle
+    /// is about to move into it: it then holds exactly its keys, with no
+    /// growth headroom.  A tree's arenas grow by equal chunks and need no
+    /// sizing.
+    pub fn reserve_transfer(&mut self, object: DataObjectId, keys: usize) {
+        let p = self
             .partitions
             .get_mut(&object)
-            .expect("point partition exists")
-            .data
-        {
-            PartitionData::Index(tree) => tree.reserve_sorted(sorted),
-            PartitionData::Hash(h) => h.reserve_exact(keys),
-            PartitionData::Column(_) => panic!("reserve_transfer on a column partition"),
+            .expect("point partition exists");
+        if let PartitionData::Hash(h) = &mut p.data {
+            h.reserve_exact(keys);
         }
     }
 
@@ -737,26 +735,32 @@ impl Aeu {
         self.journal(RedoOp::RemoveRange { object, lo, hi });
     }
 
-    /// [`Aeu::extract_range`] on a hash partition in bounded steps
-    /// ([`HashTable::extract_chunk`]), so that a transfer streams through
-    /// one reused buffer.  Returns the bucket to resume at; the range's
-    /// one `RemoveRange` record is journaled when it is gone (`None`).
-    pub fn extract_hash_chunk(
+    /// [`Aeu::extract_range`] in bounded steps
+    /// ([`HashTable::extract_chunk`], [`PrefixTree::extract_chunk`]), so
+    /// that a transfer streams through one reused buffer.  `from` is where
+    /// the previous step stopped, 0 for the first — a bucket of a hash
+    /// table, a key of a tree — and the result is where the next one
+    /// starts; the range's one `RemoveRange` record is journaled when it
+    /// is gone (`None`).
+    pub fn extract_chunk(
         &mut self,
         object: DataObjectId,
         (lo, hi): (u64, u64),
-        from: usize,
+        from: u64,
         out: &mut Vec<(u64, u64)>,
         max: usize,
-    ) -> Option<usize> {
+    ) -> Option<u64> {
         let p = self
             .partitions
             .get_mut(&object)
             .expect("point partition exists");
-        let PartitionData::Hash(h) = &mut p.data else {
-            panic!("extract_hash_chunk on a partition that is not a hash table")
+        let next = match &mut p.data {
+            PartitionData::Index(tree) => tree.extract_chunk(lo, hi, from, out, max),
+            PartitionData::Hash(h) => h
+                .extract_chunk(lo, hi, from as usize, out, max)
+                .map(|bucket| bucket as u64),
+            PartitionData::Column(_) => panic!("extract_chunk on a column partition"),
         };
-        let next = h.extract_chunk(lo, hi, from, out, max);
         if next.is_none() {
             self.journal(RedoOp::RemoveRange { object, lo, hi });
         }

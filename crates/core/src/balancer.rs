@@ -12,7 +12,7 @@
 //! `Balancer` is that loop; the engine runs epochs and lends it the
 //! partitions when a period of virtual time has passed.
 
-use crate::aeu::{Aeu, PartitionData};
+use crate::aeu::Aeu;
 use crate::command::{AeuId, DataObjectId};
 use crate::cost::CostParams;
 use crate::durability::RedoSink;
@@ -302,7 +302,7 @@ pub fn size_balance_moves(lens: &[usize]) -> Vec<(usize, usize, usize)> {
     moves
 }
 
-/// Pairs a hash transfer moves per step through its reused buffer (1 MiB).
+/// Pairs a transfer moves per step through its reused buffer (1 MiB).
 const TRANSFER_CHUNK: usize = 1 << 16;
 
 /// The oscillation back-off of one data object: after a cycle that moved
@@ -419,57 +419,37 @@ impl Partitions<'_> {
     }
 
     /// Move the `counts[i]` keys of each transfer donor-first, one receiver
-    /// at a time, sizing each receiver once for all it takes.  A hash
-    /// transfer streams through one bounded buffer.  A tree receiver sizes
-    /// its arenas from the whole sorted run, so a tree's donors give into
-    /// one buffer, sized once for the largest receiver.
+    /// at a time, through one reused buffer: each step a donor extracts is
+    /// absorbed, and journaled, before the next.  A hash receiver is sized
+    /// once for all it takes; a tree grows by equal chunks.
     fn move_ranges(&mut self, object: DataObjectId, plan: &[Transfer], counts: &[usize]) {
-        let order = donor_first(plan);
         let mut incoming = vec![0usize; self.aeus.len()];
         for (t, &moved) in plan.iter().zip(counts) {
             incoming[t.to] += moved;
         }
         let most = incoming.iter().copied().max().unwrap_or(0);
-        let hash = self.aeus[0]
-            .partition(object)
-            .is_some_and(|p| matches!(p.data, PartitionData::Hash(_)));
-        let mut buf = Vec::with_capacity(if hash { most.min(TRANSFER_CHUNK) } else { most });
-        for group in order.chunk_by(|&a, &b| plan[a].to == plan[b].to) {
+        let mut buf = Vec::with_capacity(most.min(TRANSFER_CHUNK));
+        for group in donor_first(plan).chunk_by(|&a, &b| plan[a].to == plan[b].to) {
             let to = plan[group[0]].to;
-            if hash {
-                self.aeus[to].reserve_transfer(object, incoming[to], &[]);
-                for t in group.iter().map(|&i| plan[i]) {
-                    let mut from = Some(0);
-                    while let Some(bucket) = from {
-                        buf.clear();
-                        from = self.aeus[t.from].extract_hash_chunk(
-                            object,
-                            (t.lo, t.hi),
-                            bucket,
-                            &mut buf,
-                            TRANSFER_CHUNK,
-                        );
-                        if !buf.is_empty() {
-                            self.aeus[to].absorb_pairs(object, &buf);
-                        }
+            self.aeus[to].reserve_transfer(object, incoming[to]);
+            for &i in group {
+                let (t, mut moved) = (plan[i], 0);
+                let mut from = Some(0);
+                while let Some(at) = from {
+                    buf.clear();
+                    from = self.aeus[t.from].extract_chunk(
+                        object,
+                        (t.lo, t.hi),
+                        at,
+                        &mut buf,
+                        TRANSFER_CHUNK,
+                    );
+                    moved += buf.len();
+                    if !buf.is_empty() {
+                        self.aeus[to].absorb_pairs(object, &buf);
                     }
                 }
-            } else {
-                buf.clear();
-                for t in group.iter().map(|&i| plan[i]) {
-                    self.aeus[t.from].extract_range(object, t.lo, t.hi, &mut buf);
-                }
-                debug_assert_eq!(buf.len(), incoming[to], "a transfer moves what it counted");
-                self.aeus[to].reserve_transfer(object, buf.len(), &buf);
-                // One journal record per transfer, as the plan has them.
-                let mut at = 0;
-                for &i in group {
-                    let pairs = &buf[at..at + counts[i]];
-                    at += counts[i];
-                    if !pairs.is_empty() {
-                        self.aeus[to].absorb_pairs(object, pairs);
-                    }
-                }
+                debug_assert_eq!(moved, counts[i], "a transfer moves what it counted");
             }
         }
     }

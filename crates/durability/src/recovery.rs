@@ -15,7 +15,9 @@
 //!    all on AEU 0's log and barrier-synced before any data record can
 //!    reference them), then the data records of each log in order.
 //! 4. Rebuild the routing tables of range-partitioned objects from the
-//!    recovered per-AEU partition bounds.
+//!    recovered per-AEU partition bounds, and settle what a balancing
+//!    transfer cut short by the crash left outside its partition's range
+//!    ([`settle_strays`]).
 //!
 //! Recovery itself writes nothing; crashing *during* recovery (see
 //! [`FP_RECOVERY_MID_REPLAY`]) just means discarding the half-built
@@ -25,7 +27,7 @@ use crate::checkpoint::{self, Manifest};
 use crate::failpoint::{FailPoints, FP_RECOVERY_MID_REPLAY};
 use crate::wal::{read_tail, JournalOp, WAL_MAGIC};
 use eris_core::durability::ObjectClass;
-use eris_core::{AeuId, DataObjectId, Engine};
+use eris_core::{AeuId, DataObjectId, Engine, PartitionData};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
@@ -216,6 +218,7 @@ pub fn recover_into(
             })
             .collect::<Result<_, _>>()?;
         engine.restore_partition_bounds(object, &bounds);
+        settle_strays(engine, object);
     }
 
     Ok(RecoveryReport {
@@ -224,6 +227,81 @@ pub fn recover_into(
         replayed_records: replayed,
         torn_bytes,
     })
+}
+
+/// Settle every pair a point partition holds outside its recovered
+/// range: dropped where the partition owning the key holds it too, moved
+/// there where it does not.  A balancing cycle journals each AEU's new
+/// range (`SetRange`) before it moves keys, and a transfer streams into
+/// its receiver in steps, each one group commit of the receiver's
+/// journal, while the donor's `RemoveRange` — on another journal — is
+/// written when the whole range is gone.  A crash inside the cycle can
+/// therefore leave the receiver holding part of the range, under its old
+/// range or its new one, and the donor holding all of it, under its old
+/// range or its new one.  A pair is the same on both sides (no command
+/// runs inside a cycle), so whichever copy the routing table can reach
+/// stays, once, and the rest of the range follows it.
+fn settle_strays(engine: &mut Engine, object: DataObjectId) {
+    fn part(engine: &Engine, object: DataObjectId, a: AeuId) -> &eris_core::Partition {
+        engine
+            .aeu(a)
+            .partition(object)
+            .expect("bounds were restored")
+    }
+    let aeus = engine.aeu_ids();
+    let owner = |engine: &Engine, key: u64| {
+        let owns = |&&a: &&AeuId| {
+            let (lo, hi) = part(engine, object, a).range;
+            (lo..hi).contains(&key)
+        };
+        *aeus.iter().find(owns).expect("the ranges cover the domain")
+    };
+    let holds = |engine: &Engine, a: AeuId, key: u64| match &part(engine, object, a).data {
+        PartitionData::Index(tree) => tree.lookup(key).is_some(),
+        PartitionData::Hash(h) => h.lookup(key).is_some(),
+        PartitionData::Column(_) => false,
+    };
+    for &a in &aeus {
+        let p = part(engine, object, a);
+        let (lo, hi) = p.range;
+        let mut strays = Vec::new();
+        match &p.data {
+            PartitionData::Index(tree) => {
+                tree.scan_range(0, lo, |k, v| strays.push((k, v)));
+                tree.scan_range_inclusive(hi, u64::MAX, |k, v| strays.push((k, v)));
+            }
+            PartitionData::Hash(h) => h.for_each(|k, v| {
+                if !(lo..hi).contains(&k) {
+                    strays.push((k, v));
+                }
+            }),
+            PartitionData::Column(_) => return,
+        }
+        for (k, v) in strays {
+            let to = owner(engine, k);
+            let keep = !holds(engine, to, k);
+            let from = engine
+                .aeu_mut(a)
+                .partition_mut(object)
+                .expect("bounds were restored");
+            match &mut from.data {
+                PartitionData::Index(tree) => tree.remove(k),
+                PartitionData::Hash(h) => h.remove(k),
+                PartitionData::Column(_) => None,
+            };
+            if keep {
+                let into = engine
+                    .aeu_mut(to)
+                    .partition_mut(object)
+                    .expect("bounds were restored");
+                match &mut into.data {
+                    PartitionData::Index(tree) => tree.upsert(k, v),
+                    PartitionData::Hash(h) => h.upsert(k, v),
+                    PartitionData::Column(_) => None,
+                };
+            }
+        }
+    }
 }
 
 /// Pairs one replayed upsert batch gathers at most.  `absorb_pairs`

@@ -11,9 +11,15 @@ pub fn encode_pairs(pairs: &[(u64, u64)], out: &mut Vec<u8>) {
     out.reserve(8 + pairs.len() * 16);
     out.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
     for &(k, v) in pairs {
-        out.extend_from_slice(&k.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
+        encode_pair(k, v, out);
     }
+}
+
+/// Append one pair of an [`encode_pairs`] body, for a writer that streams
+/// its pairs after writing their count itself.
+pub fn encode_pair(key: u64, value: u64, out: &mut Vec<u8>) {
+    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&value.to_le_bytes());
 }
 
 /// Decode an [`encode_pairs`] payload.  `None` if the buffer is truncated,

@@ -25,19 +25,21 @@
 //! range extraction that leaves the donor holding fewer than half the keys
 //! its array was sized for rebuilds it at its exact size.
 //!
-//! **Allocation.**  The array is a list of 1 MiB chunks, each allocated by
-//! the first write into it (an absent chunk reads as empty buckets).  A
-//! rehash frees the old chunks front to back while it fills the new ones
-//! front to back, so it holds about the larger array, not the sum; and as
-//! all chunks are one size, with no alignment beyond the allocator's own,
-//! what a shrinking partition frees is what a growing one is handed.
+//! **Allocation.**  The array is a list of the crate's equal chunks
+//! ([`crate::chunk`]; the last one shorter), each allocated by the first
+//! write into it (an absent chunk reads as empty buckets).  A rehash frees
+//! the old chunks front to back while it fills the new ones front to back,
+//! so it holds about the larger array, not the sum; and as the prefix
+//! tree's arenas use the same chunk size, what a shrinking partition of
+//! either kind frees is what a growing one is handed.
 
+use crate::chunk::CHUNK_BYTES;
 use crate::prefetch::prefetch_read;
 
 /// Buckets per [`Block`].
 const LANES: usize = 64;
-/// Blocks per chunk: 64 Ki buckets, 1.06 MiB.
-const CHUNK_BLOCKS: usize = 1024;
+/// Blocks per chunk: 64 Ki buckets, one [`CHUNK_BYTES`] chunk.
+const CHUNK_BLOCKS: usize = CHUNK_BYTES / std::mem::size_of::<Block>();
 const CHUNK_BUCKETS: usize = CHUNK_BLOCKS * LANES;
 /// Stored PSLs saturate here; the true value is then recomputed from the
 /// resident's key ([`HashTable::true_psl`]).  Random hashing stays under
@@ -56,6 +58,7 @@ struct Block {
 }
 
 const _: () = assert!(std::mem::size_of::<Block>() == LANES * HashTable::SLOT_BYTES);
+const _: () = assert!(CHUNK_BLOCKS == 1024, "bucket indexes split by shifts");
 
 type Chunk = Option<Box<[Block]>>;
 

@@ -20,6 +20,7 @@
 //!   different hash functions on a per-partition level"), for partitions
 //!   that never need range scans.
 
+mod chunk;
 pub mod codec;
 pub mod csb_tree;
 pub mod hash_table;

@@ -26,22 +26,30 @@
 //! Section 3.1's "batches to hide memory latency".  All descents have the
 //! same depth, so the group needs no per-key state machine.
 //!
-//! Nodes live in flat arenas indexed by `u32` — cache friendly and
-//! trivially relocatable, which matters for the load balancer.  A transfer
-//! moves a sorted `(key, value)` stream: the donor's
-//! [`PrefixTree::extract_range`] removes it, and the receiver reserves its
-//! arenas once for it ([`PrefixTree::reserve_sorted`]) before inserting it.
+//! Nodes live in three arenas indexed by `u32` — cache friendly and
+//! trivially relocatable, which matters for the load balancer.  Each arena
+//! is a list of the crate's equal chunks ([`crate::chunk`]), as the hash
+//! table's bucket array is: growth adds a chunk and never copies one, and a
+//! chunk a shrinking partition frees is what a growing one is handed.  The
+//! offsets stay logical, so a leaf header or a value block may run from one
+//! chunk into the next, and every access resolves its own index.  A
+//! transfer moves a sorted `(key, value)` stream in bounded steps: the
+//! donor's [`PrefixTree::extract_chunk`] removes whole leaves' worth of
+//! pairs at a time, and the receiver inserts each step with
+//! [`PrefixTree::upsert_batch`].
 //!
-//! **Sizing and shrinking.**  Arenas grow as `Vec`s do, and a removal frees
-//! value blocks to the free lists but never a node.  So a donor left
-//! holding fewer than half the keys it was sized for — the most it held
-//! since it was last built — is rebuilt from its remaining pairs in key
-//! order, with every arena sized once for exactly what they need.
+//! **Shrinking.**  A removal frees value blocks to the free lists but never
+//! a node.  So a donor left holding fewer than half the keys it was sized
+//! for — the most it held since it was last built — is rebuilt from its
+//! remaining pairs in key order, and its old chunks are freed whole.
 //!
 //! Every arena slot has a synthetic address (base vaddr + arena offset) so
 //! the engine can feed lookup paths into the L3 cache simulator
 //! ([`PrefixTree::trace_path`]).
 
+use std::ops::ControlFlow;
+
+use crate::chunk::ChunkVec;
 use crate::prefetch::prefetch_read;
 
 /// Configuration of a [`PrefixTree`].
@@ -137,6 +145,12 @@ impl PrefixTreeConfig {
         })
     }
 
+    /// The largest key of the domain.
+    #[inline]
+    fn top(&self) -> u64 {
+        u64::MAX >> (64 - self.key_bits)
+    }
+
     /// Leading levels on which two keys of the domain have equal digits,
     /// at most `levels - 1`: the leaf level is never skipped.
     fn shared_levels(&self, a: u64, b: u64) -> u32 {
@@ -172,6 +186,9 @@ const WORD_BYTES: usize = std::mem::size_of::<u64>();
 /// with the group's other loads while the group state (keys, nodes, value
 /// slots) stays a few hundred bytes of stack.
 const GROUP: usize = 32;
+
+/// Pairs a rebuild streams through its buffer per step (1 MiB).
+const REBUILD_PAIRS: usize = 1 << 16;
 
 /// Leaf block capacities below `fanout`, in value slots.  A leaf outgrowing
 /// the last one is promoted to a direct-indexed block of `fanout` slots.
@@ -217,13 +234,13 @@ fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
 pub struct PrefixTree {
     cfg: PrefixTreeConfig,
     /// Inner child arrays: node `i` occupies `i*fanout .. (i+1)*fanout`.
-    inner: Vec<u32>,
+    inner: ChunkVec<u32>,
     /// Leaf headers: leaf `j` occupies `header_words` words from
     /// `j*header_words` — its packed [`LeafHead`], then its presence
     /// bitmap, so that a lookup finds both on one line more often than not.
-    leaves: Vec<u64>,
+    leaves: ChunkVec<u64>,
     /// The value arena the leaf blocks are carved from.
-    values: Vec<u64>,
+    values: ChunkVec<u64>,
     /// Recycled blocks, one list per capacity class (`fanout` last).
     free: [Vec<u32>; BLOCK_CLASSES.len() + 1],
     /// Value slots held by live blocks.
@@ -255,9 +272,9 @@ impl PrefixTree {
     pub fn with_config(cfg: PrefixTreeConfig, base_vaddr: u64) -> Self {
         let mut t = PrefixTree {
             cfg,
-            inner: Vec::new(),
-            leaves: Vec::new(),
-            values: Vec::new(),
+            inner: ChunkVec::new(),
+            leaves: ChunkVec::new(),
+            values: ChunkVec::new(),
             free: Default::default(),
             live_slots: 0,
             len: 0,
@@ -308,20 +325,14 @@ impl PrefixTree {
 
     fn new_inner(&mut self) -> u32 {
         let id = (self.inner.len() / self.cfg.fanout()) as u32;
-        // ALLOC-OK: node allocation is the tree growing — amortized
-        // over the keys that land in the fresh node.
-        self.inner
-            .resize(self.inner.len() + self.cfg.fanout(), NULL);
+        self.inner.grow(self.cfg.fanout(), NULL);
         id
     }
 
     fn new_leaf(&mut self) -> u32 {
-        // ALLOC-OK: leaf allocation (block descriptor + presence bitmap) is
-        // the tree growing — amortized over the keys that land in the leaf.
         let id = (self.leaves.len() / self.cfg.header_words()) as u32;
         // An all-zero header is NO_BLOCK and an empty bitmap.
-        self.leaves
-            .resize(self.leaves.len() + self.cfg.header_words(), 0);
+        self.leaves.grow(self.cfg.header_words(), 0);
         id
     }
 
@@ -345,8 +356,6 @@ impl PrefixTree {
     /// A block of `cap` value slots: recycled if the class has one, else
     /// carved from the end of the arena.  Recycled slots hold stale values;
     /// the presence bitmap says which slots mean anything.
-    // ALLOC-OK(fn): block allocation is the tree growing — one arena
-    // extension per leaf capacity class, amortized over the leaf's keys.
     fn alloc_block(&mut self, cap: u32) -> u32 {
         self.live_slots += cap as usize;
         // BOUNDS: class_of returns an index below free.len() by construction.
@@ -360,7 +369,7 @@ impl PrefixTree {
             .ok()
             .filter(|b| b.checked_add(cap).is_some())
             .expect("value arena outgrew its 32-bit block offsets");
-        self.values.resize(self.values.len() + cap as usize, 0);
+        self.values.grow(cap as usize, 0);
         block
     }
 
@@ -394,12 +403,11 @@ impl PrefixTree {
         self.leaves[at] = head.pack();
     }
 
-    /// The presence bitmap of `leaf`.
+    /// Word `w < leaf_words` of the presence bitmap of `leaf`.
     #[inline]
-    fn presence(&self, leaf: u32) -> &[u64] {
-        let first = self.header(leaf) + 1;
+    fn presence_word(&self, leaf: u32, w: usize) -> u64 {
         // BOUNDS: a live leaf owns `header_words` words from `header(leaf)`.
-        &self.leaves[first..first + self.cfg.leaf_words()]
+        self.leaves[self.header(leaf) + 1 + w]
     }
 
     /// The header word and the bit that say whether `digit` is occupied.
@@ -410,9 +418,8 @@ impl PrefixTree {
 
     /// Keys stored in `leaf`.
     fn leaf_len(&self, leaf: u32) -> usize {
-        self.presence(leaf)
-            .iter()
-            .map(|w| w.count_ones() as usize)
+        (0..self.cfg.leaf_words())
+            .map(|w| self.presence_word(leaf, w).count_ones() as usize)
             .sum()
     }
 
@@ -420,29 +427,44 @@ impl PrefixTree {
     /// position of `digit`'s value in a ranked block.
     #[inline]
     fn rank(&self, leaf: u32, digit: usize) -> usize {
-        let presence = self.presence(leaf);
-        // BOUNDS: `digit < fanout` keeps `digit / 64` inside the bitmap.
-        let below: usize = presence[..digit / 64]
-            .iter()
-            .map(|w| w.count_ones() as usize)
+        // `digit < fanout` keeps `digit / 64` inside the bitmap.
+        let below: usize = (0..digit / 64)
+            .map(|w| self.presence_word(leaf, w).count_ones() as usize)
             .sum();
-        below + (presence[digit / 64] & ((1u64 << (digit % 64)) - 1)).count_ones() as usize
+        let partial = self.presence_word(leaf, digit / 64) & ((1u64 << (digit % 64)) - 1);
+        below + partial.count_ones() as usize
     }
 
     /// The value-arena slot of `digit` in `leaf`, if the digit is occupied.
+    /// The header is resolved once, as a slice, unless it runs across a
+    /// chunk boundary.
     #[inline]
     fn value_slot(&self, leaf: u32, digit: usize) -> Option<usize> {
-        let (word, bit) = self.present_word(leaf, digit);
-        // BOUNDS: `leaf` is a live leaf id and `digit` is masked to fanout;
-        // the header was sized for the leaf at new_leaf time.
-        if self.leaves[word] & bit == 0 {
+        let first = self.header(leaf);
+        match self.leaves.contiguous(first, self.cfg.header_words()) {
+            // BOUNDS: `w < header_words`, the slice's length.
+            Some(header) => self.slot_in(|w| header[w], digit),
+            // BOUNDS: a live leaf owns `header_words` words from `first`.
+            None => self.slot_in(|w| self.leaves[first + w], digit),
+        }
+    }
+
+    /// [`PrefixTree::value_slot`] over a leaf's header words, `word(0)` its
+    /// packed [`LeafHead`] and `word(1 + w)` presence word `w`.
+    #[inline]
+    fn slot_in(&self, word: impl Fn(usize) -> u64, digit: usize) -> Option<usize> {
+        let present = word(1 + digit / 64);
+        if present & 1u64 << (digit % 64) == 0 {
             return None;
         }
-        let head = self.head(leaf);
+        let head = LeafHead::unpack(word(0));
         let offset = if head.cap as usize == self.cfg.fanout() {
             digit
         } else {
-            self.rank(leaf, digit)
+            let below: usize = (0..digit / 64)
+                .map(|w| word(1 + w).count_ones() as usize)
+                .sum();
+            below + (present & ((1u64 << (digit % 64)) - 1)).count_ones() as usize
         };
         Some(head.block as usize + offset)
     }
@@ -526,13 +548,11 @@ impl PrefixTree {
         if cap as usize == self.cfg.fanout() {
             // Promotion to direct indexing: scatter the ranked values to
             // their digits.
-            let first = self.header(leaf) + 1;
             let mut rank = 0;
             for w in 0..self.cfg.leaf_words() {
-                // BOUNDS: as above — `w` stays inside the leaf's presence
-                // words, every digit is below fanout = cap, and `rank`
-                // counts the leaf's values, all inside the old block.
-                for bit in set_bits(self.leaves[first + w]) {
+                // BOUNDS: as above — every digit is below fanout = cap, and
+                // `rank` counts the leaf's values, all inside the old block.
+                for bit in set_bits(self.presence_word(leaf, w)) {
                     self.values[to + w * 64 + bit] = self.values[from + rank];
                     rank += 1;
                 }
@@ -553,18 +573,20 @@ impl PrefixTree {
             // BOUNDS: value_slot returns slots inside the leaf's block.
             return Some(std::mem::replace(&mut self.values[slot], value));
         }
+        let mut head = self.head(leaf);
+        let ranked = head.cap as usize != fanout;
+        let n = if ranked { self.leaf_len(leaf) } else { 0 };
+        if ranked && n == head.cap as usize {
+            head = self.grow_leaf(leaf, n + 1);
+        }
+        let block = head.block as usize;
         // BOUNDS: `leaf` is a live leaf id; `digit` is masked to fanout, so
         // a direct block (fanout slots) holds it, and a ranked block has
         // room for one more value after the grow check.
-        let mut head = self.head(leaf);
-        if head.cap as usize != fanout && self.leaf_len(leaf) == head.cap as usize {
-            head = self.grow_leaf(leaf, head.cap as usize + 1);
-        }
-        let block = head.block as usize;
         if head.cap as usize == fanout {
             self.values[block + digit] = value;
         } else {
-            let (rank, n) = (self.rank(leaf, digit), self.leaf_len(leaf));
+            let rank = self.rank(leaf, digit);
             self.values
                 .copy_within(block + rank..block + n, block + rank + 1);
             // BOUNDS: rank <= n < cap after the grow check above.
@@ -602,14 +624,32 @@ impl PrefixTree {
         let fanout = self.cfg.fanout();
         let cap = self.capacity_for(run.len());
         let block = self.alloc_block(cap) as usize;
-        for (rank, &(k, v)) in run.iter().enumerate() {
-            let digit = k as usize & (fanout - 1);
-            let (word, bit) = self.present_word(leaf, digit);
-            // BOUNDS: present_word of a live leaf and a masked digit; the
-            // fresh block holds `cap >= run.len()` slots, `fanout` of them
-            // when it is addressed by digit.
-            self.leaves[word] |= bit;
-            self.values[block + if cap as usize == fanout { digit } else { rank }] = v;
+        let at = |rank: usize, digit: usize| if cap as usize == fanout { digit } else { rank };
+        let words = self.header(leaf) + 1;
+        // Presence words and block resolved once, unless one of them runs
+        // across a chunk boundary.
+        let digits = run.iter().map(|&(k, v)| (k as usize & (fanout - 1), v));
+        match (
+            self.leaves.contiguous_mut(words, self.cfg.leaf_words()),
+            self.values.contiguous_mut(block, cap as usize),
+        ) {
+            (Some(present), Some(slots)) => {
+                for (rank, (digit, v)) in digits.enumerate() {
+                    // BOUNDS: digits are masked to fanout; the fresh block
+                    // holds `cap >= run.len()` slots, `fanout` of them when
+                    // it is addressed by digit.
+                    present[digit / 64] |= 1 << (digit % 64);
+                    slots[at(rank, digit)] = v;
+                }
+            }
+            _ => {
+                for (rank, (digit, v)) in digits.enumerate() {
+                    // BOUNDS: as above; the leaf owns `leaf_words` presence
+                    // words from `words`.
+                    self.leaves[words + digit / 64] |= 1 << (digit % 64);
+                    self.values[block + at(rank, digit)] = v;
+                }
+            }
         }
         self.set_head(
             leaf,
@@ -638,46 +678,53 @@ impl PrefixTree {
     /// Read-only level-synchronous descent of one group: `leaf[i]` becomes
     /// the leaf on the path of `keys[i]`, or [`NULL`] where the path does
     /// not exist.  At each level every key's child slot is read — it was
-    /// prefetched while the level above was walked — and the line the next
-    /// level needs is prefetched before the walk moves on to the next key:
-    /// the child slot one level down or, below the last inner level, the
-    /// leaf's block descriptor and presence word.
+    /// resolved and prefetched while the level above was walked — and the
+    /// line the next level needs is prefetched before the walk moves on to
+    /// the next key: the child slot one level down or, below the last inner
+    /// level, the leaf's block descriptor and presence word.
     #[inline]
     fn descend_group(&self, keys: &[u64], leaf: &mut [u32]) {
         let levels = self.cfg.levels();
         let fanout = self.cfg.fanout();
-        for (node, &key) in leaf.iter_mut().zip(keys) {
+        // The child slot each key reads at the current level.
+        let mut next: [Option<&u32>; GROUP] = [None; GROUP];
+        for ((node, slot), &key) in leaf.iter_mut().zip(&mut next).zip(keys) {
             self.cfg.check_key(key);
             *node = if self.in_skip(key) {
                 self.skip_node
             } else {
                 NULL
             };
+            if *node != NULL && self.skip_levels < levels - 1 {
+                let at = *node as usize * fanout + self.cfg.digit(key, self.skip_levels);
+                *slot = self.inner.get(at);
+            }
         }
         for level in self.skip_levels..levels - 1 {
-            for (node, &key) in leaf.iter_mut().zip(keys) {
-                if *node == NULL {
+            for ((node, slot), &key) in leaf.iter_mut().zip(&mut next).zip(keys) {
+                let Some(&child) = slot.take() else {
+                    *node = NULL;
                     continue;
-                }
-                // BOUNDS: `node` names a live inner node and `digit` is
-                // masked to fanout by `digit()`.
-                let child = self.inner[*node as usize * fanout + self.cfg.digit(key, level)];
+                };
                 *node = child;
                 if child == NULL {
                     continue;
                 }
                 if level + 2 < levels {
-                    let next = child as usize * fanout + self.cfg.digit(key, level + 1);
-                    if let Some(slot) = self.inner.get(next) {
-                        prefetch_read(slot);
+                    *slot = self
+                        .inner
+                        .get(child as usize * fanout + self.cfg.digit(key, level + 1));
+                    if let Some(s) = *slot {
+                        prefetch_read(s);
                     }
-                } else {
-                    let (word, _) = self.present_word(child, key as usize & (fanout - 1));
-                    if let (Some(h), Some(w)) =
-                        (self.leaves.get(self.header(child)), self.leaves.get(word))
-                    {
-                        prefetch_read(h);
-                        prefetch_read(w);
+                } else if let Some(h) = self
+                    .leaves
+                    .contiguous(self.header(child), self.cfg.header_words())
+                {
+                    let digit = key as usize & (fanout - 1);
+                    if let (Some(head), Some(word)) = (h.first(), h.get(1 + digit / 64)) {
+                        prefetch_read(head);
+                        prefetch_read(word);
                     }
                 }
             }
@@ -844,6 +891,33 @@ impl PrefixTree {
         Some(old)
     }
 
+    /// Remove the stored keys of `run`, which share one leaf.  A run that
+    /// is the whole leaf empties it in one step — its block freed, its
+    /// presence words cleared — which leaves the tree as removing the keys
+    /// one by one would.
+    fn remove_run(&mut self, run: &[(u64, u64)]) {
+        // BOUNDS: callers pass runs of stored keys, so the first exists
+        // and its path does.
+        let Some((leaf, _)) = self.descend(run[0].0) else {
+            return;
+        };
+        if run.len() != self.leaf_len(leaf) {
+            for &(k, _) in run {
+                self.remove(k);
+            }
+            return;
+        }
+        self.sized_for = self.sized_for();
+        self.len -= run.len();
+        self.free_block(self.head(leaf));
+        self.set_head(leaf, NO_BLOCK);
+        let first = self.header(leaf) + 1;
+        for w in 0..self.cfg.leaf_words() {
+            // BOUNDS: a live leaf owns `header_words` words from `header`.
+            self.leaves[first + w] = 0;
+        }
+    }
+
     /// Synthetic addresses of the arena slots a lookup of `key` reads,
     /// appended to `out` — the input for the L3 cache simulator: one child
     /// slot per inner level below the root skip, then the leaf's presence
@@ -881,6 +955,37 @@ impl PrefixTree {
             return;
         }
         self.cfg.check_key(lo);
+        let _ = self.walk(lo, hi - 1, &mut |k, v| {
+            f(k, v);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// In-order visit of all `(key, value)` pairs in the *inclusive* range
+    /// `[lo, hi]`.  Unlike [`PrefixTree::scan_range`] this can reach the
+    /// top key of the domain: `hi == u64::MAX` on a 64-bit tree visits
+    /// `u64::MAX` itself (there is no `hi + 1` to overflow into).  Keys
+    /// outside the configured domain are clamped, not panicked on, so a
+    /// caller holding engine-level bounds (`[lo, u64::MAX]` from an
+    /// unbounded predicate) can pass them to a narrower tree verbatim.
+    pub fn scan_range_inclusive(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64)) {
+        let top = self.cfg.top();
+        if lo > hi || lo > top {
+            return;
+        }
+        let _ = self.walk(lo, hi.min(top), &mut |k, v| {
+            f(k, v);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// Visit the pairs of `[lo, hi]` in key order until `f` breaks.
+    fn walk(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut impl FnMut(u64, u64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         // Every stored key lies below the skip node.
         let prefix = match self.skip_levels {
             0 => 0,
@@ -889,59 +994,63 @@ impl PrefixTree {
                 self.min_key >> shift << shift
             }
         };
-        self.scan_node(self.skip_node, self.skip_levels, prefix, lo, hi, &mut f);
+        self.walk_node(self.skip_node, self.skip_levels, prefix, lo, hi, f)
     }
 
-    fn scan_node(
+    fn walk_node(
         &self,
         node: u32,
         level: u32,
         prefix: u64,
         lo: u64,
         hi: u64,
-        f: &mut impl FnMut(u64, u64),
-    ) {
-        let levels = self.cfg.levels();
-        let fanout = self.cfg.fanout();
-        if level == levels - 1 {
-            self.scan_leaf(node, prefix, lo, hi, f);
-            return;
+        f: &mut impl FnMut(u64, u64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if level == self.cfg.levels() - 1 {
+            return self.walk_leaf(node, prefix, lo, hi, f);
         }
+        let fanout = self.cfg.fanout();
         let shift = self.cfg.shift(level);
-        let span = 1u64 << shift; // key range covered per child
+        let last = (1u64 << shift) - 1; // a child's last key past its first
         for digit in 0..fanout {
             let child_lo = prefix | (digit as u64) << shift;
-            if child_lo >= hi {
+            if child_lo > hi {
                 break;
             }
-            // `child_hi` may overflow for the last digit at the top level.
-            let child_hi = child_lo.saturating_add(span);
-            if child_hi <= lo {
+            if child_lo | last < lo {
                 continue;
             }
             // BOUNDS: `node` names a live inner node and `digit < fanout`.
             let child = self.inner[node as usize * fanout + digit];
             if child != NULL {
-                self.scan_node(child, level + 1, child_lo, lo, hi, f);
+                self.walk_node(child, level + 1, child_lo, lo, hi, f)?;
             }
         }
+        ControlFlow::Continue(())
     }
 
     /// Visit the keys of `leaf` (whose keys are `prefix | digit`) that lie
-    /// in `[lo, hi)`, walking the set bits of its presence words.
-    fn scan_leaf(&self, leaf: u32, prefix: u64, lo: u64, hi: u64, f: &mut impl FnMut(u64, u64)) {
+    /// in `[lo, hi]`, walking the set bits of its presence words.
+    fn walk_leaf(
+        &self,
+        leaf: u32,
+        prefix: u64,
+        lo: u64,
+        hi: u64,
+        f: &mut impl FnMut(u64, u64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let fanout = self.cfg.fanout();
-        let from = lo.saturating_sub(prefix).min(fanout as u64) as usize;
-        let to = hi.saturating_sub(prefix).min(fanout as u64) as usize;
-        if from >= to {
-            return;
+        if hi < prefix || lo > prefix | (fanout as u64 - 1) {
+            return ControlFlow::Continue(());
         }
+        // Digits `from..to` of the leaf lie in the range.
+        let from = lo.saturating_sub(prefix) as usize;
+        let to = (hi - prefix).min(fanout as u64 - 1) as usize + 1;
         let head = self.head(leaf);
         let direct = head.cap as usize == fanout;
         let mut rank = self.rank(leaf, from);
-        let words = self.presence(leaf).iter().enumerate();
-        for (w, &word) in words.take((to - 1) / 64 + 1).skip(from / 64) {
-            let mut bits = word;
+        for w in from / 64..=(to - 1) / 64 {
+            let mut bits = self.presence_word(leaf, w);
             if w == from / 64 {
                 bits &= !0u64 << (from % 64);
             }
@@ -956,40 +1065,38 @@ impl PrefixTree {
                 f(
                     prefix | digit as u64,
                     self.values[head.block as usize + offset],
-                );
+                )?;
                 rank += 1;
             }
         }
+        ControlFlow::Continue(())
     }
 
-    /// In-order visit of all `(key, value)` pairs in the *inclusive* range
-    /// `[lo, hi]`.  Unlike [`PrefixTree::scan_range`] this can reach the
-    /// top key of the domain: `hi == u64::MAX` on a 64-bit tree visits
-    /// `u64::MAX` itself (there is no `hi + 1` to overflow into).  Keys
-    /// outside the configured domain are clamped, not panicked on, so a
-    /// caller holding engine-level bounds (`[lo, u64::MAX]` from an
-    /// unbounded predicate) can pass them to a narrower tree verbatim.
-    pub fn scan_range_inclusive(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64)) {
-        if lo > hi {
-            return;
-        }
-        let top = if self.cfg.key_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.cfg.key_bits) - 1
-        };
-        if lo > top {
-            return;
-        }
-        let hi = hi.min(top);
-        if hi == top {
-            self.scan_range(lo, top, &mut f);
-            if let Some(v) = self.lookup(top) {
-                f(top, v);
+    /// Append the pairs of `[from, hi]` to `out` in key order, a leaf's
+    /// pairs never split: the walk stops before the first key of a leaf
+    /// once fewer than `fanout` further pairs would keep `out` within
+    /// `max`, and returns that key to resume at.  A step takes at least
+    /// one leaf, so `max` bounds it only from `fanout` up.  A run that
+    /// `upsert_batch` receives step by step therefore lands as it would
+    /// have in one batch.
+    fn scan_chunk(&self, from: u64, hi: u64, out: &mut Vec<(u64, u64)>, max: usize) -> Option<u64> {
+        let (fanout, bits) = (self.cfg.fanout(), self.cfg.prefix_bits);
+        let mut last = None;
+        let mut resume = None;
+        let _ = self.walk(from, hi, &mut |k, v| {
+            if let Some(prev) = last {
+                if (prev ^ k) >> bits != 0 && max.saturating_sub(out.len()) < fanout {
+                    resume = Some(k);
+                    return ControlFlow::Break(());
+                }
             }
-        } else {
-            self.scan_range(lo, hi + 1, &mut f);
-        }
+            last = Some(k);
+            // ALLOC-OK: the caller's reused transfer buffer, kept within
+            // `max` (from `fanout` up) by the stop above.
+            out.push((k, v));
+            ControlFlow::Continue(())
+        });
+        resume
     }
 
     /// Flatten `[lo, hi)` into a sorted `(key, value)` stream — the exchange
@@ -1002,12 +1109,8 @@ impl PrefixTree {
 
     /// Flatten every key in `[lo, ∞)`, including `u64::MAX`.
     pub fn flatten_from(&self, lo: u64) -> Vec<(u64, u64)> {
-        let mut out = self.flatten_range(lo, u64::MAX);
-        if self.cfg.key_bits == 64 {
-            if let Some(v) = self.lookup(u64::MAX) {
-                out.push((u64::MAX, v));
-            }
-        }
+        let mut out = Vec::new();
+        self.scan_range_inclusive(lo, u64::MAX, |k, v| out.push((k, v)));
         out
     }
 
@@ -1016,23 +1119,23 @@ impl PrefixTree {
         self.flatten_from(0)
     }
 
-    /// Build a tree from a strictly increasing stream, every arena sized
-    /// once for exactly what the stream needs.
+    /// Build a tree from a strictly increasing stream.
     pub fn build_from_sorted(cfg: PrefixTreeConfig, base_vaddr: u64, pairs: &[(u64, u64)]) -> Self {
         let mut t = Self::with_config(cfg, base_vaddr);
-        t.reserve_sorted(pairs);
         t.upsert_batch(pairs);
         t
     }
 
     /// Append a stable little-endian serialization of the contents:
-    /// `[u64 n][n × (u64 key, u64 value)]` in key order.  The tree *shape*
-    /// is not persisted — [`PrefixTree::restore`] rebuilds it from the
-    /// receiver's own [`PrefixTreeConfig`], which keeps the format
-    /// independent of tuning parameters.
+    /// `[u64 n][n × (u64 key, u64 value)]` in key order, written straight
+    /// from the leaves.  The tree *shape* is not persisted —
+    /// [`PrefixTree::restore`] rebuilds it from the receiver's own
+    /// [`PrefixTreeConfig`], which keeps the format independent of tuning
+    /// parameters.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let pairs = self.flatten();
-        crate::codec::encode_pairs(&pairs, out);
+        out.reserve(8 + self.len * 16);
+        out.extend_from_slice(&(self.len as u64).to_le_bytes());
+        self.scan_range_inclusive(0, u64::MAX, |k, v| crate::codec::encode_pair(k, v, out));
     }
 
     /// Refill the tree from a [`PrefixTree::serialize_into`] payload,
@@ -1056,45 +1159,56 @@ impl PrefixTree {
 
     /// Remove every key in `[lo, hi)` and append its pair to `out` in key
     /// order (the balancer's donor side).  A donor left holding fewer than
-    /// half the keys it was sized for is rebuilt from its remaining pairs
-    /// instead, at its exact size: its emptied nodes are freed, not kept.
+    /// half the keys it was sized for is rebuilt from its remaining pairs,
+    /// at its exact size: its emptied nodes are freed, not kept.
     pub fn extract_range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        let start = out.len();
-        self.scan_range(lo, hi, |k, v| out.push((k, v)));
-        // BOUNDS: `start` is where this call began appending.
-        let moved = &out[start..];
-        if (self.len - moved.len()) * 2 >= self.sized_for() {
-            for &(k, _) in moved {
-                self.remove(k);
-            }
-            return;
-        }
-        let mut kept = Vec::with_capacity(self.len - moved.len());
-        self.scan_range(0, lo, |k, v| kept.push((k, v)));
-        self.scan_range_inclusive(hi, u64::MAX, |k, v| kept.push((k, v)));
-        *self = Self::build_from_sorted(self.cfg, self.base_vaddr, &kept);
+        self.extract_chunk(lo, hi, 0, out, usize::MAX);
     }
 
-    /// Reserve the arenas once for inserting the strictly increasing
-    /// `pairs`: the inner nodes, leaves and value blocks they need, counted
-    /// as if none of them existed yet.  That is exact for an empty tree;
-    /// a run beside the stored keys shares a few edge nodes with them.
-    pub fn reserve_sorted(&mut self, pairs: &[(u64, u64)]) {
-        let levels = self.cfg.levels();
-        let fanout = self.cfg.fanout();
-        let prefixes = |shift: u32| pairs.chunk_by(move |a, b| (a.0 ^ b.0) >> shift == 0);
-        // Inner nodes below the root: one per distinct prefix of each level.
-        let inner: usize = (1..levels.saturating_sub(1))
-            .map(|level| prefixes(self.cfg.shift(level - 1)).count())
-            .sum();
-        let (mut leaves, mut slots) = (0, 0);
-        for run in prefixes(self.cfg.prefix_bits) {
-            leaves += usize::from(levels > 1);
-            slots += self.capacity_for(run.len()) as usize;
+    /// [`PrefixTree::extract_range`] in bounded steps, for a transfer that
+    /// streams through one reused buffer: a step starts at key `from` (0
+    /// for the first) and stops before the first leaf that could take
+    /// `out` past `max` pairs, returning the key to resume at — a leaf is
+    /// never split between steps.  `None` means the range is gone, and
+    /// the donor compacted if it is due.
+    pub fn extract_chunk(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        from: u64,
+        out: &mut Vec<(u64, u64)>,
+        max: usize,
+    ) -> Option<u64> {
+        let start = out.len();
+        let resume = if lo < hi {
+            self.cfg.check_key(lo);
+            self.scan_chunk(lo.max(from), hi - 1, out, max)
+        } else {
+            None
+        };
+        // BOUNDS: `start` is where this call began appending.
+        let bits = self.cfg.prefix_bits;
+        for run in out[start..].chunk_by(|a, b| (a.0 ^ b.0) >> bits == 0) {
+            self.remove_run(run);
         }
-        self.inner.reserve_exact(inner * fanout);
-        self.leaves.reserve_exact(leaves * self.cfg.header_words());
-        self.values.reserve_exact(slots);
+        if resume.is_none() && self.len * 2 < self.sized_for() {
+            *self = self.rebuilt();
+        }
+        resume
+    }
+
+    /// A fresh tree holding this one's pairs, built as one `upsert_batch`
+    /// of them all would build it, through a buffer of whole leaves.
+    fn rebuilt(&self) -> Self {
+        let mut fresh = Self::with_config(self.cfg, self.base_vaddr);
+        let mut buf = Vec::with_capacity(self.len.min(REBUILD_PAIRS));
+        let mut from = Some(0);
+        while let Some(at) = from {
+            buf.clear();
+            from = self.scan_chunk(at, self.cfg.top(), &mut buf, REBUILD_PAIRS);
+            fresh.upsert_batch(&buf);
+        }
+        fresh
     }
 }
 
@@ -1270,40 +1384,17 @@ mod tests {
         assert_eq!(t.count_range(60, 90), 0);
     }
 
-    /// Every arena of `t` holds exactly what it was sized for.
-    fn arenas_are_exact(t: &PrefixTree) -> bool {
-        t.inner.capacity() == t.inner.len()
-            && t.leaves.capacity() == t.leaves.len()
-            && t.values.capacity() == t.values.len()
-            && t.values.len() == t.live_slots
+    /// Every arena of `t` holds the chunks its length needs and no more,
+    /// and — as after a build — no value block waits on a free list.
+    fn no_spare_storage(t: &PrefixTree) -> bool {
+        chunks_fit(t) && t.values.len() == t.live_slots
     }
 
-    #[test]
-    fn build_from_sorted_sizes_every_arena_once() {
-        for (cfg, stride) in [
-            ((8, 64), 64),
-            ((8, 32), 1),
-            ((8, 16), 3),
-            ((8, 8), 1),
-            ((4, 32), 5),
-        ] {
-            let cfg = PrefixTreeConfig::new(cfg.0, cfg.1);
-            let top = if cfg.key_bits == 64 {
-                1 << 20
-            } else {
-                1u64 << cfg.key_bits
-            };
-            for n in [0u64, 1, 3, 17, 100, 5_000] {
-                let pairs: Vec<(u64, u64)> = (0..n)
-                    .map(|r| r * stride)
-                    .filter(|&k| k < top)
-                    .map(|k| (k, !k))
-                    .collect();
-                let t = PrefixTree::build_from_sorted(cfg, 0, &pairs);
-                assert!(arenas_are_exact(&t), "{cfg:?}, {n} keys");
-                assert_eq!(t.flatten(), pairs);
-            }
-        }
+    /// Every arena of `t` holds exactly the chunks its length needs.
+    fn chunks_fit(t: &PrefixTree) -> bool {
+        t.inner.chunk_count() == t.inner.chunks_needed()
+            && t.leaves.chunk_count() == t.leaves.chunks_needed()
+            && t.values.chunk_count() == t.values.chunks_needed()
     }
 
     #[test]
@@ -1324,25 +1415,10 @@ mod tests {
         assert_eq!((t.len(), t.sized_for()), (n / 2 - 1, n / 2 - 1));
         let fresh = PrefixTree::build_from_sorted(t.config(), 0, &pairs[n / 2 + 1..]);
         assert_eq!(t.memory_bytes(), fresh.memory_bytes());
-        assert!(arenas_are_exact(&t));
+        assert!(no_spare_storage(&t));
         assert!(t.memory_bytes() < half * 3 / 4);
         assert_eq!(t.flatten(), pairs[n / 2 + 1..]);
         assert_eq!(t.lookup(pairs[n - 1].0), Some(n as u64 - 1));
-    }
-
-    #[test]
-    fn a_reserved_run_lands_without_regrowing_an_arena() {
-        let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 64, r)).collect();
-        let (own, run) = pairs.split_at(pairs.len() / 3);
-        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 0, own);
-        t.reserve_sorted(run);
-        let caps = (t.inner.capacity(), t.leaves.capacity(), t.values.capacity());
-        assert_eq!(t.upsert_batch(run), run.len() as u64);
-        assert_eq!(
-            caps,
-            (t.inner.capacity(), t.leaves.capacity(), t.values.capacity())
-        );
-        assert_eq!(t.flatten(), pairs);
     }
 
     #[test]
@@ -1671,6 +1747,236 @@ mod tests {
         assert!(t.memory_bytes() <= loaded);
         assert_eq!(t.values.len(), arena, "the arena did not grow");
         assert_eq!(t.flatten(), pairs);
+    }
+
+    /// `memory_bytes()` and the `trace_path()` of fixed probe keys of a
+    /// default tree built from `pairs` at base address 2^30.
+    fn check_layout(pairs: &[(u64, u64)], bytes: u64, traces: [&[u64]; 7]) {
+        let probes = [0u64, 64, 4095 * 64, 1000 * 64 + 1, 65535, 12345, 1 << 40];
+        let t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 1 << 30, pairs);
+        assert_eq!(t.memory_bytes(), bytes, "{} keys", pairs.len());
+        for (key, want) in probes.into_iter().zip(traces) {
+            let mut trace = Vec::new();
+            t.trace_path(key, &mut trace);
+            assert_eq!(trace, want, "trace of {key} over {} keys", pairs.len());
+        }
+    }
+
+    /// The arena layout the cost model reads: `memory_bytes()` (cache
+    /// residency) and `trace_path()` (the synthetic addresses Figs 10 and
+    /// 11 feed the cache simulator) of a 4 Ki-key stride-64 build and a
+    /// dense 64 Ki-key build, as contiguous arenas laid them out.
+    #[test]
+    #[cfg_attr(miri, ignore = "layout arithmetic over 2^16 keys; no unsafe to check")]
+    fn the_layout_the_cost_model_reads_is_pinned() {
+        let sparse: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 64, r)).collect();
+        check_layout(
+            &sparse,
+            83_968,
+            [
+                &[1073746944, 1073747968, 1073752072, 1073752064, 1073793024],
+                &[1073746944, 1073747968, 1073752080, 1073752064, 1073793032],
+                &[1073746956, 1073752060, 1073793016, 1073792984, 1073825784],
+                &[1073746944, 1073748968, 1073762072],
+                &[1073746944, 1073748988, 1073762296],
+                &[1073746944, 1073748160, 1073753992],
+                &[],
+            ],
+        );
+        let dense: Vec<(u64, u64)> = (0..1u64 << 16).map(|r| (r, r)).collect();
+        check_layout(
+            &dense,
+            541_696,
+            [
+                &[1073747968, 1073749000, 1073748992, 1073759232],
+                &[1073747968, 1073749008, 1073748992, 1073759744],
+                &[],
+                &[1073748968, 1073759000, 1073758992, 1074271240],
+                &[1073748988, 1073759224, 1073759192, 1074283512],
+                &[1073748160, 1073750920, 1073750912, 1073857992],
+                &[],
+            ],
+        );
+        // Built key by key, the sparse tree ends in the same blocks.
+        let mut scalar = PrefixTree::with_config(PrefixTreeConfig::default(), 1 << 30);
+        for &(k, v) in &sparse {
+            scalar.upsert(k, v);
+        }
+        assert_eq!(scalar.memory_bytes(), 83_968);
+    }
+
+    /// Move `[lo, hi)` from `from` to `to` in steps of at most `max` pairs
+    /// through one buffer, as the balancer does; returns the steps taken.
+    fn transfer(
+        from: &mut PrefixTree,
+        to: &mut PrefixTree,
+        (lo, hi): (u64, u64),
+        max: usize,
+    ) -> usize {
+        let (mut buf, mut at, mut steps) = (Vec::new(), Some(0), 0);
+        while let Some(key) = at {
+            buf.clear();
+            at = from.extract_chunk(lo, hi, key, &mut buf, max);
+            assert!(
+                buf.len() <= max.max(from.config().fanout()),
+                "a step of {}",
+                buf.len()
+            );
+            to.upsert_batch(&buf);
+            steps += 1;
+        }
+        steps
+    }
+
+    #[test]
+    fn a_streamed_transfer_lands_as_one_batch_would() {
+        // Leaves of 1 to 256 keys, so that steps end beside leaves of
+        // every block class.
+        let pairs: Vec<(u64, u64)> = (0..600u64)
+            .flat_map(|leaf| {
+                let n = [1, 3, 5, 17, 70, 256][leaf as usize % 6];
+                (0..n).map(move |d| ((leaf << 8) | (d * (256 / n)), leaf ^ d))
+            })
+            .collect();
+        let cfg = PrefixTreeConfig::default();
+        let (lo, hi) = (pairs[100].0, pairs[pairs.len() - 100].0);
+        let mut whole = (
+            PrefixTree::build_from_sorted(cfg, 0, &pairs),
+            PrefixTree::new(),
+        );
+        let mut moved = Vec::new();
+        whole.0.extract_range(lo, hi, &mut moved);
+        whole.1.upsert_batch(&moved);
+        for max in [1, 255, 256, 300, 4096, usize::MAX] {
+            let mut streamed = (
+                PrefixTree::build_from_sorted(cfg, 0, &pairs),
+                PrefixTree::new(),
+            );
+            let steps = transfer(&mut streamed.0, &mut streamed.1, (lo, hi), max);
+            assert!(steps > 1 || max > moved.len(), "{max}: one step");
+            for (a, b) in [(&whole.0, &streamed.0), (&whole.1, &streamed.1)] {
+                assert_eq!(a.flatten(), b.flatten());
+                assert_eq!(a.memory_bytes(), b.memory_bytes());
+                assert_eq!(
+                    (a.inner.len(), a.leaves.len(), a.values.len()),
+                    (b.inner.len(), b.leaves.len(), b.values.len())
+                );
+                for &(k, _) in pairs.iter().step_by(7) {
+                    let (mut x, mut y) = (Vec::new(), Vec::new());
+                    a.trace_path(k, &mut x);
+                    b.trace_path(k, &mut y);
+                    assert_eq!(x, y, "{max}: the path of {k}");
+                }
+            }
+        }
+    }
+
+    /// Keys that give every arena of a default tree more than two chunks:
+    /// 72 Ki keys at stride 256 (a leaf and a 4-slot block each), leaves of
+    /// 3 to 256 keys whose blocks of every class cross chunk boundaries,
+    /// and 2 300 keys at stride 2^16 far above (a parent node each).
+    fn three_chunk_keys() -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..72 << 10).map(|r| r << 8).collect();
+        for leaf in 0..600u64 {
+            let n = [3, 17, 70, 256][leaf as usize % 4];
+            keys.extend((0..n).map(|d| (1 << 32) + (leaf << 8) + d * (256 / n)));
+        }
+        keys.extend((0..2_300).map(|r| (1 << 40) + (r << 16)));
+        keys
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "three 1 MiB chunks of every arena; no unsafe to check")]
+    fn a_tree_across_three_chunks_of_every_arena_matches_a_btreemap() {
+        let keys = three_chunk_keys();
+        let (mut t, mut s, mut m) = trees((8, 64));
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 0x5A)).collect();
+        upsert_all(&mut t, &mut s, &mut m, &pairs);
+        assert!(
+            t.inner.chunk_count() >= 3
+                && t.leaves.chunk_count() >= 3
+                && t.values.chunk_count() >= 3
+        );
+        assert!(chunks_fit(&t));
+        let probe: Vec<u64> = keys.iter().flat_map(|&k| [k, k + 1]).step_by(3).collect();
+        lookup_all(&t, &s, &m, &probe);
+        // Overwrites and removals across the boundaries: every 5th key,
+        // then shifts inside ranked blocks.
+        let over: Vec<(u64, u64)> = keys.iter().step_by(5).map(|&k| (k, !k)).collect();
+        upsert_all(&mut t, &mut s, &mut m, &over);
+        for &k in keys.iter().skip(2).step_by(3) {
+            assert_eq!(t.remove(k), m.remove(&k));
+            s.remove(k);
+        }
+        lookup_all(&t, &s, &m, &probe);
+        // A range out and back in: once with the nodes kept, once past
+        // half, so that the donor is compacted.
+        for cut in [keys.len() / 3, keys.len() * 9 / 10] {
+            let hi = keys[cut];
+            let mut moved = Vec::new();
+            t.extract_range(0, hi, &mut moved);
+            let want: Vec<(u64, u64)> = m.range(..hi).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(moved, want);
+            assert!(chunks_fit(&t));
+            assert!(t.len() * 2 >= t.sized_for(), "compacted when due");
+            assert_eq!(
+                t.flatten(),
+                m.range(hi..).map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+            );
+            t.upsert_batch(&moved);
+            assert!(chunks_fit(&t));
+            lookup_all(&t, &s, &m, &probe);
+        }
+        assert_eq!(
+            t.flatten(),
+            m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "32 transfers over multi-chunk trees; no unsafe to check"
+    )]
+    fn two_trees_hand_a_range_back_and_forth_within_the_chunks_they_need() {
+        let keys = three_chunk_keys();
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+        let cfg = PrefixTreeConfig::default();
+        let full = PrefixTree::build_from_sorted(cfg, 0, &pairs);
+        let most = |a: &ChunkVec<u64>| a.chunks_needed() + 1;
+        let bound = (
+            full.inner.chunks_needed() + 1,
+            most(&full.leaves),
+            most(&full.values),
+        );
+        let mut a = PrefixTree::build_from_sorted(cfg, 0, &pairs);
+        let mut b = PrefixTree::with_config(cfg, 0);
+        let range = (keys[keys.len() / 5], keys[keys.len() - 1000]);
+        for round in 0..32 {
+            let (from, to) = if round % 2 == 0 {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            transfer(from, to, range, 1 << 16);
+            for t in [&a, &b] {
+                assert!(chunks_fit(t), "round {round}");
+                let held = (
+                    t.inner.chunk_count(),
+                    t.leaves.chunk_count(),
+                    t.values.chunk_count(),
+                );
+                assert!(
+                    held.0 <= bound.0 && held.1 <= bound.1 && held.2 <= bound.2,
+                    "round {round}: {held:?} > {bound:?}"
+                );
+            }
+            assert_eq!(a.len() + b.len(), pairs.len());
+        }
+        let mut all = a.flatten();
+        all.extend(b.flatten());
+        all.sort_unstable();
+        assert_eq!(all, pairs);
     }
 
     mod properties {

@@ -603,3 +603,148 @@ fn journal_only_recovery_right_after_a_cascade_cycle_restores_every_partition() 
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What a tree object holds, as the engine answers for it: per-AEU key
+/// counts, a full-domain `Count` and `Sum` scan, and a lookup of every
+/// 61st key.  `ticket` numbers the three commands; each call needs its own.
+#[derive(Debug, PartialEq)]
+struct TreeState {
+    lens: Vec<usize>,
+    scans: Vec<Option<eris_column::scan::AggregateResult>>,
+    lookups: Vec<(u64, Option<u64>)>,
+}
+
+fn tree_state(e: &mut Engine, tree: DataObjectId, domain: u64, ticket: u64) -> TreeState {
+    let lens = e
+        .aeu_ids()
+        .into_iter()
+        .map(|a| e.aeu(a).partition(tree).unwrap().data.len())
+        .collect();
+    let mut scans = Vec::new();
+    for (ticket, agg) in [(ticket, Aggregate::Count), (ticket + 1, Aggregate::Sum)] {
+        let scan = DataCommand {
+            object: tree,
+            ticket,
+            payload: Payload::Scan {
+                pred: Predicate::All,
+                agg,
+                snapshot: u64::MAX,
+            },
+        };
+        e.submit(AeuId(0), scan).unwrap();
+        e.run_until_drained();
+        scans.push(e.results().combine_scan(ticket));
+    }
+    let keys = (0..domain).step_by(61).collect();
+    let lookup = DataCommand {
+        object: tree,
+        ticket: ticket + 2,
+        payload: Payload::Lookup { keys },
+    };
+    e.submit(AeuId(1), lookup).unwrap();
+    e.run_until_drained();
+    let mut lookups: Vec<(u64, Option<u64>)> = e
+        .results()
+        .take_lookup_values()
+        .into_iter()
+        .map(|(_, key, v)| (key, v))
+        .collect();
+    lookups.sort_unstable();
+    TreeState {
+        lens,
+        scans,
+        lookups,
+    }
+}
+
+#[test]
+fn a_tree_transfer_streamed_in_several_steps_recovers_from_its_journals() {
+    // Two AEUs share a tree of 2^19 keys, and a hot head makes AEU 0
+    // hand a large part of its 256 Ki keys over in one cycle: more than
+    // one transfer step (64 Ki pairs), so the receiver journals the range
+    // as several `UpsertPairs` records before the donor's `RemoveRange`.
+    const DOMAIN: u64 = 1 << 19;
+    let engine = || {
+        Engine::new(
+            eris_numa::machines::custom_machine("t2", 2, 1, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                collect_results: true,
+                tree: PrefixTreeConfig::new(8, 32),
+                ..Default::default()
+            },
+        )
+    };
+    let value = |k: u64| k.wrapping_mul(31) | 1;
+    // Load, then heat AEU 0's lowest keys; `crash` arms a journal fail
+    // point for the cycle that follows.  Returns the journal directory
+    // and the state before the cycle (what a crash inside the cycle must
+    // recover to) and after it.
+    let run = |tag: &str, crash: Option<&'static str>| {
+        let dir = temp_dir(tag);
+        let fail = Arc::new(FailPoints::new());
+        let dura = Durability::open_with(&dir, engine().num_aeus(), fail.clone()).unwrap();
+        let mut e = engine();
+        dura.attach(&mut e);
+        let tree = e.create_index("orders", DOMAIN);
+        e.bulk_load_index(tree, (0..DOMAIN).map(|k| (k, value(k))));
+        for ticket in 0..16 {
+            let hot = DataCommand {
+                object: tree,
+                ticket,
+                payload: Payload::Lookup {
+                    keys: (0..DOMAIN / 64).collect(),
+                },
+            };
+            e.submit(AeuId(0), hot).unwrap();
+        }
+        e.run_until_drained();
+        e.results().take_lookup_values();
+        let before = tree_state(&mut e, tree, DOMAIN, 100);
+        if let Some(fp) = crash {
+            // The cycle's first group commit survives, its second dies.
+            fail.arm(fp, 1);
+        }
+        e.run_balancer();
+        e.run_until_drained();
+        let d = e.monitor().last_decision(tree).unwrap();
+        let largest = d.migrations.iter().map(|m| m.keys).max().unwrap_or(0);
+        assert!(largest > 1 << 16, "a transfer of several steps: {d:?}");
+        assert_eq!(fail.crashed(), crash.is_some());
+        let after = tree_state(&mut e, tree, DOMAIN, 200);
+        (dir, tree, before, after)
+    };
+    let recover = |dir: &PathBuf, tree| {
+        let mut r = engine();
+        let report = Durability::recover(&mut r, dir).unwrap();
+        assert_eq!(report.checkpoint, None);
+        for a in r.aeu_ids() {
+            let p = r.aeu(a).partition(tree).unwrap();
+            let (lo, hi) = p.range;
+            let mine = r.aeu(a).count_range(tree, lo, hi);
+            assert_eq!(p.data.len(), mine, "{a:?} holds only keys of {lo}..{hi}");
+        }
+        tree_state(&mut r, tree, DOMAIN, 300)
+    };
+
+    // Crash after the cycle's barrier synced every journal: the cycle
+    // is recovered whole.
+    let (dir, tree, before, after) = run("streamed-barrier", None);
+    assert_ne!(before.lens, after.lens, "the cycle moved keys");
+    assert_eq!(after.scans, before.scans);
+    assert_eq!(after.lookups, before.lookups);
+    assert_eq!(recover(&dir, tree), after);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Crash at the cycle's second group commit, a step of a transfer
+    // whose range is not yet gone from its donor, with the receiver's new
+    // range on disk and the donor's not: every key is found, and counted,
+    // once, wherever the cut left it.
+    for fp in [FP_JOURNAL_TORN_WRITE, FP_JOURNAL_PRE_SYNC] {
+        let (dir, tree, before, _) = run(fp, Some(fp));
+        let got = recover(&dir, tree);
+        assert_eq!(got.scans, before.scans, "{fp}");
+        assert_eq!(got.lookups, before.lookups, "{fp}");
+        assert_eq!(got.lens.iter().sum::<usize>() as u64, DOMAIN, "{fp}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
