@@ -713,35 +713,15 @@ impl Aeu {
         }
     }
 
-    /// Remove all keys of `[lo, hi)` and append their pairs to `out`
-    /// (balancing shrink side, and its replay); a partition left under
-    /// half of what it was sized for is compacted.
-    pub fn extract_range(
-        &mut self,
-        object: DataObjectId,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<(u64, u64)>,
-    ) {
-        let p = self
-            .partitions
-            .get_mut(&object)
-            .expect("point partition exists");
-        match &mut p.data {
-            PartitionData::Index(tree) => tree.extract_range(lo, hi, out),
-            PartitionData::Hash(h) => h.extract_range(lo, hi, out),
-            PartitionData::Column(_) => panic!("extract_range on a column partition"),
-        }
-        self.journal(RedoOp::RemoveRange { object, lo, hi });
-    }
-
-    /// [`Aeu::extract_range`] in bounded steps
-    /// ([`HashTable::extract_chunk`], [`PrefixTree::extract_chunk`]), so
-    /// that a transfer streams through one reused buffer.  `from` is where
-    /// the previous step stopped, 0 for the first — a bucket of a hash
-    /// table, a key of a tree — and the result is where the next one
-    /// starts; the range's one `RemoveRange` record is journaled when it
-    /// is gone (`None`).
+    /// Remove the keys of `[lo, hi)` in bounded steps
+    /// ([`HashTable::extract_chunk`], [`PrefixTree::extract_chunk`]),
+    /// appending their pairs to `out` (the balancing donor side), so that
+    /// a transfer streams through one reused buffer.  `from` is where the
+    /// previous step stopped, 0 for the first — a bucket of a hash table,
+    /// a key of a tree — and the result is where the next one starts,
+    /// `None` once the range is gone; a partition left under half of what
+    /// it was sized for is then compacted.  Nothing is journaled: the
+    /// cycle's `Bounds` record drops the donor's copies at recovery.
     pub fn extract_chunk(
         &mut self,
         object: DataObjectId,
@@ -754,17 +734,13 @@ impl Aeu {
             .partitions
             .get_mut(&object)
             .expect("point partition exists");
-        let next = match &mut p.data {
+        match &mut p.data {
             PartitionData::Index(tree) => tree.extract_chunk(lo, hi, from, out, max),
             PartitionData::Hash(h) => h
                 .extract_chunk(lo, hi, from as usize, out, max)
                 .map(|bucket| bucket as u64),
             PartitionData::Column(_) => panic!("extract_chunk on a column partition"),
-        };
-        if next.is_none() {
-            self.journal(RedoOp::RemoveRange { object, lo, hi });
         }
-        next
     }
 
     /// Remove the last `n` rows of a column partition.
@@ -788,11 +764,6 @@ impl Aeu {
     pub fn set_range(&mut self, object: DataObjectId, range: (u64, u64)) {
         if let Some(p) = self.partitions.get_mut(&object) {
             p.range = range;
-            self.journal(RedoOp::SetRange {
-                object,
-                lo: range.0,
-                hi: range.1,
-            });
         }
     }
 

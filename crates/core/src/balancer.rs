@@ -15,7 +15,7 @@
 use crate::aeu::Aeu;
 use crate::command::{AeuId, DataObjectId};
 use crate::cost::CostParams;
-use crate::durability::RedoSink;
+use crate::durability::{RedoOp, RedoSink};
 use crate::engine::{apply_bounds, ObjectKind};
 use crate::monitor::{cv, BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
 use crate::routing::RoutingShared;
@@ -524,8 +524,8 @@ impl Balancer {
             };
             self.monitor.record(id, sample);
         }
-        // A transfer's remove/absorb records live on two different AEU
-        // logs; sync them together so a crash cannot split the pair.
+        // A column's tail move journals its remove and its append on two
+        // logs; sync them together before the next epoch.
         if let Some(s) = p.sink {
             s.barrier();
         }
@@ -637,6 +637,13 @@ impl Balancer {
             total_ns += p.charge_transfer(&mut decision, t, moved, bytes, rebuild);
         }
         p.move_ranges(object, &plan, &counts);
+        // The cycle commits: once the receivers' pairs are durable, one
+        // record of the new bounds, on AEU 0's log beside the creations.
+        if let Some(s) = p.sink.filter(|s| s.barrier()) {
+            let bounds = &new_bounds;
+            s.append(AeuId(0), RedoOp::Bounds { object, bounds });
+            s.barrier();
+        }
 
         let total_keys: usize = p
             .aeus

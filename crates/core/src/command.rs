@@ -436,6 +436,28 @@ fn encode_header(op: u8, object: DataObjectId, ticket: u64, plen: usize, out: &m
     out.put_u32_le(plen as u32);
 }
 
+/// The longest run of whole commands at the front of the encoded records
+/// `buf` that is at most `max` bytes long — or the first command alone
+/// when even it is longer — with each trace marker kept with the command
+/// after it.  Returns the run's length in bytes and its command count.
+pub(crate) fn whole_commands_within(buf: &[u8], max: usize) -> (usize, u64) {
+    let (mut at, mut run, mut commands) = (0, 0, 0);
+    while let Some(header) = buf.get(at..at + HEADER_BYTES) {
+        // BOUNDS: `get` returned a whole header: the op is its first
+        // byte, the payload length its last four.
+        let plen = u32::from_le_bytes([header[13], header[14], header[15], header[16]]);
+        at += HEADER_BYTES + plen as usize;
+        if header[0] == OP_TRACE {
+            continue;
+        }
+        if at > max && commands > 0 {
+            break;
+        }
+        (run, commands) = (at, commands + 1);
+    }
+    (run, commands)
+}
+
 /// Append the header and item count of a point command carrying `n`
 /// items of type `T`, reserving room for the items, which the caller
 /// appends next with [`PointItem::put`].  Header, count and items are

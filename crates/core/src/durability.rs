@@ -10,9 +10,12 @@
 //! actually applied to its own partition, never the strays it forwarded —
 //! so replay is purely local and needs no re-routing: each AEU's log can
 //! be re-applied to its own partitions independently and in order.
-//! Balancing transfers decompose into a [`RedoOp::RemoveRange`] on the
-//! source AEU and an [`RedoOp::UpsertPairs`] on the destination, which
-//! touch disjoint partitions and therefore commute across logs.
+//! A balancing cycle of a point object is one durable unit: receivers
+//! journal the pairs they absorb, donors journal nothing, and once every
+//! log is synced one [`RedoOp::Bounds`] record on AEU 0's log commits the
+//! cycle.  Recovery keeps in each partition only the pairs inside its
+//! committed range, so a cut before the commit keeps the donors' copies
+//! and a cut after it the receivers'.
 
 use crate::command::{AeuId, DataObjectId};
 
@@ -84,19 +87,14 @@ pub enum RedoOp<'a> {
         object: DataObjectId,
         rows: &'a [u64],
     },
-    /// Keys of `[lo, hi)` removed (the shrink side of a transfer).
-    RemoveRange {
-        object: DataObjectId,
-        lo: u64,
-        hi: u64,
-    },
     /// Last `n` rows removed from a column partition.
     RemoveTail { object: DataObjectId, n: u64 },
-    /// The AEU's responsibility range changed (routing-table rebuild).
-    SetRange {
+    /// A balancing cycle of a point object committed: its new lower
+    /// bound per AEU, in AEU order (always reported via AEU 0's log,
+    /// after every log holding the cycle's absorbed pairs was synced).
+    Bounds {
         object: DataObjectId,
-        lo: u64,
-        hi: u64,
+        bounds: &'a [u64],
     },
 }
 
@@ -112,8 +110,16 @@ pub trait RedoSink: Send + Sync {
     /// boundary for buffered records.
     fn end_of_step(&self, _aeu: AeuId) {}
 
-    /// Engine-orchestrated multi-AEU mutation (a balancing cycle)
-    /// completed: make every log durable so the transfer's remove/absorb
-    /// record pair cannot be split by a crash.
-    fn barrier(&self) {}
+    /// Make every log durable before the engine goes on: what was
+    /// journaled before the barrier is on disk before anything after it.
+    /// It orders an object's creation before its data records, a cycle's
+    /// absorbed pairs before its [`RedoOp::Bounds`] commit, that commit
+    /// before the commands that run under the new bounds, and a column's
+    /// tail move (`RemoveTail` and `AppendRows`, on two logs) before the
+    /// next epoch.  Returns whether every log is durable up to the
+    /// barrier; a sink that returns `false` journals nothing more, so a
+    /// later record (a cycle's commit) never lands past a gap.
+    fn barrier(&self) -> bool {
+        true
+    }
 }

@@ -808,6 +808,75 @@ mod tests {
     }
 
     #[test]
+    fn a_backlog_larger_than_one_incoming_buffer_is_delivered() {
+        // Two AEUs with 4 KiB incoming buffers.  Upserts and scans of keys
+        // AEU 1 owns, all routed through AEU 0 with no epoch between them,
+        // pile up ~20 KiB for AEU 1 once its buffer is full; every third
+        // command carries a trace marker.
+        let mut e = Engine::new(
+            custom_machine("two", 2, 1, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                collect_results: true,
+                routing: RoutingConfig {
+                    outgoing_capacity: 256,
+                    incoming_capacity: 4096,
+                    trace_sample_every: 3,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let domain = 1 << 16;
+        let idx = e.create_index("t", domain);
+        let value = |k: u64| 3 * k + 1;
+        for ticket in 0..128u64 {
+            let keys = (0..8).map(|i| domain / 2 + 8 * ticket + i);
+            let payload = if ticket % 16 == 15 {
+                Payload::Scan {
+                    pred: Predicate::All,
+                    agg: Aggregate::Count,
+                    snapshot: u64::MAX,
+                }
+            } else {
+                Payload::Upsert {
+                    pairs: keys.map(|k| (k, value(k))).collect(),
+                }
+            };
+            let cmd = DataCommand {
+                object: idx,
+                ticket,
+                payload,
+            };
+            e.submit(AeuId(0), cmd).unwrap();
+        }
+        let mut epochs = 0;
+        while !e.is_idle() {
+            assert!(epochs < 64, "still in flight after {epochs} epochs");
+            e.run_epoch();
+            epochs += 1;
+        }
+        let q = e.drain_and_quiesce();
+        assert!(q.conservation_ok && q.trace_ok, "{q:?}");
+        for ticket in 0..8 {
+            let keys = (0..128).map(|i| domain / 2 + 128 * ticket + i).collect();
+            let lookup = DataCommand {
+                object: idx,
+                ticket: 1000,
+                payload: Payload::Lookup { keys },
+            };
+            e.submit(AeuId(1), lookup).unwrap();
+            e.run_until_drained();
+        }
+        let mut got = e.results().take_lookup_values();
+        got.sort_unstable();
+        let upserted = |k: u64| (k - domain / 2) / 8 % 16 != 15;
+        let want: Vec<_> = (domain / 2..domain / 2 + 8 * 128)
+            .map(|k| (1000, k, upserted(k).then(|| value(k))))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn engine_places_one_aeu_per_core() {
         let e = small_engine(false);
         assert_eq!(e.num_aeus(), 8);

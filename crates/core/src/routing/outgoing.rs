@@ -20,7 +20,8 @@
 use super::incoming::{BufferFull, IncomingBuffers};
 use super::partition_table::Owners;
 use crate::command::{
-    encode_point_header, encode_trace_marker, AeuId, DataCommand, DataObjectId, PointItem,
+    encode_point_header, encode_trace_marker, whole_commands_within, AeuId, DataCommand,
+    DataObjectId, PointItem,
 };
 use eris_obs::TraceStamp;
 
@@ -202,7 +203,9 @@ impl OutgoingBuffers {
 
     /// Copy everything pending for `target` into its incoming buffer as one
     /// contiguous write (routing step 3).  On success the outgoing buffer is
-    /// cleared; on [`BufferFull`] it is kept for a later retry.
+    /// cleared; on [`BufferFull`] it is kept for a later retry.  A backlog
+    /// larger than one incoming buffer goes in pieces that fit one, a piece
+    /// per flush ([`OutgoingBuffers::flush_piece`]).
     pub fn flush_into(
         &mut self,
         target: AeuId,
@@ -211,6 +214,9 @@ impl OutgoingBuffers {
         let bytes = self.pending_bytes(target);
         if bytes == 0 {
             return Ok(None);
+        }
+        if bytes > incoming.capacity() {
+            return self.flush_piece(target, incoming).map(Some);
         }
         let commands = self.pending_commands(target);
         // BOUNDS: `targets` is sized to the AEU count at construction and
@@ -246,6 +252,52 @@ impl OutgoingBuffers {
             bytes: bytes as u64,
             commands,
         }))
+    }
+
+    /// Write the front of `target`'s backlog that fits the free space of
+    /// its incoming buffer, cut at command boundaries (at least one
+    /// command), and drop it from the outgoing buffer: the unicast
+    /// commands first ([`whole_commands_within`], so a trace marker goes
+    /// with its command), then the referenced multicast commands, each
+    /// whole.  The rest waits for the next flush.
+    fn flush_piece(
+        &mut self,
+        target: AeuId,
+        incoming: &IncomingBuffers,
+    ) -> Result<FlushInfo, BufferFull> {
+        let max = incoming.capacity().saturating_sub(incoming.pending_bytes());
+        // BOUNDS: `targets` is sized to the AEU count at construction and
+        // AeuId indexes come from the same topology.
+        let t = &mut self.targets[target.index()];
+        let (bytes, commands) = if t.unicast.is_empty() {
+            // ALLOC-OK: one piece per flush of an oversized backlog.
+            let (mut piece, mut n) = (Vec::new(), 0);
+            for &(off, len) in &t.refs {
+                if n > 0 && piece.len() + len as usize > max {
+                    break;
+                }
+                // BOUNDS: as in `flush_into`, the reference was recorded
+                // from the multicast buffer it points into.
+                // ALLOC-OK: extends the piece.
+                piece.extend_from_slice(&self.multicast[off as usize..(off + len) as usize]);
+                n += 1;
+            }
+            incoming.write(&piece)?;
+            t.refs.drain(..n);
+            (piece.len(), n as u64)
+        } else {
+            let (len, commands) = whole_commands_within(&t.unicast, max);
+            // BOUNDS: the run lies within the unicast buffer.
+            incoming.write(&t.unicast[..len])?;
+            t.unicast.drain(..len);
+            t.unicast_cmds -= commands;
+            (len, commands)
+        };
+        Ok(FlushInfo {
+            target,
+            bytes: bytes as u64,
+            commands,
+        })
     }
 
     /// Drop the multicast buffer once no target references it anymore.
@@ -382,6 +434,44 @@ mod tests {
         let mut out = OutgoingBuffers::new(1, 64);
         let inc = IncomingBuffers::new(64);
         assert_eq!(out.flush_into(AeuId(0), &inc).unwrap(), None);
+    }
+
+    #[test]
+    fn a_backlog_goes_in_pieces_that_fit_the_free_space() {
+        // Unicast commands, then multicast ones that alone outgrow the
+        // incoming buffer, which already holds one command.
+        let mut out = OutgoingBuffers::new(2, 1 << 20);
+        let inc = IncomingBuffers::new(256);
+        let sent: Vec<_> = (0..40).map(|k| lookup_cmd(vec![k, k + 1])).collect();
+        for cmd in &sent[..10] {
+            out.push_unicast(AeuId(1), cmd);
+        }
+        for cmd in &sent[10..] {
+            out.push_multicast(&[AeuId(0), AeuId(1)], cmd, &mut Vec::new());
+        }
+        let first = lookup_cmd(vec![99]);
+        let mut prefix = Vec::new();
+        first.encode(&mut prefix);
+        inc.write(&prefix).unwrap();
+        let mut got = Vec::new();
+        let mut multicast_only = 0;
+        while !out.targets[1].unicast.is_empty() || !out.targets[1].refs.is_empty() {
+            let free = inc.capacity() - inc.pending_bytes();
+            let refs_alone = out.targets[1].unicast.is_empty();
+            let info = out.flush_into(AeuId(1), &inc).unwrap().unwrap();
+            assert!(
+                info.bytes as usize <= free,
+                "{info:?} within {free} free bytes"
+            );
+            multicast_only += refs_alone as usize;
+            inc.swap_and_consume(|d| got.extend(DataCommand::decode_all(d)));
+        }
+        assert!(
+            multicast_only >= 2,
+            "{multicast_only} multicast-only pieces"
+        );
+        assert_eq!(got.remove(0), first);
+        assert_eq!(got, sent, "every command once, in order");
     }
 
     #[test]

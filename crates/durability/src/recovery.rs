@@ -14,10 +14,13 @@
 //!    first every `Create` record (object births since the checkpoint,
 //!    all on AEU 0's log and barrier-synced before any data record can
 //!    reference them), then the data records of each log in order.
-//! 4. Rebuild the routing tables of range-partitioned objects from the
-//!    recovered per-AEU partition bounds, and settle what a balancing
-//!    transfer cut short by the crash left outside its partition's range
-//!    ([`settle_strays`]).
+//! 4. Rebuild the routing table of each point object from its committed
+//!    bounds — its last `Bounds` record past the cut, else the checkpoint
+//!    images' or the creation's — and keep in each partition only the
+//!    pairs of its range.  A balancing cycle the crash cut before its
+//!    `Bounds` commit leaves the receivers' copies outside their ranges,
+//!    one past its commit the donors': no pair moves between partitions,
+//!    and with no deletes the order across logs does not matter.
 //!
 //! Recovery itself writes nothing; crashing *during* recovery (see
 //! [`FP_RECOVERY_MID_REPLAY`]) just means discarding the half-built
@@ -27,7 +30,7 @@ use crate::checkpoint::{self, Manifest};
 use crate::failpoint::{FailPoints, FP_RECOVERY_MID_REPLAY};
 use crate::wal::{read_tail, JournalOp, WAL_MAGIC};
 use eris_core::durability::ObjectClass;
-use eris_core::{AeuId, DataObjectId, Engine, PartitionData};
+use eris_core::{AeuId, DataObjectId, Engine};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
@@ -116,14 +119,9 @@ pub fn recover_into(
 
     // Phase 0: newest complete checkpoint (if any).
     let latest = checkpoint::find_latest(base)?;
-    let (cuts, classes) = match &latest {
+    let cuts = match &latest {
         Some((ckpt_path, manifest)) => {
             restore_checkpoint(engine, ckpt_path, manifest)?;
-            let classes: HashMap<DataObjectId, ObjectClass> = manifest
-                .objects
-                .iter()
-                .map(|o| (o.descriptor.id, o.descriptor.class))
-                .collect();
             if manifest.cuts.len() != n_aeus {
                 return Err(RecoveryError::Corrupt(format!(
                     "manifest cut count {} != {} AEUs",
@@ -131,13 +129,13 @@ pub fn recover_into(
                     n_aeus
                 )));
             }
-            (manifest.cuts.clone(), classes)
+            manifest.cuts.clone()
         }
-        None => (vec![WAL_MAGIC.len() as u64; n_aeus], HashMap::new()),
+        None => vec![WAL_MAGIC.len() as u64; n_aeus],
     };
-    let mut classes = classes;
 
-    // Phase 1: read every journal tail; apply object creations first.
+    // Phase 1: read every journal tail; apply object creations first and
+    // note each object's last committed bounds.
     let wal_dir = base.join("wal");
     let mut tails = Vec::with_capacity(n_aeus);
     let mut torn_bytes = 0;
@@ -146,18 +144,19 @@ pub fn recover_into(
         torn_bytes += torn;
         tails.push(ops);
     }
-    for tail in &tails {
-        for op in tail {
-            if let JournalOp::Create {
+    let mut committed = HashMap::new();
+    for op in tails.iter().flatten() {
+        match op {
+            JournalOp::Create {
                 class,
                 object,
                 domain,
                 name,
-            } = op
-            {
-                create_object(engine, *class, *object, *domain, name)?;
-                classes.insert(*object, *class);
+            } => create_object(engine, *class, *object, *domain, name)?,
+            JournalOp::Bounds { object, bounds } => {
+                committed.insert(*object, bounds.clone());
             }
+            _ => {}
         }
     }
 
@@ -197,28 +196,47 @@ pub fn recover_into(
             .fetch_add(records, Relaxed);
     }
 
-    // Phase 3: routing tables from recovered partition bounds.
-    let objects: Vec<(DataObjectId, ObjectClass)> = classes.into_iter().collect();
-    for (object, class) in objects {
-        if class == ObjectClass::Column {
+    // Phase 3: routing tables from the committed bounds; each partition
+    // keeps the pairs of its range.
+    for d in engine.describe_objects() {
+        if d.class == ObjectClass::Column {
             continue;
         }
-        let bounds: Vec<u64> = (0..n_aeus)
-            .map(|i| {
-                engine
-                    .aeu(AeuId(i as u32))
-                    .partition(object)
-                    .map(|p| p.range.0)
-                    .ok_or_else(|| {
-                        RecoveryError::Corrupt(format!(
-                            "AEU {i} has no partition for recovered object {}",
-                            object.0
-                        ))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        engine.restore_partition_bounds(object, &bounds);
-        settle_strays(engine, object);
+        let bounds = match committed.remove(&d.id) {
+            Some(bounds) => check_bounds(d.id, bounds, n_aeus, d.domain)?,
+            None => (0..n_aeus)
+                .map(|i| {
+                    engine
+                        .aeu(AeuId(i as u32))
+                        .partition(d.id)
+                        .map(|p| p.range.0)
+                        .ok_or_else(|| {
+                            RecoveryError::Corrupt(format!(
+                                "AEU {i} has no partition for recovered object {}",
+                                d.id.0
+                            ))
+                        })
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        engine.restore_partition_bounds(d.id, &bounds);
+        // Drop what lies outside each range as a donor gives a range away
+        // (compacting a partition left under half its size).
+        for a in engine.aeu_ids() {
+            let aeu = engine.aeu_mut(a);
+            let (lo, hi) = aeu.partition(d.id).expect("bounds were restored").range;
+            for outside in [(0, lo), (hi, d.domain)] {
+                if aeu.count_range(d.id, outside.0, outside.1) > 0 {
+                    aeu.extract_chunk(d.id, outside, 0, &mut Vec::new(), usize::MAX);
+                }
+            }
+        }
+    }
+    if let Some(object) = committed.keys().next() {
+        return Err(RecoveryError::Corrupt(format!(
+            "bounds journaled for object {}, which is no point object",
+            object.0
+        )));
     }
 
     Ok(RecoveryReport {
@@ -229,79 +247,27 @@ pub fn recover_into(
     })
 }
 
-/// Settle every pair a point partition holds outside its recovered
-/// range: dropped where the partition owning the key holds it too, moved
-/// there where it does not.  A balancing cycle journals each AEU's new
-/// range (`SetRange`) before it moves keys, and a transfer streams into
-/// its receiver in steps, each one group commit of the receiver's
-/// journal, while the donor's `RemoveRange` — on another journal — is
-/// written when the whole range is gone.  A crash inside the cycle can
-/// therefore leave the receiver holding part of the range, under its old
-/// range or its new one, and the donor holding all of it, under its old
-/// range or its new one.  A pair is the same on both sides (no command
-/// runs inside a cycle), so whichever copy the routing table can reach
-/// stays, once, and the rest of the range follows it.
-fn settle_strays(engine: &mut Engine, object: DataObjectId) {
-    fn part(engine: &Engine, object: DataObjectId, a: AeuId) -> &eris_core::Partition {
-        engine
-            .aeu(a)
-            .partition(object)
-            .expect("bounds were restored")
+/// `bounds` as a journaled `Bounds` record holds them, if they are what
+/// the balancer writes: one lower bound per AEU, the first 0, strictly
+/// ascending inside the domain.  A record that passed its CRC but not
+/// this is corruption, not a routing table.
+fn check_bounds(
+    object: DataObjectId,
+    bounds: Vec<u64>,
+    n_aeus: usize,
+    domain: u64,
+) -> Result<Vec<u64>, RecoveryError> {
+    if bounds.len() == n_aeus
+        && bounds.first() == Some(&0)
+        && bounds.windows(2).all(|w| w[0] < w[1])
+        && bounds.last().is_some_and(|&b| b < domain)
+    {
+        return Ok(bounds);
     }
-    let aeus = engine.aeu_ids();
-    let owner = |engine: &Engine, key: u64| {
-        let owns = |&&a: &&AeuId| {
-            let (lo, hi) = part(engine, object, a).range;
-            (lo..hi).contains(&key)
-        };
-        *aeus.iter().find(owns).expect("the ranges cover the domain")
-    };
-    let holds = |engine: &Engine, a: AeuId, key: u64| match &part(engine, object, a).data {
-        PartitionData::Index(tree) => tree.lookup(key).is_some(),
-        PartitionData::Hash(h) => h.lookup(key).is_some(),
-        PartitionData::Column(_) => false,
-    };
-    for &a in &aeus {
-        let p = part(engine, object, a);
-        let (lo, hi) = p.range;
-        let mut strays = Vec::new();
-        match &p.data {
-            PartitionData::Index(tree) => {
-                tree.scan_range(0, lo, |k, v| strays.push((k, v)));
-                tree.scan_range_inclusive(hi, u64::MAX, |k, v| strays.push((k, v)));
-            }
-            PartitionData::Hash(h) => h.for_each(|k, v| {
-                if !(lo..hi).contains(&k) {
-                    strays.push((k, v));
-                }
-            }),
-            PartitionData::Column(_) => return,
-        }
-        for (k, v) in strays {
-            let to = owner(engine, k);
-            let keep = !holds(engine, to, k);
-            let from = engine
-                .aeu_mut(a)
-                .partition_mut(object)
-                .expect("bounds were restored");
-            match &mut from.data {
-                PartitionData::Index(tree) => tree.remove(k),
-                PartitionData::Hash(h) => h.remove(k),
-                PartitionData::Column(_) => None,
-            };
-            if keep {
-                let into = engine
-                    .aeu_mut(to)
-                    .partition_mut(object)
-                    .expect("bounds were restored");
-                match &mut into.data {
-                    PartitionData::Index(tree) => tree.upsert(k, v),
-                    PartitionData::Hash(h) => h.upsert(k, v),
-                    PartitionData::Column(_) => None,
-                };
-            }
-        }
-    }
+    Err(RecoveryError::Corrupt(format!(
+        "bounds {bounds:?} of object {} do not split its domain {domain} over {n_aeus} AEUs",
+        object.0
+    )))
 }
 
 /// Pairs one replayed upsert batch gathers at most.  `absorb_pairs`
@@ -321,19 +287,15 @@ fn apply_run(engine: &mut Engine, aeu: AeuId, run: Option<(DataObjectId, Vec<(u6
 fn replay_one(engine: &mut Engine, aeu: AeuId, op: JournalOp) {
     let aeu = engine.aeu_mut(aeu);
     match op {
-        JournalOp::Create { .. } => {}
+        JournalOp::Create { .. } | JournalOp::Bounds { .. } => {}
         JournalOp::UpsertPairs { object, pairs } => aeu.absorb_pairs(object, &pairs),
         JournalOp::AppendRows { object, rows } => {
             aeu.absorb_rows(object, &rows)
                 .expect("replay targets partitions the redo log provisioned");
         }
-        JournalOp::RemoveRange { object, lo, hi } => {
-            aeu.extract_range(object, lo, hi, &mut Vec::new());
-        }
         JournalOp::RemoveTail { object, n } => {
             aeu.extract_tail_rows(object, n as usize);
         }
-        JournalOp::SetRange { object, lo, hi } => aeu.set_range(object, (lo, hi)),
     }
 }
 
@@ -364,9 +326,49 @@ fn restore_checkpoint(
 
 #[cfg(test)]
 mod tests {
-    use super::REPLAY_RUN_PAIRS;
+    use super::{RecoveryError, REPLAY_RUN_PAIRS};
+    use crate::failpoint::FailPoints;
+    use crate::wal::Wal;
     use crate::Durability;
+    use eris_core::durability::RedoOp;
     use eris_core::prelude::*;
+
+    #[test]
+    fn bounds_that_do_not_split_the_domain_are_corruption() {
+        const DOMAIN: u64 = 1 << 10;
+        let machine =
+            || eris_numa::machines::custom_machine("bounds", 2, 2, 20.0, 100.0, 10.0, 60.0);
+        let cases: [&[u64]; 5] = [
+            &[0, 10, 20],
+            &[1, 10, 20, 30],
+            &[0, 20, 10, 30],
+            &[0, 10, 10, 30],
+            &[0, 10, 20, DOMAIN],
+        ];
+        for (i, bounds) in cases.into_iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("eris-bad-bounds-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut e = Engine::new(machine(), EngineConfig::default());
+            let dura = Durability::open(&dir, e.num_aeus()).unwrap();
+            dura.attach(&mut e);
+            let object = e.create_index("t", DOMAIN);
+            drop((e, dura));
+            // A CRC-valid record the balancer would never write.
+            let wal = Wal::open(&dir.join("wal/aeu-0.log")).unwrap();
+            wal.append_op(&RedoOp::Bounds { object, bounds });
+            assert!(wal.flush(&FailPoints::new(), None) > 0);
+            drop(wal);
+
+            let mut r = Engine::new(machine(), EngineConfig::default());
+            let got = Durability::recover(&mut r, &dir);
+            assert!(
+                matches!(got, Err(RecoveryError::Corrupt(_))),
+                "{bounds:?}: {got:?}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn batched_replay_keeps_the_last_write_of_every_key() {

@@ -12,7 +12,7 @@
 //! ## File format
 //!
 //! ```text
-//! [8B magic "ERISWAL1"]
+//! [8B magic "ERISWAL2"]
 //! repeat:  [u32 len][u32 crc32(payload)][payload: len bytes]
 //! ```
 //!
@@ -33,10 +33,11 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::Ordering::{self, Relaxed};
 use std::sync::Arc;
 
-pub const WAL_MAGIC: &[u8; 8] = b"ERISWAL1";
+pub const WAL_MAGIC: &[u8; 8] = b"ERISWAL2";
 
 /// Bytes buffered before a group commit flushes mid-step.  One AEU step
 /// normally commits once at `end_of_step`; this bounds memory when a
@@ -50,9 +51,8 @@ pub const MAX_RECORD_BYTES: u32 = 64 << 20;
 const TAG_CREATE: u8 = 1;
 const TAG_UPSERT_PAIRS: u8 = 2;
 const TAG_APPEND_ROWS: u8 = 3;
-const TAG_REMOVE_RANGE: u8 = 4;
-const TAG_REMOVE_TAIL: u8 = 5;
-const TAG_SET_RANGE: u8 = 6;
+const TAG_REMOVE_TAIL: u8 = 4;
+const TAG_BOUNDS: u8 = 5;
 
 /// Owned, decoded form of a journal record (the replay-side mirror of
 /// [`RedoOp`], which borrows from the AEU's scratch buffers).
@@ -72,19 +72,13 @@ pub enum JournalOp {
         object: DataObjectId,
         rows: Vec<u64>,
     },
-    RemoveRange {
-        object: DataObjectId,
-        lo: u64,
-        hi: u64,
-    },
     RemoveTail {
         object: DataObjectId,
         n: u64,
     },
-    SetRange {
+    Bounds {
         object: DataObjectId,
-        lo: u64,
-        hi: u64,
+        bounds: Vec<u64>,
     },
 }
 
@@ -94,8 +88,9 @@ fn encoded_len(op: &RedoOp<'_>) -> usize {
     5 + match op {
         RedoOp::CreateObject { name, .. } => 1 + 8 + 4 + name.len(),
         RedoOp::UpsertPairs { pairs, .. } => 8 + 16 * pairs.len(),
-        RedoOp::AppendRows { rows, .. } => 8 + 8 * rows.len(),
-        RedoOp::RemoveRange { .. } | RedoOp::SetRange { .. } => 16,
+        RedoOp::AppendRows { rows: words, .. } | RedoOp::Bounds { bounds: words, .. } => {
+            8 + 8 * words.len()
+        }
         RedoOp::RemoveTail { .. } => 8,
     }
 }
@@ -143,33 +138,25 @@ fn encode_op(op: &RedoOp<'_>, out: &mut [u8]) {
                 vs.copy_from_slice(&v.to_le_bytes());
             }
         }
-        RedoOp::AppendRows { object, rows } => {
-            w.put(&[TAG_APPEND_ROWS]);
-            w.put(&object.0.to_le_bytes());
-            w.put(&(rows.len() as u64).to_le_bytes());
-            for (slot, r) in w.next(8 * rows.len()).chunks_exact_mut(8).zip(rows) {
-                slot.copy_from_slice(&r.to_le_bytes());
-            }
-        }
-        RedoOp::RemoveRange { object, lo, hi } => {
-            w.put(&[TAG_REMOVE_RANGE]);
-            w.put(&object.0.to_le_bytes());
-            w.put(&lo.to_le_bytes());
-            w.put(&hi.to_le_bytes());
-        }
+        RedoOp::AppendRows { object, rows } => put_words(&mut w, TAG_APPEND_ROWS, object, rows),
         RedoOp::RemoveTail { object, n } => {
             w.put(&[TAG_REMOVE_TAIL]);
             w.put(&object.0.to_le_bytes());
             w.put(&n.to_le_bytes());
         }
-        RedoOp::SetRange { object, lo, hi } => {
-            w.put(&[TAG_SET_RANGE]);
-            w.put(&object.0.to_le_bytes());
-            w.put(&lo.to_le_bytes());
-            w.put(&hi.to_le_bytes());
-        }
+        RedoOp::Bounds { object, bounds } => put_words(&mut w, TAG_BOUNDS, object, bounds),
     }
     debug_assert!(w.0.is_empty(), "encoded_len disagrees with encode_op");
+}
+
+/// `[tag][u32 object][u64 n][n × u64]`: rows appended, or bounds.
+fn put_words(w: &mut Writer<'_>, tag: u8, object: DataObjectId, words: &[u64]) {
+    w.put(&[tag]);
+    w.put(&object.0.to_le_bytes());
+    w.put(&(words.len() as u64).to_le_bytes());
+    for (slot, x) in w.next(8 * words.len()).chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&x.to_le_bytes());
+    }
 }
 
 /// Frame one record at the end of the group-commit buffer `buf`: reserve
@@ -247,31 +234,30 @@ pub fn decode_op(mut buf: &[u8]) -> Option<JournalOp> {
             }
             JournalOp::UpsertPairs { object, pairs }
         }
-        TAG_APPEND_ROWS => {
+        TAG_APPEND_ROWS | TAG_BOUNDS => {
             let object = DataObjectId(take_u32(&mut buf)?);
             let n = take_u64(&mut buf)? as usize;
             if buf.len() != n.checked_mul(8)? {
                 return None;
             }
-            let mut rows = Vec::with_capacity(n);
+            let mut words = Vec::with_capacity(n);
             for _ in 0..n {
-                rows.push(take_u64(&mut buf)?);
+                words.push(take_u64(&mut buf)?);
             }
-            JournalOp::AppendRows { object, rows }
+            match tag {
+                TAG_BOUNDS => JournalOp::Bounds {
+                    object,
+                    bounds: words,
+                },
+                _ => JournalOp::AppendRows {
+                    object,
+                    rows: words,
+                },
+            }
         }
-        TAG_REMOVE_RANGE => JournalOp::RemoveRange {
-            object: DataObjectId(take_u32(&mut buf)?),
-            lo: take_u64(&mut buf)?,
-            hi: take_u64(&mut buf)?,
-        },
         TAG_REMOVE_TAIL => JournalOp::RemoveTail {
             object: DataObjectId(take_u32(&mut buf)?),
             n: take_u64(&mut buf)?,
-        },
-        TAG_SET_RANGE => JournalOp::SetRange {
-            object: DataObjectId(take_u32(&mut buf)?),
-            lo: take_u64(&mut buf)?,
-            hi: take_u64(&mut buf)?,
         },
         _ => return None,
     };
@@ -306,7 +292,9 @@ pub struct Wal {
 impl Wal {
     /// Open (or create) the journal at `path`.  An existing file is
     /// scanned and truncated back to its last intact record so a torn
-    /// tail from a previous crash is never appended after.
+    /// tail from a previous crash is never appended after.  A file shorter
+    /// than the magic (its creation was torn) starts over; one with
+    /// another magic is an [`std::io::ErrorKind::InvalidData`] error.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -315,18 +303,18 @@ impl Wal {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let valid = if len == 0 {
+        let mut valid = walk_records(BufReader::new(&mut file), |_, _| Ok(()))?;
+        if valid == 0 {
+            file.set_len(0)?;
+            file.rewind()?;
             file.write_all(WAL_MAGIC)?;
+            valid = WAL_MAGIC.len() as u64;
+        } else if valid < len {
+            file.set_len(valid)?;
+        }
+        if valid != len {
             file.sync_data()?;
-            WAL_MAGIC.len() as u64
-        } else {
-            let valid = walk_records(BufReader::new(&mut file), |_, _| Ok(()))?;
-            if valid < len {
-                file.set_len(valid)?;
-                file.sync_data()?;
-            }
-            valid
-        };
+        }
         file.seek(SeekFrom::Start(valid))?;
         Ok(Wal {
             path: path.to_path_buf(),
@@ -449,7 +437,9 @@ impl Wal {
 /// Walk the records of a journal from its start, in order: the magic,
 /// then every intact record, handing `(offset, payload)` to `on_record`.
 /// Stops at the first short, oversized or CRC-failing record and returns
-/// the length of the valid prefix (0 without the magic).  Streams: only
+/// the length of the valid prefix (0 when the input ends inside the
+/// magic).  Another magic is an `InvalidData` error: a foreign file, or
+/// a journal of another format, is never read as empty.  Streams: only
 /// one record is held at a time, however long the journal.
 fn walk_records(
     mut r: impl Read,
@@ -464,8 +454,18 @@ fn walk_records(
         }
     }
     let mut magic = [0u8; WAL_MAGIC.len()];
-    if !fill(&mut r, &mut magic)? || &magic != WAL_MAGIC {
+    if !fill(&mut r, &mut magic)? {
         return Ok(0);
+    }
+    if &magic != WAL_MAGIC {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "journal magic {:?} is not {:?}",
+                String::from_utf8_lossy(&magic),
+                String::from_utf8_lossy(WAL_MAGIC)
+            ),
+        ));
     }
     let mut off = WAL_MAGIC.len() as u64;
     let mut payload = Vec::new();
@@ -521,6 +521,10 @@ pub struct JournalSink {
     /// Telemetry shards, captured at attach time (empty before).
     shards: parking_lot::RwLock<Vec<Arc<TelemetryShard>>>,
     fail: Arc<FailPoints>,
+    /// Set by a barrier that could not make every log durable: the sink
+    /// journals nothing more and takes no cut, as after a crash, so no
+    /// record lands past the gap and nothing later is reported durable.
+    stopped: AtomicBool,
 }
 
 impl JournalSink {
@@ -529,6 +533,7 @@ impl JournalSink {
             wals,
             shards: parking_lot::RwLock::new(Vec::new()),
             fail,
+            stopped: AtomicBool::new(false),
         }
     }
 
@@ -544,15 +549,28 @@ impl JournalSink {
         &self.fail
     }
 
-    /// Flush + sync every AEU's log; returns the per-AEU LSN cuts, or an
-    /// error naming a log whose records could not all be made durable
-    /// (its LSN would cut before effects the engine already holds).
+    /// Flush + sync every AEU's log, each one even after another failed;
+    /// returns the per-AEU LSN cuts, or an error naming the first log
+    /// whose records could not all be made durable (its LSN would cut
+    /// before effects the engine already holds).  A sink stopped by a
+    /// failed barrier takes no cut.
     pub fn sync_all(&self) -> std::io::Result<Vec<u64>> {
-        (0..self.wals.len())
+        if self.stopped.load(Ordering::Acquire) {
+            return Err(std::io::Error::other(
+                "journaling stopped at a barrier that could not sync every log",
+            ));
+        }
+        let settled: Vec<Option<u64>> = (0..self.wals.len())
             .map(|i| {
                 self.flush_wal(i);
-                let wal = &self.wals[i];
-                wal.settled_lsn().ok_or_else(|| {
+                self.wals[i].settled_lsn()
+            })
+            .collect();
+        settled
+            .iter()
+            .zip(&self.wals)
+            .map(|(lsn, wal)| {
+                lsn.ok_or_else(|| {
                     std::io::Error::other(format!(
                         "journal {} holds records that could not be written and synced",
                         wal.path().display()
@@ -560,6 +578,12 @@ impl JournalSink {
                 })
             })
             .collect()
+    }
+
+    /// Whether the sink journals nothing more: a fail point fired, or a
+    /// barrier failed.
+    fn halted(&self) -> bool {
+        self.fail.crashed() || self.stopped.load(Ordering::Acquire)
     }
 
     /// Group-commit one AEU's log, publish its record count, and trace
@@ -589,7 +613,7 @@ impl eris_core::durability::RedoSink for JournalSink {
     // HOT-PATH-CUT: journal append — buffers the redo record on the
     // durability path; reviewed with the WAL, not the AEU loop.
     fn append(&self, aeu: AeuId, op: RedoOp<'_>) {
-        if self.fail.crashed() {
+        if self.halted() {
             return;
         }
         if self.wals[aeu.index()].append_op(&op) >= GROUP_COMMIT_BYTES {
@@ -598,19 +622,21 @@ impl eris_core::durability::RedoSink for JournalSink {
     }
 
     fn end_of_step(&self, aeu: AeuId) {
-        if self.fail.crashed() {
+        if self.halted() {
             return;
         }
         self.flush_wal(aeu.index());
     }
 
-    fn barrier(&self) {
-        if self.fail.crashed() {
-            return;
+    fn barrier(&self) -> bool {
+        if self.halted() {
+            return false;
         }
-        // The sink has no error path: a log left unsettled here makes the
-        // next checkpoint fail instead.
-        let _ = self.sync_all();
+        let synced = self.sync_all().is_ok();
+        if !synced {
+            self.stopped.store(true, Ordering::Release);
+        }
+        synced
     }
 }
 
@@ -664,22 +690,18 @@ mod tests {
                     out.extend_from_slice(&r.to_le_bytes());
                 }
             }
-            RedoOp::RemoveRange { object, lo, hi } => {
-                out.push(TAG_REMOVE_RANGE);
-                out.extend_from_slice(&object.0.to_le_bytes());
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
             RedoOp::RemoveTail { object, n } => {
                 out.push(TAG_REMOVE_TAIL);
                 out.extend_from_slice(&object.0.to_le_bytes());
                 out.extend_from_slice(&n.to_le_bytes());
             }
-            RedoOp::SetRange { object, lo, hi } => {
-                out.push(TAG_SET_RANGE);
+            RedoOp::Bounds { object, bounds } => {
+                out.push(TAG_BOUNDS);
                 out.extend_from_slice(&object.0.to_le_bytes());
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
+                out.extend_from_slice(&(bounds.len() as u64).to_le_bytes());
+                for b in bounds.iter() {
+                    out.extend_from_slice(&b.to_le_bytes());
+                }
             }
         }
         out
@@ -714,9 +736,11 @@ mod tests {
                 object,
                 rows: rows.to_vec(),
             },
-            RedoOp::RemoveRange { object, lo, hi } => JournalOp::RemoveRange { object, lo, hi },
             RedoOp::RemoveTail { object, n } => JournalOp::RemoveTail { object, n },
-            RedoOp::SetRange { object, lo, hi } => JournalOp::SetRange { object, lo, hi },
+            RedoOp::Bounds { object, bounds } => JournalOp::Bounds {
+                object,
+                bounds: bounds.to_vec(),
+            },
         }
     }
 
@@ -741,10 +765,9 @@ mod tests {
                 object: DataObjectId(2),
                 rows: &[5, 6, 7],
             },
-            RedoOp::RemoveRange {
+            RedoOp::Bounds {
                 object: DataObjectId(1),
-                lo: 10,
-                hi: 20,
+                bounds: &[0, 10, 20],
             },
             RedoOp::UpsertPairs {
                 object: DataObjectId(1),
@@ -753,11 +776,6 @@ mod tests {
             RedoOp::RemoveTail {
                 object: DataObjectId(2),
                 n: 2,
-            },
-            RedoOp::SetRange {
-                object: DataObjectId(1),
-                lo: 0,
-                hi: 512,
             },
         ]
     }
@@ -812,6 +830,98 @@ mod tests {
         assert_eq!(read, ops.iter().map(owned).collect::<Vec<_>>());
         assert_eq!(torn, 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_log_does_not_keep_the_others_from_syncing() {
+        let paths = [temp_path("sync-all-0"), temp_path("sync-all-1")];
+        let wals = paths.iter().map(|p| Wal::open(p).unwrap()).collect();
+        let sink = JournalSink::new(wals, Arc::new(FailPoints::new()));
+        let op = RedoOp::RemoveTail {
+            object: DataObjectId(1),
+            n: 3,
+        };
+        sink.wals[0].inner.lock().file = File::open(&paths[0]).unwrap();
+        sink.append(AeuId(0), op);
+        sink.append(AeuId(1), op);
+        assert!(sink.sync_all().is_err(), "log 0 cannot be written");
+        let lsn = sink.wals[1].settled_lsn();
+        assert!(
+            lsn.is_some_and(|l| l > WAL_MAGIC.len() as u64),
+            "log 1 is synced"
+        );
+        assert!(!sink.barrier(), "a barrier reports the failed log");
+        sink.wals[0].inner.lock().file = OpenOptions::new().write(true).open(&paths[0]).unwrap();
+        sink.append(AeuId(1), op);
+        assert!(
+            !sink.barrier() && sink.sync_all().is_err(),
+            "the sink stays stopped"
+        );
+        assert_eq!(read_tail(&paths[1], 0).unwrap().0, vec![owned(&op)]);
+        for p in paths {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_cycle_whose_receiver_cannot_sync_is_not_committed() {
+        use eris_core::prelude::*;
+        const DOMAIN: u64 = 1 << 14;
+        let engine = || {
+            Engine::new(
+                eris_numa::machines::custom_machine("t2", 2, 1, 20.0, 100.0, 10.0, 60.0),
+                EngineConfig {
+                    balancer: BalancerConfig {
+                        algorithm: BalanceAlgorithm::OneShot,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+            )
+        };
+        let dir = temp_path("unsynced-cycle");
+        let dura = crate::Durability::open(&dir, 2).unwrap();
+        let mut e = engine();
+        dura.attach(&mut e);
+        let object = e.create_hash_index("t", DOMAIN);
+        e.bulk_load_index(object, (0..DOMAIN).map(|k| (k, k + 1)));
+        for ticket in 0..16 {
+            let keys = (0..DOMAIN / 64).collect();
+            let hot = DataCommand {
+                object,
+                ticket,
+                payload: Payload::Lookup { keys },
+            };
+            e.submit(AeuId(0), hot).unwrap();
+        }
+        e.run_until_drained();
+        assert!(dura.sink.sync_all().is_ok());
+        let lower = |e: &Engine| e.aeu(AeuId(1)).partition(object).unwrap().range.0;
+        let before = lower(&e);
+
+        // The receiver's log cannot be written: its absorbed pairs never
+        // reach the disk, so the cycle's bounds must not either.
+        let receiver = &dura.sink.wals[1];
+        receiver.inner.lock().file = File::open(receiver.path()).unwrap();
+        e.run_balancer();
+        assert_ne!(lower(&e), before, "the cycle moved keys");
+        assert!(dura.sink.sync_all().is_err());
+        drop((e, dura));
+
+        let mut r = engine();
+        crate::Durability::recover(&mut r, &dir).unwrap();
+        assert_eq!(lower(&r), before, "the pre-cycle bounds");
+        let mut held = 0;
+        for a in r.aeu_ids() {
+            let p = r.aeu(a).partition(object).unwrap();
+            assert_eq!(
+                r.aeu(a).count_range(object, p.range.0, p.range.1),
+                p.data.len()
+            );
+            held += p.data.len();
+        }
+        assert_eq!(held, DOMAIN as usize, "every key, once");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -871,6 +981,47 @@ mod tests {
         assert_eq!(wal.synced_lsn(), intact);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_journal_torn_inside_its_magic_starts_over() {
+        let path = temp_path("short-magic");
+        std::fs::write(&path, &WAL_MAGIC[..4]).unwrap();
+        let op = RedoOp::RemoveTail {
+            object: DataObjectId(1),
+            n: 3,
+        };
+        let wal = Wal::open(&path).unwrap();
+        wal.append_op(&op);
+        assert!(wal.flush(&FailPoints::new(), None) > 0);
+        drop(wal);
+        assert_eq!(read_tail(&path, 0).unwrap(), (vec![owned(&op)], 0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_journal_with_another_magic_is_an_error_not_an_empty_log() {
+        let payload = encode(&RedoOp::RemoveTail {
+            object: DataObjectId(1),
+            n: 3,
+        });
+        // An older format's log, and a file of nobody's.
+        for magic in [b"ERISWAL1", b"ERISWAL0"] {
+            let path = temp_path("foreign-magic");
+            let mut bytes = magic.to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            std::fs::write(&path, &bytes).unwrap();
+            let kind = |e: std::io::Error| e.kind();
+            let opened = Wal::open(&path).map(drop).map_err(kind);
+            assert_eq!(opened, Err(std::io::ErrorKind::InvalidData));
+            let read = read_tail(&path, 0).map(drop).map_err(kind);
+            assert_eq!(read, Err(std::io::ErrorKind::InvalidData));
+            let kept = std::fs::read(&path).unwrap();
+            assert!(kept == bytes, "the file is left as it was");
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! Runs under both the cooperative virtual-time runtime and the real
 //! thread-per-AEU runtime (WB via generators on real threads).
 
+use eris_column::scan::AggregateResult;
 use eris_core::prelude::*;
 use eris_durability::{
     Durability, FailPoints, RecoveryError, ALL_FAIL_POINTS, FP_CHECKPOINT_PARTIAL,
     FP_CHECKPOINT_PRE_MANIFEST, FP_JOURNAL_PRE_SYNC, FP_JOURNAL_TORN_WRITE, FP_RECOVERY_MID_REPLAY,
 };
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,7 +105,8 @@ fn drive_wa(e: &mut Engine, o: &Objects) {
     }
     e.run_until_drained();
     // The skewed tree load makes the low AEUs heavy; rebalancing
-    // journals RemoveRange/UpsertPairs/SetRange records under a barrier.
+    // journals the receivers' UpsertPairs and commits each object's
+    // cycle with one Bounds record.
     e.run_balancer();
     e.run_until_drained();
 }
@@ -534,11 +537,10 @@ fn a_checkpoint_of_resized_hash_partitions_restores_every_key() {
 
 #[test]
 fn journal_only_recovery_right_after_a_cascade_cycle_restores_every_partition() {
-    // Donor-first transfers change the order of each AEU's RemoveRange and
-    // UpsertPairs records, and replaying a RemoveRange compacts the donor
-    // as the cycle did.  Recovering from the journals alone, right after a
-    // cycle in which AEUs both gave and took, restores every key and the
-    // same per-AEU key counts.
+    // Recovering from the journals alone, right after a cycle in which
+    // AEUs both gave and took, restores every key and the same per-AEU
+    // key counts: the committed bounds keep the receivers' copies of
+    // each moved range and drop the donors'.
     use eris_core::BalanceVerdict;
     let value = |k: u64| k.wrapping_mul(31) | 1;
     let dir = temp_dir("cascade");
@@ -604,26 +606,45 @@ fn journal_only_recovery_right_after_a_cascade_cycle_restores_every_partition() 
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// What a tree object holds, as the engine answers for it: per-AEU key
-/// counts, a full-domain `Count` and `Sum` scan, and a lookup of every
-/// 61st key.  `ticket` numbers the three commands; each call needs its own.
-#[derive(Debug, PartialEq)]
-struct TreeState {
-    lens: Vec<usize>,
-    scans: Vec<Option<eris_column::scan::AggregateResult>>,
-    lookups: Vec<(u64, Option<u64>)>,
-}
-
-fn tree_state(e: &mut Engine, tree: DataObjectId, domain: u64, ticket: u64) -> TreeState {
-    let lens = e
-        .aeu_ids()
+/// Every key of `object`'s domain looked up, and a full-domain `Count`
+/// and `Sum` scan, as the engine answers them, against the oracle.
+/// `ticket` numbers the commands; each call needs its own three.
+fn assert_matches_oracle(
+    e: &mut Engine,
+    object: DataObjectId,
+    oracle: &BTreeMap<u64, u64>,
+    ticket: u64,
+    cut: &str,
+) {
+    let domain = oracle.len() as u64;
+    // Lookups of 8 Ki keys each: a sub-command must fit an incoming buffer.
+    for lo in (0..domain).step_by(1 << 13) {
+        let lookup = DataCommand {
+            object,
+            ticket,
+            payload: Payload::Lookup {
+                keys: (lo..domain.min(lo + (1 << 13))).collect(),
+            },
+        };
+        e.submit(AeuId(1), lookup).unwrap();
+        e.run_until_drained();
+    }
+    let mut got: Vec<(u64, Option<u64>)> = e
+        .results()
+        .take_lookup_values()
         .into_iter()
-        .map(|a| e.aeu(a).partition(tree).unwrap().data.len())
+        .map(|(_, key, v)| (key, v))
         .collect();
-    let mut scans = Vec::new();
-    for (ticket, agg) in [(ticket, Aggregate::Count), (ticket + 1, Aggregate::Sum)] {
+    got.sort_unstable();
+    let want: Vec<_> = oracle.iter().map(|(&k, &v)| (k, Some(v))).collect();
+    assert!(got == want, "{cut}: lookups of object {} differ", object.0);
+    let sum = oracle.values().sum();
+    for (ticket, agg, want) in [
+        (ticket + 1, Aggregate::Count, AggregateResult::Count(domain)),
+        (ticket + 2, Aggregate::Sum, AggregateResult::Sum(sum)),
+    ] {
         let scan = DataCommand {
-            object: tree,
+            object,
             ticket,
             payload: Payload::Scan {
                 pred: Predicate::All,
@@ -633,118 +654,133 @@ fn tree_state(e: &mut Engine, tree: DataObjectId, domain: u64, ticket: u64) -> T
         };
         e.submit(AeuId(0), scan).unwrap();
         e.run_until_drained();
-        scans.push(e.results().combine_scan(ticket));
-    }
-    let keys = (0..domain).step_by(61).collect();
-    let lookup = DataCommand {
-        object: tree,
-        ticket: ticket + 2,
-        payload: Payload::Lookup { keys },
-    };
-    e.submit(AeuId(1), lookup).unwrap();
-    e.run_until_drained();
-    let mut lookups: Vec<(u64, Option<u64>)> = e
-        .results()
-        .take_lookup_values()
-        .into_iter()
-        .map(|(_, key, v)| (key, v))
-        .collect();
-    lookups.sort_unstable();
-    TreeState {
-        lens,
-        scans,
-        lookups,
+        let got = e.results().combine_scan(ticket);
+        assert_eq!(got, Some(want), "{cut}: scan of object {}", object.0);
     }
 }
 
+/// Each AEU's lower bound of `object`, in AEU order.
+fn bounds(e: &Engine, object: DataObjectId) -> Vec<u64> {
+    let lo = |a: AeuId| e.aeu(a).partition(object).unwrap().range.0;
+    e.aeu_ids().into_iter().map(lo).collect()
+}
+
 #[test]
-fn a_tree_transfer_streamed_in_several_steps_recovers_from_its_journals() {
-    // Two AEUs share a tree of 2^19 keys, and a hot head makes AEU 0
-    // hand a large part of its 256 Ki keys over in one cycle: more than
-    // one transfer step (64 Ki pairs), so the receiver journals the range
-    // as several `UpsertPairs` records before the donor's `RemoveRange`.
-    const DOMAIN: u64 = 1 << 19;
+fn every_cut_of_a_cascade_cycle_recovers_the_bounds_before_or_after_it() {
+    // Three AEUs share a tree and a hash index of 2^18 keys each, and a
+    // hot head makes one cycle cascade: AEU 0 hands most of its range to
+    // AEUs 1 and 2, and AEU 1 hands over to AEU 2 a range of more than
+    // one transfer step (64 Ki pairs).  Every step a receiver absorbs is
+    // a group commit of its journal; each object's `Bounds` record is one
+    // more, on AEU 0's.  A crash at any of them, torn or before its sync,
+    // and one after the cycle's last sync, recover every key once, in the
+    // partition that the bounds before or after the cycle give it.
+    const DOMAIN: u64 = 1 << 18;
     let engine = || {
         Engine::new(
-            eris_numa::machines::custom_machine("t2", 2, 1, 20.0, 100.0, 10.0, 60.0),
+            eris_numa::machines::custom_machine("t3", 3, 1, 20.0, 100.0, 10.0, 60.0),
             EngineConfig {
                 collect_results: true,
                 tree: PrefixTreeConfig::new(8, 32),
+                balancer: BalancerConfig {
+                    algorithm: BalanceAlgorithm::OneShot,
+                    ..Default::default()
+                },
                 ..Default::default()
             },
         )
     };
-    let value = |k: u64| k.wrapping_mul(31) | 1;
-    // Load, then heat AEU 0's lowest keys; `crash` arms a journal fail
-    // point for the cycle that follows.  Returns the journal directory
-    // and the state before the cycle (what a crash inside the cycle must
-    // recover to) and after it.
-    let run = |tag: &str, crash: Option<&'static str>| {
+    let oracle: BTreeMap<u64, u64> = (0..DOMAIN).map(|k| (k, k.wrapping_mul(31) | 1)).collect();
+    // Load, heat AEU 0's lowest keys, then run one cycle with `crash`
+    // armed at the given visit of its fail point.  Returns the journal
+    // directory, the objects, each object's bounds before and after the
+    // cycle, and the group commits the cycle made.
+    let run = |tag: &str, crash: Option<(&'static str, u64)>| {
         let dir = temp_dir(tag);
         let fail = Arc::new(FailPoints::new());
         let dura = Durability::open_with(&dir, engine().num_aeus(), fail.clone()).unwrap();
         let mut e = engine();
         dura.attach(&mut e);
-        let tree = e.create_index("orders", DOMAIN);
-        e.bulk_load_index(tree, (0..DOMAIN).map(|k| (k, value(k))));
-        for ticket in 0..16 {
-            let hot = DataCommand {
-                object: tree,
-                ticket,
-                payload: Payload::Lookup {
-                    keys: (0..DOMAIN / 64).collect(),
-                },
-            };
-            e.submit(AeuId(0), hot).unwrap();
+        let objects = [
+            e.create_index("orders", DOMAIN),
+            e.create_hash_index("customers", DOMAIN),
+        ];
+        for (ticket, object) in (0..).zip(objects) {
+            e.bulk_load_index(object, oracle.iter().map(|(&k, &v)| (k, v)));
+            for t in 0..16 {
+                let hot = DataCommand {
+                    object,
+                    ticket: 16 * ticket + t,
+                    payload: Payload::Lookup {
+                        keys: (0..DOMAIN / 64).collect(),
+                    },
+                };
+                e.submit(AeuId(0), hot).unwrap();
+            }
         }
         e.run_until_drained();
         e.results().take_lookup_values();
-        let before = tree_state(&mut e, tree, DOMAIN, 100);
-        if let Some(fp) = crash {
-            // The cycle's first group commit survives, its second dies.
-            fail.arm(fp, 1);
+        let before = objects.map(|o| bounds(&e, o));
+        let fsyncs = e.telemetry().totals.journal_fsyncs;
+        if let Some((fp, survive)) = crash {
+            fail.arm(fp, survive);
         }
         e.run_balancer();
         e.run_until_drained();
-        let d = e.monitor().last_decision(tree).unwrap();
-        let largest = d.migrations.iter().map(|m| m.keys).max().unwrap_or(0);
-        assert!(largest > 1 << 16, "a transfer of several steps: {d:?}");
-        assert_eq!(fail.crashed(), crash.is_some());
-        let after = tree_state(&mut e, tree, DOMAIN, 200);
-        (dir, tree, before, after)
-    };
-    let recover = |dir: &PathBuf, tree| {
-        let mut r = engine();
-        let report = Durability::recover(&mut r, dir).unwrap();
-        assert_eq!(report.checkpoint, None);
-        for a in r.aeu_ids() {
-            let p = r.aeu(a).partition(tree).unwrap();
-            let (lo, hi) = p.range;
-            let mine = r.aeu(a).count_range(tree, lo, hi);
-            assert_eq!(p.data.len(), mine, "{a:?} holds only keys of {lo}..{hi}");
+        assert_eq!(fail.crashed(), crash.is_some(), "{tag}");
+        let commits = e.telemetry().totals.journal_fsyncs - fsyncs;
+        for object in objects {
+            let m = &e.monitor().last_decision(object).unwrap().migrations;
+            let moves = |src, dst| m.iter().find(|t| (t.src, t.dst) == (src, dst));
+            assert!(moves(0, 1).is_some(), "a cascade: {m:?}");
+            assert!(moves(1, 2).is_some_and(|t| t.keys > 1 << 16), "{m:?}");
         }
-        tree_state(&mut r, tree, DOMAIN, 300)
+        let after = objects.map(|o| bounds(&e, o));
+        (dir, objects, before, after, commits)
     };
+    type Bounds = [Vec<u64>; 2];
+    let recover =
+        |cut: &str, dir: &PathBuf, objects: [DataObjectId; 2], before: &Bounds, after: &Bounds| {
+            let mut r = engine();
+            let report = Durability::recover(&mut r, dir).unwrap();
+            assert_eq!(report.checkpoint, None);
+            for (i, object) in objects.into_iter().enumerate() {
+                let got = bounds(&r, object);
+                assert!(got == before[i] || got == after[i], "{cut}: bounds {got:?}");
+                for a in r.aeu_ids() {
+                    let p = r.aeu(a).partition(object).unwrap();
+                    let (lo, hi) = p.range;
+                    let mine = r.aeu(a).count_range(object, lo, hi);
+                    assert_eq!(
+                        p.data.len(),
+                        mine,
+                        "{cut}: {a:?} holds only keys of {lo}..{hi}"
+                    );
+                }
+                assert_matches_oracle(&mut r, object, &oracle, 10 * i as u64, cut);
+            }
+            objects.map(|o| bounds(&r, o))
+        };
 
-    // Crash after the cycle's barrier synced every journal: the cycle
-    // is recovered whole.
-    let (dir, tree, before, after) = run("streamed-barrier", None);
-    assert_ne!(before.lens, after.lens, "the cycle moved keys");
-    assert_eq!(after.scans, before.scans);
-    assert_eq!(after.lookups, before.lookups);
-    assert_eq!(recover(&dir, tree), after);
+    // No crash inside the cycle: the cut after its last sync.
+    let (dir, objects, before, after, commits) = run("cycle-synced", None);
+    assert_ne!(before, after, "the cycle moved keys");
+    let got = recover("after the last sync", &dir, objects, &before, &after);
+    assert_eq!(got, after, "the committed cycle is recovered whole");
     std::fs::remove_dir_all(&dir).unwrap();
+    assert!(
+        commits >= 6,
+        "several steps per object: {commits} group commits"
+    );
 
-    // Crash at the cycle's second group commit, a step of a transfer
-    // whose range is not yet gone from its donor, with the receiver's new
-    // range on disk and the donor's not: every key is found, and counted,
-    // once, wherever the cut left it.
-    for fp in [FP_JOURNAL_TORN_WRITE, FP_JOURNAL_PRE_SYNC] {
-        let (dir, tree, before, _) = run(fp, Some(fp));
-        let got = recover(&dir, tree);
-        assert_eq!(got.scans, before.scans, "{fp}");
-        assert_eq!(got.lookups, before.lookups, "{fp}");
-        assert_eq!(got.lens.iter().sum::<usize>() as u64, DOMAIN, "{fp}");
-        std::fs::remove_dir_all(&dir).unwrap();
+    // A crash at every group commit of the cycle, torn or before its sync.
+    for visit in 0..commits {
+        for fp in [FP_JOURNAL_TORN_WRITE, FP_JOURNAL_PRE_SYNC] {
+            let cut = format!("{fp} at group commit {visit} of {commits}");
+            let (dir, objects, b, a, _) = run(fp, Some((fp, visit)));
+            assert_eq!((&b, &a), (&before, &after), "{cut}: the runs are alike");
+            recover(&cut, &dir, objects, &b, &a);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }
