@@ -719,9 +719,9 @@ impl Aeu {
     /// a transfer streams through one reused buffer.  `from` is where the
     /// previous step stopped, 0 for the first — a bucket of a hash table,
     /// a key of a tree — and the result is where the next one starts,
-    /// `None` once the range is gone; a partition left under half of what
-    /// it was sized for is then compacted.  Nothing is journaled: the
-    /// cycle's `Bounds` record drops the donor's copies at recovery.
+    /// `None` once the range is gone; a partition whose slack is then due
+    /// is compacted.  Nothing is journaled: the cycle's `Bounds` record
+    /// drops the donor's copies at recovery.
     pub fn extract_chunk(
         &mut self,
         object: DataObjectId,
@@ -804,7 +804,7 @@ impl Aeu {
             let gen_cmds: Vec<DataCommand> = self.scratch_gen.drain(..).collect();
             for cmd in gen_cmds {
                 self.route_external(CommandRef::Owned(cmd), None, &mut w)
-                    .expect("generated command targets a registered object");
+                    .expect("a generated command is routable");
             }
             let now = now_ns();
             phase_ns[Phase::Route as usize] += now.saturating_sub(mark);

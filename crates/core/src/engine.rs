@@ -877,6 +877,49 @@ mod tests {
     }
 
     #[test]
+    fn a_command_no_incoming_buffer_takes_is_refused() {
+        // 4 KiB incoming buffers: a 1 024-key lookup one AEU owns is 8 KiB
+        // for that AEU, which no flush could ever deliver.
+        let mut e = Engine::new(
+            custom_machine("two", 2, 1, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig {
+                collect_results: true,
+                routing: RoutingConfig {
+                    incoming_capacity: 4096,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let idx = e.create_index("t", 1 << 16);
+        let lookup = |ticket, keys: std::ops::Range<u64>| DataCommand {
+            object: idx,
+            ticket,
+            payload: Payload::Lookup {
+                keys: keys.collect(),
+            },
+        };
+        let refused = e.submit(AeuId(0), lookup(1, 0..1024));
+        let Err(RoutingError::CommandTooLarge {
+            object,
+            target,
+            bytes,
+            capacity,
+        }) = refused
+        else {
+            panic!("refused as too large: {refused:?}");
+        };
+        assert_eq!(
+            (object, target, bytes, capacity),
+            (idx, AeuId(0), 21 + 8 * 1024, 4096)
+        );
+        e.submit(AeuId(0), lookup(2, 0..8)).unwrap();
+        e.run_until_drained();
+        let got = e.results().take_lookup_values();
+        assert_eq!(got, (0..8).map(|k| (2, k, None)).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn engine_places_one_aeu_per_core() {
         let e = small_engine(false);
         assert_eq!(e.num_aeus(), 8);

@@ -23,6 +23,7 @@ use partition_table::{OutOfDomain, Owners};
 
 use crate::command::{
     AeuId, CommandRef, DataCommand, DataObjectId, Payload, PointItem, PointView, StorageOp,
+    HEADER_BYTES, TRACE_MARKER_BYTES,
 };
 use crate::telemetry::{bump, raise, CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
 use eris_numa::NodeId;
@@ -51,6 +52,18 @@ pub enum RoutingError {
         key: u64,
         domain: u64,
     },
+    /// A point command's sub-command for one owner is larger than an
+    /// incoming buffer takes with a trace marker ahead of it
+    /// (`RoutingConfig::incoming_capacity` less `TRACE_MARKER_BYTES`), so
+    /// no flush could ever deliver it.  The serving layer answers it, like
+    /// every submit error, with `Rejected`; its 64 KiB frame payload cap
+    /// (`MAX_PAYLOAD_BYTES`) keeps its commands under the default 1 MiB.
+    CommandTooLarge {
+        object: DataObjectId,
+        target: AeuId,
+        bytes: usize,
+        capacity: usize,
+    },
 }
 
 impl std::fmt::Display for RoutingError {
@@ -77,6 +90,16 @@ impl std::fmt::Display for RoutingError {
                     object.0
                 )
             }
+            RoutingError::CommandTooLarge {
+                object,
+                target,
+                bytes,
+                capacity,
+            } => write!(
+                f,
+                "a {bytes}-byte command of object {} for AEU {} exceeds its {capacity}-byte incoming buffer",
+                object.0, target.0
+            ),
         }
     }
 }
@@ -564,12 +587,17 @@ impl Router {
             }
         };
         if let Some(members) = members {
-            self.rr_cursor = (self.rr_cursor + 1) % members.len();
+            let cursor = (self.rr_cursor + 1) % members.len();
             // BOUNDS: the cursor was just reduced modulo `members.len()`,
             // which a provisioned bitmap table keeps non-empty.
-            let owner = members[self.rr_cursor];
+            let owner = members[cursor];
+            self.fits::<T>(object, owner, items.len())?;
+            self.rr_cursor = cursor;
             self.push_unicast(owner, object, whole, stamp, full);
             return Ok(1);
+        }
+        for (owner, n) in self.owners.groups() {
+            self.fits::<T>(object, owner, n)?;
         }
         match *self.owners.order() {
             // No items: no sub-command.
@@ -584,6 +612,27 @@ impl Router {
                     .push_split(object, ticket, items, &self.owners, stamp.take(), full);
                 Ok(emitted)
             }
+        }
+    }
+
+    /// Refuse a sub-command of `n` items that `target`'s incoming buffer
+    /// could not take behind a trace marker: a flush writes it whole.
+    fn fits<T: PointItem>(
+        &self,
+        object: DataObjectId,
+        target: AeuId,
+        n: usize,
+    ) -> Result<(), RoutingError> {
+        let bytes = HEADER_BYTES + 4 + n * T::BYTES;
+        let capacity = self.shared.incoming(target).capacity();
+        match bytes + TRACE_MARKER_BYTES <= capacity {
+            true => Ok(()),
+            false => Err(RoutingError::CommandTooLarge {
+                object,
+                target,
+                bytes,
+                capacity,
+            }),
         }
     }
 

@@ -221,7 +221,7 @@ pub fn recover_into(
         };
         engine.restore_partition_bounds(d.id, &bounds);
         // Drop what lies outside each range as a donor gives a range away
-        // (compacting a partition left under half its size).
+        // (compacting a partition whose slack is then due).
         for a in engine.aeu_ids() {
             let aeu = engine.aeu_mut(a);
             let (lo, hi) = aeu.partition(d.id).expect("bounds were restored").range;

@@ -14,7 +14,13 @@
 use std::ops::{Index, IndexMut, Range};
 
 /// Bytes of one chunk: 1024 hash-table blocks of 64 buckets, 1.06 MiB.
-pub(crate) const CHUNK_BYTES: usize = 1024 * 1088;
+pub const CHUNK_BYTES: usize = 1024 * 1088;
+
+/// The one compaction rule of both index structures: a donor holding `held` bytes is
+/// rebuilt once the `slack` a rebuild frees reaches a chunk or half of it, the lesser.
+pub(crate) fn compaction_due(slack: u64, held: u64) -> bool {
+    slack >= (CHUNK_BYTES as u64).min(held / 2)
+}
 
 /// An append-only array of `T` in chunks of [`CHUNK_BYTES`], indexed like
 /// a slice.  Only the first chunk grows, by doubling up to the full chunk

@@ -22,8 +22,8 @@
 //! fresh key past the load limit grows the table by half (or to fit the
 //! rest of its batch), and overwrites never grow it.  A balancing transfer
 //! sizes its receiver once, exactly ([`HashTable::reserve_exact`]), and a
-//! range extraction that leaves the donor holding fewer than half the keys
-//! its array was sized for rebuilds it at its exact size.
+//! donor left with a chunk, or half its array, beyond its exact size is
+//! rebuilt at that size ([`HashTable::compaction_due`]).
 //!
 //! **Allocation.**  The array is a list of the crate's equal chunks
 //! ([`crate::chunk`]; the last one shorter), each allocated by the first
@@ -175,6 +175,13 @@ impl HashTable {
     fn blocks_for(keys: usize) -> usize {
         let buckets = (keys * 100).div_ceil(Self::MAX_LOAD_PERCENT);
         buckets.div_ceil(LANES).max(1)
+    }
+
+    /// Whether the blocks beyond [`HashTable::blocks_for`] the keys are due
+    /// for a rebuild by the crate's one rule ([`crate::chunk::compaction_due`]).
+    pub fn compaction_due(&self) -> bool {
+        let spare = (self.buckets / LANES).saturating_sub(Self::blocks_for(self.len));
+        crate::chunk::compaction_due((spare * size_of::<Block>()) as u64, self.memory_bytes())
     }
 
     /// Keys the current bucket array holds before it must grow: the keys
@@ -507,20 +514,11 @@ impl HashTable {
     }
 
     /// Remove every key in `[lo, hi)` and append its pair to `out` (the
-    /// balancer's donor side; the table is unordered, so this is a full
-    /// sweep).  One pass: a matching bucket is backward-shift-deleted in
-    /// place and re-examined.  A donor left holding fewer than half the
-    /// keys its array was sized for is rebuilt at its exact size, so what
-    /// it gave away is freed rather than kept as empty buckets.
-    pub fn extract_range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        self.extract_chunk(lo, hi, 0, out, usize::MAX);
-    }
-
-    /// [`HashTable::extract_range`] in bounded steps, for a transfer that
-    /// streams through one reused buffer: the sweep starts at bucket
-    /// `from` and stops where one more pair would take `out` past `max`
-    /// pairs, returning the bucket to resume at.  `None` means the sweep
-    /// is complete, and the donor compacted if it is due.
+    /// balancer's donor side), a bounded step at a time: the table is
+    /// unordered, so a step sweeps from bucket `from` until one more pair
+    /// would take `out` past `max`, and returns the bucket to resume at
+    /// (`None` once the sweep is complete, the donor then rebuilt at its
+    /// exact size if [`HashTable::compaction_due`]).
     pub fn extract_chunk(
         &mut self,
         lo: u64,
@@ -548,9 +546,8 @@ impl HashTable {
                 idx += 1;
             }
         }
-        let exact = Self::blocks_for(self.len);
-        if self.len * 2 < self.capacity() && exact < self.buckets / LANES {
-            self.rehash(exact);
+        if self.compaction_due() {
+            self.rehash(Self::blocks_for(self.len));
         }
         None
     }
@@ -632,13 +629,13 @@ mod tests {
         m
     }
 
-    /// `count_range` counts, and `extract_range` appends and removes, what
+    /// `count_range` counts, and `extract_chunk` appends and removes, what
     /// `BTreeMap::range` holds.
     fn check_extract(t: &mut HashTable, m: &mut BTreeMap<u64, u64>, lo: u64, hi: u64) {
         let want: Vec<(u64, u64)> = m.range(lo..hi.max(lo)).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(t.count_range(lo, hi), want.len(), "count of [{lo}, {hi})");
         let mut got = vec![(7, 7)];
-        t.extract_range(lo, hi, &mut got);
+        t.extract_chunk(lo, hi, 0, &mut got, usize::MAX);
         assert_eq!(got.remove(0), (7, 7), "appended after what `out` held");
         got.sort_unstable();
         assert_eq!(got, want, "extracted set for [{lo}, {hi})");
@@ -823,7 +820,8 @@ mod tests {
         let mut t = table(47, 0, 0..n);
         let mut m = model_of(&t);
         let full = t.memory_bytes();
-        // Down to 60 % of the keys: still half full, kept as it is.
+        // 1.8 chunks, so half the array is the threshold.  Down to 60 % of
+        // the keys: still half full, kept as it is.
         check_extract(&mut t, &mut m, 0, n * 4 / 10);
         assert_eq!(t.memory_bytes(), full, "no rebuild at half full or more");
         // Down to 40 %: rebuilt at its exact size.
@@ -834,6 +832,28 @@ mod tests {
         check_extract(&mut t, &mut m, 0, n * 6 / 10 + n * 4 / 30);
         assert_eq!((t.memory_bytes(), t.rehashes()), small);
         check_lookups(&t, &m, &(n / 2..n).step_by(7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "an 8-chunk table; no unsafe to check")]
+    fn a_large_table_is_rebuilt_once_one_chunk_is_slack() {
+        // Eight chunks: giving 10 % of the keys away frees 0.8 of one, under
+        // the threshold; 15 % frees 1.2, though far less than half.
+        let n = 8 * CHUNK_BUCKETS as u64 * 85 / 100;
+        let mut t = table(71, n as usize, 0..n);
+        let mut m = model_of(&t);
+        let before = (t.memory_bytes(), t.rehashes());
+        check_extract(&mut t, &mut m, 0, n / 10);
+        assert!(!t.compaction_due());
+        assert_eq!((t.memory_bytes(), t.rehashes()), before, "not rebuilt");
+        check_extract(&mut t, &mut m, 0, n * 15 / 100);
+        assert!(!t.compaction_due());
+        assert_eq!(t.rehashes(), before.1 + 1, "rebuilt once");
+        let fresh = table(71, t.len(), m.keys().copied());
+        let allocated = |t: &HashTable| t.chunks.iter().filter(|c| c.is_some()).count();
+        assert_eq!(t.memory_bytes(), fresh.memory_bytes());
+        assert_eq!(allocated(&t), allocated(&fresh));
+        check_lookups(&t, &m, &(0..n).step_by(97).collect::<Vec<_>>());
     }
 
     /// A chain of `n` keys homed `back` buckets before the array's end and
@@ -942,7 +962,7 @@ mod tests {
         let sorted: Vec<u64> = model_of(&t).into_keys().collect();
         let cut = sorted[sorted.len() - t.capacity().div_ceil(2)];
         for (hi, rehashes) in [(cut, 1), (cut + 1, 2)] {
-            t.extract_range(0, hi, &mut Vec::new());
+            t.extract_chunk(0, hi, 0, &mut Vec::new(), usize::MAX);
             assert_eq!(t.rehashes(), rehashes);
             check_lookups(&t, &model_of(&t), &probe);
         }
@@ -993,7 +1013,10 @@ mod tests {
                             m.extend(batch.iter().copied());
                             prop_assert_eq!(t.upsert_batch(&batch), (m.len() - before) as u64);
                         }
-                        5 => check_extract(&mut t, &mut m, k, k.saturating_add(v * 4)),
+                        5 => {
+                            check_extract(&mut t, &mut m, k, k.saturating_add(v * 4));
+                            prop_assert!(!t.compaction_due(), "slack under the threshold");
+                        }
                         6 => {
                             t.reserve(v as usize * 8);
                             prop_assert!(t.len() + v as usize * 8 <= t.capacity());

@@ -27,6 +27,7 @@ pub mod hash_table;
 mod prefetch;
 pub mod prefix_tree;
 
+pub use chunk::CHUNK_BYTES;
 pub use csb_tree::CsbTree;
 pub use hash_table::HashTable;
 pub use prefix_tree::{PrefixTree, PrefixTreeConfig};

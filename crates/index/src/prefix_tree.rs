@@ -39,8 +39,8 @@
 //! [`PrefixTree::upsert_batch`].
 //!
 //! **Shrinking.**  A removal frees value blocks to the free lists but never
-//! a node.  So a donor left holding fewer than half the keys it was sized
-//! for — the most it held since it was last built — is rebuilt from its
+//! a node.  So a donor whose extraction leaves slack worth one chunk, or
+//! half its arenas ([`PrefixTree::compaction_due`]), is rebuilt from its
 //! remaining pairs in key order, and its old chunks are freed whole.
 //!
 //! Every arena slot has a synthetic address (base vaddr + arena offset) so
@@ -246,9 +246,7 @@ pub struct PrefixTree {
     /// Value slots held by live blocks.
     live_slots: usize,
     len: usize,
-    /// The most keys held since the tree was last built, as of the last
-    /// removal (growth since then is `len`): what its nodes are sized for.
-    sized_for: usize,
+    rebuilds: u64,
     /// Smallest and largest key ever inserted (`MAX`/`0` while there was
     /// none).  Removals never narrow them, so every stored key shares
     /// their common prefix.
@@ -278,7 +276,7 @@ impl PrefixTree {
             free: Default::default(),
             live_slots: 0,
             len: 0,
-            sized_for: 0,
+            rebuilds: 0,
             min_key: u64::MAX,
             max_key: 0,
             skip_levels: 0,
@@ -310,17 +308,43 @@ impl PrefixTree {
         self.len == 0
     }
 
-    /// The most keys the tree held since it was last built: removals free
-    /// value blocks, but every node allocated for those keys stays.
-    pub fn sized_for(&self) -> usize {
-        self.sized_for.max(self.len)
+    /// Rebuilds at the exact size that [`PrefixTree::compaction_due`] ran.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// Resident bytes: inner nodes, leaf headers (presence bitmap and block
     /// descriptor) and the live value blocks.  Blocks waiting on a free
-    /// list are not counted — they are what a shrunk partition gave back.
+    /// list are not counted: they are slack, which [`PrefixTree::compaction_due`] bounds.
     pub fn memory_bytes(&self) -> u64 {
         (self.inner.len() * CHILD_BYTES + (self.leaves.len() + self.live_slots) * WORD_BYTES) as u64
+    }
+
+    /// Whether the bytes the arenas hold and a rebuild ([`PrefixTree::rebuilt`])
+    /// would not — free-listed and oversized blocks, emptied leaves and nodes,
+    /// found by one walk — are due by the one rule ([`crate::chunk::compaction_due`]).
+    pub fn compaction_due(&self) -> bool {
+        let held =
+            self.memory_bytes() + ((self.values.len() - self.live_slots) * WORD_BYTES) as u64;
+        crate::chunk::compaction_due(held - self.kept_bytes(0, 0) as u64, held)
+    }
+
+    /// Bytes a rebuild holds for the subtree of `node` at `level`: 0 if keyless, bar the root.
+    fn kept_bytes(&self, node: u32, level: u32) -> usize {
+        let (own, below) = if level + 1 == self.cfg.levels() {
+            let n = self.leaf_len(node);
+            let block = (n > 0) as usize * self.capacity_for(n) as usize;
+            (self.cfg.header_words() * WORD_BYTES, block * WORD_BYTES)
+        } else {
+            let fanout = self.cfg.fanout();
+            // BOUNDS: a live inner node owns `fanout` child slots.
+            let children = (0..fanout).map(|d| self.inner[node as usize * fanout + d]);
+            let kept = children
+                .filter(|&c| c != NULL)
+                .map(|c| self.kept_bytes(c, level + 1));
+            (fanout * CHILD_BYTES, kept.sum())
+        };
+        (below > 0 || level == 0) as usize * (own + below)
     }
 
     fn new_inner(&mut self) -> u32 {
@@ -882,7 +906,6 @@ impl PrefixTree {
         }
         let (word, bit) = self.present_word(leaf, digit);
         self.leaves[word] &= !bit;
-        self.sized_for = self.sized_for();
         self.len -= 1;
         if n == 1 {
             self.free_block(head);
@@ -907,7 +930,6 @@ impl PrefixTree {
             }
             return;
         }
-        self.sized_for = self.sized_for();
         self.len -= run.len();
         self.free_block(self.head(leaf));
         self.set_head(leaf, NO_BLOCK);
@@ -949,22 +971,9 @@ impl PrefixTree {
         }
     }
 
-    /// In-order visit of all `(key, value)` pairs in `[lo, hi)`.
-    pub fn scan_range(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64)) {
-        if lo >= hi {
-            return;
-        }
-        self.cfg.check_key(lo);
-        let _ = self.walk(lo, hi - 1, &mut |k, v| {
-            f(k, v);
-            ControlFlow::Continue(())
-        });
-    }
-
     /// In-order visit of all `(key, value)` pairs in the *inclusive* range
-    /// `[lo, hi]`.  Unlike [`PrefixTree::scan_range`] this can reach the
-    /// top key of the domain: `hi == u64::MAX` on a 64-bit tree visits
-    /// `u64::MAX` itself (there is no `hi + 1` to overflow into).  Keys
+    /// `[lo, hi]`, which can reach the top key of the domain: `hi ==
+    /// u64::MAX` on a 64-bit tree visits `u64::MAX` itself.  Keys
     /// outside the configured domain are clamped, not panicked on, so a
     /// caller holding engine-level bounds (`[lo, u64::MAX]` from an
     /// unbounded predicate) can pass them to a narrower tree verbatim.
@@ -1099,24 +1108,11 @@ impl PrefixTree {
         resume
     }
 
-    /// Flatten `[lo, hi)` into a sorted `(key, value)` stream — the exchange
-    /// format of the load balancer's *copy* transfer (Section 3.3.2).
-    pub fn flatten_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.scan_range(lo, hi, |k, v| out.push((k, v)));
-        out
-    }
-
-    /// Flatten every key in `[lo, ∞)`, including `u64::MAX`.
-    pub fn flatten_from(&self, lo: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.scan_range_inclusive(lo, u64::MAX, |k, v| out.push((k, v)));
-        out
-    }
-
-    /// Flatten the whole tree.
+    /// The whole tree as a sorted `(key, value)` stream.
     pub fn flatten(&self) -> Vec<(u64, u64)> {
-        self.flatten_from(0)
+        let mut out = Vec::new();
+        self.scan_range_inclusive(0, u64::MAX, |k, v| out.push((k, v)));
+        out
     }
 
     /// Build a tree from a strictly increasing stream.
@@ -1153,24 +1149,20 @@ impl PrefixTree {
     /// Keys in `[lo, hi)`.
     pub fn count_range(&self, lo: u64, hi: u64) -> usize {
         let mut n = 0;
-        self.scan_range(lo, hi, |_, _| n += 1);
+        if lo < hi {
+            self.scan_range_inclusive(lo, hi - 1, |_, _| n += 1);
+        }
         n
     }
 
     /// Remove every key in `[lo, hi)` and append its pair to `out` in key
-    /// order (the balancer's donor side).  A donor left holding fewer than
-    /// half the keys it was sized for is rebuilt from its remaining pairs,
-    /// at its exact size: its emptied nodes are freed, not kept.
-    pub fn extract_range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        self.extract_chunk(lo, hi, 0, out, usize::MAX);
-    }
-
-    /// [`PrefixTree::extract_range`] in bounded steps, for a transfer that
-    /// streams through one reused buffer: a step starts at key `from` (0
-    /// for the first) and stops before the first leaf that could take
+    /// order (the balancer's donor side) in bounded steps, for a transfer
+    /// that streams through one reused buffer: a step starts at key `from`
+    /// (0 for the first) and stops before the first leaf that could take
     /// `out` past `max` pairs, returning the key to resume at — a leaf is
-    /// never split between steps.  `None` means the range is gone, and
-    /// the donor compacted if it is due.
+    /// never split between steps.  `None` means the range is gone, and the
+    /// donor rebuilt from its remaining pairs, at its exact size, if its
+    /// slack is due ([`PrefixTree::compaction_due`]).
     pub fn extract_chunk(
         &mut self,
         lo: u64,
@@ -1191,8 +1183,12 @@ impl PrefixTree {
         for run in out[start..].chunk_by(|a, b| (a.0 ^ b.0) >> bits == 0) {
             self.remove_run(run);
         }
-        if resume.is_none() && self.len * 2 < self.sized_for() {
-            *self = self.rebuilt();
+        if resume.is_none() && self.compaction_due() {
+            let rebuilds = self.rebuilds + 1;
+            *self = Self {
+                rebuilds,
+                ..self.rebuilt()
+            };
         }
         resume
     }
@@ -1225,6 +1221,15 @@ mod tests {
 
     fn small() -> PrefixTree {
         PrefixTree::with_config(PrefixTreeConfig::new(4, 16), 0)
+    }
+
+    /// The pairs of `[lo, hi)` in key order.
+    fn scanned(t: &PrefixTree, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        if lo < hi {
+            t.scan_range_inclusive(lo, hi - 1, |k, v| out.push((k, v)));
+        }
+        out
     }
 
     #[test]
@@ -1293,11 +1298,9 @@ mod tests {
         let mut got = Vec::new();
         t.scan_range_inclusive(1, u64::MAX, |k, v| got.push((k, v)));
         assert_eq!(got, vec![(u64::MAX - 1, 2), (u64::MAX, 3)]);
-        // Half-open scan_range cannot see u64::MAX — that asymmetry is
-        // exactly what scan_range_inclusive exists to close.
-        let mut half_open = Vec::new();
-        t.scan_range(1, u64::MAX, |k, v| half_open.push((k, v)));
-        assert_eq!(half_open, vec![(u64::MAX - 1, 2)]);
+        // A half-open range cannot name u64::MAX as its end — that
+        // asymmetry is exactly what scan_range_inclusive exists to close.
+        assert_eq!(t.count_range(1, u64::MAX), 1);
         // Single-key inclusive scan at the very top.
         let mut top = Vec::new();
         t.scan_range_inclusive(u64::MAX, u64::MAX, |k, v| top.push((k, v)));
@@ -1340,7 +1343,7 @@ mod tests {
         for k in [9u64, 1, 5, 3, 7, 100, 200] {
             t.upsert(k, k * 10);
         }
-        let got = t.flatten_range(3, 100);
+        let got = scanned(&t, 3, 100);
         assert_eq!(got, vec![(3, 30), (5, 50), (7, 70), (9, 90)]);
         assert_eq!(t.flatten().len(), 7);
         assert!(t.flatten().windows(2).all(|w| w[0].0 < w[1].0));
@@ -1350,8 +1353,8 @@ mod tests {
     fn scan_empty_range() {
         let mut t = small();
         t.upsert(5, 1);
-        assert!(t.flatten_range(5, 5).is_empty());
-        assert!(t.flatten_range(6, 5).is_empty());
+        assert!(scanned(&t, 5, 5).is_empty());
+        assert!(scanned(&t, 6, 5).is_empty());
     }
 
     #[test]
@@ -1360,10 +1363,12 @@ mod tests {
         t.upsert(u64::MAX, 1);
         t.upsert(0, 2);
         // u64::MAX as hi is exclusive, so only key 0 is returned below MAX...
-        assert_eq!(t.flatten_range(0, u64::MAX), vec![(0, 2)]);
+        assert_eq!(scanned(&t, 0, u64::MAX), vec![(0, 2)]);
         // ...but flatten() must still cover the full domain.
         assert_eq!(t.flatten(), vec![(0, 2), (u64::MAX, 1)]);
-        assert_eq!(t.flatten_from(1), vec![(u64::MAX, 1)]);
+        let mut top = Vec::new();
+        t.scan_range_inclusive(1, u64::MAX, |k, v| top.push((k, v)));
+        assert_eq!(top, vec![(u64::MAX, 1)]);
     }
 
     #[test]
@@ -1373,11 +1378,16 @@ mod tests {
             t.upsert(k, k);
         }
         assert_eq!(t.count_range(60, 90), 30);
+        let held = arenas(&t);
         let mut moved = vec![(7, 7)];
-        t.extract_range(60, 90, &mut moved);
+        t.extract_chunk(60, 90, 0, &mut moved, usize::MAX);
         assert_eq!(moved.remove(0), (7, 7), "appended after what `out` held");
         assert_eq!(moved, (60..90).map(|k| (k, k)).collect::<Vec<_>>());
-        assert_eq!((t.len(), t.sized_for()), (70, 100));
+        assert_eq!(
+            (t.len(), arenas(&t), t.rebuilds()),
+            (70, held, 0),
+            "slack not due"
+        );
         assert_eq!(t.lookup(59), Some(59));
         assert_eq!(t.lookup(60), None);
         assert_eq!(t.lookup(90), Some(90));
@@ -1397,28 +1407,57 @@ mod tests {
             && t.values.chunk_count() == t.values.chunks_needed()
     }
 
+    /// The three arena lengths of `t`.
+    fn arenas(t: &PrefixTree) -> (usize, usize, usize) {
+        (t.inner.len(), t.leaves.len(), t.values.len())
+    }
+
+    /// Bytes the arenas of `t` hold, free-listed blocks included.
+    fn held(t: &PrefixTree) -> usize {
+        t.inner.len() * CHILD_BYTES + (t.leaves.len() + t.values.len()) * WORD_BYTES
+    }
+
+    /// `t` holds what a tree built fresh from its pairs holds.
+    fn holds_what_a_fresh_build_holds(t: &PrefixTree) -> bool {
+        let fresh = PrefixTree::build_from_sorted(t.config(), 0, &t.flatten());
+        arenas(t) == arenas(&fresh) && no_spare_storage(t) && t.kept_bytes(0, 0) == held(t)
+    }
+
+    /// Hand `t`'s sparse keys (4 per 256-slot leaf) away from the bottom
+    /// in `cuts` (fractions of `n` in percent), and check after each that
+    /// the tree was rebuilt exactly when `rebuilt` says, and otherwise
+    /// kept its arenas.
+    fn check_sparse_donor(n: u64, cuts: &[(u64, bool)]) {
+        let pairs: Vec<(u64, u64)> = (0..n).map(|r| (r * 64, r)).collect();
+        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 0, &pairs);
+        for &(cut, rebuilt) in cuts {
+            let (before, hi) = (arenas(&t), pairs[(n * cut / 100) as usize].0);
+            let rebuilds = t.rebuilds() + rebuilt as u64;
+            t.extract_chunk(0, hi, 0, &mut Vec::new(), usize::MAX);
+            assert_eq!(t.rebuilds(), rebuilds, "{cut} %");
+            assert_eq!(t.flatten(), pairs[(n * cut / 100) as usize..]);
+            assert!(!t.compaction_due(), "{cut} %: slack under the threshold");
+            match rebuilt {
+                true => assert!(holds_what_a_fresh_build_holds(&t), "{cut} %"),
+                false => assert_eq!(arenas(&t), before, "{cut} %: not rebuilt"),
+            }
+        }
+    }
+
     #[test]
     fn a_drained_donor_is_rebuilt_at_its_exact_size() {
-        // The sparse shape: 4 keys per 256-slot leaf.
-        let pairs: Vec<(u64, u64)> = (0..1u64 << 12).map(|r| (r * 64, r)).collect();
-        let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::default(), 0, &pairs);
-        let (n, loaded) = (pairs.len(), t.memory_bytes());
-        // Giving half away keeps the nodes: half is what it was sized for.
-        let mut moved = Vec::new();
-        t.extract_range(0, pairs[n / 2].0, &mut moved);
-        assert_eq!((t.len(), t.sized_for()), (n / 2, n));
-        let half = t.memory_bytes();
-        assert!(half > loaded / 2, "nodes kept: {loaded} -> {half} B");
-        // One key more, and it is rebuilt from what it keeps.
-        t.extract_range(pairs[n / 2].0, pairs[n / 2 + 1].0, &mut moved);
-        assert_eq!(moved, pairs[..n / 2 + 1]);
-        assert_eq!((t.len(), t.sized_for()), (n / 2 - 1, n / 2 - 1));
-        let fresh = PrefixTree::build_from_sorted(t.config(), 0, &pairs[n / 2 + 1..]);
-        assert_eq!(t.memory_bytes(), fresh.memory_bytes());
-        assert!(no_spare_storage(&t));
-        assert!(t.memory_bytes() < half * 3 / 4);
-        assert_eq!(t.flatten(), pairs[n / 2 + 1..]);
-        assert_eq!(t.lookup(pairs[n - 1].0), Some(n as u64 - 1));
+        // 84 KB, so half of it is the threshold, less than a chunk.  Giving
+        // 40 % of the keys away leaves 36 % of the bytes as slack, 60 %
+        // leaves 55 %; then a tenth more is a fifth of what is left.
+        check_sparse_donor(1 << 12, &[(40, false), (60, true), (70, false)]);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a 5 MB tree; no unsafe to check")]
+    fn a_large_donor_is_rebuilt_once_one_chunk_is_slack() {
+        // 5 MB: 10 % of its keys free 0.5 MB, under a chunk; 30 % free
+        // 1.5 MB, a chunk and more, though far less than half of it.
+        check_sparse_donor(1 << 18, &[(10, false), (30, true), (40, false)]);
     }
 
     #[test]
@@ -1734,7 +1773,13 @@ mod tests {
         let mut t = PrefixTree::build_from_sorted(PrefixTreeConfig::new(8, 32), 0, &pairs);
         let (loaded, arena) = (t.memory_bytes(), t.values.len());
         let mut upper = Vec::new();
-        t.extract_range(pairs[pairs.len() / 2].0, u64::MAX, &mut upper);
+        t.extract_chunk(
+            pairs[pairs.len() / 2].0,
+            u64::MAX,
+            0,
+            &mut upper,
+            usize::MAX,
+        );
         let shrunk = t.memory_bytes();
         assert!(
             shrunk < loaded * 3 / 4,
@@ -1845,7 +1890,7 @@ mod tests {
             PrefixTree::new(),
         );
         let mut moved = Vec::new();
-        whole.0.extract_range(lo, hi, &mut moved);
+        whole.0.extract_chunk(lo, hi, 0, &mut moved, usize::MAX);
         whole.1.upsert_batch(&moved);
         for max in [1, 255, 256, 300, 4096, usize::MAX] {
             let mut streamed = (
@@ -1909,16 +1954,16 @@ mod tests {
             s.remove(k);
         }
         lookup_all(&t, &s, &m, &probe);
-        // A range out and back in: once with the nodes kept, once past
-        // half, so that the donor is compacted.
+        // A range out and back in, a third and nine tenths of the keys:
+        // the donor is compacted when its slack is due.
         for cut in [keys.len() / 3, keys.len() * 9 / 10] {
             let hi = keys[cut];
             let mut moved = Vec::new();
-            t.extract_range(0, hi, &mut moved);
+            t.extract_chunk(0, hi, 0, &mut moved, usize::MAX);
             let want: Vec<(u64, u64)> = m.range(..hi).map(|(&k, &v)| (k, v)).collect();
             assert_eq!(moved, want);
             assert!(chunks_fit(&t));
-            assert!(t.len() * 2 >= t.sized_for(), "compacted when due");
+            assert!(!t.compaction_due(), "compacted when due");
             assert_eq!(
                 t.flatten(),
                 m.range(hi..).map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -2015,8 +2060,8 @@ mod tests {
                 keys in proptest::collection::btree_set(0u64..0x10000, 1..100),
                 cuts in proptest::collection::vec((0u64..0x10000, 0u64..0x1000), 1..6))
             {
-                // Repeated extractions, some of which leave the tree under
-                // half what it was sized for and rebuild it.
+                // Repeated extractions, some of which leave the tree's slack
+                // due and rebuild it.
                 let mut t = small();
                 for &k in &keys {
                     t.upsert(k, k);
@@ -2028,9 +2073,12 @@ mod tests {
                     left.retain(|k| !(lo..hi).contains(k));
                     prop_assert_eq!(t.count_range(lo, hi), want.len());
                     let before = moved.len();
-                    t.extract_range(lo, hi, &mut moved);
+                    t.extract_chunk(lo, hi, 0, &mut moved, usize::MAX);
                     prop_assert_eq!(&moved[before..], &want[..]);
-                    prop_assert!(t.len() * 2 >= t.sized_for());
+                    prop_assert!(!t.compaction_due());
+                    // The slack is exactly what a rebuild frees.
+                    let fresh = PrefixTree::build_from_sorted(t.config(), 0, &t.flatten());
+                    prop_assert_eq!(t.kept_bytes(0, 0), held(&fresh));
                 }
                 for &k in &keys {
                     let gone = moved.contains(&(k, k));
@@ -2051,7 +2099,7 @@ mod tests {
                 for &k in &keys {
                     t.upsert(k, k ^ 0xFF);
                 }
-                let got = t.flatten_range(lo, hi);
+                let got = scanned(&t, lo, hi);
                 let expect: Vec<(u64, u64)> = keys.iter()
                     .filter(|&&k| k >= lo && k < hi)
                     .map(|&k| (k, k ^ 0xFF))

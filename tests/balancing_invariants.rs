@@ -72,8 +72,9 @@ fn ranges_are_consistent(e: &Engine, idx: DataObjectId, domain: u64) {
         ranges.push(p.range);
         if let eris_core::PartitionData::Index(tree) = &p.data {
             // No key outside the recorded range.
-            let outside_low = tree.flatten_range(0, p.range.0).len();
-            let outside_high = tree.flatten_from(p.range.1).len();
+            let outside_low = tree.count_range(0, p.range.0);
+            let mut outside_high = 0;
+            tree.scan_range_inclusive(p.range.1, u64::MAX, |_, _| outside_high += 1);
             assert_eq!(
                 outside_low + outside_high,
                 0,
@@ -423,17 +424,17 @@ fn drain_by_zipf(
 fn a_drained_hash_partition_gives_its_memory_back() {
     // A hash partition's `bytes()` — the physical size the balancer
     // samples — has to follow its keys both ways: each receiver is sized
-    // once for exactly what it then holds, and a donor left under half of
-    // what its array was sized for is rebuilt at its exact size.
+    // once for exactly what it then holds, and a donor whose slack is due
+    // (a chunk, or half its array) is rebuilt at its exact size.
     use eris_core::PartitionData;
-    use eris_index::HashTable;
+    use eris_index::{HashTable, CHUNK_BYTES};
     // One bucket at the table's load limit, and the slack that donors
-    // holding at least half of what they were sized for may add.
+    // under the compaction threshold may add.
     const BYTES_PER_KEY: f64 = 20.0;
     const SLACK: f64 = 1.15;
-    let tables = |e: &Engine, idx: DataObjectId| -> Vec<(usize, usize, u64)> {
+    let tables = |e: &Engine, idx: DataObjectId| -> Vec<(usize, bool, u64)> {
         let table = |a: AeuId| match &e.aeu(a).partition(idx).unwrap().data {
-            PartitionData::Hash(h) => (h.len(), h.capacity(), h.memory_bytes()),
+            PartitionData::Hash(h) => (h.len(), h.compaction_due(), h.memory_bytes()),
             _ => panic!("a hash index has hash partitions"),
         };
         e.aeu_ids().into_iter().map(table).collect()
@@ -452,14 +453,15 @@ fn a_drained_hash_partition_gives_its_memory_back() {
             bytes as f64 <= SLACK * BYTES_PER_KEY * keys as f64,
             "cycle {cycle}: {bytes} B for {keys} keys, partitions {now:?}"
         );
-        // No table sits below half of what it was sized for: a donor
-        // drained below that was rebuilt at its exact size (and a receiver
-        // sized once for what it took).
-        for (a, &(len, capacity, bytes)) in now.iter().enumerate() {
-            assert!(
-                len * 2 >= capacity || bytes == exact(len),
-                "cycle {cycle}, aeu {a}: {len} keys in {bytes} B sized for {capacity}"
-            );
+        let exact_bytes: u64 = now.iter().map(|t| exact(t.0)).sum();
+        assert!(
+            bytes <= exact_bytes + (now.len() * CHUNK_BYTES) as u64,
+            "cycle {cycle}: {bytes} B where exact tables take {exact_bytes} B"
+        );
+        // No table's slack is due: a donor left with that much was rebuilt
+        // at its exact size (and a receiver sized once for what it took).
+        for (a, &(len, due, bytes)) in now.iter().enumerate() {
+            assert!(!due, "cycle {cycle}, aeu {a}: {len} keys in {bytes} B");
             if len * 4 < loaded[a].0 {
                 drained.insert(a);
             }
@@ -472,11 +474,11 @@ fn a_drained_hash_partition_gives_its_memory_back() {
 fn a_drained_prefix_tree_partition_gives_its_memory_back() {
     // The tree twin, with the sparse keys of `engine-batch` (4 per
     // 256-slot leaf): a removal frees value blocks but no node, so a donor
-    // left under half of what it was sized for is rebuilt from what it
-    // keeps.  After every cycle the partitions cost at most a fifth more
-    // than a fresh load of the same keys at the same bounds.
+    // whose slack is due is rebuilt from what it keeps.  After every cycle
+    // the partitions cost at most a fifth more than a fresh load of the
+    // same keys at the same bounds, and at most a chunk per partition more.
     use eris_core::PartitionData;
-    use eris_index::PrefixTree;
+    use eris_index::{PrefixTree, CHUNK_BYTES};
     drain_by_zipf(false, 64, |e, idx, cycle| {
         let (mut bytes, mut fresh) = (0, 0);
         for a in e.aeu_ids() {
@@ -484,7 +486,7 @@ fn a_drained_prefix_tree_partition_gives_its_memory_back() {
             let PartitionData::Index(tree) = &p.data else {
                 panic!("an index has tree partitions")
             };
-            assert!(tree.len() * 2 >= tree.sized_for(), "cycle {cycle}, {a:?}");
+            assert!(!tree.compaction_due(), "cycle {cycle}, {a:?}");
             let pairs = tree.flatten();
             bytes += tree.memory_bytes();
             fresh += PrefixTree::build_from_sorted(tree.config(), 0, &pairs).memory_bytes();
@@ -492,6 +494,11 @@ fn a_drained_prefix_tree_partition_gives_its_memory_back() {
         assert!(
             bytes as f64 <= 1.2 * fresh as f64,
             "cycle {cycle}: {bytes} B where a fresh load takes {fresh} B"
+        );
+        let chunks = (e.aeu_ids().len() * CHUNK_BYTES) as u64;
+        assert!(
+            bytes <= fresh + chunks,
+            "cycle {cycle}: {bytes} B, a fresh load {fresh} B"
         );
     });
 }
