@@ -212,41 +212,6 @@ impl Column {
         written
     }
 
-    /// Append a stable little-endian serialization of the row values:
-    /// `[u64 n][n × u64 value]` in row order.  Segment boundaries are not
-    /// persisted — the restoring AEU re-provisions segments on its own
-    /// node, which is exactly the NUMA-local placement we want after a
-    /// recovery anyway.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.reserve(8 + self.len * 8);
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        for seg in &self.segments {
-            for &v in &seg.data {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-
-    /// Decode a [`Column::serialize_into`] payload back into row values.
-    /// `None` if the buffer is truncated, carries trailing bytes, or
-    /// declares more rows than it holds — checkpoint files are external
-    /// input and may be cut short by a crash.
-    pub fn decode_values(payload: &[u8]) -> Option<Vec<u64>> {
-        if payload.len() < 8 {
-            return None;
-        }
-        let n = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
-        let body = &payload[8..];
-        if body.len() != n.checked_mul(8)? {
-            return None;
-        }
-        Some(
-            body.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        )
-    }
-
     /// Read row `i` (0-based across segments).
     pub fn get(&self, mut i: usize) -> Option<u64> {
         if i >= self.len {
@@ -485,22 +450,6 @@ mod tests {
         assert_eq!(c.column().get(17), Some(17));
         assert_eq!(c.column().get(39), Some(39));
         assert_eq!(c.column().get(40), None);
-    }
-
-    #[test]
-    fn serialization_roundtrips_and_rejects_corruption() {
-        let c = filled(40);
-        let mut buf = Vec::new();
-        c.column().serialize_into(&mut buf);
-        assert_eq!(
-            Column::decode_values(&buf),
-            Some((0..40).collect::<Vec<u64>>())
-        );
-        assert_eq!(Column::decode_values(&buf[..buf.len() - 3]), None);
-        assert_eq!(Column::decode_values(&[]), None);
-        let mut lying = buf;
-        lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(Column::decode_values(&lying), None);
     }
 
     #[test]

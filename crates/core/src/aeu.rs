@@ -659,9 +659,9 @@ impl Aeu {
     }
 
     /// Insert pairs into an index or hash partition (redo-log replay, and
-    /// the steps of a transfer, a hash receiver after
-    /// [`Aeu::reserve_transfer`]).  A hash partition grows geometrically,
-    /// as inserts grow it.
+    /// the steps of a transfer or of a checkpoint restore, a hash partition
+    /// after [`Aeu::reserve_transfer`]).  A hash partition grows
+    /// geometrically, as inserts grow it.
     pub fn absorb_pairs(&mut self, object: DataObjectId, pairs: &[(u64, u64)]) {
         let p = self
             .partitions
@@ -675,8 +675,9 @@ impl Aeu {
                 // A transfer arrives in the donor's bucket order, which is
                 // this table's too (the seeds only rotate it): growing
                 // part-way through would first pile the batch's head onto
-                // one stretch of the old array.  Size for all of it first.
-                h.reserve(pairs.len());
+                // one stretch of the old array.  Size for its fresh keys
+                // first; replay's overwrites of a restored table take none.
+                h.reserve_for(pairs);
                 h.upsert_batch(pairs);
             }
             PartitionData::Column(_) => panic!("absorb_pairs on a column partition"),
@@ -685,9 +686,9 @@ impl Aeu {
     }
 
     /// Size a hash partition once for the `keys` keys a balancing cycle
-    /// is about to move into it: it then holds exactly its keys, with no
-    /// growth headroom.  A tree's arenas grow by equal chunks and need no
-    /// sizing.
+    /// or a checkpoint restore is about to move into it: it then holds
+    /// exactly its keys, with no growth headroom.  A tree's arenas grow by
+    /// equal chunks and need no sizing.
     pub fn reserve_transfer(&mut self, object: DataObjectId, keys: usize) {
         let p = self
             .partitions
@@ -1335,53 +1336,6 @@ impl Aeu {
                 ));
                 p.accesses += cmds.len() as u64;
                 p.exec_ns += exec_ns;
-            }
-        }
-    }
-
-    /// Serialize every partition this AEU owns, in object order:
-    /// `(object, range, payload)`.  Payload formats are owned by the
-    /// structures themselves (`PrefixTree`/`HashTable`/`Column`
-    /// `serialize_into`).
-    pub fn serialize_partitions(&self) -> Vec<(DataObjectId, (u64, u64), Vec<u8>)> {
-        self.partitions
-            .iter()
-            .map(|(&object, p)| {
-                let mut payload = Vec::new();
-                match &p.data {
-                    PartitionData::Index(tree) => tree.serialize_into(&mut payload),
-                    PartitionData::Hash(h) => h.serialize_into(&mut payload),
-                    PartitionData::Column(col) => col.serialize_into(&mut payload),
-                }
-                (object, p.range, payload)
-            })
-            .collect()
-    }
-
-    /// Refill one (freshly created, empty) partition from a checkpoint
-    /// payload and restore its responsibility range.  Returns `false` if
-    /// this AEU holds no such partition or the payload is malformed.
-    /// Runs before the redo sink is attached, so nothing is re-journaled.
-    pub fn restore_partition(
-        &mut self,
-        object: DataObjectId,
-        range: (u64, u64),
-        payload: &[u8],
-    ) -> bool {
-        let node = self.node;
-        let Some(p) = self.partitions.get_mut(&object) else {
-            return false;
-        };
-        p.range = range;
-        match &mut p.data {
-            PartitionData::Index(tree) => tree.restore(payload),
-            PartitionData::Hash(h) => h.restore(payload),
-            PartitionData::Column(col) => {
-                let Some(rows) = Column::decode_values(payload) else {
-                    return false;
-                };
-                Self::fill_column(node, col, &rows);
-                true
             }
         }
     }

@@ -302,8 +302,9 @@ pub fn size_balance_moves(lens: &[usize]) -> Vec<(usize, usize, usize)> {
     moves
 }
 
-/// Pairs a transfer moves per step through its reused buffer (1 MiB).
-const TRANSFER_CHUNK: usize = 1 << 16;
+/// Pairs a transfer moves per step through its reused buffer (1 MiB); a
+/// checkpoint part's records hold as many.
+pub const TRANSFER_CHUNK: usize = 1 << 16;
 
 /// The oscillation back-off of one data object: after a cycle that moved
 /// substantial data *without* improving the imbalance — an indivisible

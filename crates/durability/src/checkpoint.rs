@@ -1,47 +1,57 @@
 //! NUMA-partitioned checkpoints.
 //!
 //! A checkpoint is a directory `ckpt-<seq>/` holding one *part file per
-//! AEU* — each AEU's partitions serialized independently, mirroring the
-//! engine's ownership layout so restore can repopulate every partition on
-//! its home NUMA node without cross-partition merging — plus a `MANIFEST`
-//! that makes the checkpoint atomic: it is written last, into a `.tmp`
-//! staging directory that is fsynced and renamed into place.  A crash at
-//! any earlier point leaves a manifest-less `.tmp` directory that
-//! recovery ignores.
+//! AEU* plus a `MANIFEST`.  A part is a journal of its AEU's partitions:
+//! the redo records that rebuild them, framed and checksummed by the
+//! journal's own codec ([`crate::wal`]), so that recovery restores a part
+//! the way a balancing receiver absorbs a transfer, on the partition's
+//! home node and with no cross-partition merge.  The manifest makes the
+//! checkpoint atomic: it is written last, into a `.tmp` staging directory
+//! that is fsynced and renamed into place.  A crash at any earlier point
+//! leaves a manifest-less `.tmp` directory that recovery ignores.
 //!
 //! The manifest records the *journal cut*: each AEU's synced LSN at
 //! checkpoint time.  Recovery loads the newest complete checkpoint and
-//! replays only journal records at offsets ≥ the cut.
+//! replays only journal records at offsets ≥ the cut.  It also records
+//! each partition's key (or row) count, which a restored part must match.
 //!
 //! ## Part file format
 //!
 //! ```text
-//! [8B magic "ERISPART"][u32 aeu]
-//! [u32 n]  n × ( [u32 object][u64 lo][u64 hi][u64 len][payload] )
-//! [u32 crc32(everything before)]
+//! [8B magic "ERISPRT2"][u32 aeu]
+//! repeat:  [u32 len][u32 crc32(payload)][payload: len bytes]
 //! ```
+//!
+//! The records are journal records ([`crate::wal`]).  Part 0 opens with
+//! one `Bounds` record per point object.  Then, object by object: a tree
+//! or hash partition as `UpsertPairs` records of at most a balancing
+//! transfer's step, 64 Ki pairs (a hash table in bucket order), a column
+//! as one `AppendRows` record per segment.
 //!
 //! ## Manifest format
 //!
 //! ```text
-//! [8B magic "ERISCKPT"][u64 seq]
+//! [8B magic "ERISCKP2"][u64 seq]
 //! [u32 n_aeus]  n_aeus × [u64 cut]
 //! [u32 n_objects]  n × ( [u32 id][u8 class][u64 domain]
-//!                        [u32 name_len][name][u64 enqueued][u64 executed] )
+//!                        [u32 name_len][name][u64 enqueued][u64 executed]
+//!                        n_aeus × [u64 partition len] )
 //! [u32 crc32(everything before)]
 //! ```
 
 use crate::crc::crc32;
 use crate::failpoint::{FailPoints, FP_CHECKPOINT_PARTIAL, FP_CHECKPOINT_PRE_MANIFEST};
+use crate::wal::{frame_op, take_u32, take_u64, take_u8};
+use eris_core::balancer::TRANSFER_CHUNK;
 use eris_core::durability::{ObjectClass, ObjectDescriptor};
-use eris_core::{AeuId, DataObjectId, Engine};
+use eris_core::{AeuId, DataObjectId, Engine, Partition, PartitionData, RedoOp};
 use eris_obs::{now_ns, Stamped, TraceEvent, PHASE_BEGIN, PHASE_COMMITTED, PHASE_PARTS_WRITTEN};
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-pub const PART_MAGIC: &[u8; 8] = b"ERISPART";
-pub const MANIFEST_MAGIC: &[u8; 8] = b"ERISCKPT";
+pub const PART_MAGIC: &[u8; 8] = b"ERISPRT2";
+pub const MANIFEST_MAGIC: &[u8; 8] = b"ERISCKP2";
 
 /// One object's manifest entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +61,8 @@ pub struct ManifestObject {
     /// are equal for a healthy engine; both are kept for diagnosis).
     pub enqueued: u64,
     pub executed: u64,
+    /// Keys (rows, of a column) of each AEU's partition.
+    pub lens: Vec<u64>,
 }
 
 /// The decoded `MANIFEST` of one complete checkpoint.
@@ -62,94 +74,73 @@ pub struct Manifest {
     pub objects: Vec<ManifestObject>,
 }
 
-/// One partition image from a part file.
-#[derive(Debug, Clone)]
-pub struct PartitionImage {
-    pub object: DataObjectId,
-    pub range: (u64, u64),
-    pub payload: Vec<u8>,
-}
-
 fn ckpt_dir(base: &Path, seq: u64) -> PathBuf {
     base.join(format!("ckpt-{seq}"))
 }
 
-fn part_name(aeu: usize) -> String {
-    format!("aeu-{aeu}.part")
+/// The part file of AEU `aeu` in checkpoint directory `ckpt`.
+pub(crate) fn part_path(ckpt: &Path, aeu: usize) -> PathBuf {
+    ckpt.join(format!("aeu-{aeu}.part"))
 }
 
-fn encode_part(aeu: usize, parts: &[(DataObjectId, (u64, u64), Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(PART_MAGIC);
-    out.extend_from_slice(&(aeu as u32).to_le_bytes());
-    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    for (object, (lo, hi), payload) in parts {
-        out.extend_from_slice(&object.0.to_le_bytes());
-        out.extend_from_slice(&lo.to_le_bytes());
-        out.extend_from_slice(&hi.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// The header a part of AEU `aeu` opens with.
+pub(crate) fn part_header(aeu: usize) -> [u8; 12] {
+    let mut header = [0; 12];
+    header[..8].copy_from_slice(PART_MAGIC);
+    header[8..].copy_from_slice(&(aeu as u32).to_le_bytes());
+    header
 }
 
-/// Decode one part file; `None` on any framing or CRC violation.
-pub fn decode_part(bytes: &[u8], expect_aeu: usize) -> Option<Vec<PartitionImage>> {
-    if bytes.len() < PART_MAGIC.len() + 12 || &bytes[..8] != PART_MAGIC {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    if crc32(body) != crc {
-        return None;
-    }
-    let mut cur = &body[8..];
-    let aeu = take_u32(&mut cur)? as usize;
-    if aeu != expect_aeu {
-        return None;
-    }
-    let n = take_u32(&mut cur)? as usize;
-    let mut images = Vec::with_capacity(n.min(cur.len() / 28));
-    for _ in 0..n {
-        let object = DataObjectId(take_u32(&mut cur)?);
-        let lo = take_u64(&mut cur)?;
-        let hi = take_u64(&mut cur)?;
-        let len = take_u64(&mut cur)? as usize;
-        if cur.len() < len {
-            return None;
+/// Write and sync one AEU's part: `bounds` as `Bounds` records, then the
+/// records that rebuild each of `partitions`.  One record is held in
+/// memory at a time.
+fn write_part(
+    path: &Path,
+    aeu: usize,
+    bounds: &[(DataObjectId, Vec<u64>)],
+    partitions: &[(DataObjectId, &Partition)],
+) -> std::io::Result<()> {
+    let mut file = File::create(path)?;
+    file.write_all(&part_header(aeu))?;
+    let (mut record, mut written) = (Vec::new(), Ok(()));
+    // Frame one record and write it out; nothing after a failed write.
+    let mut put = |op: RedoOp<'_>| {
+        if written.is_ok() {
+            frame_op(&mut record, &op);
+            written = file.write_all(&record);
+            record.clear();
         }
-        images.push(PartitionImage {
-            object,
-            range: (lo, hi),
-            payload: cur[..len].to_vec(),
-        });
-        cur = &cur[len..];
+    };
+    for &(object, ref bounds) in bounds {
+        put(RedoOp::Bounds { object, bounds });
     }
-    if cur.is_empty() {
-        Some(images)
-    } else {
-        None
+    let mut run = Vec::new();
+    for &(object, p) in partitions {
+        let mut push = |k, v| {
+            run.push((k, v));
+            if run.len() == TRANSFER_CHUNK {
+                let pairs = &run;
+                put(RedoOp::UpsertPairs { object, pairs });
+                run.clear();
+            }
+        };
+        match &p.data {
+            PartitionData::Index(tree) => tree.scan_range_inclusive(0, u64::MAX, &mut push),
+            PartitionData::Hash(h) => h.for_each(&mut push),
+            PartitionData::Column(col) => {
+                for rows in col.segments().iter().map(|seg| seg.values()) {
+                    put(RedoOp::AppendRows { object, rows });
+                }
+            }
+        }
+        if !run.is_empty() {
+            let pairs = &run;
+            put(RedoOp::UpsertPairs { object, pairs });
+            run.clear();
+        }
     }
-}
-
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let v = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    *buf = &buf[4..];
-    Some(v)
-}
-
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
-    if buf.len() < 8 {
-        return None;
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    *buf = &buf[8..];
-    Some(v)
+    written?;
+    file.sync_data()
 }
 
 fn encode_manifest(m: &Manifest) -> Vec<u8> {
@@ -169,6 +160,10 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
         out.extend_from_slice(o.descriptor.name.as_bytes());
         out.extend_from_slice(&o.enqueued.to_le_bytes());
         out.extend_from_slice(&o.executed.to_le_bytes());
+        debug_assert_eq!(o.lens.len(), m.cuts.len(), "one length per AEU");
+        for len in &o.lens {
+            out.extend_from_slice(&len.to_le_bytes());
+        }
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -209,6 +204,9 @@ pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
         cur = &cur[name_len..];
         let enqueued = take_u64(&mut cur)?;
         let executed = take_u64(&mut cur)?;
+        let lens = (0..n_aeus)
+            .map(|_| take_u64(&mut cur))
+            .collect::<Option<_>>()?;
         objects.push(ManifestObject {
             descriptor: ObjectDescriptor {
                 id,
@@ -218,6 +216,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
             },
             enqueued,
             executed,
+            lens,
         });
     }
     if cur.is_empty() {
@@ -225,12 +224,6 @@ pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
     } else {
         None
     }
-}
-
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
-    let (&b, rest) = buf.split_first()?;
-    *buf = rest;
-    Some(b)
 }
 
 /// Trace one checkpoint phase transition.  Checkpoints are engine-level,
@@ -260,10 +253,9 @@ fn sync_dir(path: &Path) -> std::io::Result<()> {
 /// Write checkpoint `seq` of a **drained** engine under `base`.
 ///
 /// The engine must be quiesced (`run_until_drained`) and every journal
-/// synced (`cuts` are the post-sync LSNs) before calling.  Serialization
-/// is sequential — AEUs are not `Sync` — but the part files are written
-/// and fsynced by one thread per file, the NUMA-partitioned analogue of
-/// parallel checkpoint writers.
+/// synced (`cuts` are the post-sync LSNs) before calling.  The part files
+/// are written and fsynced by one thread per file, the NUMA-partitioned
+/// analogue of parallel checkpoint writers.
 pub fn write_checkpoint(
     engine: &Engine,
     base: &Path,
@@ -278,23 +270,36 @@ pub fn write_checkpoint(
     }
     fs::create_dir_all(&tmp)?;
 
-    let encoded: Vec<Vec<u8>> = engine
+    let objects = engine.describe_objects();
+    let partitions: Vec<Vec<(DataObjectId, &Partition)>> = engine
         .aeu_ids()
+        .into_iter()
+        .map(|a| {
+            let aeu = engine.aeu(a);
+            let of = |d: &ObjectDescriptor| aeu.partition(d.id).map(|p| (d.id, p));
+            objects.iter().filter_map(of).collect()
+        })
+        .collect();
+    let bounds: Vec<(DataObjectId, Vec<u64>)> = objects
         .iter()
-        .map(|&a| encode_part(a.index(), &engine.aeu(a).serialize_partitions()))
+        .filter(|d| d.class != ObjectClass::Column)
+        .map(|d| {
+            let lower = |a| engine.aeu(a).partition(d.id).map_or(0, |p| p.range.0);
+            (d.id, engine.aeu_ids().into_iter().map(lower).collect())
+        })
         .collect();
 
     let results: Vec<std::io::Result<()>> = std::thread::scope(|s| {
-        let handles: Vec<_> = encoded
+        let handles: Vec<_> = partitions
             .iter()
             .enumerate()
-            .map(|(i, bytes)| {
-                let tmp = &tmp;
+            .map(|(i, parts)| {
+                let (tmp, bounds) = (&tmp, if i == 0 { &bounds[..] } else { &[] });
                 s.spawn(move || {
                     if fail.crashed() || fail.hit(FP_CHECKPOINT_PARTIAL) {
                         return Ok(());
                     }
-                    write_file_synced(&tmp.join(part_name(i)), bytes)
+                    write_part(&part_path(tmp, i), i, bounds, parts)
                 })
             })
             .collect();
@@ -321,12 +326,22 @@ pub fn write_checkpoint(
     let manifest = Manifest {
         seq,
         cuts: cuts.to_vec(),
-        objects: engine
-            .describe_objects()
+        objects: objects
             .into_iter()
             .map(|descriptor| {
                 let (enqueued, executed) = ledger.get(&descriptor.id).copied().unwrap_or((0, 0));
+                let len = |a| {
+                    engine
+                        .aeu(a)
+                        .partition(descriptor.id)
+                        .map_or(0, |p| p.data.len())
+                };
                 ManifestObject {
+                    lens: engine
+                        .aeu_ids()
+                        .into_iter()
+                        .map(|a| len(a) as u64)
+                        .collect(),
                     descriptor,
                     enqueued,
                     executed,
@@ -344,7 +359,9 @@ pub fn write_checkpoint(
 
 /// Find the newest *complete* checkpoint under `base`: a `ckpt-<seq>`
 /// directory whose manifest exists and passes its CRC.  Incomplete
-/// `.tmp` staging directories and corrupt manifests are skipped.
+/// `.tmp` staging directories and corrupt manifests are skipped; a
+/// manifest of another format is an `InvalidData` error, so that its
+/// checkpoint is never silently passed over.
 pub fn find_latest(base: &Path) -> std::io::Result<Option<(PathBuf, Manifest)>> {
     let mut best: Option<(PathBuf, Manifest)> = None;
     let entries = match fs::read_dir(base) {
@@ -366,6 +383,12 @@ pub fn find_latest(base: &Path) -> std::io::Result<Option<(PathBuf, Manifest)>> 
         let Ok(bytes) = fs::read(path.join("MANIFEST")) else {
             continue;
         };
+        if !bytes.starts_with(MANIFEST_MAGIC) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{} is not an {MANIFEST_MAGIC:?} manifest", path.display()),
+            ));
+        }
         let Some(manifest) = decode_manifest(&bytes) else {
             continue;
         };
@@ -374,18 +397,6 @@ pub fn find_latest(base: &Path) -> std::io::Result<Option<(PathBuf, Manifest)>> 
         }
     }
     Ok(best)
-}
-
-/// Read and validate one part file of a complete checkpoint.
-pub fn read_part(ckpt: &Path, aeu: usize) -> std::io::Result<Vec<PartitionImage>> {
-    let path = ckpt.join(part_name(aeu));
-    let bytes = fs::read(&path)?;
-    decode_part(&bytes, aeu).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("corrupt checkpoint part {}", path.display()),
-        )
-    })
 }
 
 #[cfg(test)]
@@ -406,6 +417,7 @@ mod tests {
                 },
                 enqueued: 10,
                 executed: 10,
+                lens: vec![3, 0, 5, 2],
             }],
         };
         let bytes = encode_manifest(&m);
@@ -416,21 +428,5 @@ mod tests {
             assert_eq!(decode_manifest(&corrupt), None, "flip at byte {i}");
         }
         assert_eq!(decode_manifest(&bytes[..bytes.len() - 1]), None);
-    }
-
-    #[test]
-    fn part_codec_roundtrips() {
-        let parts = vec![
-            (DataObjectId(0), (0, 512), vec![1u8, 2, 3]),
-            (DataObjectId(2), (512, 1024), Vec::new()),
-        ];
-        let bytes = encode_part(3, &parts);
-        let images = decode_part(&bytes, 3).unwrap();
-        assert_eq!(images.len(), 2);
-        assert_eq!(images[0].object, DataObjectId(0));
-        assert_eq!(images[0].range, (0, 512));
-        assert_eq!(images[0].payload, vec![1, 2, 3]);
-        assert!(decode_part(&bytes, 2).is_none(), "wrong AEU rejected");
-        assert!(decode_part(&bytes[..bytes.len() - 1], 3).is_none());
     }
 }

@@ -10,10 +10,12 @@
 //!   boundaries.  Logs record *applied local effects* (post-routing), so
 //!   replay needs no re-routing and the logs replay independently.
 //! * **NUMA-partitioned checkpoints** ([`checkpoint`]) — one part file
-//!   per AEU written in parallel, committed atomically by a manifest
-//!   that also records each log's LSN cut and the per-object
-//!   conservation ledger.
-//! * **Recovery** ([`recovery`]) — newest complete checkpoint, then
+//!   per AEU, written in parallel, holding the journal records that
+//!   rebuild that AEU's partitions; committed atomically by a manifest
+//!   that also records each log's LSN cut, each partition's count and the
+//!   per-object conservation ledger.
+//! * **Recovery** ([`recovery`]) — newest complete checkpoint, streamed
+//!   record by record through the path a balancing receiver uses, then
 //!   deterministic per-AEU journal-tail replay, then routing-table
 //!   rebuild.
 //! * **Fail points** ([`failpoint`]) — crash injection compiled into the
@@ -126,7 +128,7 @@ impl Durability {
     /// (that is the point) and the sequence is not consumed.  A journal
     /// that could not be written and synced is an error, and no
     /// checkpoint is written: its cut would fall before records whose
-    /// effects the images hold, and replay would apply them twice.
+    /// effects the parts hold, and replay would apply them twice.
     pub fn checkpoint(&mut self, engine: &mut Engine) -> std::io::Result<u64> {
         engine.run_until_drained();
         let cuts = self.sink.sync_all()?;

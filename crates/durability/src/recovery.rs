@@ -8,15 +8,19 @@
 //! 1. Pick the newest `ckpt-<seq>` whose manifest decodes (CRC-valid);
 //!    torn `.tmp` staging directories are invisible here.
 //! 2. Re-create every manifest object (same ids — creation order is the
-//!    id order), restore each AEU's partition images and the per-object
-//!    conservation ledgers.
+//!    id order) and its conservation ledger, then stream each AEU's part
+//!    through the path a balancing receiver uses: hash partitions sized
+//!    once for the manifest's count ([`Aeu::reserve_transfer`]), every
+//!    record absorbed as it is read.  A part that does not walk cleanly to
+//!    its end, names another AEU, or restores a partition to another count
+//!    than the manifest's is corruption.
 //! 3. Replay each AEU's journal tail from the manifest's LSN cut:
 //!    first every `Create` record (object births since the checkpoint,
 //!    all on AEU 0's log and barrier-synced before any data record can
 //!    reference them), then the data records of each log in order.
 //! 4. Rebuild the routing table of each point object from its committed
-//!    bounds — its last `Bounds` record past the cut, else the checkpoint
-//!    images' or the creation's — and keep in each partition only the
+//!    bounds — its last `Bounds` record, in the checkpoint's part 0 or a
+//!    tail, else the creation's — and keep in each partition only the
 //!    pairs of its range.  A balancing cycle the crash cut before its
 //!    `Bounds` commit leaves the receivers' copies outside their ranges,
 //!    one past its commit the donors': no pair moves between partitions,
@@ -26,12 +30,14 @@
 //! [`FP_RECOVERY_MID_REPLAY`]) just means discarding the half-built
 //! engine and running recovery again from the same on-disk state.
 
-use crate::checkpoint::{self, Manifest};
+use crate::checkpoint::{self, Manifest, ManifestObject};
 use crate::failpoint::{FailPoints, FP_RECOVERY_MID_REPLAY};
-use crate::wal::{read_tail, JournalOp, WAL_MAGIC};
+use crate::wal::{decode_op, read_tail, walk_records, JournalOp, WAL_MAGIC};
 use eris_core::durability::ObjectClass;
-use eris_core::{AeuId, DataObjectId, Engine};
+use eris_core::{Aeu, AeuId, DataObjectId, Engine, PartitionData};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -117,11 +123,12 @@ pub fn recover_into(
     }
     let n_aeus = engine.num_aeus();
 
-    // Phase 0: newest complete checkpoint (if any).
+    // Phase 0: newest complete checkpoint (if any), its bounds committed
+    // ahead of the tails'.
     let latest = checkpoint::find_latest(base)?;
+    let mut committed = HashMap::new();
     let cuts = match &latest {
         Some((ckpt_path, manifest)) => {
-            restore_checkpoint(engine, ckpt_path, manifest)?;
             if manifest.cuts.len() != n_aeus {
                 return Err(RecoveryError::Corrupt(format!(
                     "manifest cut count {} != {} AEUs",
@@ -129,6 +136,7 @@ pub fn recover_into(
                     n_aeus
                 )));
             }
+            restore_checkpoint(engine, ckpt_path, manifest, &mut committed)?;
             manifest.cuts.clone()
         }
         None => vec![WAL_MAGIC.len() as u64; n_aeus],
@@ -144,7 +152,6 @@ pub fn recover_into(
         torn_bytes += torn;
         tails.push(ops);
     }
-    let mut committed = HashMap::new();
     for op in tails.iter().flatten() {
         match op {
             JournalOp::Create {
@@ -160,35 +167,18 @@ pub fn recover_into(
         }
     }
 
-    // Phase 2: replay each AEU's data records in log order.  Consecutive
-    // upserts into one object are applied as one batch (one `reserve`, one
-    // `upsert_batch`) in log order, so the last write of a key still wins.
+    // Phase 2: replay each AEU's data records in log order.
     let mut replayed = 0u64;
     for (i, tail) in tails.into_iter().enumerate() {
         let aeu = AeuId(i as u32);
         let records = tail.len() as u64;
-        let mut run: Option<(DataObjectId, Vec<(u64, u64)>)> = None;
         for op in tail {
             if fail.hit(FP_RECOVERY_MID_REPLAY) {
                 return Err(RecoveryError::InjectedCrash);
             }
             replayed += 1;
-            match (op, &mut run) {
-                (JournalOp::UpsertPairs { object, pairs }, Some((run_object, run_pairs)))
-                    if *run_object == object && run_pairs.len() < REPLAY_RUN_PAIRS =>
-                {
-                    run_pairs.extend_from_slice(&pairs);
-                }
-                (JournalOp::UpsertPairs { object, pairs }, _) => {
-                    apply_run(engine, aeu, run.replace((object, pairs)));
-                }
-                (op, _) => {
-                    apply_run(engine, aeu, run.take());
-                    replay_one(engine, aeu, op);
-                }
-            }
+            absorb(engine.aeu_mut(aeu), op)?;
         }
-        apply_run(engine, aeu, run);
         engine
             .telemetry_shard(aeu)
             .counters
@@ -196,35 +186,22 @@ pub fn recover_into(
             .fetch_add(records, Relaxed);
     }
 
-    // Phase 3: routing tables from the committed bounds; each partition
-    // keeps the pairs of its range.
+    // Phase 3: routing tables from the committed bounds (an object with
+    // none keeps those of its creation); each partition keeps the pairs of
+    // its range.
     for d in engine.describe_objects() {
         if d.class == ObjectClass::Column {
             continue;
         }
-        let bounds = match committed.remove(&d.id) {
-            Some(bounds) => check_bounds(d.id, bounds, n_aeus, d.domain)?,
-            None => (0..n_aeus)
-                .map(|i| {
-                    engine
-                        .aeu(AeuId(i as u32))
-                        .partition(d.id)
-                        .map(|p| p.range.0)
-                        .ok_or_else(|| {
-                            RecoveryError::Corrupt(format!(
-                                "AEU {i} has no partition for recovered object {}",
-                                d.id.0
-                            ))
-                        })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        engine.restore_partition_bounds(d.id, &bounds);
+        if let Some(bounds) = committed.remove(&d.id) {
+            let bounds = check_bounds(d.id, bounds, n_aeus, d.domain)?;
+            engine.restore_partition_bounds(d.id, &bounds);
+        }
         // Drop what lies outside each range as a donor gives a range away
         // (compacting a partition whose slack is then due).
         for a in engine.aeu_ids() {
             let aeu = engine.aeu_mut(a);
-            let (lo, hi) = aeu.partition(d.id).expect("bounds were restored").range;
+            let (lo, hi) = aeu.partition(d.id).expect("a point partition").range;
             for outside in [(0, lo), (hi, d.domain)] {
                 if aeu.count_range(d.id, outside.0, outside.1) > 0 {
                     aeu.extract_chunk(d.id, outside, 0, &mut Vec::new(), usize::MAX);
@@ -270,39 +247,46 @@ fn check_bounds(
     )))
 }
 
-/// Pairs one replayed upsert batch gathers at most.  `absorb_pairs`
-/// reserves room for every pair, but replayed pairs mostly overwrite keys
-/// the checkpoint restored: an unbounded run would grow a table for keys
-/// it already holds.
-const REPLAY_RUN_PAIRS: usize = 1 << 12;
-
-/// Apply a gathered run of upserts into one object.
-fn apply_run(engine: &mut Engine, aeu: AeuId, run: Option<(DataObjectId, Vec<(u64, u64)>)>) {
-    if let Some((object, pairs)) = run {
-        engine.aeu_mut(aeu).absorb_pairs(object, &pairs);
-    }
-}
-
-/// Re-apply one journal record.
-fn replay_one(engine: &mut Engine, aeu: AeuId, op: JournalOp) {
-    let aeu = engine.aeu_mut(aeu);
+/// Apply one data record of a journal tail or a checkpoint part to
+/// `aeu`.  A record naming no partition of its kind on this AEU is an
+/// `InvalidData` error, as an undecodable one is.
+fn absorb(aeu: &mut Aeu, op: JournalOp) -> std::io::Result<()> {
+    let column = |aeu: &Aeu, object| {
+        let data = aeu.partition(object).map(|p| &p.data);
+        data.map(|data| matches!(data, PartitionData::Column(_)))
+    };
     match op {
-        JournalOp::Create { .. } | JournalOp::Bounds { .. } => {}
-        JournalOp::UpsertPairs { object, pairs } => aeu.absorb_pairs(object, &pairs),
-        JournalOp::AppendRows { object, rows } => {
-            aeu.absorb_rows(object, &rows)
-                .expect("replay targets partitions the redo log provisioned");
+        JournalOp::UpsertPairs { object, pairs } if column(aeu, object) == Some(false) => {
+            aeu.absorb_pairs(object, &pairs)
         }
-        JournalOp::RemoveTail { object, n } => {
+        JournalOp::AppendRows { object, rows } if column(aeu, object) == Some(true) => {
+            aeu.absorb_rows(object, &rows).expect("a column partition")
+        }
+        JournalOp::RemoveTail { object, n } if column(aeu, object) == Some(true) => {
             aeu.extract_tail_rows(object, n as usize);
         }
+        JournalOp::Create { .. } | JournalOp::Bounds { .. } => {}
+        _ => {
+            return Err(corrupt(format!(
+                "{:?} has no partition of the record's kind",
+                aeu.id
+            )))
+        }
     }
+    Ok(())
 }
 
+fn corrupt(message: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+}
+
+/// Re-create the manifest's objects and stream every AEU's part into
+/// them; the `Bounds` records of part 0 go to `committed`.
 fn restore_checkpoint(
     engine: &mut Engine,
     ckpt_path: &Path,
     manifest: &Manifest,
+    committed: &mut HashMap<DataObjectId, Vec<u64>>,
 ) -> Result<(), RecoveryError> {
     for o in &manifest.objects {
         let d = &o.descriptor;
@@ -310,23 +294,58 @@ fn restore_checkpoint(
         engine.restore_object_ledger(d.id, o.enqueued, o.executed);
     }
     for i in 0..engine.num_aeus() {
-        let images = checkpoint::read_part(ckpt_path, i)?;
         let aeu = engine.aeu_mut(AeuId(i as u32));
-        for img in images {
-            if !aeu.restore_partition(img.object, img.range, &img.payload) {
-                return Err(RecoveryError::Corrupt(format!(
-                    "partition image of object {} rejected by AEU {i}",
-                    img.object.0
-                )));
+        let path = checkpoint::part_path(ckpt_path, i);
+        let file = File::open(&path)?;
+        let len = file.metadata()?.len();
+        for o in &manifest.objects {
+            if o.descriptor.class == ObjectClass::Hash {
+                // A key takes 16 bytes of the part: a count beyond that is
+                // no size to reserve (the count check below rejects it).
+                aeu.reserve_transfer(o.descriptor.id, o.lens[i].min(len / 16) as usize);
             }
         }
+        let (at, magic) = (path.display(), checkpoint::part_header(i));
+        let valid = walk_records(
+            BufReader::new(file),
+            &magic,
+            |off, payload| match decode_op(payload) {
+                Some(JournalOp::Bounds { object, bounds }) => {
+                    committed.insert(object, bounds);
+                    Ok(())
+                }
+                Some(op) => absorb(aeu, op),
+                None => Err(corrupt(format!("undecodable record at {at}:{off}"))),
+            },
+        )?;
+        if valid == 0 || valid != len {
+            let msg = format!("{at} holds {len} bytes, of which {valid} walk as records");
+            return Err(RecoveryError::Corrupt(msg));
+        }
+        for o in &manifest.objects {
+            let (id, want) = (o.descriptor.id, o.lens[i]);
+            let got = aeu.partition(id).map_or(0, |p| p.data.len() as u64);
+            if got != want {
+                let msg = format!("{at} restores {got} keys of object {}, not {want}", id.0);
+                return Err(RecoveryError::Corrupt(msg));
+            }
+        }
+    }
+    let unbounded = |o: &&ManifestObject| {
+        o.descriptor.class != ObjectClass::Column && !committed.contains_key(&o.descriptor.id)
+    };
+    if let Some(o) = manifest.objects.iter().find(unbounded) {
+        return Err(RecoveryError::Corrupt(format!(
+            "checkpoint {} holds no bounds of object {}",
+            manifest.seq, o.descriptor.id.0
+        )));
     }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{RecoveryError, REPLAY_RUN_PAIRS};
+    use super::RecoveryError;
     use crate::failpoint::FailPoints;
     use crate::wal::Wal;
     use crate::Durability;
@@ -388,10 +407,8 @@ mod tests {
         let hash = e.create_hash_index("h", KEYS);
         let tree = e.create_index("t", KEYS);
         // Every round overwrites every hash key; every eighth also writes
-        // the tree, which ends the hash runs in each log.  Eight rounds
-        // of hash records are twice one replay batch.
+        // the tree, interleaving the two objects' records in each log.
         let rounds = 16;
-        assert!(8 * KEYS / e.num_aeus() as u64 >= 2 * REPLAY_RUN_PAIRS as u64);
         for round in 0..rounds {
             let mut writes = vec![hash];
             if round % 8 == 7 {

@@ -162,7 +162,8 @@ fn put_words(w: &mut Writer<'_>, tag: u8, object: DataObjectId, words: &[u64]) {
 /// Frame one record at the end of the group-commit buffer `buf`: reserve
 /// the header and `len` payload bytes, let `write` fill the payload where
 /// it lies, then checksum it and fill in `[u32 len][u32 crc]`.  Returns
-/// the bytes now pending.  The one framing path of the journal.
+/// the bytes now pending.  The one framing path of the journal and of
+/// checkpoint parts.
 fn frame(buf: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut [u8])) -> usize {
     let start = buf.len();
     buf.resize(start + 8 + len, 0);
@@ -173,13 +174,19 @@ fn frame(buf: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut [u8])) -> usize 
     buf.len()
 }
 
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
+/// Frame `op` as one record at the end of `buf`, encoded where it lies.
+/// Returns the bytes now pending.
+pub(crate) fn frame_op(buf: &mut Vec<u8>, op: &RedoOp<'_>) -> usize {
+    frame(buf, encoded_len(op), |payload| encode_op(op, payload))
+}
+
+pub(crate) fn take_u8(buf: &mut &[u8]) -> Option<u8> {
     let (&b, rest) = buf.split_first()?;
     *buf = rest;
     Some(b)
 }
 
-fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Option<u32> {
     if buf.len() < 4 {
         return None;
     }
@@ -188,7 +195,7 @@ fn take_u32(buf: &mut &[u8]) -> Option<u32> {
     Some(v)
 }
 
-fn take_u64(buf: &mut &[u8]) -> Option<u64> {
+pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     if buf.len() < 8 {
         return None;
     }
@@ -303,7 +310,7 @@ impl Wal {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let mut valid = walk_records(BufReader::new(&mut file), |_, _| Ok(()))?;
+        let mut valid = walk_records(BufReader::new(&mut file), WAL_MAGIC, |_, _| Ok(()))?;
         if valid == 0 {
             file.set_len(0)?;
             file.rewind()?;
@@ -338,9 +345,7 @@ impl Wal {
     pub fn append_op(&self, op: &RedoOp<'_>) -> usize {
         let mut inner = self.inner.lock();
         inner.records += 1;
-        frame(&mut inner.buf, encoded_len(op), |payload| {
-            encode_op(op, payload)
-        })
+        frame_op(&mut inner.buf, op)
     }
 
     /// Frame an already encoded `payload` into the group-commit buffer.
@@ -411,7 +416,7 @@ impl Wal {
         }
         // The sync covers the whole file up to `end`, including bytes an
         // earlier commit wrote but failed to sync: a checkpoint cut taken
-        // from this LSN never falls before records its images contain.
+        // from this LSN never falls before records its parts contain.
         let n = inner.end - inner.synced_lsn;
         inner.synced_lsn = inner.end;
         if let Some(shard) = shard {
@@ -434,15 +439,17 @@ impl Wal {
     }
 }
 
-/// Walk the records of a journal from its start, in order: the magic,
-/// then every intact record, handing `(offset, payload)` to `on_record`.
-/// Stops at the first short, oversized or CRC-failing record and returns
-/// the length of the valid prefix (0 when the input ends inside the
-/// magic).  Another magic is an `InvalidData` error: a foreign file, or
-/// a journal of another format, is never read as empty.  Streams: only
-/// one record is held at a time, however long the journal.
-fn walk_records(
+/// Walk the records of a journal or a checkpoint part from its start, in
+/// order: the `magic` (a part's names its AEU too), then every intact
+/// record, handing `(offset, payload)` to `on_record`.  Stops at the first
+/// short, oversized or CRC-failing record and returns the length of the
+/// valid prefix (0 when the input ends inside the magic).  Another magic
+/// is an `InvalidData` error: a foreign file, or one of another format, is
+/// never read as empty.  Streams: only one record is held at a time,
+/// however long the file.
+pub(crate) fn walk_records(
     mut r: impl Read,
+    magic: &[u8],
     mut on_record: impl FnMut(u64, &[u8]) -> std::io::Result<()>,
 ) -> std::io::Result<u64> {
     /// `Ok(false)` at the end of the input, short or not.
@@ -453,22 +460,21 @@ fn walk_records(
             Err(e) => Err(e),
         }
     }
-    let mut magic = [0u8; WAL_MAGIC.len()];
-    if !fill(&mut r, &mut magic)? {
+    let mut payload = vec![0; magic.len()];
+    if !fill(&mut r, &mut payload)? {
         return Ok(0);
     }
-    if &magic != WAL_MAGIC {
+    if payload != magic {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!(
-                "journal magic {:?} is not {:?}",
-                String::from_utf8_lossy(&magic),
-                String::from_utf8_lossy(WAL_MAGIC)
+                "magic {:?} is not {:?}",
+                String::from_utf8_lossy(&payload),
+                String::from_utf8_lossy(magic)
             ),
         ));
     }
-    let mut off = WAL_MAGIC.len() as u64;
-    let mut payload = Vec::new();
+    let mut off = magic.len() as u64;
     loop {
         let mut header = [0u8; 8];
         if !fill(&mut r, &mut header)? {
@@ -500,7 +506,8 @@ pub fn read_tail(path: &Path, cut: u64) -> std::io::Result<(Vec<JournalOp>, u64)
     };
     let len = file.metadata()?.len();
     let mut ops = Vec::new();
-    let valid = walk_records(BufReader::with_capacity(1 << 16, file), |off, payload| {
+    let reader = BufReader::with_capacity(1 << 16, file);
+    let valid = walk_records(reader, WAL_MAGIC, |off, payload| {
         if off >= cut {
             let Some(op) = decode_op(payload) else {
                 return Err(std::io::Error::new(

@@ -20,10 +20,11 @@
 //! for *n* keys sits at the full [`HashTable::MAX_LOAD_PERCENT`].  The
 //! reduction is monotone, so bucket order is hash order at every size.  A
 //! fresh key past the load limit grows the table by half (or to fit the
-//! rest of its batch), and overwrites never grow it.  A balancing transfer
-//! sizes its receiver once, exactly ([`HashTable::reserve_exact`]), and a
-//! donor left with a chunk, or half its array, beyond its exact size is
-//! rebuilt at that size ([`HashTable::compaction_due`]).
+//! rest of its batch), and overwrites never grow it, nor does a batch
+//! sized for its fresh keys ([`HashTable::reserve_for`]).  A balancing
+//! transfer sizes its receiver once, exactly ([`HashTable::reserve_exact`]),
+//! and a donor left with a chunk, or half its array, beyond its exact size
+//! is rebuilt at that size ([`HashTable::compaction_due`]).
 //!
 //! **Allocation.**  The array is a list of the crate's equal chunks
 //! ([`crate::chunk`]; the last one shorter), each allocated by the first
@@ -373,6 +374,27 @@ impl HashTable {
         }
     }
 
+    /// [`HashTable::reserve`] for the keys of `pairs` the table does not
+    /// hold yet: overwrites need no room.  They are counted, behind the
+    /// group prefetch of [`HashTable::upsert_batch`], only when the batch
+    /// would not fit otherwise; an empty table takes every pair as fresh.
+    pub fn reserve_for(&mut self, pairs: &[(u64, u64)]) {
+        if self.is_empty() || self.len + pairs.len() <= self.capacity() {
+            return self.reserve(pairs.len());
+        }
+        let mut fresh = 0;
+        for group in pairs.chunks(AMAC_GROUP) {
+            for &(k, _) in group {
+                self.cursor(self.bucket_of(k)).prefetch();
+            }
+            fresh += group
+                .iter()
+                .filter(|&&(k, _)| self.find(k).is_err())
+                .count();
+        }
+        self.reserve(fresh);
+    }
+
     /// Make room for exactly `extra` further fresh keys in one resize, with
     /// no headroom: the receiving side of a balancing transfer, which knows
     /// what it takes.  Anything that inserts repeatedly uses
@@ -551,35 +573,6 @@ impl HashTable {
         }
         None
     }
-
-    /// Append a stable little-endian serialization:
-    /// `[u64 seed][u64 n][n × (u64 key, u64 value)]`.  Pairs are emitted
-    /// in key order so the payload is deterministic regardless of probe
-    /// history; the seed pins the partition's hash function identity.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        let mut pairs = Vec::with_capacity(self.len);
-        self.for_each(|k, v| pairs.push((k, v)));
-        pairs.sort_unstable();
-        crate::codec::encode_pairs(&pairs, out);
-    }
-
-    /// Refill the table from a [`HashTable::serialize_into`] payload.
-    /// Returns `false` on malformed input or if the payload was written
-    /// by a partition with a different hash seed (a wiring error: part
-    /// files restored into the wrong AEU).
-    pub fn restore(&mut self, payload: &[u8]) -> bool {
-        let Some((seed, body)) = payload.split_first_chunk() else {
-            return false;
-        };
-        match crate::codec::decode_pairs(body) {
-            Some(pairs) if u64::from_le_bytes(*seed) == self.seed => {
-                self.upsert_batch(&pairs);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -651,21 +644,6 @@ mod tests {
         assert_eq!(t.lookup(42), Some(2));
         assert_eq!(t.lookup(43), None);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn serialization_roundtrips_and_checks_the_seed() {
-        let t = table(7, 0, 0..100);
-        let mut buf = Vec::new();
-        t.serialize_into(&mut buf);
-        let mut back = HashTable::new(7, 0);
-        assert!(back.restore(&buf));
-        assert_eq!(back.rehashes(), 1, "restore sizes the table once");
-        assert_eq!(model_of(&back), model_of(&t));
-        let mut wrong_seed = HashTable::new(8, 0);
-        assert!(!wrong_seed.restore(&buf), "seed mismatch rejected");
-        let mut fresh = HashTable::new(7, 0);
-        assert!(!fresh.restore(&buf[..buf.len() - 1]), "truncated payload");
     }
 
     #[test]
@@ -812,6 +790,26 @@ mod tests {
         assert_eq!(t.rehashes(), before.1 + 1);
         let grown = t.memory_bytes() as f64 / before.0 as f64;
         assert!(grown > 1.4 && grown <= 1.6, "grew {grown}x");
+    }
+
+    #[test]
+    fn reserve_for_takes_room_for_fresh_keys_only() {
+        let mut t = HashTable::with_capacity(53, 0, 5_000);
+        let full = t.capacity() as u64;
+        let resident = pairs(0..full);
+        t.upsert_batch(&resident);
+        let before = (t.memory_bytes(), t.rehashes());
+        t.reserve_for(&resident);
+        assert_eq!((t.memory_bytes(), t.rehashes()), before, "overwrites");
+        let mixed = pairs(full - 1_000..full + 3_000);
+        t.reserve_for(&mixed);
+        let grown = (t.memory_bytes(), t.rehashes());
+        assert_eq!(grown.1, before.1 + 1, "one resize");
+        assert_eq!(t.upsert_batch(&mixed), 3_000);
+        assert_eq!((t.memory_bytes(), t.rehashes()), grown, "the batch fits");
+        let mut empty = HashTable::new(53, 0);
+        empty.reserve_for(&resident);
+        assert_eq!(empty.memory_bytes(), exact_bytes(resident.len()));
     }
 
     #[test]

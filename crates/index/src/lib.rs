@@ -21,7 +21,6 @@
 //!   that never need range scans.
 
 mod chunk;
-pub mod codec;
 pub mod csb_tree;
 pub mod hash_table;
 mod prefetch;

@@ -1122,30 +1122,6 @@ impl PrefixTree {
         t
     }
 
-    /// Append a stable little-endian serialization of the contents:
-    /// `[u64 n][n × (u64 key, u64 value)]` in key order, written straight
-    /// from the leaves.  The tree *shape* is not persisted —
-    /// [`PrefixTree::restore`] rebuilds it from the receiver's own
-    /// [`PrefixTreeConfig`], which keeps the format independent of tuning
-    /// parameters.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.reserve(8 + self.len * 16);
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        self.scan_range_inclusive(0, u64::MAX, |k, v| crate::codec::encode_pair(k, v, out));
-    }
-
-    /// Refill the tree from a [`PrefixTree::serialize_into`] payload,
-    /// upserting into whatever is already stored (recovery starts from an
-    /// empty partition).  Returns `false` on malformed input, leaving the
-    /// tree untouched.
-    pub fn restore(&mut self, payload: &[u8]) -> bool {
-        let Some(pairs) = crate::codec::decode_pairs(payload) else {
-            return false;
-        };
-        self.upsert_batch(&pairs);
-        true
-    }
-
     /// Keys in `[lo, hi)`.
     pub fn count_range(&self, lo: u64, hi: u64) -> usize {
         let mut n = 0;
@@ -1241,22 +1217,6 @@ mod tests {
         assert_eq!(t.lookup(7), Some(200));
         assert_eq!(t.lookup(8), None);
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn serialization_roundtrips_into_a_fresh_tree() {
-        let mut t = small();
-        for k in [9u64, 3, 200, 0, 77] {
-            t.upsert(k, k * 10);
-        }
-        let mut buf = Vec::new();
-        t.serialize_into(&mut buf);
-        // Restore into a tree with a *different* shape: the payload is
-        // contents-only, so this must still work.
-        let mut back = PrefixTree::with_config(PrefixTreeConfig::new(8, 16), 0);
-        assert!(back.restore(&buf));
-        assert_eq!(back.flatten(), t.flatten());
-        assert!(!back.restore(&buf[..buf.len() - 1]), "truncated payload");
     }
 
     #[test]

@@ -462,9 +462,9 @@ fn repeated_checkpoints_pick_the_newest() {
 #[test]
 fn a_checkpoint_of_resized_hash_partitions_restores_every_key() {
     // Hash partitions that grew (by half) and shrank (rebuilt smaller)
-    // under the balancer are checkpointed as `[seed][n][sorted pairs]`
-    // whatever their bucket count; restoring sizes each table once, for
-    // its own population, and every key comes back.
+    // under the balancer are checkpointed as their pairs, whatever their
+    // bucket count; restoring sizes each table once, for its own
+    // population, and every key comes back.
     use eris_core::PartitionData;
     let value = |k: u64| k.wrapping_mul(31) | 1;
     let dir = temp_dir("hash-resized");
@@ -532,6 +532,129 @@ fn a_checkpoint_of_resized_hash_partitions_restores_every_key() {
     for (k, (_, key, v)) in answers.into_iter().enumerate() {
         assert_eq!((key, v), (k as u64, Some(value(k as u64))));
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_overwrite_tail_after_a_checkpoint_leaves_restored_hash_partitions_sized_once() {
+    // A restore sizes each hash partition once, exactly, for the count
+    // the manifest gives; a journal tail that only overwrites keys the
+    // partitions hold must not grow them.
+    use eris_core::PartitionData;
+    let value = |round: u64, k: u64| round << 32 | k;
+    let dir = temp_dir("overwrite-tail");
+    let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let hash = e.create_hash_index("customers", DOMAIN);
+    e.bulk_load_index(hash, (0..DOMAIN).map(|k| (k, value(0, k))));
+    assert_eq!(dura.checkpoint(&mut e).unwrap(), 0);
+    let rounds = 4;
+    for round in 1..=rounds {
+        for lo in (0..DOMAIN).step_by(1 << 12) {
+            let pairs = (lo..lo + (1 << 12)).map(|k| (k, value(round, k))).collect();
+            let cmd = DataCommand {
+                object: hash,
+                ticket: round,
+                payload: Payload::Upsert { pairs },
+            };
+            e.submit(AeuId((lo >> 12) as u32 % 4), cmd).unwrap();
+        }
+        e.run_until_drained();
+    }
+    drop(e);
+
+    let mut r = engine();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!(report.checkpoint, Some(0));
+    assert!(report.replayed_records > 0);
+    for a in r.aeu_ids() {
+        let PartitionData::Hash(h) = &r.aeu(a).partition(hash).unwrap().data else {
+            panic!("a hash partition restores as one");
+        };
+        assert_eq!(h.rehashes(), 1, "{a:?}: sized once, by the restore");
+        let bytes = h.memory_bytes();
+        assert!(
+            bytes <= 21 * h.len() as u64,
+            "{a:?}: {bytes} B, {} keys",
+            h.len()
+        );
+    }
+    let all = DataCommand {
+        object: hash,
+        ticket: 0,
+        payload: Payload::Lookup {
+            keys: (0..DOMAIN).collect(),
+        },
+    };
+    r.submit(AeuId(1), all).unwrap();
+    r.run_until_drained();
+    let mut answers = r.results().take_lookup_values();
+    answers.sort_unstable();
+    let want: Vec<_> = (0..DOMAIN)
+        .map(|k| (0, k, Some(value(rounds, k))))
+        .collect();
+    assert!(answers == want, "every key reads its last write");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_damaged_committed_checkpoint_is_an_error_never_a_shorter_partition() {
+    // A committed checkpoint whose part was cut at a record boundary, has
+    // a byte flipped inside a record, or is another AEU's part fails
+    // recovery; none of them restores fewer keys as if nothing happened.
+    let dir = temp_dir("damaged-ckpt");
+    let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let o = setup_objects(&mut e);
+    drive_wa(&mut e, &o);
+    // Keys on every AEU, so that every part holds records.
+    let spread = e.create_hash_index("spread", DOMAIN);
+    e.bulk_load_index(spread, (0..DOMAIN).step_by(64).map(|k| (k, k)));
+    assert_eq!(dura.checkpoint(&mut e).unwrap(), 0);
+    let n_aeus = e.num_aeus();
+    drop(e);
+    let part = |a: usize| dir.join(format!("ckpt-0/aeu-{a}.part"));
+    let intact: Vec<Vec<u8>> = (0..n_aeus)
+        .map(|a| std::fs::read(part(a)).unwrap())
+        .collect();
+    // Where each part's records start: after the 12-byte header, each
+    // record is `[u32 len][u32 crc][payload]`.
+    let boundaries = |bytes: &[u8]| {
+        let mut at = vec![12];
+        while let Some(&off) = at.last().filter(|&&off| off < bytes.len()) {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            at.push(off + 8 + len as usize);
+        }
+        assert_eq!(at.pop(), Some(bytes.len()), "records fill the part");
+        at
+    };
+    let mut damaged = Vec::new();
+    for (a, bytes) in intact.iter().enumerate() {
+        let starts = boundaries(bytes);
+        assert!(starts.len() > 1, "AEU {a}'s part holds records");
+        for &cut in &starts {
+            damaged.push((
+                format!("AEU {a}'s part cut at {cut}"),
+                a,
+                bytes[..cut].to_vec(),
+            ));
+        }
+        let mut flipped = bytes.clone();
+        flipped[starts[0] + 8 + 2] ^= 0x10;
+        damaged.push((format!("a byte flipped in AEU {a}'s part"), a, flipped));
+        let other = intact[(a + 1) % n_aeus].clone();
+        damaged.push((format!("AEU {a}'s part replaced by another's"), a, other));
+    }
+    for (case, a, bytes) in damaged {
+        std::fs::write(part(a), bytes).unwrap();
+        let got = Durability::recover(&mut engine(), &dir);
+        assert!(got.is_err(), "{case}: {got:?}");
+        std::fs::write(part(a), &intact[a]).unwrap();
+    }
+    let report = Durability::recover(&mut engine(), &dir).unwrap();
+    assert_eq!(report.checkpoint, Some(0), "the intact checkpoint restores");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
