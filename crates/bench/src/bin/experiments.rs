@@ -8,7 +8,7 @@
 //! Ids: table1 table2 fig1 fig5 fig8 fig9 fig10 fig11 fig12 fig13 energy
 //! zipf kernels.  `--quick` shrinks sweeps for CI smoke runs.  The
 //! `kernels` id also writes `BENCH_kernels.json` and honours the
-//! `ERIS_BENCH_BASELINE` / `ERIS_BENCH_TOLERANCE` regression gate.
+//! `ERIS_BENCH_BASELINE` regression gate.
 
 use eris_bench::experiments;
 

@@ -17,6 +17,46 @@ pub mod table1;
 pub mod table2;
 pub mod zipf;
 
+/// How far below its committed baseline a gated metric may fall: the
+/// floor is `baseline * (1 - BASELINE_TOLERANCE)`.
+const BASELINE_TOLERANCE: f64 = 0.5;
+
+/// Gate `keys` of `m` against the baseline file that the environment
+/// variable `var` names, when it is set: a metric below its floor —
+/// [`BASELINE_TOLERANCE`] under the baseline value, or an absolute
+/// `<key>_floor` of the baseline when that is higher — fails the run.  A
+/// key the baseline lacks is skipped.
+fn gate_against_baseline(var: &str, what: &str, keys: &[&str], m: &kernels::Metrics) {
+    let Ok(path) = std::env::var(var) else {
+        return;
+    };
+    let baseline =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
+    println!("baseline gate: {path} (tolerance {BASELINE_TOLERANCE})");
+    let mut failed = false;
+    for &key in keys {
+        let Some(want) = kernels::extract(&baseline, key) else {
+            println!("  {key}: not in baseline, skipped");
+            continue;
+        };
+        let got = m.get(key);
+        let mut floor = want * (1.0 - BASELINE_TOLERANCE);
+        if let Some(abs) = kernels::extract(&baseline, &format!("{key}_floor")) {
+            floor = floor.max(abs);
+        }
+        let ok = got >= floor;
+        println!(
+            "  {key}: measured {got:.3} vs baseline {want:.3} (floor {floor:.3}) {}",
+            if ok { "ok" } else { "REGRESSION" }
+        );
+        failed |= !ok;
+    }
+    if failed {
+        eprintln!("{what} benchmark regressed beyond tolerance");
+        std::process::exit(1);
+    }
+}
+
 /// All experiment ids, in paper order.
 pub const ALL: &[&str] = &[
     "table1", "table2", "fig1", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",

@@ -33,7 +33,7 @@
 //! exported to `server_telemetry.jsonl` and `server_metrics.prom` (the CI
 //! artifact, like obs-smoke).
 
-use super::kernels::{extract, Metrics};
+use super::kernels::Metrics;
 use crate::{fmt_rate, TextTable};
 use eris_core::prelude::*;
 use eris_server::{
@@ -615,34 +615,7 @@ pub fn run(quick: bool) {
     std::fs::write("server_metrics.prom", &r.prometheus).expect("write server_metrics.prom");
     println!("\nwrote BENCH_server.json, server_telemetry.jsonl, server_metrics.prom");
 
-    if let Ok(path) = std::env::var("ERIS_SERVER_BASELINE") {
-        let tolerance: f64 = std::env::var("ERIS_SERVER_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.5);
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
-        println!("baseline gate: {path} (tolerance {tolerance})");
-        let mut gate_failed = false;
-        for key in GATED {
-            let Some(want) = extract(&baseline, key) else {
-                println!("  {key}: not in baseline, skipped");
-                continue;
-            };
-            let got = m.get(key);
-            let floor = want * (1.0 - tolerance);
-            let ok = got >= floor;
-            println!(
-                "  {key}: measured {got:.3} vs baseline {want:.3} (floor {floor:.3}) {}",
-                if ok { "ok" } else { "REGRESSION" }
-            );
-            gate_failed |= !ok;
-        }
-        if gate_failed {
-            eprintln!("server benchmark regressed beyond tolerance");
-            std::process::exit(1);
-        }
-    }
+    super::gate_against_baseline("ERIS_SERVER_BASELINE", "server", GATED, &m);
 
     let mut failures = Vec::new();
     if r.shed == 0 {
@@ -695,6 +668,7 @@ pub fn run(quick: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::kernels::extract;
 
     /// The quick scenario end to end: overload sheds, SLO holds, ledgers
     /// balance.  This is the bench-crate arm of the e2e suite.

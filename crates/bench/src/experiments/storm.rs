@@ -34,7 +34,7 @@
 //! machine-portable metrics are gated exactly like the kernels benchmark.
 
 use super::driver::load_strided_index;
-use super::kernels::{extract, Metrics};
+use super::kernels::Metrics;
 use crate::{fmt_rate, scale_for, TextTable};
 use eris_core::prelude::*;
 use eris_core::DataObjectId;
@@ -982,34 +982,7 @@ pub fn run(quick: bool) {
     std::fs::write(out, &json).expect("write BENCH_storm.json");
     println!("\nwrote {out}");
 
-    if let Ok(path) = std::env::var("ERIS_STORM_BASELINE") {
-        let tolerance: f64 = std::env::var("ERIS_STORM_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.5);
-        let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
-        println!("baseline gate: {path} (tolerance {tolerance})");
-        let mut gate_failed = false;
-        for key in GATED {
-            let Some(want) = extract(&baseline, key) else {
-                println!("  {key}: not in baseline, skipped");
-                continue;
-            };
-            let got = m.get(key);
-            let floor = want * (1.0 - tolerance);
-            let ok = got >= floor;
-            println!(
-                "  {key}: measured {got:.3} vs baseline {want:.3} (floor {floor:.3}) {}",
-                if ok { "ok" } else { "REGRESSION" }
-            );
-            gate_failed |= !ok;
-        }
-        if gate_failed {
-            eprintln!("storm benchmark regressed beyond tolerance");
-            std::process::exit(1);
-        }
-    }
+    super::gate_against_baseline("ERIS_STORM_BASELINE", "storm", GATED, &m);
 
     if !failures.is_empty() {
         eprintln!("\nSLO FAILURES:");
@@ -1024,6 +997,7 @@ pub fn run(quick: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::kernels::extract;
 
     #[test]
     fn storm_json_roundtrips_through_the_extractor() {

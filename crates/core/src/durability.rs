@@ -65,7 +65,7 @@ pub struct ObjectDescriptor {
 /// One local state mutation, reported to the sink *after* it was applied
 /// in memory.  Borrowed payloads keep the hot path allocation-free; a
 /// sink that needs to retain them encodes immediately.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedoOp<'a> {
     /// A data object came into existence (always reported via AEU 0's
     /// log, before any data op references the object).

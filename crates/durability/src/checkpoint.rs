@@ -357,13 +357,16 @@ pub fn write_checkpoint(
     Ok(())
 }
 
+/// A complete checkpoint: its directory and its manifest.
+pub type Found = (PathBuf, Manifest);
+
 /// Find the newest *complete* checkpoint under `base`: a `ckpt-<seq>`
 /// directory whose manifest exists and passes its CRC.  Incomplete
 /// `.tmp` staging directories and corrupt manifests are skipped; a
 /// manifest of another format is an `InvalidData` error, so that its
 /// checkpoint is never silently passed over.
-pub fn find_latest(base: &Path) -> std::io::Result<Option<(PathBuf, Manifest)>> {
-    let mut best: Option<(PathBuf, Manifest)> = None;
+pub fn find_latest(base: &Path) -> std::io::Result<Option<Found>> {
+    let mut best: Option<Found> = None;
     let entries = match fs::read_dir(base) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -397,6 +400,26 @@ pub fn find_latest(base: &Path) -> std::io::Result<Option<(PathBuf, Manifest)>> 
         }
     }
     Ok(best)
+}
+
+/// The newest complete checkpoint under `base` ([`find_latest`]) and the
+/// cut each of `n_aeus` journals is read from: the manifest's, or 0 (the
+/// journal's start) with no checkpoint.  A manifest of another AEU count
+/// is an `InvalidData` error.
+pub(crate) fn latest_cuts(
+    base: &Path,
+    n_aeus: usize,
+) -> std::io::Result<(Option<Found>, Vec<u64>)> {
+    let latest = find_latest(base)?;
+    let cuts = match &latest {
+        Some((_, m)) if m.cuts.len() != n_aeus => {
+            let msg = format!("manifest cut count {} != {n_aeus} AEUs", m.cuts.len());
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+        }
+        Some((_, m)) => m.cuts.clone(),
+        None => vec![0; n_aeus],
+    };
+    Ok((latest, cuts))
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //!   rebuild that AEU's partitions; committed atomically by a manifest
 //!   that also records each log's LSN cut, each partition's count and the
 //!   per-object conservation ledger.
-//! * **Recovery** ([`recovery`]) — newest complete checkpoint, streamed
-//!   record by record through the path a balancing receiver uses, then
-//!   deterministic per-AEU journal-tail replay, then routing-table
+//! * **Recovery** ([`recovery`]) — newest complete checkpoint, then each
+//!   AEU's journal tail from its cut, every record applied as it is read
+//!   through the path a balancing receiver uses, then routing-table
 //!   rebuild.
 //! * **Fail points** ([`failpoint`]) — crash injection compiled into the
 //!   durability paths (torn write, pre-sync, partial checkpoint,
@@ -85,16 +85,18 @@ impl Durability {
     }
 
     /// [`Durability::open`] with a caller-owned fail-point set (crash
-    /// tests keep a handle to arm points mid-run).
+    /// tests keep a handle to arm points mid-run).  Each journal is opened
+    /// from the newest checkpoint's cut ([`Wal::open_from`]), so no record
+    /// that checkpoint holds is read again.
     pub fn open_with(dir: &Path, num_aeus: usize, fail: Arc<FailPoints>) -> std::io::Result<Self> {
-        let wal_dir = dir.join("wal");
-        std::fs::create_dir_all(&wal_dir)?;
-        let wals = (0..num_aeus)
-            .map(|i| Wal::open(&wal_dir.join(format!("aeu-{i}.log"))))
+        std::fs::create_dir_all(dir.join("wal"))?;
+        let (latest, cuts) = checkpoint::latest_cuts(dir, num_aeus)?;
+        let wals = cuts
+            .iter()
+            .enumerate()
+            .map(|(i, &cut)| Wal::open_from(&wal::journal_path(dir, i), cut))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let next_seq = checkpoint::find_latest(dir)?
-            .map(|(_, m)| m.seq + 1)
-            .unwrap_or(0);
+        let next_seq = latest.map_or(0, |(_, m)| m.seq + 1);
         Ok(Durability {
             dir: dir.to_path_buf(),
             sink: Arc::new(JournalSink::new(wals, fail.clone())),

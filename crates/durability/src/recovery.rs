@@ -3,22 +3,24 @@
 //! Recovery is deterministic and purely local per AEU, mirroring the
 //! write path: every journal holds only the effects its AEU applied to
 //! partitions it owned at the time, so the logs replay independently and
-//! in order with no cross-log merge.  The sequence:
+//! in order with no cross-log merge.  Checkpoint parts and journal tails
+//! go through one applier: each record is decoded into the [`RedoOp`]
+//! that wrote it and applied at once — a creation re-creates its object,
+//! a `Bounds` record commits its object's bounds, a data record is
+//! absorbed through the path a balancing receiver uses.  The sequence:
 //!
-//! 1. Pick the newest `ckpt-<seq>` whose manifest decodes (CRC-valid);
-//!    torn `.tmp` staging directories are invisible here.
-//! 2. Re-create every manifest object (same ids — creation order is the
-//!    id order) and its conservation ledger, then stream each AEU's part
-//!    through the path a balancing receiver uses: hash partitions sized
-//!    once for the manifest's count ([`Aeu::reserve_transfer`]), every
-//!    record absorbed as it is read.  A part that does not walk cleanly to
-//!    its end, names another AEU, or restores a partition to another count
-//!    than the manifest's is corruption.
-//! 3. Replay each AEU's journal tail from the manifest's LSN cut:
-//!    first every `Create` record (object births since the checkpoint,
-//!    all on AEU 0's log and barrier-synced before any data record can
-//!    reference them), then the data records of each log in order.
-//! 4. Rebuild the routing table of each point object from its committed
+//! 1. Pick the newest `ckpt-<seq>` whose manifest decodes (CRC-valid;
+//!    torn `.tmp` staging directories are invisible), re-create its
+//!    objects (same ids) and ledgers, and stream each AEU's part in, hash
+//!    partitions sized once for the manifest's count
+//!    ([`Aeu::reserve_transfer`]).  A part that does not walk cleanly to
+//!    its end, names another AEU, or restores a partition to another
+//!    count than the manifest's is corruption.
+//! 2. Replay each AEU's journal from the manifest's LSN cut, reading no
+//!    byte before it, AEU 0's first: every creation is on AEU 0's log and
+//!    barrier-synced before any record on any log references the object.
+//!    A journal that ends before its cut is corruption.
+//! 3. Rebuild the routing table of each point object from its committed
 //!    bounds — its last `Bounds` record, in the checkpoint's part 0 or a
 //!    tail, else the creation's — and keep in each partition only the
 //!    pairs of its range.  A balancing cycle the crash cut before its
@@ -32,8 +34,9 @@
 
 use crate::checkpoint::{self, Manifest, ManifestObject};
 use crate::failpoint::{FailPoints, FP_RECOVERY_MID_REPLAY};
-use crate::wal::{decode_op, read_tail, walk_records, JournalOp, WAL_MAGIC};
-use eris_core::durability::ObjectClass;
+use crate::wal::{decode_op, journal_path, short_journal, walk_records, DecodeBuf, WAL_MAGIC};
+use eris_core::balancer::TRANSFER_CHUNK;
+use eris_core::durability::{ObjectClass, RedoOp};
 use eris_core::{Aeu, AeuId, DataObjectId, Engine, PartitionData};
 use std::collections::HashMap;
 use std::fs::File;
@@ -123,72 +126,41 @@ pub fn recover_into(
     }
     let n_aeus = engine.num_aeus();
 
-    // Phase 0: newest complete checkpoint (if any), its bounds committed
-    // ahead of the tails'.
-    let latest = checkpoint::find_latest(base)?;
-    let mut committed = HashMap::new();
-    let cuts = match &latest {
-        Some((ckpt_path, manifest)) => {
-            if manifest.cuts.len() != n_aeus {
-                return Err(RecoveryError::Corrupt(format!(
-                    "manifest cut count {} != {} AEUs",
-                    manifest.cuts.len(),
-                    n_aeus
-                )));
-            }
-            restore_checkpoint(engine, ckpt_path, manifest, &mut committed)?;
-            manifest.cuts.clone()
-        }
-        None => vec![WAL_MAGIC.len() as u64; n_aeus],
-    };
-
-    // Phase 1: read every journal tail; apply object creations first and
-    // note each object's last committed bounds.
-    let wal_dir = base.join("wal");
-    let mut tails = Vec::with_capacity(n_aeus);
-    let mut torn_bytes = 0;
-    for (i, cut) in cuts.iter().enumerate() {
-        let (ops, torn) = read_tail(&wal_dir.join(format!("aeu-{i}.log")), *cut)?;
-        torn_bytes += torn;
-        tails.push(ops);
-    }
-    for op in tails.iter().flatten() {
-        match op {
-            JournalOp::Create {
-                class,
-                object,
-                domain,
-                name,
-            } => create_object(engine, *class, *object, *domain, name)?,
-            JournalOp::Bounds { object, bounds } => {
-                committed.insert(*object, bounds.clone());
-            }
-            _ => {}
-        }
+    // 1: the newest complete checkpoint (if any).
+    let (latest, cuts) = checkpoint::latest_cuts(base, n_aeus)?;
+    let mut replay = Replay::default();
+    if let Some((ckpt_path, manifest)) = &latest {
+        replay.checkpoint(engine, ckpt_path, manifest)?;
     }
 
-    // Phase 2: replay each AEU's data records in log order.
-    let mut replayed = 0u64;
-    for (i, tail) in tails.into_iter().enumerate() {
-        let aeu = AeuId(i as u32);
-        let records = tail.len() as u64;
-        for op in tail {
+    // 2: each AEU's journal from its cut, AEU 0's (every creation) first.
+    let (mut replayed, mut torn_bytes) = (0, 0);
+    for (i, &cut) in cuts.iter().enumerate() {
+        let (aeu, path) = (AeuId(i as u32), journal_path(base, i));
+        if cut == 0 && !path.exists() {
+            continue;
+        }
+        let mut records = 0;
+        let (valid, len) = replay.file(engine, aeu, &path, WAL_MAGIC, cut, || {
             if fail.hit(FP_RECOVERY_MID_REPLAY) {
                 return Err(RecoveryError::InjectedCrash);
             }
-            replayed += 1;
-            absorb(engine.aeu_mut(aeu), op)?;
-        }
-        engine
-            .telemetry_shard(aeu)
-            .counters
-            .replayed_records
-            .fetch_add(records, Relaxed);
+            records += 1;
+            Ok(())
+        })?;
+        torn_bytes += len - valid;
+        replayed += records;
+        let counters = &engine.telemetry_shard(aeu).counters;
+        counters.replayed_records.fetch_add(records, Relaxed);
     }
 
-    // Phase 3: routing tables from the committed bounds (an object with
-    // none keeps those of its creation); each partition keeps the pairs of
-    // its range.
+    // 3: routing tables from the committed bounds (an object with none
+    // keeps those of its creation); each partition keeps the pairs of its
+    // range, the others dropped in steps through one reused buffer, as a
+    // donor gives a range away (compacting a partition whose slack is
+    // then due).
+    let mut committed = replay.committed;
+    let mut strays = Vec::new();
     for d in engine.describe_objects() {
         if d.class == ObjectClass::Column {
             continue;
@@ -197,14 +169,14 @@ pub fn recover_into(
             let bounds = check_bounds(d.id, bounds, n_aeus, d.domain)?;
             engine.restore_partition_bounds(d.id, &bounds);
         }
-        // Drop what lies outside each range as a donor gives a range away
-        // (compacting a partition whose slack is then due).
         for a in engine.aeu_ids() {
             let aeu = engine.aeu_mut(a);
             let (lo, hi) = aeu.partition(d.id).expect("a point partition").range;
             for outside in [(0, lo), (hi, d.domain)] {
-                if aeu.count_range(d.id, outside.0, outside.1) > 0 {
-                    aeu.extract_chunk(d.id, outside, 0, &mut Vec::new(), usize::MAX);
+                let mut from = (aeu.count_range(d.id, outside.0, outside.1) > 0).then_some(0);
+                while let Some(at) = from {
+                    strays.clear();
+                    from = aeu.extract_chunk(d.id, outside, at, &mut strays, TRANSFER_CHUNK);
                 }
             }
         }
@@ -247,98 +219,143 @@ fn check_bounds(
     )))
 }
 
-/// Apply one data record of a journal tail or a checkpoint part to
-/// `aeu`.  A record naming no partition of its kind on this AEU is an
-/// `InvalidData` error, as an undecodable one is.
-fn absorb(aeu: &mut Aeu, op: JournalOp) -> std::io::Result<()> {
+/// Each point object's last committed bounds, and the buffer every
+/// record is decoded into: what replay carries from one record to the
+/// next, and from the checkpoint to the tails.
+#[derive(Default)]
+struct Replay {
+    committed: HashMap<DataObjectId, Vec<u64>>,
+    buf: DecodeBuf,
+}
+
+impl Replay {
+    /// Stream the records of the part or journal at `path` from byte
+    /// `start` into AEU `aeu`, each applied as it is read, `before` called
+    /// ahead of each.  Returns the offset where the valid records end and
+    /// the file's length; a file that ends before `start` is corruption.
+    fn file(
+        &mut self,
+        engine: &mut Engine,
+        aeu: AeuId,
+        path: &Path,
+        magic: &[u8],
+        start: u64,
+        mut before: impl FnMut() -> Result<(), RecoveryError>,
+    ) -> Result<(u64, u64), RecoveryError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        if len < start {
+            return Err(RecoveryError::Corrupt(short_journal(path, len, start)));
+        }
+        let reader = BufReader::with_capacity(1 << 16, file);
+        let valid = walk_records(reader, magic, start, |off, payload| {
+            before()?;
+            let Some(op) = decode_op(payload, &mut self.buf) else {
+                let at = path.display();
+                return Err(RecoveryError::Corrupt(format!(
+                    "undecodable record at {at}:{off}"
+                )));
+            };
+            apply(engine, &mut self.committed, aeu, op)
+        })?;
+        Ok((valid, len))
+    }
+
+    /// Re-create the manifest's objects and stream every AEU's part into
+    /// them.
+    fn checkpoint(
+        &mut self,
+        engine: &mut Engine,
+        ckpt_path: &Path,
+        manifest: &Manifest,
+    ) -> Result<(), RecoveryError> {
+        for o in &manifest.objects {
+            let d = &o.descriptor;
+            create_object(engine, d.class, d.id, d.domain, &d.name)?;
+            engine.restore_object_ledger(d.id, o.enqueued, o.executed);
+        }
+        for i in 0..engine.num_aeus() {
+            let (aeu, path) = (AeuId(i as u32), checkpoint::part_path(ckpt_path, i));
+            let len = std::fs::metadata(&path)?.len();
+            for o in &manifest.objects {
+                if o.descriptor.class == ObjectClass::Hash {
+                    // A key takes 16 bytes of the part: a count beyond that
+                    // is no size to reserve (the count check rejects it).
+                    let keys = o.lens[i].min(len / 16) as usize;
+                    engine.aeu_mut(aeu).reserve_transfer(o.descriptor.id, keys);
+                }
+            }
+            let magic = checkpoint::part_header(i);
+            let (valid, len) = self.file(engine, aeu, &path, &magic, 0, || Ok(()))?;
+            let at = path.display();
+            if valid == 0 || valid != len {
+                let msg = format!("{at} holds {len} bytes, of which {valid} walk as records");
+                return Err(RecoveryError::Corrupt(msg));
+            }
+            for o in &manifest.objects {
+                let (id, want) = (o.descriptor.id, o.lens[i]);
+                let partition = engine.aeu(aeu).partition(id);
+                let got = partition.map_or(0, |p| p.data.len() as u64);
+                if got != want {
+                    let msg = format!("{at} restores {got} keys of object {}, not {want}", id.0);
+                    return Err(RecoveryError::Corrupt(msg));
+                }
+            }
+        }
+        let unbounded = |o: &&ManifestObject| {
+            o.descriptor.class != ObjectClass::Column
+                && !self.committed.contains_key(&o.descriptor.id)
+        };
+        if let Some(o) = manifest.objects.iter().find(unbounded) {
+            return Err(RecoveryError::Corrupt(format!(
+                "checkpoint {} holds no bounds of object {}",
+                manifest.seq, o.descriptor.id.0
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Apply one record of a checkpoint part or a journal tail of AEU `aeu`:
+/// a creation re-creates its object, a `Bounds` record commits its
+/// object's bounds, a data record is absorbed into `aeu`'s partition.  A
+/// data record naming no partition of its kind on `aeu` is corruption.
+fn apply(
+    engine: &mut Engine,
+    committed: &mut HashMap<DataObjectId, Vec<u64>>,
+    aeu: AeuId,
+    op: RedoOp<'_>,
+) -> Result<(), RecoveryError> {
     let column = |aeu: &Aeu, object| {
         let data = aeu.partition(object).map(|p| &p.data);
         data.map(|data| matches!(data, PartitionData::Column(_)))
     };
+    let aeu = engine.aeu_mut(aeu);
     match op {
-        JournalOp::UpsertPairs { object, pairs } if column(aeu, object) == Some(false) => {
-            aeu.absorb_pairs(object, &pairs)
+        RedoOp::CreateObject {
+            class,
+            object,
+            domain,
+            name,
+        } => return create_object(engine, class, object, domain, name),
+        RedoOp::Bounds { object, bounds } => {
+            committed.insert(object, bounds.to_vec());
         }
-        JournalOp::AppendRows { object, rows } if column(aeu, object) == Some(true) => {
-            aeu.absorb_rows(object, &rows).expect("a column partition")
+        RedoOp::UpsertPairs { object, pairs } if column(aeu, object) == Some(false) => {
+            aeu.absorb_pairs(object, pairs)
         }
-        JournalOp::RemoveTail { object, n } if column(aeu, object) == Some(true) => {
+        RedoOp::AppendRows { object, rows } if column(aeu, object) == Some(true) => {
+            aeu.absorb_rows(object, rows).expect("a column partition")
+        }
+        RedoOp::RemoveTail { object, n } if column(aeu, object) == Some(true) => {
             aeu.extract_tail_rows(object, n as usize);
         }
-        JournalOp::Create { .. } | JournalOp::Bounds { .. } => {}
         _ => {
-            return Err(corrupt(format!(
+            return Err(RecoveryError::Corrupt(format!(
                 "{:?} has no partition of the record's kind",
                 aeu.id
             )))
         }
-    }
-    Ok(())
-}
-
-fn corrupt(message: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
-}
-
-/// Re-create the manifest's objects and stream every AEU's part into
-/// them; the `Bounds` records of part 0 go to `committed`.
-fn restore_checkpoint(
-    engine: &mut Engine,
-    ckpt_path: &Path,
-    manifest: &Manifest,
-    committed: &mut HashMap<DataObjectId, Vec<u64>>,
-) -> Result<(), RecoveryError> {
-    for o in &manifest.objects {
-        let d = &o.descriptor;
-        create_object(engine, d.class, d.id, d.domain, &d.name)?;
-        engine.restore_object_ledger(d.id, o.enqueued, o.executed);
-    }
-    for i in 0..engine.num_aeus() {
-        let aeu = engine.aeu_mut(AeuId(i as u32));
-        let path = checkpoint::part_path(ckpt_path, i);
-        let file = File::open(&path)?;
-        let len = file.metadata()?.len();
-        for o in &manifest.objects {
-            if o.descriptor.class == ObjectClass::Hash {
-                // A key takes 16 bytes of the part: a count beyond that is
-                // no size to reserve (the count check below rejects it).
-                aeu.reserve_transfer(o.descriptor.id, o.lens[i].min(len / 16) as usize);
-            }
-        }
-        let (at, magic) = (path.display(), checkpoint::part_header(i));
-        let valid = walk_records(
-            BufReader::new(file),
-            &magic,
-            |off, payload| match decode_op(payload) {
-                Some(JournalOp::Bounds { object, bounds }) => {
-                    committed.insert(object, bounds);
-                    Ok(())
-                }
-                Some(op) => absorb(aeu, op),
-                None => Err(corrupt(format!("undecodable record at {at}:{off}"))),
-            },
-        )?;
-        if valid == 0 || valid != len {
-            let msg = format!("{at} holds {len} bytes, of which {valid} walk as records");
-            return Err(RecoveryError::Corrupt(msg));
-        }
-        for o in &manifest.objects {
-            let (id, want) = (o.descriptor.id, o.lens[i]);
-            let got = aeu.partition(id).map_or(0, |p| p.data.len() as u64);
-            if got != want {
-                let msg = format!("{at} restores {got} keys of object {}, not {want}", id.0);
-                return Err(RecoveryError::Corrupt(msg));
-            }
-        }
-    }
-    let unbounded = |o: &&ManifestObject| {
-        o.descriptor.class != ObjectClass::Column && !committed.contains_key(&o.descriptor.id)
-    };
-    if let Some(o) = manifest.objects.iter().find(unbounded) {
-        return Err(RecoveryError::Corrupt(format!(
-            "checkpoint {} holds no bounds of object {}",
-            manifest.seq, o.descriptor.id.0
-        )));
     }
     Ok(())
 }
@@ -390,7 +407,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_keeps_the_last_write_of_every_key() {
+    fn an_undecodable_tail_record_is_corruption() {
+        let dir = std::env::temp_dir().join(format!("eris-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let machine =
+            || eris_numa::machines::custom_machine("undecodable", 2, 2, 20.0, 100.0, 10.0, 60.0);
+        let mut e = Engine::new(machine(), EngineConfig::default());
+        let dura = Durability::open(&dir, e.num_aeus()).unwrap();
+        dura.attach(&mut e);
+        e.create_index("t", 1 << 10);
+        drop((e, dura));
+        // A CRC-valid record of no known tag, on a log other than AEU 0's.
+        let wal = Wal::open(&dir.join("wal/aeu-1.log")).unwrap();
+        wal.append_payload(&[0xEE]);
+        assert!(wal.flush(&FailPoints::new(), None) > 0);
+        drop(wal);
+
+        let got = Durability::recover(&mut Engine::new(machine(), EngineConfig::default()), &dir);
+        let undecodable = |m: &str| m.contains("undecodable record") && m.contains("aeu-1.log");
+        assert!(
+            matches!(&got, Err(RecoveryError::Corrupt(m)) if undecodable(m)),
+            "{got:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_keeps_the_last_write_of_every_key() {
         const KEYS: u64 = 1 << 12;
         let value = |round: u64, k: u64| round << 32 | k;
         let dir = std::env::temp_dir().join(format!("eris-replay-runs-{}", std::process::id()));

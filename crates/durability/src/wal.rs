@@ -18,9 +18,9 @@
 //!
 //! A record's payload is `[u8 tag][body]` (tags below).  All integers are
 //! little-endian.  The *LSN* of a log is simply its synced byte length;
-//! checkpoint manifests record one LSN cut per AEU and recovery replays
-//! records whose offset is ≥ the cut.  The reader stops at the first
-//! short, oversized, or CRC-failing record — a torn group commit
+//! checkpoint manifests record one LSN cut per AEU, and recovery and a
+//! reopen seek to it and read nothing before it.  The reader stops at the
+//! first short, oversized, or CRC-failing record — a torn group commit
 //! truncates cleanly instead of corrupting replay.
 
 use crate::crc::crc32;
@@ -53,34 +53,6 @@ const TAG_UPSERT_PAIRS: u8 = 2;
 const TAG_APPEND_ROWS: u8 = 3;
 const TAG_REMOVE_TAIL: u8 = 4;
 const TAG_BOUNDS: u8 = 5;
-
-/// Owned, decoded form of a journal record (the replay-side mirror of
-/// [`RedoOp`], which borrows from the AEU's scratch buffers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalOp {
-    Create {
-        class: ObjectClass,
-        object: DataObjectId,
-        domain: u64,
-        name: String,
-    },
-    UpsertPairs {
-        object: DataObjectId,
-        pairs: Vec<(u64, u64)>,
-    },
-    AppendRows {
-        object: DataObjectId,
-        rows: Vec<u64>,
-    },
-    RemoveTail {
-        object: DataObjectId,
-        n: u64,
-    },
-    Bounds {
-        object: DataObjectId,
-        bounds: Vec<u64>,
-    },
-}
 
 /// Payload length of `op`'s record: exactly what [`encode_op`] writes.
 fn encoded_len(op: &RedoOp<'_>) -> usize {
@@ -204,10 +176,19 @@ pub(crate) fn take_u64(buf: &mut &[u8]) -> Option<u64> {
     Some(v)
 }
 
-/// Decode one record payload.  `None` rejects malformed input — the
+/// The buffers [`decode_op`] decodes a record's pairs or words into,
+/// reused from one record to the next.
+#[derive(Default)]
+pub struct DecodeBuf {
+    pairs: Vec<(u64, u64)>,
+    words: Vec<u64>,
+}
+
+/// Decode one record payload into the [`RedoOp`] that wrote it, borrowing
+/// the payload and `scratch`.  `None` rejects malformed input — the
 /// payload passed its CRC, so this only fires on version skew or bugs,
 /// and recovery surfaces it as corruption rather than panicking.
-pub fn decode_op(mut buf: &[u8]) -> Option<JournalOp> {
+pub fn decode_op<'a>(mut buf: &'a [u8], scratch: &'a mut DecodeBuf) -> Option<RedoOp<'a>> {
     let tag = take_u8(&mut buf)?;
     let op = match tag {
         TAG_CREATE => {
@@ -218,9 +199,8 @@ pub fn decode_op(mut buf: &[u8]) -> Option<JournalOp> {
             if buf.len() != len {
                 return None;
             }
-            let name = String::from_utf8(buf.to_vec()).ok()?;
-            buf = &[];
-            JournalOp::Create {
+            let name = std::str::from_utf8(std::mem::take(&mut buf)).ok()?;
+            RedoOp::CreateObject {
                 class,
                 object,
                 domain,
@@ -233,13 +213,14 @@ pub fn decode_op(mut buf: &[u8]) -> Option<JournalOp> {
             if buf.len() != n.checked_mul(16)? {
                 return None;
             }
-            let mut pairs = Vec::with_capacity(n);
+            let pairs = &mut scratch.pairs;
+            pairs.clear();
             for _ in 0..n {
                 let k = take_u64(&mut buf)?;
                 let v = take_u64(&mut buf)?;
                 pairs.push((k, v));
             }
-            JournalOp::UpsertPairs { object, pairs }
+            RedoOp::UpsertPairs { object, pairs }
         }
         TAG_APPEND_ROWS | TAG_BOUNDS => {
             let object = DataObjectId(take_u32(&mut buf)?);
@@ -247,32 +228,29 @@ pub fn decode_op(mut buf: &[u8]) -> Option<JournalOp> {
             if buf.len() != n.checked_mul(8)? {
                 return None;
             }
-            let mut words = Vec::with_capacity(n);
+            let words = &mut scratch.words;
+            words.clear();
             for _ in 0..n {
                 words.push(take_u64(&mut buf)?);
             }
             match tag {
-                TAG_BOUNDS => JournalOp::Bounds {
+                TAG_BOUNDS => RedoOp::Bounds {
                     object,
                     bounds: words,
                 },
-                _ => JournalOp::AppendRows {
+                _ => RedoOp::AppendRows {
                     object,
                     rows: words,
                 },
             }
         }
-        TAG_REMOVE_TAIL => JournalOp::RemoveTail {
+        TAG_REMOVE_TAIL => RedoOp::RemoveTail {
             object: DataObjectId(take_u32(&mut buf)?),
             n: take_u64(&mut buf)?,
         },
         _ => return None,
     };
-    if buf.is_empty() {
-        Some(op)
-    } else {
-        None
-    }
+    buf.is_empty().then_some(op)
 }
 
 struct WalInner {
@@ -297,12 +275,19 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the journal at `path`.  An existing file is
-    /// scanned and truncated back to its last intact record so a torn
-    /// tail from a previous crash is never appended after.  A file shorter
-    /// than the magic (its creation was torn) starts over; one with
-    /// another magic is an [`std::io::ErrorKind::InvalidData`] error.
+    /// Open (or create) the journal at `path`, reading it from its start.
     pub fn open(path: &Path) -> std::io::Result<Self> {
+        Self::open_from(path, 0)
+    }
+
+    /// Open (or create) the journal at `path`, whose records before byte
+    /// `cut` a checkpoint holds: they are never read.  The file is scanned
+    /// from `cut` and truncated back to its last intact record, so a torn
+    /// tail from a previous crash is never appended after.  A file shorter
+    /// than the magic (its creation was torn) starts over; one with another
+    /// magic, or one that ends before `cut`, is an
+    /// [`std::io::ErrorKind::InvalidData`] error.
+    pub fn open_from(path: &Path, cut: u64) -> std::io::Result<Self> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -310,7 +295,12 @@ impl Wal {
             .truncate(false)
             .open(path)?;
         let len = file.metadata()?.len();
-        let mut valid = walk_records(BufReader::new(&mut file), WAL_MAGIC, |_, _| Ok(()))?;
+        if len < cut {
+            let msg = short_journal(path, len, cut);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
+        }
+        let reader = BufReader::new(&mut file);
+        let mut valid = walk_records(reader, WAL_MAGIC, cut, |_, _| Ok::<_, std::io::Error>(()))?;
         if valid == 0 {
             file.set_len(0)?;
             file.rewind()?;
@@ -439,19 +429,35 @@ impl Wal {
     }
 }
 
-/// Walk the records of a journal or a checkpoint part from its start, in
-/// order: the `magic` (a part's names its AEU too), then every intact
-/// record, handing `(offset, payload)` to `on_record`.  Stops at the first
-/// short, oversized or CRC-failing record and returns the length of the
-/// valid prefix (0 when the input ends inside the magic).  Another magic
-/// is an `InvalidData` error: a foreign file, or one of another format, is
-/// never read as empty.  Streams: only one record is held at a time,
-/// however long the file.
-pub(crate) fn walk_records(
-    mut r: impl Read,
+/// The journal of AEU `aeu` under the durable directory `base`.
+pub(crate) fn journal_path(base: &Path, aeu: usize) -> PathBuf {
+    base.join("wal").join(format!("aeu-{aeu}.log"))
+}
+
+/// What is wrong with a journal that ends at byte `len`, before `cut`: it
+/// lost records that a checkpoint counts on.
+pub(crate) fn short_journal(path: &Path, len: u64, cut: u64) -> String {
+    let path = path.display();
+    format!("journal {path} ends at byte {len}, before its checkpoint's cut {cut}")
+}
+
+/// Walk the records of a journal or a checkpoint part in order from byte
+/// `start` (0, or any offset inside the magic, for the first record):
+/// check the `magic` (a part's names its AEU too), seek to `start`, and
+/// hand every intact record's `(offset, payload)` to `on_record`.  No byte
+/// between the magic and `start` is read.  Stops at the first short,
+/// oversized or CRC-failing record and returns the offset where the valid
+/// records end (0 when the input ends inside the magic); the caller checks
+/// that the input reaches `start`.  Another magic is an `InvalidData`
+/// error: a foreign file, or one of another format, is never read as
+/// empty.  Streams: only one record is held at a time, however long the
+/// file.
+pub(crate) fn walk_records<E: From<std::io::Error>>(
+    mut r: impl Read + Seek,
     magic: &[u8],
-    mut on_record: impl FnMut(u64, &[u8]) -> std::io::Result<()>,
-) -> std::io::Result<u64> {
+    start: u64,
+    mut on_record: impl FnMut(u64, &[u8]) -> Result<(), E>,
+) -> Result<u64, E> {
     /// `Ok(false)` at the end of the input, short or not.
     fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
         match r.read_exact(buf) {
@@ -465,16 +471,20 @@ pub(crate) fn walk_records(
         return Ok(0);
     }
     if payload != magic {
-        return Err(std::io::Error::new(
+        let error = std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!(
                 "magic {:?} is not {:?}",
                 String::from_utf8_lossy(&payload),
                 String::from_utf8_lossy(magic)
             ),
-        ));
+        );
+        return Err(error.into());
     }
     let mut off = magic.len() as u64;
+    if start > off {
+        off = r.seek(SeekFrom::Start(start))?;
+    }
     loop {
         let mut header = [0u8; 8];
         if !fill(&mut r, &mut header)? {
@@ -493,33 +503,6 @@ pub(crate) fn walk_records(
         on_record(off, &payload)?;
         off += 8 + len as u64;
     }
-}
-
-/// Read every intact record at byte offset ≥ `cut`, in order.  Returns
-/// the decoded ops and the number of torn tail bytes discarded.  The
-/// journal is streamed: memory holds the ops after the cut, not the file.
-pub fn read_tail(path: &Path, cut: u64) -> std::io::Result<(Vec<JournalOp>, u64)> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e),
-    };
-    let len = file.metadata()?.len();
-    let mut ops = Vec::new();
-    let reader = BufReader::with_capacity(1 << 16, file);
-    let valid = walk_records(reader, WAL_MAGIC, |off, payload| {
-        if off >= cut {
-            let Some(op) = decode_op(payload) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("undecodable journal record at {}:{off}", path.display()),
-                ));
-            };
-            ops.push(op);
-        }
-        Ok(())
-    })?;
-    Ok((ops, len.saturating_sub(valid)))
 }
 
 /// The engine-facing sink: fan-in point for all AEUs' redo streams.
@@ -721,34 +704,17 @@ mod tests {
         payload
     }
 
-    /// The owned record replay reads back for `op`.
-    fn owned(op: &RedoOp<'_>) -> JournalOp {
-        match *op {
-            RedoOp::CreateObject {
-                class,
-                object,
-                domain,
-                name,
-            } => JournalOp::Create {
-                class,
-                object,
-                domain,
-                name: name.to_string(),
-            },
-            RedoOp::UpsertPairs { object, pairs } => JournalOp::UpsertPairs {
-                object,
-                pairs: pairs.to_vec(),
-            },
-            RedoOp::AppendRows { object, rows } => JournalOp::AppendRows {
-                object,
-                rows: rows.to_vec(),
-            },
-            RedoOp::RemoveTail { object, n } => JournalOp::RemoveTail { object, n },
-            RedoOp::Bounds { object, bounds } => JournalOp::Bounds {
-                object,
-                bounds: bounds.to_vec(),
-            },
-        }
+    /// The payloads of the journal at `path` from byte `cut`, walked as
+    /// recovery walks a tail, and the torn bytes after them.
+    fn tail(path: &Path, cut: u64) -> std::io::Result<(Vec<Vec<u8>>, u64)> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut payloads = Vec::new();
+        let valid = walk_records(BufReader::new(file), WAL_MAGIC, cut, |_, payload| {
+            payloads.push(payload.to_vec());
+            Ok::<_, std::io::Error>(())
+        })?;
+        Ok((payloads, len - valid))
     }
 
     /// Every tag, a record without pairs, and `big`'s record.
@@ -796,13 +762,15 @@ mod tests {
 
     #[test]
     fn ops_roundtrip_through_the_record_codec() {
+        let mut buf = DecodeBuf::default();
         for op in &sample_ops(&[(9, 9); 3]) {
             let payload = encode(op);
             assert_eq!(payload, oracle_encode(op));
-            assert_eq!(decode_op(&payload), Some(owned(op)));
+            assert_eq!(decode_op(&payload, &mut buf), Some(*op));
             // Every truncation of a payload is rejected.
             for cut in 0..payload.len() {
-                assert!(decode_op(&payload[..cut]).is_none(), "cut at {cut}");
+                let decoded = decode_op(&payload[..cut], &mut buf);
+                assert!(decoded.is_none(), "cut at {cut}");
             }
         }
     }
@@ -833,9 +801,8 @@ mod tests {
             std::fs::read(&path).unwrap() == golden,
             "journal bytes differ"
         );
-        let (read, torn) = read_tail(&path, 0).unwrap();
-        assert_eq!(read, ops.iter().map(owned).collect::<Vec<_>>());
-        assert_eq!(torn, 0);
+        let read = tail(&path, 0).unwrap();
+        assert_eq!(read, (ops.iter().map(encode).collect(), 0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -864,7 +831,7 @@ mod tests {
             !sink.barrier() && sink.sync_all().is_err(),
             "the sink stays stopped"
         );
-        assert_eq!(read_tail(&paths[1], 0).unwrap().0, vec![owned(&op)]);
+        assert_eq!(tail(&paths[1], 0).unwrap().0, vec![encode(&op)]);
         for p in paths {
             std::fs::remove_file(p).unwrap();
         }
@@ -957,9 +924,8 @@ mod tests {
         let writable = OpenOptions::new().write(true).open(&path).unwrap();
         wal.inner.lock().file = writable;
         assert!(wal.flush(&fail, None) > 0);
-        let (read, torn) = read_tail(&path, 0).unwrap();
-        assert_eq!(read, ops.iter().map(owned).collect::<Vec<_>>());
-        assert_eq!(torn, 0);
+        let read = tail(&path, 0).unwrap();
+        assert_eq!(read, (ops.iter().map(encode).collect(), 0));
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(wal.synced_lsn(), len);
         assert_eq!(sink.sync_all().unwrap(), vec![len]);
@@ -981,8 +947,8 @@ mod tests {
         f.write_all(&[0xAB; 7]).unwrap();
         drop(f);
 
-        let (ops, torn) = read_tail(&path, 0).unwrap();
-        assert_eq!(ops.len(), 1);
+        let (payloads, torn) = tail(&path, 0).unwrap();
+        assert_eq!(payloads.len(), 1);
         assert_eq!(torn, 7);
         let wal = Wal::open(&path).unwrap();
         assert_eq!(wal.synced_lsn(), intact);
@@ -1002,7 +968,7 @@ mod tests {
         wal.append_op(&op);
         assert!(wal.flush(&FailPoints::new(), None) > 0);
         drop(wal);
-        assert_eq!(read_tail(&path, 0).unwrap(), (vec![owned(&op)], 0));
+        assert_eq!(tail(&path, 0).unwrap(), (vec![encode(&op)], 0));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1023,8 +989,12 @@ mod tests {
             let kind = |e: std::io::Error| e.kind();
             let opened = Wal::open(&path).map(drop).map_err(kind);
             assert_eq!(opened, Err(std::io::ErrorKind::InvalidData));
-            let read = read_tail(&path, 0).map(drop).map_err(kind);
+            let read = tail(&path, 0).map(drop).map_err(kind);
             assert_eq!(read, Err(std::io::ErrorKind::InvalidData));
+            // The magic is checked before any seek to a cut.
+            let from_end = Wal::open_from(&path, bytes.len() as u64);
+            let from_end = from_end.map(drop).map_err(kind);
+            assert_eq!(from_end, Err(std::io::ErrorKind::InvalidData));
             let kept = std::fs::read(&path).unwrap();
             assert!(kept == bytes, "the file is left as it was");
             std::fs::remove_file(&path).unwrap();
@@ -1054,9 +1024,9 @@ mod tests {
         }
         wal.flush(&fail, None);
         drop(wal);
-        let (ops, torn) = read_tail(&path, 0).unwrap();
-        assert_eq!((ops.len(), torn), (403, 0));
-        assert_eq!(read_tail(&path, cut).unwrap().0.len(), 3);
+        let (payloads, torn) = tail(&path, 0).unwrap();
+        assert_eq!((payloads.len(), torn), (403, 0));
+        assert_eq!(tail(&path, cut).unwrap().0.len(), 3);
 
         // Flip one payload byte of the second record after the cut: the
         // first stays, the rest is torn — the third record too, intact
@@ -1065,8 +1035,8 @@ mod tests {
         let second = cut as usize + 8 + record(5).len();
         bytes[second + 8 + 3] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (ops, torn) = read_tail(&path, cut).unwrap();
-        assert_eq!(ops.len(), 1);
+        let (payloads, torn) = tail(&path, cut).unwrap();
+        assert_eq!(payloads.len(), 1);
         assert_eq!(torn, (bytes.len() - second) as u64);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1076,28 +1046,33 @@ mod tests {
         let path = temp_path("cut");
         let fail = FailPoints::new();
         let wal = Wal::open(&path).unwrap();
-        wal.append_op(&RedoOp::RemoveTail {
-            object: DataObjectId(1),
-            n: 1,
+        let ops = [1, 2].map(|n| RedoOp::RemoveTail {
+            object: DataObjectId(n),
+            n: n as u64,
         });
+        wal.append_op(&ops[0]);
         wal.flush(&fail, None);
         let cut = wal.synced_lsn();
-        wal.append_op(&RedoOp::RemoveTail {
-            object: DataObjectId(2),
-            n: 2,
-        });
+        wal.append_op(&ops[1]);
         wal.flush(&fail, None);
+        drop(wal);
 
-        let (all, _) = read_tail(&path, 0).unwrap();
-        assert_eq!(all.len(), 2);
-        let (tail, _) = read_tail(&path, cut).unwrap();
-        assert_eq!(
-            tail,
-            vec![JournalOp::RemoveTail {
-                object: DataObjectId(2),
-                n: 2
-            }]
-        );
+        assert_eq!(tail(&path, 0).unwrap().0.len(), 2);
+        assert_eq!(tail(&path, cut).unwrap(), (vec![encode(&ops[1])], 0));
+        // A record before the cut is never read: damaged, it neither ends
+        // the tail nor gets the journal cut back on reopen.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[WAL_MAGIC.len() + 8 + 2] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(tail(&path, cut).unwrap(), (vec![encode(&ops[1])], 0));
+        let wal = Wal::open_from(&path, cut).unwrap();
+        assert_eq!(wal.synced_lsn(), bytes.len() as u64);
+        drop(wal);
+        assert!(std::fs::read(&path).unwrap() == bytes, "the file is kept");
+        // A journal that ends before its cut is no journal to append to.
+        let short = Wal::open_from(&path, bytes.len() as u64 + 1).map(drop);
+        let short = short.map_err(|e| e.kind());
+        assert_eq!(short, Err(std::io::ErrorKind::InvalidData));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -414,6 +414,104 @@ fn mid_traffic_crash_between_dynamic_phases_matches_twin() {
 }
 
 #[test]
+fn recovery_and_reopen_read_a_journal_from_its_cut_past_damage_before_it() {
+    // A byte flipped inside a journal record that the checkpoint holds is
+    // never read: recovery replays the tail from the cut, and reopening
+    // the journal neither stops at the damage nor cuts the file back to
+    // it, so traffic after the reopen is recovered too.
+    let w = eris_workloads::DynamicWorkload::paper_schedule(DOMAIN);
+    let after_wb = twin_oracle();
+    let after_more = {
+        let mut e = engine();
+        let o = setup_objects(&mut e);
+        drive_wa(&mut e, &o);
+        drive_wb_cooperative(&mut e, &o);
+        drive_dynamic(&mut e, &o, &w, 0..w.duration_s());
+        oracle(&mut e, &o)
+    };
+
+    let dir = temp_dir("damage-before-cut");
+    let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let o = setup_objects(&mut e);
+    drive_wa(&mut e, &o);
+    dura.checkpoint(&mut e).unwrap();
+    drive_wb_cooperative(&mut e, &o);
+    drop((e, dura));
+    let (_, manifest) = eris_durability::checkpoint::find_latest(&dir)
+        .unwrap()
+        .unwrap();
+    let log = dir.join("wal/aeu-1.log");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let cut = manifest.cuts[1] as usize;
+    assert!(
+        cut > 8 && bytes.len() > cut,
+        "records on both sides of the cut"
+    );
+    // A payload byte of the log's first record, which the checkpoint holds.
+    bytes[8 + 8 + 2] ^= 0x10;
+    std::fs::write(&log, &bytes).unwrap();
+
+    let mut r = engine();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!((report.checkpoint, report.torn_bytes), (Some(0), 0));
+    assert_eq!(oracle(&mut r, &o), after_wb, "the tail past the damage");
+
+    // Reattach, drive more traffic, crash, and recover once more.
+    let dura = Durability::open(&dir, r.num_aeus()).unwrap();
+    dura.attach(&mut r);
+    drive_dynamic(&mut r, &o, &w, 0..w.duration_s());
+    drop((r, dura));
+    let grown = std::fs::read(&log).unwrap();
+    assert!(
+        grown[..bytes.len()] == bytes[..],
+        "the journal was appended to"
+    );
+    let mut r = engine();
+    assert_eq!(
+        Durability::recover(&mut r, &dir).unwrap().checkpoint,
+        Some(0)
+    );
+    assert_eq!(
+        oracle(&mut r, &o),
+        after_more,
+        "the traffic after the reopen"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recovery_of_a_journal_cut_short_of_its_checkpoint_is_corruption() {
+    // A journal that ends before its checkpoint's cut lost records the
+    // checkpoint counts on: recovery is an error, never an empty tail,
+    // and reopening it to append is one too, leaving the file as it is.
+    let dir = temp_dir("short-journal");
+    let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let o = setup_objects(&mut e);
+    drive_wa(&mut e, &o);
+    dura.checkpoint(&mut e).unwrap();
+    drop((e, dura));
+    let (_, manifest) = eris_durability::checkpoint::find_latest(&dir)
+        .unwrap()
+        .unwrap();
+    let (log, short) = (dir.join("wal/aeu-2.log"), manifest.cuts[2] - 1);
+    let file = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
+    file.set_len(short).unwrap();
+    drop(file);
+
+    let got = Durability::recover(&mut engine(), &dir);
+    assert!(matches!(got, Err(RecoveryError::Corrupt(_))), "{got:?}");
+    let opened = Durability::open(&dir, engine().num_aeus()).map(drop);
+    let opened = opened.map_err(|e| e.kind());
+    assert_eq!(opened, Err(std::io::ErrorKind::InvalidData));
+    assert_eq!(std::fs::metadata(&log).unwrap().len(), short);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn recovery_without_any_checkpoint_is_journal_only() {
     let dir = temp_dir("no-ckpt");
     let dura = Durability::open(&dir, engine().num_aeus()).unwrap();
