@@ -501,7 +501,7 @@ impl Aeu {
     // HOT-PATH-CUT: durability handoff — the WAL shard buffers the
     // redo record and group-commits off the latch-free path; the
     // journal subsystem is reviewed (and fsync-gated) separately.
-    fn journal(&self, op: RedoOp<'_>) {
+    pub(crate) fn journal(&self, op: RedoOp<'_>) {
         if let Some(s) = &self.sink {
             s.append(self.id, op);
         }
@@ -642,6 +642,7 @@ impl Aeu {
     }
 
     /// Append rows to a column partition, provisioning segments on demand.
+    /// Journals nothing: rows are journaled where they enter the engine.
     ///
     /// Total over its inputs: callers that hand it an unknown object or
     /// an index partition get a typed error instead of a panicked AEU.
@@ -654,7 +655,6 @@ impl Aeu {
             return Err(AbsorbError::NotAColumn(object));
         };
         Self::fill_column(node, col, rows);
-        self.journal(RedoOp::AppendRows { object, rows });
         Ok(())
     }
 
@@ -744,7 +744,8 @@ impl Aeu {
         }
     }
 
-    /// Remove the last `n` rows of a column partition.
+    /// Remove the last `n` rows of a column partition, journaling
+    /// nothing: recovery puts a row back where it was last durable.
     pub fn extract_tail_rows(&mut self, object: DataObjectId, n: usize) -> Vec<u64> {
         let p = self
             .partitions
@@ -753,12 +754,7 @@ impl Aeu {
         let PartitionData::Column(col) = &mut p.data else {
             panic!("extract_tail_rows on an index partition")
         };
-        let rows = col.drain_tail(n);
-        self.journal(RedoOp::RemoveTail {
-            object,
-            n: rows.len() as u64,
-        });
-        rows
+        col.drain_tail(n)
     }
 
     /// Update the responsibility range after a balancing command.
@@ -1198,6 +1194,12 @@ impl Aeu {
         // debug build still screams if that invariant ever rots.
         let absorbed = self.absorb_rows(object, &rows);
         debug_assert!(absorbed.is_ok(), "{absorbed:?}");
+        if absorbed.is_ok() {
+            self.journal(RedoOp::AppendRows {
+                object,
+                rows: &rows,
+            });
+        }
         self.results.upsert_batch(n, n);
         let exec_ns = n as f64 * (params.cpu_ns_per_scan_row + params.cpu_ns_per_upsert);
         w.cpu_ns += exec_ns;

@@ -15,8 +15,8 @@
 use crate::aeu::Aeu;
 use crate::command::{AeuId, DataObjectId};
 use crate::cost::CostParams;
-use crate::durability::{RedoOp, RedoSink};
-use crate::engine::{apply_bounds, ObjectKind};
+use crate::durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
+use crate::engine::apply_bounds;
 use crate::monitor::{cv, BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
 use crate::routing::RoutingShared;
 use eris_numa::{HwCounters, Topology};
@@ -503,11 +503,12 @@ impl Balancer {
     pub(crate) fn run(
         &mut self,
         now: f64,
-        objects: impl Iterator<Item = (DataObjectId, ObjectKind)>,
+        objects: &[ObjectDescriptor],
         mut p: Partitions<'_>,
     ) -> f64 {
         let mut total_ns = 0.0;
-        for (id, kind) in objects {
+        for o in objects {
+            let id = o.id;
             let mut sample = Sample {
                 at_secs: now,
                 ..Default::default()
@@ -519,16 +520,11 @@ impl Balancer {
                 sample.lens.push(len);
                 sample.bytes.push(bytes);
             }
-            total_ns += match kind {
-                ObjectKind::Index { domain } => self.balance_index(&mut p, id, domain, &sample),
-                ObjectKind::Column => self.balance_column(&mut p, id, &sample),
+            total_ns += match o.class {
+                ObjectClass::Column => self.balance_column(&mut p, id, &sample),
+                _ => self.balance_index(&mut p, id, o.domain, &sample),
             };
             self.monitor.record(id, sample);
-        }
-        // A column's tail move journals its remove and its append on two
-        // logs; sync them together before the next epoch.
-        if let Some(s) = p.sink {
-            s.barrier();
         }
         total_ns
     }

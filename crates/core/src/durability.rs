@@ -14,13 +14,13 @@
 //! journal the pairs they absorb, donors journal nothing, and once every
 //! log is synced one [`RedoOp::Bounds`] record on AEU 0's log commits the
 //! cycle.  Recovery keeps in each partition only the pairs inside its
-//! committed range, so a cut before the commit keeps the donors' copies
-//! and a cut after it the receivers'.
+//! committed range.  A column, having no keys, journals no tail move:
+//! recovery undoes a move made since the last checkpoint.
 
 use crate::command::{AeuId, DataObjectId};
 
-/// The storage layout of a data object, as needed to re-create it during
-/// recovery (`ObjectKind` conflates tree- and hash-backed range objects).
+/// The storage layout of a data object: what creates it, and what
+/// recovery needs to re-create it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectClass {
     /// Range-partitioned prefix tree (`Engine::create_index`).
@@ -82,13 +82,12 @@ pub enum RedoOp<'a> {
         object: DataObjectId,
         pairs: &'a [(u64, u64)],
     },
-    /// Rows appended to this AEU's column partition.
+    /// Rows appended to this AEU's column partition (routed appends and
+    /// bulk loads; a balancing move journals nothing).
     AppendRows {
         object: DataObjectId,
         rows: &'a [u64],
     },
-    /// Last `n` rows removed from a column partition.
-    RemoveTail { object: DataObjectId, n: u64 },
     /// A balancing cycle of a point object committed: its new lower
     /// bound per AEU, in AEU order (always reported via AEU 0's log,
     /// after every log holding the cycle's absorbed pairs was synced).
@@ -113,12 +112,11 @@ pub trait RedoSink: Send + Sync {
     /// Make every log durable before the engine goes on: what was
     /// journaled before the barrier is on disk before anything after it.
     /// It orders an object's creation before its data records, a cycle's
-    /// absorbed pairs before its [`RedoOp::Bounds`] commit, that commit
-    /// before the commands that run under the new bounds, and a column's
-    /// tail move (`RemoveTail` and `AppendRows`, on two logs) before the
-    /// next epoch.  Returns whether every log is durable up to the
-    /// barrier; a sink that returns `false` journals nothing more, so a
-    /// later record (a cycle's commit) never lands past a gap.
+    /// absorbed pairs before its [`RedoOp::Bounds`] commit, and that
+    /// commit before the commands that run under the new bounds.  Returns
+    /// whether every log is durable up to the barrier; a sink that
+    /// returns `false` journals nothing more, so a later record (a
+    /// cycle's commit) never lands past a gap.
     fn barrier(&self) -> bool {
         true
     }

@@ -57,22 +57,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Kind of a data object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObjectKind {
-    /// Range-partitioned index over `[0, domain)`.
-    Index { domain: u64 },
-    /// Size-partitioned column.
-    Column,
-}
-
-struct ObjectMeta {
-    id: DataObjectId,
-    kind: ObjectKind,
-    class: ObjectClass,
-    name: String,
-}
-
 /// Aggregated outcome of one epoch.
 #[derive(Debug, Clone, Default)]
 pub struct EpochReport {
@@ -125,7 +109,7 @@ pub struct Engine {
     node_of: Arc<Vec<NodeId>>,
     clock: VirtualClock,
     counters: HwCounters,
-    objects: Vec<ObjectMeta>,
+    objects: Vec<ObjectDescriptor>,
     balancer: Balancer,
     /// Durability sink shared with every AEU (None = volatile engine).
     sink: Option<Arc<dyn RedoSink>>,
@@ -347,7 +331,7 @@ impl Engine {
     /// Create a range-partitioned index over `[0, domain)`, evenly split
     /// across all AEUs.
     pub fn create_index(&mut self, name: &str, domain: u64) -> DataObjectId {
-        self.create_object(name, ObjectKind::Index { domain }, ObjectClass::Tree)
+        self.create_object(name, ObjectClass::Tree, domain)
     }
 
     /// Create a range-partitioned object stored as per-partition hash
@@ -356,21 +340,27 @@ impl Engine {
     /// partition structure differs, and each partition draws its own hash
     /// function seed.
     pub fn create_hash_index(&mut self, name: &str, domain: u64) -> DataObjectId {
-        self.create_object(name, ObjectKind::Index { domain }, ObjectClass::Hash)
+        self.create_object(name, ObjectClass::Hash, domain)
     }
 
     /// Create a size-partitioned column held by all AEUs.
     pub fn create_column(&mut self, name: &str) -> DataObjectId {
-        self.create_object(name, ObjectKind::Column, ObjectClass::Column)
+        self.create_object(name, ObjectClass::Column, 0)
     }
 
     /// Give every AEU its partition of a new object, register the
     /// partition table and journal the creation.
-    fn create_object(&mut self, name: &str, kind: ObjectKind, class: ObjectClass) -> DataObjectId {
+    fn create_object(&mut self, name: &str, class: ObjectClass, domain: u64) -> DataObjectId {
         let id = DataObjectId(self.objects.len() as u32);
         let owners = self.aeu_ids();
-        let (table, domain) = match kind {
-            ObjectKind::Index { domain } => {
+        let table = match class {
+            ObjectClass::Column => {
+                for aeu in self.aeus.iter_mut() {
+                    aeu.create_column_partition(id);
+                }
+                PartitionTable::Bitmap(BitmapTable::new(owners))
+            }
+            _ => {
                 let table = RangeTable::even(domain, &owners);
                 for (i, aeu) in self.aeus.iter_mut().enumerate() {
                     let range = table.range_of(i, domain);
@@ -379,20 +369,14 @@ impl Engine {
                         _ => aeu.create_index_partition(id, self.cfg.tree, range),
                     }
                 }
-                (PartitionTable::Range(table), domain)
-            }
-            ObjectKind::Column => {
-                for aeu in self.aeus.iter_mut() {
-                    aeu.create_column_partition(id);
-                }
-                (PartitionTable::Bitmap(BitmapTable::new(owners)), 0)
+                PartitionTable::Range(table)
             }
         };
         self.shared.register_object(id, table);
-        self.objects.push(ObjectMeta {
+        self.objects.push(ObjectDescriptor {
             id,
-            kind,
             class,
+            domain,
             name: name.into(),
         });
         self.balancer.add_object();
@@ -422,18 +406,7 @@ impl Engine {
     /// Describe every data object for checkpoint manifests: id, storage
     /// class, key domain, and name.
     pub fn describe_objects(&self) -> Vec<ObjectDescriptor> {
-        self.objects
-            .iter()
-            .map(|o| ObjectDescriptor {
-                id: o.id,
-                class: o.class,
-                domain: match o.kind {
-                    ObjectKind::Index { domain } => domain,
-                    ObjectKind::Column => 0,
-                },
-                name: o.name.clone(),
-            })
-            .collect()
+        self.objects.clone()
     }
 
     /// Rebuild a range-partitioned object's routing table from restored
@@ -441,11 +414,10 @@ impl Engine {
     /// table-rebuild + `set_range` sequence).
     pub fn restore_partition_bounds(&mut self, object: DataObjectId, bounds: &[u64]) {
         assert_eq!(bounds.len(), self.aeus.len(), "one bound per AEU");
-        let domain = match self.objects[object.0 as usize].kind {
-            ObjectKind::Index { domain } => domain,
-            ObjectKind::Column => return,
-        };
-        apply_bounds(&self.shared, &mut self.aeus, object, domain, bounds);
+        let ObjectDescriptor { class, domain, .. } = self.objects[object.0 as usize];
+        if class != ObjectClass::Column {
+            apply_bounds(&self.shared, &mut self.aeus, object, domain, bounds);
+        }
     }
 
     /// Overwrite one object's conservation ledger from a checkpoint
@@ -476,10 +448,8 @@ impl Engine {
         object: DataObjectId,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) {
-        let domain = match self.objects[object.0 as usize].kind {
-            ObjectKind::Index { domain } => domain,
-            ObjectKind::Column => panic!("bulk_load_index on a column"),
-        };
+        let ObjectDescriptor { class, domain, .. } = self.objects[object.0 as usize];
+        assert!(class != ObjectClass::Column, "bulk_load_index on a column");
         // Group into per-owner batches, then absorb.
         let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.aeus.len()];
         self.shared
@@ -517,11 +487,16 @@ impl Engine {
         for (i, v) in values.enumerate() {
             batches[i % n].push(v);
         }
-        for (i, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.aeus[i]
-                    .absorb_rows(object, &batch)
+        // Consumed: each batch is freed once absorbed, so a load never
+        // holds every batch beside the segments it filled.
+        for (aeu, rows) in self.aeus.iter_mut().zip(batches) {
+            if !rows.is_empty() {
+                aeu.absorb_rows(object, &rows)
                     .expect("load targets a provisioned column");
+                aeu.journal(RedoOp::AppendRows {
+                    object,
+                    rows: &rows,
+                });
             }
         }
     }
@@ -700,8 +675,8 @@ impl Engine {
             transfer_scale: self.cfg.transfer_scale.unwrap_or(self.cfg.size_scale) as f64,
             sink: self.sink.as_deref(),
         };
-        let objects = self.objects.iter().map(|o| (o.id, o.kind));
-        self.balancer.run(self.clock.now_secs(), objects, parts)
+        self.balancer
+            .run(self.clock.now_secs(), &self.objects, parts)
     }
 
     // ------------------------------------------------------------------

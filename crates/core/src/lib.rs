@@ -76,7 +76,7 @@ pub use command::{
 };
 pub use cost::CostParams;
 pub use durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
-pub use engine::{Engine, EngineConfig, EpochReport, ObjectKind, QuiesceReport};
+pub use engine::{Engine, EngineConfig, EpochReport, QuiesceReport};
 pub use monitor::{BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
 pub use results::{ResultCollector, ResultCounts};
 pub use routing::{RoutingConfig, RoutingError};
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::balancer::{BalanceAlgorithm, BalanceMetric, BalancerConfig};
     pub use crate::command::{AeuId, DataCommand, DataObjectId, Payload, StorageOp};
     pub use crate::cost::CostParams;
-    pub use crate::engine::{Engine, EngineConfig, EpochReport, ObjectKind, QuiesceReport};
+    pub use crate::engine::{Engine, EngineConfig, EpochReport, QuiesceReport};
     pub use crate::results::{ResultCollector, ResultCounts};
     pub use crate::routing::{RoutingConfig, RoutingError};
     pub use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};

@@ -3,11 +3,13 @@
 //! Recovery is deterministic and purely local per AEU, mirroring the
 //! write path: every journal holds only the effects its AEU applied to
 //! partitions it owned at the time, so the logs replay independently and
-//! in order with no cross-log merge.  Checkpoint parts and journal tails
-//! go through one applier: each record is decoded into the [`RedoOp`]
-//! that wrote it and applied at once — a creation re-creates its object,
-//! a `Bounds` record commits its object's bounds, a data record is
-//! absorbed through the path a balancing receiver uses.  The sequence:
+//! in order with no cross-log merge.  A column row comes back once, where
+//! its part or log last held it: a tail move journals nothing.
+//! Checkpoint parts and journal tails go through one applier: each record
+//! is decoded into the [`RedoOp`] that wrote it and applied at once — a
+//! creation re-creates its object, a `Bounds` record commits its
+//! object's bounds, a data record is absorbed through the path a
+//! balancing receiver uses.  The sequence:
 //!
 //! 1. Pick the newest `ckpt-<seq>` whose manifest decodes (CRC-valid;
 //!    torn `.tmp` staging directories are invisible), re-create its
@@ -23,10 +25,10 @@
 //! 3. Rebuild the routing table of each point object from its committed
 //!    bounds — its last `Bounds` record, in the checkpoint's part 0 or a
 //!    tail, else the creation's — and keep in each partition only the
-//!    pairs of its range.  A balancing cycle the crash cut before its
-//!    `Bounds` commit leaves the receivers' copies outside their ranges,
-//!    one past its commit the donors': no pair moves between partitions,
-//!    and with no deletes the order across logs does not matter.
+//!    pairs of its range.  A cycle cut before its `Bounds` commit leaves
+//!    the receivers' copies outside their ranges, one past it the
+//!    donors': no pair moves between partitions, and with no deletes the
+//!    order across logs does not matter.
 //!
 //! Recovery itself writes nothing; crashing *during* recovery (see
 //! [`FP_RECOVERY_MID_REPLAY`]) just means discarding the half-built
@@ -346,9 +348,6 @@ fn apply(
         }
         RedoOp::AppendRows { object, rows } if column(aeu, object) == Some(true) => {
             aeu.absorb_rows(object, rows).expect("a column partition")
-        }
-        RedoOp::RemoveTail { object, n } if column(aeu, object) == Some(true) => {
-            aeu.extract_tail_rows(object, n as usize);
         }
         _ => {
             return Err(RecoveryError::Corrupt(format!(

@@ -12,7 +12,7 @@
 //! ## File format
 //!
 //! ```text
-//! [8B magic "ERISWAL2"]
+//! [8B magic "ERISWAL3"]
 //! repeat:  [u32 len][u32 crc32(payload)][payload: len bytes]
 //! ```
 //!
@@ -37,7 +37,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::{self, Relaxed};
 use std::sync::Arc;
 
-pub const WAL_MAGIC: &[u8; 8] = b"ERISWAL2";
+pub const WAL_MAGIC: &[u8; 8] = b"ERISWAL3";
 
 /// Bytes buffered before a group commit flushes mid-step.  One AEU step
 /// normally commits once at `end_of_step`; this bounds memory when a
@@ -51,7 +51,6 @@ pub const MAX_RECORD_BYTES: u32 = 64 << 20;
 const TAG_CREATE: u8 = 1;
 const TAG_UPSERT_PAIRS: u8 = 2;
 const TAG_APPEND_ROWS: u8 = 3;
-const TAG_REMOVE_TAIL: u8 = 4;
 const TAG_BOUNDS: u8 = 5;
 
 /// Payload length of `op`'s record: exactly what [`encode_op`] writes.
@@ -63,7 +62,6 @@ fn encoded_len(op: &RedoOp<'_>) -> usize {
         RedoOp::AppendRows { rows: words, .. } | RedoOp::Bounds { bounds: words, .. } => {
             8 + 8 * words.len()
         }
-        RedoOp::RemoveTail { .. } => 8,
     }
 }
 
@@ -111,11 +109,6 @@ fn encode_op(op: &RedoOp<'_>, out: &mut [u8]) {
             }
         }
         RedoOp::AppendRows { object, rows } => put_words(&mut w, TAG_APPEND_ROWS, object, rows),
-        RedoOp::RemoveTail { object, n } => {
-            w.put(&[TAG_REMOVE_TAIL]);
-            w.put(&object.0.to_le_bytes());
-            w.put(&n.to_le_bytes());
-        }
         RedoOp::Bounds { object, bounds } => put_words(&mut w, TAG_BOUNDS, object, bounds),
     }
     debug_assert!(w.0.is_empty(), "encoded_len disagrees with encode_op");
@@ -244,10 +237,6 @@ pub fn decode_op<'a>(mut buf: &'a [u8], scratch: &'a mut DecodeBuf) -> Option<Re
                 },
             }
         }
-        TAG_REMOVE_TAIL => RedoOp::RemoveTail {
-            object: DataObjectId(take_u32(&mut buf)?),
-            n: take_u64(&mut buf)?,
-        },
         _ => return None,
     };
     buf.is_empty().then_some(op)
@@ -680,11 +669,6 @@ mod tests {
                     out.extend_from_slice(&r.to_le_bytes());
                 }
             }
-            RedoOp::RemoveTail { object, n } => {
-                out.push(TAG_REMOVE_TAIL);
-                out.extend_from_slice(&object.0.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
-            }
             RedoOp::Bounds { object, bounds } => {
                 out.push(TAG_BOUNDS);
                 out.extend_from_slice(&object.0.to_le_bytes());
@@ -746,9 +730,9 @@ mod tests {
                 object: DataObjectId(1),
                 pairs: big,
             },
-            RedoOp::RemoveTail {
+            RedoOp::AppendRows {
                 object: DataObjectId(2),
-                n: 2,
+                rows: &[2],
             },
         ]
     }
@@ -811,9 +795,9 @@ mod tests {
         let paths = [temp_path("sync-all-0"), temp_path("sync-all-1")];
         let wals = paths.iter().map(|p| Wal::open(p).unwrap()).collect();
         let sink = JournalSink::new(wals, Arc::new(FailPoints::new()));
-        let op = RedoOp::RemoveTail {
+        let op = RedoOp::AppendRows {
             object: DataObjectId(1),
-            n: 3,
+            rows: &[3],
         };
         sink.wals[0].inner.lock().file = File::open(&paths[0]).unwrap();
         sink.append(AeuId(0), op);
@@ -938,7 +922,10 @@ mod tests {
         let fail = FailPoints::new();
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append_payload(&[TAG_REMOVE_TAIL, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+            wal.append_op(&RedoOp::AppendRows {
+                object: DataObjectId(1),
+                rows: &[9],
+            });
             assert!(wal.flush(&fail, None) > 0);
         }
         let intact = std::fs::metadata(&path).unwrap().len();
@@ -960,9 +947,9 @@ mod tests {
     fn a_journal_torn_inside_its_magic_starts_over() {
         let path = temp_path("short-magic");
         std::fs::write(&path, &WAL_MAGIC[..4]).unwrap();
-        let op = RedoOp::RemoveTail {
+        let op = RedoOp::AppendRows {
             object: DataObjectId(1),
-            n: 3,
+            rows: &[3],
         };
         let wal = Wal::open(&path).unwrap();
         wal.append_op(&op);
@@ -974,12 +961,12 @@ mod tests {
 
     #[test]
     fn a_journal_with_another_magic_is_an_error_not_an_empty_log() {
-        let payload = encode(&RedoOp::RemoveTail {
+        let payload = encode(&RedoOp::AppendRows {
             object: DataObjectId(1),
-            n: 3,
+            rows: &[3],
         });
-        // An older format's log, and a file of nobody's.
-        for magic in [b"ERISWAL1", b"ERISWAL0"] {
+        // Older formats' logs, and a file of nobody's.
+        for magic in [b"ERISWAL2", b"ERISWAL1", b"ERISWAL0"] {
             let path = temp_path("foreign-magic");
             let mut bytes = magic.to_vec();
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -1046,9 +1033,9 @@ mod tests {
         let path = temp_path("cut");
         let fail = FailPoints::new();
         let wal = Wal::open(&path).unwrap();
-        let ops = [1, 2].map(|n| RedoOp::RemoveTail {
+        let ops = [1, 2].map(|n| RedoOp::AppendRows {
             object: DataObjectId(n),
-            n: n as u64,
+            rows: &[9],
         });
         wal.append_op(&ops[0]);
         wal.flush(&fail, None);

@@ -20,6 +20,7 @@
 
 use eris_column::scan::AggregateResult;
 use eris_core::prelude::*;
+use eris_core::PartitionData;
 use eris_durability::{
     Durability, FailPoints, RecoveryError, ALL_FAIL_POINTS, FP_CHECKPOINT_PARTIAL,
     FP_CHECKPOINT_PRE_MANIFEST, FP_JOURNAL_PRE_SYNC, FP_JOURNAL_TORN_WRITE, FP_RECOVERY_MID_REPLAY,
@@ -1004,4 +1005,226 @@ fn every_cut_of_a_cascade_cycle_recovers_the_bounds_before_or_after_it() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
+}
+
+/// Rows a column move test loads, nearly all onto AEU 0, before its move.
+const LOADED_ROWS: u64 = 100_000;
+/// Rounds of appends after the move; each round appends `ROUND_ROWS`
+/// distinct rows through each AEU.
+const ROUNDS: u64 = 4;
+const ROUND_ROWS: u64 = 1000;
+
+/// Two AEUs, the balancer enabled or not (a cycle only runs when asked).
+fn two_aeus(balancer: bool) -> Engine {
+    Engine::new(
+        eris_numa::machines::custom_machine("t2", 2, 1, 20.0, 100.0, 10.0, 60.0),
+        EngineConfig {
+            collect_results: true,
+            balancer: BalancerConfig {
+                enabled: balancer,
+                threshold_cv: 0.2,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+}
+
+/// Append each of `batches` to `col` as one command through `via`.
+fn append_rows<'a>(
+    e: &mut Engine,
+    col: DataObjectId,
+    via: AeuId,
+    batches: impl Iterator<Item = &'a [u64]>,
+) {
+    for batch in batches {
+        let append = DataCommand {
+            object: col,
+            ticket: 0,
+            payload: Payload::Upsert {
+                pairs: batch.iter().map(|&r| (0, r)).collect(),
+            },
+        };
+        e.submit(via, append).unwrap();
+    }
+}
+
+/// Each AEU's rows of column `col`.
+fn column_rows(e: &Engine, col: DataObjectId) -> Vec<Vec<u64>> {
+    let rows = |a: AeuId| {
+        let PartitionData::Column(c) = &e.aeu(a).partition(col).unwrap().data else {
+            panic!("a column partition")
+        };
+        let mut rows = Vec::new();
+        c.for_each_chunk(usize::MAX, |_, chunk| rows.extend_from_slice(chunk));
+        rows
+    };
+    e.aeu_ids().into_iter().map(rows).collect()
+}
+
+fn lens(rows: &[Vec<u64>]) -> Vec<usize> {
+    rows.iter().map(Vec::len).collect()
+}
+
+/// A column move test's run, up to its crash.
+struct ColumnRun {
+    dir: PathBuf,
+    col: DataObjectId,
+    /// Every row appended after the move, sorted.
+    appended: Vec<u64>,
+    /// Group commits made from the arming on.
+    commits: u64,
+    /// Each AEU's loaded rows where the durable state holds them: after
+    /// the load, or after the move once a checkpoint holds it.
+    placed: Vec<usize>,
+}
+
+/// Load `LOADED_ROWS` distinct rows and sync them, run one balancing
+/// cycle (it moves half of them to AEU 1), optionally take a checkpoint,
+/// then append `ROUNDS` rounds of distinct rows through both AEUs, one
+/// group commit per AEU and round.  `crash` is armed right before the
+/// move.
+fn move_column_rows(tag: &str, checkpoint: bool, crash: Option<(&'static str, u64)>) -> ColumnRun {
+    let dir = temp_dir(tag);
+    let fail = Arc::new(FailPoints::new());
+    let mut dura = Durability::open_with(&dir, 2, fail.clone()).unwrap();
+    let mut e = two_aeus(false);
+    dura.attach(&mut e);
+    let col = e.create_column("events");
+    // Appends are dealt round-robin, one command to each AEU in turn (to
+    // AEU 1 first): one-row commands between 8 Ki-row ones load AEU 0.
+    let load: Vec<u64> = (0..LOADED_ROWS).collect();
+    for chunk in load.chunks(1 << 13) {
+        let (one, rest) = chunk.split_at(1);
+        append_rows(&mut e, col, AeuId(0), [one, rest].into_iter());
+    }
+    e.run_until_drained();
+    let loaded = lens(&column_rows(&e, col));
+    assert!(loaded[1] < 100, "{tag}: the load is on AEU 0: {loaded:?}");
+    let fsyncs = e.telemetry().totals.journal_fsyncs;
+    if let Some((fp, survive)) = crash {
+        fail.arm(fp, survive);
+    }
+    e.run_balancer();
+    let moved = lens(&column_rows(&e, col));
+    assert!(
+        moved[0].abs_diff(moved[1]) <= 1,
+        "{tag}: the move: {moved:?}"
+    );
+    if checkpoint {
+        dura.checkpoint(&mut e).unwrap();
+    }
+    let mut appended = Vec::new();
+    for round in 0..ROUNDS {
+        for a in e.aeu_ids() {
+            let first = LOADED_ROWS + (2 * round + a.0 as u64) * ROUND_ROWS;
+            let rows: Vec<u64> = (first..first + ROUND_ROWS).collect();
+            append_rows(&mut e, col, a, std::iter::once(&rows[..]));
+            appended.extend(rows);
+        }
+        e.run_until_drained();
+    }
+    assert_eq!(fail.crashed(), crash.is_some(), "{tag}");
+    ColumnRun {
+        dir,
+        col,
+        appended,
+        commits: e.telemetry().totals.journal_fsyncs - fsyncs,
+        placed: if checkpoint { moved } else { loaded },
+    }
+}
+
+/// Recover `run`'s column and check it: every loaded row once, where
+/// `run.placed` says, no row twice and none that was not appended, and
+/// `Count`/`Sum` scans that agree with the rows.  Returns the engine and
+/// every recovered row, sorted.
+fn recover_column(cut: &str, run: &ColumnRun, balancer: bool) -> (Engine, Vec<u64>) {
+    let mut r = two_aeus(balancer);
+    Durability::recover(&mut r, &run.dir).unwrap();
+    let per_aeu = column_rows(&r, run.col);
+    let loaded = |rows: &Vec<u64>| rows.iter().filter(|&&v| v < LOADED_ROWS).count();
+    let placed: Vec<usize> = per_aeu.iter().map(loaded).collect();
+    let n = placed.iter().sum::<usize>();
+    assert_eq!(n, LOADED_ROWS as usize, "{cut}: rows of the load recovered");
+    let mut rows: Vec<u64> = per_aeu.concat();
+    rows.sort_unstable();
+    assert!(rows.windows(2).all(|w| w[0] < w[1]), "{cut}: a row twice");
+    let appended = |v: &u64| run.appended.binary_search(v).is_ok();
+    let tail = &rows[LOADED_ROWS as usize..];
+    assert!(tail.iter().all(appended), "{cut}: a row never appended");
+    assert_eq!(placed, run.placed, "{cut}: where the loaded rows came back");
+    for (ticket, agg, want) in [
+        (
+            1,
+            Aggregate::Count,
+            AggregateResult::Count(rows.len() as u64),
+        ),
+        (2, Aggregate::Sum, AggregateResult::Sum(rows.iter().sum())),
+    ] {
+        let scan = DataCommand {
+            object: run.col,
+            ticket,
+            payload: Payload::Scan {
+                pred: Predicate::All,
+                agg,
+                snapshot: u64::MAX,
+            },
+        };
+        r.submit(AeuId(0), scan).unwrap();
+        r.run_until_drained();
+        assert_eq!(r.results().combine_scan(ticket), Some(want), "{cut}: scan");
+    }
+    (r, rows)
+}
+
+#[test]
+fn column_move_recovery_brings_each_row_back_once_at_every_cut() {
+    // A column move journals nothing: each row stays durable on the log
+    // (or checkpoint part) of the AEU that last held it there.  A crash
+    // at any group commit from the move on, torn or before its sync, and
+    // one after the last sync, recover every loaded row exactly once, on
+    // AEU 0 (the move undone) or, with a checkpoint taken after the move,
+    // where the move put it.
+    for checkpoint in [false, true] {
+        let tag = if checkpoint { "moved-ckpt" } else { "moved" };
+        let synced = move_column_rows(tag, checkpoint, None);
+        let commits = synced.commits;
+        assert!(commits >= 2 * ROUNDS, "{tag}: {commits} group commits");
+        for visit in 0..commits {
+            for fp in [FP_JOURNAL_TORN_WRITE, FP_JOURNAL_PRE_SYNC] {
+                let cut = format!("{tag}: {fp} at group commit {visit} of {commits}");
+                let run = move_column_rows(tag, checkpoint, Some((fp, visit)));
+                recover_column(&cut, &run, false);
+                std::fs::remove_dir_all(&run.dir).unwrap();
+            }
+        }
+        let cut = format!("{tag}: after the last sync");
+        let (_, rows) = recover_column(&cut, &synced, false);
+        let all = rows.len() == LOADED_ROWS as usize + synced.appended.len();
+        assert!(all, "{cut}: every synced row, {} rows", rows.len());
+        std::fs::remove_dir_all(&synced.dir).unwrap();
+    }
+}
+
+#[test]
+fn a_column_levels_again_after_recovery_undid_its_move() {
+    // Recovery brings the moved rows back to their donor; one cycle of
+    // the enabled balancer levels the partitions again, within
+    // `column_balancer_equalizes_sizes`' bound, and loses no row.
+    let run = move_column_rows("relevel", false, None);
+    let (mut r, rows) = recover_column("recovered without the move", &run, true);
+    let undone = lens(&column_rows(&r, run.col));
+    assert!(undone[0] > 2 * undone[1], "the move was undone: {undone:?}");
+    r.run_balancer();
+    let per_aeu = column_rows(&r, run.col);
+    let levelled = lens(&per_aeu);
+    let (max, min) = (levelled.iter().max(), levelled.iter().min());
+    assert!(
+        max.unwrap() - min.unwrap() <= rows.len() / 4,
+        "{levelled:?}"
+    );
+    let mut after = per_aeu.concat();
+    after.sort_unstable();
+    assert!(after == rows, "no row lost or duplicated");
+    std::fs::remove_dir_all(&run.dir).unwrap();
 }
