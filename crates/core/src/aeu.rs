@@ -8,7 +8,8 @@
 //! is the only writer of its partitions.
 
 use crate::command::{
-    AeuId, CommandRef, CommandView, DataCommand, DataObjectId, Payload, PointItem, StorageOp,
+    encode_point_header, encode_trace_marker, AeuId, CommandRef, CommandView, DataCommand,
+    DataObjectId, PointItem, StorageOp,
 };
 use crate::cost::{expected_tree_misses, CostParams};
 use crate::durability::{RedoOp, RedoSink};
@@ -55,20 +56,22 @@ fn count_mine<T: PointItem>(items: &[u8], (lo, hi): (u64, u64)) -> usize {
 
 /// Split the encoded `items` of a command carrying strays: those whose
 /// key the validity range `[lo, hi)` contains are appended to `mine`, the
-/// strays are returned.  Mid-migration only — a command straddling a
-/// moved boundary.
-fn split_strays<T: PointItem>(items: &[u8], (lo, hi): (u64, u64), mine: &mut Vec<T>) -> Vec<T> {
-    let mut stray = Vec::new();
+/// strays to `strays`, after the sub-command header the caller wrote
+/// there.  Mid-migration only — a command straddling a moved boundary.
+fn split_strays<T: PointItem>(
+    items: &[u8],
+    (lo, hi): (u64, u64),
+    mine: &mut Vec<T>,
+    strays: &mut Vec<u8>,
+) {
     for item in T::decode_items(items) {
-        // ALLOC-OK: `mine` is the reused gather buffer; the strays ride
-        // out as an owned payload.
         if range_contains(lo, hi, item.key()) {
+            // ALLOC-OK: `mine` is the reused gather buffer.
             mine.push(item);
         } else {
-            stray.push(item);
+            item.put(strays);
         }
     }
-    stray
 }
 
 /// The `(ticket, point operations)` of a command inside a group run.
@@ -472,19 +475,25 @@ impl Aeu {
         });
     }
 
-    /// Forward a stray command, preserving an attached trace stamp with
-    /// its hop count bumped (the stamp's journey continues at the new
-    /// owner).  No fresh sampling happens on this path.
+    /// Forward a stray command as its encoding, preserving an attached
+    /// trace stamp with its hop count bumped (the stamp's journey
+    /// continues at the new owner).  No fresh sampling happens on this
+    /// path.
     // HOT-PATH-CUT: rebalancing slow path — a command that landed on
     // the wrong AEU mid-migration is re-routed; rare by construction.
-    fn forward_stray(&mut self, cmd: DataCommand, stamp: Option<TraceStamp>, w: &mut WorkSummary) {
+    fn forward_stray(
+        &mut self,
+        cmd: CommandRef<'_>,
+        stamp: Option<TraceStamp>,
+        w: &mut WorkSummary,
+    ) {
         let stamp = stamp.map(|s| TraceStamp {
             hops: s.hops + 1,
             ..s
         });
         let fl = self
             .router
-            .route_traced(cmd, stamp)
+            .route_forwarded(&cmd, stamp)
             .expect("internally produced command targets a registered object");
         charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
     }
@@ -596,29 +605,53 @@ impl Aeu {
         self.pending_ns += ns;
     }
 
-    /// Route one command through this AEU's routing front end — for an
-    /// external client ([`crate::Engine::submit`]), or one this AEU's
-    /// generator produced — charging `w` CPU per emitted sub-command (the
-    /// batch target lookup + encode of routing step 1) and the flush
-    /// costs.  A `stamp` born at the serving layer's frame decode rides
-    /// along (full-path tracing: `(tenant, conn, seq)` and the
-    /// net-queue/admission spans); without one the router's sampler
-    /// decides.  Returns the number of sub-commands enqueued.
-    // HOT-PATH-ROOT: routing step 1 for every submitted or generated
-    // command: partition-table split, outgoing buffers, threshold flushes.
+    /// Route one checked command through this AEU's routing front end —
+    /// a served one ([`crate::Engine::submit_view`]) — charging `w` CPU
+    /// per emitted sub-command (the batch target lookup + encode of
+    /// routing step 1) and the flush costs.  A `stamp` born at the
+    /// serving layer's frame decode rides along (full-path tracing:
+    /// `(tenant, conn, seq)` and the net-queue/admission spans); without
+    /// one the router's sampler decides.  Returns the number of
+    /// sub-commands enqueued.
+    // HOT-PATH-ROOT: routing step 1 for every served command:
+    // partition-table split, outgoing buffers, threshold flushes.
     pub fn route_external(
         &mut self,
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
         w: &mut WorkSummary,
     ) -> Result<u64, RoutingError> {
-        let keys = cmd.op_count();
-        let (fl, emitted) = self.router.route_counted(&cmd, stamp)?;
+        let routed = self.router.route_counted(&cmd, stamp)?;
+        Ok(self.charge_routed(cmd.op_count(), routed, w))
+    }
+
+    /// Route an owned command — one [`crate::Engine::submit`] takes, or
+    /// one this AEU's generator produced — as [`Aeu::route_external`]
+    /// routes a checked one, encoding it once.
+    // HOT-PATH-ROOT: routing step 1 for every submitted or generated
+    // command.
+    pub(crate) fn route_command(
+        &mut self,
+        cmd: &DataCommand,
+        w: &mut WorkSummary,
+    ) -> Result<u64, RoutingError> {
+        let routed = self.router.route_command(cmd)?;
+        Ok(self.charge_routed(cmd.payload.op_count(), routed, w))
+    }
+
+    /// Charge `w` for a command of `keys` operations routed as `emitted`
+    /// sub-commands with the flushes `fl`; returns `emitted`.
+    fn charge_routed(
+        &self,
+        keys: u64,
+        (fl, emitted): (Vec<FlushInfo>, u64),
+        w: &mut WorkSummary,
+    ) -> u64 {
         w.cpu_ns += emitted.max(1) as f64 * self.cfg.params.cpu_ns_per_routed_cmd
             + keys as f64 * self.cfg.params.cpu_ns_per_routed_key;
         w.ops.commands_routed += 1;
         charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
-        Ok(emitted)
+        emitted
     }
 
     /// Append `rows` to `col`, provisioning fresh segments homed on `node`
@@ -796,13 +829,14 @@ impl Aeu {
 
         // Stage 0: command generation (the workload's per-AEU traffic).
         if let Some(gen) = &mut self.generator {
-            self.scratch_gen.clear();
-            gen(self.epoch, &mut self.scratch_gen);
-            let gen_cmds: Vec<DataCommand> = self.scratch_gen.drain(..).collect();
-            for cmd in gen_cmds {
-                self.route_external(CommandRef::Owned(cmd), None, &mut w)
+            let mut cmds = std::mem::take(&mut self.scratch_gen);
+            gen(self.epoch, &mut cmds);
+            for cmd in &cmds {
+                self.route_command(cmd, &mut w)
                     .expect("a generated command is routable");
             }
+            cmds.clear();
+            self.scratch_gen = cmds;
             let now = now_ns();
             phase_ns[Phase::Route as usize] += now.saturating_sub(mark);
             mark = now;
@@ -1003,12 +1037,31 @@ impl Aeu {
     ) {
         for v in cmds {
             w.ops.forwarded += v.op_count();
-            self.forward_stray(v.to_command(region), v.stamp, w);
+            self.forward_stray(v.command_in(region), v.stamp, w);
         }
         self.emit(TraceEvent::ForwardedStray {
             object: object.0,
             count: cmds.len() as u32,
         });
+    }
+
+    /// Forward the sub-commands of a point group's strays, encoded back to
+    /// back in `strays` (each behind its trace marker when it carries the
+    /// command's stamp), charging routing CPU per item.
+    // HOT-PATH-CUT: rebalancing slow path, as `forward_stray`.
+    fn forward_strays(&mut self, object: DataObjectId, strays: &[u8], w: &mut WorkSummary) {
+        let mut views = Vec::new();
+        CommandView::decode_all(strays, &mut views);
+        let items: u64 = views.iter().map(CommandView::op_count).sum();
+        self.emit(TraceEvent::ForwardedStray {
+            object: object.0,
+            count: items as u32,
+        });
+        for v in views {
+            w.ops.forwarded += v.op_count();
+            w.cpu_ns += v.op_count() as f64 * self.cfg.params.cpu_ns_per_routed_cmd;
+            self.forward_stray(v.command_in(strays), v.stamp, w);
+        }
     }
 
     /// Execute one group of point commands on the local index or hash
@@ -1036,7 +1089,8 @@ impl Aeu {
             cost.cpu_ns += params.cpu_ns_per_upsert;
         }
         let mut tally = PointTally::default();
-        let mut strays: Vec<(u64, Vec<T>, Option<TraceStamp>)> = Vec::new();
+        // The strays' sub-commands, encoded back to back.
+        let mut strays: Vec<u8> = Vec::new();
         // Group execution: the items of consecutive all-mine commands are
         // gathered and handed to ONE batched kernel call, so the kernels'
         // prefetched descent sees the group, not 1-key commands one at a
@@ -1072,13 +1126,15 @@ impl Aeu {
             self.point_run(object, run, &gathered, cost, &mut tally, w);
             gathered.clear();
             run_from = i + 1;
-            let stray = split_strays(items, range, &mut gathered);
+            // The strays ride out as one sub-command to their new owner.
+            if let Some(s) = v.stamp.filter(|_| fully_stray) {
+                encode_trace_marker(object, s, &mut strays);
+            }
+            encode_point_header::<T>(object, v.ticket, n - mine, &mut strays);
+            split_strays(items, range, &mut gathered, &mut strays);
             let one = std::iter::once((v.ticket, gathered.len()));
             self.point_run(object, one, &gathered, cost, &mut tally, w);
             gathered.clear();
-            // ALLOC-OK: strays ride out as owned payloads to their new
-            // owner; the vector drains at the end of the group.
-            strays.push((v.ticket, stray, if fully_stray { v.stamp } else { None }));
         }
         let run = cmds.iter().skip(run_from).map(command_extent);
         self.point_run(object, run, &gathered, cost, &mut tally, w);
@@ -1092,21 +1148,7 @@ impl Aeu {
             p.exec_ns += tally.exec_ns;
         }
         if !strays.is_empty() {
-            let stray_items: u64 = strays.iter().map(|(_, s, _)| s.len() as u64).sum();
-            self.emit(TraceEvent::ForwardedStray {
-                object: object.0,
-                count: stray_items as u32,
-            });
-        }
-        for (ticket, items, stamp) in strays {
-            w.ops.forwarded += items.len() as u64;
-            w.cpu_ns += items.len() as f64 * params.cpu_ns_per_routed_cmd;
-            let cmd = DataCommand {
-                object,
-                ticket,
-                payload: T::payload(items),
-            };
-            self.forward_stray(cmd, stamp, w);
+            self.forward_strays(object, &strays, w);
         }
         gathered
     }
@@ -1231,14 +1273,10 @@ impl Aeu {
                 let mut shared = SharedScan::new();
                 for v in cmds {
                     // BOUNDS: dispatch invariant — process_group groups by op, so
-                    // every payload in this batch is a Scan; registration into the
-                    // shared sweep allocates per command (ALLOC-OK, fused batch).
-                    let Payload::Scan {
-                        pred,
-                        agg,
-                        snapshot,
-                    } = v.to_command(region).payload
-                    else {
+                    // every command in this batch is a scan, which the intake
+                    // read whole; registration into the shared sweep allocates
+                    // per command (ALLOC-OK, fused batch).
+                    let Ok((pred, agg, snapshot)) = v.command_in(region).scan_params() else {
                         unreachable!()
                     };
                     shared.add(pred, snapshot.min(col.len() as u64) as usize, agg);
@@ -1283,7 +1321,7 @@ impl Aeu {
                 let mut total_rows = 0u64;
                 for cmd in cmds {
                     // BOUNDS: dispatch invariant, as the column branch above.
-                    let Payload::Scan { pred, agg, .. } = cmd.to_command(region).payload else {
+                    let Ok((pred, agg, _)) = cmd.command_in(region).scan_params() else {
                         unreachable!()
                     };
                     let mut count = 0u64;

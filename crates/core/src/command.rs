@@ -123,9 +123,6 @@ pub trait PointItem: Copy {
     /// The key that places the item in a partition.
     fn key(self) -> u64;
 
-    /// A payload of [`Self::OP`] carrying `items`.
-    fn payload(items: Vec<Self>) -> Payload;
-
     /// Append the item's encoding to `out`.
     fn put(self, out: &mut Vec<u8>);
 
@@ -141,10 +138,6 @@ impl PointItem for u64 {
     #[inline]
     fn key(self) -> u64 {
         self
-    }
-
-    fn payload(keys: Vec<u64>) -> Payload {
-        Payload::Lookup { keys }
     }
 
     #[inline]
@@ -171,10 +164,6 @@ impl PointItem for (u64, u64) {
     #[inline]
     fn key(self) -> u64 {
         self.0
-    }
-
-    fn payload(pairs: Vec<(u64, u64)>) -> Payload {
-        Payload::Upsert { pairs }
     }
 
     #[inline]
@@ -258,7 +247,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 #[inline]
-fn take_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
+fn next_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
     if buf.is_empty() {
         return Err(DecodeError::Truncated);
     }
@@ -266,7 +255,7 @@ fn take_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
 }
 
 #[inline]
-fn take_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+fn next_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
     if buf.len() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -274,7 +263,7 @@ fn take_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
 }
 
 #[inline]
-fn take_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+fn next_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
     if buf.len() < 8 {
         return Err(DecodeError::Truncated);
     }
@@ -289,14 +278,6 @@ impl DataCommand {
 
     /// Append the wire encoding to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let op = self.payload.op();
-        let header = |out: &mut Vec<u8>| {
-            // ALLOC-OK: serializes into the caller's reusable outgoing
-            // buffer; one exact reserve, steady state writes in place.
-            out.reserve(self.encoded_len());
-            let plen = payload_len(&self.payload);
-            encode_header(StorageOp::tag(op), self.object, self.ticket, plen, out);
-        };
         match &self.payload {
             Payload::Lookup { keys } => {
                 encode_point_header::<u64>(self.object, self.ticket, keys.len(), out);
@@ -311,7 +292,11 @@ impl DataCommand {
                 agg,
                 snapshot,
             } => {
-                header(out);
+                // ALLOC-OK: one exact reserve into the caller's reusable
+                // buffer; steady state writes in place.
+                out.reserve(self.encoded_len());
+                let plen = payload_len(&self.payload);
+                encode_header(OP_SCAN, self.object, self.ticket, plen, out);
                 encode_pred(out, pred);
                 out.put_u8(match agg {
                     Aggregate::Count => AGG_COUNT,
@@ -341,34 +326,34 @@ impl DataCommand {
         let mut body = &cur[..plen];
         let payload = match op {
             OP_LOOKUP => {
-                let n = take_u32(&mut body)? as usize;
+                let n = next_u32(&mut body)? as usize;
                 // Cap the pre-allocation by what the body can actually
                 // hold, so a corrupt count cannot demand gigabytes.
                 let mut keys = Vec::with_capacity(n.min(body.len() / 8));
                 for _ in 0..n {
-                    keys.push(take_u64(&mut body)?);
+                    keys.push(next_u64(&mut body)?);
                 }
                 Payload::Lookup { keys }
             }
             OP_UPSERT => {
-                let n = take_u32(&mut body)? as usize;
+                let n = next_u32(&mut body)? as usize;
                 let mut pairs = Vec::with_capacity(n.min(body.len() / 16));
                 for _ in 0..n {
-                    let k = take_u64(&mut body)?;
-                    let v = take_u64(&mut body)?;
+                    let k = next_u64(&mut body)?;
+                    let v = next_u64(&mut body)?;
                     pairs.push((k, v));
                 }
                 Payload::Upsert { pairs }
             }
             OP_SCAN => {
                 let pred = decode_pred(&mut body)?;
-                let agg = match take_u8(&mut body)? {
+                let agg = match next_u8(&mut body)? {
                     AGG_COUNT => Aggregate::Count,
                     AGG_SUM => Aggregate::Sum,
                     AGG_MINMAX => Aggregate::MinMax,
                     t => return Err(DecodeError::UnknownAggregate(t)),
                 };
-                let snapshot = take_u64(&mut body)?;
+                let snapshot = next_u64(&mut body)?;
                 Payload::Scan {
                     pred,
                     agg,
@@ -391,40 +376,18 @@ impl DataCommand {
         })
     }
 
-    /// Decode one command from the front of `buf`, advancing it.
-    ///
-    /// # Panics
-    /// On a malformed buffer — routing buffers are process-internal, so
-    /// corruption there is a logic error, not an input error.  External
-    /// input (journal replay) goes through [`DataCommand::try_decode`].
-    pub fn decode(buf: &mut &[u8]) -> DataCommand {
-        match DataCommand::try_decode(buf) {
-            Ok(cmd) => cmd,
-            Err(e) => panic!("malformed command buffer: {e}"),
+    /// Encode the command into `out`, which is cleared first, and return
+    /// the encoding as a checked command.  The routing front end routes
+    /// an owned command this way, through one reused buffer.
+    pub(crate) fn encode_checked<'a>(&self, out: &'a mut Vec<u8>) -> CommandRef<'a> {
+        out.clear();
+        self.encode(out);
+        CommandRef {
+            object: self.object,
+            ticket: self.ticket,
+            op: self.payload.op(),
+            bytes: out,
         }
-    }
-
-    /// Decode every command in a filled buffer region.  Trace markers
-    /// are skipped (their stamps dropped); callers that consume stamps
-    /// use [`DataCommand::decode_all_traced`].
-    pub fn decode_all(buf: &[u8]) -> Vec<DataCommand> {
-        DataCommand::decode_all_traced(buf)
-            .into_iter()
-            .map(|(cmd, _)| cmd)
-            .collect()
-    }
-
-    /// Decode every command in a filled buffer region, attaching each
-    /// in-band trace marker to the command that follows it.
-    ///
-    /// A marker always immediately precedes its command: the router
-    /// appends the pair in one call and flushes copy whole buffers, so a
-    /// marker at the very end of a region (no following command) is a
-    /// logic error and panics like any other malformed internal buffer.
-    pub fn decode_all_traced(buf: &[u8]) -> Vec<(DataCommand, Option<TraceStamp>)> {
-        let mut views = Vec::new();
-        CommandView::decode_all(buf, &mut views);
-        views.iter().map(|v| (v.to_command(buf), v.stamp)).collect()
     }
 }
 
@@ -436,18 +399,27 @@ fn encode_header(op: u8, object: DataObjectId, ticket: u64, plen: usize, out: &m
     out.put_u32_le(plen as u32);
 }
 
+/// Read the record header [`encode_header`] writes at the front of `buf`:
+/// the op tag, object, ticket and payload length.
+fn read_header(buf: &[u8]) -> Result<(u8, DataObjectId, u64, usize), DecodeError> {
+    let Some(mut cur) = buf.get(..HEADER_BYTES) else {
+        return Err(DecodeError::Truncated);
+    };
+    let op = cur.get_u8();
+    let object = DataObjectId(cur.get_u32_le());
+    let ticket = cur.get_u64_le();
+    Ok((op, object, ticket, cur.get_u32_le() as usize))
+}
+
 /// The longest run of whole commands at the front of the encoded records
 /// `buf` that is at most `max` bytes long — or the first command alone
 /// when even it is longer — with each trace marker kept with the command
 /// after it.  Returns the run's length in bytes and its command count.
 pub(crate) fn whole_commands_within(buf: &[u8], max: usize) -> (usize, u64) {
     let (mut at, mut run, mut commands) = (0, 0, 0);
-    while let Some(header) = buf.get(at..at + HEADER_BYTES) {
-        // BOUNDS: `get` returned a whole header: the op is its first
-        // byte, the payload length its last four.
-        let plen = u32::from_le_bytes([header[13], header[14], header[15], header[16]]);
-        at += HEADER_BYTES + plen as usize;
-        if header[0] == OP_TRACE {
+    while let Some(Ok((op, _, _, plen))) = buf.get(at..).map(read_header) {
+        at += HEADER_BYTES + plen;
+        if op == OP_TRACE {
             continue;
         }
         if at > max && commands > 0 {
@@ -476,120 +448,74 @@ pub(crate) fn encode_point_header<T: PointItem>(
     out.put_u32_le(n as u32);
 }
 
-/// A point command (a lookup or an upsert) checked where it lies in its
-/// encoding, such as a serving-layer frame payload.  Routing reads its
-/// items in place and copies the encoding unchanged to a single owner,
-/// so it is never decoded into an owned [`DataCommand`].
+/// Elementary storage operations a payload of `plen` bytes carries, as
+/// [`Payload::op_count`].
+fn op_count(op: StorageOp, plen: usize) -> u64 {
+    let items = plen.saturating_sub(4) as u64;
+    match op {
+        StorageOp::Lookup => items / u64::BYTES as u64,
+        StorageOp::Upsert => items / <(u64, u64)>::BYTES as u64,
+        StorageOp::Scan => 1,
+    }
+}
+
+/// A command checked where it lies in its encoding: a serving-layer
+/// frame payload, an owned command encoded once, or a command in a
+/// routing-buffer region.  Routing reads a point command's items and a
+/// scan's predicate from the bytes and copies them unchanged to each
+/// owner, so a command is never decoded into an owned [`DataCommand`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointView<'a> {
-    object: DataObjectId,
-    ticket: u64,
-    /// `Lookup` or `Upsert`.
-    op: StorageOp,
-    /// The whole encoding: header, item count, items.
-    bytes: &'a [u8],
-}
-
-impl<'a> PointView<'a> {
-    pub(crate) fn object(&self) -> DataObjectId {
-        self.object
-    }
-
-    pub(crate) fn ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// `StorageOp::Lookup` or `StorageOp::Upsert`.
-    pub(crate) fn op(&self) -> StorageOp {
-        self.op
-    }
-
-    /// The command's encoding, header first.
-    pub(crate) fn encoded(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// The encoded items, back to back (see [`PointItem::decode_items`]).
-    pub(crate) fn item_bytes(&self) -> &'a [u8] {
-        self.bytes.get(HEADER_BYTES + 4..).unwrap_or(&[])
-    }
-
-    /// Elementary storage operations carried, as [`Payload::op_count`].
-    pub(crate) fn op_count(&self) -> u64 {
-        let size = match self.op {
-            StorageOp::Upsert => <(u64, u64)>::BYTES,
-            _ => u64::BYTES,
-        };
-        (self.item_bytes().len() / size) as u64
-    }
-}
-
-/// A command handed to the engine: a point command read in place from
-/// its encoding, or an owned command.  Both route through one path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommandRef<'a> {
-    Point(PointView<'a>),
-    Owned(DataCommand),
+pub struct CommandRef<'a> {
+    pub(crate) object: DataObjectId,
+    pub(crate) ticket: u64,
+    pub(crate) op: StorageOp,
+    /// The whole encoding: header, then payload.
+    pub(crate) bytes: &'a [u8],
 }
 
 impl<'a> CommandRef<'a> {
     /// Check that `bytes` hold exactly one command: accepted and rejected
     /// exactly as [`DataCommand::try_decode`] decodes them with nothing
-    /// left over.  A point command is checked in place and borrowed; a
-    /// scan is decoded.  Bytes after the command are reported as
+    /// left over.  Bytes after the command are reported as
     /// [`DecodeError::TrailingPayloadBytes`] of the whole input.
     pub fn check(bytes: &'a [u8]) -> Result<CommandRef<'a>, DecodeError> {
         let mut rest = bytes;
-        let point = matches!(
-            bytes.first().copied().and_then(StorageOp::from_tag),
-            Some(StorageOp::Lookup | StorageOp::Upsert)
-        );
-        let cmd = if point {
-            // The view reader checks the header, the declared length and
-            // the item count the way the owned decoder does.
-            let v = CommandView::try_read(&mut rest, 0, None)?;
-            CommandRef::Point(PointView {
-                object: v.object,
-                ticket: v.ticket,
-                op: v.op,
-                bytes: bytes.get(..bytes.len() - rest.len()).unwrap_or(&[]),
-            })
-        } else {
-            CommandRef::Owned(DataCommand::try_decode(&mut rest)?)
-        };
+        let v = CommandView::try_read(&mut rest, 0, None)?;
         if !rest.is_empty() {
             return Err(DecodeError::TrailingPayloadBytes {
                 declared: bytes.len() as u32,
                 consumed: (bytes.len() - rest.len()) as u32,
             });
         }
-        Ok(cmd)
+        Ok(v.command_in(bytes))
     }
 
-    /// The data object the command targets.
-    pub(crate) fn object(&self) -> DataObjectId {
-        match self {
-            CommandRef::Point(v) => v.object,
-            CommandRef::Owned(cmd) => cmd.object,
+    /// The encoded items of a point command of `T`'s operation — whole
+    /// items, back to back (see [`PointItem::decode_items`]); empty for
+    /// another operation's command.
+    pub(crate) fn items<T: PointItem>(&self) -> &'a [u8] {
+        match self.op == T::OP {
+            true => self.bytes.get(HEADER_BYTES + 4..).unwrap_or(&[]),
+            false => &[],
         }
+    }
+
+    /// A scan's predicate, aggregate and snapshot.
+    pub(crate) fn scan_params(&self) -> Result<(Predicate, Aggregate, u64), DecodeError> {
+        read_scan(self.bytes.get(HEADER_BYTES..).unwrap_or(&[]))
     }
 
     /// Elementary storage operations carried, as [`Payload::op_count`].
     pub fn op_count(&self) -> u64 {
-        match self {
-            CommandRef::Point(v) => v.op_count(),
-            CommandRef::Owned(cmd) => cmd.payload.op_count(),
-        }
+        op_count(self.op, self.bytes.len().saturating_sub(HEADER_BYTES))
     }
 }
 
 /// A command read in place from a routing-buffer region: its header
-/// fields, the stamp of the trace marker before it, and where its
-/// payload lies in the region.  The AEU groups and executes point
-/// commands on views, reading their items straight from the region
-/// ([`CommandView::items`]); [`CommandView::to_command`] decodes the
-/// owned form for the few commands that need one (forwarded strays and
-/// scan-shaped payloads).
+/// fields, the stamp of the trace marker before it, and where it lies in
+/// the region.  The AEU groups commands on views and reads each one's
+/// items, predicate or encoding from the region through
+/// [`CommandView::command_in`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CommandView {
     pub object: DataObjectId,
@@ -605,8 +531,7 @@ pub(crate) struct CommandView {
 impl CommandView {
     /// Read every command of a filled routing-buffer region into `out`,
     /// attaching each trace marker's stamp to the command that follows
-    /// it.  A point payload is checked to hold exactly its item count; a
-    /// scan-shaped one is decoded only by [`CommandView::to_command`].
+    /// it.  Each payload is checked as [`CommandRef::check`] checks it.
     ///
     /// # Panics
     /// On a malformed region, a dangling trace marker included: routing
@@ -636,32 +561,30 @@ impl CommandView {
         }
     }
 
-    /// Read the command header at the front of `buf` (at offset `at` of
-    /// its region) and step over the payload.
+    /// Read and check the command at the front of `buf` (at offset `at`
+    /// of its region) and step over it: a point payload must hold exactly
+    /// its item count, a scan payload its predicate, aggregate and
+    /// snapshot.
     fn try_read(
         buf: &mut &[u8],
         at: usize,
         stamp: Option<TraceStamp>,
     ) -> Result<CommandView, DecodeError> {
-        if buf.len() < HEADER_BYTES {
-            return Err(DecodeError::Truncated);
-        }
-        let mut cur = *buf;
-        let tag = cur.get_u8();
+        let (tag, object, ticket, plen) = read_header(buf)?;
         let op = StorageOp::from_tag(tag).ok_or(DecodeError::UnknownOp(tag))?;
-        let object = DataObjectId(cur.get_u32_le());
-        let ticket = cur.get_u64_le();
-        let plen = cur.get_u32_le() as usize;
-        if cur.len() < plen {
+        let Some(payload) = buf.get(HEADER_BYTES..HEADER_BYTES + plen) else {
             return Err(DecodeError::Truncated);
-        }
-        let item_bytes = match op {
-            StorageOp::Lookup => Some(u64::BYTES),
-            StorageOp::Upsert => Some(<(u64, u64)>::BYTES),
-            _ => None,
         };
-        if let Some(item_bytes) = item_bytes {
-            let n = take_u32(&mut &cur[..plen])? as usize;
+        let item_bytes = match op {
+            StorageOp::Lookup => u64::BYTES,
+            StorageOp::Upsert => <(u64, u64)>::BYTES,
+            StorageOp::Scan => {
+                read_scan(payload)?;
+                0
+            }
+        };
+        if item_bytes > 0 {
+            let n = next_u32(&mut { payload })? as usize;
             let want = 4 + n * item_bytes;
             if plen != want {
                 return Err(if plen < want {
@@ -674,7 +597,7 @@ impl CommandView {
                 });
             }
         }
-        *buf = &cur[plen..];
+        *buf = buf.get(HEADER_BYTES + plen..).unwrap_or(&[]);
         Ok(CommandView {
             object,
             ticket,
@@ -685,41 +608,27 @@ impl CommandView {
         })
     }
 
-    /// The payload bytes, from the region the view was read from.
-    pub fn payload<'a>(&self, region: &'a [u8]) -> &'a [u8] {
-        let from = self.at + HEADER_BYTES;
-        region.get(from..from + self.plen).unwrap_or(&[])
+    /// The command, read from the region the view was read from.
+    pub fn command_in<'a>(&self, region: &'a [u8]) -> CommandRef<'a> {
+        CommandRef {
+            object: self.object,
+            ticket: self.ticket,
+            op: self.op,
+            bytes: region
+                .get(self.at..self.at + HEADER_BYTES + self.plen)
+                .unwrap_or(&[]),
+        }
     }
 
-    /// The encoded items of a point command of `T`'s operation — whole
-    /// items, back to back (see [`PointItem::decode_items`]); empty for
-    /// another operation's command.
+    /// The encoded items of a point command of `T`'s operation, from the
+    /// region the view was read from (see [`CommandRef::items`]).
     pub fn items<'a, T: PointItem>(&self, region: &'a [u8]) -> &'a [u8] {
-        if self.op != T::OP {
-            return &[];
-        }
-        self.payload(region).get(4..).unwrap_or(&[])
+        self.command_in(region).items::<T>()
     }
 
     /// Elementary storage operations carried, as [`Payload::op_count`].
     pub fn op_count(&self) -> u64 {
-        let items = self.plen.saturating_sub(4) as u64;
-        match self.op {
-            StorageOp::Lookup => items / u64::BYTES as u64,
-            StorageOp::Upsert => items / <(u64, u64)>::BYTES as u64,
-            _ => 1,
-        }
-    }
-
-    /// The owned command, decoded from the region the view was read from.
-    ///
-    /// # Panics
-    /// When the region is not the view's, or its payload is malformed.
-    // HOT-PATH-CUT: owned decode — only for commands leaving the region
-    // (forwarded strays, the rebalancing slow path) and for scan-shaped
-    // payloads, which carry no item vector.
-    pub fn to_command(self, region: &[u8]) -> DataCommand {
-        DataCommand::decode(&mut &region[self.at..])
+        op_count(self.op, self.plen)
     }
 }
 
@@ -753,18 +662,14 @@ pub fn encode_trace_marker(object: DataObjectId, stamp: TraceStamp, out: &mut Ve
 /// Decode one trace marker from the front of `buf`, advancing it only on
 /// success.
 fn try_decode_trace_marker(buf: &mut &[u8]) -> Result<(DataObjectId, TraceStamp), DecodeError> {
-    if buf.len() < TRACE_MARKER_BYTES {
-        return Err(DecodeError::Truncated);
-    }
-    let mut cur = *buf;
-    let op = cur.get_u8();
+    let (op, object, submit_ns, plen) = read_header(buf)?;
     debug_assert_eq!(op, OP_TRACE);
-    let object = DataObjectId(cur.get_u32_le());
-    let submit_ns = cur.get_u64_le();
-    let plen = cur.get_u32_le();
-    if plen != TRACE_BODY_BYTES as u32 {
+    let Some(mut cur) = buf.get(HEADER_BYTES..TRACE_MARKER_BYTES) else {
+        return Err(DecodeError::Truncated);
+    };
+    if plen != TRACE_BODY_BYTES {
         return Err(DecodeError::TrailingPayloadBytes {
-            declared: plen,
+            declared: plen as u32,
             consumed: TRACE_BODY_BYTES as u32,
         });
     }
@@ -817,16 +722,51 @@ fn encode_pred(out: &mut Vec<u8>, pred: &Predicate) {
     }
 }
 
+/// Read a scan payload — predicate, aggregate and snapshot — with
+/// nothing left over, as [`DataCommand::try_decode`] decodes one.
+fn read_scan(mut body: &[u8]) -> Result<(Predicate, Aggregate, u64), DecodeError> {
+    let declared = body.len();
+    let pred = decode_pred(&mut body)?;
+    let agg = match next_u8(&mut body)? {
+        AGG_COUNT => Aggregate::Count,
+        AGG_SUM => Aggregate::Sum,
+        AGG_MINMAX => Aggregate::MinMax,
+        t => return Err(DecodeError::UnknownAggregate(t)),
+    };
+    let snapshot = next_u64(&mut body)?;
+    if !body.is_empty() {
+        return Err(DecodeError::TrailingPayloadBytes {
+            declared: declared as u32,
+            consumed: (declared - body.len()) as u32,
+        });
+    }
+    Ok((pred, agg, snapshot))
+}
+
 fn decode_pred(buf: &mut &[u8]) -> Result<Predicate, DecodeError> {
-    let ptag = take_u8(buf)?;
-    let a = take_u64(buf)?;
-    let b = take_u64(buf)?;
+    let ptag = next_u8(buf)?;
+    let a = next_u64(buf)?;
+    let b = next_u64(buf)?;
     match ptag {
         PRED_ALL => Ok(Predicate::All),
         PRED_RANGE => Ok(Predicate::Range { lo: a, hi: b }),
         PRED_EQ => Ok(Predicate::Equals(a)),
         t => Err(DecodeError::UnknownPredicate(t)),
     }
+}
+
+/// Every command of a routing-buffer region, read by views and decoded
+/// by the reference decoder, each with the stamp of the trace marker
+/// before it.
+#[cfg(test)]
+pub(crate) fn decode_region(region: &[u8]) -> Vec<(DataCommand, Option<TraceStamp>)> {
+    let mut views = Vec::new();
+    CommandView::decode_all(region, &mut views);
+    let decode = |v: &CommandView| DataCommand::try_decode(&mut v.command_in(region).bytes);
+    views
+        .iter()
+        .map(|v| (decode(v).expect("a checked command decodes"), v.stamp))
+        .collect()
 }
 
 #[cfg(test)]
@@ -838,7 +778,7 @@ mod tests {
         cmd.encode(&mut buf);
         assert_eq!(buf.len(), cmd.encoded_len());
         let mut slice = buf.as_slice();
-        let back = DataCommand::decode(&mut slice);
+        let back = DataCommand::try_decode(&mut slice).unwrap();
         assert!(slice.is_empty(), "decoder must consume exactly one command");
         assert_eq!(back, cmd);
     }
@@ -914,8 +854,7 @@ mod tests {
         let mut buf = Vec::new();
         a.encode(&mut buf);
         b.encode(&mut buf);
-        let all = DataCommand::decode_all(&buf);
-        assert_eq!(all, vec![a, b]);
+        assert_eq!(decode_region(&buf), vec![(a, None), (b, None)]);
     }
 
     #[test]
@@ -1076,12 +1015,8 @@ mod tests {
         assert_eq!(buf.len() - before, TRACE_MARKER_BYTES);
         b.encode(&mut buf);
 
-        let traced = DataCommand::decode_all_traced(&buf);
-        assert_eq!(traced.len(), 2);
-        assert_eq!(traced[0], (a.clone(), None));
-        assert_eq!(traced[1], (b.clone(), Some(stamp)));
-        // The stamp-blind decoder sees the identical command stream.
-        assert_eq!(DataCommand::decode_all(&buf), vec![a, b]);
+        let traced = decode_region(&buf);
+        assert_eq!(traced, vec![(a, None), (b, Some(stamp))]);
     }
 
     #[test]
@@ -1102,7 +1037,7 @@ mod tests {
     fn dangling_trace_marker_panics() {
         let mut buf = Vec::new();
         encode_trace_marker(DataObjectId(0), TraceStamp::engine(0), &mut buf);
-        DataCommand::decode_all_traced(&buf);
+        CommandView::decode_all(&buf, &mut Vec::new());
     }
 
     #[test]
@@ -1128,6 +1063,89 @@ mod tests {
         }
     }
 
+    /// The wire format, pinned byte for byte: the round trips above would
+    /// not notice a change made to the encoder and the decoders alike.
+    /// Fields are spaced apart: header (op, object, ticket, payload
+    /// length), then the payload.
+    #[test]
+    fn encodings_match_the_golden_bytes() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let golden = |s: &str| s.replace(' ', "");
+        let cmd = |payload| {
+            let mut out = Vec::new();
+            DataCommand {
+                object: DataObjectId(7),
+                ticket: 0x0102_0304_0506_0708,
+                payload,
+            }
+            .encode(&mut out);
+            hex(&out)
+        };
+        let header = "07000000 0807060504030201";
+        let keys = vec![1, 0x1122_3344_5566_7788];
+        assert_eq!(
+            cmd(Payload::Lookup { keys }),
+            golden(&format!(
+                "00 {header} 14000000 02000000 0100000000000000 8877665544332211"
+            ))
+        );
+        assert_eq!(
+            cmd(Payload::Upsert {
+                pairs: vec![(2, 3)]
+            }),
+            golden(&format!(
+                "01 {header} 14000000 01000000 0200000000000000 0300000000000000"
+            ))
+        );
+        let preds = [
+            (Predicate::All, "00 0000000000000000 0000000000000000"),
+            (
+                Predicate::Range { lo: 0x10, hi: 0x20 },
+                "01 1000000000000000 2000000000000000",
+            ),
+            (
+                Predicate::Equals(0x30),
+                "02 3000000000000000 0000000000000000",
+            ),
+        ];
+        let aggs = [
+            (Aggregate::Count, "00"),
+            (Aggregate::Sum, "01"),
+            (Aggregate::MinMax, "02"),
+        ];
+        for (pred, p) in preds {
+            for (agg, a) in aggs {
+                assert_eq!(
+                    cmd(Payload::Scan {
+                        pred,
+                        agg,
+                        snapshot: 0x40
+                    }),
+                    golden(&format!("02 {header} 1a000000 {p} {a} 4000000000000000")),
+                    "{pred:?} {agg:?}"
+                );
+            }
+        }
+        let stamp = TraceStamp {
+            submit_ns: 0x0a0b_0c0d_0e0f_1011,
+            hops: 1,
+            tenant: 2,
+            conn: 3,
+            seq: 0x0405_0607_0809_0a0b,
+            net_ns: 5,
+            admit_ns: 6,
+        };
+        let mut marker = Vec::new();
+        encode_trace_marker(DataObjectId(7), stamp, &mut marker);
+        assert_eq!(
+            hex(&marker),
+            golden(
+                "05 07000000 11100f0e0d0c0b0a 1c000000 \
+                 01000000 02000000 03000000 05000000 06000000 0b0a090807060504"
+            )
+        );
+    }
+
     #[test]
     fn storage_op_tags_roundtrip() {
         for op in [StorageOp::Lookup, StorageOp::Upsert, StorageOp::Scan] {
@@ -1137,6 +1155,8 @@ mod tests {
         assert_eq!(StorageOp::from_tag(5), None, "trace tag is not an op");
     }
 
+    /// A routing-buffer region is process-internal: a command cut short
+    /// there is a logic error, and its walker panics.
     #[test]
     #[should_panic(expected = "truncated")]
     fn truncated_buffer_panics() {
@@ -1147,8 +1167,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         cmd.encode(&mut buf);
-        let mut short = &buf[..HEADER_BYTES - 2];
-        DataCommand::decode(&mut short);
+        decode_region(&buf[..HEADER_BYTES - 2]);
     }
 }
 
@@ -1231,7 +1250,7 @@ mod proptests {
             encode_trace_marker(cmd.object, stamp, &mut buf);
             prop_assert_eq!(buf.len(), TRACE_MARKER_BYTES);
             cmd.encode(&mut buf);
-            let traced = DataCommand::decode_all_traced(&buf);
+            let traced = decode_region(&buf);
             prop_assert_eq!(traced.len(), 1);
             let (back, got) = traced.into_iter().next().unwrap();
             prop_assert_eq!(back, cmd);
@@ -1241,9 +1260,8 @@ mod proptests {
         }
 
         /// Truncating a marker anywhere must yield a clean typed error
-        /// from the internal marker decoder path (via decode_all_traced
-        /// panicking is reserved for malformed *internal* buffers; here
-        /// we check the guarded entry point used on journal bytes).
+        /// from the guarded entry point used on external bytes (the
+        /// region walker panics, as malformed *internal* buffers do).
         #[test]
         fn truncated_marker_is_rejected_externally(stamp in arb_stamp()) {
             let mut buf = Vec::new();
@@ -1254,11 +1272,12 @@ mod proptests {
             }
         }
 
-        /// The AEU's intake reads views where the owned decoder copies:
-        /// over a region of random commands of every kind, some behind
-        /// trace markers, `decode_all_traced` returns the commands and
-        /// stamps written, and the views describe them — header fields,
-        /// stamps, operation counts and the point items read in place.
+        /// The AEU's intake reads views of a region: over a region of
+        /// random commands of every kind, some behind trace markers, the
+        /// views describe what was written — header fields, stamps,
+        /// operation counts, the point items and the scan parameters read
+        /// in place — and the reference decoder, run at each view's
+        /// offset, decodes the command written there.
         #[test]
         fn views_read_what_the_owned_decoder_decodes(
             cmds in proptest::collection::vec(
@@ -1273,31 +1292,18 @@ mod proptests {
                 }
                 cmd.encode(&mut region);
             }
-            let written: Vec<(DataCommand, Option<TraceStamp>)> = cmds
-                .iter()
-                .map(|(cmd, stamped, stamp)| (cmd.clone(), stamped.then_some(*stamp)))
-                .collect();
-            prop_assert_eq!(&DataCommand::decode_all_traced(&region), &written);
             let mut views = Vec::new();
             CommandView::decode_all(&region, &mut views);
-            prop_assert_eq!(views.len(), written.len());
-            for (v, (cmd, stamp)) in views.iter().zip(&written) {
+            prop_assert_eq!(views.len(), cmds.len());
+            for (v, (cmd, stamped, stamp)) in views.iter().zip(&cmds) {
                 prop_assert_eq!(
                     (v.object, v.ticket, v.op, v.stamp),
-                    (cmd.object, cmd.ticket, cmd.payload.op(), *stamp)
+                    (cmd.object, cmd.ticket, cmd.payload.op(), stamped.then_some(*stamp))
                 );
                 prop_assert_eq!(v.op_count(), cmd.payload.op_count());
-                prop_assert_eq!(&v.to_command(&region), cmd);
-                let keys: Vec<u64> = u64::decode_items(v.items::<u64>(&region)).collect();
-                let pairs: Vec<(u64, u64)> =
-                    <(u64, u64)>::decode_items(v.items::<(u64, u64)>(&region)).collect();
-                let (want_keys, want_pairs) = match &cmd.payload {
-                    Payload::Lookup { keys } => (keys.clone(), vec![]),
-                    Payload::Upsert { pairs } => (vec![], pairs.clone()),
-                    _ => (vec![], vec![]),
-                };
-                prop_assert_eq!(keys, want_keys);
-                prop_assert_eq!(pairs, want_pairs);
+                let mut at = &region[v.at..];
+                prop_assert_eq!(&DataCommand::try_decode(&mut at).unwrap(), cmd);
+                prop_assert_eq!(view_payload(&v.command_in(&region)), cmd.payload.clone());
             }
         }
 
@@ -1370,34 +1376,44 @@ mod proptests {
         }
     }
 
+    /// The payload a checked command reads in place: its items, or its
+    /// scan parameters.
+    fn view_payload(c: &CommandRef<'_>) -> Payload {
+        match c.op {
+            StorageOp::Lookup => Payload::Lookup {
+                keys: u64::decode_items(c.items::<u64>()).collect(),
+            },
+            StorageOp::Upsert => Payload::Upsert {
+                pairs: <(u64, u64)>::decode_items(c.items::<(u64, u64)>()).collect(),
+            },
+            StorageOp::Scan => {
+                let (pred, agg, snapshot) = c.scan_params().expect("a checked scan reads whole");
+                Payload::Scan {
+                    pred,
+                    agg,
+                    snapshot,
+                }
+            }
+        }
+    }
+
     /// `CommandRef::check` against the owned decoder on `bytes`: the
     /// check accepts exactly what `try_decode` decodes with nothing left
-    /// over, and what it accepts is that command — a point command
-    /// borrowed whole, a scan decoded.
+    /// over, and what it accepts reads as that command, borrowed whole.
     fn check_agrees_with_the_owned_decoder(bytes: &[u8]) {
         let mut cur = bytes;
         let owned = DataCommand::try_decode(&mut cur)
             .ok()
             .filter(|_| cur.is_empty());
         match (CommandRef::check(bytes), owned) {
-            (Ok(CommandRef::Point(v)), Some(cmd)) => {
-                assert_eq!(v.encoded(), bytes);
+            (Ok(c), Some(cmd)) => {
+                assert_eq!(c.bytes, bytes);
                 assert_eq!(
-                    (v.object(), v.ticket(), v.op()),
+                    (c.object, c.ticket, c.op),
                     (cmd.object, cmd.ticket, cmd.payload.op())
                 );
-                assert_eq!(v.op_count(), cmd.payload.op_count());
-                let keys: Vec<u64> = u64::decode_items(v.item_bytes()).collect();
-                let pairs: Vec<(u64, u64)> = <(u64, u64)>::decode_items(v.item_bytes()).collect();
-                match &cmd.payload {
-                    Payload::Lookup { keys: want } => assert_eq!(&keys, want),
-                    Payload::Upsert { pairs: want } => assert_eq!(&pairs, want),
-                    Payload::Scan { .. } => panic!("a scan checked as a point command"),
-                }
-            }
-            (Ok(CommandRef::Owned(c)), Some(cmd)) => {
-                assert_eq!(c.payload.op(), StorageOp::Scan);
-                assert_eq!(c, cmd);
+                assert_eq!(c.op_count(), cmd.payload.op_count());
+                assert_eq!(view_payload(&c), cmd.payload);
             }
             (Err(_), None) => {}
             (got, want) => panic!("check {got:?}, owned decoder {want:?}"),

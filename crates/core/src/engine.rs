@@ -2,7 +2,7 @@
 //! (its one epoch loop), and a threaded runtime that exercises the routing
 //! protocol under real parallelism.  The adaption loop is the balancer's.
 
-use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts};
+use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts, WorkSummary};
 use crate::balancer::{Balancer, BalancerConfig, Partitions};
 use crate::command::{AeuId, CommandRef, DataCommand, DataObjectId};
 use crate::cost::CostParams;
@@ -513,16 +513,16 @@ impl Engine {
     /// [`RoutingError`] and enqueue nothing.  An accepted command
     /// executes in the next [`Engine::run_epoch`].
     pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
-        self.submit_view(via, CommandRef::Owned(cmd), None)
+        self.submit_with(via, |aeu, w| aeu.route_command(&cmd, w))
             .map(drop)
     }
 
-    /// Submit a command as the serving layer holds it: a point command is
-    /// routed where it lies in its encoding (see [`CommandRef::check`]),
-    /// without an owned copy, and copied unchanged into the outgoing
-    /// buffer of a single owner.  Owned commands take the same path.  A
-    /// trace stamp born at frame decode (full-path tracing: identity +
-    /// net/admit spans) rides to the executing AEU.
+    /// Submit a command as the serving layer holds it: checked where it
+    /// lies in its encoding (see [`CommandRef::check`]), routed from those
+    /// bytes without an owned copy, and copied unchanged into the
+    /// outgoing buffer of each owner.  A trace stamp born at frame decode
+    /// (full-path tracing: identity + net/admit spans) rides to the
+    /// executing AEU.
     ///
     /// Returns the number of sub-commands the command was routed as
     /// (one per owner of a point command, one per multicast target of a
@@ -533,11 +533,21 @@ impl Engine {
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
     ) -> Result<u64, RoutingError> {
-        let node = self.node_of[via.index()];
-        let mut w = crate::aeu::WorkSummary::new(node);
-        let emitted = self.aeus[via.index()].route_external(cmd, stamp, &mut w)?;
+        self.submit_with(via, |aeu, w| aeu.route_external(cmd, stamp, w))
+    }
+
+    /// Route through `via` with `route`, charging the submission's costs
+    /// to that AEU's next epoch.
+    fn submit_with(
+        &mut self,
+        via: AeuId,
+        route: impl FnOnce(&mut Aeu, &mut WorkSummary) -> Result<u64, RoutingError>,
+    ) -> Result<u64, RoutingError> {
+        let mut w = WorkSummary::new(self.node_of[via.index()]);
+        let aeu = &mut self.aeus[via.index()];
+        let emitted = route(aeu, &mut w)?;
         // Submission costs are charged to the next epoch via pending ns.
-        self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
+        aeu.add_pending_ns(w.cpu_ns + w.latency_ns);
         Ok(emitted)
     }
 

@@ -22,10 +22,11 @@ pub use partition_table::{BitmapTable, OwnerSplit, PartitionTable, RangeTable};
 use partition_table::{OutOfDomain, Owners};
 
 use crate::command::{
-    AeuId, CommandRef, DataCommand, DataObjectId, Payload, PointItem, PointView, StorageOp,
-    HEADER_BYTES, TRACE_MARKER_BYTES,
+    AeuId, CommandRef, DataCommand, DataObjectId, PointItem, StorageOp, HEADER_BYTES,
+    TRACE_MARKER_BYTES,
 };
 use crate::telemetry::{bump, raise, CounterSnapshot, ObjectCounters, Telemetry, TelemetryShard};
+use eris_column::Predicate;
 use eris_numa::NodeId;
 use eris_obs::{now_ns, LatencyTable, TraceStamp};
 use parking_lot::RwLock;
@@ -285,6 +286,9 @@ pub struct Router {
     /// Targets whose outgoing buffer crossed the flush threshold during
     /// the command being routed.
     full: Vec<AeuId>,
+    /// The reused buffer an owned command is encoded into once, to be
+    /// routed as its bytes ([`Router::route_command`]).
+    encoded: Vec<u8>,
     /// The flush report: one record per end-of-loop flush not yet
     /// charged by the owning AEU (see [`Router::flush_all`]).
     flushed: Vec<FlushInfo>,
@@ -317,6 +321,9 @@ impl Router {
             tables_epoch,
             owners: Owners::default(),
             full: Vec::new(),
+            // Sized here, like the report below: a per-router buffer first
+            // allocated while routing moves glibc's heap top.
+            encoded: Vec::with_capacity(cfg.outgoing_capacity),
             // Room for the two rounds a step charges together (delivery
             // pass, epilogue), one record per target each.
             flushed: Vec::with_capacity(2 * n),
@@ -395,8 +402,19 @@ impl Router {
     /// case nothing was enqueued.  Every N-th command is stamped with an
     /// end-to-end trace marker (see [`RoutingConfig::trace_sample_every`]).
     pub fn route(&mut self, cmd: DataCommand) -> Result<Vec<FlushInfo>, RoutingError> {
-        let stamp = self.maybe_stamp();
-        Ok(self.route_with(&CommandRef::Owned(cmd), stamp, true)?.0)
+        Ok(self.route_command(&cmd)?.0)
+    }
+
+    /// Route an owned command as [`Router::route_counted`] routes its
+    /// encoding, which is written once into this router's reused buffer.
+    pub(crate) fn route_command(
+        &mut self,
+        cmd: &DataCommand,
+    ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
+        let mut encoded = std::mem::take(&mut self.encoded);
+        let routed = self.route_counted(&cmd.encode_checked(&mut encoded), None);
+        self.encoded = encoded;
+        routed
     }
 
     /// Route a command as [`Router::route`] does, and also return the
@@ -417,12 +435,12 @@ impl Router {
     /// Route a command that already carries a trace stamp (stray
     /// forwarding): the stamp is preserved — with the caller-bumped hop
     /// count — and no new sampling happens.
-    pub fn route_traced(
+    pub(crate) fn route_forwarded(
         &mut self,
-        cmd: DataCommand,
+        cmd: &CommandRef<'_>,
         stamp: Option<TraceStamp>,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
-        Ok(self.route_with(&CommandRef::Owned(cmd), stamp, false)?.0)
+        Ok(self.route_with(cmd, stamp, false)?.0)
     }
 
     /// Route `cmd`; returns the flushes performed and the number of
@@ -434,49 +452,41 @@ impl Router {
         fresh: bool,
     ) -> Result<(Vec<FlushInfo>, u64), RoutingError> {
         let had_stamp = stamp.is_some();
-        let object = cmd.object();
+        let object = cmd.object;
         self.sync_tables();
         // Cleared after every flush round below; an error leaves it empty.
         let mut full_targets = std::mem::take(&mut self.full);
         let full = &mut full_targets;
         // Telemetry tallies of this call, published in one batch below:
         // unicast sub-commands and multicast deliveries.
-        let (uni, multi) = match cmd {
-            CommandRef::Point(v) => (self.route_view(v, &mut stamp, full)?, 0),
-            CommandRef::Owned(c) => match &c.payload {
-                Payload::Lookup { keys } => {
-                    let keys = keys.iter().copied();
-                    let whole = |out: &mut Vec<u8>| c.encode(out);
-                    let uni = self.route_point(object, c.ticket, keys, whole, &mut stamp, full)?;
-                    (uni, 0)
-                }
-                Payload::Upsert { pairs } => {
-                    let pairs = pairs.iter().copied();
-                    let whole = |out: &mut Vec<u8>| c.encode(out);
-                    let uni = self.route_point(object, c.ticket, pairs, whole, &mut stamp, full)?;
-                    (uni, 0)
-                }
-                Payload::Scan { pred, .. } => {
-                    // Scans multicast to every owner intersecting the
-                    // predicate.
-                    let targets = match (table_in(&self.tables, object)?, pred) {
-                        (PartitionTable::Range(r), eris_column::Predicate::Range { lo, hi }) => {
-                            r.owners_in_range(*lo, *hi)
-                        }
-                        (PartitionTable::Range(r), eris_column::Predicate::Equals(x)) => {
-                            // A point predicate has exactly one owner; going
-                            // through `owners_in_range(x, x + 1)` would lose
-                            // `x == u64::MAX` to bound saturation.
-                            // ALLOC-OK: one-element owner list for the point-predicate fast
-                            // path, shaped like the general multicast target set.
-                            vec![r.owner(*x)]
-                        }
-                        (t, _) => t.scan_targets(),
-                    };
-                    self.out.push_multicast(&targets, c, full);
-                    (0, targets.len() as u64)
-                }
-            },
+        let (uni, multi) = match cmd.op {
+            StorageOp::Lookup => (self.route_point::<u64>(cmd, &mut stamp, full)?, 0),
+            StorageOp::Upsert => (self.route_point::<(u64, u64)>(cmd, &mut stamp, full)?, 0),
+            StorageOp::Scan => {
+                // BOUNDS: a `CommandRef` holds a checked encoding, whose
+                // scan payload reads whole.
+                let Ok((pred, _, _)) = cmd.scan_params() else {
+                    unreachable!("a checked scan reads whole")
+                };
+                // Scans multicast to every owner intersecting the
+                // predicate.
+                let targets = match (table_in(&self.tables, object)?, pred) {
+                    (PartitionTable::Range(r), Predicate::Range { lo, hi }) => {
+                        r.owners_in_range(lo, hi)
+                    }
+                    (PartitionTable::Range(r), Predicate::Equals(x)) => {
+                        // A point predicate has exactly one owner; going
+                        // through `owners_in_range(x, x + 1)` would lose
+                        // `x == u64::MAX` to bound saturation.
+                        // ALLOC-OK: one-element owner list for the point-predicate fast
+                        // path, shaped like the general multicast target set.
+                        vec![r.owner(x)]
+                    }
+                    (t, _) => t.scan_targets(),
+                };
+                self.out.push_multicast(&targets, cmd.bytes, full);
+                (0, targets.len() as u64)
+            }
         };
         // A point command owned by more than one AEU was split.
         let split = u64::from(uni > 1);
@@ -527,48 +537,21 @@ impl Router {
         Ok((flushed, enqueued))
     }
 
-    /// Route a point command read in place: its items are decoded from
-    /// the encoding as the owner pass and the scatter read them, and a
-    /// single owner receives the encoding unchanged.
-    fn route_view(
-        &mut self,
-        v: &PointView<'_>,
-        stamp: &mut Option<TraceStamp>,
-        full: &mut Vec<AeuId>,
-    ) -> Result<u64, RoutingError> {
-        let (object, ticket, bytes) = (v.object(), v.ticket(), v.item_bytes());
-        // ALLOC-OK: copies into the owner's reused outgoing buffer, which
-        // grows to its flush threshold once.
-        let whole = |out: &mut Vec<u8>| out.extend_from_slice(v.encoded());
-        match v.op() {
-            StorageOp::Upsert => {
-                let pairs = <(u64, u64)>::decode_items(bytes);
-                self.route_point(object, ticket, pairs, whole, stamp, full)
-            }
-            // A view is a lookup or an upsert.
-            _ => {
-                let keys = u64::decode_items(bytes);
-                self.route_point(object, ticket, keys, whole, stamp, full)
-            }
-        }
-    }
-
-    /// Routing steps 1 and 2 of a point command carrying `items`: one
-    /// owner pass, then the command buffered whole (`whole` appends its
-    /// encoding) when one AEU owns every item (always, for one item), or each
-    /// owner's sub-command scattered straight into that owner's outgoing
-    /// buffer.  Returns the number of sub-commands emitted.  On a
-    /// size-partitioned object upserts are appends, dealt round-robin
+    /// Routing steps 1 and 2 of a point command carrying items of `T`,
+    /// read from its encoding: one owner pass, then the encoding copied
+    /// unchanged when one AEU owns every item (always, for one item), or
+    /// each owner's sub-command scattered straight into that owner's
+    /// outgoing buffer.  Returns the number of sub-commands emitted.  On
+    /// a size-partitioned object upserts are appends, dealt round-robin
     /// over the member set, and lookups have no placement to go by.
     fn route_point<T: PointItem>(
         &mut self,
-        object: DataObjectId,
-        ticket: u64,
-        items: impl ExactSizeIterator<Item = T> + Clone,
-        whole: impl FnOnce(&mut Vec<u8>),
+        cmd: &CommandRef<'_>,
         stamp: &mut Option<TraceStamp>,
         full: &mut Vec<AeuId>,
     ) -> Result<u64, RoutingError> {
+        let object = cmd.object;
+        let items = T::decode_items(cmd.items::<T>());
         let owners = &mut self.owners;
         let members = match table_in(&self.tables, object)? {
             PartitionTable::Range(r) => match r.assign_owners(items.clone(), owners) {
@@ -593,7 +576,7 @@ impl Router {
             let owner = members[cursor];
             self.fits::<T>(object, owner, items.len())?;
             self.rr_cursor = cursor;
-            self.push_unicast(owner, object, whole, stamp, full);
+            self.push_unicast(owner, cmd, stamp, full);
             return Ok(1);
         }
         for (owner, n) in self.owners.groups() {
@@ -603,13 +586,13 @@ impl Router {
             // No items: no sub-command.
             [] => Ok(0),
             [owner] => {
-                self.push_unicast(owner, object, whole, stamp, full);
+                self.push_unicast(owner, cmd, stamp, full);
                 Ok(1)
             }
             ref split => {
                 let emitted = split.len() as u64;
                 self.out
-                    .push_split(object, ticket, items, &self.owners, stamp.take(), full);
+                    .push_split(object, cmd.ticket, items, &self.owners, stamp.take(), full);
                 Ok(emitted)
             }
         }
@@ -636,18 +619,20 @@ impl Router {
         }
     }
 
-    /// Buffer one sub-command for its single owner, preceded by the
+    /// Buffer a whole command for its single owner, preceded by the
     /// command's trace marker if it is still to be emitted; notes the
     /// owner in `full` when its buffer crossed the flush threshold.
     fn push_unicast(
         &mut self,
         owner: AeuId,
-        object: DataObjectId,
-        whole: impl FnOnce(&mut Vec<u8>),
+        cmd: &CommandRef<'_>,
         stamp: &mut Option<TraceStamp>,
         full: &mut Vec<AeuId>,
     ) {
-        if self.out.push_whole(owner, object, stamp.take(), whole) {
+        if self
+            .out
+            .push_whole(owner, cmd.object, stamp.take(), cmd.bytes)
+        {
             // ALLOC-OK: the full-target list is bounded by the AEU count
             // and lives for one routing call.
             full.push(owner);
@@ -708,7 +693,8 @@ fn table_in(tables: &Tables, object: DataObjectId) -> Result<&PartitionTable, Ro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eris_column::{Aggregate, Predicate};
+    use crate::command::{decode_region, Payload};
+    use eris_column::Aggregate;
 
     fn setup(num_aeus: u32, domain: u64) -> (Arc<RoutingShared>, Router) {
         let shared = Arc::new(RoutingShared::new(
@@ -728,7 +714,7 @@ mod tests {
         let mut out = Vec::new();
         shared
             .incoming(aeu)
-            .swap_and_consume(|d| out = DataCommand::decode_all(d));
+            .swap_and_consume(|d| out = decode_region(d).into_iter().map(|(c, _)| c).collect());
         out
     }
 
@@ -846,7 +832,7 @@ mod tests {
         let mut decoded = Vec::new();
         shared
             .incoming(AeuId(0))
-            .swap_and_consume(|d| decoded = DataCommand::decode_all_traced(d));
+            .swap_and_consume(|d| decoded = decode_region(d));
         assert_eq!(decoded.len(), 8);
         let stamped_at: Vec<usize> = decoded
             .iter()
@@ -870,21 +856,20 @@ mod tests {
             hops: 3,
             ..TraceStamp::engine(42)
         });
+        let mut encoded = Vec::new();
+        let cmd = DataCommand {
+            object: DataObjectId(0),
+            ticket: 9,
+            payload: Payload::Lookup { keys: vec![60] },
+        };
         router
-            .route_traced(
-                DataCommand {
-                    object: DataObjectId(0),
-                    ticket: 9,
-                    payload: Payload::Lookup { keys: vec![60] },
-                },
-                stamp,
-            )
+            .route_forwarded(&cmd.encode_checked(&mut encoded), stamp)
             .unwrap();
         router.flush_all();
         let mut decoded = Vec::new();
         shared
             .incoming(AeuId(1))
-            .swap_and_consume(|d| decoded = DataCommand::decode_all_traced(d));
+            .swap_and_consume(|d| decoded = decode_region(d));
         assert_eq!(decoded.len(), 1);
         assert_eq!(
             decoded[0].1,
@@ -909,21 +894,20 @@ mod tests {
             admit_ns: 50,
             ..TraceStamp::engine(1234)
         };
+        let mut encoded = Vec::new();
+        let cmd = DataCommand {
+            object: DataObjectId(0),
+            ticket: 1,
+            payload: Payload::Lookup { keys: vec![60] },
+        };
         router
-            .route_counted(
-                &CommandRef::Owned(DataCommand {
-                    object: DataObjectId(0),
-                    ticket: 1,
-                    payload: Payload::Lookup { keys: vec![60] },
-                }),
-                Some(stamp),
-            )
+            .route_counted(&cmd.encode_checked(&mut encoded), Some(stamp))
             .unwrap();
         router.flush_all();
         let mut decoded = Vec::new();
         shared
             .incoming(AeuId(1))
-            .swap_and_consume(|d| decoded = DataCommand::decode_all_traced(d));
+            .swap_and_consume(|d| decoded = decode_region(d));
         assert_eq!(decoded.len(), 1);
         assert_eq!(
             decoded[0].1,
@@ -1062,6 +1046,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::command::Payload;
     use proptest::prelude::*;
 
     const DOMAIN: u64 = 400;
@@ -1082,20 +1067,21 @@ mod proptests {
     /// group of items wrapped as a payload; a shared owner gets the
     /// command as it is.
     fn sub_commands(table: &RangeTable, cmd: &DataCommand) -> Vec<(AeuId, DataCommand)> {
-        fn groups<T: PointItem>(table: &RangeTable, items: &[T]) -> Vec<(AeuId, Payload)> {
+        fn groups<T: PointItem>(
+            table: &RangeTable,
+            items: &[T],
+            payload: fn(Vec<T>) -> Payload,
+        ) -> Vec<(AeuId, Payload)> {
             let groups = match table.split_by_owner(items) {
                 OwnerSplit::One(owner) => vec![(owner, items.to_vec())],
                 OwnerSplit::Groups(groups) => groups,
                 OwnerSplit::OutOfDomain { key, .. } => panic!("key {key} outside the domain"),
             };
-            groups
-                .into_iter()
-                .map(|(a, g)| (a, T::payload(g)))
-                .collect()
+            groups.into_iter().map(|(a, g)| (a, payload(g))).collect()
         }
         let groups = match &cmd.payload {
-            Payload::Lookup { keys } => groups(table, keys),
-            Payload::Upsert { pairs } => groups(table, pairs),
+            Payload::Lookup { keys } => groups(table, keys, |keys| Payload::Lookup { keys }),
+            Payload::Upsert { pairs } => groups(table, pairs, |pairs| Payload::Upsert { pairs }),
             _ => unreachable!("point commands only"),
         };
         groups
@@ -1124,6 +1110,8 @@ mod proptests {
         peak: usize,
         splits: u64,
         unicast: u64,
+        /// Stamps whose marker was written.
+        stamped: u64,
     }
 
     impl SplitRouter {
@@ -1136,6 +1124,7 @@ mod proptests {
                 peak: 0,
                 splits: 0,
                 unicast: 0,
+                stamped: 0,
             }
         }
 
@@ -1143,6 +1132,7 @@ mod proptests {
             let subs = sub_commands(table, cmd);
             self.splits += (subs.len() > 1) as u64;
             self.unicast += subs.len() as u64;
+            self.stamped += (stamp.is_some() && !subs.is_empty()) as u64;
             let mut full = Vec::new();
             for (owner, sub) in subs {
                 let out = &mut self.pending[owner.index()];
@@ -1251,9 +1241,12 @@ mod proptests {
         /// random range tables (1-16 ranges over 1-16 AEUs, random bounds,
         /// domains up to the whole key space), lookups and upserts of
         /// 0-300 items with repeated keys, stamped or not, and outgoing
-        /// buffers small enough to flush in the middle of a batch, every
-        /// AEU receives the bytes `SplitRouter` delivers, and the split,
-        /// unicast, flush and outgoing high-water counts agree.
+        /// buffers small enough to flush in the middle of a batch, each
+        /// command routed from its encoding: every AEU receives the bytes
+        /// `SplitRouter` delivers; the split, unicast, flush and outgoing
+        /// high-water counts agree; the object's ledger counts every
+        /// sub-command enqueued right after its command; and the latency
+        /// ledger counts every stamp whose marker was written.
         #[test]
         fn the_scatter_writes_the_bytes_of_the_materialised_split(
             aeus in 1usize..=16,
@@ -1314,6 +1307,8 @@ mod proptests {
                         .swap_and_consume(|d| got.extend_from_slice(d));
                 }
             };
+            let ledger = shared.telemetry().object(DataObjectId(3));
+            let enqueued = || ledger.enqueued.load(Relaxed);
             for ticket in 0..1 + draw() % 16 {
                 // Small commands half the time, so groups of one item are
                 // common.
@@ -1338,7 +1333,11 @@ mod proptests {
                     ..TraceStamp::engine(draw())
                 });
                 oracle.route(&oracle_table, &cmd, stamp);
-                router.route_counted(&CommandRef::Owned(cmd), stamp).unwrap();
+                let mut encoded = Vec::new();
+                cmd.encode(&mut encoded);
+                let checked = CommandRef::check(&encoded).unwrap();
+                router.route_counted(&checked, stamp).unwrap();
+                prop_assert_eq!(enqueued(), oracle.unicast);
                 drain(&mut got);
             }
             oracle.flush_all();
@@ -1355,126 +1354,8 @@ mod proptests {
             prop_assert_eq!(totals.commands_unicast, oracle.unicast);
             prop_assert_eq!(totals.flushes, oracle.flushes);
             prop_assert_eq!(totals.peak_outgoing_bytes, oracle.peak as u64);
+            prop_assert_eq!(shared.telemetry().latency().ledger(), (oracle.stamped, 0, 0));
         }
 
-        /// Routing a point command's encoding where it lies is routing the
-        /// owned command.  Over the scatter test's random range tables and
-        /// buffer capacities, lookups and upserts of 0-300 items with
-        /// repeated keys, stamped or not, two routers — one handed each
-        /// command, one its encoding — fill byte-identical incoming
-        /// buffers, and their shard counters and the object's ledger agree
-        /// right after every command, before any flush.
-        #[test]
-        fn routing_the_encoding_writes_what_routing_the_command_writes(
-            aeus in 1usize..=16,
-            ranges in 1usize..=16,
-            domain_kind in 0u8..3,
-            capacity in prop_oneof![
-                Just(1usize), Just(29), Just(37), Just(512), Just(4096), Just(1 << 16)
-            ],
-            seed in any::<u64>(),
-        ) {
-            let mut rng = seed;
-            let mut draw = move || splitmix(&mut rng);
-            let domain = match domain_kind {
-                0 => 1 + draw() % (1 << 12),
-                1 => (1 << 12) + draw() % (u64::MAX - (1 << 12)),
-                _ => u64::MAX,
-            };
-            let key_below = |x: u64| if domain == u64::MAX { x } else { x % domain };
-            let mut bounds: Vec<u64> = (1..ranges)
-                .map(|_| 1 + draw() % (domain - 1).max(1))
-                .filter(|&b| b < domain)
-                .collect();
-            bounds.push(0);
-            bounds.sort_unstable();
-            bounds.dedup();
-            let entries: Vec<(u64, AeuId)> = bounds
-                .iter()
-                .map(|&b| (b, AeuId((draw() % aeus as u64) as u32)))
-                .collect();
-            let mut pool = bounds.clone();
-            pool.push(key_below(u64::MAX));
-            pool.extend((0..4).map(|_| key_below(draw())));
-
-            let cfg = RoutingConfig {
-                trace_sample_every: 0,
-                outgoing_capacity: capacity,
-                incoming_capacity: 1 << 17,
-                ..Default::default()
-            };
-            // Side 0 routes the owned command, side 1 its encoding.
-            let sides: Vec<(Arc<RoutingShared>, Router)> = (0..2)
-                .map(|_| {
-                    let shared = Arc::new(RoutingShared::new(aeus, cfg));
-                    let mut t = RangeTable::even(domain, &[AeuId(0)]);
-                    t.rebuild(entries.clone());
-                    shared.register_object(DataObjectId(3), PartitionTable::Range(t));
-                    let router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
-                    (shared, router)
-                })
-                .collect();
-            let [(owned_shared, mut owned), (view_shared, mut view)] =
-                <[_; 2]>::try_from(sides).ok().unwrap();
-            let mut got = [vec![Vec::new(); aeus], vec![Vec::new(); aeus]];
-            let drain = |shared: &RoutingShared, got: &mut Vec<Vec<u8>>| {
-                for (a, got) in got.iter_mut().enumerate() {
-                    shared
-                        .incoming(AeuId(a as u32))
-                        .swap_and_consume(|d| got.extend_from_slice(d));
-                }
-            };
-            let ledger = |shared: &RoutingShared| {
-                shared.telemetry().object(DataObjectId(3)).enqueued.load(Relaxed)
-            };
-            for ticket in 0..1 + draw() % 16 {
-                let n = draw() % if draw() % 2 == 0 { 4 } else { 301 };
-                let keys: Vec<u64> = (0..n)
-                    .map(|_| match draw() % 3 {
-                        0 => pool[(draw() % pool.len() as u64) as usize],
-                        _ => key_below(draw()),
-                    })
-                    .collect();
-                let payload = if draw() % 2 == 0 {
-                    Payload::Lookup { keys }
-                } else {
-                    Payload::Upsert { pairs: keys.into_iter().map(|k| (k, draw())).collect() }
-                };
-                let cmd = DataCommand { object: DataObjectId(3), ticket, payload };
-                let stamp = (draw() % 3 == 0).then(|| TraceStamp {
-                    hops: (draw() % 4) as u32,
-                    tenant: 7,
-                    conn: 2,
-                    seq: ticket,
-                    ..TraceStamp::engine(draw())
-                });
-                let mut encoded = Vec::new();
-                cmd.encode(&mut encoded);
-                let checked = CommandRef::check(&encoded).unwrap();
-                prop_assert!(matches!(checked, CommandRef::Point(_)));
-                let a = owned.route_counted(&CommandRef::Owned(cmd), stamp).unwrap();
-                let b = view.route_counted(&checked, stamp).unwrap();
-                prop_assert_eq!(a, b, "flushes and emitted sub-commands");
-                prop_assert_eq!(
-                    owned.telemetry_shard().counters.snapshot(),
-                    view.telemetry_shard().counters.snapshot()
-                );
-                prop_assert_eq!(ledger(&owned_shared), ledger(&view_shared));
-                drain(&owned_shared, &mut got[0]);
-                drain(&view_shared, &mut got[1]);
-            }
-            owned.flush_all();
-            view.flush_all();
-            drain(&owned_shared, &mut got[0]);
-            drain(&view_shared, &mut got[1]);
-            for (a, (o, v)) in got[0].iter().zip(&got[1]).enumerate() {
-                prop_assert_eq!(o, v, "bytes towards AEU{}", a);
-            }
-            prop_assert_eq!(owned_shared.telemetry_totals(), view_shared.telemetry_totals());
-            prop_assert_eq!(
-                owned_shared.telemetry().latency().ledger(),
-                view_shared.telemetry().latency().ledger()
-            );
-        }
     }
 }

@@ -20,8 +20,7 @@
 use super::incoming::{BufferFull, IncomingBuffers};
 use super::partition_table::Owners;
 use crate::command::{
-    encode_point_header, encode_trace_marker, whole_commands_within, AeuId, DataCommand,
-    DataObjectId, PointItem,
+    encode_point_header, encode_trace_marker, whole_commands_within, AeuId, DataObjectId, PointItem,
 };
 use eris_obs::TraceStamp;
 
@@ -77,15 +76,8 @@ impl OutgoingBuffers {
         self.capacity
     }
 
-    /// Buffer an owned command for a single target.  Returns `true` when
-    /// the target's buffer crossed the flush threshold.
-    pub fn push_unicast(&mut self, target: AeuId, cmd: &DataCommand) -> bool {
-        self.push_whole(target, cmd.object, None, |out| cmd.encode(out))
-    }
-
-    /// Buffer one whole command of `object`, which `write` appends in its
-    /// wire encoding (from an owned command, or by copying an encoding
-    /// unchanged), optionally preceded by its in-band trace marker.  The
+    /// Buffer the encoding of one whole command of `object`, copied
+    /// unchanged, optionally preceded by its in-band trace marker.  The
     /// marker and its command are appended in one call and the whole
     /// unicast run is flushed as one contiguous copy, so the pair stays
     /// adjacent all the way into the target's incoming buffer.  Markers
@@ -97,7 +89,7 @@ impl OutgoingBuffers {
         target: AeuId,
         object: DataObjectId,
         trace: Option<TraceStamp>,
-        write: impl FnOnce(&mut Vec<u8>),
+        encoded: &[u8],
     ) -> bool {
         // BOUNDS: `targets` is sized to the AEU count at construction and
         // AeuId indexes come from the same topology.
@@ -105,7 +97,9 @@ impl OutgoingBuffers {
         if let Some(stamp) = trace {
             encode_trace_marker(object, stamp, &mut t.unicast);
         }
-        write(&mut t.unicast);
+        // ALLOC-OK: copies into the target's reused unicast buffer, which
+        // grows to its flush threshold once.
+        t.unicast.extend_from_slice(encoded);
         t.unicast_cmds += 1;
         self.commands_routed += 1;
         let pending = self.pending_bytes(target);
@@ -118,8 +112,8 @@ impl OutgoingBuffers {
     /// buffer: every header first (the trace marker, if any, before the
     /// first item's owner's), then each item appended to its owner's
     /// buffer in input order — its sub-command is the last thing there.
-    /// The bytes are those of encoding each owner's group as its own
-    /// [`DataCommand`].  Owners whose buffer crossed the flush threshold
+    /// The bytes are those of encoding each owner's group as a command of
+    /// its own.  Owners whose buffer crossed the flush threshold
     /// are appended to `full`, in order of first appearance.
     pub(crate) fn push_split<T: PointItem>(
         &mut self,
@@ -156,26 +150,24 @@ impl OutgoingBuffers {
         }
     }
 
-    /// Buffer one command for many targets: the command body is stored once
-    /// in the multicast buffer, each target gets a reference.  Targets
+    /// Buffer one command's encoding for many targets: it is copied once
+    /// into the multicast buffer, each target gets a reference.  Targets
     /// whose buffer crossed the flush threshold are appended to `full`.
-    pub fn push_multicast(&mut self, targets: &[AeuId], cmd: &DataCommand, full: &mut Vec<AeuId>) {
-        let off = self.multicast.len() as u32;
-        cmd.encode(&mut self.multicast);
-        let len = self.multicast.len() as u32 - off;
+    pub fn push_multicast(&mut self, targets: &[AeuId], encoded: &[u8], full: &mut Vec<AeuId>) {
+        let (off, len) = (self.multicast.len() as u32, encoded.len() as u32);
+        // ALLOC-OK: the multicast buffer and its reference lists grow with
+        // the batch and drain every flush; `full` is bounded by the AEUs.
+        self.multicast.extend_from_slice(encoded);
         for &t in targets {
             // BOUNDS: `targets` is sized to the AEU count at construction.
-            // ALLOC-OK: multicast reference lists grow amortized with the
-            // batch and are drained every flush; `full` is the caller's
-            // reused full-target list, bounded by the AEU count.
             self.targets[t.index()].refs.push((off, len));
-            self.commands_routed += 1;
             let pending = self.pending_bytes(t);
             self.peak_pending_bytes = self.peak_pending_bytes.max(pending);
             if pending >= self.capacity {
                 full.push(t);
             }
         }
+        self.commands_routed += targets.len() as u64;
     }
 
     /// High-water mark of bytes pending towards any single target since
@@ -319,7 +311,7 @@ impl OutgoingBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{DataObjectId, Payload};
+    use crate::command::{decode_region, DataCommand, Payload};
 
     fn lookup_cmd(keys: Vec<u64>) -> DataCommand {
         DataCommand {
@@ -329,19 +321,30 @@ mod tests {
         }
     }
 
+    fn encoded(cmd: &DataCommand) -> Vec<u8> {
+        let mut out = Vec::new();
+        cmd.encode(&mut out);
+        out
+    }
+
+    /// Buffer `cmd` whole for `target`, unstamped.
+    fn push_unicast(out: &mut OutgoingBuffers, target: AeuId, cmd: &DataCommand) -> bool {
+        out.push_whole(target, cmd.object, None, &encoded(cmd))
+    }
+
     #[test]
     fn unicast_flush_delivers_commands() {
         let mut out = OutgoingBuffers::new(2, 1024);
         let inc = IncomingBuffers::new(4096);
-        out.push_unicast(AeuId(1), &lookup_cmd(vec![1, 2]));
-        out.push_unicast(AeuId(1), &lookup_cmd(vec![3]));
+        push_unicast(&mut out, AeuId(1), &lookup_cmd(vec![1, 2]));
+        push_unicast(&mut out, AeuId(1), &lookup_cmd(vec![3]));
         let info = out.flush_into(AeuId(1), &inc).unwrap().unwrap();
         assert_eq!(info.commands, 2);
         assert!(out.is_drained());
         let mut decoded = Vec::new();
-        inc.swap_and_consume(|d| decoded = DataCommand::decode_all(d));
+        inc.swap_and_consume(|d| decoded = decode_region(d));
         assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0], lookup_cmd(vec![1, 2]));
+        assert_eq!(decoded[0], (lookup_cmd(vec![1, 2]), None));
     }
 
     #[test]
@@ -353,13 +356,13 @@ mod tests {
             ..TraceStamp::engine(777)
         };
         let (first, second) = (lookup_cmd(vec![1, 2]), lookup_cmd(vec![3]));
-        out.push_whole(AeuId(1), first.object, Some(stamp), |o| first.encode(o));
-        out.push_whole(AeuId(1), second.object, None, |o| second.encode(o));
+        out.push_whole(AeuId(1), first.object, Some(stamp), &encoded(&first));
+        push_unicast(&mut out, AeuId(1), &second);
         assert_eq!(out.pending_commands(AeuId(1)), 2, "markers aren't commands");
         let info = out.flush_into(AeuId(1), &inc).unwrap().unwrap();
         assert_eq!(info.commands, 2);
         let mut traced = Vec::new();
-        inc.swap_and_consume(|d| traced = DataCommand::decode_all_traced(d));
+        inc.swap_and_consume(|d| traced = decode_region(d));
         assert_eq!(traced.len(), 2);
         assert_eq!(traced[0].1, Some(stamp), "stamp rides with its command");
         assert_eq!(traced[1].1, None);
@@ -368,9 +371,9 @@ mod tests {
     #[test]
     fn threshold_reports_full() {
         let mut out = OutgoingBuffers::new(1, 40);
-        assert!(!out.push_unicast(AeuId(0), &lookup_cmd(vec![1])));
+        assert!(!push_unicast(&mut out, AeuId(0), &lookup_cmd(vec![1])));
         assert!(
-            out.push_unicast(AeuId(0), &lookup_cmd(vec![2])),
+            push_unicast(&mut out, AeuId(0), &lookup_cmd(vec![2])),
             "40 bytes crossed"
         );
     }
@@ -380,7 +383,7 @@ mod tests {
         let mut out = OutgoingBuffers::new(3, 1024);
         let cmd = lookup_cmd(vec![7, 8, 9]);
         let mut full = Vec::new();
-        out.push_multicast(&[AeuId(0), AeuId(2)], &cmd, &mut full);
+        out.push_multicast(&[AeuId(0), AeuId(2)], &encoded(&cmd), &mut full);
         assert!(full.is_empty());
         assert_eq!(out.multicast.len(), cmd.encoded_len(), "one body");
         assert_eq!(out.pending_bytes(AeuId(0)), cmd.encoded_len());
@@ -394,8 +397,8 @@ mod tests {
         out.flush_into(AeuId(2), &inc2).unwrap().unwrap();
         for inc in [&inc0, &inc2] {
             let mut decoded = Vec::new();
-            inc.swap_and_consume(|d| decoded = DataCommand::decode_all(d));
-            assert_eq!(decoded, vec![cmd.clone()]);
+            inc.swap_and_consume(|d| decoded = decode_region(d));
+            assert_eq!(decoded, vec![(cmd.clone(), None)]);
         }
         out.reclaim_multicast();
         assert_eq!(out.multicast.len(), 0);
@@ -404,7 +407,8 @@ mod tests {
     #[test]
     fn multicast_not_reclaimed_while_referenced() {
         let mut out = OutgoingBuffers::new(2, 1024);
-        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![1]), &mut Vec::new());
+        let cmd = encoded(&lookup_cmd(vec![1]));
+        out.push_multicast(&[AeuId(0), AeuId(1)], &cmd, &mut Vec::new());
         let inc = IncomingBuffers::new(1024);
         out.flush_into(AeuId(0), &inc).unwrap();
         out.reclaim_multicast();
@@ -417,7 +421,7 @@ mod tests {
     #[test]
     fn full_incoming_keeps_outgoing_intact() {
         let mut out = OutgoingBuffers::new(1, 1024);
-        out.push_unicast(AeuId(0), &lookup_cmd(vec![1, 2, 3]));
+        push_unicast(&mut out, AeuId(0), &lookup_cmd(vec![1, 2, 3]));
         let tiny = IncomingBuffers::new(64);
         // Fill the incoming buffer first.
         tiny.write(&[0; 60]).unwrap();
@@ -444,10 +448,10 @@ mod tests {
         let inc = IncomingBuffers::new(256);
         let sent: Vec<_> = (0..40).map(|k| lookup_cmd(vec![k, k + 1])).collect();
         for cmd in &sent[..10] {
-            out.push_unicast(AeuId(1), cmd);
+            push_unicast(&mut out, AeuId(1), cmd);
         }
         for cmd in &sent[10..] {
-            out.push_multicast(&[AeuId(0), AeuId(1)], cmd, &mut Vec::new());
+            out.push_multicast(&[AeuId(0), AeuId(1)], &encoded(cmd), &mut Vec::new());
         }
         let first = lookup_cmd(vec![99]);
         let mut prefix = Vec::new();
@@ -464,7 +468,7 @@ mod tests {
                 "{info:?} within {free} free bytes"
             );
             multicast_only += refs_alone as usize;
-            inc.swap_and_consume(|d| got.extend(DataCommand::decode_all(d)));
+            inc.swap_and_consume(|d| got.extend(decode_region(d).into_iter().map(|(c, _)| c)));
         }
         assert!(
             multicast_only >= 2,
@@ -477,13 +481,14 @@ mod tests {
     #[test]
     fn mixed_unicast_and_multicast_arrive_together() {
         let mut out = OutgoingBuffers::new(2, 4096);
-        out.push_unicast(AeuId(0), &lookup_cmd(vec![1]));
-        out.push_multicast(&[AeuId(0), AeuId(1)], &lookup_cmd(vec![2]), &mut Vec::new());
+        push_unicast(&mut out, AeuId(0), &lookup_cmd(vec![1]));
+        let cmd = encoded(&lookup_cmd(vec![2]));
+        out.push_multicast(&[AeuId(0), AeuId(1)], &cmd, &mut Vec::new());
         let inc = IncomingBuffers::new(4096);
         let info = out.flush_into(AeuId(0), &inc).unwrap().unwrap();
         assert_eq!(info.commands, 2);
         let mut decoded = Vec::new();
-        inc.swap_and_consume(|d| decoded = DataCommand::decode_all(d));
+        inc.swap_and_consume(|d| decoded = decode_region(d));
         assert_eq!(decoded.len(), 2);
     }
 }
@@ -500,7 +505,7 @@ mod tests {
 #[cfg(test)]
 mod loom_models {
     use super::*;
-    use crate::command::{DataObjectId, Payload};
+    use crate::command::{decode_region, DataCommand, Payload};
     use eris_sync::sync::Arc;
     use eris_sync::{model, thread};
 
@@ -529,7 +534,9 @@ mod loom_models {
                     let inc = Arc::clone(&inc);
                     thread::spawn(move || {
                         let mut out = OutgoingBuffers::new(1, 64);
-                        out.push_unicast(AeuId(0), &cmd(ticket));
+                        let mut encoded = Vec::new();
+                        cmd(ticket).encode(&mut encoded);
+                        out.push_whole(AeuId(0), DataObjectId(1), None, &encoded);
                         loop {
                             match out.flush_into(AeuId(0), &inc) {
                                 Ok(info) => {
@@ -546,7 +553,7 @@ mod loom_models {
             let mut tickets = Vec::new();
             while tickets.len() < 2 {
                 inc.swap_and_consume(|d| {
-                    for c in DataCommand::decode_all(d) {
+                    for (c, _) in decode_region(d) {
                         assert_eq!(c, cmd(c.ticket), "command decodes intact");
                         tickets.push(c.ticket);
                     }

@@ -11,8 +11,8 @@
 //!    withholding grants, never unbounded buffering), then the overload
 //!    watermark, then the tenant's token bucket, then
 //!    [`Engine::submit_view`].  A command payload is checked where it
-//!    lies ([`CommandRef::check`]) before admission; a point command is
-//!    routed from those bytes without being decoded.  The watermark
+//!    lies ([`CommandRef::check`]) before admission and routed from
+//!    those bytes without being decoded.  The watermark
 //!    counts what the coming boundary will execute: the engine's
 //!    in-flight sub-commands plus those this batch has routed so far.
 //! 2. **Settle + flush** — credits consumed by settled commands are

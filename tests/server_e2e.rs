@@ -255,9 +255,9 @@ fn credit_window_bounds_outstanding_commands() {
 /// A frame whose payload is not a valid `DataCommand` gets
 /// `Rejected(REJ_DECODE)` — typed, credit returned, connection lives on.
 /// Records under op tags 3 and 4 are not commands either: the engine
-/// executes lookup, upsert and scan only.  Point payloads are checked
-/// where they lie, and every malformed one is still rejected before
-/// admission: the tenant's `accepted` count does not move.
+/// executes lookup, upsert and scan only.  Point and scan payloads are
+/// checked where they lie, and every malformed one is still rejected
+/// before admission: the tenant's `accepted` count does not move.
 #[test]
 fn malformed_command_payload_is_typed_rejected() {
     let (mut engine, obj) = small_engine(1, 2);
@@ -304,8 +304,7 @@ fn malformed_command_payload_is_typed_rejected() {
     // A whole command, then bytes after it in the same frame.
     let mut trailing = encoded(lookup(obj, 9));
     trailing.push(0);
-    // A scan whose aggregate tag is unknown.
-    let mut bad_agg = encoded(DataCommand {
+    let scan = encoded(DataCommand {
         object: fact,
         ticket: 10,
         payload: Payload::Scan {
@@ -314,8 +313,21 @@ fn malformed_command_payload_is_typed_rejected() {
             snapshot: 0,
         },
     });
-    let agg_at = 1 + 4 + 8 + 4 + 17;
+    // The predicate (tag and two words) and the aggregate of a scan.
+    let (pred_at, agg_at) = (1 + 4 + 8 + 4, 1 + 4 + 8 + 4 + 17);
+    // A scan whose aggregate tag is unknown.
+    let mut bad_agg = scan.clone();
     bad_agg[agg_at] = 9;
+    // A scan whose predicate tag is unknown.
+    let mut bad_pred = scan.clone();
+    bad_pred[pred_at] = 9;
+    // A scan cut inside its predicate, its length declaring the short body.
+    let mut cut_pred = scan[..pred_at + 10].to_vec();
+    set_u32(&mut cut_pred, plen_at, 10);
+    // A scan with bytes after its snapshot, inside its declared length.
+    let mut long_scan = scan.clone();
+    set_u32(&mut long_scan, plen_at, (scan.len() - pred_at + 3) as u32);
+    long_scan.extend_from_slice(&[0u8; 3]);
     let bad = [
         // Garbage.
         vec![0xFF; 9],
@@ -327,6 +339,9 @@ fn malformed_command_payload_is_typed_rejected() {
         overcounted,
         trailing,
         bad_agg,
+        bad_pred,
+        cut_pred,
+        long_scan,
     ];
     let mut bytes = Vec::new();
     RequestFrame {
