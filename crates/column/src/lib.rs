@@ -16,7 +16,7 @@ pub mod kernel;
 pub mod scan;
 pub mod simd;
 
-pub use column::{Column, ColumnFull, Predicate, Segment};
+pub use column::{Column, Predicate, Segment, DEFAULT_SEGMENT_CAPACITY};
 pub use kernel::{CompiledPredicate, CHUNK_ROWS};
 pub use scan::{Aggregate, ScanKernel, SharedScan};
 pub use simd::SimdLevel;

@@ -17,7 +17,7 @@ use crate::results::ResultCollector;
 use crate::routing::RoutingError;
 use crate::routing::{FlushInfo, IncomingBuffers, Router};
 use crate::telemetry::{bump, TelemetryShard};
-use eris_column::{simd, Column, Segment, SharedScan, SimdLevel};
+use eris_column::{simd, Column, Segment, SharedScan, SimdLevel, DEFAULT_SEGMENT_CAPACITY};
 use eris_index::{HashTable, PrefixTree, PrefixTreeConfig};
 use eris_numa::{CoreId, Flow, NodeId};
 use eris_obs::{
@@ -32,9 +32,6 @@ use std::collections::BTreeMap;
 // ledgers have many and keep `fetch_add`.
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-
-/// Values per provisioned column segment.
-const SEGMENT_VALUES: usize = 64 * 1024;
 
 /// Does the half-open validity range `[lo, hi)` contain `k`?  Matching
 /// [`eris_column::Predicate::Range`], `hi == u64::MAX` is a sentinel for
@@ -188,7 +185,8 @@ impl PointRun for [(u64, u64)] {
     }
 }
 
-/// Why [`Aeu::absorb_rows`] refused a batch.
+/// Why [`Aeu::absorb_rows`] refused a batch, or a column operation its
+/// partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsorbError {
     /// The AEU holds no partition of that object.
@@ -654,41 +652,49 @@ impl Aeu {
         emitted
     }
 
-    /// Append `rows` to `col`, provisioning fresh segments homed on `node`
-    /// on demand.
-    fn fill_column(node: NodeId, col: &mut Column, rows: &[u64]) {
-        let mut written = 0;
-        while written < rows.len() {
-            // BOUNDS: the loop guard keeps written < rows.len().
-            written += col.append_slice(&rows[written..]);
-            if written < rows.len() {
-                Self::provision_segment(node, col);
-            }
-        }
-    }
-
-    /// Provision a fresh segment, homed on `node`, for a column partition.
+    /// A fresh segment homed on `node`, for a column partition.
     // HOT-PATH-CUT: amortized segment provisioning — runs once per
-    // SEGMENT_ROWS appends, never per command.
-    fn provision_segment(node: NodeId, col: &mut Column) {
-        col.push_segment(Segment::with_capacity(node, SEGMENT_VALUES));
+    // DEFAULT_SEGMENT_CAPACITY appended rows, never per command.
+    pub(crate) fn provision_segment(node: NodeId) -> Segment {
+        Segment::with_capacity(node, DEFAULT_SEGMENT_CAPACITY)
     }
 
-    /// Append rows to a column partition, provisioning segments on demand.
-    /// Journals nothing: rows are journaled where they enter the engine.
+    /// The column of a column partition, for appends that provision
+    /// their segments with [`Aeu::provision_segment`] on this AEU's node.
     ///
     /// Total over its inputs: callers that hand it an unknown object or
     /// an index partition get a typed error instead of a panicked AEU.
-    pub fn absorb_rows(&mut self, object: DataObjectId, rows: &[u64]) -> Result<(), AbsorbError> {
-        let node = self.node;
+    pub(crate) fn column_mut(&mut self, object: DataObjectId) -> Result<&mut Column, AbsorbError> {
         let Some(p) = self.partitions.get_mut(&object) else {
             return Err(AbsorbError::UnknownPartition(object));
         };
         let PartitionData::Column(col) = &mut p.data else {
             return Err(AbsorbError::NotAColumn(object));
         };
-        Self::fill_column(node, col, rows);
+        Ok(col)
+    }
+
+    /// Append rows to a column partition (redo-log replay), provisioning
+    /// segments on demand.  Journals nothing: rows are journaled where
+    /// they enter the engine.
+    pub fn absorb_rows(&mut self, object: DataObjectId, rows: &[u64]) -> Result<(), AbsorbError> {
+        let node = self.node;
+        let col = self.column_mut(object)?;
+        col.append(rows.iter().copied(), || Self::provision_segment(node));
         Ok(())
+    }
+
+    /// Journal the last `appended` rows of a column partition where they
+    /// lie, one `AppendRows` record per segment run.
+    pub(crate) fn journal_rows(&self, object: DataObjectId, appended: usize) {
+        let (Some(sink), Some(p)) = (&self.sink, self.partitions.get(&object)) else {
+            return;
+        };
+        if let PartitionData::Column(col) = &p.data {
+            for rows in col.runs_from(col.len() - appended) {
+                sink.append(self.id, RedoOp::AppendRows { object, rows });
+            }
+        }
     }
 
     /// Insert pairs into an index or hash partition (redo-log replay, and
@@ -775,19 +781,6 @@ impl Aeu {
                 .map(|bucket| bucket as u64),
             PartitionData::Column(_) => panic!("extract_chunk on a column partition"),
         }
-    }
-
-    /// Remove the last `n` rows of a column partition, journaling
-    /// nothing: recovery puts a row back where it was last durable.
-    pub fn extract_tail_rows(&mut self, object: DataObjectId, n: usize) -> Vec<u64> {
-        let p = self
-            .partitions
-            .get_mut(&object)
-            .expect("column partition exists");
-        let PartitionData::Column(col) = &mut p.data else {
-            panic!("extract_tail_rows on an index partition")
-        };
-        col.drain_tail(n)
     }
 
     /// Update the responsibility range after a balancing command.
@@ -1207,8 +1200,9 @@ impl Aeu {
         w.add_flow(Flow::new(self.node, self.node, bytes), FlowKind::Overlapped);
     }
 
-    /// Upserts on a column partition are appends: materialize the values
-    /// into the local column.
+    /// Upserts on a column partition are appends: each command's values
+    /// go straight into the local column's segments, and the new rows are
+    /// journaled from there.
     fn process_appends(
         &mut self,
         object: DataObjectId,
@@ -1217,7 +1211,18 @@ impl Aeu {
         w: &mut WorkSummary,
     ) {
         let params = self.cfg.params;
-        let mut rows: Vec<u64> = Vec::new();
+        let node = self.node;
+        // process_group found a local column, so this cannot fail; a debug
+        // build still screams if that invariant ever rots.
+        let Some(Partition {
+            data: PartitionData::Column(col),
+            ..
+        }) = self.partitions.get_mut(&object)
+        else {
+            debug_assert!(false, "appends on a partition that is not a column");
+            return;
+        };
+        let start = col.len();
         for v in cmds {
             // Column appends are always fully local: a stamp completes
             // its journey here.
@@ -1227,21 +1232,13 @@ impl Aeu {
                 self.traced_pending.push(s);
             }
             let pairs = <(u64, u64)>::decode_items(v.items::<(u64, u64)>(region));
-            // ALLOC-OK: `rows` stages the whole batch for one absorb call
-            // into pre-provisioned segments.
-            rows.extend(pairs.map(|(_, value)| value));
-        }
-        let n = rows.len() as u64;
-        // process_group found a local column, so the absorb cannot fail; a
-        // debug build still screams if that invariant ever rots.
-        let absorbed = self.absorb_rows(object, &rows);
-        debug_assert!(absorbed.is_ok(), "{absorbed:?}");
-        if absorbed.is_ok() {
-            self.journal(RedoOp::AppendRows {
-                object,
-                rows: &rows,
+            col.append(pairs.map(|(_, value)| value), || {
+                Self::provision_segment(node)
             });
         }
+        let rows = col.len() - start;
+        self.journal_rows(object, rows);
+        let n = rows as u64;
         self.results.upsert_batch(n, n);
         let exec_ns = n as f64 * (params.cpu_ns_per_scan_row + params.cpu_ns_per_upsert);
         w.cpu_ns += exec_ns;
@@ -1302,8 +1299,10 @@ impl Aeu {
                 w.ops.scan_rows += examined * scale;
                 // One sweep of bytes regardless of the number of consumers:
                 // the scan-sharing win.  Traffic per segment home.
+                let mut left = examined;
                 for seg in col.segments() {
-                    let seg_rows = (seg.len() as u64).min(examined);
+                    let seg_rows = (seg.len() as u64).min(left);
+                    left -= seg_rows;
                     if seg_rows > 0 {
                         // ALLOC-OK: one flow record per scanned batch.
                         w.flows.push((

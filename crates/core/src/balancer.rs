@@ -664,11 +664,22 @@ impl Balancer {
         let mut moved_rows = 0u64;
         let num_moves = moves.len() as u64;
         for (from, to, n) in moves {
-            let rows = p.aeus[from].extract_tail_rows(object, n);
-            moved_rows += rows.len() as u64;
+            // Sealed segments change hands, re-homed to the receiver; only
+            // the rows past the split inside the segment it cuts are
+            // copied.  Nothing is journaled: recovery puts a row back
+            // where it was last durable.
+            let node = p.aeus[from].node;
+            let donor = p.aeus[from].column_mut(object).expect("a column donor");
+            let tail = donor.split_off(donor.len().saturating_sub(n), || {
+                Aeu::provision_segment(node)
+            });
+            let rows = tail.len();
+            moved_rows += rows as u64;
+            let node = p.aeus[to].node;
             p.aeus[to]
-                .absorb_rows(object, &rows)
-                .expect("migration lands on the freshly provisioned column");
+                .column_mut(object)
+                .expect("migration lands on the freshly provisioned column")
+                .adopt(tail, node);
             // A row move shifts tail rows, not a key range.
             let t = Transfer {
                 from,
@@ -676,7 +687,7 @@ impl Balancer {
                 lo: 0,
                 hi: 0,
             };
-            total_ns += p.charge_transfer(&mut decision, t, rows.len(), 8, 0.0);
+            total_ns += p.charge_transfer(&mut decision, t, rows, 8, 0.0);
         }
         if num_moves > 0 {
             self.close_cycle(p.shared, decision, num_moves, moved_rows);

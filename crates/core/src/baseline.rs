@@ -18,7 +18,7 @@
 //! apples-to-apples.
 
 use crate::cost::{expected_tree_misses, CostParams};
-use eris_column::{Column, Predicate, Segment};
+use eris_column::{Column, Predicate, Segment, DEFAULT_SEGMENT_CAPACITY};
 use eris_index::{PrefixTree, PrefixTreeConfig};
 use eris_mem::{MemoryManager, Policy};
 use eris_numa::{CostModel, Flow, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
@@ -225,9 +225,6 @@ pub struct SharedScanBench {
     pub counters: HwCounters,
 }
 
-/// Values per baseline column segment.
-const SEGMENT_VALUES: usize = 64 * 1024;
-
 impl SharedScanBench {
     /// Build the column with `real_rows` rows placed per `placement`.
     pub fn new(
@@ -244,18 +241,11 @@ impl SharedScanBench {
             ScanPlacement::Interleaved => Policy::Interleaved,
         };
         let mut column = Column::new();
-        let mut remaining = real_rows;
-        let mut v = 0u64;
-        while remaining > 0 {
-            let home = mem.alloc(policy, (SEGMENT_VALUES * 8) as u64).home;
-            column.push_segment(Segment::with_capacity(home, SEGMENT_VALUES));
-            let take = remaining.min(SEGMENT_VALUES);
-            for _ in 0..take {
-                column.append(v).expect("fresh segment");
-                v += 1;
-            }
-            remaining -= take;
-        }
+        column.append(0..real_rows as u64, || {
+            let bytes = (DEFAULT_SEGMENT_CAPACITY * 8) as u64;
+            let home = mem.alloc(policy, bytes).home;
+            Segment::with_capacity(home, DEFAULT_SEGMENT_CAPACITY)
+        });
         let worker_nodes: Vec<NodeId> = topo.cores().map(|c| topo.node_of_core(c)).collect();
         let counters = HwCounters::new(&topo);
         SharedScanBench {
@@ -367,7 +357,7 @@ mod tests {
     #[test]
     fn single_ram_is_slower_than_interleaved() {
         let params = CostParams::default();
-        let rows = 4 * SEGMENT_VALUES;
+        let rows = 4 * DEFAULT_SEGMENT_CAPACITY;
         let mut single = SharedScanBench::new(
             intel_machine(),
             ScanPlacement::SingleRam(NodeId(0)),

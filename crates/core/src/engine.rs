@@ -13,6 +13,7 @@ use crate::routing::{
     BitmapTable, PartitionTable, RangeTable, Router, RoutingConfig, RoutingError, RoutingShared,
 };
 use crate::telemetry::{CounterSnapshot, TelemetrySnapshot};
+use eris_column::Column;
 use eris_index::PrefixTreeConfig;
 use eris_mem::{MemoryManager, Policy};
 use eris_numa::{CoreId, HwCounters, NodeId, Topology, VirtualClock};
@@ -468,36 +469,36 @@ impl Engine {
         }
     }
 
-    /// Bulk-load a column round-robin across AEUs (setup path).
+    /// Bulk-load a column round-robin across AEUs (setup path): value `i`
+    /// goes to AEU `i mod n`, straight into that AEU's open segment, and
+    /// each AEU then journals its new rows from its segments.
     pub fn bulk_load_column(
         &mut self,
         object: DataObjectId,
         values: impl IntoIterator<Item = u64>,
     ) {
-        let n = self.aeus.len();
-        // Each batch is allocated once, at its final size.  Grown by
-        // doubling, the batches' reallocations interleave with the
-        // segments the load provisions, and how much of a dropped
-        // engine's heap the next load reuses then hinges on allocation
-        // sizes: a 128 MB load peaked 47 MB higher once `Segment` was
-        // 8 bytes smaller.
-        let values = values.into_iter();
-        let per_aeu = values.size_hint().0.div_ceil(n);
-        let mut batches: Vec<Vec<u64>> = (0..n).map(|_| Vec::with_capacity(per_aeu)).collect();
-        for (i, v) in values.enumerate() {
-            batches[i % n].push(v);
+        let mut columns: Vec<(NodeId, &mut Column)> = self
+            .aeus
+            .iter_mut()
+            .map(|aeu| {
+                let node = aeu.node;
+                (node, aeu.column_mut(object).expect("load targets a column"))
+            })
+            .collect();
+        let (mut dealt, mut next) = (0, 0);
+        for v in values {
+            let (node, col) = &mut columns[next];
+            col.append([v], || Aeu::provision_segment(*node));
+            dealt += 1;
+            next = if next + 1 == columns.len() {
+                0
+            } else {
+                next + 1
+            };
         }
-        // Consumed: each batch is freed once absorbed, so a load never
-        // holds every batch beside the segments it filled.
-        for (aeu, rows) in self.aeus.iter_mut().zip(batches) {
-            if !rows.is_empty() {
-                aeu.absorb_rows(object, &rows)
-                    .expect("load targets a provisioned column");
-                aeu.journal(RedoOp::AppendRows {
-                    object,
-                    rows: &rows,
-                });
-            }
+        let n = self.aeus.len();
+        for (i, aeu) in self.aeus.iter().enumerate() {
+            aeu.journal_rows(object, dealt / n + usize::from(i < dealt % n));
         }
     }
 
@@ -1041,6 +1042,39 @@ mod tests {
             e.results().combine_scan(9),
             Some(AggregateResult::Count(1000))
         );
+    }
+
+    #[test]
+    fn a_scan_charges_the_traffic_of_its_snapshot_rows_only() {
+        // Three full segments per AEU: a 100 000-row snapshot reads
+        // 100 000 rows of each partition, not up to 100 000 of each of its
+        // three segments.
+        let segment = eris_column::DEFAULT_SEGMENT_CAPACITY as u64;
+        let memory_bytes = |snapshot| {
+            let mut e = small_engine(false);
+            let col = e.create_column("c");
+            e.bulk_load_column(col, 0..3 * segment * e.num_aeus() as u64);
+            let payload = Payload::Scan {
+                pred: Predicate::All,
+                agg: Aggregate::Count,
+                snapshot,
+            };
+            let (object, ticket) = (col, 1);
+            e.submit(
+                AeuId(0),
+                DataCommand {
+                    object,
+                    ticket,
+                    payload,
+                },
+            )
+            .unwrap();
+            e.run_until_drained();
+            (e.num_aeus() as u64, e.counters().total_imc_bytes())
+        };
+        let (n, full) = memory_bytes(u64::MAX);
+        let (_, cut) = memory_bytes(100_000);
+        assert_eq!(full - cut, n * (3 * segment - 100_000) * 8);
     }
 
     #[test]

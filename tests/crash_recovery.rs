@@ -535,6 +535,40 @@ fn recovery_without_any_checkpoint_is_journal_only() {
 }
 
 #[test]
+fn recovery_of_a_journaled_column_load_reads_each_row_back_once_in_order() {
+    // Three full segments and part of a fourth per AEU, loaded with the
+    // journal attached and synced by one epoch's group commits; then a
+    // crash (the engine is not called again) and journal-only recovery.
+    let dir = temp_dir("column-load");
+    let dura = Durability::open(&dir, engine().num_aeus()).unwrap();
+    let mut e = engine();
+    dura.attach(&mut e);
+    let col = e.create_column("events");
+    let n = e.num_aeus() as u64;
+    let rows = n * (3 * eris_column::DEFAULT_SEGMENT_CAPACITY as u64 + 1000);
+    e.bulk_load_column(col, (0..rows).map(|i| i * 3 + 1));
+    e.run_until_drained();
+    let loaded = column_rows(&e, col);
+    drop(e);
+
+    let mut r = engine();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!(report.checkpoint, None);
+    let recovered = column_rows(&r, col);
+    // Value i went to AEU i mod n, and each partition holds its own in
+    // the order they were dealt, once.
+    for (a, got) in recovered.iter().enumerate() {
+        let dealt: Vec<u64> = (a as u64..rows)
+            .step_by(n as usize)
+            .map(|i| i * 3 + 1)
+            .collect();
+        assert_eq!(got, &dealt, "AEU {a}");
+    }
+    assert_eq!(recovered, loaded);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn repeated_checkpoints_pick_the_newest() {
     let dir = temp_dir("multi-ckpt");
     let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
