@@ -11,15 +11,14 @@ use crate::command::{
     encode_point_header, encode_trace_marker, AeuId, CommandRef, CommandView, DataCommand,
     DataObjectId, PointItem, StorageOp,
 };
-use crate::cost::{expected_tree_misses, CostParams};
+use crate::cost::{ObjectCounts, Routing, Shape, StepCounts};
 use crate::durability::{RedoOp, RedoSink};
 use crate::results::ResultCollector;
-use crate::routing::RoutingError;
-use crate::routing::{FlushInfo, IncomingBuffers, Router};
+use crate::routing::{IncomingBuffers, Router, RoutingError};
 use crate::telemetry::{bump, TelemetryShard};
 use eris_column::{simd, Column, Segment, SharedScan, SimdLevel, DEFAULT_SEGMENT_CAPACITY};
 use eris_index::{HashTable, PrefixTree, PrefixTreeConfig};
-use eris_numa::{CoreId, Flow, NodeId};
+use eris_numa::{CoreId, NodeId};
 use eris_obs::{
     now_ns, LatencyRecord, LatencyTable, Phase, Stamped, TraceEvent, TraceStamp, NUM_PHASES,
 };
@@ -76,25 +75,6 @@ fn command_extent(v: &CommandView) -> (u64, usize) {
     (v.ticket, v.op_count() as usize)
 }
 
-/// The modelled cost of one point operation on a partition; fixed for the
-/// group it was computed for.
-#[derive(Clone, Copy)]
-struct PointCost {
-    /// Expected LLC misses.
-    misses: f64,
-    /// CPU time: structure traversal, plus the write for an upsert.
-    cpu_ns: f64,
-}
-
-/// What a point group adds up over its runs.
-#[derive(Default)]
-struct PointTally {
-    /// Keys probed or pairs applied locally.
-    ops: u64,
-    /// Modelled execution time.
-    exec_ns: f64,
-}
-
 /// What differs between lookups and upserts in a point run, implemented on
 /// the run's items: the kernel call with result delivery, and what settles
 /// one command (its reply, or its redo record).
@@ -110,7 +90,7 @@ trait PointRun {
     );
 
     /// Settle the one command whose local items these are.
-    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId, w: &mut WorkSummary);
+    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId);
 }
 
 impl PointRun for [u64] {
@@ -140,17 +120,12 @@ impl PointRun for [u64] {
     }
 
     /// Result reply path: the callback owner receives the values.
-    fn settle_command(&self, aeu: &mut Aeu, _: DataObjectId, w: &mut WorkSummary) {
-        let n = self.len() as u64;
+    fn settle_command(&self, aeu: &mut Aeu, _: DataObjectId) {
         aeu.reply_rr = (aeu.reply_rr + 1) % aeu.cfg.node_of.len();
-        // BOUNDS: reply_rr was just reduced modulo node_of.len().
-        let reply_node = aeu.cfg.node_of[aeu.reply_rr];
-        w.latency_ns += FLUSH_BASE_LATENCY_NS / (2.0 * aeu.cfg.params.mlp);
-        w.cpu_ns += n as f64 * 2.0;
-        w.add_flow(
-            Flow::new(aeu.node, reply_node, n * 16),
-            FlowKind::Overlapped,
-        );
+        // BOUNDS: reply_rr was just reduced modulo node_of.len(), and the
+        // counts hold a slot for every node of the machine.
+        let reply_node = aeu.cfg.node_of[aeu.reply_rr].index();
+        aeu.counts.nodes[reply_node].reply_keys += self.len() as u64;
     }
 }
 
@@ -177,7 +152,7 @@ impl PointRun for [(u64, u64)] {
     }
 
     /// One redo record per command, as if it had been applied alone.
-    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId, _: &mut WorkSummary) {
+    fn settle_command(&self, aeu: &mut Aeu, object: DataObjectId) {
         aeu.journal(RedoOp::UpsertPairs {
             object,
             pairs: self,
@@ -228,35 +203,6 @@ impl PartitionData {
             PartitionData::Column(c) => c.bytes(),
         }
     }
-
-    /// Expected LLC misses per point operation, given the modelled key
-    /// count and the AEU's effective cache share.
-    fn point_misses(&self, model_keys: u64, cache_bytes: f64) -> f64 {
-        match self {
-            PartitionData::Index(t) => {
-                expected_tree_misses(model_keys.max(1), t.config(), cache_bytes)
-            }
-            PartitionData::Hash(_) => {
-                crate::cost::expected_hash_misses(model_keys.max(1), cache_bytes)
-            }
-            PartitionData::Column(_) => 0.0,
-        }
-    }
-
-    /// CPU cost of one point operation's structure traversal.
-    fn point_cpu_ns(&self, params: &CostParams) -> f64 {
-        match self {
-            PartitionData::Index(t) => {
-                params.cpu_ns_per_point_op
-                    + t.config().levels() as f64 * params.cpu_ns_per_tree_level
-            }
-            // A hash probe touches ~1.3 buckets: constant work.
-            PartitionData::Hash(_) => {
-                params.cpu_ns_per_point_op + 2.0 * params.cpu_ns_per_tree_level
-            }
-            PartitionData::Column(_) => params.cpu_ns_per_point_op,
-        }
-    }
 }
 
 /// One AEU-owned partition of a data object, plus its monitoring state.
@@ -296,91 +242,15 @@ impl OpCounts {
     }
 }
 
-/// How a worker's flow occupies its time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowKind {
-    /// Streaming consumption: the worker advances only as bytes arrive
-    /// (column scans).  Serial flows of one worker add up.
-    Serial,
-    /// Posted/overlapped traffic: transfers proceed concurrently (lookup
-    /// miss traffic under MLP, buffer flush copies).  Only the slowest
-    /// overlapped flow bounds the worker.
-    Overlapped,
-}
-
-/// What one worker did in one step, for the virtual-time solver.
-pub struct WorkSummary {
-    pub node: NodeId,
-    /// Pure compute time.
-    pub cpu_ns: f64,
-    /// Serialized memory/communication latency.
-    pub latency_ns: f64,
-    /// Memory traffic to be fair-shared.
-    pub flows: Vec<(Flow, FlowKind)>,
-    pub ops: OpCounts,
-}
-
-impl WorkSummary {
-    pub fn new(node: NodeId) -> Self {
-        WorkSummary {
-            node,
-            cpu_ns: 0.0,
-            latency_ns: 0.0,
-            flows: Vec::new(),
-            ops: OpCounts::default(),
-        }
-    }
-
-    /// Add one flow record, merged into the entry of the same `(src, home,
-    /// kind)` when there is one — the entry [`Self::coalesce_flows`] would
-    /// merge it into — so a point command adds to the worker's stream
-    /// instead of a record of its own.  The coalesced order and sums are
-    /// those of pushing every record and coalescing once.
-    pub fn add_flow(&mut self, flow: Flow, kind: FlowKind) {
-        let same = |(m, mk): &&mut (Flow, FlowKind)| {
-            m.src == flow.src && m.home == flow.home && *mk == kind
-        };
-        match self.flows.iter_mut().find(same) {
-            Some((m, _)) => m.bytes += flow.bytes,
-            // ALLOC-OK: one record per distinct stream, drained every epoch.
-            None => self.flows.push((flow, kind)),
-        }
-    }
-
-    /// Merge flows sharing the same (src, home) pair.  One worker's traffic
-    /// to one home is a single stream: splitting it into per-command flows
-    /// would both over-claim fair shares and over-serialize the worker's
-    /// own transfer time.
-    pub fn coalesce_flows(&mut self) {
-        if self.flows.len() < 2 {
-            return;
-        }
-        let mut merged: Vec<(Flow, FlowKind)> = Vec::with_capacity(self.flows.len().min(16));
-        for (f, k) in self.flows.drain(..) {
-            match merged
-                .iter_mut()
-                .find(|(m, mk)| m.src == f.src && m.home == f.home && *mk == k)
-            {
-                Some((m, _)) => m.bytes += f.bytes,
-                None => merged.push((f, k)),
-            }
-        }
-        self.flows = merged;
-    }
-}
-
 /// Per-AEU configuration resolved by the engine.
 pub struct AeuConfig {
-    pub params: CostParams,
-    /// LLC bytes effectively available to this AEU (node LLC / AEUs per node).
-    pub llc_share_bytes: f64,
     /// Virtual keys per real key: experiments model paper-scale data with a
     /// real subsample; lengths entering the cost model are scaled by this.
     pub size_scale: u64,
-    /// Local memory read latency of this AEU's node.
-    pub local_latency_ns: f64,
     /// AEU index → home node, for flush traffic accounting.
     pub node_of: Arc<Vec<NodeId>>,
+    /// Nodes of the machine, for the per-node traffic counts.
+    pub nodes: usize,
 }
 
 /// An Autonomous Execution Unit.
@@ -399,6 +269,10 @@ pub struct Aeu {
     discard_incoming: bool,
     /// Balancing work charged to the next step (partition transfers).
     pending_ns: f64,
+    /// Commands submitted through this AEU since its last step.
+    submitted: Routing,
+    /// What the current (or last) step did, for the cost model.
+    counts: StepCounts,
     epoch: u64,
     /// Rotating destination for result replies (statistical stand-in for
     /// the callback owner, which is uniformly distributed in the
@@ -437,6 +311,7 @@ impl Aeu {
     ) -> Self {
         let tel = Arc::clone(router.telemetry_shard());
         let latency = Arc::clone(router.shared().telemetry().latency());
+        let counts = StepCounts::new(node, cfg.nodes);
         Aeu {
             id,
             node,
@@ -449,6 +324,8 @@ impl Aeu {
             generator: None,
             discard_incoming: false,
             pending_ns: 0.0,
+            submitted: Routing::default(),
+            counts,
             epoch: 0,
             reply_rr: id.index(),
             scratch_cmds: Vec::new(),
@@ -479,12 +356,7 @@ impl Aeu {
     /// path.
     // HOT-PATH-CUT: rebalancing slow path — a command that landed on
     // the wrong AEU mid-migration is re-routed; rare by construction.
-    fn forward_stray(
-        &mut self,
-        cmd: CommandRef<'_>,
-        stamp: Option<TraceStamp>,
-        w: &mut WorkSummary,
-    ) {
+    fn forward_stray(&mut self, cmd: CommandRef<'_>, stamp: Option<TraceStamp>) {
         let stamp = stamp.map(|s| TraceStamp {
             hops: s.hops + 1,
             ..s
@@ -493,7 +365,8 @@ impl Aeu {
             .router
             .route_forwarded(&cmd, stamp)
             .expect("internally produced command targets a registered object");
-        charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
+        self.counts.routed.flushes += fl.len() as u64;
+        self.counts.add_flushes(&fl, &self.cfg.node_of);
     }
 
     /// Attach (or detach) the durability sink.  Must happen while the
@@ -532,6 +405,7 @@ impl Aeu {
         cfg: PrefixTreeConfig,
         range: (u64, u64),
     ) {
+        self.counts.add_object(object, Shape::Tree(cfg));
         self.partitions.insert(
             object,
             Partition {
@@ -550,6 +424,7 @@ impl Aeu {
     pub fn create_hash_partition(&mut self, object: DataObjectId, range: (u64, u64)) {
         // The AEU id seeds the per-partition hash function.
         let seed = (self.id.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.counts.add_object(object, Shape::Hash);
         self.partitions.insert(
             object,
             Partition {
@@ -563,6 +438,7 @@ impl Aeu {
 
     /// Create an (initially empty) column partition.
     pub fn create_column_partition(&mut self, object: DataObjectId) {
+        self.counts.add_object(object, Shape::Column);
         self.partitions.insert(
             object,
             Partition {
@@ -604,12 +480,12 @@ impl Aeu {
     }
 
     /// Route one checked command through this AEU's routing front end —
-    /// a served one ([`crate::Engine::submit_view`]) — charging `w` CPU
-    /// per emitted sub-command (the batch target lookup + encode of
-    /// routing step 1) and the flush costs.  A `stamp` born at the
-    /// serving layer's frame decode rides along (full-path tracing:
-    /// `(tenant, conn, seq)` and the net-queue/admission spans); without
-    /// one the router's sampler decides.  Returns the number of
+    /// a served one ([`crate::Engine::submit_view`]) — counting it, with
+    /// its sub-commands (the batch target lookup + encode of the first
+    /// routing step) and threshold flushes, towards this AEU's next step.  A `stamp`
+    /// born at the serving layer's frame decode rides along (full-path
+    /// tracing: `(tenant, conn, seq)` and the net-queue/admission spans);
+    /// without one the router's sampler decides.  Returns the number of
     /// sub-commands enqueued.
     // HOT-PATH-ROOT: routing step 1 for every served command:
     // partition-table split, outgoing buffers, threshold flushes.
@@ -617,39 +493,20 @@ impl Aeu {
         &mut self,
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
-        w: &mut WorkSummary,
     ) -> Result<u64, RoutingError> {
-        let routed = self.router.route_counted(&cmd, stamp)?;
-        Ok(self.charge_routed(cmd.op_count(), routed, w))
+        let (flushes, emitted) = self.router.route_counted(&cmd, stamp)?;
+        Ok(self
+            .submitted
+            .add_command(cmd.op_count(), emitted, flushes.len()))
     }
 
-    /// Route an owned command — one [`crate::Engine::submit`] takes, or
-    /// one this AEU's generator produced — as [`Aeu::route_external`]
-    /// routes a checked one, encoding it once.
-    // HOT-PATH-ROOT: routing step 1 for every submitted or generated
-    // command.
-    pub(crate) fn route_command(
-        &mut self,
-        cmd: &DataCommand,
-        w: &mut WorkSummary,
-    ) -> Result<u64, RoutingError> {
-        let routed = self.router.route_command(cmd)?;
-        Ok(self.charge_routed(cmd.payload.op_count(), routed, w))
-    }
-
-    /// Charge `w` for a command of `keys` operations routed as `emitted`
-    /// sub-commands with the flushes `fl`; returns `emitted`.
-    fn charge_routed(
-        &self,
-        keys: u64,
-        (fl, emitted): (Vec<FlushInfo>, u64),
-        w: &mut WorkSummary,
-    ) -> u64 {
-        w.cpu_ns += emitted.max(1) as f64 * self.cfg.params.cpu_ns_per_routed_cmd
-            + keys as f64 * self.cfg.params.cpu_ns_per_routed_key;
-        w.ops.commands_routed += 1;
-        charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
-        emitted
+    /// Route an owned command [`crate::Engine::submit`] takes, as
+    /// [`Aeu::route_external`] routes a checked one, encoding it once.
+    // HOT-PATH-ROOT: routing step 1 for every submitted command.
+    pub(crate) fn route_command(&mut self, cmd: &DataCommand) -> Result<u64, RoutingError> {
+        let (flushes, emitted) = self.router.route_command(cmd)?;
+        let keys = cmd.payload.op_count();
+        Ok(self.submitted.add_command(keys, emitted, flushes.len()))
     }
 
     /// A fresh segment homed on `node`, for a column partition.
@@ -795,22 +652,13 @@ impl Aeu {
         p.data.len() as u64 * self.cfg.size_scale
     }
 
-    /// What one point operation on `p` costs in the model, at its
-    /// current size.
-    fn point_cost(&self, p: &Partition) -> PointCost {
-        PointCost {
-            misses: p
-                .data
-                .point_misses(self.model_len(p), self.cfg.llc_share_bytes),
-            cpu_ns: p.data.point_cpu_ns(&self.cfg.params),
-        }
-    }
-
-    /// One iteration of the AEU loop.
-    pub fn step(&mut self) -> WorkSummary {
+    /// One iteration of the AEU loop; what it did is in [`Aeu::counts`]
+    /// until the next one.
+    pub fn step(&mut self) {
         self.epoch += 1;
-        let mut w = WorkSummary::new(self.node);
-        w.cpu_ns += std::mem::take(&mut self.pending_ns);
+        let submitted = std::mem::take(&mut self.submitted);
+        self.counts
+            .begin_step(std::mem::take(&mut self.pending_ns), submitted);
         // Epoch profiler: host wall time is attributed to phases as the
         // step moves through its stages; whatever the stage timeline and
         // the per-group kernel timings below don't claim is charged as
@@ -825,8 +673,13 @@ impl Aeu {
             let mut cmds = std::mem::take(&mut self.scratch_gen);
             gen(self.epoch, &mut cmds);
             for cmd in &cmds {
-                self.route_command(cmd, &mut w)
+                let (flushes, emitted) = self
+                    .router
+                    .route_command(cmd)
                     .expect("a generated command is routable");
+                let keys = cmd.payload.op_count();
+                self.counts.routed.add_command(keys, emitted, flushes.len());
+                self.counts.add_flushes(&flushes, &self.cfg.node_of);
             }
             cmds.clear();
             self.scratch_gen = cmds;
@@ -839,7 +692,7 @@ impl Aeu {
         // the commands where they lie in the swapped bytes.
         let incoming = Arc::clone(&self.incoming);
         let swapped = incoming.swap_and_consume(|region| {
-            self.process_incoming(region, mark, &mut phase_ns, &mut w);
+            self.process_incoming(region, mark, &mut phase_ns);
         });
         if swapped == 0 {
             // Nothing arrived: the swap alone was the intake.
@@ -847,18 +700,19 @@ impl Aeu {
         }
 
         // Stage 2 epilogue: flush outgoing buffers before starting over,
-        // and charge these flushes with the ones the engine's delivery
+        // and count these flushes with the ones the engine's delivery
         // pass made for this AEU before it stepped.
         mark = now_ns();
         let flushes = self.router.flush_all();
-        charge_flushes_to(&mut w, &self.cfg.node_of, flushes, &self.cfg.params, true);
+        self.counts.loop_end_flushes += flushes.len() as u64;
+        self.counts.add_flushes(flushes, &self.cfg.node_of);
         flushes.clear();
         phase_ns[Phase::Flush as usize] += now_ns().saturating_sub(mark);
 
         // Fold the step's operation tallies into the telemetry shard
         // (routing-side counters are maintained by the router itself).
         // ordering: one writer, this AEU's thread.
-        let ops = &w.ops;
+        let ops = self.counts.ops();
         let c = &self.tel.counters;
         if ops.lookups > 0 {
             bump(&c.lookups, ops.lookups);
@@ -875,7 +729,6 @@ impl Aeu {
         if ops.forwarded > 0 {
             bump(&c.forwarded, ops.forwarded);
         }
-        self.tel.step_ns.record((w.cpu_ns + w.latency_ns) as u64);
         if let Some(s) = &self.sink {
             s.end_of_step(self.id);
         }
@@ -888,7 +741,21 @@ impl Aeu {
                 self.tel.profiler.add(Phase::ALL[i], ns);
             }
         }
-        w
+    }
+
+    /// What the last step did.
+    pub fn counts(&self) -> &StepCounts {
+        &self.counts
+    }
+
+    /// Book the last step as the cost model priced it: its virtual time
+    /// into the step histogram, and each partition's execution time, as
+    /// `exec_ns` prices its counts, into the monitor's window.
+    pub(crate) fn book_step(&mut self, step_ns: f64, exec_ns: impl Fn(&ObjectCounts) -> f64) {
+        self.tel.step_ns.record(step_ns as u64);
+        for (object, p) in self.partitions.iter_mut() {
+            p.exec_ns += exec_ns(self.counts.counts_of(*object));
+        }
     }
 
     /// Deliver what was routed through this AEU since its last step —
@@ -904,13 +771,7 @@ impl Aeu {
     /// them delivered, group them by (object, op) and process the groups.
     /// Host time from `mark` to the end of the intake is charged to
     /// `ReadAdmit`, each group's execution to its kernel phase.
-    fn process_incoming(
-        &mut self,
-        region: &[u8],
-        mark: u64,
-        phase_ns: &mut [u64; NUM_PHASES],
-        w: &mut WorkSummary,
-    ) {
+    fn process_incoming(&mut self, region: &[u8], mark: u64, phase_ns: &mut [u64; NUM_PHASES]) {
         let mut cmds = std::mem::take(&mut self.scratch_cmds);
         cmds.clear();
         CommandView::decode_all(region, &mut cmds);
@@ -958,7 +819,7 @@ impl Aeu {
             }
             let group_t0 = now_ns();
             self.traced_pending.clear();
-            self.process_group(object, op, group, region, w);
+            self.process_group(object, op, group, region);
             let exec_ns = now_ns().saturating_sub(group_t0);
             phase_ns[kernel_phase(op) as usize] += exec_ns;
             let mut max_wait = 0u64;
@@ -999,38 +860,31 @@ impl Aeu {
         op: StorageOp,
         cmds: &[CommandView],
         region: &[u8],
-        w: &mut WorkSummary,
     ) {
         let Some(p) = self.partitions.get(&object) else {
-            return self.forward_group(object, cmds, region, w);
+            return self.forward_group(object, cmds, region);
         };
         let column = matches!(p.data, PartitionData::Column(_));
         match op {
             StorageOp::Lookup => {
                 let gather = std::mem::take(&mut self.scratch_keys);
-                self.scratch_keys = self.process_points(object, cmds, region, gather, w);
+                self.scratch_keys = self.process_points(object, cmds, region, gather);
             }
-            StorageOp::Upsert if column => self.process_appends(object, cmds, region, w),
+            StorageOp::Upsert if column => self.process_appends(object, cmds, region),
             StorageOp::Upsert => {
                 let gather = std::mem::take(&mut self.scratch_pairs);
-                self.scratch_pairs = self.process_points(object, cmds, region, gather, w);
+                self.scratch_pairs = self.process_points(object, cmds, region, gather);
             }
-            StorageOp::Scan => self.process_scans(object, cmds, region, w),
+            StorageOp::Scan => self.process_scans(object, cmds, region),
         }
     }
 
     /// The partition moved away entirely: forward every command of the
     /// group to the AEU now responsible.
-    fn forward_group(
-        &mut self,
-        object: DataObjectId,
-        cmds: &[CommandView],
-        region: &[u8],
-        w: &mut WorkSummary,
-    ) {
+    fn forward_group(&mut self, object: DataObjectId, cmds: &[CommandView], region: &[u8]) {
         for v in cmds {
-            w.ops.forwarded += v.op_count();
-            self.forward_stray(v.command_in(region), v.stamp, w);
+            self.counts.forwarded += v.op_count();
+            self.forward_stray(v.command_in(region), v.stamp);
         }
         self.emit(TraceEvent::ForwardedStray {
             object: object.0,
@@ -1040,9 +894,9 @@ impl Aeu {
 
     /// Forward the sub-commands of a point group's strays, encoded back to
     /// back in `strays` (each behind its trace marker when it carries the
-    /// command's stamp), charging routing CPU per item.
+    /// command's stamp).
     // HOT-PATH-CUT: rebalancing slow path, as `forward_stray`.
-    fn forward_strays(&mut self, object: DataObjectId, strays: &[u8], w: &mut WorkSummary) {
+    fn forward_strays(&mut self, object: DataObjectId, strays: &[u8]) {
         let mut views = Vec::new();
         CommandView::decode_all(strays, &mut views);
         let items: u64 = views.iter().map(CommandView::op_count).sum();
@@ -1051,9 +905,8 @@ impl Aeu {
             count: items as u32,
         });
         for v in views {
-            w.ops.forwarded += v.op_count();
-            w.cpu_ns += v.op_count() as f64 * self.cfg.params.cpu_ns_per_routed_cmd;
-            self.forward_stray(v.command_in(strays), v.stamp, w);
+            self.counts.forwarded += v.op_count();
+            self.forward_stray(v.command_in(strays), v.stamp);
         }
     }
 
@@ -1067,7 +920,6 @@ impl Aeu {
         cmds: &[CommandView],
         region: &[u8],
         mut gathered: Vec<T>,
-        w: &mut WorkSummary,
     ) -> Vec<T>
     where
         [T]: PointRun,
@@ -1076,12 +928,9 @@ impl Aeu {
             return gathered;
         };
         let range = p.range;
-        let params = self.cfg.params;
-        let mut cost = self.point_cost(p);
-        if T::OP == StorageOp::Upsert {
-            cost.cpu_ns += params.cpu_ns_per_upsert;
-        }
-        let mut tally = PointTally::default();
+        // The miss model prices the group at the partition's length now.
+        let model_len = self.model_len(p);
+        self.counts.counts_of(object).points(T::OP).model_len = model_len;
         // The strays' sub-commands, encoded back to back.
         let mut strays: Vec<u8> = Vec::new();
         // Group execution: the items of consecutive all-mine commands are
@@ -1116,7 +965,7 @@ impl Aeu {
             // across the whole group (last write wins).
             let run = cmds.iter().skip(run_from).take(i - run_from);
             let run = run.map(command_extent);
-            self.point_run(object, run, &gathered, cost, &mut tally, w);
+            self.point_run(object, run, &gathered);
             gathered.clear();
             run_from = i + 1;
             // The strays ride out as one sub-command to their new owner.
@@ -1126,22 +975,17 @@ impl Aeu {
             encode_point_header::<T>(object, v.ticket, n - mine, &mut strays);
             split_strays(items, range, &mut gathered, &mut strays);
             let one = std::iter::once((v.ticket, gathered.len()));
-            self.point_run(object, one, &gathered, cost, &mut tally, w);
+            self.point_run(object, one, &gathered);
             gathered.clear();
         }
         let run = cmds.iter().skip(run_from).map(command_extent);
-        self.point_run(object, run, &gathered, cost, &mut tally, w);
-        w.cpu_ns += tally.exec_ns;
-        match T::OP {
-            StorageOp::Upsert => w.ops.upserts += tally.ops,
-            _ => w.ops.lookups += tally.ops,
-        }
+        self.point_run(object, run, &gathered);
+        let ops = self.counts.counts_of(object).points(T::OP).ops;
         if let Some(p) = self.partitions.get_mut(&object) {
-            p.accesses += tally.ops;
-            p.exec_ns += tally.exec_ns;
+            p.accesses += ops;
         }
         if !strays.is_empty() {
-            self.forward_strays(object, &strays, w);
+            self.forward_strays(object, &strays);
         }
         gathered
     }
@@ -1149,17 +993,9 @@ impl Aeu {
     /// Execute `items` — the local items of `commands`, each a `(ticket,
     /// item count)`, concatenated in arrival order — with one batched
     /// kernel call, then settle every command (its slice of the results,
-    /// or its redo record) and charge the cost model per command exactly
-    /// as if each had been executed alone.
-    fn point_run<T, C>(
-        &mut self,
-        object: DataObjectId,
-        commands: C,
-        items: &[T],
-        cost: PointCost,
-        tally: &mut PointTally,
-        w: &mut WorkSummary,
-    ) where
+    /// or its redo record) and count it as if it had been executed alone.
+    fn point_run<T, C>(&mut self, object: DataObjectId, commands: C, items: &[T])
+    where
         T: PointItem,
         [T]: PointRun,
         C: Iterator<Item = (u64, usize)> + Clone,
@@ -1177,40 +1013,23 @@ impl Aeu {
         }
         let values = &mut self.scratch_values;
         items.run_kernel(&mut p.data, values, &self.results, commands.clone());
-        tally.ops += items.len() as u64;
         let mut rest = items;
         for (_, n) in commands.filter(|&(_, n)| n > 0) {
             // A run's counts add up to `items.len()`; a shortfall would
             // settle less, never panic.
             let (mine, tail) = rest.split_at(n.min(rest.len()));
             rest = tail;
-            mine.settle_command(self, object, w);
-            let n = mine.len() as u64;
-            tally.exec_ns += n as f64 * cost.cpu_ns;
-            self.charge_point_misses(n, cost, w);
+            mine.settle_command(self, object);
+            let group = self.counts.counts_of(object).points(T::OP);
+            group.commands += 1;
+            group.ops += mine.len() as u64;
         }
-    }
-
-    /// Charge the expected cache misses of `n` point operations: their
-    /// (overlapped) latency, and the lines they pull from local memory.
-    fn charge_point_misses(&self, n: u64, cost: PointCost, w: &mut WorkSummary) {
-        let params = &self.cfg.params;
-        w.latency_ns += n as f64 * cost.misses * self.cfg.local_latency_ns / params.mlp;
-        let bytes = (n as f64 * cost.misses * params.cache_line as f64) as u64;
-        w.add_flow(Flow::new(self.node, self.node, bytes), FlowKind::Overlapped);
     }
 
     /// Upserts on a column partition are appends: each command's values
     /// go straight into the local column's segments, and the new rows are
     /// journaled from there.
-    fn process_appends(
-        &mut self,
-        object: DataObjectId,
-        cmds: &[CommandView],
-        region: &[u8],
-        w: &mut WorkSummary,
-    ) {
-        let params = self.cfg.params;
+    fn process_appends(&mut self, object: DataObjectId, cmds: &[CommandView], region: &[u8]) {
         let node = self.node;
         // process_group found a local column, so this cannot fail; a debug
         // build still screams if that invariant ever rots.
@@ -1240,26 +1059,15 @@ impl Aeu {
         self.journal_rows(object, rows);
         let n = rows as u64;
         self.results.upsert_batch(n, n);
-        let exec_ns = n as f64 * (params.cpu_ns_per_scan_row + params.cpu_ns_per_upsert);
-        w.cpu_ns += exec_ns;
-        w.ops.upserts += n;
-        w.flows
-            // ALLOC-OK: one flow record per absorbed batch.
-            .push((Flow::new(self.node, self.node, n * 8), FlowKind::Overlapped));
+        let appends = &mut self.counts.counts_of(object).upserts;
+        appends.commands += cmds.len() as u64;
+        appends.ops += n;
         if let Some(p) = self.partitions.get_mut(&object) {
             p.accesses += n;
-            p.exec_ns += exec_ns;
         }
     }
 
-    fn process_scans(
-        &mut self,
-        object: DataObjectId,
-        cmds: &[CommandView],
-        region: &[u8],
-        w: &mut WorkSummary,
-    ) {
-        let params = self.cfg.params;
+    fn process_scans(&mut self, object: DataObjectId, cmds: &[CommandView], region: &[u8]) {
         let scale = self.cfg.size_scale;
         let Some(p) = self.partitions.get_mut(&object) else {
             return;
@@ -1293,26 +1101,20 @@ impl Aeu {
                     let rows = if i == 0 { examined * scale } else { 0 };
                     self.results.scan_partial(v.ticket, self.id, r, rows);
                 }
-                let exec_ns = examined as f64 * scale as f64 * params.cpu_ns_per_scan_row;
-                w.cpu_ns += exec_ns;
-                w.ops.scans += cmds.len() as u64;
-                w.ops.scan_rows += examined * scale;
+                let counts = self.counts.counts_of(object);
+                counts.scans += cmds.len() as u64;
+                counts.scan_rows += examined * scale;
                 // One sweep of bytes regardless of the number of consumers:
                 // the scan-sharing win.  Traffic per segment home.
                 let mut left = examined;
                 for seg in col.segments() {
                     let seg_rows = (seg.len() as u64).min(left);
                     left -= seg_rows;
-                    if seg_rows > 0 {
-                        // ALLOC-OK: one flow record per scanned batch.
-                        w.flows.push((
-                            Flow::new(self.node, seg.home(), seg_rows * 8 * scale),
-                            FlowKind::Serial,
-                        ));
-                    }
+                    // BOUNDS: segments are homed on nodes of the machine,
+                    // which the counts hold a slot for each of.
+                    self.counts.nodes[seg.home().index()].scan_rows += seg_rows * scale;
                 }
                 p.accesses += cmds.len() as u64;
-                p.exec_ns += exec_ns;
             }
             PartitionData::Index(_) | PartitionData::Hash(_) => {
                 // Range scan: in order over the index, full-sweep filter
@@ -1364,17 +1166,10 @@ impl Aeu {
                         .scan_partial(cmd.ticket, self.id, r, count * scale);
                     total_rows += count;
                 }
-                let exec_ns = total_rows as f64 * scale as f64 * params.cpu_ns_per_scan_row;
-                w.cpu_ns += exec_ns;
-                w.ops.scans += cmds.len() as u64;
-                w.ops.scan_rows += total_rows * scale;
-                // ALLOC-OK: one flow record per scanned batch.
-                w.flows.push((
-                    Flow::new(self.node, self.node, total_rows * 16 * scale),
-                    FlowKind::Serial,
-                ));
+                let counts = self.counts.counts_of(object);
+                counts.scans += cmds.len() as u64;
+                counts.scan_rows += total_rows * scale;
                 p.accesses += cmds.len() as u64;
-                p.exec_ns += exec_ns;
             }
         }
     }
@@ -1399,44 +1194,5 @@ fn kernel_phase(op: StorageOp) -> Phase {
         StorageOp::Scan => Phase::ScanKernel,
         StorageOp::Lookup => Phase::Probe,
         StorageOp::Upsert => Phase::Write,
-    }
-}
-
-/// Base latency of one incoming-buffer reservation (CAS round trip).
-const FLUSH_BASE_LATENCY_NS: f64 = 250.0;
-
-/// Charge flush traffic: one reservation (CAS) round trip per flush, plus
-/// the copied bytes as a flow homed at the target's node.
-///
-/// Threshold flushes (`overlapped = false`) hammer the *same* remote
-/// descriptor line back to back, so each CAS pays the full round trip —
-/// the small-buffer penalty of Figure 5.  Loop-end flushes
-/// (`overlapped = true`) go to distinct targets and overlap like posted
-/// stores, divided by twice the load MLP.  Pre-buffering amortizes both
-/// over whole buffers.
-fn charge_flushes_to(
-    w: &mut WorkSummary,
-    node_of: &[NodeId],
-    flushes: &[FlushInfo],
-    params: &CostParams,
-    overlapped: bool,
-) {
-    let per_flush = if overlapped {
-        FLUSH_BASE_LATENCY_NS / (2.0 * params.mlp)
-    } else {
-        FLUSH_BASE_LATENCY_NS
-    };
-    for f in flushes {
-        w.latency_ns += params.flush_latency_factor * per_flush;
-        // Pushed, not merged: scan routing flushes here too, and the scan
-        // path's allocation pattern is what keeps glibc from trimming the
-        // heap between `engine-scan`'s repeated builds.
-        // ALLOC-OK: flow records drain into the epoch's work summary.
-        // BOUNDS: FlushInfo targets come from the router, which only
-        // issues AEU ids it owns — always within node_of.
-        w.flows.push((
-            Flow::new(w.node, node_of[f.target.index()], f.bytes),
-            FlowKind::Overlapped,
-        ));
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::aeu::Aeu;
 use crate::command::{AeuId, DataObjectId};
-use crate::cost::CostParams;
+use crate::cost::{CostParams, Moved};
 use crate::durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
 use crate::engine::apply_bounds;
 use crate::monitor::{cv, BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};
@@ -366,30 +366,21 @@ pub(crate) struct Partitions<'a> {
 }
 
 impl Partitions<'_> {
-    /// Charge both AEUs one transfer of `keys` real keys (or rows) and
-    /// file it on `decision`; returns the ns charged.  Within a node it is
-    /// a *link*; across nodes a *copy* streams the bytes over the route
-    /// (recorded on the counters) and the receiver rebuilds them.
+    /// Charge both AEUs one transfer of `keys` real keys (or rows), as
+    /// [`CostParams::transfer_ns`] prices it, and file it on `decision`;
+    /// returns the ns charged.
     fn charge_transfer(
         &mut self,
         decision: &mut BalanceDecision,
         t: Transfer,
         keys: usize,
-        bytes_per_key: u64,
-        rebuild_ns_per_key: f64,
+        moved: Moved,
     ) -> f64 {
-        let (from_node, to_node) = (self.aeus[t.from].node, self.aeus[t.to].node);
-        let (src_ns, dst_ns) = if from_node == to_node {
-            (self.params.link_transfer_ns, self.params.link_transfer_ns)
-        } else {
-            let scaled = keys as f64 * self.transfer_scale;
-            let bytes = scaled * bytes_per_key as f64;
-            let route = self.topo.route(from_node, to_node).expect("connected");
-            let stream_ns = route.latency_ns + bytes / route.bandwidth_gbps;
-            self.counters
-                .record(self.topo, to_node, from_node, bytes as u64);
-            (stream_ns, stream_ns + scaled * rebuild_ns_per_key)
-        };
+        let nodes = (self.aeus[t.from].node, self.aeus[t.to].node);
+        let scaled = keys as f64 * self.transfer_scale;
+        let (src_ns, dst_ns) =
+            self.params
+                .transfer_ns(self.topo, nodes, scaled, moved, self.counters);
         self.aeus[t.from].add_pending_ns(src_ns);
         self.aeus[t.to].add_pending_ns(dst_ns);
         let m = MigrationRecord {
@@ -398,7 +389,7 @@ impl Partitions<'_> {
             lo: t.lo,
             hi: t.hi,
             keys: keys as u64,
-            bytes: keys as u64 * bytes_per_key,
+            bytes: keys as u64 * self.params.moved_bytes(moved),
         };
         self.shared
             .telemetry()
@@ -629,9 +620,8 @@ impl Balancer {
         apply_bounds(p.shared, p.aeus, object, domain, &new_bounds);
         // Charge the transfers in plan order, then move them donor-first.
         let mut total_ns = 0.0;
-        for (&t, &moved) in plan.iter().zip(&counts) {
-            let (bytes, rebuild) = (p.params.transfer_bytes_per_key, p.params.rebuild_ns_per_key);
-            total_ns += p.charge_transfer(&mut decision, t, moved, bytes, rebuild);
+        for (&t, &keys) in plan.iter().zip(&counts) {
+            total_ns += p.charge_transfer(&mut decision, t, keys, Moved::Pairs);
         }
         p.move_ranges(object, &plan, &counts);
         // The cycle commits: once the receivers' pairs are durable, one
@@ -687,7 +677,7 @@ impl Balancer {
                 lo: 0,
                 hi: 0,
             };
-            total_ns += p.charge_transfer(&mut decision, t, rows, 8, 0.0);
+            total_ns += p.charge_transfer(&mut decision, t, rows, Moved::Rows);
         }
         if num_moves > 0 {
             self.close_cycle(p.shared, decision, num_moves, moved_rows);

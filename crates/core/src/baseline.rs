@@ -15,9 +15,11 @@
 //! Both run under the same virtual-time accounting as the engine: real
 //! data structure operations, with latency/bandwidth charged through the
 //! identical cost model and flow solver, so ERIS-vs-baseline ratios are
-//! apples-to-apples.
+//! apples-to-apples.  The scan baseline's workers count their sweeps as
+//! AEU steps do, and [`CostParams::epoch_ns`] prices them.
 
-use crate::cost::{expected_tree_misses, CostParams};
+use crate::command::DataObjectId;
+use crate::cost::{expected_tree_misses, CostParams, Routing, Shape, StepCounts};
 use eris_column::{Column, Predicate, Segment, DEFAULT_SEGMENT_CAPACITY};
 use eris_index::{PrefixTree, PrefixTreeConfig};
 use eris_mem::{MemoryManager, Policy};
@@ -115,6 +117,9 @@ impl SharedIndexBench {
     }
 
     /// Run one phase of `virtual_secs`, doing real `upsert`s or lookups.
+    /// Priced here, not by [`CostParams::epoch_ns`]: a worker's misses
+    /// spread over every interleaved home and overlap, so the slowest
+    /// home binds it, where an AEU's posted flows share their summed rate.
     fn run_phase(&mut self, virtual_secs: f64, upsert: bool) -> PhaseResult {
         let end = self.clock.now_secs() + virtual_secs;
         let mut ops = 0u64;
@@ -204,6 +209,9 @@ impl SharedIndexBench {
     }
 }
 
+/// The one object a scan worker's counts hold: the shared column.
+const SCANNED: DataObjectId = DataObjectId(0);
+
 /// Memory placement of the shared-scan baseline (Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanPlacement {
@@ -219,7 +227,8 @@ pub struct SharedScanBench {
     topo: Arc<Topology>,
     params: CostParams,
     column: Column,
-    worker_nodes: Vec<NodeId>,
+    /// One worker per core, counting its share of each sweep.
+    workers: Vec<StepCounts>,
     size_scale: u64,
     pub clock: VirtualClock,
     pub counters: HwCounters,
@@ -246,12 +255,19 @@ impl SharedScanBench {
             let home = mem.alloc(policy, bytes).home;
             Segment::with_capacity(home, DEFAULT_SEGMENT_CAPACITY)
         });
-        let worker_nodes: Vec<NodeId> = topo.cores().map(|c| topo.node_of_core(c)).collect();
+        let workers = topo
+            .cores()
+            .map(|c| {
+                let mut w = StepCounts::new(topo.node_of_core(c), topo.num_nodes());
+                w.add_object(SCANNED, Shape::Column);
+                w
+            })
+            .collect();
         let counters = HwCounters::new(&topo);
         SharedScanBench {
             params,
             column,
-            worker_nodes,
+            workers,
             size_scale,
             clock: VirtualClock::new(),
             counters,
@@ -263,38 +279,29 @@ impl SharedScanBench {
     /// Returns the *virtual* bytes read and the virtual duration.
     pub fn scan_once(&mut self) -> (u64, f64) {
         let rows = self.column.len();
-        let workers = self.worker_nodes.len();
-        let chunk = rows.div_ceil(workers);
-        let mut flows: Vec<Flow> = Vec::new();
-        let mut worker_cpu = vec![0f64; workers];
-        let mut spans = Vec::with_capacity(workers);
+        let chunk = rows.div_ceil(self.workers.len());
+        let scale = self.size_scale;
         let mut sum = 0u64;
-        for (w, &src) in self.worker_nodes.iter().enumerate() {
+        for (w, counts) in self.workers.iter_mut().enumerate() {
             let start = w * chunk;
             let end = (start + chunk).min(rows);
-            let flow_start = flows.len();
             let examined = self.column.scan_rows(start, end, Predicate::All, |_, v| {
                 sum = sum.wrapping_add(v);
             });
-            worker_cpu[w] =
-                examined as f64 * self.size_scale as f64 * self.params.cpu_ns_per_scan_row;
+            counts.begin_step(0.0, Routing::default());
+            counts.counts_of(SCANNED).scan_rows = examined as u64 * scale;
             for (home, seg_rows) in self.column.rows_per_node(start, end) {
-                flows.push(Flow::new(src, home, seg_rows * 8 * self.size_scale));
+                counts.nodes[home.index()].scan_rows += seg_rows * scale;
             }
-            spans.push(flow_start..flows.len());
         }
         std::hint::black_box(sum);
-        let rates = FlowSolver::new(&self.topo).solve(&flows);
-        for f in &flows {
-            self.counters.record(&self.topo, f.src, f.home, f.bytes);
-        }
-        let mut duration = 0f64;
-        for (w, span) in spans.into_iter().enumerate() {
-            let bw_ns: f64 = span.map(|i| flows[i].bytes as f64 / rates.rates[i]).sum();
-            duration = duration.max(worker_cpu[w] / self.params.frequency_scale + bw_ns);
-        }
-        self.clock.advance_ns(duration.max(1_000.0));
-        ((rows as u64) * 8 * self.size_scale, duration)
+        let mut step_ns = Vec::with_capacity(self.workers.len());
+        let epoch_ns =
+            self.params
+                .epoch_ns(&self.topo, &self.workers, &mut self.counters, &mut step_ns);
+        self.clock.advance_ns(epoch_ns);
+        let duration = step_ns.iter().fold(0.0, |d: f64, &t| d.max(t));
+        ((rows as u64) * 8 * scale, duration)
     }
 
     /// Scan repeatedly for `virtual_secs`; returns aggregate GB/s.

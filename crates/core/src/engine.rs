@@ -2,7 +2,7 @@
 //! (its one epoch loop), and a threaded runtime that exercises the routing
 //! protocol under real parallelism.  The adaption loop is the balancer's.
 
-use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts, WorkSummary};
+use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts};
 use crate::balancer::{Balancer, BalancerConfig, Partitions};
 use crate::command::{AeuId, CommandRef, DataCommand, DataObjectId};
 use crate::cost::CostParams;
@@ -114,6 +114,8 @@ pub struct Engine {
     balancer: Balancer,
     /// Durability sink shared with every AEU (None = volatile engine).
     sink: Option<Arc<dyn RedoSink>>,
+    /// Each AEU's priced time in the last epoch.
+    step_ns: Vec<f64>,
 }
 
 impl Engine {
@@ -147,14 +149,10 @@ impl Engine {
         let mut aeus = Vec::with_capacity(num_aeus);
         for (i, (node, core)) in placement.into_iter().enumerate() {
             let id = AeuId(i as u32);
-            let aeus_on_node = node_of.iter().filter(|n| **n == node).count() as f64;
-            let spec = topo.node_spec(node);
             let aeu_cfg = AeuConfig {
-                params: cfg.params,
-                llc_share_bytes: (spec.llc_mib as f64) * 1048576.0 / aeus_on_node,
                 size_scale: cfg.size_scale,
-                local_latency_ns: spec.local_latency_ns,
                 node_of: Arc::clone(&node_of),
+                nodes: topo.num_nodes(),
             };
             let router = Router::new(id, Arc::clone(&shared), cfg.routing);
             let incoming = Arc::clone(shared.incoming(id));
@@ -182,6 +180,7 @@ impl Engine {
             objects: Vec::new(),
             balancer,
             sink: None,
+            step_ns: Vec::with_capacity(num_aeus),
         }
     }
 
@@ -514,8 +513,7 @@ impl Engine {
     /// [`RoutingError`] and enqueue nothing.  An accepted command
     /// executes in the next [`Engine::run_epoch`].
     pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
-        self.submit_with(via, |aeu, w| aeu.route_command(&cmd, w))
-            .map(drop)
+        self.aeus[via.index()].route_command(&cmd).map(drop)
     }
 
     /// Submit a command as the serving layer holds it: checked where it
@@ -534,27 +532,14 @@ impl Engine {
         cmd: CommandRef<'_>,
         stamp: Option<TraceStamp>,
     ) -> Result<u64, RoutingError> {
-        self.submit_with(via, |aeu, w| aeu.route_external(cmd, stamp, w))
-    }
-
-    /// Route through `via` with `route`, charging the submission's costs
-    /// to that AEU's next epoch.
-    fn submit_with(
-        &mut self,
-        via: AeuId,
-        route: impl FnOnce(&mut Aeu, &mut WorkSummary) -> Result<u64, RoutingError>,
-    ) -> Result<u64, RoutingError> {
-        let mut w = WorkSummary::new(self.node_of[via.index()]);
-        let aeu = &mut self.aeus[via.index()];
-        let emitted = route(aeu, &mut w)?;
-        // Submission costs are charged to the next epoch via pending ns.
-        aeu.add_pending_ns(w.cpu_ns + w.latency_ns);
-        Ok(emitted)
+        self.aeus[via.index()].route_external(cmd, stamp)
     }
 
     /// Run one cooperative epoch: deliver everything submitted since the
     /// last epoch, step every AEU, advance the virtual clock by the
-    /// epoch's cost ([`CostParams::epoch_ns`]), and run the balancer when
+    /// epoch's cost ([`CostParams::epoch_ns`] prices what the AEUs
+    /// counted; submissions are charged to the step after them), and run
+    /// the balancer when
     /// a period of virtual time has passed.  Delivery comes first so that
     /// a command submitted through any AEU executes in this epoch,
     /// whatever the stepping order; generators route inside the step and
@@ -566,15 +551,17 @@ impl Engine {
         for aeu in self.aeus.iter_mut() {
             aeu.deliver();
         }
-        let mut summaries = Vec::with_capacity(self.aeus.len());
         for aeu in self.aeus.iter_mut() {
-            let mut s = aeu.step();
-            s.coalesce_flows();
-            report.ops.add(&s.ops);
-            summaries.push(s);
+            aeu.step();
+            report.ops.add(&aeu.counts().ops());
         }
         let params = &self.cfg.params;
-        report.duration_ns = params.epoch_ns(&self.topo, &summaries, &mut self.counters);
+        let steps = self.aeus.iter().map(Aeu::counts);
+        report.duration_ns =
+            params.epoch_ns(&self.topo, steps, &mut self.counters, &mut self.step_ns);
+        for (aeu, &ns) in self.aeus.iter_mut().zip(&self.step_ns) {
+            aeu.book_step(ns, |o| params.exec_ns(o));
+        }
         self.clock.advance_ns(report.duration_ns);
         if self.balancer.due(self.clock.now_secs()) {
             report.balance_ns = self.run_balancer();

@@ -69,10 +69,10 @@ pub mod results;
 pub mod routing;
 pub mod telemetry;
 
-pub use aeu::{AbsorbError, Aeu, OpCounts, Partition, PartitionData, WorkSummary};
+pub use aeu::{AbsorbError, Aeu, OpCounts, Partition, PartitionData};
 pub use balancer::{BalanceAlgorithm, BalanceMetric, BalancerConfig};
 pub use command::{AeuId, CommandRef, DataCommand, DataObjectId, DecodeError, Payload, StorageOp};
-pub use cost::CostParams;
+pub use cost::{CostParams, StepCounts};
 pub use durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
 pub use engine::{Engine, EngineConfig, EpochReport, QuiesceReport};
 pub use monitor::{BalanceDecision, BalanceVerdict, MigrationRecord, Monitor, Sample};

@@ -25,6 +25,7 @@
 
 use crate::crc::crc32;
 use crate::failpoint::{FailPoints, FP_JOURNAL_PRE_SYNC, FP_JOURNAL_TORN_WRITE};
+use eris_core::balancer::TRANSFER_CHUNK;
 use eris_core::durability::{ObjectClass, RedoOp};
 use eris_core::telemetry::TelemetryShard;
 use eris_core::{AeuId, DataObjectId};
@@ -130,6 +131,10 @@ fn put_words(w: &mut Writer<'_>, tag: u8, object: DataObjectId, words: &[u64]) {
 /// the bytes now pending.  The one framing path of the journal and of
 /// checkpoint parts.
 fn frame(buf: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut [u8])) -> usize {
+    debug_assert!(
+        len <= MAX_RECORD_BYTES as usize,
+        "a record the reader refuses"
+    );
     let start = buf.len();
     buf.resize(start + 8 + len, 0);
     let (header, payload) = buf[start..].split_at_mut(8);
@@ -139,10 +144,26 @@ fn frame(buf: &mut Vec<u8>, len: usize, write: impl FnOnce(&mut [u8])) -> usize 
     buf.len()
 }
 
-/// Frame `op` as one record at the end of `buf`, encoded where it lies.
-/// Returns the bytes now pending.
-pub(crate) fn frame_op(buf: &mut Vec<u8>, op: &RedoOp<'_>) -> usize {
-    frame(buf, encoded_len(op), |payload| encode_op(op, payload))
+/// Frame `op` at the end of `buf`, encoded where it lies: its pairs or
+/// rows in records of at most [`TRANSFER_CHUNK`] each, which replay in
+/// order to the same state, so that no record outgrows what the reader
+/// takes ([`MAX_RECORD_BYTES`]).  Returns the records framed.
+pub(crate) fn frame_op(buf: &mut Vec<u8>, op: &RedoOp<'_>) -> u64 {
+    let mut one = |op: &RedoOp<'_>| {
+        frame(buf, encoded_len(op), |payload| encode_op(op, payload));
+        1u64
+    };
+    match *op {
+        RedoOp::UpsertPairs { object, pairs } if pairs.len() > TRANSFER_CHUNK => pairs
+            .chunks(TRANSFER_CHUNK)
+            .map(|pairs| one(&RedoOp::UpsertPairs { object, pairs }))
+            .sum(),
+        RedoOp::AppendRows { object, rows } if rows.len() > TRANSFER_CHUNK => rows
+            .chunks(TRANSFER_CHUNK)
+            .map(|rows| one(&RedoOp::AppendRows { object, rows }))
+            .sum(),
+        _ => one(op),
+    }
 }
 
 pub(crate) fn take_u8(buf: &mut &[u8]) -> Option<u8> {
@@ -318,13 +339,14 @@ impl Wal {
         &self.path
     }
 
-    /// Encode `op` as one record straight into the group-commit buffer.
-    /// Returns the bytes now pending so the caller can trigger an early
-    /// flush.
+    /// Encode `op` straight into the group-commit buffer, as one record
+    /// or, past [`TRANSFER_CHUNK`] pairs or rows, several.  Returns the
+    /// bytes now pending so the caller can trigger an early flush.
     pub fn append_op(&self, op: &RedoOp<'_>) -> usize {
-        let mut inner = self.inner.lock();
-        inner.records += 1;
-        frame_op(&mut inner.buf, op)
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        inner.records += frame_op(&mut inner.buf, op);
+        inner.buf.len()
     }
 
     /// Frame an already encoded `payload` into the group-commit buffer.

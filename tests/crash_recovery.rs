@@ -569,6 +569,38 @@ fn recovery_of_a_journaled_column_load_reads_each_row_back_once_in_order() {
 }
 
 #[test]
+fn recovery_of_a_journaled_index_load_past_one_record_brings_every_key_back() {
+    // 2^22 pairs on one AEU: a 64 MiB + 21 B payload if journaled as one
+    // record, past the 64 MiB a reader takes.  The journal must cut it
+    // into records the reader reads back.
+    let one_aeu = || {
+        Engine::new(
+            eris_numa::machines::custom_machine("one", 1, 1, 20.0, 100.0, 10.0, 60.0),
+            EngineConfig::default(),
+        )
+    };
+    let n = 1u64 << 22;
+    let dir = temp_dir("index-load");
+    let dura = Durability::open(&dir, 1).unwrap();
+    let mut e = one_aeu();
+    dura.attach(&mut e);
+    let idx = e.create_hash_index("big", n);
+    e.bulk_load_index(idx, (0..n).map(|k| (k, k ^ 0x5EED)));
+    e.run_until_drained();
+    drop(e);
+
+    let mut r = one_aeu();
+    let report = Durability::recover(&mut r, &dir).unwrap();
+    assert_eq!((report.checkpoint, report.torn_bytes), (None, 0));
+    let Some(PartitionData::Hash(h)) = r.aeu(AeuId(0)).partition(idx).map(|p| &p.data) else {
+        panic!("the recovered AEU holds a hash partition of the index");
+    };
+    assert_eq!(h.len() as u64, n, "every key comes back");
+    assert!((0..n).all(|k| h.lookup(k) == Some(k ^ 0x5EED)));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn repeated_checkpoints_pick_the_newest() {
     let dir = temp_dir("multi-ckpt");
     let mut dura = Durability::open(&dir, engine().num_aeus()).unwrap();
