@@ -337,13 +337,20 @@ impl Column {
         s
     }
 
-    /// Split the column at row `at` and return the rows from `at` on as a
-    /// column of their own, in order: the donor side of a column move
-    /// ("the balancing command includes the number of tuples that have to
-    /// be ... handed over to another AEU").  Whole segments past `at` move
-    /// by value, buffers and all; only the rows past `at` inside the one
-    /// segment it cuts are copied, into a fresh segment from `provide`.
-    pub fn split_off(&mut self, at: usize, provide: impl FnMut() -> Segment) -> Column {
+    /// Move the rows from row `at` on to the end of `into`, in order: a
+    /// column move ("the balancing command includes the number of tuples
+    /// that have to be ... handed over to another AEU").  Whole segments
+    /// past `at` change hands, buffers and all, re-homed to `home`.  Only
+    /// the rows past `at` inside the one segment it cuts are copied: they
+    /// fill `into`'s open segment, and what does not fit a fresh one from
+    /// `provide`.  Returns the rows moved.
+    pub fn move_tail(
+        &mut self,
+        at: usize,
+        into: &mut Column,
+        home: NodeId,
+        provide: impl FnMut() -> Segment,
+    ) -> usize {
         let at = at.min(self.len);
         // The first segment holding a row at or past `at`, and its first row.
         let (mut k, mut row) = (0, 0);
@@ -351,29 +358,19 @@ impl Column {
             row += seg.len();
             k += 1;
         }
-        let mut tail = Column::new();
         if let Some(cut) = self.segments.get_mut(k).filter(|_| row < at) {
-            tail.append(cut.data.drain(at - row..), provide);
+            into.append(cut.data.drain(at - row..), provide);
             k += 1;
         }
         let whole = self.segments.split_off(k);
-        tail.len += whole.iter().map(Segment::len).sum::<usize>();
-        tail.segments.extend(whole);
+        into.len += whole.iter().map(Segment::len).sum::<usize>();
+        into.segments.extend(whole.into_iter().map(|mut seg| {
+            seg.home = home;
+            seg
+        }));
+        let moved = self.len - at;
         self.len = at;
-        tail
-    }
-
-    /// Append `tail`'s segments after this column's own, re-homed to
-    /// `home`: the receiving side of a column move.  Nothing is copied, so
-    /// a partly filled segment may sit mid-column; every reader walks each
-    /// segment by its own length.
-    pub fn adopt(&mut self, tail: Column, home: NodeId) {
-        self.len += tail.len;
-        self.segments
-            .extend(tail.segments.into_iter().map(|mut seg| {
-                seg.home = home;
-                seg
-            }));
+        moved
     }
 }
 
@@ -600,10 +597,10 @@ mod tests {
         assert_eq!(rows(&c), values);
     }
 
-    /// Split a 40-row column of 16-value segments at `at` and hand the
-    /// tail to a receiver holding 5 rows of its own, homed on node 7.
-    /// Returns (donor, receiver, tail segments that kept their buffer).
-    fn split_and_adopt(at: usize) -> (Column, Column, usize) {
+    /// Move the rows of a 40-row column of 16-value segments from `at` on
+    /// to a receiver holding 5 rows of its own, homed on node 7.  Returns
+    /// (donor, receiver, moved segments that kept their buffer).
+    fn split_and_move(at: usize) -> (Column, Column, usize) {
         let mut donor = filled(40).into_column();
         let buffers: Vec<*const u64> = donor
             .segments()
@@ -614,19 +611,21 @@ mod tests {
         receiver.extend(100..105);
         let mut receiver = receiver.into_column();
         let mut asked = 0;
-        let tail = donor.split_off(at, provider(0, 16, &mut asked));
-        assert_eq!(tail.len(), 40 - at);
+        let moved = donor.move_tail(at, &mut receiver, NodeId(7), provider(7, 16, &mut asked));
+        assert_eq!(moved, 40 - at);
+        // The rows past `at` in the segment it cuts fill the receiver's
+        // open segment, which has room for 11.
+        let cut = (at.next_multiple_of(16).min(40) - at) % 16;
         assert_eq!(
             asked,
-            usize::from(!at.is_multiple_of(16) && at < 40),
-            "one copy, of a cut segment"
+            usize::from(cut > 11),
+            "a segment for what does not fit"
         );
-        let kept = tail
+        let kept = receiver
             .segments()
             .iter()
             .filter(|s| buffers.contains(&s.values().as_ptr()))
             .count();
-        receiver.adopt(tail, NodeId(7));
         (donor, receiver, kept)
     }
 
@@ -639,9 +638,10 @@ mod tests {
             (32, 1), // at a segment boundary: the open segment moves
             (16, 2), // across several segments, at a boundary
             (5, 2),  // across several segments, cutting the first
+            (3, 2),  // the same, the cut rows overflowing the receiver's room
             (40, 0), // nothing
         ] {
-            let (donor, receiver, kept) = split_and_adopt(at);
+            let (donor, receiver, kept) = split_and_move(at);
             assert_eq!(kept, whole, "split at {at}");
             assert_eq!(donor.len(), at);
             assert_eq!(donor.get(at), None);
@@ -657,31 +657,40 @@ mod tests {
             assert!(receiver.segments().iter().all(|s| !s.is_empty()));
         }
         // A split past the end clamps: nothing leaves.
-        let mut c = filled(40).into_column();
-        assert!(c.split_off(100, || unreachable!("no cut")).is_empty());
+        let (mut c, mut none) = (filled(40).into_column(), Column::new());
+        assert_eq!(
+            c.move_tail(100, &mut none, NodeId(7), || unreachable!("no cut")),
+            0
+        );
+        assert!(none.is_empty() && none.segments().is_empty());
         assert_eq!(c.len(), 40);
     }
 
     #[test]
     fn drain_tail_removes_exactly_n_in_order() {
-        // Taking the last n rows off is a split at `len - n`.
+        // Taking the last n rows off is a move from `len - n`.
         let mut c = filled(40).into_column();
-        let mut asked = 0;
-        let tail = c.split_off(c.len() - 20, provider(0, 16, &mut asked));
+        let (mut tail, mut asked) = (Column::new(), 0);
+        let at = c.len() - 20;
+        c.move_tail(at, &mut tail, NodeId(0), provider(0, 16, &mut asked));
         assert_eq!(rows(&tail), (20..40).collect::<Vec<u64>>());
         assert_eq!(c.len(), 20);
         assert_eq!(c.get(19), Some(19));
         assert_eq!(c.get(20), None);
         // Taking more than remains clamps.
-        let rest = c.split_off(c.len().saturating_sub(100), || unreachable!("no cut"));
+        let mut rest = Column::new();
+        let at = c.len().saturating_sub(100);
+        c.move_tail(at, &mut rest, NodeId(0), || unreachable!("no cut"));
         assert_eq!(rows(&rest), (0..20).collect::<Vec<u64>>());
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn drain_tail_drops_emptied_segments() {
-        let mut c = filled(40).into_column();
-        let tail = c.split_off(7, || Segment::with_capacity(NodeId(0), 16));
+        let (mut c, mut tail) = (filled(40).into_column(), Column::new());
+        c.move_tail(7, &mut tail, NodeId(0), || {
+            Segment::with_capacity(NodeId(0), 16)
+        });
         assert_eq!(c.segments().len(), 1);
         assert_eq!(c.len(), 7);
         assert_eq!(tail.len(), 33);
@@ -690,14 +699,15 @@ mod tests {
 
     #[test]
     fn a_column_appends_after_an_adopted_partial_segment() {
-        // The receiver's own partial segment now sits mid-column, and the
-        // adopted partial one is open: appends fill it, and every reader
-        // walks each segment by its own length.
-        let (_, mut receiver, _) = split_and_adopt(35);
+        // The cut segment's 5 rows filled the receiver's open segment, 5
+        // rows of its own with room for 11: appends fill the rest of it,
+        // then a fresh one, and no segment is left partly filled
+        // mid-column.  Every reader walks each segment by its own length.
+        let (_, mut receiver, _) = split_and_move(35);
         let mut asked = 0;
         receiver.append(200..220, provider(7, 16, &mut asked));
         let lens: Vec<usize> = receiver.segments().iter().map(Segment::len).collect();
-        assert_eq!(lens, vec![5, 16, 9]);
+        assert_eq!(lens, vec![16, 14]);
         assert_eq!(asked, 1);
         let mut expect: Vec<u64> = (100..105).chain(35..40).chain(200..220).collect();
         assert_eq!(rows(&receiver), expect);
@@ -712,8 +722,8 @@ mod tests {
         assert_eq!(receiver.rows_per_node(3, 12), vec![(NodeId(7), 9)]);
         // Journal runs follow the segments: one per segment from row 8 on.
         let runs: Vec<Vec<u64>> = receiver.runs_from(8).map(<[u64]>::to_vec).collect();
-        let second: Vec<u64> = [38, 39].into_iter().chain(200..211).collect();
-        assert_eq!(runs, vec![second, (211..220).collect()]);
+        let first: Vec<u64> = [38, 39].into_iter().chain(200..206).collect();
+        assert_eq!(runs, vec![first, (206..220).collect()]);
         assert_eq!(receiver.runs_from(30).count(), 0);
     }
 
@@ -776,10 +786,10 @@ mod tests {
                 let mut c = Column::new_local(NodeId(0), 0, 16).into_column();
                 let mut asked = 0;
                 c.append(values.iter().copied(), provider(0, 16, &mut asked));
-                let at = c.len().saturating_sub(n);
-                let tail = c.split_off(at, provider(0, 16, &mut asked));
+                let (at, mut tail) = (c.len().saturating_sub(n), Column::new());
+                c.move_tail(at, &mut tail, NodeId(0), provider(0, 16, &mut asked));
                 prop_assert_eq!(c.len() + tail.len(), values.len());
-                c.adopt(tail, NodeId(0));
+                tail.move_tail(0, &mut c, NodeId(0), || unreachable!("no cut"));
                 prop_assert_eq!(rows(&c), values);
             }
         }

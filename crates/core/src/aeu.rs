@@ -555,8 +555,8 @@ impl Aeu {
     }
 
     /// Insert pairs into an index or hash partition (redo-log replay, and
-    /// the steps of a transfer or of a checkpoint restore, a hash partition
-    /// after [`Aeu::reserve_transfer`]).  A hash partition grows
+    /// the steps of a load, a transfer or a checkpoint restore, a hash
+    /// partition after [`Aeu::reserve_transfer`]).  A hash partition grows
     /// geometrically, as inserts grow it.
     pub fn absorb_pairs(&mut self, object: DataObjectId, pairs: &[(u64, u64)]) {
         let p = self
@@ -581,9 +581,9 @@ impl Aeu {
         self.journal(RedoOp::UpsertPairs { object, pairs });
     }
 
-    /// Size a hash partition once for the `keys` keys a balancing cycle
-    /// or a checkpoint restore is about to move into it: it then holds
-    /// exactly its keys, with no growth headroom.  A tree's arenas grow by
+    /// Size a hash partition once for the `keys` keys a balancing cycle,
+    /// a checkpoint restore or a load is about to move into it: it then
+    /// holds exactly its keys, with no growth headroom.  A tree's arenas grow by
     /// equal chunks and need no sizing.
     pub fn reserve_transfer(&mut self, object: DataObjectId, keys: usize) {
         let p = self

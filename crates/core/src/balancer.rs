@@ -656,20 +656,15 @@ impl Balancer {
         for (from, to, n) in moves {
             // Sealed segments change hands, re-homed to the receiver; only
             // the rows past the split inside the segment it cuts are
-            // copied.  Nothing is journaled: recovery puts a row back
-            // where it was last durable.
-            let node = p.aeus[from].node;
-            let donor = p.aeus[from].column_mut(object).expect("a column donor");
-            let tail = donor.split_off(donor.len().saturating_sub(n), || {
-                Aeu::provision_segment(node)
-            });
-            let rows = tail.len();
+            // copied, into the receiver's open segment.  Nothing is
+            // journaled: recovery puts a row back where it was last durable.
+            let [donor, receiver] = p.aeus.get_disjoint_mut([from, to]).expect("two AEUs");
+            let node = receiver.node;
+            let into = receiver.column_mut(object).expect("a column receiver");
+            let donor = donor.column_mut(object).expect("a column donor");
+            let at = donor.len().saturating_sub(n);
+            let rows = donor.move_tail(at, into, node, || Aeu::provision_segment(node));
             moved_rows += rows as u64;
-            let node = p.aeus[to].node;
-            p.aeus[to]
-                .column_mut(object)
-                .expect("migration lands on the freshly provisioned column")
-                .adopt(tail, node);
             // A row move shifts tail rows, not a key range.
             let t = Transfer {
                 from,

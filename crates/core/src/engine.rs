@@ -3,7 +3,7 @@
 //! protocol under real parallelism.  The adaption loop is the balancer's.
 
 use crate::aeu::{Aeu, AeuConfig, CommandGen, OpCounts};
-use crate::balancer::{Balancer, BalancerConfig, Partitions};
+use crate::balancer::{Balancer, BalancerConfig, Partitions, TRANSFER_CHUNK};
 use crate::command::{AeuId, CommandRef, DataCommand, DataObjectId};
 use crate::cost::CostParams;
 use crate::durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
@@ -441,8 +441,10 @@ impl Engine {
         self.shared.telemetry().latency()
     }
 
-    /// Bulk-load an index directly into the owning partitions (setup path;
-    /// routed upserts are the measured path).
+    /// Bulk-load an index in one pass (setup path): each owner stages its
+    /// pairs in one buffer of [`TRANSFER_CHUNK`], then absorbs and journals
+    /// each full one, a hash owner sized on its first for its range's share
+    /// of the size hint.
     pub fn bulk_load_index(
         &mut self,
         object: DataObjectId,
@@ -450,20 +452,34 @@ impl Engine {
     ) {
         let ObjectDescriptor { class, domain, .. } = self.objects[object.0 as usize];
         assert!(class != ObjectClass::Column, "bulk_load_index on a column");
-        // Group into per-owner batches, then absorb.
-        let mut batches: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.aeus.len()];
+        let pairs = pairs.into_iter();
+        let hint = pairs.size_hint().0 as u128;
+        let share = |(lo, hi): (u64, u64)| hint * u128::from(hi - lo) / u128::from(domain);
+        // Allocated before the load's journal flushes free anything, so an
+        // allocator that maps large blocks returns each whole at the end.
+        let mut staged: Vec<_> = (self.aeus.iter())
+            .map(|aeu| share(aeu.partition(object).expect("index partition").range))
+            .map(|share| (Vec::with_capacity(TRANSFER_CHUNK), share))
+            .collect();
         self.shared
             .with_table(object, |t| {
                 let table = t.as_range().expect("index object");
                 for (k, v) in pairs {
                     assert!(k < domain, "key {k} outside domain {domain}");
-                    batches[table.owner(k).index()].push((k, v));
+                    let i = table.owner(k).index();
+                    let (buf, share) = &mut staged[i];
+                    if buf.len() == TRANSFER_CHUNK {
+                        self.aeus[i].reserve_transfer(object, std::mem::take(share) as usize);
+                        self.aeus[i].absorb_pairs(object, buf);
+                        buf.clear();
+                    }
+                    buf.push((k, v));
                 }
             })
             .expect("bulk-loaded object is registered");
-        for (i, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.aeus[i].absorb_pairs(object, &batch);
+        for (aeu, (buf, _)) in self.aeus.iter_mut().zip(staged) {
+            if !buf.is_empty() {
+                aeu.absorb_pairs(object, &buf);
             }
         }
     }
@@ -938,6 +954,58 @@ mod tests {
         }
         assert_eq!(mem.live_bytes(), per_node.iter().sum::<u64>());
         assert!(mem.live_bytes() >= 8 * ((64 << 10) + 1) * 8);
+    }
+
+    /// Each AEU's partition of a hash index.
+    fn hash_parts(e: &Engine, idx: DataObjectId) -> Vec<&eris_index::HashTable> {
+        let part = |a| &e.aeu(a).partition(idx).unwrap().data;
+        (e.aeu_ids().into_iter().map(part))
+            .map(|data| match data {
+                crate::aeu::PartitionData::Hash(h) => h,
+                _ => panic!("hash partition"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_hash_load_sizes_each_partition_for_the_keys_it_received() {
+        // 8 AEUs; each range holds 2^17 keys, two staging chunks.
+        let domain = 1u64 << 20;
+        let sized = |keys| eris_index::HashTable::with_capacity(1, 0, keys).memory_bytes();
+        // Exact size hint, keys spread as the ranges are: each partition
+        // is sized once, exactly for its keys.
+        let mut e = small_engine(false);
+        let even = e.create_hash_index("even", domain);
+        e.bulk_load_index(even, (0..domain).map(|k| (k, k)));
+        for h in hash_parts(&e, even) {
+            assert_eq!((h.len(), h.memory_bytes()), (1 << 17, sized(1 << 17)));
+        }
+        // Every key in AEU 0's range (8 times its share of the hint), and
+        // a hint of 0 (`filter`): a partition that received no keys holds
+        // no reservation, and one that did grew for what it received.
+        let skewed = e.create_hash_index("skewed", domain);
+        e.bulk_load_index(skewed, (0..domain / 8).map(|k| (k, k)));
+        let hintless = e.create_hash_index("hintless", domain);
+        let every_third = (0..domain).filter(|k| k % 3 != 0);
+        e.bulk_load_index(hintless, every_third.map(|k| (k, k)));
+        assert_eq!(hash_parts(&e, skewed)[1].memory_bytes(), sized(0));
+        for (idx, keys) in [(skewed, 0..domain / 8), (hintless, 1..domain)] {
+            let parts = hash_parts(&e, idx);
+            for h in &parts {
+                let (keys, bytes) = (h.len(), h.memory_bytes());
+                assert!(
+                    bytes <= sized(keys) * 3 / 2 + sized(0),
+                    "{bytes} B for {keys} keys, a table for them is {} B",
+                    sized(keys)
+                );
+            }
+            let held = parts.iter().map(|h| h.len() as u64).sum::<u64>();
+            let loaded = keys.clone().filter(|k| idx == skewed || k % 3 != 0);
+            assert_eq!(held, loaded.clone().count() as u64);
+            for k in loaded.step_by(997) {
+                assert_eq!(parts.iter().find_map(|h| h.lookup(k)), Some(k));
+            }
+        }
     }
 
     #[test]

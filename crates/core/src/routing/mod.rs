@@ -470,21 +470,22 @@ impl Router {
                 };
                 // Scans multicast to every owner intersecting the
                 // predicate.
+                let (owned, one);
                 let targets = match (table_in(&self.tables, object)?, pred) {
                     (PartitionTable::Range(r), Predicate::Range { lo, hi }) => {
-                        r.owners_in_range(lo, hi)
+                        owned = r.owners_in_range(lo, hi);
+                        &owned
                     }
                     (PartitionTable::Range(r), Predicate::Equals(x)) => {
                         // A point predicate has exactly one owner; going
                         // through `owners_in_range(x, x + 1)` would lose
                         // `x == u64::MAX` to bound saturation.
-                        // ALLOC-OK: one-element owner list for the point-predicate fast
-                        // path, shaped like the general multicast target set.
-                        vec![r.owner(x)]
+                        one = r.owner(x);
+                        std::slice::from_ref(&one)
                     }
                     (t, _) => t.scan_targets(),
                 };
-                self.out.push_multicast(&targets, cmd.bytes, full);
+                self.out.push_multicast(targets, cmd.bytes, full);
                 (0, targets.len() as u64)
             }
         };

@@ -93,6 +93,8 @@ pub enum OwnerSplit<T> {
 #[derive(Clone)]
 pub struct RangeTable {
     csb: CsbTree<AeuId>,
+    /// The owner of each range, in key order: a whole-object scan's targets.
+    owners: Vec<AeuId>,
     /// Keys live in `[0, domain)`; `u64::MAX` means the whole key space,
     /// its top key included (the last partition is closed at the top).
     domain: u64,
@@ -123,6 +125,7 @@ impl RangeTable {
             .collect();
         RangeTable {
             slots: slots(&entries),
+            owners: owners.to_vec(),
             csb: CsbTree::build(entries),
             domain,
             version: 0,
@@ -173,6 +176,7 @@ impl RangeTable {
     /// Replace the partitioning (load balancer only).
     pub fn rebuild(&mut self, entries: Vec<(u64, AeuId)>) {
         self.slots = slots(&entries);
+        self.owners = entries.iter().map(|&(_, a)| a).collect();
         self.csb = CsbTree::build(entries);
         self.version += 1;
     }
@@ -320,14 +324,11 @@ pub enum PartitionTable {
 }
 
 impl PartitionTable {
-    /// The owner set for a whole-object scan.
-    pub fn scan_targets(&self) -> Vec<AeuId> {
+    /// The owner set for a whole-object scan, as the table holds it.
+    pub fn scan_targets(&self) -> &[AeuId] {
         match self {
-            // ALLOC-OK: scan-target lists are bounded by the owner count and
-            // become the multicast target set.
-            PartitionTable::Range(r) => r.ranges().iter().map(|(_, a)| *a).collect(),
-            // ALLOC-OK: same — a copy of the (small) member set.
-            PartitionTable::Bitmap(b) => b.members().to_vec(),
+            PartitionTable::Range(r) => &r.owners,
+            PartitionTable::Bitmap(b) => b.members(),
         }
     }
 

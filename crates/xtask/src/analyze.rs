@@ -37,6 +37,9 @@
 //! * **A5 facade** — a file that imports `eris_sync` uses no
 //!   `std::sync::atomic`, `std::cell::UnsafeCell` or
 //!   `std::hint::spin_loop`, which would silently escape loom.
+//! * **A6 `ALLOC-OK` ceiling** — the lines outside test code whose
+//!   comment names `ALLOC-OK` number at most the committed ceiling, so
+//!   an argued allocation is added only by raising it in review.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -45,9 +48,9 @@ use std::process::ExitCode;
 use crate::graph::{FnMarks, Graph};
 use crate::lexer::{lex, Lexed};
 use crate::parser::{parse_fns, Call, CallKind, FnItem};
-use crate::{Violation, GRAPH_CRATES, HOT_PATHS, LOCK_ALLOWLIST, LOOKBACK};
+use crate::{Violation, ALLOC_OK_CEILING, GRAPH_CRATES, HOT_PATHS, LOCK_ALLOWLIST, LOOKBACK};
 
-const RULES: &[&str] = &["A0", "A1", "A2", "A3", "A4", "A5"];
+const RULES: &[&str] = &["A0", "A1", "A2", "A3", "A4", "A5", "A6"];
 
 const A1_MACROS: &[&str] = &[
     "panic",
@@ -104,6 +107,8 @@ pub struct AnalyzeConfig {
     pub lock_allowlist: Vec<PathBuf>,
     /// Member manifests that must opt into the workspace lints.
     pub manifests: Vec<PathBuf>,
+    /// The most `ALLOC-OK` lines the universe may hold (A6).
+    pub alloc_ok_ceiling: usize,
 }
 
 /// One lexed + parsed source file with per-fn annotation marks.
@@ -237,6 +242,24 @@ pub fn run_analyze_with(config: &AnalyzeConfig) -> (Vec<Violation>, AnalyzeStats
     for file in &files {
         check_file(file, config, &mut report);
     }
+    let alloc_ok = (files.iter())
+        .map(|f| {
+            let code = f.lexed.comments.iter().take(f.cut);
+            code.filter(|c| c.contains("ALLOC-OK")).count()
+        })
+        .sum();
+    if alloc_ok > config.alloc_ok_ceiling {
+        let at = config
+            .graph_dirs
+            .first()
+            .map_or(Path::new(""), PathBuf::as_path);
+        let msg = format!(
+            "{alloc_ok} lines name ALLOC-OK, past the ceiling of {}: remove an \
+             allocation, or raise the ceiling with the reason",
+            config.alloc_ok_ceiling
+        );
+        report.push("A6", at, 0, "", msg);
+    }
     let mut out = report.out;
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     let stats = AnalyzeStats {
@@ -244,6 +267,7 @@ pub fn run_analyze_with(config: &AnalyzeConfig) -> (Vec<Violation>, AnalyzeStats
         roots: graph.roots().len(),
         reachable: reachable.len(),
         cuts: cuts.len(),
+        alloc_ok,
     };
     (out, stats)
 }
@@ -253,6 +277,8 @@ pub struct AnalyzeStats {
     pub roots: usize,
     pub reachable: usize,
     pub cuts: usize,
+    /// Lines outside test code whose comment names `ALLOC-OK`.
+    pub alloc_ok: usize,
 }
 
 /// True when `manifest` has a `[lints]` table with `workspace = true`.
@@ -608,6 +634,7 @@ fn tree_config(root: &Path) -> AnalyzeConfig {
         hot_paths: HOT_PATHS.iter().map(|p| root.join(p)).collect(),
         lock_allowlist: LOCK_ALLOWLIST.iter().map(|(p, _)| root.join(p)).collect(),
         manifests,
+        alloc_ok_ceiling: ALLOC_OK_CEILING,
     }
 }
 
@@ -616,8 +643,8 @@ pub fn run_analyze(root: &Path) -> ExitCode {
     if violations.is_empty() {
         println!(
             "static analysis: {} roots, {} reachable fns ({} cut boundaries) \
-             across {} files — clean",
-            stats.roots, stats.reachable, stats.cuts, stats.files
+             across {} files — clean; {} ALLOC-OK lines (ceiling {})",
+            stats.roots, stats.reachable, stats.cuts, stats.files, stats.alloc_ok, ALLOC_OK_CEILING
         );
         if stats.roots == 0 {
             eprintln!("static analysis: no HOT-PATH-ROOT annotations found — nothing was proved");
@@ -654,6 +681,8 @@ pub fn run_analyze_self_check(root: &Path) -> ExitCode {
             fixtures.join("member.toml"),
             fixtures.join("member_ok.toml"),
         ],
+        // The lines of `hot.rs`; `ceiling.rs` holds one more.
+        alloc_ok_ceiling: 3,
     };
     let (violations, stats) = run_analyze_with(&config);
     let mut failed = false;

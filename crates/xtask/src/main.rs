@@ -48,6 +48,11 @@ const HOT_PATHS: &[&str] = &[
     "crates/server/src/tenant.rs",
 ];
 
+/// The most lines of the analyzed crates whose comment names `ALLOC-OK`.
+/// Each is an allocation argued rather than removed: a change that
+/// removes one lowers this, and one that adds one must say why here.
+const ALLOC_OK_CEILING: usize = 39;
+
 /// Files allowed to hold a lock, with the reason reviewers accepted.
 /// Everything here is control-plane: never per-command.
 const LOCK_ALLOWLIST: &[(&str, &str)] = &[
